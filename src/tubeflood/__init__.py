@@ -3,10 +3,12 @@
 Forward map: tube-length measure -> displacement characteristic (produced
 water vs total produced volume).  Inverse map: displacement characteristic
 plus its support bound -> recovered water profile, harmonic cumulative and
-density, via a contracting fixed-point iteration.
+density, via the fixed-point equation V = G(h + TV), solved exactly by
+back-substitution with a closed-form operator matrix.
+
+The package is pure Python on NumPy; BACKEND names that one implementation.
 """
 
-from ._kernels import BACKEND
 from .analysis import (
     AmbiguityPair,
     SensitivityRecord,
@@ -69,4 +71,5 @@ from .tubes import (
     simulate,
 )
 
+BACKEND = "numpy"
 __version__ = "0.1.0"

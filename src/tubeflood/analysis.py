@@ -110,8 +110,8 @@ def stability_experiment(curve1, curve2, config=None):
     """Solve both curves and compare against the explicit stability bound.
 
     The curves must share kappa and alpha_max.  Raises
-    InternalConsistencyError if the bound is violated beyond the iteration
-    tolerance slack.
+    InternalConsistencyError if the bound is violated by more than the two
+    solves' certified error bounds.
     """
     if curve1.kappa != curve2.kappa or curve1.alpha_max != curve2.alpha_max:
         raise ArgumentError("curves must share kappa and alpha_max")
@@ -128,7 +128,7 @@ def stability_experiment(curve1, curve2, config=None):
     v_diff = float(np.max(np.abs(res1.v - res2.v)))
     constant = stability_bound(curve1.kappa, curve1.alpha_max)
     bound = constant * delta
-    slack = 4.0 * (res1.tol + res2.tol)
+    slack = res1.error_bound + res2.error_bound
     if v_diff > bound * (1.0 + 1e-6) + slack:
         raise InternalConsistencyError(
             f"stability bound violated: |V1-V2| = {v_diff:.6g} > {bound:.6g}"

@@ -5,13 +5,14 @@ Data contracts:
     formatting, so identical configs reproduce byte-identical files.
   * diagnostics and experiment reports are JSON; errors are emitted as a
     JSON object on stderr.
-  * exit codes: 0 success, 2 invalid config, 3 convergence failure,
+  * exit codes: 0 success, 2 invalid input (config, flags or curve CSV),
     4 internal-consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,13 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, forward, inverse, tubes
-from ._kernels import BACKEND
-from .errors import (
-    ArgumentError,
-    ConvergenceError,
-    InternalConsistencyError,
-    UndefinedValueError,
-)
+from .errors import ArgumentError, InternalConsistencyError, UndefinedValueError
 from .measures import Measure
 
 # ---------------------------------------------------------------------------
@@ -75,19 +70,27 @@ def _measure_from_config(config):
     return Measure.from_dict(block)
 
 
+def _cast(key, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"option {key!r}: {exc}") from exc
+
+
 def _required(config, args, key, flag_value, cast=float):
     """Numeric option: command-line flag wins over the config file."""
     if flag_value is not None:
-        return cast(flag_value)
+        return _cast(key, flag_value, cast)
     if key in config:
-        return cast(config[key])
+        return _cast(key, config[key], cast)
     raise ArgumentError(f"missing required option {key!r}")
 
 
 def read_curve_csv(path, kappa, alpha_max):
     """Load a displacement curve from CSV columns (total, water | Vw).
 
-    Re-validates every curve invariant on ingestion.
+    Re-validates every curve invariant on ingestion; a curve that breaks
+    one is bad input (ArgumentError), not a broken internal invariant.
     """
     try:
         with open(path) as fh:
@@ -117,7 +120,10 @@ def read_curve_csv(path, kappa, alpha_max):
         raise ArgumentError(f"{path}: malformed CSV row: {exc}") from exc
     x = np.array([d[0] for d in data])
     g = np.array([d[1] for d in data])
-    return forward.DisplacementCurve(x=x, g=g, alpha_max=alpha_max, kappa=kappa)
+    try:
+        return forward.DisplacementCurve(x=x, g=g, alpha_max=alpha_max, kappa=kappa)
+    except InternalConsistencyError as exc:
+        raise ArgumentError(f"{path}: invalid curve: {exc}") from exc
 
 
 def _summary(text):
@@ -142,7 +148,7 @@ def _cmd_forward(args):
     mu = _measure_from_config(config)
     kappa = _required(config, args, "kappa", args.kappa)
     alpha_max = _required(config, args, "alpha_max", args.alpha_max)
-    n_samples = int(_required(config, args, "n_samples", args.n_samples, cast=int))
+    n_samples = _required(config, args, "n_samples", args.n_samples, cast=int)
 
     curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
     alphas = np.linspace(0.0, alpha_max, n_samples)
@@ -161,10 +167,7 @@ def _cmd_forward(args):
 def _recovery_config(args, default_alpha_min=0.0):
     return inverse.RecoveryConfig(
         n_grid=args.n_grid,
-        tol=args.tol,
-        max_iter=args.max_iter,
         alpha_min=args.alpha_min if args.alpha_min is not None else default_alpha_min,
-        quad_order=args.quad_order,
     )
 
 
@@ -179,21 +182,17 @@ def _cmd_invert(args):
     )
     diagnostics = {
         "iterations": result.iterations,
-        "observed_ratio": result.observed_ratio,
         "residual": result.residual,
         "clip_count": result.phi_clip_count,
         "f_clip_count": result.f_clip_count,
         "error_bound": result.error_bound,
         "contraction_q": result.contraction_q,
-        "tol": result.tol,
-        "converged": result.converged,
-        "backend": BACKEND,
     }
     if args.diagnostics:
         _emit_json(diagnostics, args.diagnostics)
     _summary(
-        f"invert: converged in {result.iterations} iterations "
-        f"(residual {result.residual:.3e}), wrote {dest}"
+        f"invert: solved (residual {result.residual:.3e}, "
+        f"error bound {result.error_bound:.3e}), wrote {dest}"
     )
     return 0
 
@@ -208,7 +207,7 @@ def _cmd_tubes(args):
         kappa = float(config["kappa"])
         t_max = float(config["t_max"])
         n_steps = int(config["n_steps"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed tubes config: {exc}") from exc
     if n_steps < 2 or t_max <= 0:
         raise ArgumentError("need t_max > 0 and n_steps >= 2")
@@ -239,7 +238,7 @@ def _cmd_stability(args):
         mu = _measure_from_config(config)
         kappa = _required(config, args, "kappa", args.kappa)
         alpha_max = _required(config, args, "alpha_max", args.alpha_max)
-        n_samples = int(config.get("n_samples", 2001))
+        n_samples = _cast("n_samples", config.get("n_samples", 2001), int)
         curve1 = forward.build_curve(mu, kappa, alpha_max, n_samples)
         curve2 = analysis.sinusoidal_perturbation(
             curve1, args.delta0_rel * curve1.v_max
@@ -329,13 +328,7 @@ def pipeline_roundtrip(
     """
     cfg = config or inverse.RecoveryConfig(n_grid=2001)
     if density_window is not None:
-        cfg = inverse.RecoveryConfig(
-            n_grid=cfg.n_grid,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            alpha_min=density_window[0],
-            quad_order=cfg.quad_order,
-        )
+        cfg = dataclasses.replace(cfg, alpha_min=density_window[0])
     curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
     result = inverse.recover(curve, cfg)
 
@@ -346,9 +339,8 @@ def pipeline_roundtrip(
         "v_sup_error": float(np.max(np.abs(result.v - v_true))),
         "phi_end": float(phi_true[-1]),
         "phi_linf_error": float(np.max(np.abs(result.phi - phi_true))),
-        "iterations": result.iterations,
-        "observed_ratio": result.observed_ratio,
         "residual": result.residual,
+        "error_bound": result.error_bound,
         "phi_clip_count": result.phi_clip_count,
     }
     if density_window is not None:
@@ -372,10 +364,7 @@ def pipeline_roundtrip(
 
 def _add_solver_flags(sub):
     sub.add_argument("--n-grid", type=int, default=1001)
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--max-iter", type=int, default=200)
     sub.add_argument("--alpha-min", type=float, default=None)
-    sub.add_argument("--quad-order", type=int, default=4)
 
 
 def build_parser():
@@ -456,8 +445,6 @@ def main(argv=None):
         return _fail(2, "invalid-config", exc)
     except OSError as exc:
         return _fail(2, "io-error", exc)
-    except ConvergenceError as exc:
-        return _fail(3, "convergence-failure", exc)
     except InternalConsistencyError as exc:
         return _fail(4, "internal-consistency", exc)
 

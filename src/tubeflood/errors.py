@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ArgumentError -> 2,
-ConvergenceError -> 3, InternalConsistencyError -> 4.
+The CLI maps these onto exit codes: ArgumentError and UndefinedValueError
+-> 2, InternalConsistencyError -> 4.
 """
 
 
@@ -14,9 +14,11 @@ class UndefinedValueError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration did not converge within the iteration budget.
+    """An iterative solve did not converge.
 
-    Carries the last iterate and its diagnostics in ``result``.
+    The package's own fixed-point solve is exact and never raises this; the
+    type stays for callers that catch it.  Carries the last iterate and its
+    diagnostics in ``result``.
     """
 
     def __init__(self, message, result=None):

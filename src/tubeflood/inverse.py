@@ -7,8 +7,14 @@ profile V_w solves the fixed-point equation
 
 where h collects the curve-endpoint data and T is the integral operator
 with kernel K below.  G is 1-Lipschitz and the sup-norm of T is at most
-q = (1-kappa)/(1+kappa) < 1, so plain iteration from V = 0 contracts at
-rate q and the solution is unique.
+q = (1-kappa)/(1+kappa) < 1, so the solution is unique.
+
+V is represented by its samples on a uniform grid and their
+piecewise-linear interpolant.  The kernel integrates against the hat
+functions in closed form, so the operator matrix is exact up to rounding.
+T integrates from alpha up to alpha_max (a Volterra operator), so that
+matrix is upper triangular and the discrete fixed point is solved exactly
+by one sweep down from alpha_max, one scalar equation per grid node.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
 dmu(y)/y follows from V'(alpha) = (1+kappa)/kappa * alpha * Phi(alpha),
@@ -29,59 +35,50 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import t_matrix
-from .errors import ArgumentError, ConvergenceError
+from .errors import ArgumentError
 from .forward import curve_readoff
 from .measures import check_kappa
+
+# Matrix cells per row block of the assembly: temporaries stay near 256 KB.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Numerical parameters of the inversion.
 
-    tol=None means 1e-10 * v_max, fixed when the solve starts.  alpha_min
-    is the lower edge of the density reporting window; 0 disables density
-    recovery (the density formula divides by alpha).
+    n_grid is the number of uniform grid nodes on [0, alpha_max].
+    alpha_min is the lower edge of the density reporting window; 0
+    disables density recovery (the density formula divides by alpha).
     """
 
     n_grid: int = 1001
-    tol: float | None = None
-    max_iter: int = 200
     alpha_min: float = 0.0
-    quad_order: int = 4
 
     def __post_init__(self):
-        if self.n_grid < 3:
-            raise ArgumentError("n_grid must be >= 3")
-        if self.tol is not None and not self.tol > 0:
-            raise ArgumentError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ArgumentError("max_iter must be >= 1")
-        if self.alpha_min < 0:
+        if not isinstance(self.n_grid, (int, np.integer)) or self.n_grid < 3:
+            raise ArgumentError("n_grid must be an integer >= 3")
+        if not self.alpha_min >= 0:
             raise ArgumentError("alpha_min must be >= 0")
-        if self.quad_order < 1:
-            raise ArgumentError("quad_order must be >= 1")
 
 
 @dataclass(eq=False)
 class RecoveryResult:
-    """Recovered profile plus iteration diagnostics.
+    """Recovered profile plus solver diagnostics.
 
-    error_bound is the contraction estimate q/(1-q) * (last sup step);
-    phi and f are filled by the cdf/density stages (NaN outside the
-    density reporting window).
+    residual is sup |V - G(h + TV)| on the grid and error_bound =
+    residual / (1 - q) bounds the distance to the exact discrete fixed
+    point.  iterations counts sweeps and is always 1.  phi and f are filled
+    by the cdf/density stages (NaN outside the density reporting window).
     """
 
     grid: np.ndarray
     v: np.ndarray
     kappa: float
     iterations: int
-    observed_ratio: float
     error_bound: float
     residual: float
     contraction_q: float
-    tol: float
-    converged: bool
     phi: np.ndarray | None = None
     phi_clip_count: int | None = None
     f: np.ndarray | None = None
@@ -122,21 +119,78 @@ def kernel_K(y, alpha, kappa, alpha_max):
     return out
 
 
-@lru_cache(maxsize=16)
-def _unit_t_matrix(n, kappa, order):
-    """Operator matrix on the unit uniform grid.
+def _t_minus_arctan(t):
+    """t - arctan(t) for t >= 0, by its Taylor series where the two cancel."""
+    out = np.empty_like(t)
+    small = t < 0.1
+    big = ~small
+    out[big] = t[big] - np.arctan(t[big])
+    ts = t[small]
+    t2 = ts * ts
+    acc = np.zeros_like(ts)
+    for k in range(9, 0, -1):   # t^3 (1/3 - t^2/5 + t^4/7 - ...)
+        acc = 1.0 / (2 * k + 1) - t2 * acc
+    out[small] = ts * t2 * acc
+    return out
+
+
+@lru_cache(maxsize=1)
+def _unit_t_matrix(n, kappa):
+    """Exact operator matrix on the unit uniform grid.
+
+    Row i, column j is kappa c alpha_i^4 times the integral of
+    phi_j(y) / (y^2 (y^2 - c alpha_i^2)^{3/2}) over [alpha_i, 1], with
+    c = 1 - kappa^2 and phi_j the hat function of node j.  In x = y/alpha_i
+    the nodes sit at x_m = m/i and the integrand is phi_j / (x^2 u^3),
+    u = sqrt(x^2 - c), whose antiderivatives are
+
+        A(x) = int dx / (x^2 u^3) = -(2x^2 - c) / (c^2 x u)
+        B(x) = int dx / (x u^3)   = -(1/u + arctan(u/sqrt(c))/sqrt(c)) / c .
+
+    Over the cell [x_m, x_{m+1}] the hat of node m+1 is i (x - x_m), so
+    that node gets i (dB - x_m dA) and node m gets the rest of dA.  The
+    differences over the cell are taken in forms free of cancellation
+    between its ends; with D = x2^2 - x1^2, P = u1 u2, S = u1 + u2 and
+    X = x1 x2,
+
+        dA = D (x1^2 + x2^2 - c) / (P X (x1 u2 + x2 u1) (X + P))
+        dB = D / (S P (c + P)) + (t - arctan t) / c^{3/2},
+             t = D sqrt(c) / (S (c + P)) .
+
+    Clamping node indices below the diagonal to i gives those cells zero
+    width, so the matrix comes out upper triangular; row 0 (alpha = 0) is 0.
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
-    1/alpha_max, cell widths gain alpha_max), so one matrix per
-    (n, kappa, order) serves every alpha_max.
+    1/alpha_max, cell widths gain alpha_max), so one matrix per (n, kappa)
+    serves every alpha_max.  The cache holds one matrix: every caller in
+    the package reuses a single (n, kappa).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    M = t_matrix(np.linspace(0.0, 1.0, n), kappa, nodes, weights)
-    M.setflags(write=False)
-    return M
+    c = 1.0 - kappa * kappa
+    sc = math.sqrt(c)
+    out = np.zeros((n, n))
+    rows = max(1, _BLOCK_CELLS // n)
+    for i0 in range(1, n, rows):
+        i = np.arange(i0, min(i0 + rows, n), dtype=float)[:, None]
+        m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
+        x = m / i
+        u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
+        x1, x2, u1, u2 = x[:, :-1], x[:, 1:], u[:, :-1], u[:, 1:]
+        D = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i)  # x2^2 - x1^2
+        P = u1 * u2
+        S = u1 + u2
+        X = x1 * x2
+        dA = D * (x1 * x1 + x2 * x2 - c) / (P * X * (x1 * u2 + x2 * u1) * (X + P))
+        t = D * sc / (S * (c + P))
+        dB = D / (S * P * (c + P)) + _t_minus_arctan(t) / (c * sc)
+        right = i * (dB - x1 * dA)
+        rows_out = out[i0:i0 + i.shape[0]]
+        rows_out[:, i0:-1] += kappa * c * (dA - right)
+        rows_out[:, i0 + 1:] += kappa * c * right
+    out.setflags(write=False)
+    return out
 
 
-def apply_T(v, kappa, alpha_max, order=4):
+def apply_T(v, kappa, alpha_max):
     """Apply the integral operator to samples of V on the uniform grid.
 
     v holds the values of V at linspace(0, alpha_max, len(v)); the result
@@ -148,7 +202,7 @@ def apply_T(v, kappa, alpha_max, order=4):
         raise ArgumentError("v must be a 1-d array of >= 2 grid samples")
     if not alpha_max > 0:
         raise ArgumentError("alpha_max must be > 0")
-    return _unit_t_matrix(v.size, kappa, order) @ v
+    return _unit_t_matrix(v.size, kappa) @ v
 
 
 def h_of_alpha(v_w_max, v_o_max, kappa, alpha_max, alpha, paper_literal=False):
@@ -181,16 +235,18 @@ def h_of_alpha(v_w_max, v_o_max, kappa, alpha_max, alpha, paper_literal=False):
     return out
 
 
-def solve_fixed_point(curve, config=None, paper_literal=False, v0=None):
-    """Iterate V <- G(h + TV) until the sup change is below tol.
+def solve_fixed_point(curve, config=None, paper_literal=False):
+    """Solve the discrete V = G(h + MV) exactly, by back-substitution.
 
-    The canonical start is V = 0; any bounded v0 (scalar or grid array)
-    converges to the same fixed point, which the uniqueness tests exercise.
+    M is upper triangular, so once the nodes above i are known, row i reads
+    V_i = G(b + d V_i) with d = M[i, i] < 1 and b = h_i + M[i, i+1:] V[i+1:].
+    Since G is 1-Lipschitz, s - d G(s) increases with s: the segment of G
+    holding s = b + d V_i is the one whose knot values x_k - d g_k bracket
+    b, and one linear solve on that segment gives V_i.  Marching from
+    alpha_max down solves every row in one sweep.
+
     Returns a RecoveryResult holding V only (see ``recover`` for the full
-    pipeline).  Raises ConvergenceError, carrying the last iterate, if the
-    iteration budget is exhausted; with G 1-Lipschitz this can only happen
-    for pathological tolerance settings, since the iteration contracts at
-    rate q = (1-kappa)/(1+kappa).
+    pipeline).
     """
     cfg = config or RecoveryConfig()
     kappa = curve.kappa
@@ -198,55 +254,42 @@ def solve_fixed_point(curve, config=None, paper_literal=False, v0=None):
     v_max = curve.v_max
     if not v_max > 0:
         raise ArgumentError("degenerate curve: v_max must be > 0")
-    tol = cfg.tol if cfg.tol is not None else 1e-10 * v_max
 
-    grid = np.linspace(0.0, alpha_max, cfg.n_grid)
+    n = cfg.n_grid
+    grid = np.linspace(0.0, alpha_max, n)
     vw_max, _ = curve_readoff(curve, paper_literal=paper_literal)
     h = h_of_alpha(
         vw_max, v_max - vw_max, kappa, alpha_max, grid, paper_literal=paper_literal
     )
-    M = _unit_t_matrix(cfg.n_grid, kappa, cfg.quad_order)
+    M = _unit_t_matrix(n, kappa)
+
+    x, g = curve.x, curve.g
+    slope = np.diff(g) / np.diff(x)
+    last = x.size - 1
+    v = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        d = M[i, i]
+        b = h[i] + M[i, i + 1:] @ v[i + 1:]
+        knots = x - d * g
+        k = int(np.searchsorted(knots, b, side="right")) - 1
+        if k < 0:            # G is constant outside [0, v_max]
+            v[i] = g[0]
+        elif k == last:
+            v[i] = g[last]
+        else:
+            v[i] = g[k] + slope[k] * (b - knots[k]) / (1.0 - d * slope[k])
 
     q = (1.0 - kappa) / (1.0 + kappa)
-    if v0 is None:
-        v = np.zeros(cfg.n_grid)
-    else:
-        v = np.broadcast_to(np.asarray(v0, dtype=float), (cfg.n_grid,)).copy()
-    last_delta = math.inf
-    ratio = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, cfg.max_iter + 1):
-        v_next = curve(h + M @ v)
-        delta = float(np.max(np.abs(v_next - v)))
-        if math.isfinite(last_delta) and last_delta > 0:
-            ratio = max(ratio, delta / last_delta)
-        v = v_next
-        last_delta = delta
-        if delta <= tol:
-            converged = True
-            break
-
     residual = float(np.max(np.abs(v - curve(h + M @ v))))
-    result = RecoveryResult(
+    return RecoveryResult(
         grid=grid,
         v=v,
         kappa=kappa,
-        iterations=iterations,
-        observed_ratio=ratio,
-        error_bound=q / (1.0 - q) * last_delta,
+        iterations=1,
+        error_bound=residual / (1.0 - q),
         residual=residual,
         contraction_q=q,
-        tol=tol,
-        converged=converged,
     )
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence in {cfg.max_iter} iterations "
-            f"(last step {last_delta:.3e}, tol {tol:.3e})",
-            result=result,
-        )
-    return result
 
 
 def recover_cdf(grid, v, kappa):

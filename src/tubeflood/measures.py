@@ -148,9 +148,14 @@ class Measure:
     @classmethod
     def from_dict(cls, data):
         try:
-            atoms = tuple((d["L"], d["S"]) for d in data.get("atoms", []))
-            pieces = tuple((d["a"], d["b"], d["rho"]) for d in data.get("pieces", []))
-        except (KeyError, TypeError) as exc:
+            atoms = tuple(
+                (float(d["L"]), float(d["S"])) for d in data.get("atoms", [])
+            )
+            pieces = tuple(
+                (float(d["a"]), float(d["b"]), float(d["rho"]))
+                for d in data.get("pieces", [])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed measure config: {exc}") from exc
         return cls(atoms=atoms, pieces=pieces)
 

@@ -57,6 +57,7 @@ def test_criterion_01_operator_oracle():
     tv = apply_T(np.ones(1001), 0.5, 10.0)
     oracle = closed_tail_integral(5.0, 10.0, 0.5)
     assert abs(tv[500] - oracle) <= 1e-6
+    assert abs(tv[10] - closed_tail_integral(0.1, 10.0, 0.5)) <= 1e-12
     assert abs(tv[10] - 1.0 / 3.0) <= 1e-3
     elapsed = time.perf_counter() - start
     record_note(
@@ -82,7 +83,7 @@ def test_criterion_02_contraction():
             v2 = np.interp(grid, knots2, rng.uniform(-1.0, 1.0, knots2.size))
             diff = v1 - v2
             ratio = np.max(np.abs(apply_T(diff, kappa, 10.0))) / np.max(np.abs(diff))
-            assert ratio <= q + 5e-3
+            assert ratio <= q + 1e-12
     elapsed = time.perf_counter() - start
     record_note("test_criterion_02_contraction", f"{elapsed:.1f}s")
     assert elapsed < 10.0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tubeflood import cli
+from tubeflood import cli, forward
 from tubeflood.measures import Measure
 
 ATOM_CONFIG = {
@@ -59,6 +59,23 @@ class TestForward:
         )
         assert cli.main(["forward", config]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"kappa": "abc"},
+            {"alpha_max": [2.0]},
+            {"n_samples": "many"},
+            {"measure": {"pieces": [{"a": "x", "b": 2.0, "rho": 1.0}]}},
+            {"measure": {"atoms": [{"L": 1.0, "S": None}]}},
+        ],
+        ids=["kappa", "alpha_max", "n_samples", "piece", "atom"],
+    )
+    def test_non_numeric_value(self, tmp_path, capsys, change):
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, **change})
+        assert cli.main(["forward", config, "--out", str(tmp_path / "x.csv")]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["exit_code"] == 2 and error["type"] == "invalid-config"
+
     def test_missing_option(self, tmp_path):
         config = write_json(
             tmp_path / "m.json", {"measure": ATOM_CONFIG["measure"], "kappa": 0.5}
@@ -85,27 +102,64 @@ class TestInvert:
         header, data = read_csv(out)
         assert header == ["alpha", "V", "Phi", "f"]
         diagnostics = json.loads(diag.read_text())
-        assert diagnostics["converged"]
-        assert diagnostics["iterations"] <= 60
-        assert diagnostics["residual"] <= 2 * diagnostics["tol"]
+        assert set(diagnostics) == {
+            "iterations", "residual", "error_bound", "contraction_q",
+            "clip_count", "f_clip_count",
+        }
+        assert diagnostics["iterations"] == 1
+        assert diagnostics["residual"] <= 1e-12
+        assert diagnostics["error_bound"] == pytest.approx(
+            diagnostics["residual"] / (1.0 - diagnostics["contraction_q"])
+        )
         # Phi jumps from 0 to about S/L = 1 across the atom at alpha = 1
         grid = data[:, 0]
         phi = data[:, 2]
         assert np.max(np.abs(phi[grid <= 0.9])) <= 0.05
         assert np.max(np.abs(phi[grid >= 1.1] - 1.0)) <= 0.05
 
-    def test_convergence_failure_exit_code(self, tmp_path, curve_csv):
+    def test_small_kappa_exit_code(self, tmp_path):
+        # q = 0.99 at kappa = 0.005: the slowest contraction the CLI accepts in tests
+        config = write_json(
+            tmp_path / "m.json",
+            {"measure": {"pieces": [{"a": 3.0, "b": 9.0, "rho": 1.0}]},
+             "kappa": 0.005, "alpha_max": 10.0, "n_samples": 4001},
+        )
+        curve = tmp_path / "curve.csv"
+        out = tmp_path / "r.csv"
+        assert cli.main(["forward", config, "--out", str(curve)]) == 0
         code = cli.main([
-            "invert", str(curve_csv), "--kappa", "0.5", "--alpha-max", "2",
-            "--n-grid", "301", "--max-iter", "2", "--tol", "1e-14",
-            "--out", str(tmp_path / "r.csv"),
+            "invert", str(curve), "--kappa", "0.005", "--alpha-max", "10",
+            "--n-grid", "2001", "--out", str(out),
         ])
-        assert code == 3
+        assert code == 0
+        header, data = read_csv(out)
+        _, fwd = read_csv(curve)
+        v_max = fwd[-1, 3]
+        truth = forward.v_w_samples(
+            Measure(pieces=((3.0, 9.0, 1.0),)), 0.005, data[:, 0]
+        )
+        assert np.max(np.abs(data[:, header.index("V")] - truth)) <= 1e-5 * v_max
 
-    def test_lipschitz_violation_exit_code(self, tmp_path):
+    def test_lipschitz_violation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("total,water\n0.0,0.0\n1.0,0.9\n2.0,2.1\n")
-        assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 4
+        assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "invalid-config"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0.0,0.0\n1.0,nan\n2.0,1.0\n",      # NaN sample
+            "0.0,0.0\n1.0,0.5\n1.0,0.6\n",      # repeated total
+        ],
+        ids=["nan", "duplicate-total"],
+    )
+    def test_invalid_curve_exit_code(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("total,water\n" + rows)
+        assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["exit_code"] == 2 and error["type"] == "invalid-config"
 
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -146,6 +200,15 @@ class TestTubes:
     def test_invalid_config(self, tmp_path):
         config = write_json(tmp_path / "t.json", {"tubes": []})
         assert cli.main(["tubes", str(config)]) == 2
+
+    def test_non_numeric_value(self, tmp_path, capsys):
+        config = write_json(
+            tmp_path / "t.json",
+            {"tubes": [{"L": 1.0, "S": 1.0}], "kappa": "abc",
+             "pump": {"breakpoints": [0.0], "c": [1.0]}, "t_max": 3.0, "n_steps": 5},
+        )
+        assert cli.main(["tubes", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
 
 
 class TestStability:

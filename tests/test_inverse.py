@@ -1,15 +1,18 @@
 """Integral operator, fixed-point recovery, and measure reconstruction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tubeflood.errors import ArgumentError, ConvergenceError
-from tubeflood.forward import build_curve, v_w_samples
+import tubeflood
+from tubeflood.errors import ArgumentError
+from tubeflood.forward import build_curve, curve_readoff, v_w_samples
 from tubeflood.inverse import (
     RecoveryConfig,
+    _unit_t_matrix,
     apply_T,
     h_of_alpha,
     kernel_K,
@@ -35,6 +38,56 @@ def closed_tail_integral(alpha, alpha_max, kappa):
     return kappa * c * (anti(alpha_max / alpha) - anti(1.0))
 
 
+def closed_linear_integral(alpha, alpha_max, kappa):
+    """Antiderivative oracle for T applied to V(y) = y.
+
+    In x = y/alpha with u = sqrt(x^2 - c):
+        integral 1/(x (x^2-c)^{3/2}) dx  =  -(1/u + arctan(u/sqrt c)/sqrt c)/c
+    """
+    c = 1.0 - kappa * kappa
+    sc = math.sqrt(c)
+
+    def anti(x):
+        u = math.sqrt(x * x - c)
+        return -(1.0 / u + math.atan(u / sc) / sc) / c
+
+    return kappa * c * alpha * (anti(alpha_max / alpha) - anti(1.0))
+
+
+def picard(curve, n_grid, v0):
+    """Test oracle: plain iteration V <- G(h + TV) to a 1e-15 v_max step."""
+    grid = np.linspace(0.0, curve.alpha_max, n_grid)
+    vw_max, _ = curve_readoff(curve)
+    h = h_of_alpha(vw_max, curve.v_max - vw_max, curve.kappa, curve.alpha_max, grid)
+    v = np.full(n_grid, float(v0))
+    for _ in range(5000):
+        v_next = curve(h + apply_T(v, curve.kappa, curve.alpha_max))
+        step = np.max(np.abs(v_next - v))
+        v = v_next
+        if step <= 1e-15 * curve.v_max:
+            return v
+    raise AssertionError("Picard oracle did not settle")
+
+
+def exact_entry(n, kappa, i, j):
+    """M[i, j] on the unit grid by adaptive quadrature, in x = y/alpha_i."""
+    c = 1.0 - kappa * kappa
+    total = 0.0
+    # cells [j-1, j] (rising hat) and [j, j+1] (falling hat), in node units
+    for lo, weight in ((j - 1, lambda x: i * x - (j - 1)), (j, lambda x: (j + 1) - i * x)):
+        if lo < i or lo + 1 > n - 1:
+            continue
+        xl, xr = lo / i, (lo + 1) / i
+        # the kernel falls off over a width ~kappa^2 past x = 1
+        peak = [xl + kappa * kappa] if xl == 1.0 and kappa * kappa < xr - xl else None
+        val, _ = quad(
+            lambda x: weight(x) / (x * x * (x * x - c) ** 1.5),
+            xl, xr, points=peak, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        total += val
+    return kappa * c * total
+
+
 class TestKernel:
     def test_diagonal_simplification(self):
         # K(alpha, alpha) = (1 - kappa^2) / (kappa^2 alpha)
@@ -57,6 +110,57 @@ class TestKernel:
             kernel_K(1.0, 2.0, 0.5, 10.0)
         with pytest.raises(ArgumentError):
             kernel_K(11.0, 5.0, 0.5, 10.0)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kappa", [0.5, 0.1, 0.02])
+    def test_entries_match_quadrature(self, kappa):
+        n = 2001
+        M = _unit_t_matrix(n, kappa)
+        cells = [(i, j) for i in (1, 2, 10, 500, 1998) for j in (i, i + 1, i + 2)]
+        cells += [(1, 1500), (10, 1000), (500, 1800)]   # far from the diagonal
+        for i, j in cells:
+            ref = exact_entry(n, kappa, i, j)
+            assert M[i, j] == pytest.approx(ref, rel=1e-9, abs=0.0), (i, j)
+
+    @pytest.mark.parametrize("n", [3, 51, 501, 2001])
+    def test_row_sums_at_most_q(self, n):
+        for kappa in (0.999, 0.8, 0.5, 0.1, 0.02, 0.005):
+            q = (1.0 - kappa) / (1.0 + kappa)
+            M = _unit_t_matrix(n, kappa)
+            assert np.all(M >= 0.0)
+            # exactly q only in the limit alpha -> 0; allow 2 ulp of rounding
+            assert np.max(M.sum(axis=1)) <= q + 2 * np.finfo(float).eps * q
+
+    def test_upper_triangular(self):
+        M = _unit_t_matrix(101, 0.3)
+        assert np.all(np.tril(M, -1) == 0.0)
+        assert np.all(np.diag(M)[1:-1] > 0.0)
+
+    def test_last_row_is_zero(self):
+        m = _unit_t_matrix(51, 0.5)
+        assert np.all(m[-1] == 0.0)
+        assert np.all(m[0] == 0.0)  # alpha = 0 kills the kernel
+
+    def test_matrix_is_scale_invariant_on_uniform_grids(self):
+        # one unit-grid matrix serves every alpha_max: T(1) is exact on any
+        # uniform grid, since constants lie in the span of the hat functions
+        for alpha_max in (1.0, 7.3):
+            grid = np.linspace(0.0, alpha_max, 201)
+            tv = apply_T(np.ones(201), 0.5, alpha_max)
+            oracle = [closed_tail_integral(a, alpha_max, 0.5) for a in grid[1:]]
+            assert np.max(np.abs(tv[1:] - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.1, 0.02])
+    def test_linear_profile_against_antiderivative(self, kappa):
+        # V(y) = y also lies in the span, so T(V) is exact at every node
+        grid = np.linspace(0.0, 10.0, 1001)
+        tv = apply_T(grid, kappa, 10.0)
+        oracle = [closed_linear_integral(a, 10.0, kappa) for a in grid[1:]]
+        assert np.max(np.abs(tv[1:] - oracle)) <= 1e-11
+
+    def test_backend_is_reported(self):
+        assert tubeflood.BACKEND == "numpy"
 
 
 class TestApplyT:
@@ -110,7 +214,7 @@ class TestApplyT:
             for _ in range(10):
                 d = rng.uniform(-1, 1, 401)
                 ratio = np.max(np.abs(apply_T(d, kappa, 10.0))) / np.max(np.abs(d))
-                assert ratio <= q + 5e-3
+                assert ratio <= q + 1e-12
 
     def test_input_validation(self):
         with pytest.raises(ArgumentError):
@@ -146,30 +250,33 @@ class TestSolve:
         result = solve_fixed_point(curve, RecoveryConfig(n_grid=1001))
         truth = v_w_samples(UNIFORM_PIECE, 0.5, result.grid)
         assert np.max(np.abs(result.v - truth)) <= 1e-6 * curve.v_max
-        assert result.converged
-        assert result.observed_ratio <= 1.0 / 3.0 + 0.02
+        assert result.iterations == 1
         assert result.contraction_q == pytest.approx(1.0 / 3.0)
 
     def test_residual_bound(self):
         curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
         result = solve_fixed_point(curve, RecoveryConfig(n_grid=501))
-        assert result.residual <= 2 * result.tol
+        assert result.residual <= 1e-13 * curve.v_max
+        assert result.error_bound == result.residual / (1.0 - result.contraction_q)
 
     def test_start_point_free_fixed_point(self):
-        curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
-        cfg = RecoveryConfig(n_grid=501)
-        from_zero = solve_fixed_point(curve, cfg)
-        from_top = solve_fixed_point(curve, cfg, v0=curve.v_max)
-        assert np.max(np.abs(from_zero.v - from_top.v)) <= 2 * from_zero.tol
+        # Picard from either end of [0, v_max] reaches the discrete fixed
+        # point that the single backward sweep computes directly
+        mu = Measure(atoms=((4.0, 1.0), (7.5, 0.5)), pieces=((3.0, 9.0, 1.0),))
+        for kappa in (0.5, 0.1):
+            curve = build_curve(mu, kappa, 10.0, 801)
+            marched = solve_fixed_point(curve, RecoveryConfig(n_grid=301)).v
+            for v0 in (0.0, curve.v_max):
+                oracle = picard(curve, 301, v0)
+                assert np.max(np.abs(marched - oracle)) <= 1e-11 * curve.v_max
 
-    def test_nonconvergence_raises_with_diagnostics(self):
-        curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
-        with pytest.raises(ConvergenceError) as err:
-            solve_fixed_point(curve, RecoveryConfig(n_grid=301, max_iter=2, tol=1e-14))
-        partial = err.value.result
-        assert partial is not None
-        assert partial.iterations == 2
-        assert not partial.converged
+    def test_small_kappa_recovery(self):
+        # the regime where plain iteration needs thousands of sweeps
+        for kappa in (0.005, 0.02):
+            curve = build_curve(UNIFORM_PIECE, kappa, 10.0, 4001)
+            result = recover(curve, RecoveryConfig(n_grid=2001))
+            truth = v_w_samples(UNIFORM_PIECE, kappa, result.grid)
+            assert np.max(np.abs(result.v - truth)) <= 1e-5 * curve.v_max
 
     def test_deterministic(self):
         curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
@@ -179,13 +286,12 @@ class TestSolve:
         assert np.array_equal(r1.v, r2.v)
         assert np.array_equal(r1.phi, r2.phi)
         assert np.array_equal(r1.f, r2.f, equal_nan=True)
-        assert r1.iterations == r2.iterations
-        assert r1.observed_ratio == r2.observed_ratio
+        assert r1.residual == r2.residual
 
     def test_monotone_recovered_profile(self):
         curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 1001)
         result = solve_fixed_point(curve, RecoveryConfig(n_grid=501))
-        assert np.all(np.diff(result.v) >= -10 * result.tol)
+        assert np.all(np.diff(result.v) >= -1e-12 * curve.v_max)
 
 
 class TestRecoverCdf:
@@ -288,18 +394,19 @@ class TestRecoveryConfig:
     def test_defaults(self):
         cfg = RecoveryConfig()
         assert cfg.n_grid == 1001
-        assert cfg.tol is None
-        assert cfg.max_iter == 200
-        assert cfg.quad_order == 4
+        assert cfg.alpha_min == 0.0
+        # an exact solve leaves no approximation knobs
+        names = [f.name for f in dataclasses.fields(RecoveryConfig)]
+        assert names == ["n_grid", "alpha_min"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_grid": 2},
-            {"tol": 0.0},
-            {"max_iter": 0},
+            {"n_grid": 100.5},
+            {"n_grid": "101"},
             {"alpha_min": -1.0},
-            {"quad_order": 0},
+            {"alpha_min": math.nan},
         ],
     )
     def test_validation(self, kwargs):
