@@ -27,7 +27,6 @@ from .errors import (
     ArgumentError,
     ConvergenceError,
     InternalConsistencyError,
-    UndefinedValueError,
 )
 from .forward import (
     DisplacementCurve,
@@ -35,11 +34,6 @@ from .forward import (
     curve_readoff,
     endpoint_data,
     harmonic_cdf_samples,
-    v_o,
-    v_o_prime,
-    v_w,
-    v_w_prime,
-    water_cut,
 )
 from .inverse import (
     RecoveryConfig,
@@ -53,13 +47,11 @@ from .inverse import (
     solve_fixed_point,
 )
 from .measures import (
-    FluidParams,
     Measure,
     moment,
     random_atoms,
     scale,
     tail_kernel_integral,
-    with_mass_factor,
 )
 from .tubes import (
     PumpHistory,

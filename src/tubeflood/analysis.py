@@ -28,7 +28,7 @@ from .forward import (
     water_cut_samples,
 )
 from .inverse import solve_fixed_point
-from .measures import Measure, check_kappa, moment, random_atoms
+from .measures import Measure, check_kappa, moment, prefix_integral, random_atoms
 
 
 @dataclass(frozen=True)
@@ -146,29 +146,22 @@ def stability_experiment(curve1, curve2, config=None):
 # sensitivity constant
 # ---------------------------------------------------------------------------
 
+def _check_n_grid(n_grid):
+    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
+        raise ArgumentError(f"n_grid must be an integer >= 2, got {n_grid!r}")
+
+
 def _jump_aware_alphas(mu, alpha_max, n_grid):
     """Uniform alpha grid refined by atom locations +- one ulp."""
     base = np.linspace(0.0, alpha_max, n_grid)[1:]
     if mu.atoms:
-        L = mu._atom_L
+        L = mu._atoms_by_length[0]
         extra = np.concatenate(
             [np.nextafter(L, -np.inf), L, np.nextafter(L, np.inf)]
         )
         base = np.concatenate([base, extra])
     out = np.unique(base)
     return out[(out > 0) & (out <= alpha_max)]
-
-
-def _counting_cdf(mu, alphas):
-    """F(alpha) = mu([0, alpha)): total section of tubes shorter than alpha."""
-    if not mu.atoms:
-        total = np.zeros_like(alphas)
-    else:
-        total = mu._prefix[0][np.searchsorted(mu._atom_L, alphas, side="left")]
-    for pa, pb, rho in mu.pieces:
-        hi = np.clip(alphas, pa, pb)
-        total += np.where(alphas > pa, rho * (hi - pa), 0.0)
-    return total
 
 
 def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
@@ -181,6 +174,7 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     records the |V1_max - V2_max| < V1_max/10 filter.
     """
     kappa = check_kappa(kappa)
+    _check_n_grid(n_grid)
     if mu1 == mu2:
         raise ArgumentError("identical measures give a 0/0 sensitivity ratio")
     if mu1.is_zero or mu2.is_zero:
@@ -210,8 +204,8 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     numerator = float(np.trapezoid(num_int, xs))
 
     aus = np.unique(np.concatenate([a1, a2, [0.0]]))
-    f1 = _counting_cdf(mu1, aus)
-    f2 = _counting_cdf(mu2, aus)
+    f1 = prefix_integral(mu1, 0, aus)
+    f2 = prefix_integral(mu2, 0, aus)
     fden = f1 + f2
     den_int = np.divide(np.abs(f1 - f2), fden, out=np.zeros_like(fden), where=fden > 0)
     denominator = float(np.trapezoid(den_int, aus))
@@ -237,6 +231,8 @@ def _mc_trial(trial_seed, kappa, alpha_max, n_grid, n_atoms_range, l_range, s_ra
     mu1 = random_atoms(rng, n1, l_range, s_range)
     mu2 = random_atoms(rng, n2, l_range, s_range)
 
+    # the filter of sensitivity_constant, applied first so that a rejected
+    # pair costs only the endpoint moments
     vw1, vo1, _ = endpoint_data(mu1, kappa, alpha_max)
     vw2, vo2, _ = endpoint_data(mu2, kappa, alpha_max)
     v1_max, v2_max = vw1 + vo1, vw2 + vo2
@@ -250,16 +246,7 @@ def _mc_trial(trial_seed, kappa, alpha_max, n_grid, n_atoms_range, l_range, s_ra
             accepted=False,
             c_value=math.nan,
         )
-    rec = sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid, seed=trial_seed)
-    return SensitivityRecord(
-        seed=trial_seed,
-        n1=n1,
-        n2=n2,
-        v1_max=v1_max,
-        v2_max=v2_max,
-        accepted=True,
-        c_value=rec.c_value,
-    )
+    return sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid, seed=trial_seed)
 
 
 def run_mc(
@@ -282,6 +269,7 @@ def run_mc(
         raise ArgumentError("need at least one trial")
     if jobs < 1:
         raise ArgumentError("jobs must be >= 1")
+    _check_n_grid(n_grid)
     seeds = [seed + i for i in range(n_trials)]
     args = (kappa, alpha_max, n_grid, n_atoms_range, l_range, s_range)
     if jobs == 1:

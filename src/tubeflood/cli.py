@@ -12,7 +12,6 @@ Data contracts:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, forward, inverse, tubes
-from .errors import ArgumentError, InternalConsistencyError, UndefinedValueError
+from .errors import ArgumentError, InternalConsistencyError
 from .measures import Measure
 
 # ---------------------------------------------------------------------------
@@ -174,7 +173,7 @@ def _recovery_config(args, default_alpha_min=0.0):
 def _cmd_invert(args):
     curve = read_curve_csv(args.curve, args.kappa, args.alpha_max)
     cfg = _recovery_config(args)
-    result = inverse.recover(curve, cfg, paper_literal=args.paper_literal)
+    result = inverse.recover(curve, cfg)
 
     f = result.f if result.f is not None else np.full_like(result.v, math.nan)
     dest = _write_csv(
@@ -314,51 +313,6 @@ def _cmd_ambiguity(args):
 
 
 # ---------------------------------------------------------------------------
-# round-trip report (used by the acceptance suite)
-# ---------------------------------------------------------------------------
-
-def pipeline_roundtrip(
-    mu, kappa, alpha_max, n_samples=5001, config=None, density_window=None
-):
-    """forward -> invert -> compare Phi (and density) against ground truth.
-
-    density_window=(lo, hi) turns on density recovery with alpha_min=lo and
-    reports its sup error over [lo, hi]; this needs a pieces-only measure.
-    Returns a dict of error norms and solver diagnostics.
-    """
-    cfg = config or inverse.RecoveryConfig(n_grid=2001)
-    if density_window is not None:
-        cfg = dataclasses.replace(cfg, alpha_min=density_window[0])
-    curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
-    result = inverse.recover(curve, cfg)
-
-    v_true = forward.v_w_samples(mu, kappa, result.grid)
-    phi_true = forward.harmonic_cdf_samples(mu, result.grid)
-    report = {
-        "v_max": curve.v_max,
-        "v_sup_error": float(np.max(np.abs(result.v - v_true))),
-        "phi_end": float(phi_true[-1]),
-        "phi_linf_error": float(np.max(np.abs(result.phi - phi_true))),
-        "residual": result.residual,
-        "error_bound": result.error_bound,
-        "phi_clip_count": result.phi_clip_count,
-    }
-    if density_window is not None:
-        if mu.atoms:
-            raise ArgumentError("density round trip needs a pieces-only measure")
-        lo, hi = density_window
-        mask = (result.grid >= lo) & (result.grid <= hi) & ~np.isnan(result.f)
-        f_true = np.zeros_like(result.grid)
-        for pa, pb, rho in mu.pieces:
-            f_true += np.where((result.grid >= pa) & (result.grid < pb), rho, 0.0)
-        report["f_linf_error"] = float(
-            np.max(np.abs(result.f[mask] - f_true[mask]))
-        )
-        report["f_clip_count"] = result.f_clip_count
-    return report
-
-
-# ---------------------------------------------------------------------------
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
@@ -387,7 +341,6 @@ def build_parser():
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     _add_solver_flags(p)
-    p.add_argument("--paper-literal", action="store_true")
     p.add_argument("--out")
     p.add_argument("--diagnostics", help="write diagnostics JSON here")
     p.set_defaults(func=_cmd_invert)
@@ -441,7 +394,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArgumentError, UndefinedValueError) as exc:
+    except ArgumentError as exc:
         return _fail(2, "invalid-config", exc)
     except OSError as exc:
         return _fail(2, "io-error", exc)

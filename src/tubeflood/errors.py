@@ -1,16 +1,12 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ArgumentError and UndefinedValueError
--> 2, InternalConsistencyError -> 4.
+The CLI maps these onto exit codes: ArgumentError -> 2,
+InternalConsistencyError -> 4.
 """
 
 
 class ArgumentError(ValueError):
     """An argument or configuration value is outside its valid range."""
-
-
-class UndefinedValueError(ValueError):
-    """The requested quantity is mathematically undefined at this point."""
 
 
 class ConvergenceError(RuntimeError):

@@ -9,70 +9,41 @@ parameter alpha:
 
 The displacement characteristic is the monotone graph of produced water
 against total produced volume, {(V_w + V_o, V_w)}; its slope never exceeds 1.
-All sampling routines are vectorized over alpha so that curve construction
-and the Monte Carlo harness stay cheap for atomic measures.
+The sampling routines are vectorized over alpha and each is a combination
+of the two integrals of the measures layer: V_w, V_w' and Phi are prefix
+integrals, V_o adds the OIL_VOLUME tail and V_o' is the OIL_RATE tail.
+Memory therefore stays bounded by that layer's row blocks however many
+atoms the measure has, and every alpha must be finite and >= 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InternalConsistencyError, UndefinedValueError
-from .measures import check_kappa, moment
+from .errors import ArgumentError, InternalConsistencyError
+from .measures import (
+    OIL_RATE,
+    OIL_VOLUME,
+    check_kappa,
+    moment,
+    prefix_integral,
+    tail_integral,
+)
 
 # Adjacent curve samples may exceed unit slope by at most this relative
 # amount before the curve is rejected.
 LIPSCHITZ_RTOL = 1e-9
 
 
-# ---------------------------------------------------------------------------
-# vectorized sampling kernels
-# ---------------------------------------------------------------------------
-
-def _atom_cumulative(mu, alphas, p, inclusive):
-    """Prefix sums of S * L^p over atoms below each alpha.
-
-    inclusive=False counts L < alpha (the half-open convention used by the
-    produced volumes); inclusive=True counts L <= alpha (the right-limit
-    convention used by the derivatives).
-    """
-    if not mu.atoms:
-        return np.zeros_like(alphas)
-    side = "right" if inclusive else "left"
-    idx = np.searchsorted(mu._atom_L, alphas, side=side)
-    return mu._prefix[p][idx]
-
-
-def _piece_cumulative(mu, alphas, p):
-    """Closed-form integral of y^p rho dy over [piece_a, min(piece_b, alpha))."""
-    total = np.zeros_like(alphas)
-    for pa, pb, rho in mu.pieces:
-        hi = np.clip(alphas, pa, pb)
-        if p == -1:
-            contrib = rho * np.log(hi / pa)
-        else:
-            contrib = rho * (hi * hi - pa * pa) / 2.0
-        total += np.where(alphas > pa, contrib, 0.0)
-    return total
-
-
-def _tail_antiderivative_arr(y, c0):
-    s = np.sqrt(np.maximum(y * y - c0, 0.0))
-    return 0.5 * c0 * (y / (y + s) + np.log(y + s))
-
-
 def v_w_samples(mu, kappa, alphas):
     """V_w on an array of alpha values (closed form)."""
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    m_inv = _atom_cumulative(mu, alphas, -1, inclusive=False) + _piece_cumulative(
-        mu, alphas, -1
-    )
-    m_one = _atom_cumulative(mu, alphas, 1, inclusive=False) + _piece_cumulative(
-        mu, alphas, 1
-    )
+    m_inv = prefix_integral(mu, -1, alphas)
+    m_one = prefix_integral(mu, 1, alphas)
     return (1.0 + kappa) / (2.0 * kappa) * (alphas * alphas * m_inv - m_one)
 
 
@@ -80,36 +51,9 @@ def v_o_samples(mu, kappa, alphas):
     """V_o on an array of alpha values (closed form)."""
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    c = 1.0 - kappa * kappa
-    c0 = c * alphas * alphas
-    total = _atom_cumulative(mu, alphas, 1, inclusive=False) + _piece_cumulative(
-        mu, alphas, 1
-    )
-    tail = np.zeros_like(alphas)
-    if mu.atoms:
-        L = mu._atom_L
-        S = mu._atom_S
-        in_tail = L[None, :] >= alphas[:, None]
-        disc = np.where(in_tail, L[None, :] ** 2 - c0[:, None], 1.0)
-        # stable form of L - sqrt(L^2 - c0)
-        tail += np.sum(
-            np.where(in_tail, S[None, :] * c0[:, None] / (L[None, :] + np.sqrt(disc)), 0.0),
-            axis=1,
-        )
-    for pa, pb, rho in mu.pieces:
-        lo = np.maximum(alphas, pa)
-        live = (lo < pb) & (c0 > 0.0)
-        lo_safe = np.where(live, lo, pb)
-        tail += np.where(
-            live,
-            rho
-            * (
-                _tail_antiderivative_arr(pb, c0)
-                - _tail_antiderivative_arr(lo_safe, c0)
-            ),
-            0.0,
-        )
-    return total + tail / (1.0 - kappa)
+    c0 = (1.0 - kappa * kappa) * alphas * alphas
+    total = prefix_integral(mu, 1, alphas)
+    return total + tail_integral(mu, OIL_VOLUME, c0, alphas) / (1.0 - kappa)
 
 
 def v_w_prime_samples(mu, kappa, alphas):
@@ -119,9 +63,7 @@ def v_w_prime_samples(mu, kappa, alphas):
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    m_inv = _atom_cumulative(mu, alphas, -1, inclusive=True) + _piece_cumulative(
-        mu, alphas, -1
-    )
+    m_inv = prefix_integral(mu, -1, alphas, inclusive=True)
     return (1.0 + kappa) * alphas / kappa * m_inv
 
 
@@ -132,24 +74,8 @@ def v_o_prime_samples(mu, kappa, alphas):
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    c = 1.0 - kappa * kappa
-    c0 = c * alphas * alphas
-    tail = np.zeros_like(alphas)
-    if mu.atoms:
-        L = mu._atom_L
-        S = mu._atom_S
-        in_tail = L[None, :] > alphas[:, None]
-        disc = np.where(in_tail, L[None, :] ** 2 - c0[:, None], 1.0)
-        tail += np.sum(np.where(in_tail, S[None, :] / np.sqrt(disc), 0.0), axis=1)
-    for pa, pb, rho in mu.pieces:
-        lo = np.maximum(alphas, pa)
-        live = lo < pb
-        lo_safe = np.where(live, lo, pb)
-        # antiderivative of 1/sqrt(y^2 - c0) is ln(y + sqrt(y^2 - c0))
-        num = pb + np.sqrt(np.maximum(pb * pb - c0, 0.0))
-        den = lo_safe + np.sqrt(np.maximum(lo_safe * lo_safe - c0, 0.0))
-        tail += np.where(live, rho * np.log(num / den), 0.0)
-    return (1.0 + kappa) * alphas * tail
+    c0 = (1.0 - kappa * kappa) * alphas * alphas
+    return (1.0 + kappa) * alphas * tail_integral(mu, OIL_RATE, c0, alphas)
 
 
 def water_cut_samples(mu, kappa, alphas):
@@ -162,49 +88,7 @@ def water_cut_samples(mu, kappa, alphas):
 
 def harmonic_cdf_samples(mu, alphas):
     """Phi(alpha) = integral of dmu(y)/y over [0, alpha), vectorized."""
-    alphas = np.asarray(alphas, dtype=float)
-    return _atom_cumulative(mu, alphas, -1, inclusive=False) + _piece_cumulative(
-        mu, alphas, -1
-    )
-
-
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
-
-def v_w(mu, kappa, alpha):
-    """Produced water volume at front parameter alpha."""
-    if alpha < 0:
-        raise ArgumentError("alpha must be >= 0")
-    return float(v_w_samples(mu, kappa, np.array([alpha]))[0])
-
-
-def v_o(mu, kappa, alpha):
-    """Produced oil volume at front parameter alpha."""
-    if alpha < 0:
-        raise ArgumentError("alpha must be >= 0")
-    return float(v_o_samples(mu, kappa, np.array([alpha]))[0])
-
-
-def v_w_prime(mu, kappa, alpha):
-    if not alpha > 0:
-        raise ArgumentError("alpha must be > 0")
-    return float(v_w_prime_samples(mu, kappa, np.array([alpha]))[0])
-
-
-def v_o_prime(mu, kappa, alpha):
-    if not alpha > 0:
-        raise ArgumentError("alpha must be > 0")
-    return float(v_o_prime_samples(mu, kappa, np.array([alpha]))[0])
-
-
-def water_cut(mu, kappa, alpha):
-    """Instantaneous water fraction of the produced stream at alpha."""
-    wp = v_w_prime(mu, kappa, alpha)
-    op = v_o_prime(mu, kappa, alpha)
-    if wp + op == 0.0:
-        raise UndefinedValueError(f"no flow at alpha={alpha}: water cut undefined")
-    return wp / (wp + op)
+    return prefix_integral(mu, -1, alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +117,8 @@ class DisplacementCurve:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "kappa", check_kappa(self.kappa))
         object.__setattr__(self, "alpha_max", float(self.alpha_max))
-        if not self.alpha_max > 0:
-            raise ArgumentError("alpha_max must be > 0")
+        if not 0 < self.alpha_max < math.inf:
+            raise ArgumentError("alpha_max must be finite and > 0")
         if x.ndim != 1 or x.shape != g.shape or x.size < 2:
             raise ArgumentError("curve needs matching 1-d arrays of >= 2 samples")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g))):
@@ -279,6 +163,8 @@ def build_curve(mu, kappa, alpha_max, n_samples):
     kappa = check_kappa(kappa)
     if n_samples < 2:
         raise ArgumentError("need at least 2 curve samples")
+    if not math.isfinite(alpha_max):
+        raise ArgumentError("alpha_max must be finite")
     if mu.is_zero:
         raise ArgumentError("zero measure has no displacement characteristic")
     if mu.support_sup > alpha_max:
@@ -299,6 +185,8 @@ def endpoint_data(mu, kappa, alpha_max):
     V_w' = (1+kappa) alpha_max / kappa * I_{-1}
     """
     kappa = check_kappa(kappa)
+    if not math.isfinite(alpha_max):
+        raise ArgumentError("alpha_max must be finite")
     if mu.support_sup > alpha_max:
         raise ArgumentError("measure support exceeds alpha_max")
     i_inv = moment(mu, -1)
@@ -308,22 +196,19 @@ def endpoint_data(mu, kappa, alpha_max):
     return vw, i_one, vwp
 
 
-def curve_readoff(curve, paper_literal=False):
+def curve_readoff(curve):
     """(V_w(alpha_max), V_w'(alpha_max)) read off the curve endpoint.
 
     The derivative uses
 
         V_w' = [2 V_w + (1+kappa)/kappa (v_max - V_w)] / alpha_max
 
-    whose division by alpha_max follows from the endpoint moment formulas
-    (and is required dimensionally).  paper_literal=True drops that division
-    for comparison runs; it is not usable for recovery.
+    which follows from the endpoint moment formulas (the division by
+    alpha_max is required dimensionally).
     """
     if not curve.v_max > 0:
         raise ArgumentError("degenerate curve: v_max must be > 0")
     vw = curve.g_max
     vo = curve.v_max - vw
-    vwp = 2.0 * vw + (1.0 + curve.kappa) / curve.kappa * vo
-    if not paper_literal:
-        vwp /= curve.alpha_max
+    vwp = (2.0 * vw + (1.0 + curve.kappa) / curve.kappa * vo) / curve.alpha_max
     return vw, vwp

@@ -23,8 +23,8 @@ and for measures with a continuous density f,
     f(alpha) = kappa/(1+kappa) * alpha * (V'(alpha)/alpha)' .
 
 Note the prefactor: substituting the V' relation shows the inverted form
-is required; the flag paper_literal exposes the uncorrected variant for
-comparison runs only.
+is required.  The operator is assembled in row blocks of _BLOCK_CELLS
+cells, the same bound the measures layer uses for its tail integrals.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def apply_T(v, kappa, alpha_max):
     return _unit_t_matrix(v.size, kappa) @ v
 
 
-def h_of_alpha(v_w_max, v_o_max, kappa, alpha_max, alpha, paper_literal=False):
+def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     """Inhomogeneous term h(alpha) built from the curve endpoint data.
 
     With R(alpha) = sqrt(alpha_max^2 - (1-kappa^2) alpha^2):
@@ -213,9 +213,8 @@ def h_of_alpha(v_w_max, v_o_max, kappa, alpha_max, alpha, paper_literal=False):
         h = kappa/(1-kappa^2) (alpha_max - R) V_w'(alpha_max)
           + kappa/(1-kappa^2) (alpha_max - R)^2 / (alpha_max R) V_w(alpha_max)
 
-    V_w'(alpha_max) is reconstructed from (v_w_max, v_o_max) the same way
-    curve_readoff does, including the division by alpha_max unless
-    paper_literal is set.
+    v_w_max and v_w_prime_max are V_w(alpha_max) and V_w'(alpha_max), as
+    curve_readoff returns them.
     """
     kappa = check_kappa(kappa)
     if not 0 < alpha_max:
@@ -224,18 +223,18 @@ def h_of_alpha(v_w_max, v_o_max, kappa, alpha_max, alpha, paper_literal=False):
     if np.any(a < 0) or np.any(a > alpha_max * (1 + 1e-12)):
         raise ArgumentError("alpha must lie in [0, alpha_max]")
     c = 1.0 - kappa * kappa
-    vwp = 2.0 * v_w_max + (1.0 + kappa) / kappa * v_o_max
-    if not paper_literal:
-        vwp /= alpha_max
     R = np.sqrt(alpha_max * alpha_max - c * a * a)
     gap = alpha_max - R
-    out = kappa / c * gap * vwp + kappa / c * gap * gap / (alpha_max * R) * v_w_max
+    out = (
+        kappa / c * gap * v_w_prime_max
+        + kappa / c * gap * gap / (alpha_max * R) * v_w_max
+    )
     if np.isscalar(alpha):
         return float(out)
     return out
 
 
-def solve_fixed_point(curve, config=None, paper_literal=False):
+def solve_fixed_point(curve, config=None):
     """Solve the discrete V = G(h + MV) exactly, by back-substitution.
 
     M is upper triangular, so once the nodes above i are known, row i reads
@@ -257,10 +256,7 @@ def solve_fixed_point(curve, config=None, paper_literal=False):
 
     n = cfg.n_grid
     grid = np.linspace(0.0, alpha_max, n)
-    vw_max, _ = curve_readoff(curve, paper_literal=paper_literal)
-    h = h_of_alpha(
-        vw_max, v_max - vw_max, kappa, alpha_max, grid, paper_literal=paper_literal
-    )
+    h = h_of_alpha(*curve_readoff(curve), kappa, alpha_max, grid)
     M = _unit_t_matrix(n, kappa)
 
     x, g = curve.x, curve.g
@@ -311,7 +307,7 @@ def recover_cdf(grid, v, kappa):
     return phi, int(np.sum(phi > raw))
 
 
-def recover_density(grid, v, kappa, alpha_min, paper_literal=False):
+def recover_density(grid, v, kappa, alpha_min):
     """Density samples f on the window [alpha_min, alpha_max - 2h].
 
     f(alpha) = kappa/(1+kappa) alpha (V'(alpha)/alpha)' via second-order
@@ -329,9 +325,8 @@ def recover_density(grid, v, kappa, alpha_min, paper_literal=False):
     vp = np.gradient(v, spacing, edge_order=2)
     w = vp[1:] / grid[1:]
     wp = np.gradient(w, spacing, edge_order=2)
-    prefactor = (1.0 + kappa) / kappa if paper_literal else kappa / (1.0 + kappa)
     f = np.full_like(v, np.nan)
-    f[1:] = prefactor * grid[1:] * wp
+    f[1:] = kappa / (1.0 + kappa) * grid[1:] * wp
     window = (grid >= alpha_min) & (grid <= grid[-1] - 2.0 * spacing * (1 - 1e-12))
     f[~window] = np.nan
     negative = window & (f < 0.0)
@@ -339,14 +334,14 @@ def recover_density(grid, v, kappa, alpha_min, paper_literal=False):
     return f, int(np.sum(negative))
 
 
-def recover(curve, config=None, paper_literal=False):
+def recover(curve, config=None):
     """Full pipeline: fixed point, then Phi, then (optionally) the density."""
     cfg = config or RecoveryConfig()
-    result = solve_fixed_point(curve, cfg, paper_literal=paper_literal)
+    result = solve_fixed_point(curve, cfg)
     result.phi, result.phi_clip_count = recover_cdf(result.grid, result.v, result.kappa)
     if cfg.alpha_min > 0:
         result.f, result.f_clip_count = recover_density(
-            result.grid, result.v, result.kappa, cfg.alpha_min, paper_literal
+            result.grid, result.v, result.kappa, cfg.alpha_min
         )
         result.alpha_min = cfg.alpha_min
     return result

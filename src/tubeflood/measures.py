@@ -1,13 +1,24 @@
-"""Tube-length measures and closed-form integration of the model kernels.
+"""Tube-length measures and the one integral layer of the model.
 
 A measure assigns to each set of tube lengths the total cross-sectional
 area of the tubes with those lengths.  It is represented as a finite list
 of point atoms (L, S) plus piecewise-constant density pieces (a, b, rho),
-which keeps every integral the model needs in closed form:
+which keeps every integral the model needs in closed form.  Each of them
+is one of two integrals, vectorized over an array of alpha >= 0:
 
-    moment:               integral of y^p dmu over [a, b),  p in {-1, 0, 1}
-    tail_kernel_integral: integral of (y - sqrt(y^2 - (1-kappa^2) alpha^2)) dmu
-                          over [a, infinity)
+    prefix_integral: integral of y^p dmu over [0, alpha), p in {-1, 0, 1},
+                     or over [0, alpha] with inclusive=True
+    tail_integral:   integral of a kernel k(y; c0) dmu over the tail above
+                     alpha, with c0 = (1-kappa^2) alpha^2; the two kernels are
+                     OIL_VOLUME  y - sqrt(y^2 - c0)  over [alpha, inf)  (V_o)
+                     OIL_RATE    1 / sqrt(y^2 - c0)  over (alpha, inf)  (V_o')
+
+Atoms enter a prefix integral through prefix sums and a binary search.  In
+a tail integral every (alpha, atom) cell is evaluated, in row blocks of
+alpha holding at most _BLOCK_CELLS cells, so its temporaries stay near
+256 KB whatever the number of atoms.  Pieces enter both integrals through
+closed-form antiderivatives.  The scalar moment and tail_kernel_integral
+are one-point views of the same two routines.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -18,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +38,10 @@ from .errors import ArgumentError
 # Viscosity ratios are kept strictly away from 1 so that 1 - kappa stays
 # bounded below; the displacement model degenerates as kappa -> 1.
 KAPPA_MAX = 0.999
+
+# (alpha, atom) cells per row block of a tail integral: temporaries stay
+# near 256 KB.
+_BLOCK_CELLS = 1 << 15
 
 
 def check_kappa(kappa):
@@ -36,38 +52,6 @@ def check_kappa(kappa):
             f"viscosity ratio must lie in (0, {KAPPA_MAX}], got {kappa}"
         )
     return kappa
-
-
-@dataclass(frozen=True)
-class FluidParams:
-    """Fluid pair description: kappa = mu_w / mu_o < 1.
-
-    Raw viscosities and permeability are optional metadata; when both
-    viscosities are given they must be consistent with kappa.
-    """
-
-    kappa: float
-    mu_w: float | None = None
-    mu_o: float | None = None
-    k_perm: float | None = None
-
-    def __post_init__(self):
-        check_kappa(self.kappa)
-        if (self.mu_w is None) != (self.mu_o is None):
-            raise ArgumentError("mu_w and mu_o must be given together")
-        if self.mu_w is not None:
-            if self.mu_w <= 0 or self.mu_o <= 0:
-                raise ArgumentError("viscosities must be positive")
-            if not math.isclose(self.kappa, self.mu_w / self.mu_o, rel_tol=1e-9):
-                raise ArgumentError("kappa inconsistent with mu_w / mu_o")
-        if self.k_perm is not None and self.k_perm <= 0:
-            raise ArgumentError("permeability must be positive")
-
-    @classmethod
-    def from_viscosities(cls, mu_w, mu_o, k_perm=None):
-        if mu_w <= 0 or mu_o <= 0:
-            raise ArgumentError("viscosities must be positive")
-        return cls(kappa=mu_w / mu_o, mu_w=mu_w, mu_o=mu_o, k_perm=k_perm)
 
 
 @dataclass(frozen=True)
@@ -102,28 +86,23 @@ class Measure:
     # -- cached array views (sorted by length for prefix-sum lookups) --
 
     @cached_property
-    def _atom_L(self):
-        L = np.array([a[0] for a in self.atoms], dtype=float)
-        order = np.argsort(L, kind="stable")
-        return L[order]
-
-    @cached_property
-    def _atom_S(self):
+    def _atoms_by_length(self):
+        """Atom lengths and sections as two arrays, sorted by length."""
         L = np.array([a[0] for a in self.atoms], dtype=float)
         S = np.array([a[1] for a in self.atoms], dtype=float)
-        return S[np.argsort(L, kind="stable")]
+        order = np.argsort(L, kind="stable")
+        return L[order], S[order]
 
     @cached_property
     def _prefix(self):
         """Prefix sums of S * L^p for p = -1, 0, 1, each of length n+1."""
-        L, S = self._atom_L, self._atom_S
-        return {
-            -1: np.concatenate(([0.0], np.cumsum(S / L))),
-            0: np.concatenate(([0.0], np.cumsum(S))),
-            1: np.concatenate(([0.0], np.cumsum(S * L))),
-        }
+        L, S = self._atoms_by_length
+        sums = np.zeros((3, L.size + 1))
+        for row, terms in zip(sums, (S / L, S, S * L)):
+            np.cumsum(terms, out=row[1:])
+        return dict(zip((-1, 0, 1), sums))
 
-    @property
+    @cached_property
     def support_sup(self):
         """Supremum of the support; 0.0 for the zero measure."""
         tops = [L for L, _ in self.atoms] + [b for _, b, _ in self.pieces]
@@ -160,43 +139,134 @@ class Measure:
         return cls(atoms=atoms, pieces=pieces)
 
 
-def moment(mu, p, a=0.0, b=math.inf):
-    """Integral of y^p dmu(y) over [a, b) for p in {-1, 0, 1}.
+def _alpha_array(alphas):
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size and not (alphas.min() >= 0.0 and alphas.max() < math.inf):
+        raise ArgumentError("alpha must be finite and >= 0")
+    return alphas
 
-    Atoms are summed exactly (atom at L counts iff a <= L < b); density
-    pieces are integrated in closed form.
+
+# integral of y^p dy over [a, hi), per unit density
+_PIECE_PREFIX = {
+    -1: lambda hi, a: np.log(hi / a),
+    0: lambda hi, a: hi - a,
+    1: lambda hi, a: (hi * hi - a * a) / 2.0,
+}
+
+
+def prefix_integral(mu, p, alphas, inclusive=False):
+    """Integral of y^p dmu(y) over [0, alpha) for each alpha, p in {-1, 0, 1}.
+
+    inclusive=True integrates over [0, alpha] instead, so an atom at
+    L = alpha counts (the right limit taken by the derivatives).
     """
-    if p not in (-1, 0, 1):
+    return _prefix_integral(mu, p, _alpha_array(alphas), inclusive)
+
+
+def _prefix_integral(mu, p, alphas, inclusive=False):
+    """prefix_integral on an array already known to be finite and >= 0.
+
+    moment checks its two scalar ends itself and calls this directly: the
+    array check would otherwise be a large share of a scalar call.
+    """
+    if p not in _PIECE_PREFIX:
         raise ArgumentError(f"moment exponent must be -1, 0 or 1, got {p}")
-    if not 0 <= a <= b:
-        raise ArgumentError(f"need 0 <= a <= b, got [{a}, {b})")
-    total = 0.0
-    if mu.atoms:
-        L = mu._atom_L
-        pref = mu._prefix[p]
-        i0 = np.searchsorted(L, a, side="left")
-        i1 = np.searchsorted(L, b, side="left")
-        total += pref[i1] - pref[i0]
+    pieces = np.zeros_like(alphas)
     for pa, pb, rho in mu.pieces:
-        lo, hi = max(a, pa), min(b, pb)
-        if hi > lo:
-            if p == -1:
-                total += rho * math.log(hi / lo)
-            elif p == 0:
-                total += rho * (hi - lo)
-            else:
-                total += rho * (hi * hi - lo * lo) / 2.0
-    return total
+        hi = np.clip(alphas, pa, pb)
+        pieces += np.where(alphas > pa, rho * _PIECE_PREFIX[p](hi, pa), 0.0)
+    if not mu.atoms:
+        return pieces
+    side = "right" if inclusive else "left"
+    L = mu._atoms_by_length[0]
+    atoms = mu._prefix[p][np.searchsorted(L, alphas, side=side)]
+    return atoms + pieces if mu.pieces else atoms
 
 
-def _tail_antiderivative(y, c0):
-    """Antiderivative of y - sqrt(y^2 - c0), valid for y^2 >= c0 > 0.
+class TailKernel(NamedTuple):
+    """Integrand k(y; c0) of a tail integral, defined for y^2 >= c0 >= 0.
+
+    atom(w, y, s, c0) is w k(y; c0) given s = sqrt(y^2 - c0); cell(lo, hi,
+    c0) integrates k over [lo, hi]; closed says whether an atom exactly at
+    the lower limit lies in the tail.
+    """
+
+    atom: Callable
+    cell: Callable
+    closed: bool
+
+
+def _oil_volume_antiderivative(y, c0):
+    """Antiderivative of y - sqrt(y^2 - c0), valid for y^2 >= c0 >= 0.
 
     Algebraically equal to y^2/2 - [y sqrt(y^2-c0) - c0 ln(y + sqrt(y^2-c0))]/2,
     rearranged so the large-y cancellation is computed stably.
     """
-    s = math.sqrt(y * y - c0)
-    return 0.5 * c0 * (y / (y + s) + math.log(y + s))
+    s = np.sqrt(np.maximum(y * y - c0, 0.0))
+    return 0.5 * c0 * (y / (y + s) + np.log(y + s))
+
+
+def _log_root(y, c0):
+    """y + sqrt(y^2 - c0), whose log is the antiderivative of 1/sqrt(y^2 - c0)."""
+    return y + np.sqrt(np.maximum(y * y - c0, 0.0))
+
+
+OIL_VOLUME = TailKernel(
+    atom=lambda w, y, s, c0: w * c0 / (y + s),   # stable form of w (y - s)
+    cell=lambda lo, hi, c0: (
+        _oil_volume_antiderivative(hi, c0) - _oil_volume_antiderivative(lo, c0)
+    ),
+    closed=True,
+)
+
+OIL_RATE = TailKernel(
+    atom=lambda w, y, s, c0: w / s,
+    cell=lambda lo, hi, c0: np.log(_log_root(hi, c0) / _log_root(lo, c0)),
+    closed=False,
+)
+
+
+def tail_integral(mu, kernel, c0, lower):
+    """Integral of kernel(y; c0) dmu(y) over the tail above lower, per element.
+
+    c0 and lower are 1-d arrays of one length with c0 <= lower^2, so the root
+    stays real on the tail; the tail is [lower, inf) for a closed kernel
+    and (lower, inf) otherwise.  Atom cells are summed in row blocks of at
+    most _BLOCK_CELLS cells, each row over all atoms in length order (the
+    ones outside the tail add 0), so the value does not depend on the block
+    size.
+    """
+    lower = _alpha_array(lower)
+    out = np.zeros_like(lower)
+    if mu.atoms:
+        L, S = mu._atoms_by_length
+        rows = max(1, _BLOCK_CELLS // L.size)
+        for r in range(0, lower.size, rows):
+            lo = lower[r:r + rows, None]
+            c = c0[r:r + rows, None]
+            in_tail = L >= lo if kernel.closed else L > lo
+            s = np.sqrt(np.where(in_tail, L * L - c, 1.0))
+            terms = np.where(in_tail, kernel.atom(S, L, s, c), 0.0)
+            out[r:r + rows] = np.sum(terms, axis=1)
+    for pa, pb, rho in mu.pieces:
+        lo = np.maximum(lower, pa)
+        live = lo < pb
+        out += np.where(live, rho * kernel.cell(np.where(live, lo, pb), pb, c0), 0.0)
+    return out
+
+
+def moment(mu, p, a=0.0, b=math.inf):
+    """Integral of y^p dmu(y) over [a, b) for p in {-1, 0, 1}.
+
+    The difference of two prefix integrals: an atom at L counts iff
+    a <= L < b; density pieces are integrated in closed form.
+    """
+    if not 0 <= a <= b:
+        raise ArgumentError(f"need 0 <= a <= b, got [{a}, {b})")
+    # every point above the support sees the whole measure
+    top = math.nextafter(mu.support_sup, math.inf)
+    lo, hi = _prefix_integral(mu, p, np.array([min(a, top), min(b, top)]))
+    return float(hi - lo)
 
 
 def tail_kernel_integral(mu, alpha, kappa, a):
@@ -210,24 +280,7 @@ def tail_kernel_integral(mu, alpha, kappa, a):
     if not 0 <= alpha <= a:
         raise ArgumentError(f"need a >= alpha >= 0, got alpha={alpha}, a={a}")
     c0 = (1.0 - kappa * kappa) * alpha * alpha
-    if c0 == 0.0:
-        return 0.0
-    total = 0.0
-    if mu.atoms:
-        L = mu._atom_L
-        S = mu._atom_S
-        i0 = np.searchsorted(L, a, side="left")
-        if i0 < len(L):
-            Lt, St = L[i0:], S[i0:]
-            # stable form of L - sqrt(L^2 - c0)
-            total += float(np.sum(St * c0 / (Lt + np.sqrt(Lt * Lt - c0))))
-    for pa, pb, rho in mu.pieces:
-        lo = max(a, pa)
-        if lo < pb and rho > 0:
-            total += rho * (
-                _tail_antiderivative(pb, c0) - _tail_antiderivative(lo, c0)
-            )
-    return total
+    return float(tail_integral(mu, OIL_VOLUME, np.array([c0]), np.array([a]))[0])
 
 
 def scale(mu, k):
@@ -242,21 +295,6 @@ def scale(mu, k):
     return Measure(
         atoms=tuple((L / k, k * S) for L, S in mu.atoms),
         pieces=tuple((a / k, b / k, k * k * r) for a, b, r in mu.pieces),
-    )
-
-
-def with_mass_factor(mu, m):
-    """Multiply all sections and densities by m (no geometry change).
-
-    Composed with ``scale`` this yields the k^2-type solution family; only
-    ``scale`` itself preserves the displacement characteristic.
-    """
-    if not m > 0:
-        raise ArgumentError(f"mass factor must be > 0, got {m}")
-    m = float(m)
-    return Measure(
-        atoms=tuple((L, m * S) for L, S in mu.atoms),
-        pieces=tuple((a, b, m * r) for a, b, r in mu.pieces),
     )
 
 

@@ -1,7 +1,11 @@
-"""Random model generators shared by the property and acceptance tests."""
+"""Random model generators and the round-trip report shared by the tests."""
+
+import dataclasses
 
 import numpy as np
 
+from tubeflood import forward, inverse
+from tubeflood.errors import ArgumentError
 from tubeflood.measures import Measure
 
 
@@ -44,3 +48,44 @@ def random_pump(rng, total_f, n_segments=4):
     c = rng.uniform(0.1, 3.0, n_segments)
     c[-1] = max(c[-1], 0.5)  # guarantee every threshold is eventually reached
     return PumpHistory(tuple(breaks.tolist()), tuple(c.tolist()))
+
+
+def pipeline_roundtrip(
+    mu, kappa, alpha_max, n_samples=5001, config=None, density_window=None
+):
+    """forward -> invert -> compare Phi (and density) against ground truth.
+
+    density_window=(lo, hi) turns on density recovery with alpha_min=lo and
+    reports its sup error over [lo, hi]; this needs a pieces-only measure.
+    Returns a dict of error norms and solver diagnostics.
+    """
+    cfg = config or inverse.RecoveryConfig(n_grid=2001)
+    if density_window is not None:
+        cfg = dataclasses.replace(cfg, alpha_min=density_window[0])
+    curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
+    result = inverse.recover(curve, cfg)
+
+    v_true = forward.v_w_samples(mu, kappa, result.grid)
+    phi_true = forward.harmonic_cdf_samples(mu, result.grid)
+    report = {
+        "v_max": curve.v_max,
+        "v_sup_error": float(np.max(np.abs(result.v - v_true))),
+        "phi_end": float(phi_true[-1]),
+        "phi_linf_error": float(np.max(np.abs(result.phi - phi_true))),
+        "residual": result.residual,
+        "error_bound": result.error_bound,
+        "phi_clip_count": result.phi_clip_count,
+    }
+    if density_window is not None:
+        if mu.atoms:
+            raise ArgumentError("density round trip needs a pieces-only measure")
+        lo, hi = density_window
+        mask = (result.grid >= lo) & (result.grid <= hi) & ~np.isnan(result.f)
+        f_true = np.zeros_like(result.grid)
+        for pa, pb, rho in mu.pieces:
+            f_true += np.where((result.grid >= pa) & (result.grid < pb), rho, 0.0)
+        report["f_linf_error"] = float(
+            np.max(np.abs(result.f[mask] - f_true[mask]))
+        )
+        report["f_clip_count"] = result.f_clip_count
+    return report

@@ -39,7 +39,7 @@ from tubeflood.tubes import (
 )
 
 from conftest import record_note
-from helpers import random_measure, random_pump
+from helpers import pipeline_roundtrip, random_measure, random_pump
 
 
 def closed_tail_integral(alpha, alpha_max, kappa):
@@ -92,7 +92,7 @@ def test_criterion_02_contraction():
 def test_criterion_03_round_trip_recovery():
     start = time.perf_counter()
     mu = Measure(pieces=((3.0, 9.0, 1.0),))
-    report = cli.pipeline_roundtrip(
+    report = pipeline_roundtrip(
         mu, 0.5, 10.0, n_samples=5001,
         config=RecoveryConfig(n_grid=2001),
         density_window=(3.5, 8.5),
@@ -179,8 +179,8 @@ def test_criterion_08_identity_of_volume_decomposition():
         kappa = float(rng.uniform(0.2, 0.8))
         vw = v_w_samples(mu, kappa, grid)
         vo = v_o_samples(mu, kappa, grid)
-        vw_max, vo_max, _ = endpoint_data(mu, kappa, alpha_max)
-        rhs = h_of_alpha(vw_max, vo_max, kappa, alpha_max, grid) + apply_T(
+        vw_max, _, vwp_max = endpoint_data(mu, kappa, alpha_max)
+        rhs = h_of_alpha(vw_max, vwp_max, kappa, alpha_max, grid) + apply_T(
             vw, kappa, alpha_max
         )
         lhs = vw + vo

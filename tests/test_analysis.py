@@ -112,6 +112,12 @@ class TestSensitivity:
         with pytest.raises(ArgumentError):
             sensitivity_constant(Measure(), random_atoms(1, 3), 0.5, 10.0)
 
+    @pytest.mark.parametrize("n_grid", [1, 0, 100.5, "2001"])
+    def test_bad_n_grid_rejected(self, n_grid):
+        with pytest.raises(ArgumentError):
+            sensitivity_constant(random_atoms(1, 3), random_atoms(2, 3), 0.5, 10.0,
+                                 n_grid=n_grid)
+
 
 class TestRunMc:
     def test_records_in_seed_order(self):
@@ -135,6 +141,15 @@ class TestRunMc:
         serial = run_mc(12, seed=42, n_grid=401, jobs=1)
         threaded = run_mc(12, seed=42, n_grid=401, jobs=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("n_grid", [1, 100.5])
+    def test_bad_n_grid_rejected(self, n_grid):
+        with pytest.raises(ArgumentError):
+            run_mc(3, seed=0, n_grid=n_grid)
+
+    def test_non_finite_alpha_max_rejected(self):
+        with pytest.raises(ArgumentError):
+            run_mc(3, seed=0, alpha_max=math.inf)
 
     def test_summary(self):
         records = run_mc(40, seed=1, n_grid=401)

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from tubeflood import cli, forward
+from tubeflood.errors import ArgumentError
+from tubeflood.inverse import RecoveryConfig
 from tubeflood.measures import Measure
+
+from helpers import pipeline_roundtrip
 
 ATOM_CONFIG = {
     "measure": {"atoms": [{"L": 1.0, "S": 1.0}], "pieces": []},
@@ -75,6 +79,12 @@ class TestForward:
         assert cli.main(["forward", config, "--out", str(tmp_path / "x.csv")]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["exit_code"] == 2 and error["type"] == "invalid-config"
+
+    def test_non_finite_alpha_max(self, tmp_path, capsys):
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        out = tmp_path / "x.csv"
+        assert cli.main(["forward", config, "--alpha-max", "inf", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
 
     def test_missing_option(self, tmp_path):
         config = write_json(
@@ -160,6 +170,15 @@ class TestInvert:
         assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["exit_code"] == 2 and error["type"] == "invalid-config"
+
+    def test_non_finite_alpha_max(self, tmp_path, curve_csv, capsys):
+        out = tmp_path / "r.csv"
+        code = cli.main([
+            "invert", str(curve_csv), "--kappa", "0.5", "--alpha-max", "inf",
+            "--out", str(out),
+        ])
+        assert code == 2 and not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
 
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -271,6 +290,17 @@ class TestMc:
         assert cli.main(args + ["--out", str(out2), "--jobs", "3"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha-max", "inf"], ["--alpha-max", "nan"], ["--n-grid", "1"]],
+        ids=["alpha-max-inf", "alpha-max-nan", "n-grid-1"],
+    )
+    def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
+        out = tmp_path / "mc.csv"
+        code = cli.main(["mc", "--trials", "3", "--seed", "0", "--out", str(out)] + flags)
+        assert code == 2 and not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
+
 
 class TestAmbiguity:
     def test_report(self, capsys):
@@ -285,11 +315,13 @@ class TestAmbiguity:
 
 
 class TestRoundtripPipeline:
+    """The forward -> inverse round-trip report of tests/helpers.py."""
+
     def test_uniform_density(self):
         mu = Measure(pieces=((3.0, 9.0, 1.0),))
-        report = cli.pipeline_roundtrip(
+        report = pipeline_roundtrip(
             mu, 0.5, 10.0, n_samples=2001,
-            config=cli.inverse.RecoveryConfig(n_grid=1001),
+            config=RecoveryConfig(n_grid=1001),
             density_window=(3.5, 8.5),
         )
         assert report["v_sup_error"] <= 1e-5 * report["v_max"]
@@ -298,20 +330,20 @@ class TestRoundtripPipeline:
 
     def test_atomic_measure_jump(self):
         mu = Measure(atoms=((1.0, 1.0),))
-        report = cli.pipeline_roundtrip(
+        report = pipeline_roundtrip(
             mu, 0.5, 2.0, n_samples=2001,
-            config=cli.inverse.RecoveryConfig(n_grid=1001),
+            config=RecoveryConfig(n_grid=1001),
         )
         assert report["v_sup_error"] <= 1e-5 * report["v_max"]
 
     def test_zero_measure_rejected(self):
-        with pytest.raises(cli.ArgumentError):
-            cli.pipeline_roundtrip(Measure(), 0.5, 10.0)
+        with pytest.raises(ArgumentError):
+            pipeline_roundtrip(Measure(), 0.5, 10.0)
 
     def test_density_needs_pieces(self):
-        with pytest.raises(cli.ArgumentError):
-            cli.pipeline_roundtrip(
+        with pytest.raises(ArgumentError):
+            pipeline_roundtrip(
                 Measure(atoms=((1.0, 1.0),)), 0.5, 2.0, n_samples=501,
-                config=cli.inverse.RecoveryConfig(n_grid=301),
+                config=RecoveryConfig(n_grid=301),
                 density_window=(0.5, 1.5),
             )

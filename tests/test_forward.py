@@ -1,26 +1,23 @@
 """Continuum forward map and displacement-curve construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tubeflood.errors import (
-    ArgumentError,
-    InternalConsistencyError,
-    UndefinedValueError,
-)
+from tubeflood.errors import ArgumentError, InternalConsistencyError
 from tubeflood.forward import (
     DisplacementCurve,
     build_curve,
     curve_readoff,
     endpoint_data,
     harmonic_cdf_samples,
-    v_o,
-    v_o_prime,
-    v_w,
-    v_w_prime,
-    water_cut,
+    v_o_prime_samples,
+    v_o_samples,
+    v_w_prime_samples,
+    v_w_samples,
+    water_cut_samples,
 )
 from tubeflood.measures import Measure, moment, scale
 
@@ -29,21 +26,26 @@ from helpers import random_measure
 ATOM_11 = Measure(atoms=((1.0, 1.0),))
 
 
+def at(samples, mu, kappa, alpha):
+    """One-point evaluation of a vectorized forward function."""
+    return float(samples(mu, kappa, np.array([alpha]))[0])
+
+
 class TestVolumes:
     def test_v_w_single_atom(self):
-        assert v_w(ATOM_11, 0.5, 2.0) == pytest.approx(4.5, abs=1e-14)
-        assert v_w(ATOM_11, 0.5, 0.5) == 0.0
-        assert v_w(ATOM_11, 0.5, 1.0) == 0.0  # kernel vanishes at y = alpha
+        assert at(v_w_samples, ATOM_11, 0.5, 2.0) == pytest.approx(4.5, abs=1e-14)
+        assert at(v_w_samples, ATOM_11, 0.5, 0.5) == 0.0
+        assert at(v_w_samples, ATOM_11, 0.5, 1.0) == 0.0  # kernel vanishes at y = alpha
 
     def test_v_o_single_atom(self):
         expected = 2.0 * (1.0 - math.sqrt(0.8125))
-        assert v_o(ATOM_11, 0.5, 0.5) == pytest.approx(expected, abs=1e-14)
-        assert v_o(ATOM_11, 0.5, 1.0) == pytest.approx(1.0, abs=1e-14)
-        assert v_o(ATOM_11, 0.5, 0.0) == 0.0
+        assert at(v_o_samples, ATOM_11, 0.5, 0.5) == pytest.approx(expected, abs=1e-14)
+        assert at(v_o_samples, ATOM_11, 0.5, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert at(v_o_samples, ATOM_11, 0.5, 0.0) == 0.0
 
     def test_zero_measure_allowed_here(self):
-        assert v_w(Measure(), 0.5, 1.0) == 0.0
-        assert v_o(Measure(), 0.5, 1.0) == 0.0
+        assert at(v_w_samples, Measure(), 0.5, 1.0) == 0.0
+        assert at(v_o_samples, Measure(), 0.5, 1.0) == 0.0
 
     def test_conservation(self):
         rng = np.random.default_rng(14)
@@ -52,16 +54,14 @@ class TestVolumes:
             top = mu.support_sup * 1.5
             pore = moment(mu, 1)
             if mu.pieces:
-                assert v_o(mu, 0.5, top) == pytest.approx(pore, rel=1e-12)
+                assert at(v_o_samples, mu, 0.5, top) == pytest.approx(pore, rel=1e-12)
             else:
-                assert v_o(mu, 0.5, top) == pore
+                assert at(v_o_samples, mu, 0.5, top) == pore
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(15)
         mu = random_measure(rng)
         alphas = np.linspace(0, 12, 100)
-        from tubeflood.forward import v_o_samples, v_w_samples
-
         assert np.all(np.diff(v_w_samples(mu, 0.5, alphas)) >= -1e-12)
         vo = v_o_samples(mu, 0.5, alphas)
         inside = alphas[1:] <= mu.support_sup
@@ -70,19 +70,20 @@ class TestVolumes:
 
 class TestDerivatives:
     def test_v_w_prime_atom(self):
-        assert v_w_prime(ATOM_11, 0.5, 2.0) == pytest.approx(6.0, abs=1e-14)
+        assert at(v_w_prime_samples, ATOM_11, 0.5, 2.0) == pytest.approx(6.0, abs=1e-14)
 
     def test_v_o_prime_atom(self):
         expected = 1.5 * 0.5 / math.sqrt(0.8125)
-        assert v_o_prime(ATOM_11, 0.5, 0.5) == pytest.approx(expected, abs=1e-14)
+        got = at(v_o_prime_samples, ATOM_11, 0.5, 0.5)
+        assert got == pytest.approx(expected, abs=1e-14)
 
     def test_v_o_prime_empty_tail(self):
-        assert v_o_prime(ATOM_11, 0.5, 2.0) == 0.0
+        assert at(v_o_prime_samples, ATOM_11, 0.5, 2.0) == 0.0
 
     def test_right_limit_at_atom(self):
         # at the atom location the derivative takes its right limit
-        assert v_w_prime(ATOM_11, 0.5, 1.0) == pytest.approx(3.0, abs=1e-14)
-        assert v_o_prime(ATOM_11, 0.5, 1.0) == 0.0
+        assert at(v_w_prime_samples, ATOM_11, 0.5, 1.0) == pytest.approx(3.0, abs=1e-14)
+        assert at(v_o_prime_samples, ATOM_11, 0.5, 1.0) == 0.0
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(16)
@@ -94,32 +95,89 @@ class TestDerivatives:
             # stay away from atom locations where the derivative jumps
             if mu.atoms and min(abs(alpha - L) for L, _ in mu.atoms) < 10 * h:
                 alpha += 20 * h
-            fd_w = (v_w(mu, kappa, alpha + h) - v_w(mu, kappa, alpha - h)) / (2 * h)
-            fd_o = (v_o(mu, kappa, alpha + h) - v_o(mu, kappa, alpha - h)) / (2 * h)
+            pair = np.array([alpha - h, alpha + h])
+            fd_w = np.diff(v_w_samples(mu, kappa, pair))[0] / (2 * h)
+            fd_o = np.diff(v_o_samples(mu, kappa, pair))[0] / (2 * h)
             scale_w = max(1.0, abs(fd_w))
             scale_o = max(1.0, abs(fd_o))
-            assert abs(v_w_prime(mu, kappa, alpha) - fd_w) <= 1e-6 * scale_w
-            assert abs(v_o_prime(mu, kappa, alpha) - fd_o) <= 1e-6 * scale_o
+            assert abs(at(v_w_prime_samples, mu, kappa, alpha) - fd_w) <= 1e-6 * scale_w
+            assert abs(at(v_o_prime_samples, mu, kappa, alpha) - fd_o) <= 1e-6 * scale_o
 
 
 class TestWaterCut:
     def test_before_breakthrough(self):
-        assert water_cut(ATOM_11, 0.5, 0.5) == 0.0
+        assert at(water_cut_samples, ATOM_11, 0.5, 0.5) == 0.0
 
     def test_after_full_sweep(self):
-        assert water_cut(ATOM_11, 0.5, 2.0) == 1.0
+        assert at(water_cut_samples, ATOM_11, 0.5, 2.0) == 1.0
 
     def test_two_atom_value(self):
         mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0)))
-        wp = v_w_prime(mu, 0.5, 1.5)
-        op = v_o_prime(mu, 0.5, 1.5)
+        wp = at(v_w_prime_samples, mu, 0.5, 1.5)
+        op = at(v_o_prime_samples, mu, 0.5, 1.5)
         assert wp == pytest.approx(4.5, abs=1e-14)
         assert op == pytest.approx(2.25 / math.sqrt(4.0 - 0.75 * 2.25), abs=1e-14)
-        assert water_cut(mu, 0.5, 1.5) == pytest.approx(wp / (wp + op), abs=1e-15)
+        wc = at(water_cut_samples, mu, 0.5, 1.5)
+        assert wc == pytest.approx(wp / (wp + op), abs=1e-15)
 
     def test_undefined_when_no_flow(self):
-        with pytest.raises(UndefinedValueError):
-            water_cut(Measure(), 0.5, 1.0)
+        # the water cut is 0/0 without any flow; the samples report 0 there
+        assert at(water_cut_samples, Measure(), 0.5, 1.0) == 0.0
+
+
+SAMPLES = [v_w_samples, v_o_samples, v_w_prime_samples, v_o_prime_samples,
+           water_cut_samples]
+
+
+class TestAlphaDomain:
+    @pytest.mark.parametrize("samples", SAMPLES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite(self, samples, alpha):
+        with pytest.raises(ArgumentError):
+            samples(ATOM_11, 0.5, np.array([0.5, alpha]))
+
+    def test_atoms_on_nodes_and_at_alpha_max(self):
+        # V_o integrates its tail over [alpha, inf) and V_o' over
+        # (alpha, inf); V_w' includes the atom at L = alpha (right limit)
+        kappa = 0.5
+        mu = Measure(atoms=((1.0, 1.0), (2.0, 2.0)))
+        alphas = np.linspace(0.0, 2.0, 5)          # nodes 1.0 and alpha_max
+        r2 = math.sqrt(4.0 - 0.75)                 # atom 2 seen from alpha = 1
+        vo = v_o_samples(mu, kappa, alphas)
+        assert vo[2] == pytest.approx((0.5 + 2.0 * (2.0 - r2)) / 0.5, rel=1e-14)
+        assert vo[4] == pytest.approx(5.0, rel=1e-14)     # the whole pore volume
+        vop = v_o_prime_samples(mu, kappa, alphas)
+        assert vop[2] == pytest.approx(1.5 * 2.0 / r2, rel=1e-14)
+        assert vop[4] == 0.0
+        vwp = v_w_prime_samples(mu, kappa, alphas)
+        assert vwp[2] == pytest.approx(3.0, rel=1e-14)
+        assert vwp[4] == pytest.approx(12.0, rel=1e-14)
+        assert water_cut_samples(mu, kappa, alphas)[4] == 1.0
+        # each derivative at an atom equals its value just to the right
+        nodes = alphas[1:]
+        right = np.nextafter(nodes, np.inf)
+        for samples in (v_w_prime_samples, v_o_prime_samples):
+            np.testing.assert_allclose(
+                samples(mu, kappa, nodes), samples(mu, kappa, right), rtol=1e-12
+            )
+
+    def test_bulk_memory_is_bounded(self):
+        # atom tails run in row blocks: 1e4 atoms x 2001 alphas would take
+        # 160 MB for each dense (alpha, atom) array
+        rng = np.random.default_rng(0)
+        n = 10_000
+        mu = Measure(atoms=tuple(zip(
+            rng.uniform(0.5, 10.0, n).tolist(), rng.uniform(0.5, 2.0, n).tolist()
+        )))
+        alphas = np.linspace(0.0, 10.0, 2001)
+        tracemalloc.start()
+        try:
+            build_curve(mu, 0.3, 10.0, alphas.size)
+            water_cut_samples(mu, 0.3, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBuildCurve:
@@ -186,6 +244,14 @@ class TestCurveType:
                 alpha_max=1.0, kappa=0.5,
             )
 
+    @pytest.mark.parametrize("alpha_max", [math.inf, math.nan, 0.0])
+    def test_rejects_bad_alpha_max(self, alpha_max):
+        with pytest.raises(ArgumentError):
+            DisplacementCurve(
+                x=np.array([0.0, 1.0]), g=np.array([0.0, 0.5]),
+                alpha_max=alpha_max, kappa=0.5,
+            )
+
     def test_rejects_nonzero_origin(self):
         with pytest.raises(InternalConsistencyError):
             DisplacementCurve(
@@ -219,6 +285,11 @@ class TestEndpointData:
         with pytest.raises(ArgumentError):
             endpoint_data(ATOM_11, 0.5, 0.5)
 
+    def test_non_finite_alpha_max(self):
+        for alpha_max in (math.inf, math.nan):
+            with pytest.raises(ArgumentError):
+                endpoint_data(ATOM_11, 0.5, alpha_max)
+
 
 class TestCurveReadoff:
     def test_matches_endpoint_data(self):
@@ -234,12 +305,6 @@ class TestCurveReadoff:
         assert vw == pytest.approx(0.0, abs=1e-12)
         # (1+kappa) S / kappa for a lone atom observed at its own length
         assert vwp == pytest.approx(1.5 * 2.0 / 0.5, rel=1e-12)
-
-    def test_paper_literal_skips_normalization(self):
-        curve = build_curve(ATOM_11, 0.5, 2.0, 101)
-        _, vwp = curve_readoff(curve)
-        _, vwp_lit = curve_readoff(curve, paper_literal=True)
-        assert vwp_lit == pytest.approx(vwp * curve.alpha_max, rel=1e-12)
 
     def test_degenerate_curve(self):
         curve = build_curve(ATOM_11, 0.5, 2.0, 101)

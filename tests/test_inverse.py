@@ -54,11 +54,14 @@ def closed_linear_integral(alpha, alpha_max, kappa):
     return kappa * c * alpha * (anti(alpha_max / alpha) - anti(1.0))
 
 
-def picard(curve, n_grid, v0):
-    """Test oracle: plain iteration V <- G(h + TV) to a 1e-15 v_max step."""
+def picard(curve, n_grid, v0, h=None):
+    """Test oracle: plain iteration V <- G(h + TV) to a 1e-15 v_max step.
+
+    h defaults to the inhomogeneous term built from curve_readoff.
+    """
     grid = np.linspace(0.0, curve.alpha_max, n_grid)
-    vw_max, _ = curve_readoff(curve)
-    h = h_of_alpha(vw_max, curve.v_max - vw_max, curve.kappa, curve.alpha_max, grid)
+    if h is None:
+        h = h_of_alpha(*curve_readoff(curve), curve.kappa, curve.alpha_max, grid)
     v = np.full(n_grid, float(v0))
     for _ in range(5000):
         v_next = curve(h + apply_T(v, curve.kappa, curve.alpha_max))
@@ -224,21 +227,23 @@ class TestApplyT:
 
 
 class TestH:
+    # the atom (L, S) = (1, 1) seen up to alpha_max = 2 at kappa = 0.5:
+    # V_w(alpha_max) = 4.5 and V_w'(alpha_max) = 6
     def test_zero_at_origin(self):
-        assert h_of_alpha(4.5, 1.0, 0.5, 2.0, 0.0) == 0.0
+        assert h_of_alpha(4.5, 6.0, 0.5, 2.0, 0.0) == 0.0
 
     def test_equals_v_max_at_alpha_max(self):
         # single-atom system: R(alpha_max) = kappa alpha_max and TV term drops
-        assert h_of_alpha(4.5, 1.0, 0.5, 2.0, 2.0) == pytest.approx(5.5, abs=1e-12)
+        assert h_of_alpha(4.5, 6.0, 0.5, 2.0, 2.0) == pytest.approx(5.5, abs=1e-12)
 
     def test_nondecreasing(self):
         alphas = np.linspace(0, 2, 50)
-        h = h_of_alpha(4.5, 1.0, 0.5, 2.0, alphas)
+        h = h_of_alpha(4.5, 6.0, 0.5, 2.0, alphas)
         assert np.all(np.diff(h) > 0)
 
     def test_domain_check(self):
         with pytest.raises(ArgumentError):
-            h_of_alpha(4.5, 1.0, 0.5, 2.0, 2.5)
+            h_of_alpha(4.5, 6.0, 0.5, 2.0, 2.5)
 
 
 UNIFORM_PIECE = Measure(pieces=((3.0, 9.0, 1.0),))
@@ -356,22 +361,38 @@ class TestRecoverDensity:
         with pytest.raises(ArgumentError):
             recover_density(grid, grid**2, 0.5, alpha_min=0.0)
 
-    def test_paper_literal_prefactor_ratio(self):
-        kappa = 0.5
-        grid = np.linspace(0, 1, 301)
-        v = (1 + kappa) / kappa * grid**3 / 3
-        f, _ = recover_density(grid, v, kappa, alpha_min=0.1)
-        f_lit, _ = recover_density(grid, v, kappa, alpha_min=0.1, paper_literal=True)
-        window = ~np.isnan(f) & (f > 1e-6)
-        ratio = ((1 + kappa) / kappa) ** 2
-        assert np.allclose(f_lit[window] / f[window], ratio, rtol=1e-10)
-
     def test_window_masks_boundaries(self):
         grid = np.linspace(0, 1, 101)
         f, _ = recover_density(grid, grid**3, 0.5, alpha_min=0.3)
         spacing = grid[1] - grid[0]
         assert np.all(np.isnan(f[grid < 0.3]))
         assert np.all(np.isnan(f[grid > 1.0 - 2 * spacing + 1e-12]))
+
+
+def test_paper_literal_formulas_fail_the_round_trip():
+    # As printed, the paper's endpoint slope V_w' = 2 V_w + (1+kappa)/kappa V_o
+    # lacks the division by alpha_max, and its density formula carries the
+    # prefactor (1+kappa)/kappa instead of kappa/(1+kappa).  Evaluated here,
+    # both miss the measure that the corrected forms recover.
+    kappa, alpha_max, n = 0.5, 10.0, 501
+    curve = build_curve(UNIFORM_PIECE, kappa, alpha_max, 2001)
+    grid = np.linspace(0.0, alpha_max, n)
+    truth = v_w_samples(UNIFORM_PIECE, kappa, grid)
+
+    v = solve_fixed_point(curve, RecoveryConfig(n_grid=n)).v
+    assert np.max(np.abs(v - truth)) <= 1e-5 * curve.v_max
+    vw_max, vwp_max = curve_readoff(curve)
+    h_literal = h_of_alpha(vw_max, vwp_max * alpha_max, kappa, alpha_max, grid)
+    v_literal = picard(curve, n, 0.0, h=h_literal)
+    assert np.max(np.abs(v_literal - truth)) >= 0.5 * curve.v_max
+
+    spacing = grid[1] - grid[0]
+    f, _ = recover_density(grid, truth, kappa, alpha_min=3.5)
+    w = np.gradient(truth, spacing, edge_order=2)[1:] / grid[1:]
+    f_literal = (1 + kappa) / kappa * grid[1:] * np.gradient(w, spacing, edge_order=2)
+    window = ~np.isnan(f[1:]) & (grid[1:] <= 8.5)
+    assert np.max(np.abs(f[1:][window] - 1.0)) <= 1e-6
+    assert np.min(np.abs(f_literal[window] - 1.0)) >= 7.0   # ((1+kappa)/kappa)^2 = 9
 
 
 class TestRecoverPipeline:

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from tubeflood.errors import ArgumentError
+from tubeflood import measures
 from tubeflood.measures import (
-    FluidParams,
+    OIL_RATE,
+    OIL_VOLUME,
     Measure,
+    check_kappa,
     moment,
+    prefix_integral,
     random_atoms,
     scale,
+    tail_integral,
     tail_kernel_integral,
-    with_mass_factor,
 )
 
 from helpers import random_measure
@@ -175,9 +179,6 @@ class TestScale:
         with pytest.raises(ArgumentError):
             scale(ATOM_11, 0.0)
 
-    def test_mass_factor(self):
-        mu = with_mass_factor(ATOM_11, 3.0)
-        assert mu == Measure(atoms=((1.0, 3.0),))
 
 
 class TestRandomAtoms:
@@ -231,23 +232,118 @@ class TestMeasureType:
         assert math.isfinite(moment(mu, 1))
 
 
-class TestFluidParams:
-    def test_plain_kappa(self):
-        assert FluidParams(kappa=0.5).kappa == 0.5
 
-    def test_from_viscosities(self):
-        fp = FluidParams.from_viscosities(1.0, 2.0)
-        assert fp.kappa == 0.5
+class TestCheckKappa:
+    def test_bounds(self):
+        assert check_kappa(0.999) == 0.999
+        for bad in (0.9995, 0.0, -0.2, math.nan):
+            with pytest.raises(ArgumentError):
+                check_kappa(bad)
 
-    def test_kappa_bounds(self):
-        FluidParams(kappa=0.999)
-        with pytest.raises(ArgumentError):
-            FluidParams(kappa=0.9995)
-        with pytest.raises(ArgumentError):
-            FluidParams(kappa=0.0)
-        with pytest.raises(ArgumentError):
-            FluidParams(kappa=-0.2)
 
-    def test_inconsistent_pair(self):
+def random_atom_measure(rng, n):
+    # lengths on a coarse lattice so that ties and exact node hits occur
+    L = rng.integers(1, 40, n) / 4.0
+    return Measure(atoms=tuple(zip(L.tolist(), rng.uniform(0.5, 2.0, n).tolist())))
+
+
+def dense_tail(mu, kernel, c0, lower):
+    """Unblocked reference: one (alpha, atom) array holding every cell."""
+    L = np.array([a[0] for a in mu.atoms])
+    S = np.array([a[1] for a in mu.atoms])
+    order = np.argsort(L, kind="stable")
+    L, S = L[order][None, :], S[order][None, :]
+    lo, c = lower[:, None], c0[:, None]
+    in_tail = L >= lo if kernel is OIL_VOLUME else L > lo
+    disc = np.where(in_tail, L**2 - c, 1.0)
+    if kernel is OIL_VOLUME:
+        terms = S * c / (L + np.sqrt(disc))
+    else:
+        terms = S / np.sqrt(disc)
+    return np.sum(np.where(in_tail, terms, 0.0), axis=1)
+
+
+class TestTailIntegral:
+    @pytest.mark.parametrize(
+        "block_cells, n_atoms, n_alphas",
+        [
+            (None, 50, 20),           # one block
+            (None, 1000, 100),        # blocks of 32 rows, a last block of 4
+            (None, 40000, 3),         # more atoms than cells: one row per block
+            (64, 20, 10),             # rows of 3, a last block of 1
+            (16, 40, 5),              # one row per block
+        ],
+    )
+    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
+    def test_blocks_match_dense_bit_for_bit(
+        self, monkeypatch, kernel, block_cells, n_atoms, n_alphas
+    ):
+        if block_cells is not None:
+            monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(n_atoms)
+        mu = random_atom_measure(rng, n_atoms)
+        alphas = np.linspace(0.0, 10.0, n_alphas)
+        c0 = 0.75 * alphas * alphas
+        got = tail_integral(mu, kernel, c0, alphas)
+        assert np.array_equal(got, dense_tail(mu, kernel, c0, alphas))
+
+    def test_lower_limit_conventions(self):
+        # an atom at the lower limit is in the closed tail, not the open one
+        mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0)))
+        lower = np.array([1.0, 2.0])
+        c0 = 0.75 * lower * lower
+        vol = tail_integral(mu, OIL_VOLUME, c0, lower)
+        rate = tail_integral(mu, OIL_RATE, c0, lower)
+        far = 2.0 - math.sqrt(4.0 - 0.75)
+        assert vol == pytest.approx([0.5 + far, 1.0], rel=1e-14)
+        assert rate == pytest.approx([1.0 / math.sqrt(4.0 - 0.75), 0.0], rel=1e-14)
+
+    def test_rejects_bad_lower_limit(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                tail_integral(ATOM_11, OIL_RATE, np.array([0.0]), np.array([bad]))
+
+
+class TestPrefixIntegral:
+    def test_counting_function_on_pieces(self):
+        # p = 0 is the counting function mu([0, alpha)) in its direct form
+        rng = np.random.default_rng(12)
+        alphas = np.linspace(0.0, 12.0, 301)
+        for _ in range(10):
+            mu = random_measure(rng, kind="pieces")
+            expected = np.zeros_like(alphas)
+            for pa, pb, rho in mu.pieces:
+                hi = np.clip(alphas, pa, pb)
+                expected += np.where(alphas > pa, rho * (hi - pa), 0.0)
+            assert np.array_equal(prefix_integral(mu, 0, alphas), expected)
+
+    def test_each_exponent_on_a_piece(self):
+        mu = Measure(pieces=((1.0, 3.0, 2.0),))
+        alphas = np.array([0.5, 2.0, 5.0])
+        assert prefix_integral(mu, -1, alphas) == pytest.approx(
+            [0.0, 2.0 * math.log(2.0), 2.0 * math.log(3.0)], rel=1e-15
+        )
+        assert prefix_integral(mu, 0, alphas) == pytest.approx([0.0, 2.0, 4.0])
+        assert prefix_integral(mu, 1, alphas) == pytest.approx([0.0, 3.0, 8.0])
+
+    def test_inclusive_counts_atom_at_alpha(self):
+        mu = Measure(atoms=((1.0, 2.0),))
+        alphas = np.array([1.0])
+        assert prefix_integral(mu, 0, alphas)[0] == 0.0
+        assert prefix_integral(mu, 0, alphas, inclusive=True)[0] == 2.0
+
+    def test_matches_moment(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            mu = random_measure(rng)
+            alphas = np.sort(rng.uniform(0.0, 12.0, 7))
+            for p in (-1, 0, 1):
+                got = prefix_integral(mu, p, alphas)
+                assert got.tolist() == [moment(mu, p, 0.0, a) for a in alphas]
+
+    def test_rejects_bad_input(self):
         with pytest.raises(ArgumentError):
-            FluidParams(kappa=0.5, mu_w=1.0, mu_o=3.0)
+            prefix_integral(ATOM_11, 2, np.array([1.0]))
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                prefix_integral(ATOM_11, 0, np.array([1.0, bad]))
