@@ -306,6 +306,17 @@ class TestCurveReadoff:
         # (1+kappa) S / kappa for a lone atom observed at its own length
         assert vwp == pytest.approx(1.5 * 2.0 / 0.5, rel=1e-12)
 
+    def test_paper_literal_skips_normalization(self):
+        # As printed, V_w'(alpha_max) = 2 V_w + (1+kappa)/kappa V_o lacks the
+        # division by alpha_max: it reads alpha_max times the true slope.
+        kappa, alpha_max = 0.5, 2.0
+        curve = build_curve(ATOM_11, kappa, alpha_max, 101)
+        vw, vwp = curve_readoff(curve)
+        vo = at(v_o_samples, ATOM_11, kappa, alpha_max)
+        vwp_literal = 2.0 * vw + (1 + kappa) / kappa * vo
+        assert vwp == pytest.approx(at(v_w_prime_samples, ATOM_11, kappa, alpha_max), rel=1e-12)
+        assert vwp_literal == pytest.approx(vwp * alpha_max, rel=1e-12)
+
     def test_degenerate_curve(self):
         curve = build_curve(ATOM_11, 0.5, 2.0, 101)
         bad = DisplacementCurve.__new__(DisplacementCurve)

@@ -361,6 +361,22 @@ class TestRecoverDensity:
         with pytest.raises(ArgumentError):
             recover_density(grid, grid**2, 0.5, alpha_min=0.0)
 
+    def test_paper_literal_prefactor_ratio(self):
+        # As printed, the density formula carries the prefactor (1+kappa)/kappa
+        # instead of kappa/(1+kappa).  Evaluated here, it scales the recovered
+        # density by ((1+kappa)/kappa)^2 and misses the measure of the curve.
+        kappa, alpha_max, n = 0.5, 10.0, 501
+        grid = np.linspace(0.0, alpha_max, n)
+        truth = v_w_samples(UNIFORM_PIECE, kappa, grid)
+        spacing = grid[1] - grid[0]
+        f, _ = recover_density(grid, truth, kappa, alpha_min=3.5)
+        w = np.gradient(truth, spacing, edge_order=2)[1:] / grid[1:]
+        f_literal = (1 + kappa) / kappa * grid[1:] * np.gradient(w, spacing, edge_order=2)
+        window = ~np.isnan(f[1:]) & (grid[1:] <= 8.5)
+        assert np.max(np.abs(f[1:][window] - 1.0)) <= 1e-6
+        assert np.allclose(f_literal[window] / f[1:][window], ((1 + kappa) / kappa) ** 2, rtol=1e-10)
+        assert np.min(np.abs(f_literal[window] - 1.0)) >= 7.0   # ((1+kappa)/kappa)^2 = 9
+
     def test_window_masks_boundaries(self):
         grid = np.linspace(0, 1, 101)
         f, _ = recover_density(grid, grid**3, 0.5, alpha_min=0.3)
@@ -369,11 +385,10 @@ class TestRecoverDensity:
         assert np.all(np.isnan(f[grid > 1.0 - 2 * spacing + 1e-12]))
 
 
-def test_paper_literal_formulas_fail_the_round_trip():
+def test_paper_literal_slope_fails_the_round_trip():
     # As printed, the paper's endpoint slope V_w' = 2 V_w + (1+kappa)/kappa V_o
-    # lacks the division by alpha_max, and its density formula carries the
-    # prefactor (1+kappa)/kappa instead of kappa/(1+kappa).  Evaluated here,
-    # both miss the measure that the corrected forms recover.
+    # lacks the division by alpha_max.  Fed to h, it makes the solve miss the
+    # V_w that the corrected slope recovers.
     kappa, alpha_max, n = 0.5, 10.0, 501
     curve = build_curve(UNIFORM_PIECE, kappa, alpha_max, 2001)
     grid = np.linspace(0.0, alpha_max, n)
@@ -385,14 +400,6 @@ def test_paper_literal_formulas_fail_the_round_trip():
     h_literal = h_of_alpha(vw_max, vwp_max * alpha_max, kappa, alpha_max, grid)
     v_literal = picard(curve, n, 0.0, h=h_literal)
     assert np.max(np.abs(v_literal - truth)) >= 0.5 * curve.v_max
-
-    spacing = grid[1] - grid[0]
-    f, _ = recover_density(grid, truth, kappa, alpha_min=3.5)
-    w = np.gradient(truth, spacing, edge_order=2)[1:] / grid[1:]
-    f_literal = (1 + kappa) / kappa * grid[1:] * np.gradient(w, spacing, edge_order=2)
-    window = ~np.isnan(f[1:]) & (grid[1:] <= 8.5)
-    assert np.max(np.abs(f[1:][window] - 1.0)) <= 1e-6
-    assert np.min(np.abs(f_literal[window] - 1.0)) >= 7.0   # ((1+kappa)/kappa)^2 = 9
 
 
 class TestRecoverPipeline:
