@@ -106,6 +106,17 @@ def sinusoidal_perturbation(curve, delta0):
     return type(curve)(x=x, g=monotone, alpha_max=curve.alpha_max, kappa=curve.kappa)
 
 
+def _sup_gap(curve1, curve2, x_top):
+    """Sup of |G1 - G2| over total volumes in [0, x_top].
+
+    The difference of two piecewise-linear graphs peaks at a breakpoint of
+    either or at the range edge.
+    """
+    xs = np.concatenate([curve1.x, curve2.x, [x_top]])
+    xs = np.unique(xs[xs <= x_top])
+    return float(np.max(np.abs(curve1(xs) - curve2(xs))))
+
+
 def stability_experiment(curve1, curve2, config=None):
     """Solve both curves and compare against the explicit stability bound.
 
@@ -118,12 +129,7 @@ def stability_experiment(curve1, curve2, config=None):
     res1 = solve_fixed_point(curve1, config)
     res2 = solve_fixed_point(curve2, config)
 
-    x_top = min(curve1.v_max, curve2.v_max)
-    # sup of the difference of two piecewise-linear graphs is attained at a
-    # breakpoint of either (or the range edge)
-    xs = np.concatenate([curve1.x, curve2.x, [x_top]])
-    xs = np.unique(xs[xs <= x_top])
-    delta = float(np.max(np.abs(curve1(xs) - curve2(xs))))
+    delta = _sup_gap(curve1, curve2, min(curve1.v_max, curve2.v_max))
 
     v_diff = float(np.max(np.abs(res1.v - res2.v)))
     constant = stability_bound(curve1.kappa, curve1.alpha_max)
@@ -331,19 +337,13 @@ def curve_gap(pair, kappa, alpha_probe, n_grid=2001):
     if not 0 <= alpha_probe <= pair.alpha0:
         raise ArgumentError("probe must lie in [0, alpha0]")
     alpha_max = max(pair.mu1.support_sup, pair.mu2.support_sup)
-    c1 = build_curve(pair.mu1, kappa, alpha_max, n_grid)
-    c2 = build_curve(pair.mu2, kappa, alpha_max, n_grid)
-    probe = np.array([alpha_probe])
-    top1 = float(
-        v_w_samples(pair.mu1, kappa, probe)[0] + v_o_samples(pair.mu1, kappa, probe)[0]
+    mus = (pair.mu1, pair.mu2)
+    c1, c2 = (build_curve(mu, kappa, alpha_max, n_grid) for mu in mus)
+    x_top = min(
+        float(v_w_samples(mu, kappa, alpha_probe) + v_o_samples(mu, kappa, alpha_probe))
+        for mu in mus
     )
-    top2 = float(
-        v_w_samples(pair.mu2, kappa, probe)[0] + v_o_samples(pair.mu2, kappa, probe)[0]
-    )
-    x_top = min(top1, top2)
-    xs = np.concatenate([c1.x, c2.x, [x_top]])
-    xs = np.unique(xs[xs <= x_top])
-    return float(np.max(np.abs(c1(xs) - c2(xs))))
+    return _sup_gap(c1, c2, x_top)
 
 
 def ambiguity_series_estimate(pair, kappa, alpha_probe):

@@ -76,7 +76,7 @@ def _cast(key, value, cast):
         raise ArgumentError(f"option {key!r}: {exc}") from exc
 
 
-def _required(config, args, key, flag_value, cast=float):
+def _required(config, key, flag_value, cast=float):
     """Numeric option: command-line flag wins over the config file."""
     if flag_value is not None:
         return _cast(key, flag_value, cast)
@@ -145,9 +145,9 @@ def _emit_json(payload, path=None):
 def _cmd_forward(args):
     config = _load_json(args.config)
     mu = _measure_from_config(config)
-    kappa = _required(config, args, "kappa", args.kappa)
-    alpha_max = _required(config, args, "alpha_max", args.alpha_max)
-    n_samples = _required(config, args, "n_samples", args.n_samples, cast=int)
+    kappa = _required(config, "kappa", args.kappa)
+    alpha_max = _required(config, "alpha_max", args.alpha_max)
+    n_samples = _required(config, "n_samples", args.n_samples, cast=int)
 
     curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
     alphas = np.linspace(0.0, alpha_max, n_samples)
@@ -163,10 +163,10 @@ def _cmd_forward(args):
     return 0
 
 
-def _recovery_config(args, default_alpha_min=0.0):
+def _recovery_config(args):
     return inverse.RecoveryConfig(
         n_grid=args.n_grid,
-        alpha_min=args.alpha_min if args.alpha_min is not None else default_alpha_min,
+        alpha_min=args.alpha_min if args.alpha_min is not None else 0.0,
     )
 
 
@@ -235,8 +235,8 @@ def _cmd_stability(args):
             raise ArgumentError("need a config file or --curve1/--curve2")
         config = _load_json(args.config)
         mu = _measure_from_config(config)
-        kappa = _required(config, args, "kappa", args.kappa)
-        alpha_max = _required(config, args, "alpha_max", args.alpha_max)
+        kappa = _required(config, "kappa", args.kappa)
+        alpha_max = _required(config, "alpha_max", args.alpha_max)
         n_samples = _cast("n_samples", config.get("n_samples", 2001), int)
         curve1 = forward.build_curve(mu, kappa, alpha_max, n_samples)
         curve2 = analysis.sinusoidal_perturbation(

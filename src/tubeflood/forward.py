@@ -149,9 +149,6 @@ class DisplacementCurve:
     def __call__(self, s):
         return np.interp(s, self.x, self.g)
 
-    def to_rows(self):
-        return np.column_stack([self.x, self.g])
-
 
 def build_curve(mu, kappa, alpha_max, n_samples):
     """Sample the displacement characteristic on a uniform alpha grid.

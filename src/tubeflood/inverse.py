@@ -23,24 +23,24 @@ and for measures with a continuous density f,
     f(alpha) = kappa/(1+kappa) * alpha * (V'(alpha)/alpha)' .
 
 Note the prefactor: substituting the V' relation shows the inverted form
-is required.  The operator is assembled in row blocks of _BLOCK_CELLS
-cells, the same bound the measures layer uses for its tail integrals.
+is required.  The operator is assembled over measures.row_blocks, the same
+memory rule as the tail integrals.  One operator is cached; a new (n, kappa)
+frees it before assembly, so two operators are never held at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ArgumentError
 from .forward import curve_readoff
-from .measures import check_kappa
+from .measures import check_kappa, row_blocks
 
-# Matrix cells per row block of the assembly: temporaries stay near 256 KB.
-_BLOCK_CELLS = 1 << 15
+# The cached operator: at most one entry, keyed by (n, kappa).
+_OPERATOR = {}
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,6 @@ def _t_minus_arctan(t):
     return out
 
 
-@lru_cache(maxsize=1)
 def _unit_t_matrix(n, kappa):
     """Exact operator matrix on the unit uniform grid.
 
@@ -162,15 +161,20 @@ def _unit_t_matrix(n, kappa):
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
     1/alpha_max, cell widths gain alpha_max), so one matrix per (n, kappa)
-    serves every alpha_max.  The cache holds one matrix: every caller in
-    the package reuses a single (n, kappa).
+    serves every alpha_max.  The cache holds one matrix, dropped on a miss
+    before the next is built (threads that miss at once may each build one,
+    and each gets a correct matrix): the package reuses a single (n, kappa).
     """
+    cached = _OPERATOR.get((n, kappa))
+    if cached is not None:
+        return cached
+    _OPERATOR.clear()
     c = 1.0 - kappa * kappa
     sc = math.sqrt(c)
     out = np.zeros((n, n))
-    rows = max(1, _BLOCK_CELLS // n)
-    for i0 in range(1, n, rows):
-        i = np.arange(i0, min(i0 + rows, n), dtype=float)[:, None]
+    for rows in row_blocks(n, n, start=1):
+        i0 = rows.start
+        i = np.arange(i0, rows.stop, dtype=float)[:, None]
         m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
         x = m / i
         u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
@@ -183,10 +187,10 @@ def _unit_t_matrix(n, kappa):
         t = D * sc / (S * (c + P))
         dB = D / (S * P * (c + P)) + _t_minus_arctan(t) / (c * sc)
         right = i * (dB - x1 * dA)
-        rows_out = out[i0:i0 + i.shape[0]]
-        rows_out[:, i0:-1] += kappa * c * (dA - right)
-        rows_out[:, i0 + 1:] += kappa * c * right
+        out[rows, i0:-1] += kappa * c * (dA - right)
+        out[rows, i0 + 1:] += kappa * c * right
     out.setflags(write=False)
+    _OPERATOR[(n, kappa)] = out
     return out
 
 

@@ -16,9 +16,11 @@ is one of two integrals, vectorized over an array of alpha >= 0:
 Atoms enter a prefix integral through prefix sums and a binary search.  In
 a tail integral every (alpha, atom) cell is evaluated, in row blocks of
 alpha holding at most _BLOCK_CELLS cells, so its temporaries stay near
-256 KB whatever the number of atoms.  Pieces enter both integrals through
-closed-form antiderivatives.  The scalar moment and tail_kernel_integral
-are one-point views of the same two routines.
+256 KB whatever the number of atoms.  That row-block rule, row_blocks, is
+the package's only one: the operator assembly and the tube simulation
+loop over it too.  Pieces enter both integrals through closed-form
+antiderivatives.  The scalar moment and tail_kernel_integral are one-point
+views of the same two routines.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -39,9 +41,15 @@ from .errors import ArgumentError
 # bounded below; the displacement model degenerates as kappa -> 1.
 KAPPA_MAX = 0.999
 
-# (alpha, atom) cells per row block of a tail integral: temporaries stay
-# near 256 KB.
+# Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
+
+
+def row_blocks(n_rows, n_cols, start=0):
+    """Row slices over start..n_rows-1 of at most _BLOCK_CELLS cells (>= 1 row)."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    for r in range(start, n_rows, step):
+        yield slice(r, min(r + step, n_rows))
 
 
 def check_kappa(kappa):
@@ -229,30 +237,32 @@ OIL_RATE = TailKernel(
 def tail_integral(mu, kernel, c0, lower):
     """Integral of kernel(y; c0) dmu(y) over the tail above lower, per element.
 
-    c0 and lower are 1-d arrays of one length with c0 <= lower^2, so the root
+    c0 and lower are arrays of one shape with c0 <= lower^2, so the root
     stays real on the tail; the tail is [lower, inf) for a closed kernel
-    and (lower, inf) otherwise.  Atom cells are summed in row blocks of at
-    most _BLOCK_CELLS cells, each row over all atoms in length order (the
+    and (lower, inf) otherwise.  The result has that shape.  Atom cells are
+    summed over row_blocks, each row over all atoms in length order (the
     ones outside the tail add 0), so the value does not depend on the block
     size.
     """
     lower = _alpha_array(lower)
+    shape = lower.shape
+    lower = lower.ravel()
+    c0 = np.asarray(c0, dtype=float).ravel()
     out = np.zeros_like(lower)
     if mu.atoms:
         L, S = mu._atoms_by_length
-        rows = max(1, _BLOCK_CELLS // L.size)
-        for r in range(0, lower.size, rows):
-            lo = lower[r:r + rows, None]
-            c = c0[r:r + rows, None]
+        for rows in row_blocks(lower.size, L.size):
+            lo = lower[rows, None]
+            c = c0[rows, None]
             in_tail = L >= lo if kernel.closed else L > lo
             s = np.sqrt(np.where(in_tail, L * L - c, 1.0))
             terms = np.where(in_tail, kernel.atom(S, L, s, c), 0.0)
-            out[r:r + rows] = np.sum(terms, axis=1)
+            out[rows] = np.sum(terms, axis=1)
     for pa, pb, rho in mu.pieces:
         lo = np.maximum(lower, pa)
         live = lo < pb
         out += np.where(live, rho * kernel.cell(np.where(live, lo, pb), pb, c0), 0.0)
-    return out
+    return out.reshape(shape)
 
 
 def moment(mu, p, a=0.0, b=math.inf):

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError
-from .measures import Measure, check_kappa
+from .measures import Measure, check_kappa, row_blocks
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,10 @@ class TubeSystem:
     tubes: tuple
 
     def __post_init__(self):
-        raw = [(float(L), float(S)) for L, S in self.tubes]
+        # the tubes are the atoms of a measure, which checks each (L, S)
+        raw = sorted(Measure(atoms=self.tubes).atoms, key=lambda t: t[0])
         if not raw:
             raise ArgumentError("tube system must contain at least one tube")
-        for L, S in raw:
-            if not (L > 0 and math.isfinite(L)):
-                raise ArgumentError(f"tube length must be finite and > 0, got {L}")
-            if not (S > 0 and math.isfinite(S)):
-                raise ArgumentError(f"tube section must be finite and > 0, got {S}")
-        raw.sort(key=lambda t: t[0])
         merged = [raw[0]]
         for L, S in raw[1:]:
             if L == merged[-1][0]:
@@ -62,10 +57,6 @@ class TubeSystem:
     @property
     def n_tubes(self):
         return len(self.tubes)
-
-    @property
-    def pore_volume(self):
-        return float(np.sum(self.lengths * self.sections))
 
     def as_measure(self):
         """The atomic tube-length measure of this system."""
@@ -126,17 +117,16 @@ class PumpHistory:
         return float(out) if np.isscalar(t) else out
 
     def F_inverse(self, value):
-        """Earliest time with F(t) = value; inf if the value is never reached."""
-        if value <= 0.0:
-            return 0.0
+        """Earliest time(s) with F(t) = value; inf where it is never reached."""
+        v = np.asarray(value, dtype=float)
         cum = self._cum
-        i = int(np.searchsorted(cum, value, side="left"))
-        if i < len(cum):
-            # cum[i-1] < value <= cum[i], so segment i-1 has positive drive
-            return float(self._bp[i - 1] + (value - cum[i - 1]) / self._c[i - 1])
-        if self._c[-1] > 0:
-            return float(self._bp[-1] + (value - cum[-1]) / self._c[-1])
-        return math.inf
+        k = np.clip(np.searchsorted(cum, v, side="left") - 1, 0, None)
+        # cum[k] < v <= cum[k+1] gives segment k a positive drive; above the
+        # last breakpoint's F the last drive holds, and where it is 0 the
+        # division returns inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(v <= 0.0, 0.0, self._bp[k] + (v - cum[k]) / self._c[k])
+        return float(out) if np.isscalar(value) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,15 +157,15 @@ def breakthrough_threshold(L, kappa):
 def interface_position(L, kappa, F_val):
     """Interface position in a tube of length L after pumping F_val.
 
-    Clamped to [0, L]; values of F_val at or beyond the breakthrough
-    threshold return L (saturated tube).
+    L must be > 0.  Clamped to [0, L]; values of F_val at or beyond the
+    breakthrough threshold return L (saturated tube).
     """
     kappa = check_kappa(kappa)
     L_arr = np.asarray(L, dtype=float)
     F_arr = np.asarray(F_val, dtype=float)
     if np.any(F_arr < 0):
         raise ArgumentError("pumped volume must be >= 0")
-    thr = (1.0 + kappa) / 2.0 * L_arr * L_arr
+    thr = breakthrough_threshold(L_arr, kappa)
     disc = L_arr * L_arr - 2.0 * (1.0 - kappa) * np.minimum(F_arr, thr)
     pos = (L_arr - np.sqrt(np.maximum(disc, 0.0))) / (1.0 - kappa)
     out = np.clip(np.where(F_arr >= thr, L_arr, pos), 0.0, L_arr)
@@ -206,6 +196,8 @@ def simulate(sys, kappa, pump, t_grid):
         V_w(t) = (1/kappa) sum_j max(F(t) - F(t_j), 0) S_j / L_j
 
     which matches the segment-by-segment sum over broken-through tubes.
+    The (time, tube) cells are filled over measures.row_blocks, so memory
+    beyond the returned interfaces stays bounded.
     """
     kappa = check_kappa(kappa)
     t = np.asarray(t_grid, dtype=float)
@@ -217,23 +209,20 @@ def simulate(sys, kappa, pump, t_grid):
     L = sys.lengths
     S = sys.sections
     F = pump.F_at(t)
+    thr = breakthrough_threshold(L, kappa)
+    w = S / L
 
-    thr = (1.0 + kappa) / 2.0 * L * L
-    disc = L[None, :] ** 2 - 2.0 * (1.0 - kappa) * np.minimum(F[:, None], thr[None, :])
-    pos = (L[None, :] - np.sqrt(np.maximum(disc, 0.0))) / (1.0 - kappa)
-    interfaces = np.clip(
-        np.where(F[:, None] >= thr[None, :], L[None, :], pos), 0.0, L[None, :]
-    )
-
-    v_o = interfaces @ S
-    v_w = np.maximum(F[:, None] - thr[None, :], 0.0) @ (S / L) / kappa
-    t_break = np.array([pump.F_inverse(th) for th in thr])
+    interfaces = np.empty((t.size, L.size))
+    v_w = np.empty(t.size)
+    for rows in row_blocks(t.size, L.size):
+        interfaces[rows] = interface_position(L, kappa, F[rows, None])
+        v_w[rows] = np.maximum(F[rows, None] - thr, 0.0) @ w / kappa
 
     return TubeSimResult(
         times=t,
         pumped=F,
         interfaces=interfaces,
         v_w=v_w,
-        v_o=v_o,
-        breakthrough_times=t_break,
+        v_o=interfaces @ S,
+        breakthrough_times=pump.F_inverse(thr),
     )

@@ -136,6 +136,15 @@ class TestAlphaDomain:
         with pytest.raises(ArgumentError):
             samples(ATOM_11, 0.5, np.array([0.5, alpha]))
 
+    @pytest.mark.parametrize("samples", SAMPLES, ids=lambda f: f.__name__)
+    def test_scalar_alpha(self, samples):
+        # a 0-d alpha gives a 0-d result with the value of the 1-element call
+        mu = Measure(atoms=((1.0, 1.0), (2.0, 2.0)), pieces=((0.5, 3.0, 0.7),))
+        for alpha in (0.0, 0.75, 1.0, 2.0, 3.5):
+            got = samples(mu, 0.5, alpha)
+            assert np.shape(got) == ()
+            assert got == samples(mu, 0.5, np.array([alpha]))[0]
+
     def test_atoms_on_nodes_and_at_alpha_max(self):
         # V_o integrates its tail over [alpha, inf) and V_o' over
         # (alpha, inf); V_w' includes the atom at L = alpha (right limit)

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import tubeflood
+from tubeflood import inverse, measures
 from tubeflood.errors import ArgumentError
 from tubeflood.forward import build_curve, curve_readoff, v_w_samples
 from tubeflood.inverse import (
@@ -161,6 +163,31 @@ class TestClosedForm:
         tv = apply_T(grid, kappa, 10.0)
         oracle = [closed_linear_integral(a, 10.0, kappa) for a in grid[1:]]
         assert np.max(np.abs(tv[1:] - oracle)) <= 1e-11
+
+    def test_row_blocks_do_not_change_the_matrix(self, monkeypatch):
+        def assemble(block_cells):
+            monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+            inverse._OPERATOR.clear()
+            return _unit_t_matrix(101, 0.3)
+
+        one_block = assemble(101 * 101)
+        for block_cells in (1, 3 * 101, 16 * 101):   # 1, 3 and 16 rows
+            assert np.array_equal(assemble(block_cells), one_block)
+
+    def test_cache_frees_the_old_matrix_before_assembly(self, monkeypatch):
+        old = weakref.ref(_unit_t_matrix(51, 0.5))
+        assert _unit_t_matrix(51, 0.5) is old()       # a hit returns the same
+        freed = []
+        real = inverse.row_blocks
+
+        def spy(*args, **kwargs):
+            freed.append(old() is None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "row_blocks", spy)
+        new = _unit_t_matrix(52, 0.5)
+        assert freed == [True]
+        assert _unit_t_matrix(52, 0.5) is new
 
     def test_backend_is_reported(self):
         assert tubeflood.BACKEND == "numpy"

@@ -287,6 +287,17 @@ class TestTailIntegral:
         got = tail_integral(mu, kernel, c0, alphas)
         assert np.array_equal(got, dense_tail(mu, kernel, c0, alphas))
 
+    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
+    def test_keeps_the_input_shape(self, kernel):
+        mu = random_atom_measure(np.random.default_rng(3), 30)
+        alphas = np.linspace(0.0, 10.0, 12)
+        c0 = 0.75 * alphas * alphas
+        flat = tail_integral(mu, kernel, c0, alphas)
+        grid = tail_integral(mu, kernel, c0.reshape(3, 4), alphas.reshape(3, 4))
+        assert np.array_equal(grid, flat.reshape(3, 4))
+        point = tail_integral(mu, kernel, c0[5], alphas[5])
+        assert point.shape == () and point == flat[5]
+
     def test_lower_limit_conventions(self):
         # an atom at the lower limit is in the closed tail, not the open one
         mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0)))

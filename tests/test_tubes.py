@@ -1,10 +1,14 @@
 """Discrete tube-system model: interface law, breakthroughs, debits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubeflood import measures
 from tubeflood.errors import ArgumentError
 from tubeflood.forward import v_o_samples, v_w_samples
 from tubeflood.tubes import (
@@ -71,6 +75,17 @@ class TestPumpHistory:
     def test_inverse_unreachable(self):
         pump = PumpHistory((0.0, 1.0), (1.0, 0.0))
         assert pump.F_inverse(2.0) == math.inf
+
+    def test_inverse_of_an_array(self):
+        # F: 0 -> 1 on [0, 1], plateau on [1, 2], 1 -> 3 on [2, 3], then flat
+        pump = PumpHistory((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0, 0.0))
+        values = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 3.5])
+        expected = [0.0, 0.0, 0.5, 1.0, 2.5, 3.0, math.inf]
+        got = pump.F_inverse(values)
+        assert got.shape == values.shape
+        assert got.tolist() == expected
+        assert got.tolist() == [pump.F_inverse(v) for v in values.tolist()]
+        assert np.array_equal(pump.F_inverse(values.reshape(7, 1)), got[:, None])
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
@@ -179,7 +194,70 @@ class TestSimulate:
                 assert pump.F_at(tk) == pytest.approx(th, abs=1e-12 * max(1.0, th))
 
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_blocks_match_one_block(self, monkeypatch, rows):
+        rng = np.random.default_rng(8)
+        n = 40
+        sys = TubeSystem(tuple(zip(rng.uniform(0.5, 5, n), rng.uniform(0.5, 2, n))))
+        pump = random_pump(rng, total_f=30.0)
+        t = np.linspace(0.0, 10.0, 101)            # a last block of 2 at 3 rows
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", 101 * n)
+        whole = simulate(sys, 0.5, pump, t)
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", rows * n)
+        blocked = simulate(sys, 0.5, pump, t)
+        assert np.array_equal(blocked.interfaces, whole.interfaces)
+        assert np.array_equal(blocked.v_o, whole.v_o)
+        np.testing.assert_allclose(blocked.v_w, whole.v_w, rtol=1e-14, atol=0.0)
+
+    def test_memory_is_bounded_by_the_result(self):
+        # the 24 MB interfaces array is the only (time, tube) array kept
+        rng = np.random.default_rng(0)
+        n = 10_000
+        sys = TubeSystem(tuple(zip(rng.uniform(0.5, 5, n), rng.uniform(0.5, 2, n))))
+        pump = PumpHistory((0.0, 2.0), (1.0, 0.5))
+        t = np.linspace(0.0, 40.0, 301)
+        tracemalloc.start()
+        try:
+            simulate(sys, 0.5, pump, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+@st.composite
+def bundles_and_pumps(draw):
+    n = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    sections = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=0, max_size=3))
+    drives = draw(st.lists(st.floats(0.0, 3.0), min_size=len(gaps) + 1,
+                           max_size=len(gaps) + 1))
+    breakpoints = np.concatenate([[0.0], np.cumsum(gaps)])
+    return (
+        TubeSystem(tuple(zip(lengths, sections))),
+        PumpHistory(tuple(breakpoints.tolist()), tuple(drives)),
+    )
+
+
 class TestReparametrization:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(bundles_and_pumps(), st.sampled_from([0.005, 0.999]))
+    def test_simulate_matches_the_continuum_curves(self, system, kappa):
+        sys, pump = system
+        t = np.linspace(0.0, 20.0, 41)
+        res = simulate(sys, kappa, pump, t)
+        mu = sys.as_measure()
+        xi = reparam_xi(pump, kappa, t)
+        want = v_w_samples(mu, kappa, xi)
+        assert np.max(np.abs(res.v_w - want)) <= 1e-9 * np.max(want)
+        # relative to the pore volume: the interface law as written cancels
+        # in L - sqrt(L^2 - 2 (1-kappa) F) while F << L^2
+        pore_volume = float(sys.lengths @ sys.sections)
+        want = v_o_samples(mu, kappa, xi)
+        assert np.max(np.abs(res.v_o - want)) <= 1e-9 * pore_volume
+
+
     def test_xi_values(self):
         pump = PumpHistory.constant(1.0)
         assert reparam_xi(pump, 0.5, 0.75) == pytest.approx(1.0, abs=1e-15)
