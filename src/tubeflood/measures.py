@@ -15,12 +15,14 @@ is one of two integrals, vectorized over an array of alpha >= 0:
 
 Atoms enter a prefix integral through prefix sums and a binary search.  In
 a tail integral every (alpha, atom) cell is evaluated, in row blocks of
-alpha holding at most _BLOCK_CELLS cells, so its temporaries stay near
-256 KB whatever the number of atoms.  That row-block rule, row_blocks, is
-the package's only one: the operator assembly and the tube simulation
-loop over it too.  Pieces enter both integrals through closed-form
-antiderivatives.  The scalar moment and tail_kernel_integral are one-point
-views of the same two routines.
+alpha holding at most _BLOCK_CELLS cells (or one row), in place in two
+per-thread buffers kept from one call to the next: memory stays near
+0.5 MB below 2^15 atoms, and no block-sized array is allocated per
+call.  That row-block rule, row_blocks, is the package's only one: the
+operator assembly and the tube simulation loop over it too.  Pieces
+enter both integrals through closed-form antiderivatives.  The scalar
+moment and tail_kernel_integral are one-point views of the same two
+routines.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -29,6 +31,7 @@ exactly on a boundary is bucketed unambiguously.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -43,6 +46,8 @@ KAPPA_MAX = 0.999
 
 # Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
+
+_TAIL_WORK = threading.local()   # this thread's tail_integral block buffers
 
 
 def row_blocks(n_rows, n_cols, start=0):
@@ -194,9 +199,10 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
 class TailKernel(NamedTuple):
     """Integrand k(y; c0) of a tail integral, defined for y^2 >= c0 >= 0.
 
-    atom(w, y, s, c0) is w k(y; c0) given s = sqrt(y^2 - c0); cell(lo, hi,
-    c0) integrates k over [lo, hi]; closed says whether an atom exactly at
-    the lower limit lies in the tail.
+    atom(w, y, s, c0, spare) overwrites s = sqrt(y^2 - c0) with w k(y; c0),
+    using spare (of s's shape) as scratch; cell(lo, hi, c0) integrates k
+    over [lo, hi]; closed says whether an atom exactly at the lower limit
+    lies in the tail.
     """
 
     atom: Callable
@@ -220,7 +226,10 @@ def _log_root(y, c0):
 
 
 OIL_VOLUME = TailKernel(
-    atom=lambda w, y, s, c0: w * c0 / (y + s),   # stable form of w (y - s)
+    # w c0 / (y + s), the stable form of w (y - s)
+    atom=lambda w, y, s, c0, spare: np.divide(
+        np.multiply(w, c0, out=spare), np.add(y, s, out=s), out=s
+    ),
     cell=lambda lo, hi, c0: (
         _oil_volume_antiderivative(hi, c0) - _oil_volume_antiderivative(lo, c0)
     ),
@@ -228,10 +237,23 @@ OIL_VOLUME = TailKernel(
 )
 
 OIL_RATE = TailKernel(
-    atom=lambda w, y, s, c0: w / s,
+    atom=lambda w, y, s, c0, spare: np.divide(w, s, out=s),
     cell=lambda lo, hi, c0: np.log(_log_root(hi, c0) / _log_root(lo, c0)),
     closed=False,
 )
+
+
+def _block_buffers(rows, cols):
+    """Two (rows, cols) views on this thread's buffers, kept between calls.
+
+    Nothing read from them carries over: each block writes every cell of s
+    and spare before it reads it.
+    """
+    cells = rows * cols
+    work = getattr(_TAIL_WORK, "buffers", None)
+    if work is None or work.shape[1] < cells:
+        work = _TAIL_WORK.buffers = np.empty((2, cells))
+    return work[:, :cells].reshape(2, rows, cols)
 
 
 def tail_integral(mu, kernel, c0, lower):
@@ -242,7 +264,10 @@ def tail_integral(mu, kernel, c0, lower):
     and (lower, inf) otherwise.  The result has that shape.  Atom cells are
     summed over row_blocks, each row over all atoms in length order (the
     ones outside the tail add 0), so the value does not depend on the block
-    size.
+    size.  Each block is computed in place in _block_buffers: with fresh
+    256 KB temporaries per step, glibc trimmed the heap top after a block
+    and faulted it back in for the next, so the time of a sensitivity
+    trial followed the host's page-fault cost.
     """
     lower = _alpha_array(lower)
     shape = lower.shape
@@ -251,13 +276,18 @@ def tail_integral(mu, kernel, c0, lower):
     out = np.zeros_like(lower)
     if mu.atoms:
         L, S = mu._atoms_by_length
+        L2 = L * L
         for rows in row_blocks(lower.size, L.size):
             lo = lower[rows, None]
             c = c0[rows, None]
-            in_tail = L >= lo if kernel.closed else L > lo
-            s = np.sqrt(np.where(in_tail, L * L - c, 1.0))
-            terms = np.where(in_tail, kernel.atom(S, L, s, c), 0.0)
-            out[rows] = np.sum(terms, axis=1)
+            outside = L < lo if kernel.closed else L <= lo
+            s, spare = _block_buffers(lo.size, L.size)
+            np.subtract(L2, c, out=s)
+            np.copyto(s, 1.0, where=outside)
+            np.sqrt(s, out=s)
+            kernel.atom(S, L, s, c, spare)
+            np.copyto(s, 0.0, where=outside)
+            np.sum(s, axis=1, out=out[rows])
     for pa, pb, rho in mu.pieces:
         lo = np.maximum(lower, pa)
         live = lo < pb

@@ -1,6 +1,9 @@
 """Measure construction and closed-form integration."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,6 +289,44 @@ class TestTailIntegral:
         c0 = 0.75 * alphas * alphas
         got = tail_integral(mu, kernel, c0, alphas)
         assert np.array_equal(got, dense_tail(mu, kernel, c0, alphas))
+
+    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
+    def test_blocks_reuse_the_thread_buffers(self, kernel):
+        # 50 atoms x 2001 alphas is four blocks of 256 KB per float array; a
+        # warm call fills them in place, so only the result, the masks and
+        # numpy's iterator buffers are new (fresh temporaries peak >1 MB)
+        mu = random_atom_measure(np.random.default_rng(5), 50)
+        alphas = np.linspace(0.0, 10.0, 2001)
+        c0 = 0.75 * alphas * alphas
+        tail_integral(mu, kernel, c0, alphas)
+        tracemalloc.start()
+        try:
+            tail_integral(mu, kernel, c0, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+
+    def test_threads_keep_their_own_buffers(self):
+        # more workers than cores and frequent switches: a buffer shared
+        # between threads would mix blocks of different measures
+        rng = np.random.default_rng(9)
+        mus = [random_atom_measure(rng, 40 + k) for k in range(8)]
+        alphas = np.linspace(0.0, 10.0, 3001)
+        c0 = 0.75 * alphas * alphas
+        serial = [tail_integral(mu, OIL_VOLUME, c0, alphas) for mu in mus]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(
+                    lambda mu: tail_integral(mu, OIL_VOLUME, c0, alphas),
+                    mus * 5, timeout=120,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial * 5):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
     def test_keeps_the_input_shape(self, kernel):
