@@ -93,7 +93,7 @@ def read_curve_csv(path, kappa, alpha_max):
     """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
     if len(lines) < 3:
@@ -186,6 +186,8 @@ def _cmd_invert(args):
         "f_clip_count": result.f_clip_count,
         "error_bound": result.error_bound,
         "contraction_q": result.contraction_q,
+        "timings_s": result.timings,
+        "operator_cached": result.operator_cached,
     }
     if args.diagnostics:
         _emit_json(diagnostics, args.diagnostics)

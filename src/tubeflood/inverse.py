@@ -31,6 +31,7 @@ frees it before assembly, so two operators are never held at once.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ from .measures import check_kappa, row_blocks
 
 # The cached operator: at most one entry, keyed by (n, kappa).
 _OPERATOR = {}
+
+# Rows per block of the back-substitution sweep.
+_SWEEP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class RecoveryResult:
     residual is sup |V - G(h + TV)| on the grid and error_bound =
     residual / (1 - q) bounds the distance to the exact discrete fixed
     point.  iterations counts sweeps and is always 1.  phi and f are filled
-    by the cdf/density stages (NaN outside the density reporting window).
+    by the cdf/density stages (NaN outside the density reporting window);
+    recover also fills timings (seconds per stage) and operator_cached.
     """
 
     grid: np.ndarray
@@ -84,6 +89,8 @@ class RecoveryResult:
     f: np.ndarray | None = None
     f_clip_count: int | None = None
     alpha_min: float | None = None
+    timings: dict | None = None
+    operator_cached: bool | None = None
 
     @property
     def alpha_max(self):
@@ -238,15 +245,66 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     return out
 
 
+def _back_substitute(M, h, x, g):
+    """V with V_i = G(h_i + sum_j M[i, j] V_j) for upper triangular M.
+
+    G interpolates (x, g) piecewise-linearly and is constant outside
+    [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  Rows are
+    solved from the last up, in blocks of _SWEEP_ROWS: the part of
+    b_i = h_i + M[i, i+1:] V[i+1:] from rows of earlier blocks is one
+    matrix-vector product per block, the rest a scalar sum inside it.
+    Row i then reads V_i = G(b + d V_i) with d = M[i, i]: s - d G(s)
+    increases with s, so the segment of G holding s = b + d V_i is the
+    k with knot(k) <= b < knot(k+1), knot(k) = x_k - d g_k, and one linear
+    solve on it gives V_i.  k starts from the previous row's segment and
+    walks to this row's; s moves little from one row to the next, so the
+    whole walk costs about one pass over the curve.
+    """
+    n = h.size
+    xs, gs = x.tolist(), g.tolist()
+    slope = (np.diff(g) / np.diff(x)).tolist()
+    diag = M.diagonal().tolist()
+    hs = h.tolist()
+    last = len(xs) - 1
+    v = np.zeros(n)
+    k = last
+    for i1 in range(n, 0, -_SWEEP_ROWS):
+        i0 = max(i1 - _SWEEP_ROWS, 0)
+        m = i1 - i0
+        solved = (M[i0:i1, i1:] @ v[i1:]).tolist()
+        block = M[i0:i1, i0:i1].tolist()
+        vb = [0.0] * m
+        for r in range(m - 1, -1, -1):
+            row = block[r]
+            acc = solved[r]
+            for j in range(r + 1, m):
+                acc += row[j] * vb[j]
+            b = hs[i0 + r] + acc
+            d = diag[i0 + r]
+            while k >= 0 and b < xs[k] - d * gs[k]:
+                k -= 1
+            while k < last and xs[k + 1] - d * gs[k + 1] <= b:
+                k += 1
+            if k < 0:            # G is constant outside [0, v_max]
+                vb[r] = gs[0]
+            elif k == last:
+                vb[r] = gs[last]
+            else:
+                knot = xs[k] - d * gs[k]
+                vb[r] = gs[k] + slope[k] * (b - knot) / (1.0 - d * slope[k])
+        v[i0:i1] = vb
+    return v
+
+
 def solve_fixed_point(curve, config=None):
     """Solve the discrete V = G(h + MV) exactly, by back-substitution.
 
-    M is upper triangular, so once the nodes above i are known, row i reads
-    V_i = G(b + d V_i) with d = M[i, i] < 1 and b = h_i + M[i, i+1:] V[i+1:].
-    Since G is 1-Lipschitz, s - d G(s) increases with s: the segment of G
-    holding s = b + d V_i is the one whose knot values x_k - d g_k bracket
-    b, and one linear solve on that segment gives V_i.  Marching from
-    alpha_max down solves every row in one sweep.
+    M is upper triangular, so once the nodes above i are known, row i is a
+    scalar equation V_i = G(b + d V_i) on the piecewise-linear G.  Since G
+    is 1-Lipschitz and d = M[i, i] < 1, it has one solution, on the segment
+    of G found by walking from the previous row's segment; marching from
+    alpha_max down in row blocks solves every row in one sweep
+    (``_back_substitute``).
 
     Returns a RecoveryResult holding V only (see ``recover`` for the full
     pipeline).
@@ -262,22 +320,7 @@ def solve_fixed_point(curve, config=None):
     grid = np.linspace(0.0, alpha_max, n)
     h = h_of_alpha(*curve_readoff(curve), kappa, alpha_max, grid)
     M = _unit_t_matrix(n, kappa)
-
-    x, g = curve.x, curve.g
-    slope = np.diff(g) / np.diff(x)
-    last = x.size - 1
-    v = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        d = M[i, i]
-        b = h[i] + M[i, i + 1:] @ v[i + 1:]
-        knots = x - d * g
-        k = int(np.searchsorted(knots, b, side="right")) - 1
-        if k < 0:            # G is constant outside [0, v_max]
-            v[i] = g[0]
-        elif k == last:
-            v[i] = g[last]
-        else:
-            v[i] = g[k] + slope[k] * (b - knots[k]) / (1.0 - d * slope[k])
+    v = _back_substitute(M, h, curve.x, curve.g)
 
     q = (1.0 - kappa) / (1.0 + kappa)
     residual = float(np.max(np.abs(v - curve(h + M @ v))))
@@ -339,13 +382,31 @@ def recover_density(grid, v, kappa, alpha_min):
 
 
 def recover(curve, config=None):
-    """Full pipeline: fixed point, then Phi, then (optionally) the density."""
+    """Full pipeline: fixed point, then Phi, then (optionally) the density.
+
+    The result's timings holds the perf_counter seconds of each stage that
+    ran: assembly (of the operator, or its cache lookup; operator_cached
+    tells which), solve, cdf and, with alpha_min > 0, density.
+    """
     cfg = config or RecoveryConfig()
+    cached = (cfg.n_grid, curve.kappa) in _OPERATOR
+    start = time.perf_counter()
+    _unit_t_matrix(cfg.n_grid, curve.kappa)
+    assembled = time.perf_counter()
     result = solve_fixed_point(curve, cfg)
+    solved = time.perf_counter()
     result.phi, result.phi_clip_count = recover_cdf(result.grid, result.v, result.kappa)
+    done = time.perf_counter()
+    result.operator_cached = cached
+    result.timings = {
+        "assembly": assembled - start,
+        "solve": solved - assembled,
+        "cdf": done - solved,
+    }
     if cfg.alpha_min > 0:
         result.f, result.f_clip_count = recover_density(
             result.grid, result.v, result.kappa, cfg.alpha_min
         )
         result.alpha_min = cfg.alpha_min
+        result.timings["density"] = time.perf_counter() - done
     return result

@@ -122,9 +122,9 @@ class PumpHistory:
         cum = self._cum
         k = np.clip(np.searchsorted(cum, v, side="left") - 1, 0, None)
         # cum[k] < v <= cum[k+1] gives segment k a positive drive; above the
-        # last breakpoint's F the last drive holds, and where it is 0 the
-        # division returns inf
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # last breakpoint's F the last drive holds, and where it is 0 (or so
+        # small that the time overflows) the division returns inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.where(v <= 0.0, 0.0, self._bp[k] + (v - cum[k]) / self._c[k])
         return float(out) if np.isscalar(value) else out
 
@@ -166,8 +166,11 @@ def interface_position(L, kappa, F_val):
     if np.any(F_arr < 0):
         raise ArgumentError("pumped volume must be >= 0")
     thr = breakthrough_threshold(L_arr, kappa)
-    disc = L_arr * L_arr - 2.0 * (1.0 - kappa) * np.minimum(F_arr, thr)
-    pos = (L_arr - np.sqrt(np.maximum(disc, 0.0))) / (1.0 - kappa)
+    # (L - sqrt(L^2 - 2 (1-kappa) F)) / (1-kappa) as 2F / (L + sqrt(...)),
+    # which keeps its digits while F << L^2; F >= thr is replaced below
+    F2 = 2.0 * F_arr
+    disc = L_arr * L_arr - (1.0 - kappa) * F2
+    pos = F2 / (L_arr + np.sqrt(np.maximum(disc, 0.0)))
     out = np.clip(np.where(F_arr >= thr, L_arr, pos), 0.0, L_arr)
     if np.isscalar(L) and np.isscalar(F_val):
         return float(out)

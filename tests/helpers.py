@@ -1,4 +1,4 @@
-"""Random model generators and the round-trip report shared by the tests."""
+"""Random model generators, test oracles and the round-trip report shared by the tests."""
 
 import dataclasses
 
@@ -48,6 +48,31 @@ def random_pump(rng, total_f, n_segments=4):
     c = rng.uniform(0.1, 3.0, n_segments)
     c[-1] = max(c[-1], 0.5)  # guarantee every threshold is eventually reached
     return PumpHistory(tuple(breaks.tolist()), tuple(c.tolist()))
+
+
+def searchsorted_sweep(M, h, x, g):
+    """Test oracle: the back-substitution V_i = G(h_i + sum_j M[i, j] V_j)
+    with one dot product and one searchsorted over all knots per row.
+
+    Row i solves V_i = G(b + d V_i), b = h_i + M[i, i+1:] V[i+1:] and
+    d = M[i, i], on the segment k of G whose knot x_k - d g_k is the last
+    one at or below b; G is constant outside [x_0, x_last].
+    """
+    slope = np.diff(g) / np.diff(x)
+    last = x.size - 1
+    v = np.zeros(h.size)
+    for i in range(h.size - 1, -1, -1):
+        d = M[i, i]
+        b = h[i] + M[i, i + 1:] @ v[i + 1:]
+        knots = x - d * g
+        k = int(np.searchsorted(knots, b, side="right")) - 1
+        if k < 0:
+            v[i] = g[0]
+        elif k == last:
+            v[i] = g[last]
+        else:
+            v[i] = g[k] + slope[k] * (b - knots[k]) / (1.0 - d * slope[k])
+    return v
 
 
 def pipeline_roundtrip(

@@ -114,8 +114,12 @@ class TestInvert:
         diagnostics = json.loads(diag.read_text())
         assert set(diagnostics) == {
             "iterations", "residual", "error_bound", "contraction_q",
-            "clip_count", "f_clip_count",
+            "clip_count", "f_clip_count", "timings_s", "operator_cached",
         }
+        # no --alpha-min, so no density stage
+        assert set(diagnostics["timings_s"]) == {"assembly", "solve", "cdf"}
+        assert all(t >= 0 for t in diagnostics["timings_s"].values())
+        assert isinstance(diagnostics["operator_cached"], bool)
         assert diagnostics["iterations"] == 1
         assert diagnostics["residual"] <= 1e-12
         assert diagnostics["error_bound"] == pytest.approx(
@@ -189,6 +193,84 @@ class TestInvert:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n0.0,0.0\n1.0,0.5\n")
         assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 2
+
+
+def reference_read(path):
+    """The curve CSV reader as it was before the one-pass ingest."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    header = [h.strip() for h in lines[0].split(",")]
+    x_col = header.index("total")
+    g_col = header.index("water" if "water" in header else "Vw")
+    data = [
+        (float(parts[x_col]), float(parts[g_col]))
+        for parts in (ln.split(",") for ln in lines[1:])
+    ]
+    return np.array([d[0] for d in data]), np.array([d[1] for d in data])
+
+
+class TestReadCurveCsv:
+    ROWS = [(0.0, 0.0), (0.5, 0.0), (1.25, 0.5), (2.0, 1.125)]
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        return cli.read_curve_csv(str(path), 0.5, 2.0)
+
+    def assert_rows(self, curve):
+        assert curve.x.tolist() == [r[0] for r in self.ROWS]
+        assert curve.g.tolist() == [r[1] for r in self.ROWS]
+
+    def test_benchmark_format_matches_the_reference_reader(self, tmp_path):
+        # the layout the benchmark writes: shortest round-trip floats
+        curve = forward.build_curve(
+            Measure(pieces=((1.0, 7.0, 1.3),)), 0.1, 10.0, 4001
+        )
+        path = tmp_path / "curve.csv"
+        path.write_text("total,water\n" + "".join(
+            f"{x!r},{g!r}\n" for x, g in zip(curve.x.tolist(), curve.g.tolist())
+        ))
+        got = cli.read_curve_csv(str(path), 0.1, 10.0)
+        x, g = reference_read(path)
+        assert np.array_equal(got.x, x) and np.array_equal(got.g, g)
+        assert np.array_equal(got.x, curve.x) and np.array_equal(got.g, curve.g)
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("total,water", "{x},{g}"),
+            ("water,total", "{g},{x}"),
+            ("total,Vw", "{x},{g}"),
+            (" total , water ", "  {x} ,\t{g}  "),
+            ("alpha,total,Vo,water,water_cut", "9,{x},-1,{g},0.5"),
+        ],
+        ids=["plain", "swapped", "Vw", "spaces", "extra-columns"],
+    )
+    def test_layouts(self, tmp_path, header, row):
+        rows = [row.format(x=x, g=g) for x, g in self.ROWS]
+        text = header + "\n" + "\n".join(rows) + "\n"
+        self.assert_rows(self.read(tmp_path, text))
+
+    def test_blank_lines(self, tmp_path):
+        text = "total,water\n\n0.0,0.0\n   \n0.5,0.0\n1.25,0.5\r\n\n2.0,1.125"
+        self.assert_rows(self.read(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0.0,0.0\n0.5,zero\n1.0,0.5\n",     # malformed number
+            "0.0,0.0\n0.5\n1.0,0.5\n",          # short row
+            "0.0,0.0\n0.5,nan\n1.0,0.5\n",      # NaN sample
+            "0.0,0.0\n",                         # one data row
+        ],
+        ids=["malformed", "short", "nan", "one-row"],
+    )
+    def test_bad_rows_exit_2(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("total,water\n" + rows)
+        assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["exit_code"] == 2 and error["type"] == "invalid-config"
 
 
 class TestTubes:

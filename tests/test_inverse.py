@@ -11,7 +11,7 @@ from scipy.integrate import quad
 import tubeflood
 from tubeflood import inverse, measures
 from tubeflood.errors import ArgumentError
-from tubeflood.forward import build_curve, curve_readoff, v_w_samples
+from tubeflood.forward import DisplacementCurve, build_curve, curve_readoff, v_w_samples
 from tubeflood.inverse import (
     RecoveryConfig,
     _unit_t_matrix,
@@ -24,6 +24,8 @@ from tubeflood.inverse import (
     solve_fixed_point,
 )
 from tubeflood.measures import Measure
+
+from helpers import searchsorted_sweep
 
 
 def closed_tail_integral(alpha, alpha_max, kappa):
@@ -326,6 +328,64 @@ class TestSolve:
         assert np.all(np.diff(result.v) >= -1e-12 * curve.v_max)
 
 
+# Curves whose G has flat plateaus, unit-slope segments or a single
+# segment, and one from the forward model: (x, g) on alpha_max = 10.
+SWEEP_CURVES = {
+    "plateaus": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                 [0.0, 0.0, 0.6, 0.6, 1.0, 1.0, 1.0]),
+    "unit-slope": ([0.0, 0.5, 1.0, 2.0, 3.5, 4.0],
+                   [0.0, 0.0, 0.5, 1.5, 1.7, 2.2]),
+    "two-samples": ([0.0, 3.0], [0.0, 1.2]),
+    "forward": None,
+}
+
+
+def sweep_curve(name, kappa):
+    if SWEEP_CURVES[name] is None:
+        mu = Measure(atoms=((4.0, 1.0), (7.5, 0.5)), pieces=((3.0, 9.0, 1.0),))
+        return build_curve(mu, kappa, 10.0, 801)
+    x, g = SWEEP_CURVES[name]
+    return DisplacementCurve(x=np.array(x), g=np.array(g), alpha_max=10.0, kappa=kappa)
+
+
+class TestSweep:
+    """The segment-walking, row-blocked sweep against the searchsorted oracle."""
+
+    N = 301     # not a multiple of 3 or of the default block
+
+    @pytest.fixture(params=[1, 3, None], ids=["rows-1", "rows-3", "rows-default"])
+    def block_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(inverse, "_SWEEP_ROWS", request.param)
+        rows = inverse._SWEEP_ROWS
+        assert rows == 1 or self.N % rows != 0
+        return rows
+
+    @pytest.mark.parametrize("kappa", [0.005, 0.1, 0.5, 0.999])
+    @pytest.mark.parametrize("name", list(SWEEP_CURVES))
+    def test_matches_the_searchsorted_sweep(self, block_rows, name, kappa):
+        curve = sweep_curve(name, kappa)
+        x, g = curve.x, curve.g
+        M = _unit_t_matrix(self.N, kappa)
+        grid = np.linspace(0.0, curve.alpha_max, self.N)
+        h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
+        v = solve_fixed_point(curve, RecoveryConfig(n_grid=self.N)).v
+        assert np.max(np.abs(v - searchsorted_sweep(M, h, x, g))) <= 1e-14 * curve.v_max
+
+        # an h rising from -v_max/2 to above 3 v_max/2 puts b below the first
+        # knot in the bottom rows and at or above the last knot in the top
+        # rows; its wiggle makes the walk step up as well as down
+        ramp = np.linspace(0.0, 1.0, self.N)
+        h = (2.0 * ramp - 0.5 + 0.3 * np.sin(40.0 * ramp)) * curve.v_max
+        oracle = searchsorted_sweep(M, h, x, g)
+        v = inverse._back_substitute(M, h, x, g)
+        assert np.max(np.abs(v - oracle)) <= 1e-14 * curve.v_max
+        d = np.diagonal(M)
+        b = h + M @ oracle - d * oracle
+        assert np.any(b < x[0] - d * g[0])
+        assert np.any(b >= x[-1] - d * g[-1])
+
+
 class TestRecoverCdf:
     def test_symbolic_cubic(self):
         # V = (1+kappa)/kappa * alpha^3/3 comes from density f(y) = y: Phi = alpha
@@ -443,6 +503,18 @@ class TestRecoverPipeline:
         result = recover(curve, RecoveryConfig(n_grid=301))
         assert result.phi is not None
         assert result.f is None
+
+    def test_stage_timings(self):
+        curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        cfg = RecoveryConfig(n_grid=303, alpha_min=3.5)
+        inverse._OPERATOR.clear()
+        cold = recover(curve, cfg)
+        warm = recover(curve, cfg)
+        assert (cold.operator_cached, warm.operator_cached) == (False, True)
+        for result in (cold, warm):
+            assert set(result.timings) == {"assembly", "solve", "cdf", "density"}
+            assert all(t >= 0 for t in result.timings.values())
+        assert np.array_equal(cold.v, warm.v)
 
 
 class TestRecoveryConfig:
