@@ -24,7 +24,11 @@ and for measures with a continuous density f,
 
 Note the prefactor: substituting the V' relation shows the inverted form
 is required.  The operator is assembled over measures.row_blocks, the same
-memory rule as the tail integrals.  One operator is cached; a new (n, kappa)
+memory rule as the tail integrals, each row block in place in per-thread
+buffers kept from one call to the next (measures._block_buffers, shared
+with the tail integrals).  Its one transcendental term, t - arctan t, is a
+5-term series wherever t < 0.025, where the remainder is below 2^-53
+relative, and arctan on the few other cells.  One operator is cached; a new (n, kappa)
 frees it before assembly, so two operators are never held at once.
 """
 
@@ -38,13 +42,18 @@ import numpy as np
 
 from .errors import ArgumentError
 from .forward import curve_readoff
-from .measures import check_kappa, row_blocks
+from .measures import _block_buffers, check_kappa, row_blocks
 
 # The cached operator: at most one entry, keyed by (n, kappa).
 _OPERATOR = {}
 
 # Rows per block of the back-substitution sweep.
 _SWEEP_ROWS = 8
+
+# t - arctan(t) = t^3 (1/3 - t^2/5 + t^4/7 - t^6/9 + t^8/11 - ...): below
+# _SERIES_T the next term, t^13/13, is under 2^-53 of the sum.
+_SERIES_T = 0.025
+_SERIES = tuple((-1) ** k / (2 * k + 3) for k in range(5))
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,8 @@ class RecoveryConfig:
     def __post_init__(self):
         if not isinstance(self.n_grid, (int, np.integer)) or self.n_grid < 3:
             raise ArgumentError("n_grid must be an integer >= 3")
+        if not isinstance(self.alpha_min, (int, float, np.integer, np.floating)):
+            raise ArgumentError("alpha_min must be a number >= 0")
         if not self.alpha_min >= 0:
             raise ArgumentError("alpha_min must be >= 0")
 
@@ -126,18 +137,26 @@ def kernel_K(y, alpha, kappa, alpha_max):
     return out
 
 
-def _t_minus_arctan(t):
-    """t - arctan(t) for t >= 0, by its Taylor series where the two cancel."""
-    out = np.empty_like(t)
-    small = t < 0.1
-    big = ~small
-    out[big] = t[big] - np.arctan(t[big])
-    ts = t[small]
-    t2 = ts * ts
-    acc = np.zeros_like(ts)
-    for k in range(9, 0, -1):   # t^3 (1/3 - t^2/5 + t^4/7 - ...)
-        acc = 1.0 / (2 * k + 1) - t2 * acc
-    out[small] = ts * t2 * acc
+def _t_minus_arctan(t, out, t2):
+    """Write t - arctan(t) for t >= 0 into out, using t2 (t's shape) as scratch.
+
+    The series t^3 (1/3 - t^2/5 + t^4/7 - ...) runs over every cell: below
+    _SERIES_T its first len(_SERIES) terms leave a remainder under 2^-53 of
+    the sum, where the direct difference would cancel.  The few cells at or
+    above _SERIES_T are gathered and take t - arctan(t) instead.
+    """
+    np.multiply(t, t, out=t2)
+    np.multiply(t2, _SERIES[-1], out=out)
+    for coeff in _SERIES[-2:0:-1]:
+        np.add(out, coeff, out=out)
+        np.multiply(out, t2, out=out)
+    np.add(out, _SERIES[0], out=out)
+    np.multiply(out, t2, out=out)
+    np.multiply(out, t, out=out)
+    big = np.flatnonzero(t >= _SERIES_T)
+    if big.size:
+        tb = t.flat[big]
+        out.flat[big] = tb - np.arctan(tb)
     return out
 
 
@@ -156,15 +175,26 @@ def _unit_t_matrix(n, kappa):
     Over the cell [x_m, x_{m+1}] the hat of node m+1 is i (x - x_m), so
     that node gets i (dB - x_m dA) and node m gets the rest of dA.  The
     differences over the cell are taken in forms free of cancellation
-    between its ends; with D = x2^2 - x1^2, P = u1 u2, S = u1 + u2 and
-    X = x1 x2,
+    between its ends, in node units: m1 = m, m2 = m + 1 and
+    w = i u = sqrt((m - i)(m + i) + (kappa i)^2), so that the powers of i
+    collect into per-row factors.  With D = m1 + m2 (= m2^2 - m1^2),
+    P = w1 w2, Q = (w1 + w2)(c i^2 + P) and E = m1 w2 + m2 w1,
 
-        dA = D (x1^2 + x2^2 - c) / (P X (x1 u2 + x2 u1) (X + P))
-        dB = D / (S P (c + P)) + (t - arctan t) / c^{3/2},
-             t = D sqrt(c) / (S (c + P)) .
+        a = dA / i^4 = D (m1^2 + m2^2 - c i^2) / (P m1 m2 E (m1 m2 + P))
+            dB / i^3 = D / (P Q) + (t - arctan t) / (c^{3/2} i^3),
+                   t = sqrt(c) i D / Q ,
 
-    Clamping node indices below the diagonal to i gives those cells zero
-    width, so the matrix comes out upper triangular; row 0 (alpha = 0) is 0.
+    and with r = dB / i^3 - m1 a the cell adds kappa c i^4 (a - r) to node
+    m and kappa c i^4 r to node m+1.  Cells below the diagonal (m < i) are
+    zeroed before they are added, so the matrix is upper triangular; row 0
+    (alpha = 0) is 0.
+
+    Rows are assembled over measures.row_blocks, each block in place with
+    out= ufuncs, in six of the calling thread's measures._block_buffers (one
+    over the block's nodes, five over its cells): once those have grown, no
+    block-sized array is allocated, and threads never share one.
+    t - arctan t is a 5-term series on every cell, replaced by arctan on the
+    few with t >= _SERIES_T (_t_minus_arctan).
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
     1/alpha_max, cell widths gain alpha_max), so one matrix per (n, kappa)
@@ -179,23 +209,63 @@ def _unit_t_matrix(n, kappa):
     c = 1.0 - kappa * kappa
     sc = math.sqrt(c)
     out = np.zeros((n, n))
+    m = np.arange(n, dtype=float)
+    msq = m * m
+    cell_D = m[:-1] + m[1:]
+    cell_mm = m[:-1] * m[1:]
+    cell_msq = msq[:-1] + msq[1:]
+    below = np.empty((0, 0), dtype=bool)
     for rows in row_blocks(n, n, start=1):
-        i0 = rows.start
+        i0, nr = rows.start, rows.stop - rows.start
         i = np.arange(i0, rows.stop, dtype=float)[:, None]
-        m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
-        x = m / i
-        u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
-        x1, x2, u1, u2 = x[:, :-1], x[:, 1:], u[:, :-1], u[:, 1:]
-        D = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i)  # x2^2 - x1^2
-        P = u1 * u2
-        S = u1 + u2
-        X = x1 * x2
-        dA = D * (x1 * x1 + x2 * x2 - c) / (P * X * (x1 * u2 + x2 * u1) * (X + P))
-        t = D * sc / (S * (c + P))
-        dB = D / (S * P * (c + P)) + _t_minus_arctan(t) / (c * sc)
-        right = i * (dB - x1 * dA)
-        out[rows, i0:-1] += kappa * c * (dA - right)
-        out[rows, i0 + 1:] += kappa * c * right
+        i2 = i * i
+        ci2 = c * i2
+        m1, m2 = m[i0:-1], m[i0 + 1:]
+        D, mm = cell_D[i0:], cell_mm[i0:]
+        w, *cells = _block_buffers(nr, n - i0, count=6)
+        P, Q, t, X, r = (b.ravel()[:w.size - nr].reshape(nr, -1) for b in cells)
+        # below the diagonal w is held at its value at m = i, kappa i, so the
+        # root stays real; those cells are zeroed before they are added
+        np.subtract(msq[i0:], i2, out=w)
+        np.maximum(w[:, :nr], 0.0, out=w[:, :nr])
+        np.add(w, (kappa * i) ** 2, out=w)
+        np.sqrt(w, out=w)
+        w1, w2 = w[:, :-1], w[:, 1:]
+        np.multiply(w1, w2, out=P)
+        np.add(P, ci2, out=X)
+        np.add(w1, w2, out=Q)
+        np.multiply(Q, X, out=Q)
+        np.multiply(D, sc * i, out=t)
+        np.divide(t, Q, out=t)
+        # r = dB / i^3, less m1 a below
+        _t_minus_arctan(t, r, X)
+        np.multiply(r, 1.0 / (c * sc * i * i2), out=r)
+        np.multiply(P, Q, out=X)
+        np.divide(D, X, out=X)
+        np.add(r, X, out=r)
+        # a = dA / i^4, into t
+        np.multiply(m1, w2, out=X)
+        np.multiply(m2, w1, out=Q)
+        np.add(X, Q, out=X)
+        np.add(P, mm, out=Q)
+        np.multiply(X, Q, out=X)
+        np.multiply(X, P, out=X)
+        np.multiply(X, mm, out=X)
+        np.subtract(cell_msq[i0:], ci2, out=t)
+        np.multiply(t, D, out=t)
+        np.divide(t, X, out=t)
+        np.multiply(m1, t, out=X)
+        np.subtract(r, X, out=r)
+        if below.shape[0] < nr:     # cell j of row i0 + k is below if j < k
+            below = np.tri(nr, nr, -1, dtype=bool)
+        below_here = below[:nr, :min(nr, n - i0 - 1)]
+        np.copyto(t[:, :nr], 0.0, where=below_here)
+        np.copyto(r[:, :nr], 0.0, where=below_here)
+        scale = kappa * c * (i2 * i2)
+        np.subtract(t, r, out=t)
+        np.multiply(t, scale, out=out[rows, i0:-1])
+        np.multiply(r, scale, out=r)
+        np.add(out[rows, i0 + 1:], r, out=out[rows, i0 + 1:])
     out.setflags(write=False)
     _OPERATOR[(n, kappa)] = out
     return out

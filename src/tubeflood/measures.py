@@ -19,8 +19,9 @@ alpha holding at most _BLOCK_CELLS cells (or one row), in place in two
 per-thread buffers kept from one call to the next: memory stays near
 0.5 MB below 2^15 atoms, and no block-sized array is allocated per
 call.  That row-block rule, row_blocks, is the package's only one: the
-operator assembly and the tube simulation loop over it too.  Pieces
-enter both integrals through closed-form antiderivatives.  The scalar
+operator assembly and the tube simulation loop over it too, and the
+assembly works in six of the same per-thread buffers (_block_buffers).
+Pieces enter both integrals through closed-form antiderivatives.  The scalar
 moment and tail_kernel_integral are one-point views of the same two
 routines.
 
@@ -47,7 +48,7 @@ KAPPA_MAX = 0.999
 # Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
 
-_TAIL_WORK = threading.local()   # this thread's tail_integral block buffers
+_BLOCK_WORK = threading.local()   # this thread's row-block buffers
 
 
 def row_blocks(n_rows, n_cols, start=0):
@@ -243,17 +244,19 @@ OIL_RATE = TailKernel(
 )
 
 
-def _block_buffers(rows, cols):
-    """Two (rows, cols) views on this thread's buffers, kept between calls.
+def _block_buffers(rows, cols, count=2):
+    """count (rows, cols) views on this thread's buffers, kept between calls.
 
-    Nothing read from them carries over: each block writes every cell of s
-    and spare before it reads it.
+    The buffers only grow, so tail_integral and the operator assembly
+    share them without reallocating.  Nothing read from them carries
+    over: each block writes every cell it reads.
     """
     cells = rows * cols
-    work = getattr(_TAIL_WORK, "buffers", None)
-    if work is None or work.shape[1] < cells:
-        work = _TAIL_WORK.buffers = np.empty((2, cells))
-    return work[:, :cells].reshape(2, rows, cols)
+    work = getattr(_BLOCK_WORK, "buffers", np.empty((0, 0)))
+    if work.shape[0] < count or work.shape[1] < cells:
+        shape = (max(count, work.shape[0]), max(cells, work.shape[1]))
+        work = _BLOCK_WORK.buffers = np.empty(shape)
+    return work[:count, :cells].reshape(count, rows, cols)
 
 
 def tail_integral(mu, kernel, c0, lower):

@@ -1,12 +1,13 @@
 """Random model generators, test oracles and the round-trip report shared by the tests."""
 
 import dataclasses
+import math
 
 import numpy as np
 
 from tubeflood import forward, inverse
 from tubeflood.errors import ArgumentError
-from tubeflood.measures import Measure
+from tubeflood.measures import Measure, row_blocks
 
 
 def random_measure(rng, alpha_max=10.0, kind="mixed", hi_frac=0.95):
@@ -73,6 +74,51 @@ def searchsorted_sweep(M, h, x, g):
         else:
             v[i] = g[k] + slope[k] * (b - knots[k]) / (1.0 - d * slope[k])
     return v
+
+
+def reference_t_matrix(n, kappa):
+    """Test oracle: the operator matrix of inverse._unit_t_matrix, assembled
+    with fresh temporaries per row block and nodes clamped to the diagonal.
+
+    Same closed form in x = y/alpha_i (see _unit_t_matrix): over the cell
+    [x1, x2], with D = x2^2 - x1^2, P = u1 u2, S = u1 + u2, X = x1 x2,
+
+        dA = D (x1^2 + x2^2 - c) / (P X (x1 u2 + x2 u1) (X + P))
+        dB = D / (S P (c + P)) + (t - arctan t) / c^{3/2},
+             t = D sqrt(c) / (S (c + P)) ,
+
+    t - arctan t by a 9-term series below t = 0.1.  Not cached.
+    """
+    c = 1.0 - kappa * kappa
+    sc = math.sqrt(c)
+    out = np.zeros((n, n))
+    for rows in row_blocks(n, n, start=1):
+        i0 = rows.start
+        i = np.arange(i0, rows.stop, dtype=float)[:, None]
+        m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
+        x = m / i
+        u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
+        x1, x2, u1, u2 = x[:, :-1], x[:, 1:], u[:, :-1], u[:, 1:]
+        D = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i)
+        P = u1 * u2
+        S = u1 + u2
+        X = x1 * x2
+        dA = D * (x1 * x1 + x2 * x2 - c) / (P * X * (x1 * u2 + x2 * u1) * (X + P))
+        t = D * sc / (S * (c + P))
+        tma = np.empty_like(t)
+        small = t < 0.1
+        tma[~small] = t[~small] - np.arctan(t[~small])
+        ts = t[small]
+        t2 = ts * ts
+        acc = np.zeros_like(ts)
+        for k in range(9, 0, -1):   # t^3 (1/3 - t^2/5 + t^4/7 - ...)
+            acc = 1.0 / (2 * k + 1) - t2 * acc
+        tma[small] = ts * t2 * acc
+        dB = D / (S * P * (c + P)) + tma / (c * sc)
+        right = i * (dB - x1 * dA)
+        out[rows, i0:-1] += kappa * c * (dA - right)
+        out[rows, i0 + 1:] += kappa * c * right
+    return out
 
 
 def pipeline_roundtrip(

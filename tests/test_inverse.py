@@ -1,7 +1,11 @@
 """Integral operator, fixed-point recovery, and measure reconstruction."""
 
 import dataclasses
+import decimal
 import math
+import sys
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,7 +29,7 @@ from tubeflood.inverse import (
 )
 from tubeflood.measures import Measure
 
-from helpers import searchsorted_sweep
+from helpers import reference_t_matrix, searchsorted_sweep
 
 
 def closed_tail_integral(alpha, alpha_max, kappa):
@@ -119,16 +123,127 @@ class TestKernel:
             kernel_K(11.0, 5.0, 0.5, 10.0)
 
 
+def decimal_t_minus_arctan(t):
+    """t - arctan(t) to 50 digits, for a float t > 0.
+
+    Two halvings, arctan y = 2 arctan(y / (1 + sqrt(1 + y^2))), bring t <= 3
+    below 0.33; the Taylor series of arctan then gains a digit per term.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        x = decimal.Decimal(t)          # the float's exact value
+        y = x
+        for _ in range(2):
+            y = y / (1 + (1 + y * y).sqrt())
+        y2 = y * y
+        power, total, k = y, decimal.Decimal(0), 0
+        while power > y * decimal.Decimal(10) ** -80:
+            total += (-1) ** k * power / (2 * k + 1)
+            power *= y2
+            k += 1
+        return x - 4 * total
+
+
 class TestClosedForm:
-    @pytest.mark.parametrize("kappa", [0.5, 0.1, 0.02])
+    @pytest.fixture(scope="class", params=[0.999, 0.5, 0.1, 0.02, 0.005])
+    def kappa(self, request):
+        """The kappas of the n = 2001 tests.  pytest runs those tests kappa
+        by kappa, so they share one cached assembly per kappa."""
+        return request.param
+
     def test_entries_match_quadrature(self, kappa):
         n = 2001
         M = _unit_t_matrix(n, kappa)
         cells = [(i, j) for i in (1, 2, 10, 500, 1998) for j in (i, i + 1, i + 2)]
         cells += [(1, 1500), (10, 1000), (500, 1800)]   # far from the diagonal
+        # the last column, where right = i (dB - x1 dA) cancels most
+        cells += [(1, 2000), (3, 2000), (410, 2000)]
         for i, j in cells:
             ref = exact_entry(n, kappa, i, j)
-            assert M[i, j] == pytest.approx(ref, rel=1e-9, abs=0.0), (i, j)
+            assert M[i, j] == pytest.approx(ref, rel=1e-11, abs=0.0), (i, j)
+
+    @pytest.mark.parametrize("n", [2001, 501, 51, 3])
+    def test_matches_the_reference_assembly(self, n, kappa):
+        M = _unit_t_matrix(n, kappa)
+        ref = reference_t_matrix(n, kappa)
+        assert np.array_equal(M == 0.0, ref == 0.0)
+        assert np.all(np.tril(M, -1) == 0.0) and np.all(M[[0, -1]] == 0.0)
+        row_max = ref.max(axis=1, keepdims=True)
+        assert np.all(np.abs(M - ref) <= 1e-11 * row_max)
+
+    def test_v_matches_the_reference_assembly(self, kappa):
+        # V = G(h + MV) is a contraction with factor q, so entries a few ulp
+        # apart move V by up to a few ulp of v_max / (1 - q): 4e-16 v_max at
+        # kappa 0.999, 4e-14 v_max at 0.005, where the reference's own V lies
+        # 1.6e-14 v_max (n = 501) to 2.5e-14 v_max (n = 1001) from the V of
+        # a long-double assembly
+        n = 501
+        mu = Measure(atoms=((4.0, 1.0), (7.5, 0.5)), pieces=((3.0, 9.0, 1.0),))
+        curve = build_curve(mu, kappa, 10.0, 2001)
+        grid = np.linspace(0.0, curve.alpha_max, n)
+        h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
+        ref = reference_t_matrix(n, kappa)
+        oracle = inverse._back_substitute(ref, h, curve.x, curve.g)
+        result = solve_fixed_point(curve, RecoveryConfig(n_grid=n))
+        bound = 2 * np.finfo(float).eps * curve.v_max / (1.0 - result.contraction_q)
+        assert np.max(np.abs(result.v - oracle)) <= bound
+
+    def test_t_minus_arctan_against_a_decimal_series(self):
+        switch = inverse._SERIES_T
+        t = np.concatenate([
+            np.geomspace(1e-8, 3.0, 400),
+            [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)],
+        ])
+        got = inverse._t_minus_arctan(t, np.empty_like(t), np.empty_like(t))
+        ref = np.array([float(decimal_t_minus_arctan(x)) for x in t])
+        err = np.abs(got - ref)
+        series = t < switch
+        assert np.any(series) and np.any(~series)
+        assert np.all(err[series] <= 1e-15 * ref[series])
+        assert np.all(err <= 2 * np.finfo(float).eps * t)
+
+    def test_warm_assembly_allocates_no_block_temporaries(self):
+        n = 2001
+        inverse._OPERATOR.clear()
+        _unit_t_matrix(n, 0.3)              # grows this thread's buffers
+        inverse._OPERATOR.clear()
+        tracemalloc.start()
+        try:
+            _unit_t_matrix(n, 0.31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * n * 8 < 1 << 20
+
+    def test_threads_assemble_in_their_own_buffers(self):
+        n, kappas = 501, (0.005, 0.1, 0.5, 0.999)
+        serial = {}
+        for kappa in kappas:
+            inverse._OPERATOR.clear()
+            serial[kappa] = _unit_t_matrix(n, kappa)
+        inverse._OPERATOR.clear()
+        got = {}
+
+        def assemble(kappa):
+            try:
+                got[kappa] = [_unit_t_matrix(n, kappa) for _ in range(2)]
+            except RuntimeWarning as exc:   # a shared buffer can make a NaN
+                got[kappa] = exc
+
+        threads = [threading.Thread(target=assemble, args=(k,)) for k in kappas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for kappa in kappas:
+            assert isinstance(got[kappa], list), got[kappa]
+            for M in got[kappa]:
+                assert np.array_equal(M, serial[kappa]), kappa
 
     @pytest.mark.parametrize("n", [3, 51, 501, 2001])
     def test_row_sums_at_most_q(self, n):
@@ -534,6 +649,8 @@ class TestRecoveryConfig:
             {"n_grid": "101"},
             {"alpha_min": -1.0},
             {"alpha_min": math.nan},
+            {"alpha_min": None},
+            {"alpha_min": "1"},
         ],
     )
     def test_validation(self, kwargs):
