@@ -14,7 +14,6 @@ Three experiment families built on the forward/inverse machinery:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +95,8 @@ def sinusoidal_perturbation(curve, delta0):
     insufficient, so the result is again a valid displacement curve with
     sup-perturbation at most delta0.
     """
-    if not delta0 >= 0:
-        raise ArgumentError("delta0 must be >= 0")
+    if not 0 <= delta0 < math.inf:
+        raise ArgumentError("delta0 must be finite and >= 0")
     x, g = curve.x, curve.g
     bumped = g + delta0 * np.sin(np.pi * x / curve.v_max)
     # slope cap: g2[i] <= min_{j<=i} g2[j] + (x[i]-x[j]);  then monotone
@@ -152,11 +151,6 @@ def stability_experiment(curve1, curve2, config=None):
 # sensitivity constant
 # ---------------------------------------------------------------------------
 
-def _check_n_grid(n_grid):
-    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
-        raise ArgumentError(f"n_grid must be an integer >= 2, got {n_grid!r}")
-
-
 def _jump_aware_alphas(mu, alpha_max, n_grid):
     """Uniform alpha grid refined by atom locations +- one ulp."""
     base = np.linspace(0.0, alpha_max, n_grid)[1:]
@@ -173,25 +167,30 @@ def _jump_aware_alphas(mu, alpha_max, n_grid):
 def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     """Ratio of curve-slope disagreement to measure disagreement (L1 norms).
 
-    The numerator samples the water cut of both measures against the shared
-    total-volume axis; the denominator compares the counting functions
-    F_j(alpha) = mu_j([0, alpha)).  Points where numerator and denominator
-    of the pointwise ratios both vanish contribute 0.  The acceptance flag
-    records the |V1_max - V2_max| < V1_max/10 filter.
+    The pair is first filtered on the endpoint volumes: unless
+    |V1_max - V2_max| < V1_max/10, the record comes back with accepted
+    False and c_value NaN, at the cost of the two endpoint moments only.
+    For an accepted pair the numerator samples the water cut of both
+    measures against the shared total-volume axis; the denominator compares
+    the counting functions F_j(alpha) = mu_j([0, alpha)).  Points where
+    numerator and denominator of the pointwise ratios both vanish
+    contribute 0.
     """
     kappa = check_kappa(kappa)
-    _check_n_grid(n_grid)
-    if mu1 == mu2:
-        raise ArgumentError("identical measures give a 0/0 sensitivity ratio")
-    if mu1.is_zero or mu2.is_zero:
-        raise ArgumentError("sensitivity requires nonzero measures")
-    if max(mu1.support_sup, mu2.support_sup) > alpha_max:
-        raise ArgumentError("measure support exceeds alpha_max")
-
+    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
+        raise ArgumentError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     vw1, vo1, _ = endpoint_data(mu1, kappa, alpha_max)
     vw2, vo2, _ = endpoint_data(mu2, kappa, alpha_max)
     v1_max, v2_max = vw1 + vo1, vw2 + vo2
-    accepted = abs(v1_max - v2_max) < v1_max / 10.0
+    if not (v1_max > 0 and v2_max > 0):
+        raise ArgumentError("sensitivity requires nonzero measures")
+    record = dict(
+        seed=seed, n1=len(mu1.atoms), n2=len(mu2.atoms), v1_max=v1_max, v2_max=v2_max
+    )
+    if not abs(v1_max - v2_max) < v1_max / 10.0:
+        return SensitivityRecord(**record, accepted=False, c_value=math.nan)
+    if mu1 == mu2:
+        raise ArgumentError("identical measures give a 0/0 sensitivity ratio")
 
     a1 = _jump_aware_alphas(mu1, alpha_max, n_grid)
     a2 = _jump_aware_alphas(mu2, alpha_max, n_grid)
@@ -217,42 +216,7 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     denominator = float(np.trapezoid(den_int, aus))
     if denominator == 0.0:
         raise ArgumentError("measures are indistinguishable on the grid")
-
-    return SensitivityRecord(
-        seed=seed,
-        n1=len(mu1.atoms),
-        n2=len(mu2.atoms),
-        v1_max=v1_max,
-        v2_max=v2_max,
-        accepted=accepted,
-        c_value=numerator / denominator,
-    )
-
-
-def _mc_trial(trial_seed, kappa, alpha_max, n_grid, n_atoms_range, l_range, s_range):
-    rng = np.random.default_rng(trial_seed)
-    lo, hi = n_atoms_range
-    n1 = int(rng.integers(lo, hi + 1))
-    n2 = int(rng.integers(lo, hi + 1))
-    mu1 = random_atoms(rng, n1, l_range, s_range)
-    mu2 = random_atoms(rng, n2, l_range, s_range)
-
-    # the filter of sensitivity_constant, applied first so that a rejected
-    # pair costs only the endpoint moments
-    vw1, vo1, _ = endpoint_data(mu1, kappa, alpha_max)
-    vw2, vo2, _ = endpoint_data(mu2, kappa, alpha_max)
-    v1_max, v2_max = vw1 + vo1, vw2 + vo2
-    if not abs(v1_max - v2_max) < v1_max / 10.0:
-        return SensitivityRecord(
-            seed=trial_seed,
-            n1=n1,
-            n2=n2,
-            v1_max=v1_max,
-            v2_max=v2_max,
-            accepted=False,
-            c_value=math.nan,
-        )
-    return sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid, seed=trial_seed)
+    return SensitivityRecord(**record, accepted=True, c_value=numerator / denominator)
 
 
 def run_mc(
@@ -266,22 +230,30 @@ def run_mc(
     s_range=(0.5, 2.0),
     jobs=1,
 ):
-    """Seeded batch of sensitivity trials; records are returned in seed order.
+    """Seeded batch of sensitivity trials, run serially in seed order.
 
-    Trial i uses seed + i, so reruns (and any subset) are reproducible
-    regardless of the worker count.
+    Trial i draws its pair from a generator seeded with seed + i, so reruns
+    (and any subset) are reproducible.  jobs is kept for callers that pass
+    it and must be 1.
     """
     if n_trials < 1:
         raise ArgumentError("need at least one trial")
-    if jobs < 1:
-        raise ArgumentError("jobs must be >= 1")
-    _check_n_grid(n_grid)
-    seeds = [seed + i for i in range(n_trials)]
-    args = (kappa, alpha_max, n_grid, n_atoms_range, l_range, s_range)
-    if jobs == 1:
-        return [_mc_trial(s, *args) for s in seeds]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda s: _mc_trial(s, *args), seeds))
+    if jobs != 1:
+        raise ArgumentError(f"trials run serially: jobs must be 1, got {jobs!r}")
+    if not seed >= 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed!r}")
+    lo, hi = n_atoms_range
+    records = []
+    for trial_seed in range(seed, seed + n_trials):
+        rng = np.random.default_rng(trial_seed)
+        n1 = int(rng.integers(lo, hi + 1))
+        n2 = int(rng.integers(lo, hi + 1))
+        mu1 = random_atoms(rng, n1, l_range, s_range)
+        mu2 = random_atoms(rng, n2, l_range, s_range)
+        records.append(
+            sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid, seed=trial_seed)
+        )
+    return records
 
 
 def summarize_mc(records):

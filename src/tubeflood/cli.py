@@ -72,7 +72,7 @@ def _measure_from_config(config):
 def _cast(key, value, cast):
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"option {key!r}: {exc}") from exc
 
 
@@ -208,10 +208,10 @@ def _cmd_tubes(args):
         kappa = float(config["kappa"])
         t_max = float(config["t_max"])
         n_steps = int(config["n_steps"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"malformed tubes config: {exc}") from exc
-    if n_steps < 2 or t_max <= 0:
-        raise ArgumentError("need t_max > 0 and n_steps >= 2")
+    if n_steps < 2 or not 0 < t_max < math.inf:
+        raise ArgumentError("need a finite t_max > 0 and n_steps >= 2")
 
     t_grid = np.linspace(0.0, t_max, n_steps)
     result = tubes.simulate(system, kappa, pump, t_grid)
@@ -270,7 +270,6 @@ def _cmd_mc(args):
         kappa=args.kappa,
         alpha_max=args.alpha_max,
         n_grid=args.n_grid,
-        jobs=args.jobs,
     )
     cols = [
         [r.seed for r in records],
@@ -369,7 +368,6 @@ def build_parser():
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--alpha-max", type=float, default=10.0)
     p.add_argument("--n-grid", type=int, default=2001)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="mc_results.csv", help="CSV of per-trial records")
     p.add_argument("--summary", help="write the summary JSON here instead of stdout")
     p.set_defaults(func=_cmd_mc)

@@ -295,7 +295,11 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
           + kappa/(1-kappa^2) (alpha_max - R)^2 / (alpha_max R) V_w(alpha_max)
 
     v_w_max and v_w_prime_max are V_w(alpha_max) and V_w'(alpha_max), as
-    curve_readoff returns them.
+    curve_readoff returns them.  h is evaluated in units of alpha_max, so
+    no square of alpha_max can overflow, and alpha_max - R without
+    cancellation: with r2 = (1-kappa^2) (alpha/alpha_max)^2 and
+    rho = sqrt(1 - r2), gap = r2/(1+rho) = (alpha_max - R)/alpha_max and
+    h = kappa/(1-kappa^2) gap (alpha_max V_w' + gap/rho V_w).
     """
     kappa = check_kappa(kappa)
     if not 0 < alpha_max:
@@ -304,12 +308,11 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     if np.any(a < 0) or np.any(a > alpha_max * (1 + 1e-12)):
         raise ArgumentError("alpha must lie in [0, alpha_max]")
     c = 1.0 - kappa * kappa
-    R = np.sqrt(alpha_max * alpha_max - c * a * a)
-    gap = alpha_max - R
-    out = (
-        kappa / c * gap * v_w_prime_max
-        + kappa / c * gap * gap / (alpha_max * R) * v_w_max
-    )
+    u = a / alpha_max
+    r2 = c * u * u
+    rho = np.sqrt(1.0 - r2)
+    gap = r2 / (1.0 + rho)
+    out = kappa / c * gap * (alpha_max * v_w_prime_max + gap / rho * v_w_max)
     if np.isscalar(alpha):
         return float(out)
     return out

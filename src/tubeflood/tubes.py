@@ -82,8 +82,8 @@ class PumpHistory:
             raise ArgumentError("need one c value per breakpoint")
         if bp[0] != 0.0:
             raise ArgumentError("first breakpoint must be t = 0")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ArgumentError("breakpoints must be strictly increasing")
+        if any(not b1 < b2 < math.inf for b1, b2 in zip(bp, bp[1:])):
+            raise ArgumentError("breakpoints must be finite and strictly increasing")
         if any(not (c >= 0 and math.isfinite(c)) for c in cv):
             raise ArgumentError("drive values must be finite and >= 0")
         object.__setattr__(self, "breakpoints", bp)

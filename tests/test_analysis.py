@@ -50,6 +50,12 @@ class TestPerturbation:
         assert np.max(np.abs(bumped.g - curve.g)) <= delta0 * (1 + 1e-12)
         assert bumped.v_max == curve.v_max
 
+    @pytest.mark.parametrize("delta0", [math.inf, math.nan, -1.0])
+    def test_bad_delta0_rejected(self, delta0):
+        curve = build_curve(random_atoms(3, 10), 0.5, 10.0, 101)
+        with pytest.raises(ArgumentError):
+            sinusoidal_perturbation(curve, delta0)
+
 
 class TestStabilityExperiment:
     def test_identical_curves(self):
@@ -107,6 +113,22 @@ class TestSensitivity:
         mu2 = Measure(atoms=((3.0, 10.0),))  # wildly different pore volume
         rec = sensitivity_constant(mu1, mu2, 0.5, 10.0)
         assert not rec.accepted
+        assert math.isnan(rec.c_value)
+        assert (rec.n1, rec.n2) == (1, 1)
+        assert rec.v2_max > 1.1 * rec.v1_max
+
+    def test_direct_call_matches_run_mc(self):
+        # run_mc's records are sensitivity_constant's, rejected pairs included
+        records = run_mc(20, seed=11, n_grid=401)
+        assert {rec.accepted for rec in records} == {True, False}
+        for rec in records:
+            # run_mc's draws: two atom counts in [5, 50], then the two measures
+            rng = np.random.default_rng(rec.seed)
+            rng.integers(5, 51)
+            rng.integers(5, 51)
+            mu1 = random_atoms(rng, rec.n1)
+            mu2 = random_atoms(rng, rec.n2)
+            assert sensitivity_constant(mu1, mu2, 0.5, 10.0, 401, seed=rec.seed) == rec
 
     def test_zero_measure_rejected(self):
         with pytest.raises(ArgumentError):
@@ -137,10 +159,15 @@ class TestRunMc:
         b = run_mc(12, seed=7, n_grid=401)
         assert a == b
 
-    def test_jobs_do_not_change_results(self):
-        serial = run_mc(12, seed=42, n_grid=401, jobs=1)
-        threaded = run_mc(12, seed=42, n_grid=401, jobs=4)
-        assert serial == threaded
+    def test_jobs_other_than_one_rejected(self):
+        # trials run serially; a jobs value other than 1 is never ignored
+        for jobs in (2, 0, 4):
+            with pytest.raises(ArgumentError):
+                run_mc(3, seed=0, n_grid=401, jobs=jobs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ArgumentError):
+            run_mc(3, seed=-1, n_grid=401)
 
     @pytest.mark.parametrize("n_grid", [1, 100.5])
     def test_bad_n_grid_rejected(self, n_grid):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +94,12 @@ class TestForward:
             tmp_path / "m.json", {"measure": ATOM_CONFIG["measure"], "kappa": 0.5}
         )
         assert cli.main(["forward", config, "--n-samples", "11"]) == 2
+
+    def test_infinite_n_samples(self, tmp_path, capsys):
+        # int(inf) raises OverflowError, which is bad input like any other
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "n_samples": math.inf})
+        assert cli.main(["forward", config, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "n_samples" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 class TestInvert:
@@ -184,6 +193,22 @@ class TestInvert:
         assert code == 2 and not out.exists()
         assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
 
+    def test_v_at_any_magnitude_of_alpha_max(self, tmp_path, curve_csv):
+        # the same curve declared at alpha_max 2 and 1e160 gives the same V
+        columns = []
+        for alpha_max in ("2", "1e160"):
+            out = tmp_path / f"r{alpha_max}.csv"
+            diag = tmp_path / f"d{alpha_max}.json"
+            assert cli.main([
+                "invert", str(curve_csv), "--kappa", "0.5", "--alpha-max", alpha_max,
+                "--n-grid", "501", "--out", str(out), "--diagnostics", str(diag),
+            ]) == 0
+            assert math.isfinite(json.loads(diag.read_text())["residual"])
+            header, data = read_csv(out)
+            columns.append(data[:, header.index("V")])
+        assert np.all(np.isfinite(columns[1]))
+        assert np.max(np.abs(columns[1] - columns[0])) <= 2e-15 * 5.5
+
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("total,water\n0.0,zero\n1.0,0.5\n")
@@ -273,18 +298,18 @@ class TestReadCurveCsv:
         assert error["exit_code"] == 2 and error["type"] == "invalid-config"
 
 
+TUBES_CONFIG = {
+    "tubes": [{"L": 1.0, "S": 1.0}, {"L": 2.0, "S": 1.0}],
+    "kappa": 0.5,
+    "pump": {"breakpoints": [0.0], "c": [1.0]},
+    "t_max": 3.0,
+    "n_steps": 5,
+}
+
+
 class TestTubes:
     def test_two_tube_csv(self, tmp_path):
-        config = write_json(
-            tmp_path / "t.json",
-            {
-                "tubes": [{"L": 1.0, "S": 1.0}, {"L": 2.0, "S": 1.0}],
-                "kappa": 0.5,
-                "pump": {"breakpoints": [0.0], "c": [1.0]},
-                "t_max": 3.0,
-                "n_steps": 5,
-            },
-        )
+        config = write_json(tmp_path / "t.json", TUBES_CONFIG)
         out = tmp_path / "tubes.csv"
         assert cli.main(["tubes", str(config), "--out", str(out)]) == 0
         header, data = read_csv(out)
@@ -310,6 +335,24 @@ class TestTubes:
         )
         assert cli.main(["tubes", str(config)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_steps": math.inf}, "malformed tubes config"),
+            ({"t_max": math.inf}, "finite t_max"),
+            ({"t_max": math.nan}, "finite t_max"),
+            ({"pump": {"breakpoints": [0.0, math.nan], "c": [1.0, 0.5]}}, "breakpoints"),
+            ({"pump": {"breakpoints": [0.0, math.inf], "c": [1.0, 0.5]}}, "breakpoints"),
+        ],
+        ids=["n_steps-inf", "t_max-inf", "t_max-nan", "breakpoint-nan", "breakpoint-inf"],
+    )
+    def test_non_finite_value(self, tmp_path, capsys, change, message):
+        config = write_json(tmp_path / "t.json", {**TUBES_CONFIG, **change})
+        out = tmp_path / "tubes.csv"
+        assert cli.main(["tubes", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 class TestStability:
@@ -345,6 +388,18 @@ class TestStability:
     def test_requires_input(self):
         assert cli.main(["stability"]) == 2
 
+    @pytest.mark.parametrize(
+        "change, flags",
+        [({"n_samples": math.inf}, []), ({}, ["--delta0-rel", "inf"])],
+        ids=["n_samples-inf", "delta0-rel-inf"],
+    )
+    def test_infinite_value(self, tmp_path, capsys, change, flags):
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, **change})
+        out = tmp_path / "report.json"
+        assert cli.main(["stability", config, "--n-grid", "51", "--out", str(out)] + flags) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
+
 
 class TestMc:
     def test_csv_and_summary(self, tmp_path, capsys):
@@ -369,13 +424,20 @@ class TestMc:
         out2 = tmp_path / "b.csv"
         args = ["mc", "--trials", "10", "--seed", "5", "--n-grid", "401"]
         assert cli.main(args + ["--out", str(out1)]) == 0
-        assert cli.main(args + ["--out", str(out2), "--jobs", "3"]) == 0
+        assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_no_jobs_flag(self, tmp_path):
+        # trials run serially: there is no --jobs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mc", "--trials", "3", "--jobs", "2", "--out", str(tmp_path / "mc.csv")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "flags",
-        [["--alpha-max", "inf"], ["--alpha-max", "nan"], ["--n-grid", "1"]],
-        ids=["alpha-max-inf", "alpha-max-nan", "n-grid-1"],
+        [["--alpha-max", "inf"], ["--alpha-max", "nan"], ["--n-grid", "1"],
+         ["--seed=-1"], ["--trials", "0"]],
+        ids=["alpha-max-inf", "alpha-max-nan", "n-grid-1", "seed-negative", "trials-0"],
     )
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         out = tmp_path / "mc.csv"
@@ -394,6 +456,21 @@ class TestAmbiguity:
 
     def test_invalid_factor(self):
         assert cli.main(["ambiguity", "--alpha0", "2", "--k", "1.6"]) == 2
+
+
+class TestReadme:
+    def test_documented_commands_parse(self):
+        # every `tubeflood ...` line of README's shell blocks is a valid
+        # command line, so a removed flag cannot stay documented
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        script = "".join(re.findall(r"```bash\n(.*?)```", text, re.S))
+        lines = script.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("tubeflood ")]
+        assert {argv[0] for argv in commands} == {
+            "forward", "invert", "tubes", "stability", "mc", "ambiguity",
+        }
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
 
 
 class TestRoundtripPipeline:

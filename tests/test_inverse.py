@@ -370,6 +370,9 @@ class TestApplyT:
             apply_T(np.ones(11), 0.5, 0.0)
 
 
+UNIFORM_PIECE = Measure(pieces=((3.0, 9.0, 1.0),))
+
+
 class TestH:
     # the atom (L, S) = (1, 1) seen up to alpha_max = 2 at kappa = 0.5:
     # V_w(alpha_max) = 4.5 and V_w'(alpha_max) = 6
@@ -389,8 +392,37 @@ class TestH:
         with pytest.raises(ArgumentError):
             h_of_alpha(4.5, 6.0, 0.5, 2.0, 2.5)
 
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.999])
+    def test_against_a_decimal_reference(self, kappa):
+        # alpha_max - R cancels at small alpha; the gap r2/(1+rho) does not
+        vw, vwp, alpha_max = 30, 9, 10
+        grid = np.linspace(0.0, alpha_max, 201)[1:]
+        ref = []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            k = decimal.Decimal(kappa)
+            c = 1 - k * k
+            for a in grid.tolist():
+                R = (alpha_max * alpha_max - c * decimal.Decimal(a) ** 2).sqrt()
+                gap = alpha_max - R
+                ref.append(float(k / c * gap * vwp + k / c * gap * gap / (alpha_max * R) * vw))
+        h = h_of_alpha(vw, vwp, kappa, alpha_max, grid)
+        assert np.max(np.abs(h / np.array(ref) - 1.0)) <= 1e-14
 
-UNIFORM_PIECE = Measure(pieces=((3.0, 9.0, 1.0),))
+    @pytest.mark.parametrize("mu", [UNIFORM_PIECE, Measure(atoms=((4.0, 1.0), (7.0, 0.5)))],
+                             ids=["piece", "atoms"])
+    def test_v_does_not_depend_on_the_magnitude_of_alpha_max(self, mu):
+        # h is computed in units of alpha_max, so no alpha_max^2 overflows;
+        # the same curve declared at any alpha_max recovers the same V
+        curve = build_curve(mu, 0.5, 10.0, 2001)
+        cfg = RecoveryConfig(n_grid=1001)
+        v_ref = solve_fixed_point(curve, cfg).v
+        for alpha_max in (1e160, 1e-100):
+            rescaled = DisplacementCurve(x=curve.x, g=curve.g, alpha_max=alpha_max, kappa=0.5)
+            result = solve_fixed_point(rescaled, cfg)
+            assert math.isfinite(result.residual)
+            assert result.residual <= 1e-13 * curve.v_max
+            assert np.max(np.abs(result.v - v_ref)) <= 2e-15 * curve.v_max
 
 
 class TestSolve:

@@ -117,6 +117,12 @@ class TestPumpHistory:
             PumpHistory((0.0,), (-1.0,))
         with pytest.raises(ArgumentError):
             PumpHistory((0.0, 1.0), (1.0,))
+        # NaN compares False, so it would pass a plain ordering check
+        for t in (math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                PumpHistory((0.0, t), (1.0, 0.5))
+            with pytest.raises(ArgumentError):
+                PumpHistory((0.0, 1.0, t), (1.0, 0.5, 2.0))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(9)
