@@ -33,14 +33,12 @@ from .forward import (
     build_curve,
     curve_readoff,
     endpoint_data,
-    harmonic_cdf_samples,
 )
 from .inverse import (
     RecoveryConfig,
     RecoveryResult,
     apply_T,
     h_of_alpha,
-    kernel_K,
     recover,
     recover_cdf,
     recover_density,
@@ -51,7 +49,6 @@ from .measures import (
     moment,
     random_atoms,
     scale,
-    tail_kernel_integral,
 )
 from .tubes import (
     PumpHistory,

@@ -167,7 +167,8 @@ def _jump_aware_alphas(mu, alpha_max, n_grid):
 def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     """Ratio of curve-slope disagreement to measure disagreement (L1 norms).
 
-    The pair is first filtered on the endpoint volumes: unless
+    Both measures must pass endpoint_data's checks at alpha_max.  The pair
+    is then filtered on the endpoint volumes: unless
     |V1_max - V2_max| < V1_max/10, the record comes back with accepted
     False and c_value NaN, at the cost of the two endpoint moments only.
     For an accepted pair the numerator samples the water cut of both
@@ -182,8 +183,6 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     vw1, vo1, _ = endpoint_data(mu1, kappa, alpha_max)
     vw2, vo2, _ = endpoint_data(mu2, kappa, alpha_max)
     v1_max, v2_max = vw1 + vo1, vw2 + vo2
-    if not (v1_max > 0 and v2_max > 0):
-        raise ArgumentError("sensitivity requires nonzero measures")
     record = dict(
         seed=seed, n1=len(mu1.atoms), n2=len(mu2.atoms), v1_max=v1_max, v2_max=v2_max
     )

@@ -5,8 +5,8 @@ Data contracts:
     formatting, so identical configs reproduce byte-identical files.
   * diagnostics and experiment reports are JSON; errors are emitted as a
     JSON object on stderr.
-  * exit codes: 0 success, 2 invalid input (config, flags or curve CSV),
-    4 internal-consistency failure.
+  * exit codes: 0 success, 2 invalid input (config, flags or curve CSV,
+    or sizes too large to allocate), 4 internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def _cast(key, value, cast):
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"option {key!r}: {exc}") from exc
+
+
+def _integer(value):
+    """value as an int if it is an integral number up to 2**53, the largest
+    integer a JSON number holds exactly; ValueError otherwise."""
+    number = float(value)
+    if not (abs(number) <= 2**53 and number == math.floor(number)):
+        raise ValueError(f"need an integer of at most 2**53, got {value!r}")
+    return int(number)
 
 
 def _required(config, key, flag_value, cast=float):
@@ -147,7 +156,7 @@ def _cmd_forward(args):
     mu = _measure_from_config(config)
     kappa = _required(config, "kappa", args.kappa)
     alpha_max = _required(config, "alpha_max", args.alpha_max)
-    n_samples = _required(config, "n_samples", args.n_samples, cast=int)
+    n_samples = _required(config, "n_samples", args.n_samples, cast=_integer)
 
     curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
     alphas = np.linspace(0.0, alpha_max, n_samples)
@@ -207,7 +216,7 @@ def _cmd_tubes(args):
         )
         kappa = float(config["kappa"])
         t_max = float(config["t_max"])
-        n_steps = int(config["n_steps"])
+        n_steps = _integer(config["n_steps"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"malformed tubes config: {exc}") from exc
     if n_steps < 2 or not 0 < t_max < math.inf:
@@ -239,7 +248,7 @@ def _cmd_stability(args):
         mu = _measure_from_config(config)
         kappa = _required(config, "kappa", args.kappa)
         alpha_max = _required(config, "alpha_max", args.alpha_max)
-        n_samples = _cast("n_samples", config.get("n_samples", 2001), int)
+        n_samples = _cast("n_samples", config.get("n_samples", 2001), _integer)
         curve1 = forward.build_curve(mu, kappa, alpha_max, n_samples)
         curve2 = analysis.sinusoidal_perturbation(
             curve1, args.delta0_rel * curve1.v_max
@@ -398,6 +407,8 @@ def main(argv=None):
         return _fail(2, "invalid-config", exc)
     except OSError as exc:
         return _fail(2, "io-error", exc)
+    except MemoryError as exc:
+        return _fail(2, "out-of-memory", exc)
     except InternalConsistencyError as exc:
         return _fail(4, "internal-consistency", exc)
 

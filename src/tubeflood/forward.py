@@ -10,10 +10,11 @@ parameter alpha:
 The displacement characteristic is the monotone graph of produced water
 against total produced volume, {(V_w + V_o, V_w)}; its slope never exceeds 1.
 The sampling routines are vectorized over alpha and each is a combination
-of the two integrals of the measures layer: V_w, V_w' and Phi are prefix
+of the two integrals of the measures layer: V_w and V_w' are prefix
 integrals, V_o adds the OIL_VOLUME tail and V_o' is the OIL_RATE tail.
 Memory therefore stays bounded by that layer's row blocks however many
 atoms the measure has, and every alpha must be finite and >= 0.
+endpoint_data holds the one check on a measure at alpha_max.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def water_cut_samples(mu, kappa, alphas):
     return np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
 
 
-def harmonic_cdf_samples(mu, alphas):
-    """Phi(alpha) = integral of dmu(y)/y over [0, alpha), vectorized."""
-    return prefix_integral(mu, -1, alphas)
-
-
 # ---------------------------------------------------------------------------
 # displacement characteristic
 # ---------------------------------------------------------------------------
@@ -153,21 +149,14 @@ class DisplacementCurve:
 def build_curve(mu, kappa, alpha_max, n_samples):
     """Sample the displacement characteristic on a uniform alpha grid.
 
-    The measure must be nonzero with support inside [0, alpha_max]; the
+    The measure must pass endpoint_data's checks at alpha_max; the
     resulting curve carries (alpha_max, kappa) so it is self-describing for
     the inversion step.
     """
     kappa = check_kappa(kappa)
     if n_samples < 2:
         raise ArgumentError("need at least 2 curve samples")
-    if not math.isfinite(alpha_max):
-        raise ArgumentError("alpha_max must be finite")
-    if mu.is_zero:
-        raise ArgumentError("zero measure has no displacement characteristic")
-    if mu.support_sup > alpha_max:
-        raise ArgumentError(
-            f"measure support (sup {mu.support_sup}) exceeds alpha_max={alpha_max}"
-        )
+    endpoint_data(mu, kappa, alpha_max)
     alphas = np.linspace(0.0, alpha_max, n_samples)
     vw = v_w_samples(mu, kappa, alphas)
     vo = v_o_samples(mu, kappa, alphas)
@@ -180,16 +169,32 @@ def endpoint_data(mu, kappa, alpha_max):
     V_w  = (1+kappa) alpha_max^2 / (2 kappa) I_{-1} - (1+kappa)/(2 kappa) I_1
     V_o  = I_1
     V_w' = (1+kappa) alpha_max / kappa * I_{-1}
+
+    The package's one check on a measure at alpha_max: alpha_max and its
+    square must be finite, the support must lie in [0, alpha_max] and
+    v_max = V_w + V_o must be finite and > 0, else ArgumentError.  These
+    sums are Python floats, which overflow to inf without a warning; the
+    moments square support points in NumPy, which warns, so alpha_max^2 is
+    tested before they are taken.
     """
     kappa = check_kappa(kappa)
-    if not math.isfinite(alpha_max):
-        raise ArgumentError("alpha_max must be finite")
+    alpha_max = float(alpha_max)
+    if not 0.0 <= alpha_max * alpha_max < math.inf:
+        raise ArgumentError(
+            f"alpha_max must be finite, with a finite square, got {alpha_max}"
+        )
     if mu.support_sup > alpha_max:
-        raise ArgumentError("measure support exceeds alpha_max")
+        raise ArgumentError(
+            f"measure support (sup {mu.support_sup}) exceeds alpha_max={alpha_max}"
+        )
     i_inv = moment(mu, -1)
     i_one = moment(mu, 1)
     vw = (1.0 + kappa) / (2.0 * kappa) * (alpha_max * alpha_max * i_inv - i_one)
     vwp = (1.0 + kappa) * alpha_max / kappa * i_inv
+    if not 0.0 < vw + i_one < math.inf:
+        raise ArgumentError(
+            f"volume at alpha_max must be finite and > 0, got {vw + i_one}"
+        )
     return vw, i_one, vwp
 
 

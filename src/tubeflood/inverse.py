@@ -103,39 +103,6 @@ class RecoveryResult:
     timings: dict | None = None
     operator_cached: bool | None = None
 
-    @property
-    def alpha_max(self):
-        return float(self.grid[-1])
-
-
-def kernel_K(y, alpha, kappa, alpha_max):
-    """Kernel kappa (1-kappa^2) alpha^4 / (y^2 (y^2 - (1-kappa^2) alpha^2)^{3/2}).
-
-    Defined for 0 <= alpha <= y <= alpha_max; since y >= alpha implies
-    y^2 - (1-kappa^2) alpha^2 >= kappa^2 y^2, the kernel is finite on the
-    whole triangle (and vanishes at alpha = 0).
-    """
-    kappa = check_kappa(kappa)
-    y_arr = np.asarray(y, dtype=float)
-    a_arr = np.asarray(alpha, dtype=float)
-    if np.any(a_arr < 0):
-        raise ArgumentError("alpha must be >= 0")
-    if np.any(y_arr < a_arr):
-        raise ArgumentError("kernel requires y >= alpha")
-    if np.any(y_arr > alpha_max):
-        raise ArgumentError("kernel requires y <= alpha_max")
-    c = 1.0 - kappa * kappa
-    d = y_arr * y_arr - c * a_arr * a_arr
-    out = np.divide(
-        kappa * c * a_arr**4,
-        y_arr * y_arr * d * np.sqrt(d),
-        out=np.zeros_like(d),
-        where=a_arr > 0,
-    )
-    if np.isscalar(y) and np.isscalar(alpha):
-        return float(out)
-    return out
-
 
 def _t_minus_arctan(t, out, t2):
     """Write t - arctan(t) for t >= 0 into out, using t2 (t's shape) as scratch.
@@ -312,10 +279,7 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     r2 = c * u * u
     rho = np.sqrt(1.0 - r2)
     gap = r2 / (1.0 + rho)
-    out = kappa / c * gap * (alpha_max * v_w_prime_max + gap / rho * v_w_max)
-    if np.isscalar(alpha):
-        return float(out)
-    return out
+    return kappa / c * gap * (alpha_max * v_w_prime_max + gap / rho * v_w_max)
 
 
 def _back_substitute(M, h, x, g):

@@ -21,9 +21,7 @@ per-thread buffers kept from one call to the next: memory stays near
 call.  That row-block rule, row_blocks, is the package's only one: the
 operator assembly and the tube simulation loop over it too, and the
 assembly works in six of the same per-thread buffers (_block_buffers).
-Pieces enter both integrals through closed-form antiderivatives.  The scalar
-moment and tail_kernel_integral are one-point views of the same two
-routines.
+Pieces enter both integrals through closed-form antiderivatives.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -45,6 +43,13 @@ from .errors import ArgumentError
 # bounded below; the displacement model degenerates as kappa -> 1.
 KAPPA_MAX = 0.999
 
+# Small kappa costs digits: 1 - kappa^2 keeps kappa only in its last bits.
+# Down to 1e-6, V recovered at n_grid 2001 stays within 5e-6 v_max of the
+# truth for a uniform piece; below, the error turns erratic (2e-4 v_max at
+# kappa 3e-7, 5e-2 at 1e-8), and from about 1e-9 on 1 - kappa^2 rounds to 1
+# and the closed forms divide by zero.
+KAPPA_MIN = 1e-6
+
 # Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
 
@@ -61,9 +66,9 @@ def row_blocks(n_rows, n_cols, start=0):
 def check_kappa(kappa):
     """Validate a water/oil viscosity ratio, returning it as float."""
     kappa = float(kappa)
-    if not 0.0 < kappa <= KAPPA_MAX:
+    if not KAPPA_MIN <= kappa <= KAPPA_MAX:
         raise ArgumentError(
-            f"viscosity ratio must lie in (0, {KAPPA_MAX}], got {kappa}"
+            f"viscosity ratio must lie in [{KAPPA_MIN}, {KAPPA_MAX}], got {kappa}"
         )
     return kappa
 
@@ -122,21 +127,7 @@ class Measure:
         tops = [L for L, _ in self.atoms] + [b for _, b, _ in self.pieces]
         return max(tops, default=0.0)
 
-    @property
-    def total_mass(self):
-        return moment(self, 0)
-
-    @property
-    def is_zero(self):
-        return self.total_mass == 0.0
-
-    # -- config (de)serialization used by the CLI --
-
-    def as_dict(self):
-        return {
-            "atoms": [{"L": L, "S": S} for L, S in self.atoms],
-            "pieces": [{"a": a, "b": b, "rho": r} for a, b, r in self.pieces],
-        }
+    # -- config deserialization used by the CLI --
 
     @classmethod
     def from_dict(cls, data):
@@ -310,20 +301,6 @@ def moment(mu, p, a=0.0, b=math.inf):
     top = math.nextafter(mu.support_sup, math.inf)
     lo, hi = _prefix_integral(mu, p, np.array([min(a, top), min(b, top)]))
     return float(hi - lo)
-
-
-def tail_kernel_integral(mu, alpha, kappa, a):
-    """Integral of (y - sqrt(y^2 - (1-kappa^2) alpha^2)) dmu(y) over [a, inf).
-
-    Requires a >= alpha >= 0 so the square root stays real on the whole
-    integration range.  Vanishes identically at alpha = 0 and is
-    nondecreasing in alpha.
-    """
-    kappa = check_kappa(kappa)
-    if not 0 <= alpha <= a:
-        raise ArgumentError(f"need a >= alpha >= 0, got alpha={alpha}, a={a}")
-    c0 = (1.0 - kappa * kappa) * alpha * alpha
-    return float(tail_integral(mu, OIL_VOLUME, np.array([c0]), np.array([a]))[0])
 
 
 def scale(mu, k):

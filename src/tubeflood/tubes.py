@@ -58,10 +58,6 @@ class TubeSystem:
     def n_tubes(self):
         return len(self.tubes)
 
-    def as_measure(self):
-        """The atomic tube-length measure of this system."""
-        return Measure(atoms=self.tubes)
-
 
 @dataclass(frozen=True)
 class PumpHistory:
@@ -89,10 +85,6 @@ class PumpHistory:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "c_values", cv)
 
-    @classmethod
-    def constant(cls, c=1.0):
-        return cls(breakpoints=(0.0,), c_values=(c,))
-
     @cached_property
     def _bp(self):
         return np.array(self.breakpoints)
@@ -113,8 +105,7 @@ class PumpHistory:
         if np.any(t_arr < 0):
             raise ArgumentError("pump history is defined for t >= 0 only")
         idx = np.clip(np.searchsorted(self._bp, t_arr, side="right") - 1, 0, None)
-        out = self._cum[idx] + self._c[idx] * (t_arr - self._bp[idx])
-        return float(out) if np.isscalar(t) else out
+        return self._cum[idx] + self._c[idx] * (t_arr - self._bp[idx])
 
     def F_inverse(self, value):
         """Earliest time(s) with F(t) = value; inf where it is never reached."""
@@ -125,8 +116,7 @@ class PumpHistory:
         # last breakpoint's F the last drive holds, and where it is 0 (or so
         # small that the time overflows) the division returns inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(v <= 0.0, 0.0, self._bp[k] + (v - cum[k]) / self._c[k])
-        return float(out) if np.isscalar(value) else out
+            return np.where(v <= 0.0, 0.0, self._bp[k] + (v - cum[k]) / self._c[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +161,7 @@ def interface_position(L, kappa, F_val):
     F2 = 2.0 * F_arr
     disc = L_arr * L_arr - (1.0 - kappa) * F2
     pos = F2 / (L_arr + np.sqrt(np.maximum(disc, 0.0)))
-    out = np.clip(np.where(F_arr >= thr, L_arr, pos), 0.0, L_arr)
-    if np.isscalar(L) and np.isscalar(F_val):
-        return float(out)
-    return out
+    return np.clip(np.where(F_arr >= thr, L_arr, pos), 0.0, L_arr)
 
 
 def reparam_xi(pump, kappa, t):
@@ -184,9 +171,7 @@ def reparam_xi(pump, kappa, t):
     evaluated at xi(t) reproduce the discrete cumulative volumes.
     """
     kappa = check_kappa(kappa)
-    F = pump.F_at(t)
-    out = np.sqrt(2.0 * np.asarray(F) / (1.0 + kappa))
-    return float(out) if np.isscalar(t) else out
+    return np.sqrt(2.0 * pump.F_at(t) / (1.0 + kappa))
 
 
 def simulate(sys, kappa, pump, t_grid):
@@ -200,7 +185,8 @@ def simulate(sys, kappa, pump, t_grid):
 
     which matches the segment-by-segment sum over broken-through tubes.
     The (time, tube) cells are filled over measures.row_blocks, so memory
-    beyond the returned interfaces stays bounded.
+    beyond the returned interfaces stays bounded.  A tube whose L^2
+    overflows a double raises ArgumentError.
     """
     kappa = check_kappa(kappa)
     t = np.asarray(t_grid, dtype=float)
@@ -211,6 +197,11 @@ def simulate(sys, kappa, pump, t_grid):
 
     L = sys.lengths
     S = sys.sections
+    longest = float(L[-1])
+    if not longest * longest < math.inf:
+        raise ArgumentError(
+            f"tube length {longest} overflows its breakthrough volume"
+        )
     F = pump.F_at(t)
     thr = breakthrough_threshold(L, kappa)
     w = S / L

@@ -7,7 +7,7 @@ import numpy as np
 
 from tubeflood import forward, inverse
 from tubeflood.errors import ArgumentError
-from tubeflood.measures import Measure, row_blocks
+from tubeflood.measures import Measure, prefix_integral, row_blocks
 
 
 def random_measure(rng, alpha_max=10.0, kind="mixed", hi_frac=0.95):
@@ -137,7 +137,7 @@ def pipeline_roundtrip(
     result = inverse.recover(curve, cfg)
 
     v_true = forward.v_w_samples(mu, kappa, result.grid)
-    phi_true = forward.harmonic_cdf_samples(mu, result.grid)
+    phi_true = prefix_integral(mu, -1, result.grid)
     report = {
         "v_max": curve.v_max,
         "v_sup_error": float(np.max(np.abs(result.v - v_true))),

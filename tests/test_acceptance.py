@@ -112,8 +112,8 @@ def test_criterion_03_round_trip_recovery():
 def test_criterion_04_discrete_continuum_equivalence():
     start = time.perf_counter()
     system = TubeSystem(((1.0, 1.0), (2.0, 1.0)))
-    mu = system.as_measure()
-    pump = PumpHistory.constant(1.0)
+    mu = Measure(atoms=system.tubes)
+    pump = PumpHistory((0.0,), (1.0,))
     t = np.linspace(0.0, 4.0, 1000)
     result = simulate(system, 0.5, pump, t)
     xi = reparam_xi(pump, 0.5, t)

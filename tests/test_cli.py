@@ -458,6 +458,94 @@ class TestAmbiguity:
         assert cli.main(["ambiguity", "--alpha0", "2", "--k", "1.6"]) == 2
 
 
+def assert_invalid_config(capsys, code):
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["exit_code"] == 2 and error["type"] == "invalid-config"
+
+
+class TestOutOfRange:
+    """Values whose volumes leave the doubles, and fractional or huge sizes.
+
+    Each exits 2 with the JSON error; pytest turns a RuntimeWarning into a
+    failure, so none may fire on the way.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forward", "{measure}", "--alpha-max", "1e160"],
+            ["stability", "{measure}", "--alpha-max", "1e160"],
+            ["mc", "--trials", "2", "--alpha-max", "1e160"],
+            ["ambiguity", "--alpha0", "2", "--k", "1e-160"],  # tail near 4e160
+            ["tubes", "{long_tube}"],
+        ],
+        ids=["forward", "stability", "mc", "ambiguity", "tubes"],
+    )
+    def test_overflowing_volume(self, tmp_path, capsys, argv):
+        files = {
+            "{measure}": write_json(tmp_path / "m.json", ATOM_CONFIG),
+            "{long_tube}": write_json(tmp_path / "t.json", {
+                **TUBES_CONFIG, "tubes": [{"L": 1.0, "S": 1.0}, {"L": 1e160, "S": 1.0}],
+            }),
+        }
+        out = tmp_path / "out"
+        argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
+        assert_invalid_config(capsys, cli.main(argv))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [21.7, 1e160])
+    @pytest.mark.parametrize(
+        "sub, config, key",
+        [
+            ("forward", ATOM_CONFIG, "n_samples"),
+            ("stability", ATOM_CONFIG, "n_samples"),
+            ("tubes", TUBES_CONFIG, "n_steps"),
+        ],
+        ids=["forward", "stability", "tubes"],
+    )
+    def test_integer_field(self, tmp_path, capsys, sub, config, key, value):
+        path = write_json(tmp_path / "c.json", {**config, key: value})
+        out = tmp_path / "out"
+        assert_invalid_config(capsys, cli.main([sub, path, "--out", str(out)]))
+        assert not out.exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "n_samples": 21.0})
+        out = tmp_path / "curve.csv"
+        assert cli.main(["forward", config, "--out", str(out)]) == 0
+        assert read_csv(out)[1].shape[0] == 21
+
+    @pytest.mark.parametrize(
+        "sub", ["forward", "invert", "tubes", "stability", "mc", "ambiguity"]
+    )
+    def test_kappa_below_the_floor(self, tmp_path, capsys, sub):
+        measure = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "kappa": 1e-9})
+        system = write_json(tmp_path / "t.json", {**TUBES_CONFIG, "kappa": 1e-9})
+        curve = tmp_path / "curve.csv"
+        curve.write_text("total,water\n0.0,0.0\n1.0,0.5\n2.0,1.0\n")
+        argv = {
+            "forward": ["forward", measure],
+            "invert": ["invert", str(curve), "--kappa", "1e-9", "--alpha-max", "2"],
+            "tubes": ["tubes", system],
+            "stability": ["stability", measure],
+            "mc": ["mc", "--trials", "2", "--kappa", "1e-9"],
+            "ambiguity": ["ambiguity", "--alpha0", "2", "--k", "1.2", "--kappa", "1e-9"],
+        }[sub]
+        out = tmp_path / "out"
+        assert_invalid_config(capsys, cli.main(argv + ["--out", str(out)]))
+        assert not out.exists()
+
+    def test_memory_error(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(forward, "build_curve", too_large)
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        assert cli.main(["forward", config]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "out-of-memory"
+
+
 class TestReadme:
     def test_documented_commands_parse(self):
         # every `tubeflood ...` line of README's shell blocks is a valid
@@ -471,6 +559,21 @@ class TestReadme:
         }
         for argv in commands:
             cli.build_parser().parse_args(argv)
+
+    def test_python_api_block_runs(self, capsys):
+        # README's Python example runs as printed, and every key object it
+        # lists is importable from the package
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        residual, _ = capsys.readouterr().out.split("\n")[0].split()
+        assert float(residual) <= 1e-12
+        listed = re.search(r"Key objects:(.*?)\n\n", text, re.S).group(1)
+        names = re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", listed)))
+        assert len(names) >= 12
+        namespace = {}
+        exec(f"from tubeflood import {', '.join(names)}", namespace)
+        assert all(name in namespace for name in names)
 
 
 class TestRoundtripPipeline:

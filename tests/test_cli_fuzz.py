@@ -1,7 +1,7 @@
 """Command-line fuzzing: no traceback ever reaches the user.
 
 Each numeric flag and config field of every subcommand is drawn from
-{nan, inf, -inf, 0, -1, a valid value}, with small grids: every field
+{nan, inf, -inf, 0, -1, 1e160, 21.7, a valid value}, with small grids: every field
 alone takes each bad value, and random pairs of fields take bad values
 together.  Every run must exit 0 or 2, let no exception escape and fire no
 RuntimeWarning (pytest turns those into errors), and a successful run
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tubeflood import cli, forward
 from tubeflood.measures import Measure
 
-BAD = (math.nan, math.inf, -math.inf, 0, -1)
+BAD = (math.nan, math.inf, -math.inf, 0, -1, 1e160, 21.7)
 ABSENT = None
 
 CURVE = forward.build_curve(Measure(pieces=((0.5, 1.5, 1.0),)), 0.5, 2.0, 101)
@@ -128,9 +128,9 @@ def check_run(work, sub, changed):
         assert np.all(np.isfinite(written_volumes(sub, work))), values
 
 
-# one bad field: at most 10 fields x 5 values, a space hypothesis exhausts
+# one bad field: at most 10 fields x 7 values, a space hypothesis exhausts
 @pytest.mark.parametrize("sub", sorted(FIELDS))
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_one_bad_field(work, sub, data):
     check_run(work, sub, data.draw(corruptions(sub, 1)))

@@ -12,14 +12,13 @@ from tubeflood.forward import (
     build_curve,
     curve_readoff,
     endpoint_data,
-    harmonic_cdf_samples,
     v_o_prime_samples,
     v_o_samples,
     v_w_prime_samples,
     v_w_samples,
     water_cut_samples,
 )
-from tubeflood.measures import Measure, moment, scale
+from tubeflood.measures import Measure, moment, prefix_integral, scale
 
 from helpers import random_measure
 
@@ -299,6 +298,22 @@ class TestEndpointData:
             with pytest.raises(ArgumentError):
                 endpoint_data(ATOM_11, 0.5, alpha_max)
 
+    @pytest.mark.parametrize(
+        "mu, alpha_max",
+        [
+            (ATOM_11, 1e160),                         # alpha_max^2 overflows
+            (Measure(atoms=((1.0, 1e300),)), 1e10),   # V_w overflows
+            (Measure(), 2.0),                         # v_max = 0
+            (Measure(pieces=((1.0, 2.0, 0.0),)), 2.0),
+        ],
+        ids=["square", "volume", "zero", "zero-density"],
+    )
+    def test_volume_must_be_a_positive_double(self, mu, alpha_max):
+        with pytest.raises(ArgumentError):
+            endpoint_data(mu, 0.5, alpha_max)
+        with pytest.raises(ArgumentError):
+            build_curve(mu, 0.5, alpha_max, 11)
+
 
 class TestCurveReadoff:
     def test_matches_endpoint_data(self):
@@ -339,7 +354,7 @@ class TestCurveReadoff:
 
 def test_harmonic_cdf_samples():
     mu = Measure(atoms=((2.0, 3.0),), pieces=((1.0, 2.0, 1.0),))
-    got = harmonic_cdf_samples(mu, np.array([0.5, 1.5, 2.0, 5.0]))
+    got = prefix_integral(mu, -1, np.array([0.5, 1.5, 2.0, 5.0]))
     assert got[0] == 0.0
     assert got[1] == pytest.approx(math.log(1.5), abs=1e-14)
     assert got[2] == pytest.approx(math.log(2.0), abs=1e-14)  # atom at 2 excluded
