@@ -176,6 +176,13 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     the counting functions F_j(alpha) = mu_j([0, alpha)).  Points where
     numerator and denominator of the pointwise ratios both vanish
     contribute 0.
+
+    The numerator is a midpoint rule on the union of both curves' x samples
+    (made monotone by a running maximum).  The water cut jumps at an atom,
+    sampled at L - ulp, L and L + ulp, whose x differ by rounding: a
+    trapezoid would spread the side rounding picks over a whole neighbouring
+    cell, but each midpoint lies strictly inside its interval, so c moves
+    by ulps when x does.
     """
     kappa = check_kappa(kappa)
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
@@ -195,17 +202,19 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     a2 = _jump_aware_alphas(mu2, alpha_max, n_grid)
     x1 = v_w_samples(mu1, kappa, a1) + v_o_samples(mu1, kappa, a1)
     x2 = v_w_samples(mu2, kappa, a2) + v_o_samples(mu2, kappa, a2)
+    x1, x2 = np.maximum.accumulate(x1), np.maximum.accumulate(x2)
     w1 = water_cut_samples(mu1, kappa, a1)
     w2 = water_cut_samples(mu2, kappa, a2)
 
     x_top = min(v1_max, v2_max)
     xs = np.concatenate([x1[x1 <= x_top], x2[x2 <= x_top], [0.0, x_top]])
     xs = np.unique(xs)
-    g1p = np.interp(xs, x1, w1)
-    g2p = np.interp(xs, x2, w2)
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    g1p = np.interp(mid, x1, w1)
+    g2p = np.interp(mid, x2, w2)
     den = g1p + g2p
     num_int = np.divide(np.abs(g1p - g2p), den, out=np.zeros_like(den), where=den > 0)
-    numerator = float(np.trapezoid(num_int, xs))
+    numerator = float(np.dot(num_int, np.diff(xs)))
 
     aus = np.unique(np.concatenate([a1, a2, [0.0]]))
     f1 = prefix_integral(mu1, 0, aus)

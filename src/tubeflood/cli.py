@@ -97,8 +97,11 @@ def _required(config, key, flag_value, cast=float):
 def read_curve_csv(path, kappa, alpha_max):
     """Load a displacement curve from CSV columns (total, water | Vw).
 
-    Re-validates every curve invariant on ingestion; a curve that breaks
-    one is bad input (ArgumentError), not a broken internal invariant.
+    Blank lines are dropped and the columns found by name in the header;
+    np.loadtxt parses the rows, so a '#' in a row or a literal only Python
+    reads (1_000) is a malformed row.  Re-validates every curve invariant on
+    ingestion; a curve that breaks one is bad input (ArgumentError), not a
+    broken internal invariant.
     """
     try:
         with open(path) as fh:
@@ -108,26 +111,18 @@ def read_curve_csv(path, kappa, alpha_max):
     if len(lines) < 3:
         raise ArgumentError(f"{path}: curve CSV needs a header and >= 2 rows")
     header = [h.strip() for h in lines[0].split(",")]
-    try:
-        x_col = header.index("total")
-    except ValueError:
-        raise ArgumentError(f"{path}: no 'total' column") from None
-    g_col = None
-    for name in ("water", "Vw"):
-        if name in header:
-            g_col = header.index(name)
-            break
-    if g_col is None:
+    if "total" not in header:
+        raise ArgumentError(f"{path}: no 'total' column")
+    water = next((name for name in ("water", "Vw") if name in header), None)
+    if water is None:
         raise ArgumentError(f"{path}: no 'water' (or 'Vw') column")
+    cols = (header.index("total"), header.index(water))
     try:
-        data = [
-            (float(parts[x_col]), float(parts[g_col]))
-            for parts in (ln.split(",") for ln in lines[1:])
-        ]
-    except (ValueError, IndexError) as exc:
+        x, g = np.loadtxt(
+            lines[1:], delimiter=",", comments=None, usecols=cols, ndmin=2
+        ).T.copy()
+    except ValueError as exc:
         raise ArgumentError(f"{path}: malformed CSV row: {exc}") from exc
-    x = np.array([d[0] for d in data])
-    g = np.array([d[1] for d in data])
     try:
         return forward.DisplacementCurve(x=x, g=g, alpha_max=alpha_max, kappa=kappa)
     except InternalConsistencyError as exc:
@@ -172,17 +167,9 @@ def _cmd_forward(args):
     return 0
 
 
-def _recovery_config(args):
-    return inverse.RecoveryConfig(
-        n_grid=args.n_grid,
-        alpha_min=args.alpha_min if args.alpha_min is not None else 0.0,
-    )
-
-
 def _cmd_invert(args):
     curve = read_curve_csv(args.curve, args.kappa, args.alpha_max)
-    cfg = _recovery_config(args)
-    result = inverse.recover(curve, cfg)
+    result = inverse.recover(curve, inverse.RecoveryConfig(args.n_grid, args.alpha_min))
 
     f = result.f if result.f is not None else np.full_like(result.v, math.nan)
     dest = _write_csv(
@@ -253,7 +240,7 @@ def _cmd_stability(args):
         curve2 = analysis.sinusoidal_perturbation(
             curve1, args.delta0_rel * curve1.v_max
         )
-    cfg = _recovery_config(args)
+    cfg = inverse.RecoveryConfig(n_grid=args.n_grid)
     report = analysis.stability_experiment(curve1, curve2, cfg)
     _emit_json(
         {
@@ -326,11 +313,6 @@ def _cmd_ambiguity(args):
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
-def _add_solver_flags(sub):
-    sub.add_argument("--n-grid", type=int, default=1001)
-    sub.add_argument("--alpha-min", type=float, default=None)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tubeflood",
@@ -350,7 +332,8 @@ def build_parser():
     p.add_argument("curve", help="CSV with columns total, water (or Vw)")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
-    _add_solver_flags(p)
+    p.add_argument("--n-grid", type=int, default=1001)
+    p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--out")
     p.add_argument("--diagnostics", help="write diagnostics JSON here")
     p.set_defaults(func=_cmd_invert)
@@ -367,7 +350,7 @@ def build_parser():
     p.add_argument("--kappa", type=float)
     p.add_argument("--alpha-max", type=float)
     p.add_argument("--delta0-rel", type=float, default=1e-3)
-    _add_solver_flags(p)
+    p.add_argument("--n-grid", type=int, default=1001)
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     p.set_defaults(func=_cmd_stability)
 

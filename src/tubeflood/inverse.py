@@ -84,8 +84,9 @@ class RecoveryResult:
     residual is sup |V - G(h + TV)| on the grid and error_bound =
     residual / (1 - q) bounds the distance to the exact discrete fixed
     point.  iterations counts sweeps and is always 1.  phi and f are filled
-    by the cdf/density stages (NaN outside the density reporting window);
-    recover also fills timings (seconds per stage) and operator_cached.
+    by the cdf/density stages (NaN outside the density reporting window).
+    timings holds seconds per stage, and operator_cached whether the
+    operator came from the cache.
     """
 
     grid: np.ndarray
@@ -343,20 +344,20 @@ def solve_fixed_point(curve, config=None):
     alpha_max down in row blocks solves every row in one sweep
     (``_back_substitute``).
 
-    Returns a RecoveryResult holding V only (see ``recover`` for the full
-    pipeline).
+    Returns a RecoveryResult holding V, with timings of the assembly (or
+    the cache lookup; operator_cached tells which) and of the solve, in
+    perf_counter seconds (see ``recover`` for the full pipeline).
     """
-    cfg = config or RecoveryConfig()
-    kappa = curve.kappa
-    alpha_max = curve.alpha_max
-    v_max = curve.v_max
-    if not v_max > 0:
-        raise ArgumentError("degenerate curve: v_max must be > 0")
-
-    n = cfg.n_grid
-    grid = np.linspace(0.0, alpha_max, n)
-    h = h_of_alpha(*curve_readoff(curve), kappa, alpha_max, grid)
-    M = _unit_t_matrix(n, kappa)
+    n, kappa = (config or RecoveryConfig()).n_grid, curve.kappa
+    cached = (n, kappa) in _OPERATOR
+    start = time.perf_counter()
+    try:
+        M = _unit_t_matrix(n, kappa)
+    except ValueError as exc:       # numpy cannot even describe an n x n array
+        raise ArgumentError(f"n_grid={n} is too large: {exc}") from exc
+    assembled = time.perf_counter()
+    grid = np.linspace(0.0, curve.alpha_max, n)
+    h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
     v = _back_substitute(M, h, curve.x, curve.g)
 
     q = (1.0 - kappa) / (1.0 + kappa)
@@ -369,6 +370,10 @@ def solve_fixed_point(curve, config=None):
         error_bound=residual / (1.0 - q),
         residual=residual,
         contraction_q=q,
+        timings={
+            "assembly": assembled - start, "solve": time.perf_counter() - assembled
+        },
+        operator_cached=cached,
     )
 
 
@@ -422,28 +427,28 @@ def recover(curve, config=None):
     """Full pipeline: fixed point, then Phi, then (optionally) the density.
 
     The result's timings holds the perf_counter seconds of each stage that
-    ran: assembly (of the operator, or its cache lookup; operator_cached
-    tells which), solve, cdf and, with alpha_min > 0, density.
+    ran: assembly and solve (from solve_fixed_point), cdf and, with
+    alpha_min > 0, density.  Phi and f scale as v_max / alpha_max^2; a
+    value of either that overflows a double (a tiny alpha_max) raises
+    ArgumentError.
     """
     cfg = config or RecoveryConfig()
-    cached = (cfg.n_grid, curve.kappa) in _OPERATOR
-    start = time.perf_counter()
-    _unit_t_matrix(cfg.n_grid, curve.kappa)
-    assembled = time.perf_counter()
     result = solve_fixed_point(curve, cfg)
-    solved = time.perf_counter()
-    result.phi, result.phi_clip_count = recover_cdf(result.grid, result.v, result.kappa)
-    done = time.perf_counter()
-    result.operator_cached = cached
-    result.timings = {
-        "assembly": assembled - start,
-        "solve": solved - assembled,
-        "cdf": done - solved,
-    }
-    if cfg.alpha_min > 0:
-        result.f, result.f_clip_count = recover_density(
-            result.grid, result.v, result.kappa, cfg.alpha_min
-        )
-        result.alpha_min = cfg.alpha_min
-        result.timings["density"] = time.perf_counter() - done
+    grid, v, kappa = result.grid, result.v, result.kappa
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            start = time.perf_counter()
+            result.phi, result.phi_clip_count = recover_cdf(grid, v, kappa)
+            result.timings["cdf"] = time.perf_counter() - start
+            if cfg.alpha_min > 0:
+                start = time.perf_counter()
+                result.f, result.f_clip_count = recover_density(
+                    grid, v, kappa, cfg.alpha_min
+                )
+                result.alpha_min = cfg.alpha_min
+                result.timings["density"] = time.perf_counter() - start
+    except FloatingPointError as exc:
+        raise ArgumentError(
+            f"Phi or f overflows a double at alpha_max={curve.alpha_max}: {exc}"
+        ) from exc
     return result

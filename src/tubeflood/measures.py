@@ -15,9 +15,9 @@ is one of two integrals, vectorized over an array of alpha >= 0:
 
 Atoms enter a prefix integral through prefix sums and a binary search.  In
 a tail integral every (alpha, atom) cell is evaluated, in row blocks of
-alpha holding at most _BLOCK_CELLS cells (or one row), in place in two
-per-thread buffers kept from one call to the next: memory stays near
-0.5 MB below 2^15 atoms, and no block-sized array is allocated per
+alpha holding at most _BLOCK_CELLS cells (or one row), in place in a
+per-thread buffer kept from one call to the next: memory stays near
+0.25 MB below 2^15 atoms, and no block-sized array is allocated per
 call.  That row-block rule, row_blocks, is the package's only one: the
 operator assembly and the tube simulation loop over it too, and the
 assembly works in six of the same per-thread buffers (_block_buffers).
@@ -191,10 +191,9 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
 class TailKernel(NamedTuple):
     """Integrand k(y; c0) of a tail integral, defined for y^2 >= c0 >= 0.
 
-    atom(w, y, s, c0, spare) overwrites s = sqrt(y^2 - c0) with w k(y; c0),
-    using spare (of s's shape) as scratch; cell(lo, hi, c0) integrates k
-    over [lo, hi]; closed says whether an atom exactly at the lower limit
-    lies in the tail.
+    atom(w, y, s, c0) overwrites s = sqrt(y^2 - c0) with w k(y; c0);
+    cell(lo, hi, c0) integrates k over [lo, hi]; closed says whether an
+    atom exactly at the lower limit lies in the tail.
     """
 
     atom: Callable
@@ -218,9 +217,10 @@ def _log_root(y, c0):
 
 
 OIL_VOLUME = TailKernel(
-    # w c0 / (y + s), the stable form of w (y - s)
-    atom=lambda w, y, s, c0, spare: np.divide(
-        np.multiply(w, c0, out=spare), np.add(y, s, out=s), out=s
+    # w (c0 / (y + s)), the stable form of w (y - s); c0 / (y + s) <= y,
+    # so no product exceeds w y even where w c0 would overflow
+    atom=lambda w, y, s, c0: np.multiply(
+        w, np.divide(c0, np.add(y, s, out=s), out=s), out=s
     ),
     cell=lambda lo, hi, c0: (
         _oil_volume_antiderivative(hi, c0) - _oil_volume_antiderivative(lo, c0)
@@ -229,13 +229,13 @@ OIL_VOLUME = TailKernel(
 )
 
 OIL_RATE = TailKernel(
-    atom=lambda w, y, s, c0, spare: np.divide(w, s, out=s),
+    atom=lambda w, y, s, c0: np.divide(w, s, out=s),
     cell=lambda lo, hi, c0: np.log(_log_root(hi, c0) / _log_root(lo, c0)),
     closed=False,
 )
 
 
-def _block_buffers(rows, cols, count=2):
+def _block_buffers(rows, cols, count=1):
     """count (rows, cols) views on this thread's buffers, kept between calls.
 
     The buffers only grow, so tail_integral and the operator assembly
@@ -275,11 +275,11 @@ def tail_integral(mu, kernel, c0, lower):
             lo = lower[rows, None]
             c = c0[rows, None]
             outside = L < lo if kernel.closed else L <= lo
-            s, spare = _block_buffers(lo.size, L.size)
+            s, = _block_buffers(lo.size, L.size)
             np.subtract(L2, c, out=s)
             np.copyto(s, 1.0, where=outside)
             np.sqrt(s, out=s)
-            kernel.atom(S, L, s, c, spare)
+            kernel.atom(S, L, s, c)
             np.copyto(s, 0.0, where=outside)
             np.sum(s, axis=1, out=out[rows])
     for pa, pb, rho in mu.pieces:

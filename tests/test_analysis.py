@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tubeflood import analysis
 from tubeflood.analysis import (
     ambiguity_pair,
     ambiguity_series_estimate,
@@ -129,6 +130,39 @@ class TestSensitivity:
             mu1 = random_atoms(rng, rec.n1)
             mu2 = random_atoms(rng, rec.n2)
             assert sensitivity_constant(mu1, mu2, 0.5, 10.0, 401, seed=rec.seed) == rec
+
+    # accepted trials of run_mc(1000, 0) on which a trapezoid over the x knots
+    # moved c by about 1e-3 or more under ulp noise and missed its n_grid
+    # 40001 value by more than 2e-4
+    ROUGH_SEEDS = (233, 572, 861, 876)
+
+    @staticmethod
+    def mc_pair(seed):
+        rng = np.random.default_rng(seed)
+        n1, n2 = int(rng.integers(5, 51)), int(rng.integers(5, 51))
+        return random_atoms(rng, n1), random_atoms(rng, n2)
+
+    @pytest.mark.parametrize("seed", ROUGH_SEEDS)
+    def test_c_under_ulp_noise_in_x(self, monkeypatch, seed):
+        mu1, mu2 = self.mc_pair(seed)
+        c = sensitivity_constant(mu1, mu2, 0.5, 10.0).c_value
+        noise = np.random.default_rng(seed)
+        exact = analysis.v_o_samples
+
+        def noisy(mu, kappa, alphas):
+            v = exact(mu, kappa, alphas)
+            return v + noise.integers(-2, 3, v.shape) * np.spacing(v)
+
+        monkeypatch.setattr(analysis, "v_o_samples", noisy)
+        jittered = sensitivity_constant(mu1, mu2, 0.5, 10.0).c_value
+        assert abs(jittered / c - 1) <= 1e-12
+
+    @pytest.mark.parametrize("seed", ROUGH_SEEDS)
+    def test_c_against_a_fine_grid(self, seed):
+        mu1, mu2 = self.mc_pair(seed)
+        c = sensitivity_constant(mu1, mu2, 0.5, 10.0, 2001).c_value
+        fine = sensitivity_constant(mu1, mu2, 0.5, 10.0, 40001).c_value
+        assert abs(c / fine - 1) <= 1e-5
 
     def test_zero_measure_rejected(self):
         with pytest.raises(ArgumentError):

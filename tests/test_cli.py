@@ -287,8 +287,12 @@ class TestReadCurveCsv:
             "0.0,0.0\n0.5\n1.0,0.5\n",          # short row
             "0.0,0.0\n0.5,nan\n1.0,0.5\n",      # NaN sample
             "0.0,0.0\n",                         # one data row
+            "0.0,0.0\n0.5,0.0 # note\n1.0,0.5\n",  # '#' is not a comment
+            "0.0,0.0\n# note\n1.0,0.5\n",
+            "0.0,0.0\n1_000,0.5\n2000,1.0\n",     # float() reads 1_000
         ],
-        ids=["malformed", "short", "nan", "one-row"],
+        ids=["malformed", "short", "nan", "one-row", "hash-in-row", "hash-row",
+             "underscore"],
     )
     def test_bad_rows_exit_2(self, tmp_path, capsys, rows):
         bad = tmp_path / "bad.csv"
@@ -296,6 +300,26 @@ class TestReadCurveCsv:
         assert cli.main(["invert", str(bad), "--kappa", "0.5", "--alpha-max", "2"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["exit_code"] == 2 and error["type"] == "invalid-config"
+
+    @pytest.mark.parametrize("fmt", [repr, "{:.25e}".format], ids=["repr", "25-digits"])
+    def test_rows_parse_as_float_does(self, tmp_path, monkeypatch, fmt):
+        # random bit patterns cover every exponent, subnormals included; the
+        # curve checks are bypassed so any double can stand in either column
+        monkeypatch.setattr(forward, "DisplacementCurve", lambda **fields: fields)
+        rng = np.random.default_rng(17)
+        values = np.frombuffer(rng.bytes(8 * 20000), dtype=np.float64)
+        extremes = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0]
+        values = np.concatenate([values[np.isfinite(values)], extremes])
+        text = [fmt(v) for v in values.tolist()]
+        half = len(text) // 2
+        rows = [f"{g},{x}" for x, g in zip(text[:half], text[half:2 * half])]
+        path = tmp_path / "curve.csv"
+        path.write_text("water,total\n" + "\n".join(rows) + "\n")
+        got = cli.read_curve_csv(str(path), 0.5, 2.0)
+        want = np.array([float(t) for t in text[:2 * half]])
+        for column, expected in ((got["x"], want[:half]), (got["g"], want[half:])):
+            assert column.flags.c_contiguous
+            assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
 
 
 TUBES_CONFIG = {
@@ -388,6 +412,14 @@ class TestStability:
     def test_requires_input(self):
         assert cli.main(["stability"]) == 2
 
+    def test_no_alpha_min_flag(self, tmp_path, capsys):
+        # stability only solves, so a density window has nothing to set
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stability", config, "--alpha-min", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha-min 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "change, flags",
         [({"n_samples": math.inf}, []), ({}, ["--delta0-rel", "inf"])],
@@ -479,11 +511,16 @@ class TestOutOfRange:
             ["mc", "--trials", "2", "--alpha-max", "1e160"],
             ["ambiguity", "--alpha0", "2", "--k", "1e-160"],  # tail near 4e160
             ["tubes", "{long_tube}"],
+            # Phi scales as v_max / alpha_max^2
+            ["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "1e-160"],
         ],
-        ids=["forward", "stability", "mc", "ambiguity", "tubes"],
+        ids=["forward", "stability", "mc", "ambiguity", "tubes", "invert-phi"],
     )
     def test_overflowing_volume(self, tmp_path, capsys, argv):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("total,water\n0.0,0.0\n1.0,0.5\n2.0,1.0\n")
         files = {
+            "{curve}": str(curve),
             "{measure}": write_json(tmp_path / "m.json", ATOM_CONFIG),
             "{long_tube}": write_json(tmp_path / "t.json", {
                 **TUBES_CONFIG, "tubes": [{"L": 1.0, "S": 1.0}, {"L": 1e160, "S": 1.0}],
@@ -509,6 +546,33 @@ class TestOutOfRange:
         out = tmp_path / "out"
         assert_invalid_config(capsys, cli.main([sub, path, "--out", str(out)]))
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["invert", "stability"])
+    def test_grid_numpy_cannot_describe(self, tmp_path, capsys, sub):
+        # an n x n operator of 8e22 bytes: numpy refuses it before allocating
+        curve = tmp_path / "curve.csv"
+        curve.write_text("total,water\n0.0,0.0\n1.0,0.5\n2.0,1.0\n")
+        argv = {
+            "invert": ["invert", str(curve), "--kappa", "0.5", "--alpha-max", "2"],
+            "stability": ["stability", write_json(tmp_path / "m.json", ATOM_CONFIG)],
+        }[sub]
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--n-grid", "100000000000", "--out", str(out)])
+        assert_invalid_config(capsys, code)
+        assert not out.exists()
+
+    def test_heavy_atom_far_out(self, tmp_path):
+        # v_max = 1e305 is finite, but S * c0 would reach 7.5e314 in the tail
+        config = write_json(tmp_path / "m.json", {
+            "measure": {"atoms": [{"L": 1e10, "S": 1e295}]},
+            "kappa": 0.5, "alpha_max": 1e10, "n_samples": 11,
+        })
+        out = tmp_path / "curve.csv"
+        assert cli.main(["forward", config, "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        volumes = data[:, [header.index(k) for k in ("Vw", "Vo", "total")]]
+        assert np.all(np.isfinite(volumes))
+        assert data[-1, header.index("total")] == pytest.approx(1e305)
 
     def test_integral_float_is_an_integer(self, tmp_path):
         config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "n_samples": 21.0})

@@ -639,6 +639,38 @@ class TestRecoverPipeline:
             assert all(t >= 0 for t in result.timings.values())
         assert np.array_equal(cold.v, warm.v)
 
+    def test_one_operator_fetch(self, monkeypatch):
+        # the solve looks the operator up itself; recover adds no fetch
+        calls = []
+        fetch = inverse._unit_t_matrix
+
+        def spy(n, kappa):
+            calls.append((n, kappa))
+            return fetch(n, kappa)
+
+        monkeypatch.setattr(inverse, "_unit_t_matrix", spy)
+        inverse._OPERATOR.clear()
+        curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        result = recover(curve, RecoveryConfig(n_grid=305, alpha_min=3.5))
+        assert calls == [(305, 0.5)]
+        assert result.operator_cached is False
+
+    @pytest.mark.parametrize(
+        "alpha_max, alpha_min",
+        [(1e-160, 0.0), (1e-120, 0.35e-120)],
+        ids=["phi", "density"],
+    )
+    def test_overflow_past_the_doubles(self, alpha_max, alpha_min):
+        # Phi and f scale as v_max / alpha_max^2; at 1e-120 Phi is still
+        # finite and only the density's difference quotient overflows
+        built = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        curve = DisplacementCurve(x=built.x, g=built.g, alpha_max=alpha_max, kappa=0.5)
+        if alpha_min > 0:
+            phi = recover(curve, RecoveryConfig(n_grid=301)).phi
+            assert np.all(np.isfinite(phi))
+        with pytest.raises(ArgumentError, match="overflows a double"):
+            recover(curve, RecoveryConfig(n_grid=301, alpha_min=alpha_min))
+
 
 class TestRecoveryConfig:
     def test_defaults(self):

@@ -266,7 +266,7 @@ def dense_tail(mu, kernel, c0, lower):
     in_tail = L >= lo if kernel is OIL_VOLUME else L > lo
     disc = np.where(in_tail, L**2 - c, 1.0)
     if kernel is OIL_VOLUME:
-        terms = S * c / (L + np.sqrt(disc))
+        terms = S * (c / (L + np.sqrt(disc)))
     else:
         terms = S / np.sqrt(disc)
     return np.sum(np.where(in_tail, terms, 0.0), axis=1)
