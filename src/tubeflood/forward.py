@@ -206,11 +206,16 @@ def curve_readoff(curve):
         V_w' = [2 V_w + (1+kappa)/kappa (v_max - V_w)] / alpha_max
 
     which follows from the endpoint moment formulas (the division by
-    alpha_max is required dimensionally).
+    alpha_max is required dimensionally).  A V_w' past the doubles (an
+    alpha_max below about v_max / 1.8e308) raises ArgumentError.
     """
     if not curve.v_max > 0:
         raise ArgumentError("degenerate curve: v_max must be > 0")
     vw = curve.g_max
     vo = curve.v_max - vw
     vwp = (2.0 * vw + (1.0 + curve.kappa) / curve.kappa * vo) / curve.alpha_max
+    if not math.isfinite(vwp):
+        raise ArgumentError(
+            f"V_w'(alpha_max) overflows a double at alpha_max={curve.alpha_max}"
+        )
     return vw, vwp

@@ -402,6 +402,10 @@ def recover_density(grid, v, kappa, alpha_min):
     f(alpha) = kappa/(1+kappa) alpha (V'(alpha)/alpha)' via second-order
     stencils; NaN outside the window, negatives clipped to 0 inside (count
     returned).  Only meaningful when the measure has a continuous density.
+    The stencils are taken on the unit grid u = alpha / alpha_max and the
+    result scaled once by 1 / alpha_max^2, so f stays finite wherever it
+    is a double: in units of alpha, (V'/alpha)' alone scales as
+    1 / alpha_max^3 and overflowed from alpha_max near 1e-103.
     """
     kappa = check_kappa(kappa)
     grid = np.asarray(grid, dtype=float)
@@ -410,13 +414,16 @@ def recover_density(grid, v, kappa, alpha_min):
         raise ArgumentError("alpha_min must be > 0 (density formula divides by alpha)")
     if not alpha_min < grid[-1]:
         raise ArgumentError("alpha_min must be below alpha_max")
-    spacing = grid[1] - grid[0]
-    vp = np.gradient(v, spacing, edge_order=2)
-    w = vp[1:] / grid[1:]
-    wp = np.gradient(w, spacing, edge_order=2)
+    alpha_max = grid[-1]
+    unit = grid / alpha_max
+    du = unit[1] - unit[0]
+    vp = np.gradient(v, du, edge_order=2)
+    w = vp[1:] / unit[1:]
+    wp = np.gradient(w, du, edge_order=2)
     f = np.full_like(v, np.nan)
-    f[1:] = kappa / (1.0 + kappa) * grid[1:] * wp
-    window = (grid >= alpha_min) & (grid <= grid[-1] - 2.0 * spacing * (1 - 1e-12))
+    f[1:] = kappa / (1.0 + kappa) * unit[1:] * wp / alpha_max / alpha_max
+    spacing = grid[1] - grid[0]
+    window = (grid >= alpha_min) & (grid <= alpha_max - 2.0 * spacing * (1 - 1e-12))
     f[~window] = np.nan
     negative = window & (f < 0.0)
     f[negative] = 0.0

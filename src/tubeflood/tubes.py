@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError
-from .measures import Measure, check_kappa, row_blocks
+from .measures import Measure, _block_buffers, check_kappa, row_blocks
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,25 @@ def interface_position(L, kappa, F_val):
     if np.any(F_arr < 0):
         raise ArgumentError("pumped volume must be >= 0")
     thr = breakthrough_threshold(L_arr, kappa)
-    # (L - sqrt(L^2 - 2 (1-kappa) F)) / (1-kappa) as 2F / (L + sqrt(...)),
-    # which keeps its digits while F << L^2; F >= thr is replaced below
-    F2 = 2.0 * F_arr
-    disc = L_arr * L_arr - (1.0 - kappa) * F2
-    pos = F2 / (L_arr + np.sqrt(np.maximum(disc, 0.0)))
-    return np.clip(np.where(F_arr >= thr, L_arr, pos), 0.0, L_arr)
+    pos = np.empty(np.broadcast_shapes(L_arr.shape, F_arr.shape))
+    _interface_law(L_arr, L_arr * L_arr, kappa, 2.0 * F_arr, pos)
+    np.copyto(pos, L_arr, where=F_arr >= thr)
+    return np.clip(pos, 0.0, L_arr)
+
+
+def _interface_law(L, L2, kappa, F2, out):
+    """Unsaturated interface position, written into out, for L2 = L * L.
+
+    (L - sqrt(L^2 - 2 (1-kappa) F)) / (1-kappa) as 2F / (L + sqrt(...)),
+    which keeps its digits while F << L^2; F2 is 2F.  Cells at or beyond
+    breakthrough are the caller's to replace by L.
+    """
+    np.multiply(1.0 - kappa, F2, out=out)
+    np.subtract(L2, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    np.add(L, out, out=out)
+    return np.divide(F2, out, out=out)
 
 
 def reparam_xi(pump, kappa, t):
@@ -184,15 +197,19 @@ def simulate(sys, kappa, pump, t_grid):
         V_w(t) = (1/kappa) sum_j max(F(t) - F(t_j), 0) S_j / L_j
 
     which matches the segment-by-segment sum over broken-through tubes.
-    The (time, tube) cells are filled over measures.row_blocks, so memory
-    beyond the returned interfaces stays bounded.  A tube whose L^2
-    overflows a double raises ArgumentError.
+    The (time, tube) cells are filled over measures.row_blocks, in place in
+    one of measures._block_buffers, so memory beyond the returned
+    interfaces stays bounded.  The tubes are sorted by length, so the ones
+    that have broken through on every row of a block are a column prefix:
+    they get L by a copy, and the interface law runs only on the others,
+    with the breakthrough mask only where the block's rows disagree.  A
+    tube whose L^2 overflows a double raises ArgumentError.
     """
     kappa = check_kappa(kappa)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ArgumentError("t_grid must be a nonempty 1-d array")
-    if t[0] != 0.0 or np.any(np.diff(t) < 0):
+    if t[0] != 0.0 or not np.all(np.diff(t) >= 0):   # a NaN is unsorted
         raise ArgumentError("t_grid must be sorted and start at 0")
 
     L = sys.lengths
@@ -206,11 +223,26 @@ def simulate(sys, kappa, pump, t_grid):
     thr = breakthrough_threshold(L, kappa)
     w = S / L
 
-    interfaces = np.empty((t.size, L.size))
+    L2 = L * L
+    n = L.size
+    interfaces = np.empty((t.size, n))
     v_w = np.empty(t.size)
-    for rows in row_blocks(t.size, L.size):
-        interfaces[rows] = interface_position(L, kappa, F[rows, None])
-        v_w[rows] = np.maximum(F[rows, None] - thr, 0.0) @ w / kappa
+    for rows in row_blocks(t.size, n):
+        f = F[rows, None]
+        # tubes below k0 have broken through on every row of the block,
+        # tubes from k1 on on no row of it
+        k0, k1 = np.searchsorted(thr, (f.min(), f.max()), "right").tolist()
+        excess, = _block_buffers(f.size, n)
+        np.subtract(f, thr, out=excess)
+        np.maximum(excess, 0.0, out=excess)
+        v_w[rows] = excess @ w / kappa
+        interfaces[rows, :k0] = L[:k0]
+        if k0 < n:
+            # the live tubes, contiguous at the start of the same buffer
+            s = excess.ravel()[: f.size * (n - k0)].reshape(f.size, -1)
+            _interface_law(L[k0:], L2[k0:], kappa, 2.0 * f, s)
+            np.copyto(s[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
+            np.clip(s, 0.0, L[k0:], out=interfaces[rows, k0:])
 
     return TubeSimResult(
         times=t,

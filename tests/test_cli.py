@@ -513,8 +513,13 @@ class TestOutOfRange:
             ["tubes", "{long_tube}"],
             # Phi scales as v_max / alpha_max^2
             ["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "1e-160"],
+            # V_w'(alpha_max) as v_max / alpha_max
+            ["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "1e-310"],
         ],
-        ids=["forward", "stability", "mc", "ambiguity", "tubes", "invert-phi"],
+        ids=[
+            "forward", "stability", "mc", "ambiguity", "tubes", "invert-phi",
+            "invert-slope",
+        ],
     )
     def test_overflowing_volume(self, tmp_path, capsys, argv):
         curve = tmp_path / "curve.csv"

@@ -657,19 +657,41 @@ class TestRecoverPipeline:
 
     @pytest.mark.parametrize(
         "alpha_max, alpha_min",
-        [(1e-160, 0.0), (1e-120, 0.35e-120)],
+        [(1e-160, 0.0), (6.5e-154, 0.35 * 6.5e-154)],
         ids=["phi", "density"],
     )
     def test_overflow_past_the_doubles(self, alpha_max, alpha_min):
-        # Phi and f scale as v_max / alpha_max^2; at 1e-120 Phi is still
-        # finite and only the density's difference quotient overflows
-        built = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        # Phi and f scale as v_max / alpha_max^2.  On a piece over [5, 9)
+        # of the [0, 10] window f peaks near 100 / alpha_max^2 and Phi near
+        # 59 / alpha_max^2, so at 6.5e-154 Phi is finite and f is not
+        built = build_curve(Measure(pieces=((5.0, 9.0, 1.0),)), 0.5, 10.0, 801)
         curve = DisplacementCurve(x=built.x, g=built.g, alpha_max=alpha_max, kappa=0.5)
         if alpha_min > 0:
             phi = recover(curve, RecoveryConfig(n_grid=301)).phi
             assert np.all(np.isfinite(phi))
         with pytest.raises(ArgumentError, match="overflows a double"):
             recover(curve, RecoveryConfig(n_grid=301, alpha_min=alpha_min))
+
+
+    def test_density_scales_as_one_over_alpha_max_squared(self):
+        # scaling the alpha axis by s scales f by 1 / s^2; in units of alpha
+        # the stencils overflowed at 1e-120, where f is near 1e242
+        built = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        v = recover(built, RecoveryConfig(n_grid=301)).v
+        f = {
+            alpha_max: recover_density(
+                np.linspace(0.0, alpha_max, 301), v, 0.5, 0.351 * alpha_max
+            )[0]
+            for alpha_max in (10.0, 1e-120)
+        }
+        want = f[10.0] * (10.0 / 1e-120) ** 2
+        window = np.isfinite(want)
+        assert np.array_equal(np.isfinite(f[1e-120]), window) and window.sum() > 100
+        np.testing.assert_allclose(f[1e-120][window], want[window], rtol=1e-12)
+        # the pipeline keeps it: the solve itself moves V by a few ulps
+        tiny = DisplacementCurve(x=built.x, g=built.g, alpha_max=1e-120, kappa=0.5)
+        got = recover(tiny, RecoveryConfig(n_grid=301, alpha_min=0.351e-120)).f
+        np.testing.assert_allclose(got[window], want[window], rtol=1e-9)
 
 
 class TestRecoveryConfig:

@@ -274,27 +274,64 @@ def dense_tail(mu, kernel, c0, lower):
 
 class TestTailIntegral:
     @pytest.mark.parametrize(
-        "block_cells, n_atoms, n_alphas",
+        "block_cells, n_atoms, n_alphas, lower",
         [
-            (None, 50, 20),           # one block
-            (None, 1000, 100),        # blocks of 32 rows, a last block of 4
-            (None, 40000, 3),         # more atoms than cells: one row per block
-            (64, 20, 10),             # rows of 3, a last block of 1
-            (16, 40, 5),              # one row per block
+            # one block
+            pytest.param(None, 50, 20, "ascending", id="None-50-20"),
+            # blocks of 32 rows, a last block of 4
+            pytest.param(None, 1000, 100, "ascending", id="None-1000-100"),
+            # more atoms than cells: one row per block
+            pytest.param(None, 40000, 3, "ascending", id="None-40000-3"),
+            # rows of 3, a last block of 1
+            pytest.param(64, 20, 10, "ascending", id="64-20-10"),
+            # one row per block
+            pytest.param(16, 40, 5, "ascending", id="16-40-5"),
+            # limits in random order: a block's range spans most atoms
+            pytest.param(None, 1000, 100, "unsorted", id="None-1000-100-unsorted"),
+            pytest.param(64, 20, 10, "unsorted", id="64-20-10-unsorted"),
+            pytest.param(16, 40, 5, "unsorted", id="16-40-5-unsorted"),
+            # every limit exactly on an atom length, where the kernels differ
+            pytest.param(None, 1000, 100, "on_atoms", id="None-1000-100-on-atoms"),
+            pytest.param(64, 20, 10, "on_atoms", id="64-20-10-on-atoms"),
+            pytest.param(16, 40, 5, "on_atoms", id="16-40-5-on-atoms"),
         ],
     )
     @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
     def test_blocks_match_dense_bit_for_bit(
-        self, monkeypatch, kernel, block_cells, n_atoms, n_alphas
+        self, monkeypatch, kernel, block_cells, n_atoms, n_alphas, lower
     ):
         if block_cells is not None:
             monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(n_atoms)
         mu = random_atom_measure(rng, n_atoms)
         alphas = np.linspace(0.0, 10.0, n_alphas)
+        if lower == "unsorted":
+            alphas = rng.permutation(alphas)
+        elif lower == "on_atoms":      # every limit exactly on an atom length
+            alphas = np.sort(rng.choice([L for L, _ in mu.atoms], n_alphas))
         c0 = 0.75 * alphas * alphas
         got = tail_integral(mu, kernel, c0, alphas)
         assert np.array_equal(got, dense_tail(mu, kernel, c0, alphas))
+
+    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
+    def test_evaluates_only_the_live_cells(self, kernel):
+        # ascending limits over the atoms' range: the cells below a block's
+        # smallest limit never reach the kernel, about half of them here
+        rng = np.random.default_rng(10)
+        n_atoms, n_alphas = 4000, 2001
+        L, S = rng.uniform(0.5, 10.0, n_atoms), rng.uniform(0.5, 2.0, n_atoms)
+        mu = Measure(atoms=tuple(zip(L.tolist(), S.tolist())))
+        alphas = np.linspace(0.0, 10.0, n_alphas)
+        c0 = 0.75 * alphas * alphas
+        cells = []
+
+        def atom(w, y, s, c):
+            cells.append(s.size)
+            return kernel.atom(w, y, s, c)
+
+        got = tail_integral(mu, kernel._replace(atom=atom), c0, alphas)
+        assert np.array_equal(got, tail_integral(mu, kernel, c0, alphas))
+        assert sum(cells) <= 0.6 * n_atoms * n_alphas
 
     @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
     def test_blocks_reuse_the_thread_buffers(self, kernel):

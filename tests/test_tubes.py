@@ -181,6 +181,8 @@ class TestSimulate:
             simulate(self.sys, 0.5, self.pump, np.array([1.0, 2.0]))
         with pytest.raises(ArgumentError):
             simulate(self.sys, 0.5, self.pump, np.array([]))
+        with pytest.raises(ArgumentError):       # a NaN time is not sorted
+            simulate(self.sys, 0.5, self.pump, np.array([0.0, np.nan, 1.0]))
 
     def test_overflowing_tube_length(self):
         # the tube laws square L: 1e154 squares to a double, 1e160 does not
@@ -239,6 +241,35 @@ class TestSimulate:
         assert np.array_equal(blocked.interfaces, whole.interfaces)
         assert np.array_equal(blocked.v_o, whole.v_o)
         np.testing.assert_allclose(blocked.v_w, whole.v_w, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.05])
+    def test_matches_one_dense_evaluation_bit_for_bit(self, monkeypatch, kappa):
+        # blocks of 3 rows: the first ones before any breakthrough, the last
+        # ones after every one, those between mixed; F = t hits thresholds
+        rng = np.random.default_rng(12)
+        n = 200
+        sys = TubeSystem(tuple(zip(rng.uniform(1.0, 5.0, n), rng.uniform(0.5, 2, n))))
+        L, S = sys.lengths, sys.sections
+        thr = breakthrough_threshold(L, kappa)
+        t = np.unique(np.concatenate([np.linspace(0.0, 1.1 * thr[-1], 61), thr[::20]]))
+        pump = PumpHistory((0.0,), (1.0,))
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", 3 * n)
+        res = simulate(sys, kappa, pump, t)
+
+        F = pump.F_at(t)
+        dense = interface_position(L, kappa, F[:, None])
+        assert np.array_equal(res.interfaces, dense)
+        assert np.array_equal(res.v_o, dense @ S)
+        excess = np.maximum(F[:, None] - thr, 0.0)
+        blocks = list(measures.row_blocks(t.size, n))
+        v_w = np.concatenate([excess[rows] @ (S / L) / kappa for rows in blocks])
+        assert np.array_equal(res.v_w, v_w)
+        kinds = {
+            "none" if F[rows].max() < thr[0] else
+            "all" if F[rows].min() >= thr[-1] else "mixed"
+            for rows in blocks
+        }
+        assert kinds == {"none", "all", "mixed"}
 
     def test_memory_is_bounded_by_the_result(self):
         # the 24 MB interfaces array is the only (time, tube) array kept
