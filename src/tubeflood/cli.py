@@ -3,8 +3,8 @@
 Data contracts:
   * CSV artifacts carry a header row and shortest round-trip float
     formatting, so identical configs reproduce byte-identical files.
-  * diagnostics and experiment reports are JSON; errors are emitted as a
-    JSON object on stderr.
+  * diagnostics and experiment reports are strict JSON (NaN and inf
+    written as null); errors are emitted as a JSON object on stderr.
   * exit codes: 0 success, 2 invalid input (config, flags or curve CSV,
     or sizes too large to allocate), 4 internal-consistency failure.
 """
@@ -12,6 +12,7 @@ Data contracts:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -134,7 +135,12 @@ def _summary(text):
 
 
 def _emit_json(payload, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write payload as strict JSON: a NaN or infinite value becomes null."""
+    payload = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in payload.items()
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -242,16 +248,7 @@ def _cmd_stability(args):
         )
     cfg = inverse.RecoveryConfig(n_grid=args.n_grid)
     report = analysis.stability_experiment(curve1, curve2, cfg)
-    _emit_json(
-        {
-            "delta": report.delta,
-            "v_diff": report.v_diff,
-            "bound_constant": report.bound_constant,
-            "bound": report.bound,
-            "ratio": report.ratio,
-        },
-        args.out,
-    )
+    _emit_json(dataclasses.asdict(report), args.out)
     _summary(
         f"stability: delta={report.delta:.6g} v_diff={report.v_diff:.6g} "
         f"bound={report.bound:.6g}"

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, overflow_guard
 from .forward import curve_readoff
 from .measures import _block_buffers, check_kappa, row_blocks
 
@@ -81,28 +81,35 @@ class RecoveryConfig:
 class RecoveryResult:
     """Recovered profile plus solver diagnostics.
 
-    residual is sup |V - G(h + TV)| on the grid and error_bound =
-    residual / (1 - q) bounds the distance to the exact discrete fixed
-    point.  iterations counts sweeps and is always 1.  phi and f are filled
-    by the cdf/density stages (NaN outside the density reporting window).
-    timings holds seconds per stage, and operator_cached whether the
-    operator came from the cache.
+    residual is sup |V - G(h + TV)| on the grid; contraction_q =
+    (1-kappa)/(1+kappa) and error_bound = residual / (1 - q), which bounds
+    the distance to the exact discrete fixed point, derive from kappa and
+    residual.  iterations counts sweeps and is always 1.  phi and f are
+    filled by the cdf/density stages (f is NaN outside the density
+    reporting window).  timings holds seconds per stage, and
+    operator_cached whether the operator came from the cache.
     """
+
+    iterations = 1
 
     grid: np.ndarray
     v: np.ndarray
     kappa: float
-    iterations: int
-    error_bound: float
     residual: float
-    contraction_q: float
     phi: np.ndarray | None = None
     phi_clip_count: int | None = None
     f: np.ndarray | None = None
     f_clip_count: int | None = None
-    alpha_min: float | None = None
     timings: dict | None = None
     operator_cached: bool | None = None
+
+    @property
+    def contraction_q(self):
+        return (1.0 - self.kappa) / (1.0 + self.kappa)
+
+    @property
+    def error_bound(self):
+        return self.residual / (1.0 - self.contraction_q)
 
 
 def _t_minus_arctan(t, out, t2):
@@ -360,16 +367,11 @@ def solve_fixed_point(curve, config=None):
     h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
     v = _back_substitute(M, h, curve.x, curve.g)
 
-    q = (1.0 - kappa) / (1.0 + kappa)
-    residual = float(np.max(np.abs(v - curve(h + M @ v))))
     return RecoveryResult(
         grid=grid,
         v=v,
         kappa=kappa,
-        iterations=1,
-        error_bound=residual / (1.0 - q),
-        residual=residual,
-        contraction_q=q,
+        residual=float(np.max(np.abs(v - curve(h + M @ v)))),
         timings={
             "assembly": assembled - start, "solve": time.perf_counter() - assembled
         },
@@ -435,27 +437,21 @@ def recover(curve, config=None):
 
     The result's timings holds the perf_counter seconds of each stage that
     ran: assembly and solve (from solve_fixed_point), cdf and, with
-    alpha_min > 0, density.  Phi and f scale as v_max / alpha_max^2; a
-    value of either that overflows a double (a tiny alpha_max) raises
-    ArgumentError.
+    alpha_min > 0, density.  Phi and f scale as v_max / alpha_max^2; both
+    stages run under errors.overflow_guard, so a value of either that
+    overflows a double (a tiny alpha_max) raises ArgumentError.
     """
     cfg = config or RecoveryConfig()
     result = solve_fixed_point(curve, cfg)
     grid, v, kappa = result.grid, result.v, result.kappa
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with overflow_guard(f"Phi or f at alpha_max={curve.alpha_max}"):
+        start = time.perf_counter()
+        result.phi, result.phi_clip_count = recover_cdf(grid, v, kappa)
+        result.timings["cdf"] = time.perf_counter() - start
+        if cfg.alpha_min > 0:
             start = time.perf_counter()
-            result.phi, result.phi_clip_count = recover_cdf(grid, v, kappa)
-            result.timings["cdf"] = time.perf_counter() - start
-            if cfg.alpha_min > 0:
-                start = time.perf_counter()
-                result.f, result.f_clip_count = recover_density(
-                    grid, v, kappa, cfg.alpha_min
-                )
-                result.alpha_min = cfg.alpha_min
-                result.timings["density"] = time.perf_counter() - start
-    except FloatingPointError as exc:
-        raise ArgumentError(
-            f"Phi or f overflows a double at alpha_max={curve.alpha_max}: {exc}"
-        ) from exc
+            result.f, result.f_clip_count = recover_density(
+                grid, v, kappa, cfg.alpha_min
+            )
+            result.timings["density"] = time.perf_counter() - start
     return result

@@ -204,19 +204,19 @@ class TailKernel(NamedTuple):
     closed: bool
 
 
+def _log_root(y, c0):
+    """y + sqrt(y^2 - c0), whose log is the antiderivative of 1/sqrt(y^2 - c0)."""
+    return y + np.sqrt(np.maximum(y * y - c0, 0.0))
+
+
 def _oil_volume_antiderivative(y, c0):
     """Antiderivative of y - sqrt(y^2 - c0), valid for y^2 >= c0 >= 0.
 
     Algebraically equal to y^2/2 - [y sqrt(y^2-c0) - c0 ln(y + sqrt(y^2-c0))]/2,
     rearranged so the large-y cancellation is computed stably.
     """
-    s = np.sqrt(np.maximum(y * y - c0, 0.0))
-    return 0.5 * c0 * (y / (y + s) + np.log(y + s))
-
-
-def _log_root(y, c0):
-    """y + sqrt(y^2 - c0), whose log is the antiderivative of 1/sqrt(y^2 - c0)."""
-    return y + np.sqrt(np.maximum(y * y - c0, 0.0))
+    r = _log_root(y, c0)
+    return 0.5 * c0 * (y / r + np.log(r))
 
 
 OIL_VOLUME = TailKernel(

@@ -19,40 +19,34 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, overflow_guard
 from .measures import Measure, _block_buffers, check_kappa, row_blocks
 
 
 @dataclass(frozen=True)
 class TubeSystem:
-    """Parallel tubes (L_j, S_j), sorted by length on construction.
+    """Parallel tubes (L_j, S_j): the atoms of a measure, sorted by length.
 
-    Tubes of exactly equal length are merged by summing their sections;
-    every observable of the system is unchanged by the merge.
+    Tubes of exactly equal length are merged by summing their sections in
+    input order; every observable of the system is unchanged by the merge.
+    tubes holds the merged pairs, and lengths and sections the same as two
+    arrays, lengths strictly ascending.
     """
 
     tubes: tuple
 
     def __post_init__(self):
-        # the tubes are the atoms of a measure, which checks each (L, S)
-        raw = sorted(Measure(atoms=self.tubes).atoms, key=lambda t: t[0])
-        if not raw:
+        # Measure checks each (L, S) and sorts them stably by length;
+        # bincount adds each length's sections in that order
+        L, S = Measure(atoms=self.tubes)._atoms_by_length
+        if not L.size:
             raise ArgumentError("tube system must contain at least one tube")
-        merged = [raw[0]]
-        for L, S in raw[1:]:
-            if L == merged[-1][0]:
-                merged[-1] = (L, merged[-1][1] + S)
-            else:
-                merged.append((L, S))
-        object.__setattr__(self, "tubes", tuple(merged))
-
-    @cached_property
-    def lengths(self):
-        return np.array([L for L, _ in self.tubes])
-
-    @cached_property
-    def sections(self):
-        return np.array([S for _, S in self.tubes])
+        lengths, group = np.unique(L, return_inverse=True)
+        sections = np.bincount(group, weights=S)
+        merged = tuple(zip(lengths.tolist(), sections.tolist()))
+        object.__setattr__(self, "tubes", merged)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "sections", sections)
 
     @property
     def n_tubes(self):
@@ -202,8 +196,9 @@ def simulate(sys, kappa, pump, t_grid):
     interfaces stays bounded.  The tubes are sorted by length, so the ones
     that have broken through on every row of a block are a column prefix:
     they get L by a copy, and the interface law runs only on the others,
-    with the breakthrough mask only where the block's rows disagree.  A
-    tube whose L^2 overflows a double raises ArgumentError.
+    with the breakthrough mask only where the block's rows disagree.  The
+    body runs under errors.overflow_guard: a volume, drive or threshold
+    that overflows a double (a huge L, S or drive) raises ArgumentError.
     """
     kappa = check_kappa(kappa)
     t = np.asarray(t_grid, dtype=float)
@@ -212,43 +207,37 @@ def simulate(sys, kappa, pump, t_grid):
     if t[0] != 0.0 or not np.all(np.diff(t) >= 0):   # a NaN is unsorted
         raise ArgumentError("t_grid must be sorted and start at 0")
 
-    L = sys.lengths
-    S = sys.sections
-    longest = float(L[-1])
-    if not longest * longest < math.inf:
-        raise ArgumentError(
-            f"tube length {longest} overflows its breakthrough volume"
-        )
-    F = pump.F_at(t)
-    thr = breakthrough_threshold(L, kappa)
-    w = S / L
-
-    L2 = L * L
+    L, S = sys.lengths, sys.sections
     n = L.size
-    interfaces = np.empty((t.size, n))
-    v_w = np.empty(t.size)
-    for rows in row_blocks(t.size, n):
-        f = F[rows, None]
-        # tubes below k0 have broken through on every row of the block,
-        # tubes from k1 on on no row of it
-        k0, k1 = np.searchsorted(thr, (f.min(), f.max()), "right").tolist()
-        excess, = _block_buffers(f.size, n)
-        np.subtract(f, thr, out=excess)
-        np.maximum(excess, 0.0, out=excess)
-        v_w[rows] = excess @ w / kappa
-        interfaces[rows, :k0] = L[:k0]
-        if k0 < n:
-            # the live tubes, contiguous at the start of the same buffer
-            s = excess.ravel()[: f.size * (n - k0)].reshape(f.size, -1)
-            _interface_law(L[k0:], L2[k0:], kappa, 2.0 * f, s)
-            np.copyto(s[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
-            np.clip(s, 0.0, L[k0:], out=interfaces[rows, k0:])
+    with overflow_guard("the tube simulation"):
+        F = pump.F_at(t)
+        thr = breakthrough_threshold(L, kappa)
+        w = S / L
+        L2 = L * L
+        interfaces = np.empty((t.size, n))
+        v_w = np.empty(t.size)
+        for rows in row_blocks(t.size, n):
+            f = F[rows, None]
+            # tubes below k0 have broken through on every row of the block,
+            # tubes from k1 on on no row of it
+            k0, k1 = np.searchsorted(thr, (f.min(), f.max()), "right").tolist()
+            excess, = _block_buffers(f.size, n)
+            np.subtract(f, thr, out=excess)
+            np.maximum(excess, 0.0, out=excess)
+            v_w[rows] = excess @ w / kappa
+            interfaces[rows, :k0] = L[:k0]
+            if k0 < n:
+                # the live tubes, contiguous at the start of the same buffer
+                s = excess.ravel()[: f.size * (n - k0)].reshape(f.size, -1)
+                _interface_law(L[k0:], L2[k0:], kappa, 2.0 * f, s)
+                np.copyto(s[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
+                np.clip(s, 0.0, L[k0:], out=interfaces[rows, k0:])
 
-    return TubeSimResult(
-        times=t,
-        pumped=F,
-        interfaces=interfaces,
-        v_w=v_w,
-        v_o=interfaces @ S,
-        breakthrough_times=pump.F_inverse(thr),
-    )
+        return TubeSimResult(
+            times=t,
+            pumped=F,
+            interfaces=interfaces,
+            v_w=v_w,
+            v_o=interfaces @ S,
+            breakthrough_times=pump.F_inverse(thr),
+        )

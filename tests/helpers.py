@@ -76,6 +76,20 @@ def searchsorted_sweep(M, h, x, g):
     return v
 
 
+def closed_tail_integral(alpha, alpha_max, kappa):
+    """Antiderivative oracle for T applied to the constant function 1.
+
+    In x = y/alpha with c = 1 - kappa^2:
+        integral 1/(x^2 (x^2-c)^{3/2}) dx  =  -(1/c^2) (2x^2-c)/(x sqrt(x^2-c))
+    """
+    c = 1.0 - kappa * kappa
+
+    def anti(x):
+        return -(1.0 / c**2) * (2 * x * x - c) / (x * math.sqrt(x * x - c))
+
+    return kappa * c * (anti(alpha_max / alpha) - anti(1.0))
+
+
 def reference_t_matrix(n, kappa):
     """Test oracle: the operator matrix of inverse._unit_t_matrix, assembled
     with fresh temporaries per row block and nodes clamped to the diagonal.

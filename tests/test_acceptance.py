@@ -39,17 +39,12 @@ from tubeflood.tubes import (
 )
 
 from conftest import record_note
-from helpers import pipeline_roundtrip, random_measure, random_pump
-
-
-def closed_tail_integral(alpha, alpha_max, kappa):
-    """Antiderivative oracle for the operator applied to the constant 1."""
-    c = 1.0 - kappa * kappa
-
-    def anti(x):
-        return -(1.0 / c**2) * (2 * x * x - c) / (x * math.sqrt(x * x - c))
-
-    return kappa * c * (anti(alpha_max / alpha) - anti(1.0))
+from helpers import (
+    closed_tail_integral,
+    pipeline_roundtrip,
+    random_measure,
+    random_pump,
+)
 
 
 def test_criterion_01_operator_oracle():

@@ -490,6 +490,36 @@ class TestAmbiguity:
         assert cli.main(["ambiguity", "--alpha0", "2", "--k", "1.6"]) == 2
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    """A NaN in a report is written as null, which every JSON reader parses."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["ambiguity", "--alpha0", "2", "--k", "1.2", "--probe", "0"],
+             ["gap_over_estimate"]),
+            (["stability", "--curve1", "{curve}", "--curve2", "{curve}",
+              "--kappa", "0.5", "--alpha-max", "2", "--n-grid", "51"], ["ratio"]),
+            # the one trial's pair is rejected, so no c has a statistic
+            (["mc", "--trials", "1", "--seed", "0", "--n-grid", "51", "--out", "{csv}"],
+             ["c_min", "c_median", "c_max"]),
+        ],
+        ids=["ambiguity", "stability", "mc"],
+    )
+    def test_nan_written_as_null(self, tmp_path, capsys, argv, keys):
+        curve = tmp_path / "c.csv"
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        assert cli.main(["forward", config, "--out", str(curve)]) == 0
+        files = {"{curve}": str(curve), "{csv}": str(tmp_path / "mc.csv")}
+        assert cli.main([files.get(a, a) for a in argv]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert all(report[k] is None for k in keys)
+
+
 def assert_invalid_config(capsys, code):
     assert code == 2
     error = json.loads(capsys.readouterr().err)["error"]
@@ -511,14 +541,16 @@ class TestOutOfRange:
             ["mc", "--trials", "2", "--alpha-max", "1e160"],
             ["ambiguity", "--alpha0", "2", "--k", "1e-160"],  # tail near 4e160
             ["tubes", "{long_tube}"],
+            ["tubes", "{strong_drive}"],
+            ["tubes", "{wide_tube}"],
             # Phi scales as v_max / alpha_max^2
             ["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "1e-160"],
             # V_w'(alpha_max) as v_max / alpha_max
             ["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "1e-310"],
         ],
         ids=[
-            "forward", "stability", "mc", "ambiguity", "tubes", "invert-phi",
-            "invert-slope",
+            "forward", "stability", "mc", "ambiguity", "tubes", "tubes-drive",
+            "tubes-section", "invert-phi", "invert-slope",
         ],
     )
     def test_overflowing_volume(self, tmp_path, capsys, argv):
@@ -529,6 +561,12 @@ class TestOutOfRange:
             "{measure}": write_json(tmp_path / "m.json", ATOM_CONFIG),
             "{long_tube}": write_json(tmp_path / "t.json", {
                 **TUBES_CONFIG, "tubes": [{"L": 1.0, "S": 1.0}, {"L": 1e160, "S": 1.0}],
+            }),
+            "{strong_drive}": write_json(tmp_path / "d.json", {
+                **TUBES_CONFIG, "pump": {"breakpoints": [0.0, 1.0], "c": [1.0, 1e308]},
+            }),
+            "{wide_tube}": write_json(tmp_path / "w.json", {
+                **TUBES_CONFIG, "tubes": [{"L": 1.0, "S": 1e308}],
             }),
         }
         out = tmp_path / "out"

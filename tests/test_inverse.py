@@ -18,6 +18,7 @@ from tubeflood.errors import ArgumentError
 from tubeflood.forward import DisplacementCurve, build_curve, curve_readoff, v_w_samples
 from tubeflood.inverse import (
     RecoveryConfig,
+    RecoveryResult,
     _unit_t_matrix,
     apply_T,
     h_of_alpha,
@@ -28,21 +29,7 @@ from tubeflood.inverse import (
 )
 from tubeflood.measures import Measure
 
-from helpers import reference_t_matrix, searchsorted_sweep
-
-
-def closed_tail_integral(alpha, alpha_max, kappa):
-    """Antiderivative oracle for T applied to the constant function 1.
-
-    In x = y/alpha with c = 1 - kappa^2:
-        integral 1/(x^2 (x^2-c)^{3/2}) dx  =  -(1/c^2) (2x^2-c)/(x sqrt(x^2-c))
-    """
-    c = 1.0 - kappa * kappa
-
-    def anti(x):
-        return -(1.0 / c**2) * (2 * x * x - c) / (x * math.sqrt(x * x - c))
-
-    return kappa * c * (anti(alpha_max / alpha) - anti(1.0))
+from helpers import closed_tail_integral, reference_t_matrix, searchsorted_sweep
 
 
 def closed_linear_integral(alpha, alpha_max, kappa):
@@ -415,6 +402,15 @@ class TestSolve:
         assert result.residual <= 1e-13 * curve.v_max
         assert result.error_bound == result.residual / (1.0 - result.contraction_q)
 
+    def test_result_stores_only_what_the_run_produced(self):
+        # q and the error bound derive from kappa and residual, and the
+        # density window is the config's
+        names = [f.name for f in dataclasses.fields(RecoveryResult)]
+        assert names == [
+            "grid", "v", "kappa", "residual", "phi", "phi_clip_count", "f",
+            "f_clip_count", "timings", "operator_cached",
+        ]
+
     def test_start_point_free_fixed_point(self):
         # Picard from either end of [0, v_max] reaches the discrete fixed
         # point that the single backward sweep computes directly
@@ -618,7 +614,6 @@ class TestRecoverPipeline:
         result = recover(curve, RecoveryConfig(n_grid=501, alpha_min=3.5))
         assert result.phi is not None and result.phi_clip_count is not None
         assert result.f is not None and result.f_clip_count is not None
-        assert result.alpha_min == 3.5
         assert np.all(np.diff(result.phi) >= 0)
 
     def test_density_skipped_without_alpha_min(self):

@@ -147,6 +147,25 @@ class TestTubeSystem:
         with pytest.raises(ArgumentError):
             TubeSystem(())
 
+    def test_merge_matches_a_sequential_merge(self):
+        # sections of one length add in input order, as a running sum would
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            L = rng.choice(rng.uniform(0.5, 5.0, 6), n).tolist()
+            S = rng.uniform(0.1, 2.0, n).tolist()
+            merged = []
+            for length, section in sorted(zip(L, S), key=lambda t: t[0]):
+                if merged and merged[-1][0] == length:
+                    merged[-1][1] += section
+                else:
+                    merged.append([length, section])
+            want_L, want_S = np.array(merged).T
+            sys = TubeSystem(tuple(zip(L, S)))
+            assert np.array_equal(sys.lengths.view(np.uint64), want_L.view(np.uint64))
+            assert np.array_equal(sys.sections.view(np.uint64), want_S.view(np.uint64))
+            assert sys.tubes == tuple(map(tuple, merged))
+
 
 class TestSimulate:
     def setup_method(self):
@@ -191,6 +210,23 @@ class TestSimulate:
         assert np.all(np.isfinite(res.interfaces)) and np.all(np.isfinite(res.v_w))
         with pytest.raises(ArgumentError, match="overflows"):
             simulate(TubeSystem(((1.0, 1.0), (1e160, 1.0))), 0.5, self.pump, t)
+
+    @pytest.mark.parametrize(
+        "tubes, breakpoints, c",
+        [
+            (((1.0, 1.0),), (0.0, 1.0), (1.0, 1e308)),
+            (((1.0, 1e308),), (0.0,), (1.0,)),
+            # F overflows at the second breakpoint, past the sampled times
+            (((1.0, 1.0),), (0.0, 1e300), (1e10, 1.0)),
+        ],
+        ids=["drive", "section", "later-breakpoint"],
+    )
+    def test_overflowing_volume(self, tubes, breakpoints, c):
+        pump = PumpHistory(breakpoints, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="overflows a double"):
+                simulate(TubeSystem(tubes), 0.5, pump, np.linspace(0.0, 3.0, 5))
 
     def test_monotone_outputs(self):
         rng = np.random.default_rng(21)
