@@ -27,7 +27,14 @@ from .forward import (
     water_cut_samples,
 )
 from .inverse import solve_fixed_point
-from .measures import Measure, check_kappa, moment, prefix_integral, random_atoms
+from .measures import (
+    Measure,
+    check_count,
+    check_kappa,
+    moment,
+    prefix_integral,
+    random_atoms,
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,11 @@ class SensitivityRecord:
 
 @dataclass(frozen=True)
 class AmbiguityPair:
-    """Two measures that coincide below alpha0 but differ in the tail."""
+    """Two measures that coincide below alpha0 but differ in the tail.
+
+    ambiguity_pair checks the ranges of alpha0 and k_factor; this checks
+    only that the measures agree below alpha0.
+    """
 
     mu1: Measure
     mu2: Measure
@@ -64,12 +75,6 @@ class AmbiguityPair:
     k_factor: float
 
     def __post_init__(self):
-        if not self.alpha0 > 1:
-            raise ArgumentError("alpha0 must be > 1")
-        if not 0 < self.k_factor < 1 + 1 / self.alpha0:
-            raise ArgumentError(
-                f"k must lie in (0, 1 + 1/alpha0), got {self.k_factor}"
-            )
         below1 = [p for p in self.mu1.pieces if p[1] <= self.alpha0] + [
             a for a in self.mu1.atoms if a[0] < self.alpha0
         ]
@@ -185,8 +190,7 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     by ulps when x does.
     """
     kappa = check_kappa(kappa)
-    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
-        raise ArgumentError(f"n_grid must be an integer >= 2, got {n_grid!r}")
+    check_count("n_grid", n_grid, 2)
     vw1, vo1, _ = endpoint_data(mu1, kappa, alpha_max)
     vw2, vo2, _ = endpoint_data(mu2, kappa, alpha_max)
     v1_max, v2_max = vw1 + vo1, vw2 + vo2
@@ -244,12 +248,10 @@ def run_mc(
     (and any subset) are reproducible.  jobs is kept for callers that pass
     it and must be 1.
     """
-    if n_trials < 1:
-        raise ArgumentError("need at least one trial")
+    check_count("n_trials", n_trials, 1)
     if jobs != 1:
         raise ArgumentError(f"trials run serially: jobs must be 1, got {jobs!r}")
-    if not seed >= 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed!r}")
+    check_count("seed", seed, 0)
     lo, hi = n_atoms_range
     records = []
     for trial_seed in range(seed, seed + n_trials):

@@ -182,7 +182,6 @@ def _cmd_invert(args):
         args.out, ["alpha", "V", "Phi", "f"], [result.grid, result.v, result.phi, f]
     )
     diagnostics = {
-        "iterations": result.iterations,
         "residual": result.residual,
         "clip_count": result.phi_clip_count,
         "f_clip_count": result.f_clip_count,

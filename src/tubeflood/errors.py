@@ -16,14 +16,9 @@ class ArgumentError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solve did not converge.
 
-    The package's own fixed-point solve is exact and never raises this; the
-    type stays for callers that catch it.  Carries the last iterate and its
-    diagnostics in ``result``.
+    Nothing in the package raises this: the fixed-point solve is exact.
+    The name stays importable for callers that still catch it.
     """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class InternalConsistencyError(RuntimeError):

@@ -20,6 +20,7 @@ endpoint_data holds the one check on a measure at alpha_max.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import ArgumentError, InternalConsistencyError
 from .measures import (
     OIL_RATE,
     OIL_VOLUME,
+    check_count,
     check_kappa,
     moment,
     prefix_integral,
@@ -154,8 +156,7 @@ def build_curve(mu, kappa, alpha_max, n_samples):
     the inversion step.
     """
     kappa = check_kappa(kappa)
-    if n_samples < 2:
-        raise ArgumentError("need at least 2 curve samples")
+    check_count("n_samples", n_samples, 2)
     endpoint_data(mu, kappa, alpha_max)
     alphas = np.linspace(0.0, alpha_max, n_samples)
     vw = v_w_samples(mu, kappa, alphas)
@@ -170,18 +171,20 @@ def endpoint_data(mu, kappa, alpha_max):
     V_o  = I_1
     V_w' = (1+kappa) alpha_max / kappa * I_{-1}
 
-    The package's one check on a measure at alpha_max: alpha_max and its
-    square must be finite, the support must lie in [0, alpha_max] and
+    The package's one check on a measure at alpha_max: alpha_max^2 must be
+    a finite normal double, the support must lie in [0, alpha_max] and
     v_max = V_w + V_o must be finite and > 0, else ArgumentError.  These
     sums are Python floats, which overflow to inf without a warning; the
     moments square support points in NumPy, which warns, so alpha_max^2 is
-    tested before they are taken.
+    tested before they are taken.  Below the normal doubles (alpha_max
+    under about 1.5e-154) the squared samples of build_curve lose the
+    digits that keep the total volume increasing.
     """
     kappa = check_kappa(kappa)
     alpha_max = float(alpha_max)
-    if not 0.0 <= alpha_max * alpha_max < math.inf:
+    if not sys.float_info.min <= alpha_max * alpha_max < math.inf:
         raise ArgumentError(
-            f"alpha_max must be finite, with a finite square, got {alpha_max}"
+            f"alpha_max^2 must be a finite normal double, got alpha_max={alpha_max}"
         )
     if mu.support_sup > alpha_max:
         raise ArgumentError(

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ArgumentError, overflow_guard
 from .forward import curve_readoff
-from .measures import _block_buffers, check_kappa, row_blocks
+from .measures import _block_buffers, check_count, check_kappa, row_blocks
 
 # The cached operator: at most one entry, keyed by (n, kappa).
 _OPERATOR = {}
@@ -69,8 +69,7 @@ class RecoveryConfig:
     alpha_min: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_grid, (int, np.integer)) or self.n_grid < 3:
-            raise ArgumentError("n_grid must be an integer >= 3")
+        check_count("n_grid", self.n_grid, 3)
         if not isinstance(self.alpha_min, (int, float, np.integer, np.floating)):
             raise ArgumentError("alpha_min must be a number >= 0")
         if not self.alpha_min >= 0:
@@ -84,10 +83,11 @@ class RecoveryResult:
     residual is sup |V - G(h + TV)| on the grid; contraction_q =
     (1-kappa)/(1+kappa) and error_bound = residual / (1 - q), which bounds
     the distance to the exact discrete fixed point, derive from kappa and
-    residual.  iterations counts sweeps and is always 1.  phi and f are
-    filled by the cdf/density stages (f is NaN outside the density
-    reporting window).  timings holds seconds per stage, and
-    operator_cached whether the operator came from the cache.
+    residual.  phi and f are filled by the cdf/density stages (f is NaN
+    outside the density reporting window).  timings holds seconds per
+    stage, and operator_cached whether the operator came from the cache.
+    iterations is always 1 (the solve is one sweep); it stays only because
+    perfbench/ reads it, and invert --diagnostics does not report it.
     """
 
     iterations = 1

@@ -76,6 +76,13 @@ def check_kappa(kappa):
     return kappa
 
 
+def check_count(name, value, minimum):
+    """Validate an integer argument >= minimum: a count (samples, grid nodes,
+    trials) or a seed."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Measure:
     """Finite measure on (0, inf): point atoms plus constant-density pieces.
@@ -349,8 +356,7 @@ def random_atoms(seed, n, L_range=(2.5, 10.0), S_range=(0.5, 2.0)):
     Deterministic given the seed; ``seed`` may also be a Generator, in which
     case its stream is consumed in place (used by the Monte Carlo driver).
     """
-    if n < 1:
-        raise ArgumentError(f"need n >= 1 atoms, got {n}")
+    check_count("n", n, 1)
     lo, hi = L_range
     slo, shi = S_range
     if not (0 < lo < hi) or not (0 < slo < shi):

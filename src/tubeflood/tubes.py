@@ -138,24 +138,6 @@ def breakthrough_threshold(L, kappa):
     return (1.0 + kappa) / 2.0 * L * L
 
 
-def interface_position(L, kappa, F_val):
-    """Interface position in a tube of length L after pumping F_val.
-
-    L must be > 0.  Clamped to [0, L]; values of F_val at or beyond the
-    breakthrough threshold return L (saturated tube).
-    """
-    kappa = check_kappa(kappa)
-    L_arr = np.asarray(L, dtype=float)
-    F_arr = np.asarray(F_val, dtype=float)
-    if np.any(F_arr < 0):
-        raise ArgumentError("pumped volume must be >= 0")
-    thr = breakthrough_threshold(L_arr, kappa)
-    pos = np.empty(np.broadcast_shapes(L_arr.shape, F_arr.shape))
-    _interface_law(L_arr, L_arr * L_arr, kappa, 2.0 * F_arr, pos)
-    np.copyto(pos, L_arr, where=F_arr >= thr)
-    return np.clip(pos, 0.0, L_arr)
-
-
 def _interface_law(L, L2, kappa, F2, out):
     """Unsaturated interface position, written into out, for L2 = L * L.
 

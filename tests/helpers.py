@@ -51,6 +51,19 @@ def random_pump(rng, total_f, n_segments=4):
     return PumpHistory(tuple(breaks.tolist()), tuple(c.tolist()))
 
 
+def interface_closed_form(L, kappa, F):
+    """Test oracle: interface positions in tubes of lengths L after pumping F.
+
+    The closed form 2F / (L + sqrt(L^2 - (1-kappa) 2F)) in the operation
+    order of tubes._interface_law, then L from the breakthrough threshold
+    (1+kappa)/2 L^2 on, clipped to [0, L]: what simulate writes per cell.
+    """
+    F2 = 2.0 * F
+    law = F2 / (L + np.sqrt(np.maximum(L * L - (1.0 - kappa) * F2, 0.0)))
+    saturated = F >= (1.0 + kappa) / 2.0 * L * L
+    return np.clip(np.where(saturated, L, law), 0.0, L)
+
+
 def searchsorted_sweep(M, h, x, g):
     """Test oracle: the back-substitution V_i = G(h_i + sum_j M[i, j] V_j)
     with one dot product and one searchsorted over all knots per row.

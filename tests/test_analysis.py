@@ -203,6 +203,12 @@ class TestRunMc:
         with pytest.raises(ArgumentError):
             run_mc(3, seed=-1, n_grid=401)
 
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ArgumentError, match="n_trials"):
+            run_mc(2.5, 0)
+        with pytest.raises(ArgumentError, match="seed"):
+            run_mc(3, 0.5, n_grid=401)
+
     @pytest.mark.parametrize("n_grid", [1, 100.5])
     def test_bad_n_grid_rejected(self, n_grid):
         with pytest.raises(ArgumentError):

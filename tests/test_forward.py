@@ -1,6 +1,7 @@
 """Continuum forward map and displacement-curve construction."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,10 @@ class TestBuildCurve:
         with pytest.raises(ArgumentError):
             build_curve(ATOM_11, 0.5, 2.0, 1)
 
+    def test_fractional_sample_count(self):
+        with pytest.raises(ArgumentError, match="n_samples"):
+            build_curve(ATOM_11, 0.5, 2.0, 2.5)
+
     def test_lipschitz_and_monotone(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -292,6 +297,16 @@ class TestEndpointData:
     def test_support_check(self):
         with pytest.raises(ArgumentError):
             endpoint_data(ATOM_11, 0.5, 0.5)
+
+    def test_square_below_the_normal_doubles(self):
+        # sqrt of the least normal double is about 1.49e-154
+        tiny = math.sqrt(sys.float_info.min)
+        for alpha_max in (1e-160, math.nextafter(tiny, 0.0)):
+            with pytest.raises(ArgumentError, match="normal double"):
+                endpoint_data(Measure(atoms=((alpha_max, 1.0),)), 0.5, alpha_max)
+        alpha_max = 1.5e-154
+        _, vo, _ = endpoint_data(Measure(atoms=((alpha_max, 1.0),)), 0.5, alpha_max)
+        assert vo == alpha_max
 
     def test_non_finite_alpha_max(self):
         for alpha_max in (math.inf, math.nan):

@@ -708,6 +708,7 @@ class TestRecoveryConfig:
             {"alpha_min": math.nan},
             {"alpha_min": None},
             {"alpha_min": "1"},
+            {"n_grid": 101.0},
         ],
     )
     def test_validation(self, kwargs):

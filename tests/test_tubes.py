@@ -18,27 +18,37 @@ from tubeflood.tubes import (
     PumpHistory,
     TubeSystem,
     breakthrough_threshold,
-    interface_position,
     reparam_xi,
     simulate,
 )
 
-from helpers import random_pump
+from helpers import interface_closed_form, random_pump
+
+
+def one_tube(L, kappa, F):
+    """One tube of length L and section 1, pumped at drive F for unit time."""
+    res = simulate(TubeSystem(((L, 1.0),)), kappa, PumpHistory((0.0,), (F,)),
+                   np.array([0.0, 1.0]))
+    assert res.pumped[1] == F
+    return res
 
 
 class TestInterfacePosition:
+    """The interface law, read off one-tube simulate runs that pump F."""
+
     def test_initial(self):
-        assert interface_position(1.0, 0.5, 0.0) == 0.0
+        assert one_tube(1.0, 0.5, 0.0).interfaces[1, 0] == 0.0
 
     def test_at_threshold(self):
-        assert interface_position(1.0, 0.5, 0.75) == 1.0
+        assert one_tube(1.0, 0.5, 0.75).interfaces[1, 0] == 1.0
 
     def test_partial(self):
         expected = (2.0 - math.sqrt(4.0 - 0.75)) / 0.5
-        assert interface_position(2.0, 0.5, 0.75) == pytest.approx(expected, abs=1e-15)
+        position = one_tube(2.0, 0.5, 0.75).interfaces[1, 0]
+        assert position == pytest.approx(expected, abs=1e-15)
 
     def test_saturates_beyond_threshold(self):
-        assert interface_position(1.0, 0.5, 100.0) == 1.0
+        assert one_tube(1.0, 0.5, 100.0).interfaces[1, 0] == 1.0
 
     def test_small_drive_keeps_its_digits(self):
         # while F << L^2 the law 2F / (L + sqrt(L^2 - 2 (1-kappa) F)) is
@@ -48,14 +58,9 @@ class TestInterfacePosition:
             ctx.prec = 50
             disc = Decimal(L) ** 2 - 2 * (1 - Decimal(kappa)) * Decimal(F)
             exact = float(2 * Decimal(F) / (Decimal(L) + disc.sqrt()))
-        assert interface_position(L, kappa, F) == pytest.approx(exact, rel=1e-14, abs=0)
-        res = simulate(TubeSystem(((L, 1.0),)), kappa, PumpHistory((0.0,), (F,)),
-                       np.array([0.0, 1.0]))
+        res = one_tube(L, kappa, F)
+        assert res.interfaces[1, 0] == pytest.approx(exact, rel=1e-14, abs=0)
         assert res.v_o[1] == pytest.approx(exact, rel=1e-14, abs=0)
-
-    def test_negative_pumped_volume(self):
-        with pytest.raises(ArgumentError):
-            interface_position(1.0, 0.5, -0.1)
 
 
 class TestBreakthroughThreshold:
@@ -293,7 +298,7 @@ class TestSimulate:
         res = simulate(sys, kappa, pump, t)
 
         F = pump.F_at(t)
-        dense = interface_position(L, kappa, F[:, None])
+        dense = interface_closed_form(L, kappa, F[:, None])
         assert np.array_equal(res.interfaces, dense)
         assert np.array_equal(res.v_o, dense @ S)
         excess = np.maximum(F[:, None] - thr, 0.0)
