@@ -75,13 +75,12 @@ class AmbiguityPair:
     k_factor: float
 
     def __post_init__(self):
-        below1 = [p for p in self.mu1.pieces if p[1] <= self.alpha0] + [
-            a for a in self.mu1.atoms if a[0] < self.alpha0
-        ]
-        below2 = [p for p in self.mu2.pieces if p[1] <= self.alpha0] + [
-            a for a in self.mu2.atoms if a[0] < self.alpha0
-        ]
-        if below1 != below2:
+        def below(mu):
+            return [p for p in mu.pieces if p[1] <= self.alpha0] + [
+                a for a in mu.atoms if a[0] < self.alpha0
+            ]
+
+        if below(self.mu1) != below(self.mu2):
             raise ArgumentError("measures must agree below alpha0")
 
 

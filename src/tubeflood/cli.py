@@ -263,15 +263,8 @@ def _cmd_mc(args):
         alpha_max=args.alpha_max,
         n_grid=args.n_grid,
     )
-    cols = [
-        [r.seed for r in records],
-        [r.n1 for r in records],
-        [r.n2 for r in records],
-        [r.v1_max for r in records],
-        [r.v2_max for r in records],
-        [r.accepted for r in records],
-        [r.c_value for r in records],
-    ]
+    # one column per SensitivityRecord field, in field order
+    cols = zip(*map(dataclasses.astuple, records))
     dest = _write_csv(
         args.out, ["seed", "n1", "n2", "v1max", "v2max", "accepted", "c"], cols
     )

@@ -417,15 +417,17 @@ def recover_density(grid, v, kappa, alpha_min):
     if not alpha_min < grid[-1]:
         raise ArgumentError("alpha_min must be below alpha_max")
     alpha_max = grid[-1]
+    spacing = grid[1] - grid[0]
+    window = (grid >= alpha_min) & (grid <= alpha_max - 2.0 * spacing * (1 - 1e-12))
+    f = np.full_like(v, np.nan)
+    if not window.any():   # at n_grid 3 the stencils have too few nodes
+        return f, 0
     unit = grid / alpha_max
     du = unit[1] - unit[0]
     vp = np.gradient(v, du, edge_order=2)
     w = vp[1:] / unit[1:]
     wp = np.gradient(w, du, edge_order=2)
-    f = np.full_like(v, np.nan)
     f[1:] = kappa / (1.0 + kappa) * unit[1:] * wp / alpha_max / alpha_max
-    spacing = grid[1] - grid[0]
-    window = (grid >= alpha_min) & (grid <= alpha_max - 2.0 * spacing * (1 - 1e-12))
     f[~window] = np.nan
     negative = window & (f < 0.0)
     f[negative] = 0.0

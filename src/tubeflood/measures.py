@@ -21,9 +21,9 @@ array is allocated per call.  Only the live (alpha, atom) cells of a
 block are evaluated: the atoms are sorted by length, so those below the
 block's smallest alpha, a column prefix, are skipped, and only the
 columns up to its largest alpha need the tail mask.  That row-block rule,
-row_blocks, is the package's only one: the operator assembly and the
-tube simulation loop over it too, in the same per-thread buffers
-(_block_buffers).
+row_blocks, is the package's only one: the operator assembly loops over
+it too, in the same per-thread buffers (_block_buffers), and the tube
+simulation writes its blocks straight into its result.
 Pieces enter both integrals through closed-form antiderivatives.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
@@ -248,9 +248,9 @@ OIL_RATE = TailKernel(
 def _block_buffers(rows, cols, count=1):
     """count (rows, cols) views on this thread's buffers, kept between calls.
 
-    The buffers only grow, so tail_integral, the operator assembly and
-    the tube simulation share them without reallocating.  Nothing read
-    from them carries over: each block writes every cell it reads.
+    The buffers only grow, so tail_integral and the operator assembly
+    share them without reallocating.  Nothing read from them carries
+    over: each block writes every cell it reads.
     """
     cells = rows * cols
     work = getattr(_BLOCK_WORK, "buffers", np.empty((0, 0)))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, overflow_guard
-from .measures import Measure, _block_buffers, check_kappa, row_blocks
+from .measures import Measure, check_kappa, row_blocks
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,17 @@ def simulate(sys, kappa, pump, t_grid):
         V_w(t) = (1/kappa) sum_j max(F(t) - F(t_j), 0) S_j / L_j
 
     which matches the segment-by-segment sum over broken-through tubes.
-    The (time, tube) cells are filled over measures.row_blocks, in place in
-    one of measures._block_buffers, so memory beyond the returned
-    interfaces stays bounded.  The tubes are sorted by length, so the ones
-    that have broken through on every row of a block are a column prefix:
-    they get L by a copy, and the interface law runs only on the others,
-    with the breakthrough mask only where the block's rows disagree.  The
-    body runs under errors.overflow_guard: a volume, drive or threshold
-    that overflows a double (a huge L, S or drive) raises ArgumentError.
+    The tubes are sorted by length, so the k(t) broken through are a
+    prefix, and V_w = ((F - top[k]) W[k] + D[k]) / kappa, anchored at the
+    last of them so every term is >= 0: top[k] = thr_{k-1} (top[0] = 0),
+    and W[k], D[k] sum S_j / L_j and (top[k] - thr_j) S_j / L_j over j < k,
+    over the tubes broken by the last time only.  The interfaces are
+    filled over measures.row_blocks: the prefix broken on every row of a
+    block gets L by a copy, the interface law is written straight into
+    the rest, with the breakthrough mask only where the rows disagree.  No
+    output depends on the block size.  The body runs under
+    errors.overflow_guard: a volume, drive or threshold that overflows a
+    double (a huge L, S or drive) raises ArgumentError.
     """
     kappa = check_kappa(kappa)
     t = np.asarray(t_grid, dtype=float)
@@ -194,32 +197,29 @@ def simulate(sys, kappa, pump, t_grid):
     with overflow_guard("the tube simulation"):
         F = pump.F_at(t)
         thr = breakthrough_threshold(L, kappa)
-        w = S / L
+        k = np.searchsorted(thr, F, "right")       # tubes broken at each time
+        m = k.max()
+        top = np.concatenate(([0.0], thr[:m]))
+        W = np.concatenate(([0.0], np.cumsum(S[:m] / L[:m])))
+        D = np.concatenate(([0.0], np.cumsum(np.diff(top) * W[:-1])))
         L2 = L * L
         interfaces = np.empty((t.size, n))
-        v_w = np.empty(t.size)
         for rows in row_blocks(t.size, n):
             f = F[rows, None]
             # tubes below k0 have broken through on every row of the block,
             # tubes from k1 on on no row of it
-            k0, k1 = np.searchsorted(thr, (f.min(), f.max()), "right").tolist()
-            excess, = _block_buffers(f.size, n)
-            np.subtract(f, thr, out=excess)
-            np.maximum(excess, 0.0, out=excess)
-            v_w[rows] = excess @ w / kappa
+            k0, k1 = k[rows].min(), k[rows].max()
             interfaces[rows, :k0] = L[:k0]
-            if k0 < n:
-                # the live tubes, contiguous at the start of the same buffer
-                s = excess.ravel()[: f.size * (n - k0)].reshape(f.size, -1)
-                _interface_law(L[k0:], L2[k0:], kappa, 2.0 * f, s)
-                np.copyto(s[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
-                np.clip(s, 0.0, L[k0:], out=interfaces[rows, k0:])
+            live = interfaces[rows, k0:]
+            _interface_law(L[k0:], L2[k0:], kappa, 2.0 * f, live)
+            np.copyto(live[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
+            np.clip(live, 0.0, L[k0:], out=live)
 
         return TubeSimResult(
             times=t,
             pumped=F,
             interfaces=interfaces,
-            v_w=v_w,
+            v_w=((F - top[k]) * W[k] + D[k]) / kappa,
             v_o=interfaces @ S,
             breakthrough_times=pump.F_inverse(thr),
         )

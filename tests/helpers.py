@@ -64,6 +64,21 @@ def interface_closed_form(L, kappa, F):
     return np.clip(np.where(saturated, L, law), 0.0, L)
 
 
+def water_volume_fsum(L, S, kappa, F):
+    """Test oracle: V_w after pumping each F, rounded once before the division.
+
+    math.fsum of (F - thr_j) S_j / L_j over the tubes whose breakthrough
+    threshold thr_j lies below F, divided by kappa.
+    """
+    from tubeflood.tubes import breakthrough_threshold
+
+    thr = breakthrough_threshold(L, kappa)
+    return np.array([
+        math.fsum(((f - thr[thr < f]) * S[thr < f] / L[thr < f]).tolist()) / kappa
+        for f in F
+    ])
+
+
 def searchsorted_sweep(M, h, x, g):
     """Test oracle: the back-substitution V_i = G(h_i + sum_j M[i, j] V_j)
     with one dot product and one searchsorted over all knots per row.

@@ -141,6 +141,19 @@ class TestInvert:
         assert np.max(np.abs(phi[grid <= 0.9])) <= 0.05
         assert np.max(np.abs(phi[grid >= 1.1] - 1.0)) <= 0.05
 
+    def test_empty_density_window_at_the_smallest_grid(self, tmp_path, curve_csv):
+        out = tmp_path / "rec.csv"
+        diag = tmp_path / "diag.json"
+        code = cli.main([
+            "invert", str(curve_csv), "--kappa", "0.5", "--alpha-max", "2",
+            "--n-grid", "3", "--alpha-min", "1", "--out", str(out),
+            "--diagnostics", str(diag),
+        ])
+        assert code == 0
+        header, data = read_csv(out)
+        assert np.all(np.isnan(data[:, header.index("f")]))
+        assert json.loads(diag.read_text())["f_clip_count"] == 0
+
     def test_small_kappa_exit_code(self, tmp_path):
         # q = 0.99 at kappa = 0.005: the slowest contraction the CLI accepts in tests
         config = write_json(
@@ -348,6 +361,23 @@ class TestTubes:
         assert row[header.index("Vo")] == pytest.approx(1.0 + expected_l2, abs=1e-12)
         assert data[-1, header.index("Vo")] == pytest.approx(3.0, abs=1e-12)
 
+    def test_huge_tube_never_broken_through(self, tmp_path):
+        # V_w sums only the tubes broken through by t_max: a sum over the
+        # 1e150 tube too, its threshold times the wide tube's S / L, overflows
+        config = write_json(tmp_path / "t.json", {
+            **TUBES_CONFIG, "tubes": [{"L": 1.0, "S": 1e10}, {"L": 1e150, "S": 1.0}],
+        })
+        out = tmp_path / "tubes.csv"
+        assert cli.main(["tubes", str(config), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "t,F,Vw,Vo,l_1,l_2\n"
+            "0.0,0.0,0.0,0.0,0.0,0.0\n"
+            "0.75,0.75,0.0,10000000000.0,1.0,7.5e-151\n"
+            "1.5,1.5,15000000000.0,10000000000.0,1.0,1.5e-150\n"
+            "2.25,2.25,30000000000.0,10000000000.0,1.0,2.25e-150\n"
+            "3.0,3.0,45000000000.0,10000000000.0,1.0,3e-150\n"
+        )
+
     def test_invalid_config(self, tmp_path):
         config = write_json(tmp_path / "t.json", {"tubes": []})
         assert cli.main(["tubes", str(config)]) == 2
@@ -525,6 +555,47 @@ def assert_invalid_config(capsys, code):
     assert code == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["exit_code"] == 2 and error["type"] == "invalid-config"
+
+
+class TestSmallestSizes:
+    """The smallest admissible size of each subcommand runs through."""
+
+    @pytest.mark.parametrize(
+        "argv, volumes",
+        [
+            (["forward", "{measure}", "--n-samples", "2"], ["Vw", "Vo", "total"]),
+            (["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "2",
+              "--n-grid", "3"], ["V"]),
+            (["invert", "{curve}", "--kappa", "0.5", "--alpha-max", "2",
+              "--n-grid", "3", "--alpha-min", "1"], ["V"]),
+            (["stability", "{measure}", "--n-grid", "3"], ["v_diff", "bound"]),
+            (["tubes", "{tubes}"], ["Vw", "Vo"]),
+            (["mc", "--trials", "1", "--n-grid", "2"], ["v1max", "v2max"]),
+            (["ambiguity", "--alpha0", "2", "--k", "1.2", "--n-grid", "2"], ["gap"]),
+        ],
+        ids=["forward", "invert", "invert-alpha-min", "stability", "tubes", "mc",
+             "ambiguity"],
+    )
+    def test_exit_0_with_finite_volumes(self, tmp_path, capsys, argv, volumes):
+        measure = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["forward", measure, "--out", str(curve)]) == 0
+        capsys.readouterr()
+        files = {
+            "{measure}": measure,
+            "{curve}": str(curve),
+            "{tubes}": write_json(tmp_path / "t.json", {**TUBES_CONFIG, "n_steps": 2}),
+        }
+        out = tmp_path / "out"
+        assert cli.main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        if argv[0] in ("stability", "ambiguity"):
+            report = json.loads(out.read_text())
+            values = [report[name] for name in volumes]
+        else:
+            header, data = read_csv(out)
+            values = data[:, [header.index(name) for name in volumes]]
+        assert np.all(np.isfinite(values))
 
 
 class TestOutOfRange:

@@ -622,6 +622,14 @@ class TestRecoverPipeline:
         assert result.phi is not None
         assert result.f is None
 
+    @pytest.mark.parametrize("n_grid, alpha_min", [(3, 1.0), (4, 5.0)])
+    def test_empty_density_window(self, n_grid, alpha_min):
+        # [alpha_min, alpha_max - 2h] holds no node; at n_grid 3 the
+        # stencils would have too few nodes to run
+        curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        result = recover(curve, RecoveryConfig(n_grid, alpha_min))
+        assert np.all(np.isnan(result.f)) and result.f_clip_count == 0
+
     def test_stage_timings(self):
         curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
         cfg = RecoveryConfig(n_grid=303, alpha_min=3.5)

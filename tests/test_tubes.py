@@ -22,7 +22,7 @@ from tubeflood.tubes import (
     simulate,
 )
 
-from helpers import interface_closed_form, random_pump
+from helpers import interface_closed_form, random_pump, water_volume_fsum
 
 
 def one_tube(L, kappa, F):
@@ -281,7 +281,7 @@ class TestSimulate:
         blocked = simulate(sys, 0.5, pump, t)
         assert np.array_equal(blocked.interfaces, whole.interfaces)
         assert np.array_equal(blocked.v_o, whole.v_o)
-        np.testing.assert_allclose(blocked.v_w, whole.v_w, rtol=1e-14, atol=0.0)
+        assert np.array_equal(blocked.v_w, whole.v_w)
 
     @pytest.mark.parametrize("kappa", [0.5, 0.05])
     def test_matches_one_dense_evaluation_bit_for_bit(self, monkeypatch, kappa):
@@ -301,16 +301,30 @@ class TestSimulate:
         dense = interface_closed_form(L, kappa, F[:, None])
         assert np.array_equal(res.interfaces, dense)
         assert np.array_equal(res.v_o, dense @ S)
-        excess = np.maximum(F[:, None] - thr, 0.0)
+        np.testing.assert_allclose(
+            res.v_w, water_volume_fsum(L, S, kappa, F), rtol=1e-14, atol=0.0
+        )
         blocks = list(measures.row_blocks(t.size, n))
-        v_w = np.concatenate([excess[rows] @ (S / L) / kappa for rows in blocks])
-        assert np.array_equal(res.v_w, v_w)
         kinds = {
             "none" if F[rows].max() < thr[0] else
             "all" if F[rows].min() >= thr[-1] else "mixed"
             for rows in blocks
         }
         assert kinds == {"none", "all", "mixed"}
+
+    @pytest.mark.parametrize("kappa", [0.005, 0.5, 0.999])
+    def test_water_volume_just_after_each_breakthrough(self, kappa):
+        # V_w there is a small difference of large prefix sums unless each
+        # term is taken against the last threshold reached
+        rng = np.random.default_rng(4)
+        n = 300
+        sys = TubeSystem(tuple(zip(rng.uniform(0.5, 5.0, n), rng.uniform(0.5, 2, n))))
+        L, S = sys.lengths, sys.sections
+        t = np.concatenate([[0.0], breakthrough_threshold(L, kappa) * (1 + 1e-9)])
+        res = simulate(sys, kappa, PumpHistory((0.0,), (1.0,)), t)
+        np.testing.assert_allclose(
+            res.v_w, water_volume_fsum(L, S, kappa, res.pumped), rtol=1e-14, atol=0.0
+        )
 
     def test_memory_is_bounded_by_the_result(self):
         # the 24 MB interfaces array is the only (time, tube) array kept
