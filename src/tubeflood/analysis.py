@@ -157,14 +157,9 @@ def stability_experiment(curve1, curve2, config=None):
 
 def _jump_aware_alphas(mu, alpha_max, n_grid):
     """Uniform alpha grid refined by atom locations +- one ulp."""
-    base = np.linspace(0.0, alpha_max, n_grid)[1:]
-    if mu.atoms:
-        L = mu._atoms_by_length[0]
-        extra = np.concatenate(
-            [np.nextafter(L, -np.inf), L, np.nextafter(L, np.inf)]
-        )
-        base = np.concatenate([base, extra])
-    out = np.unique(base)
+    L = mu._atoms_by_length[0]
+    jumps = (np.nextafter(L, -np.inf), L, np.nextafter(L, np.inf))
+    out = np.unique(np.concatenate([np.linspace(0.0, alpha_max, n_grid)[1:], *jumps]))
     return out[(out > 0) & (out <= alpha_max)]
 
 

@@ -58,6 +58,11 @@ def _load_json(path):
         raise ArgumentError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _atoms(items):
+    """(L, S) pairs from a JSON list of {"L", "S"} objects."""
+    return tuple((float(d["L"]), float(d["S"])) for d in items)
+
+
 def _measure_from_config(config):
     if "measure" in config:
         block = config["measure"]
@@ -67,7 +72,15 @@ def _measure_from_config(config):
         raise ArgumentError("config carries no measure block")
     if not isinstance(block, dict):
         raise ArgumentError("measure block must be a JSON object")
-    return Measure.from_dict(block)
+    try:
+        atoms = _atoms(block.get("atoms", []))
+        pieces = tuple(
+            (float(d["a"]), float(d["b"]), float(d["rho"]))
+            for d in block.get("pieces", [])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"malformed measure config: {exc}") from exc
+    return Measure(atoms=atoms, pieces=pieces)
 
 
 def _cast(key, value, cast):
@@ -202,7 +215,7 @@ def _cmd_invert(args):
 def _cmd_tubes(args):
     config = _load_json(args.config)
     try:
-        system = tubes.TubeSystem(tuple((t["L"], t["S"]) for t in config["tubes"]))
+        system = tubes.TubeSystem(_atoms(config["tubes"]))
         pump = tubes.PumpHistory(
             tuple(config["pump"]["breakpoints"]), tuple(config["pump"]["c"])
         )

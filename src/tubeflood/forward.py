@@ -173,12 +173,12 @@ def endpoint_data(mu, kappa, alpha_max):
 
     The package's one check on a measure at alpha_max: alpha_max^2 must be
     a finite normal double, the support must lie in [0, alpha_max] and
-    v_max = V_w + V_o must be finite and > 0, else ArgumentError.  These
+    v_max = V_w + V_o must be a finite normal double, else ArgumentError.  These
     sums are Python floats, which overflow to inf without a warning; the
     moments square support points in NumPy, which warns, so alpha_max^2 is
     tested before they are taken.  Below the normal doubles (alpha_max
-    under about 1.5e-154) the squared samples of build_curve lose the
-    digits that keep the total volume increasing.
+    under about 1.5e-154, or a v_max below 2.2e-308) the samples of
+    build_curve lose the digits that keep the total volume increasing.
     """
     kappa = check_kappa(kappa)
     alpha_max = float(alpha_max)
@@ -194,9 +194,9 @@ def endpoint_data(mu, kappa, alpha_max):
     i_one = moment(mu, 1)
     vw = (1.0 + kappa) / (2.0 * kappa) * (alpha_max * alpha_max * i_inv - i_one)
     vwp = (1.0 + kappa) * alpha_max / kappa * i_inv
-    if not 0.0 < vw + i_one < math.inf:
+    if not sys.float_info.min <= vw + i_one < math.inf:
         raise ArgumentError(
-            f"volume at alpha_max must be finite and > 0, got {vw + i_one}"
+            f"volume at alpha_max must be a finite normal double, got {vw + i_one}"
         )
     return vw, i_one, vwp
 

@@ -13,7 +13,9 @@ is one of two integrals, vectorized over an array of alpha >= 0:
                      OIL_VOLUME  y - sqrt(y^2 - c0)  over [alpha, inf)  (V_o)
                      OIL_RATE    1 / sqrt(y^2 - c0)  over (alpha, inf)  (V_o')
 
-Atoms enter a prefix integral through prefix sums and a binary search.  A
+Atoms enter a prefix integral through prefix sums, which the Measure
+builds in its constructor (and so rejects moments past the doubles
+there), and a binary search.  A
 tail integral runs over row blocks of alpha holding at most _BLOCK_CELLS
 cells (or one row), in place in per-thread buffers kept from one call to
 the next: memory stays near 0.5 MB below 2^15 atoms, and no block-sized
@@ -33,14 +35,14 @@ exactly on a boundary is bucketed unambiguously.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, overflow_guard
 
 # Viscosity ratios are kept strictly away from 1 so that 1 - kappa stays
 # bounded below; the displacement model degenerates as kappa -> 1.
@@ -87,10 +89,13 @@ def check_count(name, value, minimum):
 class Measure:
     """Finite measure on (0, inf): point atoms plus constant-density pieces.
 
-    atoms:  tuple of (L, S), L > 0, S > 0
-    pieces: tuple of (a, b, rho), 0 < a < b, rho >= 0
+    atoms:  tuple of (L, S), L > 0 a normal double, S > 0
+    pieces: tuple of (a, b, rho), 0 < a < b normal doubles, rho >= 0
 
-    Immutable after construction; all operations on it are pure.
+    The constructor builds all of its state (atoms sorted by length, prefix
+    sums of S L^p, support_sup) and raises ArgumentError there on a moment
+    past the doubles or a subnormal L or a.  Immutable; all operations on
+    it are pure.
     """
 
     atoms: tuple = ()
@@ -100,58 +105,32 @@ class Measure:
         atoms = tuple((float(L), float(S)) for L, S in self.atoms)
         pieces = tuple((float(a), float(b), float(r)) for a, b, r in self.pieces)
         for L, S in atoms:
-            if not (L > 0 and math.isfinite(L)):
-                raise ArgumentError(f"atom length must be finite and > 0, got {L}")
+            if not sys.float_info.min <= L < math.inf:
+                raise ArgumentError(f"atom length must be a normal double > 0, got {L}")
             if not (S > 0 and math.isfinite(S)):
                 raise ArgumentError(f"atom section must be finite and > 0, got {S}")
         for a, b, r in pieces:
-            if not (0 < a < b and math.isfinite(b)):
-                raise ArgumentError(f"piece needs 0 < a < b < inf, got [{a}, {b})")
+            if not sys.float_info.min <= a < b < math.inf:
+                raise ArgumentError(
+                    f"piece needs normal doubles 0 < a < b < inf, got [{a}, {b})"
+                )
             if not (r >= 0 and math.isfinite(r)):
                 raise ArgumentError(f"piece density must be finite and >= 0, got {r}")
+        L = np.array([a[0] for a in atoms], dtype=float)
+        S = np.array([a[1] for a in atoms], dtype=float)
+        order = np.argsort(L, kind="stable")
+        L, S = L[order], S[order]
+        sums = np.zeros((3, L.size + 1))
+        with overflow_guard("a moment of the measure"):
+            for row, terms in zip(sums, (S / L, S, S * L)):
+                np.cumsum(terms, out=row[1:])
+        # supremum of the support; 0.0 for the zero measure
+        tops = L[-1:].tolist() + [b for _, b, _ in pieces]
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-
-    # -- cached array views (sorted by length for prefix-sum lookups) --
-
-    @cached_property
-    def _atoms_by_length(self):
-        """Atom lengths and sections as two arrays, sorted by length."""
-        L = np.array([a[0] for a in self.atoms], dtype=float)
-        S = np.array([a[1] for a in self.atoms], dtype=float)
-        order = np.argsort(L, kind="stable")
-        return L[order], S[order]
-
-    @cached_property
-    def _prefix(self):
-        """Prefix sums of S * L^p for p = -1, 0, 1, each of length n+1."""
-        L, S = self._atoms_by_length
-        sums = np.zeros((3, L.size + 1))
-        for row, terms in zip(sums, (S / L, S, S * L)):
-            np.cumsum(terms, out=row[1:])
-        return dict(zip((-1, 0, 1), sums))
-
-    @cached_property
-    def support_sup(self):
-        """Supremum of the support; 0.0 for the zero measure."""
-        tops = [L for L, _ in self.atoms] + [b for _, b, _ in self.pieces]
-        return max(tops, default=0.0)
-
-    # -- config deserialization used by the CLI --
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            atoms = tuple(
-                (float(d["L"]), float(d["S"])) for d in data.get("atoms", [])
-            )
-            pieces = tuple(
-                (float(d["a"]), float(d["b"]), float(d["rho"]))
-                for d in data.get("pieces", [])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArgumentError(f"malformed measure config: {exc}") from exc
-        return cls(atoms=atoms, pieces=pieces)
+        object.__setattr__(self, "_atoms_by_length", (L, S))
+        object.__setattr__(self, "_prefix", dict(zip((-1, 0, 1), sums)))
+        object.__setattr__(self, "support_sup", max(tops, default=0.0))
 
 
 def _alpha_array(alphas):
@@ -186,16 +165,13 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
     """
     if p not in _PIECE_PREFIX:
         raise ArgumentError(f"moment exponent must be -1, 0 or 1, got {p}")
-    pieces = np.zeros_like(alphas)
+    out = np.zeros_like(alphas)
     for pa, pb, rho in mu.pieces:
         hi = np.clip(alphas, pa, pb)
-        pieces += np.where(alphas > pa, rho * _PIECE_PREFIX[p](hi, pa), 0.0)
-    if not mu.atoms:
-        return pieces
+        out += np.where(alphas > pa, rho * _PIECE_PREFIX[p](hi, pa), 0.0)
     side = "right" if inclusive else "left"
     L = mu._atoms_by_length[0]
-    atoms = mu._prefix[p][np.searchsorted(L, alphas, side=side)]
-    return atoms + pieces if mu.pieces else atoms
+    return out + mu._prefix[p][np.searchsorted(L, alphas, side=side)]
 
 
 class TailKernel(NamedTuple):
@@ -329,9 +305,7 @@ def moment(mu, p, a=0.0, b=math.inf):
     """
     if not 0 <= a <= b:
         raise ArgumentError(f"need 0 <= a <= b, got [{a}, {b})")
-    # every point above the support sees the whole measure
-    top = math.nextafter(mu.support_sup, math.inf)
-    lo, hi = _prefix_integral(mu, p, np.array([min(a, top), min(b, top)]))
+    lo, hi = _prefix_integral(mu, p, np.array([a, b], dtype=float))
     return float(hi - lo)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +58,8 @@ class PumpHistory:
 
     ``c_values[i]`` holds on [breakpoints[i], breakpoints[i+1]); the last
     value extends to infinity.  F is continuous, nondecreasing and
-    piecewise-linear with F(0) = 0.
+    piecewise-linear with F(0) = 0.  The constructor builds F at every
+    breakpoint; an F there that overflows a double raises ArgumentError.
     """
 
     breakpoints: tuple
@@ -78,20 +78,11 @@ class PumpHistory:
             raise ArgumentError("drive values must be finite and >= 0")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "c_values", cv)
-
-    @cached_property
-    def _bp(self):
-        return np.array(self.breakpoints)
-
-    @cached_property
-    def _c(self):
-        return np.array(self.c_values)
-
-    @cached_property
-    def _cum(self):
-        """F at each breakpoint."""
-        seg = self._c[:-1] * np.diff(self._bp)
-        return np.concatenate(([0.0], np.cumsum(seg)))
+        object.__setattr__(self, "_bp", np.array(bp))
+        object.__setattr__(self, "_c", np.array(cv))
+        with overflow_guard("the pumped volume"):
+            cum = np.cumsum(self._c[:-1] * np.diff(self._bp))
+        object.__setattr__(self, "_cum", np.concatenate(([0.0], cum)))
 
     def F_at(self, t):
         """Cumulative pumped volume per unit area at time(s) t >= 0."""
@@ -177,7 +168,8 @@ def simulate(sys, kappa, pump, t_grid):
     prefix, and V_w = ((F - top[k]) W[k] + D[k]) / kappa, anchored at the
     last of them so every term is >= 0: top[k] = thr_{k-1} (top[0] = 0),
     and W[k], D[k] sum S_j / L_j and (top[k] - thr_j) S_j / L_j over j < k,
-    over the tubes broken by the last time only.  The interfaces are
+    over the tubes broken by the last time only, in np.longdouble: V_w
+    is within about an ulp where that type is wider (x86).  The interfaces are
     filled over measures.row_blocks: the prefix broken on every row of a
     block gets L by a copy, the interface law is written straight into
     the rest, with the breakthrough mask only where the rows disagree.  No
@@ -199,9 +191,6 @@ def simulate(sys, kappa, pump, t_grid):
         thr = breakthrough_threshold(L, kappa)
         k = np.searchsorted(thr, F, "right")       # tubes broken at each time
         m = k.max()
-        top = np.concatenate(([0.0], thr[:m]))
-        W = np.concatenate(([0.0], np.cumsum(S[:m] / L[:m])))
-        D = np.concatenate(([0.0], np.cumsum(np.diff(top) * W[:-1])))
         L2 = L * L
         interfaces = np.empty((t.size, n))
         for rows in row_blocks(t.size, n):
@@ -215,11 +204,18 @@ def simulate(sys, kappa, pump, t_grid):
             np.copyto(live[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
             np.clip(live, 0.0, L[k0:], out=live)
 
+        top = np.concatenate(([0.0], thr[:m]))
+        W = np.concatenate(([0.0], np.cumsum(S[:m] / L[:m], dtype=np.longdouble)))
+        D = np.concatenate(([0.0], np.cumsum(np.diff(top) * W[:-1])))
+        v_w = (((F - top[k]) * W[k] + D[k]) / kappa).astype(float)
+        # the cast makes a long double past the doubles inf, raising nothing
+        if not np.all(np.isfinite(v_w)):
+            raise ArgumentError("the tube simulation overflows a double: V_w")
         return TubeSimResult(
             times=t,
             pumped=F,
             interfaces=interfaces,
-            v_w=((F - top[k]) * W[k] + D[k]) / kappa,
+            v_w=v_w,
             v_o=interfaces @ S,
             breakthrough_times=pump.F_inverse(thr),
         )

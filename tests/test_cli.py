@@ -38,6 +38,18 @@ def read_csv(path):
     return header, data
 
 
+class TestMeasureConfig:
+    @pytest.mark.parametrize("nested", [True, False], ids=["nested", "flat"])
+    def test_dict_round_trip(self, nested):
+        mu = Measure(atoms=((3.0, 1.0),), pieces=((1.0, 7.5, 0.2),))
+        data = {
+            "atoms": [{"L": 3.0, "S": 1.0}],
+            "pieces": [{"a": 1.0, "b": 7.5, "rho": 0.2}],
+        }
+        config = {"measure": data, "kappa": 0.5} if nested else {**data, "kappa": 0.5}
+        assert cli._measure_from_config(config) == mu
+
+
 class TestForward:
     def test_endpoint_row(self, tmp_path):
         config = write_json(tmp_path / "m.json", ATOM_CONFIG)
@@ -653,6 +665,25 @@ class TestOutOfRange:
         out = tmp_path / "out"
         argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
         assert_invalid_config(capsys, cli.main(argv))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            {"atoms": [{"L": 1e-10, "S": 1e300}]},     # S / L past the doubles
+            {"atoms": [{"L": 1.0, "S": 1e-320}]},      # a subnormal v_max
+            {"atoms": [{"L": 1e-320, "S": 1.0}]},
+            {"pieces": [{"a": 1e-320, "b": 1.0, "rho": 1.0}]},
+        ],
+        ids=["moment", "section", "length", "piece-start"],
+    )
+    def test_measure_past_the_normal_doubles(self, tmp_path, capsys, measure):
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "measure": measure})
+        out = tmp_path / "out"
+        code = cli.main(["forward", config, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "invalid-config"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [21.7, 1e160])

@@ -1,11 +1,11 @@
 """Command-line fuzzing: no traceback ever reaches the user.
 
 Each numeric flag and config field of every subcommand is drawn from
-{nan, inf, -inf, 0, -1, 1e160, 1e308, 1e-160, 21.7, a valid value}, with small
-grids: every field alone takes each bad value, and random pairs of fields
-take bad values together.  Every run must exit 0 or 2, let no exception
-escape and fire no RuntimeWarning (pytest turns those into errors), and a
-successful run must write finite volumes.
+{nan, inf, -inf, 0, -1, 1e160, 1e308, 1e-160, 1e-320, 21.7, a valid value},
+with small grids: every field alone takes each bad value, and random pairs
+of fields take bad values together.  Every run must exit 0 or 2, let no
+exception escape and fire no RuntimeWarning (pytest turns those into
+errors), and a successful run must write finite volumes.
 """
 
 import json
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tubeflood import cli, forward
 from tubeflood.measures import Measure
 
-BAD = (math.nan, math.inf, -math.inf, 0, -1, 1e160, 1e308, 1e-160, 21.7)
+BAD = (math.nan, math.inf, -math.inf, 0, -1, 1e160, 1e308, 1e-160, 1e-320, 21.7)
 ABSENT = None
 
 CURVE = forward.build_curve(Measure(pieces=((0.5, 1.5, 1.0),)), 0.5, 2.0, 101)
@@ -128,8 +128,8 @@ def check_run(work, sub, changed):
         assert np.all(np.isfinite(written_volumes(sub, work))), values
 
 
-# one bad field: at most 9 fields x 9 values, a space hypothesis exhausts
-# (it draws each pair at most once, so 81 examples draw them all)
+# one bad field: at most 9 fields x 10 values, a space hypothesis exhausts
+# (it draws each pair at most once, so 90 examples draw them all)
 @pytest.mark.parametrize("sub", sorted(FIELDS))
 @settings(max_examples=90, derandomize=True, deadline=None, database=None)
 @given(data=st.data())

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -228,13 +229,33 @@ class TestMeasureType:
         mu = Measure(atoms=((3.0, 1.0),), pieces=((1.0, 7.5, 0.2),))
         assert mu.support_sup == 7.5
 
-    def test_dict_round_trip(self):
-        mu = Measure(atoms=((3.0, 1.0),), pieces=((1.0, 7.5, 0.2),))
-        data = {
-            "atoms": [{"L": 3.0, "S": 1.0}],
-            "pieces": [{"a": 1.0, "b": 7.5, "rho": 0.2}],
-        }
-        assert Measure.from_dict(data) == mu
+    def test_state_built_at_construction(self):
+        mu = Measure(atoms=((3.0, 1.0), (2.0, 0.5)), pieces=((1.0, 7.5, 0.2),))
+        state = dict(vars(mu))
+        assert {"_atoms_by_length", "_prefix", "support_sup"} <= state.keys()
+        for p in (-1, 0, 1):
+            moment(mu, p, 1.5, 4.0)
+        prefix_integral(mu, 1, np.linspace(0.0, 8.0, 9))
+        oil_tail(mu, 4.0, 0.5, 4.0)
+        assert vars(mu).keys() == state.keys()
+        assert all(vars(mu)[key] is value for key, value in state.items())
+
+    @pytest.mark.parametrize(
+        "atoms, pieces",
+        [
+            (((1e-10, 1e300),), ()),          # S / L overflows
+            (((1e200, 1e200),), ()),          # S * L overflows
+            (((1.0, 1e308), (2.0, 1e308)), ()),   # the sum of S overflows
+            (((1e-320, 1e-320),), ()),        # a subnormal length
+            ((), ((1e-320, 1.0, 1.0),)),      # a subnormal piece start
+        ],
+        ids=["inverse", "first", "mass", "subnormal-atom", "subnormal-piece"],
+    )
+    def test_rejected_where_built(self, atoms, pieces):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError):
+                Measure(atoms=atoms, pieces=pieces)
 
     def test_finite_moments(self):
         mu = random_measure(np.random.default_rng(8))

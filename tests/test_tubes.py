@@ -114,6 +114,24 @@ class TestPumpHistory:
             warnings.simplefilter("error")
             assert pump.F_inverse(3.0) == math.inf
 
+    def test_overflowing_volume_rejected_where_built(self):
+        # F reaches 1e310 at the second breakpoint
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="overflows a double"):
+                PumpHistory((0.0, 1e300), (1e10, 1.0))
+
+    def test_state_built_at_construction(self):
+        pump = PumpHistory((0.0, 1.0, 2.0), (1.0, 0.0, 2.0))
+        sys = TubeSystem(((1.0, 1.0), (2.0, 0.5)))
+        before = [dict(vars(obj)) for obj in (pump, sys)]
+        pump.F_at(np.linspace(0.0, 3.0, 7))
+        pump.F_inverse(np.array([0.5, 2.0]))
+        simulate(sys, 0.5, pump, np.linspace(0.0, 6.0, 13))
+        for obj, state in zip((pump, sys), before):
+            assert vars(obj).keys() == state.keys()
+            assert all(vars(obj)[key] is value for key, value in state.items())
+
     def test_validation(self):
         with pytest.raises(ArgumentError):
             PumpHistory((1.0,), (1.0,))
@@ -227,10 +245,10 @@ class TestSimulate:
         ids=["drive", "section", "later-breakpoint"],
     )
     def test_overflowing_volume(self, tubes, breakpoints, c):
-        pump = PumpHistory(breakpoints, c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArgumentError, match="overflows a double"):
+                pump = PumpHistory(breakpoints, c)
                 simulate(TubeSystem(tubes), 0.5, pump, np.linspace(0.0, 3.0, 5))
 
     def test_monotone_outputs(self):
@@ -325,6 +343,20 @@ class TestSimulate:
         np.testing.assert_allclose(
             res.v_w, water_volume_fsum(L, S, kappa, res.pumped), rtol=1e-14, atol=0.0
         )
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(float).eps,
+        reason="np.longdouble is no wider than a double here",
+    )
+    def test_water_volume_to_an_ulp_on_a_large_bundle(self):
+        # the prefix sums over 1e4 tubes lose digits in double precision
+        rng = np.random.default_rng(2)
+        n = 10_000
+        sys = TubeSystem(tuple(zip(rng.uniform(0.5, 10.0, n), rng.uniform(0.5, 2, n))))
+        pump = PumpHistory((0.0, 10.0), (1.0, 0.5))
+        res = simulate(sys, 0.5, pump, np.linspace(0.0, 160.0, 301))
+        ref = water_volume_fsum(sys.lengths, sys.sections, 0.5, res.pumped)
+        np.testing.assert_allclose(res.v_w, ref, rtol=1e-15, atol=0.0)
 
     def test_memory_is_bounded_by_the_result(self):
         # the 24 MB interfaces array is the only (time, tube) array kept
