@@ -4,8 +4,6 @@ The CLI maps these onto exit codes: ArgumentError -> 2,
 InternalConsistencyError -> 4.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 
 
@@ -25,14 +23,29 @@ class InternalConsistencyError(RuntimeError):
     """A model invariant failed beyond its numerical tolerance."""
 
 
-@contextmanager
-def overflow_guard(what):
+class overflow_guard:
     """Run NumPy with over, invalid and divide raising, as ArgumentError.
 
     A value past the doubles comes from input too large (or small) for them.
+    A class, not a generator context manager: it is entered for every
+    Measure and PumpHistory built, and a generator cost about as much as
+    the errstate switch itself.  The previous error state is restored on
+    every exit, and a nested guard's ArgumentError passes through the
+    outer one unchanged.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise ArgumentError(f"{what} overflows a double: {exc}") from exc
+
+    __slots__ = ("what", "_state")
+
+    def __init__(self, what):
+        self.what = what
+        self._state = np.errstate(over="raise", invalid="raise", divide="raise")
+
+    def __enter__(self):
+        self._state.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._state.__exit__(exc_type, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            raise ArgumentError(f"{self.what} overflows a double: {exc}") from exc
+        return False

@@ -11,10 +11,33 @@ q = (1-kappa)/(1+kappa) < 1, so the solution is unique.
 
 V is represented by its samples on a uniform grid and their
 piecewise-linear interpolant.  The kernel integrates against the hat
-functions in closed form, so the operator matrix is exact up to rounding.
-T integrates from alpha up to alpha_max (a Volterra operator), so that
-matrix is upper triangular and the discrete fixed point is solved exactly
-by one sweep down from alpha_max, one scalar equation per grid node.
+functions in closed form, so every entry of the operator matrix M is exact
+up to rounding.  T integrates from alpha up to alpha_max (a Volterra
+operator), so M is upper triangular and the discrete fixed point is
+solved exactly by one sweep down from alpha_max, one scalar equation per
+grid node.
+
+M is never formed as an n x n array.  It is held in hierarchical (HODLR)
+form: [0, n) is halved down to leaves of at most 64 nodes, each leaf a
+dense, exact diagonal block, and each split's off-diagonal block
+M[lo:mid, mid:hi] rank-k factors U.T V from adaptive cross approximation
+on exact entries, to 1e-12 of the block (Hackbusch, Hierarchical Matrices,
+2015; Bebendorf, Numer. Math. 86, 2000).  The ranks stay below about 35,
+so memory and build time grow as n log n: 5-8.5% of n^2 doubles at
+n = 2001, and 60-110 MB at n = 50001 where M would take 20 GB.
+Leaves, ACA rows and ACA columns all come from one cell function, each
+evaluated in place in per-thread buffers kept from one call to the next
+(measures._block_buffers, shared with the tail integrals).  Its one
+transcendental term, t - arctan t, is a 5-term series wherever t < 0.025,
+where the remainder is below 2^-53 relative, and arctan on the few other
+cells.  The sweep recurses over the tree (Hairer, Lubich and Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985): solve the bottom half, add its
+block's U.T (V v) into the top half's right-hand side, solve the top half.
+The residual and apply_T multiply by the same operator, so residual and
+error_bound measure the discrete system with the stored factors; the
+factors' own distance from the exact M, up to about 1e-11 of a row's
+largest entry at n = 2001, is not in them.  One operator is cached; a
+new (n, kappa) frees it before the build, so two are never held at once.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
 dmu(y)/y follows from V'(alpha) = (1+kappa)/kappa * alpha * Phi(alpha),
@@ -23,13 +46,7 @@ and for measures with a continuous density f,
     f(alpha) = kappa/(1+kappa) * alpha * (V'(alpha)/alpha)' .
 
 Note the prefactor: substituting the V' relation shows the inverted form
-is required.  The operator is assembled over measures.row_blocks, the same
-memory rule as the tail integrals, each row block in place in per-thread
-buffers kept from one call to the next (measures._block_buffers, shared
-with the tail integrals).  Its one transcendental term, t - arctan t, is a
-5-term series wherever t < 0.025, where the remainder is below 2^-53
-relative, and arctan on the few other cells.  One operator is cached; a new (n, kappa)
-frees it before assembly, so two operators are never held at once.
+is required.
 """
 
 from __future__ import annotations
@@ -42,13 +59,29 @@ import numpy as np
 
 from .errors import ArgumentError, overflow_guard
 from .forward import curve_readoff
+from . import measures
 from .measures import _block_buffers, check_count, check_kappa, row_blocks
 
 # The cached operator: at most one entry, keyed by (n, kappa).
 _OPERATOR = {}
 
-# Rows per block of the back-substitution sweep.
+# Rows per sub-block of a leaf's back-substitution sweep.
 _SWEEP_ROWS = 8
+
+# Nodes of a diagonal leaf of the operator, at most.
+_LEAF = 64
+
+# ACA stops a block at the first term below _ACA_TOL of the block's
+# Frobenius norm (or a rounding floor above it, see _aca), and at
+# _ACA_RANK terms at the latest.
+_ACA_TOL = 1e-12
+_ACA_RANK = 64
+
+# Terms that _subtract_terms takes at a time.
+_TERM_STEP = 16
+
+# The closed forms square node indices, exactly in doubles only below 2^26.
+_MAX_GRID = 1 << 26
 
 # t - arctan(t) = t^3 (1/3 - t^2/5 + t^4/7 - t^6/9 + t^8/11 - ...): below
 # _SERIES_T the next term, t^13/13, is under 2^-53 of the sum.
@@ -70,6 +103,11 @@ class RecoveryConfig:
 
     def __post_init__(self):
         check_count("n_grid", self.n_grid, 3)
+        if self.n_grid > _MAX_GRID:
+            raise ArgumentError(
+                f"n_grid must be at most 2**26, got {self.n_grid}: the operator "
+                "squares node indices, exact in doubles only up to there"
+            )
         if not isinstance(self.alpha_min, (int, float, np.integer, np.floating)):
             raise ArgumentError("alpha_min must be a number >= 0")
         if not self.alpha_min >= 0:
@@ -80,12 +118,13 @@ class RecoveryConfig:
 class RecoveryResult:
     """Recovered profile plus solver diagnostics.
 
-    residual is sup |V - G(h + TV)| on the grid; contraction_q =
-    (1-kappa)/(1+kappa) and error_bound = residual / (1 - q), which bounds
-    the distance to the exact discrete fixed point, derive from kappa and
-    residual.  phi and f are filled by the cdf/density stages (f is NaN
-    outside the density reporting window).  timings holds seconds per
-    stage, and operator_cached whether the operator came from the cache.
+    residual is sup |V - G(h + TV)| on the grid, T the stored operator;
+    contraction_q = (1-kappa)/(1+kappa) and error_bound = residual /
+    (1 - q), which bounds the distance to that operator's discrete fixed
+    point, derive from kappa and residual.  phi and f are filled by the
+    cdf/density stages (f is NaN outside the density reporting window).
+    timings holds seconds per stage, and operator_cached whether the
+    operator came from the cache.
     iterations is always 1 (the solve is one sweep); it stays only because
     perfbench/ reads it, and invert --diagnostics does not report it.
     """
@@ -135,8 +174,390 @@ def _t_minus_arctan(t, out, t2):
     return out
 
 
+def _cells(i, m, kappa):
+    """Contributions of the cells [m, m+1] of rows i to their two nodes.
+
+    i and m are float node indices that broadcast to the cells' shape, with
+    i >= 1 and m >= 1 (row 0 is 0).  Returns (left, right) = kappa c i^4
+    (a - r, r), the parts of M[i, m] and M[i, m+1] that the cell adds (see
+    _unit_t_matrix), as views on this thread's measures._block_buffers that
+    the next call overwrites.  Below the diagonal (m < i) w is held at its
+    value at m = i, kappa i, so the root stays real; those cells mean
+    nothing, and callers zero or skip them.  Each cell takes one fixed
+    sequence of operations, so its value does not depend on the shape or
+    grouping of a call.  The factors of i and of m alone are taken at their
+    own shapes: per row and per column for a leaf, per cell for the ACA's
+    scattered rows and columns.
+    """
+    c = 1.0 - kappa * kappa
+    sc = math.sqrt(c)
+    shape = np.broadcast_shapes(np.shape(i), np.shape(m))
+    w1, w2, P, Q, t, X, r = (
+        b.reshape(shape) for b in _block_buffers(1, math.prod(shape), count=7)
+    )
+    i2 = i * i
+    ci2 = c * i2
+    ki2 = (kappa * i) ** 2
+    m2 = m + 1.0
+    for w, node in ((w1, m), (w2, m2)):    # w = i u at the cell's two ends
+        np.multiply(node, node, out=w)
+        np.subtract(w, i2, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.add(w, ki2, out=w)
+        np.sqrt(w, out=w)
+    D = m + m2
+    mm = m * m2
+    np.multiply(w1, w2, out=P)
+    np.add(P, ci2, out=X)
+    np.add(w1, w2, out=Q)
+    np.multiply(Q, X, out=Q)
+    np.multiply(D, sc * i, out=t)
+    np.divide(t, Q, out=t)
+    # r = dB / i^3, less m1 a below
+    _t_minus_arctan(t, r, X)
+    np.multiply(r, 1.0 / (c * sc * i * i2), out=r)
+    np.multiply(P, Q, out=X)
+    np.divide(D, X, out=X)
+    np.add(r, X, out=r)
+    # a = dA / i^4, into t
+    np.multiply(m, w2, out=X)
+    np.multiply(m2, w1, out=Q)
+    np.add(X, Q, out=X)
+    np.add(P, mm, out=Q)
+    np.multiply(X, Q, out=X)
+    np.multiply(X, P, out=X)
+    np.multiply(X, mm, out=X)
+    np.subtract(m * m + m2 * m2, ci2, out=t)
+    np.multiply(t, D, out=t)
+    np.divide(t, X, out=t)
+    np.multiply(m, t, out=X)
+    np.subtract(r, X, out=r)
+    scale = kappa * c * (i2 * i2)
+    np.subtract(t, r, out=t)
+    np.multiply(t, scale, out=t)
+    np.multiply(r, scale, out=r)
+    return t, r
+
+
+def _cell_values(i, m, kappa):
+    """_cells on arrays whose first axis is their length, in row_blocks
+    of that axis, into new arrays."""
+    shape = np.broadcast_shapes(i.shape, m.shape)
+    left, right = np.empty(shape), np.empty(shape)
+    for s in row_blocks(shape[0], math.prod(shape[1:])):
+        left[s], right[s] = _cells(i[s], m[s], kappa)
+    return left, right
+
+
+def _offsets(lengths):
+    """Start of each segment of the given lengths, and the total at the end."""
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _ranges(lo, hi):
+    """lo[s], ..., hi[s] - 1 for each s, concatenated, as floats."""
+    lengths = hi - lo
+    starts = _offsets(lengths)
+    return np.arange(starts[-1], dtype=float) - np.repeat(starts[:-1] - lo, lengths)
+
+
+def _segment_argmax(a, starts):
+    """Index of the first largest entry of each segment a[starts[s]:starts[s+1]],
+    and that entry."""
+    top = np.maximum.reduceat(a, starts[:-1])
+    hit = np.flatnonzero(a == np.repeat(top, np.diff(starts)))
+    return hit[np.searchsorted(hit, starts[:-1])], top
+
+
+def _subtract_terms(out, F, coef, lengths):
+    """out -= sum over l of F[l] times coef[l, s] on segment s (of lengths).
+
+    Taken _TERM_STEP terms at a time, so the temporaries hold at most
+    _TERM_STEP rows of out however many terms there are.
+    """
+    for l in range(0, coef.shape[0], _TERM_STEP):
+        out -= np.einsum(
+            "ln,ln->n",
+            F[l:l + _TERM_STEP],
+            np.repeat(coef[l:l + _TERM_STEP], lengths, axis=1),
+        )
+
+
+def _keep_columns(F, k, keep):
+    """F's columns where keep is set, in an array of F's row count; only
+    the first k rows, the ones written so far, are copied."""
+    out = np.empty((F.shape[0], np.count_nonzero(keep)))
+    np.compress(keep, F[:k], axis=1, out=out[:k])
+    return out
+
+
+def _split(n):
+    """The tree over the nodes [0, n): diagonal leaves and off-diagonal blocks.
+
+    A span of more than _LEAF nodes splits at mid = (lo + hi) // 2 into two
+    halves and the block M[lo:mid, mid:hi] (its rows from 1 on, row 0
+    being 0); the block below the diagonal is 0.  Returns the leaves'
+    (lo, hi), the blocks' (rlo, mid, hi), and the sweep's schedule: leaf k
+    as k and block b as ~b, in the order bottom half, block, top half.
+    """
+    leaves, blocks, schedule = [], [], []
+    pending = [(0, n)]
+    while pending:             # depth first, the bottom half first
+        item = pending.pop()
+        if isinstance(item, int):
+            schedule.append(item)
+            continue
+        lo, hi = item
+        if hi - lo <= _LEAF:
+            schedule.append(len(leaves))
+            leaves.append(item)
+            continue
+        mid = (lo + hi) // 2
+        pending += [(lo, mid), ~len(blocks), (mid, hi)]
+        blocks.append((max(lo, 1), mid, hi))
+    return (np.array(leaves, dtype=int), np.array(blocks, dtype=int).reshape(-1, 3),
+            schedule)
+
+
+def _leaves(n, kappa, spans):
+    """The dense diagonal leaves M[lo:hi, lo:hi], exact, padded to the largest.
+
+    Leaves are evaluated a group at a time, over row_blocks of the leaf
+    list: rows i by cells m, each broadcast from its own axis.  Cell m adds
+    its left part to column m and its right part to column m + 1, so
+    M[i, j] is left(j) + right(j - 1), summed in that order.  Row 0, the
+    cells below the diagonal and the left part of cell n - 1 (past
+    alpha_max) are 0.
+    """
+    lo = spans[:, 0]
+    size = int(np.max(spans[:, 1] - lo))
+    out = np.zeros((lo.size, size, size))
+    k = np.arange(size, dtype=float)
+    below = np.tri(size, size, -1, dtype=bool)
+    for group in row_blocks(lo.size, size * size):
+        base = lo[group, None, None].astype(float)
+        m = base + k
+        i = np.maximum(base + k[:, None], 1.0)
+        left, right = _cells(i, np.maximum(m, 1.0), kappa)
+        np.copyto(left, 0.0, where=below | (m >= n - 1))
+        np.copyto(right, 0.0, where=below)
+        leaf = out[group]
+        leaf[...] = left
+        leaf[:, :, 1:] += right[:, :, :-1]
+    out[lo == 0, 0] = 0.0
+    return out
+
+
+def _aca_batches(blocks):
+    """Slices of the block list that ACA runs together: each holds at most
+    measures._BLOCK_CELLS row and column slots, or a single block."""
+    start, slots = 0, 0
+    for b, (rlo, mid, hi) in enumerate(blocks.tolist()):
+        if slots + hi - rlo + 1 > measures._BLOCK_CELLS and b > start:
+            yield slice(start, b)
+            start, slots = b, 0
+        slots += hi - rlo + 1
+    yield slice(start, len(blocks))
+
+
+def _aca(n, kappa, blocks):
+    """Factors (U, V), M[rlo:mid, mid:hi] ~ U.T @ V, of every block, by ACA.
+
+    Adaptive cross approximation with partial pivoting (Bebendorf 2000) on
+    exact entries: each term is the residual's column at the pivot row's
+    largest entry, times that row over the entry.  A block starts at its
+    last row, next to the diagonal (row 0 of M is 0), and each next pivot
+    row is the largest entry of the last column among the rows not yet
+    used.  It stops once a term's Frobenius norm is below tol times that of
+    the sum so far, the sum of the terms' squared norms standing for the
+    latter; tol is _ACA_TOL, or 2 hi eps where that is larger: r = dB/i^3 -
+    m1 a cancels by a factor near the column index, so an entry is known
+    only to about m eps of itself, and past that floor ACA would run on
+    rounding to _ACA_RANK terms (at n = 8001 and kappa 0.5 it did).
+
+    ACA runs on the entries times j^5 / i^4, which evens out the kernel's
+    decay, alpha^4 / y^5 away from the diagonal: pivots and the stop test
+    then weigh an entry against its own size, not the block's largest, so
+    small entries far from the diagonal are kept to their own size too.
+    The factors are scaled back when a block stops.
+
+    The blocks of one batch (_aca_batches) advance together: each step
+    evaluates every running block's pivot row, then its pivot column, in
+    one _cell_values call each.  A row of c entries takes the c + 1 cells
+    [mid - 1, hi), shared between neighbours; a column takes the two cells
+    j and j - 1 of each row, and the factors of i once per row.  The
+    running blocks' terms sit in two stacked arrays, U over their rows and
+    V over their columns (plus one spare slot per block, 0, where the last
+    cell's right part falls); a block that stops takes its terms out, and
+    the arrays shrink to the blocks still running.
+    """
+    eps = np.finfo(float).eps
+    rlo, mid, hi = blocks.T
+    run = np.arange(rlo.size)
+    tol2 = np.maximum(_ACA_TOL, 2.0 * hi * eps) ** 2
+    norm2 = np.zeros(run.size)
+    p, q = mid - rlo, hi - mid + 1
+    rows, cells = _ranges(rlo, mid), _ranges(mid - 1, hi)
+    rscale, cscale = rows ** -4.0, (cells + 1.0) ** 5.0   # of i, and of j = cell + 1
+    rstart, cstart = _offsets(p), _offsets(q)
+    used_r = np.zeros(rows.size, dtype=bool)
+    used_c = np.zeros(cells.size, dtype=bool)
+    used_c[cstart[1:] - 1] = True
+    piv = p - 1
+    U, V = np.empty((0, rows.size)), np.empty((0, cells.size))
+    factors = [None] * rlo.size
+    for k in range(_ACA_RANK):
+        if not run.size:
+            break
+        if k == U.shape[0]:
+            grow = min(max(k, 8), _ACA_RANK - k)
+            U = np.concatenate((U, np.empty((grow, rows.size))))
+            V = np.concatenate((V, np.empty((grow, cells.size))))
+        # the pivot rows
+        slot = rstart[:-1] + piv
+        left, right = _cell_values(np.repeat(rows[slot], q), cells, kappa)
+        left[cells == n - 1] = 0.0
+        row = V[k]
+        np.add(left[1:], right[:-1], out=row[:-1])
+        row[cstart[1:] - 1] = 0.0
+        row *= cscale * np.repeat(rscale[slot], q)
+        _subtract_terms(row, V[:k], U[:k, slot], q)
+        a = np.abs(row)
+        a[used_c] = -1.0
+        jpos, top = _segment_argmax(a, cstart)
+        stop = top <= 0.0           # a row already matched, or no column left
+        row /= np.repeat(np.where(stop, 1.0, row[jpos]), q)
+        # the pivot columns, node j = cell + 1, from the cells j and j - 1
+        j = np.repeat(cells[jpos] + 1.0, p)
+        left, right = _cell_values(rows[:, None], np.stack((j, j - 1.0), axis=1), kappa)
+        left[j == n - 1, 0] = 0.0
+        col = U[k]
+        np.add(left[:, 0], right[:, 1], out=col)
+        col *= rscale * np.repeat(cscale[jpos], p)
+        _subtract_terms(col, U[:k], V[:k, jpos], p)
+        col[np.repeat(stop, p)] = 0.0
+        row[np.repeat(stop, q)] = 0.0
+        used_r[slot] = used_c[jpos] = True
+        term2 = np.add.reduceat(col * col, rstart[:-1]) * np.add.reduceat(
+            row * row, cstart[:-1]
+        )
+        norm2 += term2
+        a = np.abs(col)
+        a[used_r] = -1.0
+        piv = _segment_argmax(a, rstart)[0] - rstart[:-1]
+        done = (term2 <= tol2 * norm2) | (k + 1 >= np.minimum(p, q - 1))
+        if k + 1 == _ACA_RANK:
+            done[:] = True
+        if not done.any():
+            continue
+        # the blocks that stop take their terms out
+        out_r, out_c = np.repeat(done, p), np.repeat(done, q)
+        Uo, Vo = U[:k + 1, out_r] / rscale[out_r], V[:k + 1, out_c] / cscale[out_c]
+        ro, co = _offsets(p[done]), _offsets(q[done])
+        for s, b in enumerate(run[done].tolist()):
+            factors[b] = (Uo[:, ro[s]:ro[s + 1]], Vo[:, co[s]:co[s + 1] - 1])
+        keep, keep_r, keep_c = ~done, ~out_r, ~out_c
+        run, tol2, norm2, piv, p, q = (x[keep] for x in (run, tol2, norm2, piv, p, q))
+        rows, used_r, rscale = rows[keep_r], used_r[keep_r], rscale[keep_r]
+        cells, used_c, cscale = cells[keep_c], used_c[keep_c], cscale[keep_c]
+        U, V = _keep_columns(U, k + 1, keep_r), _keep_columns(V, k + 1, keep_c)
+        rstart, cstart = _offsets(p), _offsets(q)
+    return factors
+
+
+class _Operator:
+    """The operator matrix M of _unit_t_matrix, in hierarchical form.
+
+    leaves holds (lo, hi, L) with L = M[lo:hi, lo:hi] dense and exact;
+    blocks holds (rlo, mid, hi, U, V) with M[rlo:mid, mid:hi] ~ U.T @ V;
+    every other entry of M is 0.  schedule orders them for the sweep (leaf
+    k as k, block b as ~b).
+    """
+
+    def __init__(self, n, kappa):
+        spans, blocks, self.schedule = _split(n)
+        self.n = n
+        self.leaves = [
+            (lo, hi, L[:hi - lo, :hi - lo])
+            for (lo, hi), L in zip(spans.tolist(), _leaves(n, kappa, spans))
+        ]
+        factors = []
+        for batch in _aca_batches(blocks):
+            factors += _aca(n, kappa, blocks[batch])
+        self.blocks = [
+            (rlo, mid, hi, U, V)
+            for (rlo, mid, hi), (U, V) in zip(blocks.tolist(), factors)
+        ]
+
+    def matvec(self, v):
+        """M v."""
+        y = np.empty(self.n)
+        for lo, hi, L in self.leaves:
+            np.dot(L, v[lo:hi], out=y[lo:hi])
+        for rlo, mid, hi, U, V in self.blocks:
+            y[rlo:mid] += (V @ v[mid:hi]) @ U
+        return y
+
+    def sweep(self, h, x, g):
+        """V with V_i = G(h_i + (M V)_i), by the recursive Volterra sweep.
+
+        G interpolates (x, g) piecewise-linearly and is constant outside
+        [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  Over the
+        schedule, the bottom half of a span is solved first, its block
+        then adds U.T (V v) into the top half's right-hand sides, and the
+        top half is solved last.  A leaf solves its rows from the last up,
+        in sub-blocks of _SWEEP_ROWS: the part of b from rows of earlier
+        sub-blocks is one matrix-vector product, the rest a scalar sum.
+        Row i then reads V_i = G(b + d V_i) with d = M[i, i]: s - d G(s)
+        increases with s, so the segment of G holding s = b + d V_i is the
+        k with knot(k) <= b < knot(k+1), knot(k) = x_k - d g_k, and one
+        linear solve on it gives V_i.  k starts from the previous row's
+        segment, across leaves too, and walks to this row's; s moves
+        little from one row to the next, so the whole walk costs about one
+        pass over the curve.
+        """
+        xs, gs = x.tolist(), g.tolist()
+        slope = (np.diff(g) / np.diff(x)).tolist()
+        last = len(xs) - 1
+        rhs = np.array(h, dtype=float)
+        v = np.zeros(self.n)
+        k = last
+        for step in self.schedule:
+            if step < 0:
+                rlo, mid, hi, U, V = self.blocks[~step]
+                rhs[rlo:mid] += (V @ v[mid:hi]) @ U
+                continue
+            lo, hi, L = self.leaves[step]
+            diag = L.diagonal().tolist()
+            for i1 in range(hi - lo, 0, -_SWEEP_ROWS):
+                i0 = max(i1 - _SWEEP_ROWS, 0)
+                m = i1 - i0
+                solved = (rhs[lo + i0:lo + i1] + L[i0:i1, i1:] @ v[lo + i1:hi]).tolist()
+                block = L[i0:i1, i0:i1].tolist()
+                vb = [0.0] * m
+                for r in range(m - 1, -1, -1):
+                    row = block[r]
+                    b = solved[r]
+                    for j in range(r + 1, m):
+                        b += row[j] * vb[j]
+                    d = diag[i0 + r]
+                    while k >= 0 and b < xs[k] - d * gs[k]:
+                        k -= 1
+                    while k < last and xs[k + 1] - d * gs[k + 1] <= b:
+                        k += 1
+                    if k < 0:            # G is constant outside [0, v_max]
+                        vb[r] = gs[0]
+                    elif k == last:
+                        vb[r] = gs[last]
+                    else:
+                        knot = xs[k] - d * gs[k]
+                        vb[r] = gs[k] + slope[k] * (b - knot) / (1.0 - d * slope[k])
+                v[lo + i0:lo + i1] = vb
+        return v
+
+
 def _unit_t_matrix(n, kappa):
-    """Exact operator matrix on the unit uniform grid.
+    """The exact operator matrix on the unit uniform grid, as an _Operator.
 
     Row i, column j is kappa c alpha_i^4 times the integral of
     phi_j(y) / (y^2 (y^2 - c alpha_i^2)^{3/2}) over [alpha_i, 1], with
@@ -160,90 +581,29 @@ def _unit_t_matrix(n, kappa):
                    t = sqrt(c) i D / Q ,
 
     and with r = dB / i^3 - m1 a the cell adds kappa c i^4 (a - r) to node
-    m and kappa c i^4 r to node m+1.  Cells below the diagonal (m < i) are
-    zeroed before they are added, so the matrix is upper triangular; row 0
-    (alpha = 0) is 0.
+    m and kappa c i^4 r to node m+1 (_cells).  Cells below the diagonal
+    (m < i) add nothing, so the matrix is upper triangular; row 0
+    (alpha = 0) is 0.  t - arctan t is a 5-term series on every cell,
+    replaced by arctan on the few with t >= _SERIES_T (_t_minus_arctan).
 
-    Rows are assembled over measures.row_blocks, each block in place with
-    out= ufuncs, in six of the calling thread's measures._block_buffers (one
-    over the block's nodes, five over its cells): once those have grown, no
-    block-sized array is allocated, and threads never share one.
-    t - arctan t is a 5-term series on every cell, replaced by arctan on the
-    few with t >= _SERIES_T (_t_minus_arctan).
+    No n x n array is formed: _split halves [0, n) down to leaves of at
+    most _LEAF nodes, each a dense, exact diagonal block (_leaves), and
+    each split keeps its off-diagonal block M[lo:mid, mid:hi] as rank-k
+    factors from ACA on exact entries (_aca), all from _cells.
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
-    1/alpha_max, cell widths gain alpha_max), so one matrix per (n, kappa)
-    serves every alpha_max.  The cache holds one matrix, dropped on a miss
+    1/alpha_max, cell widths gain alpha_max), so one operator per (n, kappa)
+    serves every alpha_max.  The cache holds one operator, dropped on a miss
     before the next is built (threads that miss at once may each build one,
-    and each gets a correct matrix): the package reuses a single (n, kappa).
+    and each gets a correct operator): the package reuses a single
+    (n, kappa).
     """
     cached = _OPERATOR.get((n, kappa))
     if cached is not None:
         return cached
     _OPERATOR.clear()
-    c = 1.0 - kappa * kappa
-    sc = math.sqrt(c)
-    out = np.zeros((n, n))
-    m = np.arange(n, dtype=float)
-    msq = m * m
-    cell_D = m[:-1] + m[1:]
-    cell_mm = m[:-1] * m[1:]
-    cell_msq = msq[:-1] + msq[1:]
-    below = np.empty((0, 0), dtype=bool)
-    for rows in row_blocks(n, n, start=1):
-        i0, nr = rows.start, rows.stop - rows.start
-        i = np.arange(i0, rows.stop, dtype=float)[:, None]
-        i2 = i * i
-        ci2 = c * i2
-        m1, m2 = m[i0:-1], m[i0 + 1:]
-        D, mm = cell_D[i0:], cell_mm[i0:]
-        w, *cells = _block_buffers(nr, n - i0, count=6)
-        P, Q, t, X, r = (b.ravel()[:w.size - nr].reshape(nr, -1) for b in cells)
-        # below the diagonal w is held at its value at m = i, kappa i, so the
-        # root stays real; those cells are zeroed before they are added
-        np.subtract(msq[i0:], i2, out=w)
-        np.maximum(w[:, :nr], 0.0, out=w[:, :nr])
-        np.add(w, (kappa * i) ** 2, out=w)
-        np.sqrt(w, out=w)
-        w1, w2 = w[:, :-1], w[:, 1:]
-        np.multiply(w1, w2, out=P)
-        np.add(P, ci2, out=X)
-        np.add(w1, w2, out=Q)
-        np.multiply(Q, X, out=Q)
-        np.multiply(D, sc * i, out=t)
-        np.divide(t, Q, out=t)
-        # r = dB / i^3, less m1 a below
-        _t_minus_arctan(t, r, X)
-        np.multiply(r, 1.0 / (c * sc * i * i2), out=r)
-        np.multiply(P, Q, out=X)
-        np.divide(D, X, out=X)
-        np.add(r, X, out=r)
-        # a = dA / i^4, into t
-        np.multiply(m1, w2, out=X)
-        np.multiply(m2, w1, out=Q)
-        np.add(X, Q, out=X)
-        np.add(P, mm, out=Q)
-        np.multiply(X, Q, out=X)
-        np.multiply(X, P, out=X)
-        np.multiply(X, mm, out=X)
-        np.subtract(cell_msq[i0:], ci2, out=t)
-        np.multiply(t, D, out=t)
-        np.divide(t, X, out=t)
-        np.multiply(m1, t, out=X)
-        np.subtract(r, X, out=r)
-        if below.shape[0] < nr:     # cell j of row i0 + k is below if j < k
-            below = np.tri(nr, nr, -1, dtype=bool)
-        below_here = below[:nr, :min(nr, n - i0 - 1)]
-        np.copyto(t[:, :nr], 0.0, where=below_here)
-        np.copyto(r[:, :nr], 0.0, where=below_here)
-        scale = kappa * c * (i2 * i2)
-        np.subtract(t, r, out=t)
-        np.multiply(t, scale, out=out[rows, i0:-1])
-        np.multiply(r, scale, out=r)
-        np.add(out[rows, i0 + 1:], r, out=out[rows, i0 + 1:])
-    out.setflags(write=False)
-    _OPERATOR[(n, kappa)] = out
-    return out
+    op = _OPERATOR[(n, kappa)] = _Operator(n, kappa)
+    return op
 
 
 def apply_T(v, kappa, alpha_max):
@@ -258,7 +618,7 @@ def apply_T(v, kappa, alpha_max):
         raise ArgumentError("v must be a 1-d array of >= 2 grid samples")
     if not alpha_max > 0:
         raise ArgumentError("alpha_max must be > 0")
-    return _unit_t_matrix(v.size, kappa) @ v
+    return _unit_t_matrix(v.size, kappa).matvec(v)
 
 
 def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
@@ -290,88 +650,34 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     return kappa / c * gap * (alpha_max * v_w_prime_max + gap / rho * v_w_max)
 
 
-def _back_substitute(M, h, x, g):
-    """V with V_i = G(h_i + sum_j M[i, j] V_j) for upper triangular M.
-
-    G interpolates (x, g) piecewise-linearly and is constant outside
-    [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  Rows are
-    solved from the last up, in blocks of _SWEEP_ROWS: the part of
-    b_i = h_i + M[i, i+1:] V[i+1:] from rows of earlier blocks is one
-    matrix-vector product per block, the rest a scalar sum inside it.
-    Row i then reads V_i = G(b + d V_i) with d = M[i, i]: s - d G(s)
-    increases with s, so the segment of G holding s = b + d V_i is the
-    k with knot(k) <= b < knot(k+1), knot(k) = x_k - d g_k, and one linear
-    solve on it gives V_i.  k starts from the previous row's segment and
-    walks to this row's; s moves little from one row to the next, so the
-    whole walk costs about one pass over the curve.
-    """
-    n = h.size
-    xs, gs = x.tolist(), g.tolist()
-    slope = (np.diff(g) / np.diff(x)).tolist()
-    diag = M.diagonal().tolist()
-    hs = h.tolist()
-    last = len(xs) - 1
-    v = np.zeros(n)
-    k = last
-    for i1 in range(n, 0, -_SWEEP_ROWS):
-        i0 = max(i1 - _SWEEP_ROWS, 0)
-        m = i1 - i0
-        solved = (M[i0:i1, i1:] @ v[i1:]).tolist()
-        block = M[i0:i1, i0:i1].tolist()
-        vb = [0.0] * m
-        for r in range(m - 1, -1, -1):
-            row = block[r]
-            acc = solved[r]
-            for j in range(r + 1, m):
-                acc += row[j] * vb[j]
-            b = hs[i0 + r] + acc
-            d = diag[i0 + r]
-            while k >= 0 and b < xs[k] - d * gs[k]:
-                k -= 1
-            while k < last and xs[k + 1] - d * gs[k + 1] <= b:
-                k += 1
-            if k < 0:            # G is constant outside [0, v_max]
-                vb[r] = gs[0]
-            elif k == last:
-                vb[r] = gs[last]
-            else:
-                knot = xs[k] - d * gs[k]
-                vb[r] = gs[k] + slope[k] * (b - knot) / (1.0 - d * slope[k])
-        v[i0:i1] = vb
-    return v
-
-
 def solve_fixed_point(curve, config=None):
-    """Solve the discrete V = G(h + MV) exactly, by back-substitution.
+    """Solve the discrete V = G(h + MV) exactly, by one sweep.
 
     M is upper triangular, so once the nodes above i are known, row i is a
     scalar equation V_i = G(b + d V_i) on the piecewise-linear G.  Since G
     is 1-Lipschitz and d = M[i, i] < 1, it has one solution, on the segment
-    of G found by walking from the previous row's segment; marching from
-    alpha_max down in row blocks solves every row in one sweep
-    (``_back_substitute``).
+    of G found by walking from the previous row's segment; the recursive
+    sweep over the operator's tree (``_Operator.sweep``) solves every row
+    from alpha_max down.  The residual applies the same operator.
 
     Returns a RecoveryResult holding V, with timings of the assembly (or
     the cache lookup; operator_cached tells which) and of the solve, in
     perf_counter seconds (see ``recover`` for the full pipeline).
     """
     n, kappa = (config or RecoveryConfig()).n_grid, curve.kappa
+    grid = np.linspace(0.0, curve.alpha_max, n)
     cached = (n, kappa) in _OPERATOR
     start = time.perf_counter()
-    try:
-        M = _unit_t_matrix(n, kappa)
-    except ValueError as exc:       # numpy cannot even describe an n x n array
-        raise ArgumentError(f"n_grid={n} is too large: {exc}") from exc
+    M = _unit_t_matrix(n, kappa)
     assembled = time.perf_counter()
-    grid = np.linspace(0.0, curve.alpha_max, n)
     h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
-    v = _back_substitute(M, h, curve.x, curve.g)
+    v = M.sweep(h, curve.x, curve.g)
 
     return RecoveryResult(
         grid=grid,
         v=v,
         kappa=kappa,
-        residual=float(np.max(np.abs(v - curve(h + M @ v)))),
+        residual=float(np.max(np.abs(v - curve(h + M.matvec(v))))),
         timings={
             "assembly": assembled - start, "solve": time.perf_counter() - assembled
         },

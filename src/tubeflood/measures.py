@@ -23,9 +23,9 @@ array is allocated per call.  Only the live (alpha, atom) cells of a
 block are evaluated: the atoms are sorted by length, so those below the
 block's smallest alpha, a column prefix, are skipped, and only the
 columns up to its largest alpha need the tail mask.  That row-block rule,
-row_blocks, is the package's only one: the operator assembly loops over
-it too, in the same per-thread buffers (_block_buffers), and the tube
-simulation writes its blocks straight into its result.
+row_blocks, is the package's only one: the operator's cells are
+evaluated over it too, in the same per-thread buffers (_block_buffers),
+and the tube simulation writes its blocks straight into its result.
 Pieces enter both integrals through closed-form antiderivatives.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
@@ -94,8 +94,8 @@ class Measure:
 
     The constructor builds all of its state (atoms sorted by length, prefix
     sums of S L^p, support_sup) and raises ArgumentError there on a moment
-    past the doubles or a subnormal L or a.  Immutable; all operations on
-    it are pure.
+    past the doubles, of an atom, a piece or the whole measure, or on a
+    subnormal L or a.  Immutable; all operations on it are pure.
     """
 
     atoms: tuple = ()
@@ -124,6 +124,12 @@ class Measure:
         with overflow_guard("a moment of the measure"):
             for row, terms in zip(sums, (S / L, S, S * L)):
                 np.cumsum(terms, out=row[1:])
+            if pieces:
+                # each piece's moments, and the whole measure's, raise here
+                # if past the doubles; every prefix integral stays below them
+                a, b, rho = np.array(pieces).T
+                for p, row in zip((-1, 0, 1), sums):
+                    row[-1] + np.sum(rho * _PIECE_PREFIX[p](b, a))
         # supremum of the support; 0.0 for the zero measure
         tops = L[-1:].tolist() + [b for _, b, _ in pieces]
         object.__setattr__(self, "atoms", atoms)
@@ -224,7 +230,7 @@ OIL_RATE = TailKernel(
 def _block_buffers(rows, cols, count=1):
     """count (rows, cols) views on this thread's buffers, kept between calls.
 
-    The buffers only grow, so tail_integral and the operator assembly
+    The buffers only grow, so tail_integral and the operator's cells
     share them without reallocating.  Nothing read from them carries
     over: each block writes every cell it reads.
     """

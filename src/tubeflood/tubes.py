@@ -85,12 +85,14 @@ class PumpHistory:
         object.__setattr__(self, "_cum", np.concatenate(([0.0], cum)))
 
     def F_at(self, t):
-        """Cumulative pumped volume per unit area at time(s) t >= 0."""
+        """Cumulative pumped volume per unit area at time(s) t >= 0; a
+        volume past the doubles raises ArgumentError."""
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0):
             raise ArgumentError("pump history is defined for t >= 0 only")
         idx = np.clip(np.searchsorted(self._bp, t_arr, side="right") - 1, 0, None)
-        return self._cum[idx] + self._c[idx] * (t_arr - self._bp[idx])
+        with overflow_guard("the pumped volume"):
+            return self._cum[idx] + self._c[idx] * (t_arr - self._bp[idx])
 
     def F_inverse(self, value):
         """Earliest time(s) with F(t) = value; inf where it is never reached."""
@@ -148,10 +150,13 @@ def reparam_xi(pump, kappa, t):
     """Length parameter xi(t) = sqrt(2 F(t) / (1 + kappa)).
 
     Maps tube time to the continuum front parameter: the continuum curves
-    evaluated at xi(t) reproduce the discrete cumulative volumes.
+    evaluated at xi(t) reproduce the discrete cumulative volumes.  An F or
+    2 F past the doubles raises ArgumentError.
     """
     kappa = check_kappa(kappa)
-    return np.sqrt(2.0 * pump.F_at(t) / (1.0 + kappa))
+    F = pump.F_at(t)
+    with overflow_guard("the pumped volume"):
+        return np.sqrt(2.0 * F / (1.0 + kappa))
 
 
 def simulate(sys, kappa, pump, t_grid):

@@ -118,9 +118,21 @@ def closed_tail_integral(alpha, alpha_max, kappa):
     return kappa * c * (anti(alpha_max / alpha) - anti(1.0))
 
 
+def dense_operator(op):
+    """The n x n matrix an inverse._Operator stands for: its dense leaves,
+    its off-diagonal blocks multiplied out, 0 elsewhere."""
+    out = np.zeros((op.n, op.n))
+    for lo, hi, leaf in op.leaves:
+        out[lo:hi, lo:hi] = leaf
+    for rlo, mid, hi, U, V in op.blocks:
+        out[rlo:mid, mid:hi] = U.T @ V
+    return out
+
+
 def reference_t_matrix(n, kappa):
-    """Test oracle: the operator matrix of inverse._unit_t_matrix, assembled
-    with fresh temporaries per row block and nodes clamped to the diagonal.
+    """Test oracle: the operator matrix that inverse._unit_t_matrix stands
+    for, assembled densely with fresh temporaries per row block and nodes
+    clamped to the diagonal.
 
     Same closed form in x = y/alpha_i (see _unit_t_matrix): over the cell
     [x1, x2], with D = x2^2 - x1^2, P = u1 u2, S = u1 + u2, X = x1 x2,

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -681,6 +682,21 @@ class TestOutOfRange:
         config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "measure": measure})
         out = tmp_path / "out"
         code = cli.main(["forward", config, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "invalid-config"
+        assert not out.exists()
+
+    def test_piece_moment_past_the_doubles(self, tmp_path, capsys):
+        # log(b / a) of the piece overflows in the divide
+        config = write_json(tmp_path / "m.json", {
+            "measure": {"pieces": [{"a": 1e-300, "b": 1e10, "rho": 1.0}]},
+            "kappa": 0.5, "alpha_max": 1e10, "n_samples": 101,
+        })
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["forward", config, "--out", str(out)])
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1
         assert json.loads(err[0])["error"]["type"] == "invalid-config"

@@ -29,7 +29,9 @@ from tubeflood.inverse import (
 )
 from tubeflood.measures import Measure
 
-from helpers import closed_tail_integral, reference_t_matrix, searchsorted_sweep
+from helpers import (
+    closed_tail_integral, dense_operator, reference_t_matrix, searchsorted_sweep
+)
 
 
 def closed_linear_integral(alpha, alpha_max, kappa):
@@ -115,7 +117,7 @@ class TestClosedForm:
 
     def test_entries_match_quadrature(self, kappa):
         n = 2001
-        M = _unit_t_matrix(n, kappa)
+        M = dense_operator(_unit_t_matrix(n, kappa))
         cells = [(i, j) for i in (1, 2, 10, 500, 1998) for j in (i, i + 1, i + 2)]
         cells += [(1, 1500), (10, 1000), (500, 1800)]   # far from the diagonal
         # the last column, where right = i (dB - x1 dA) cancels most
@@ -126,7 +128,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", [2001, 501, 51, 3])
     def test_matches_the_reference_assembly(self, n, kappa):
-        M = _unit_t_matrix(n, kappa)
+        M = dense_operator(_unit_t_matrix(n, kappa))
         ref = reference_t_matrix(n, kappa)
         assert np.array_equal(M == 0.0, ref == 0.0)
         assert np.all(np.tril(M, -1) == 0.0) and np.all(M[[0, -1]] == 0.0)
@@ -134,20 +136,17 @@ class TestClosedForm:
         assert np.all(np.abs(M - ref) <= 1e-11 * row_max)
 
     def test_v_matches_the_reference_assembly(self, kappa):
-        # V = G(h + MV) is a contraction with factor q, so entries a few ulp
-        # apart move V by up to a few ulp of v_max / (1 - q): 4e-16 v_max at
-        # kappa 0.999, 4e-14 v_max at 0.005, where the reference's own V lies
-        # 1.6e-14 v_max (n = 501) to 2.5e-14 v_max (n = 1001) from the V of
-        # a long-double assembly
+        # V = G(h + MV) is a contraction with factor q, so entries apart by
+        # the ACA's 1e-12 of their block move V by up to about that much of
+        # v_max / (1 - q); the two exact assemblies agreed to 2 eps there
         n = 501
         mu = Measure(atoms=((4.0, 1.0), (7.5, 0.5)), pieces=((3.0, 9.0, 1.0),))
         curve = build_curve(mu, kappa, 10.0, 2001)
         grid = np.linspace(0.0, curve.alpha_max, n)
         h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
-        ref = reference_t_matrix(n, kappa)
-        oracle = inverse._back_substitute(ref, h, curve.x, curve.g)
+        oracle = searchsorted_sweep(reference_t_matrix(n, kappa), h, curve.x, curve.g)
         result = solve_fixed_point(curve, RecoveryConfig(n_grid=n))
-        bound = 2 * np.finfo(float).eps * curve.v_max / (1.0 - result.contraction_q)
+        bound = 2e-12 * curve.v_max / (1.0 - result.contraction_q)
         assert np.max(np.abs(result.v - oracle)) <= bound
 
     def test_t_minus_arctan_against_a_decimal_series(self):
@@ -165,6 +164,8 @@ class TestClosedForm:
         assert np.all(err <= 2 * np.finfo(float).eps * t)
 
     def test_warm_assembly_allocates_no_block_temporaries(self):
+        # what a build holds beyond the operator it keeps: the running
+        # blocks' ACA terms and one step's rows and columns, no cell block
         n = 2001
         inverse._OPERATOR.clear()
         _unit_t_matrix(n, 0.3)              # grows this thread's buffers
@@ -172,17 +173,32 @@ class TestClosedForm:
         tracemalloc.start()
         try:
             _unit_t_matrix(n, 0.31)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - n * n * 8 < 1 << 20
+        assert kept < 0.1 * n * n * 8
+        assert peak - kept < 4 << 20
+
+    def test_build_memory_grows_as_n_log_n(self):
+        # the dense matrix grew 64x from n = 2001 to 16001
+        peaks = {}
+        for n in (2001, 16001):
+            inverse._OPERATOR.clear()
+            tracemalloc.start()
+            try:
+                _unit_t_matrix(n, 0.5)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        inverse._OPERATOR.clear()
+        assert peaks[16001] <= 20 * peaks[2001]
 
     def test_threads_assemble_in_their_own_buffers(self):
         n, kappas = 501, (0.005, 0.1, 0.5, 0.999)
         serial = {}
         for kappa in kappas:
             inverse._OPERATOR.clear()
-            serial[kappa] = _unit_t_matrix(n, kappa)
+            serial[kappa] = dense_operator(_unit_t_matrix(n, kappa))
         inverse._OPERATOR.clear()
         got = {}
 
@@ -205,24 +221,24 @@ class TestClosedForm:
         for kappa in kappas:
             assert isinstance(got[kappa], list), got[kappa]
             for M in got[kappa]:
-                assert np.array_equal(M, serial[kappa]), kappa
+                assert np.array_equal(dense_operator(M), serial[kappa]), kappa
 
     @pytest.mark.parametrize("n", [3, 51, 501, 2001])
     def test_row_sums_at_most_q(self, n):
         for kappa in (0.999, 0.8, 0.5, 0.1, 0.02, 0.005):
             q = (1.0 - kappa) / (1.0 + kappa)
-            M = _unit_t_matrix(n, kappa)
+            M = dense_operator(_unit_t_matrix(n, kappa))
             assert np.all(M >= 0.0)
             # exactly q only in the limit alpha -> 0; allow 2 ulp of rounding
             assert np.max(M.sum(axis=1)) <= q + 2 * np.finfo(float).eps * q
 
     def test_upper_triangular(self):
-        M = _unit_t_matrix(101, 0.3)
+        M = dense_operator(_unit_t_matrix(101, 0.3))
         assert np.all(np.tril(M, -1) == 0.0)
         assert np.all(np.diag(M)[1:-1] > 0.0)
 
     def test_last_row_is_zero(self):
-        m = _unit_t_matrix(51, 0.5)
+        m = dense_operator(_unit_t_matrix(51, 0.5))
         assert np.all(m[-1] == 0.0)
         assert np.all(m[0] == 0.0)  # alpha = 0 kills the kernel
 
@@ -247,29 +263,70 @@ class TestClosedForm:
         def assemble(block_cells):
             monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
             inverse._OPERATOR.clear()
-            return _unit_t_matrix(101, 0.3)
+            return dense_operator(_unit_t_matrix(101, 0.3))
 
         one_block = assemble(101 * 101)
         for block_cells in (1, 3 * 101, 16 * 101):   # 1, 3 and 16 rows
             assert np.array_equal(assemble(block_cells), one_block)
 
     def test_cache_frees_the_old_matrix_before_assembly(self, monkeypatch):
-        old = weakref.ref(_unit_t_matrix(51, 0.5))
-        assert _unit_t_matrix(51, 0.5) is old()       # a hit returns the same
+        old = weakref.ref(_unit_t_matrix(151, 0.5))
+        assert _unit_t_matrix(151, 0.5) is old()      # a hit returns the same
         freed = []
-        real = inverse.row_blocks
+        real = inverse._Operator
 
         def spy(*args, **kwargs):
             freed.append(old() is None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(inverse, "row_blocks", spy)
-        new = _unit_t_matrix(52, 0.5)
+        monkeypatch.setattr(inverse, "_Operator", spy)
+        new = _unit_t_matrix(152, 0.5)
         assert freed == [True]
-        assert _unit_t_matrix(52, 0.5) is new
+        assert _unit_t_matrix(152, 0.5) is new
+        assert list(inverse._OPERATOR) == [(152, 0.5)]
 
     def test_backend_is_reported(self):
         assert tubeflood.BACKEND == "numpy"
+
+
+# a pieces-only measure, and atoms on grid nodes (for most n below) and at
+# alpha_max = 10 next to a piece
+OPERATOR_MEASURES = (
+    Measure(pieces=((1.0, 4.0, 1.0), (5.5, 9.0, 2.0))),
+    Measure(atoms=((2.5, 1.0), (5.0, 0.7), (10.0, 0.4)), pieces=((3.0, 6.0, 0.5),)),
+)
+
+
+class TestHierarchicalOperator:
+    """The tree of dense leaves and ACA blocks against the dense oracle."""
+
+    @pytest.mark.parametrize("kappa", [1e-6, 0.005, 0.02, 0.1, 0.5, 0.999])
+    @pytest.mark.parametrize("n", [3, 64, 65, 501, 2001])
+    def test_v_matches_the_dense_sweep(self, n, kappa):
+        # blocks kept to 1e-12 of themselves move V by about that much of
+        # v_max / (1 - q); measured up to 1.3e-13 of it
+        ref = reference_t_matrix(n, kappa)
+        q = (1.0 - kappa) / (1.0 + kappa)
+        for mu in OPERATOR_MEASURES:
+            curve = build_curve(mu, kappa, 10.0, 2001)
+            grid = np.linspace(0.0, curve.alpha_max, n)
+            h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
+            oracle = searchsorted_sweep(ref, h, curve.x, curve.g)
+            v = solve_fixed_point(curve, RecoveryConfig(n_grid=n)).v
+            assert np.max(np.abs(v - oracle)) <= 2e-12 * curve.v_max / (1.0 - q)
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 2001])
+    def test_tree(self, n):
+        op = _unit_t_matrix(n, 0.1)
+        spans = sorted((lo, hi) for lo, hi, _ in op.leaves)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(hi - lo <= inverse._LEAF for lo, hi in spans)
+        assert len(op.blocks) == len(spans) - 1        # one block per split
+        stored = sum(L.size for *_, L in op.leaves)
+        stored += sum(U.size + V.size for *_, U, V in op.blocks)
+        if n == 2001:
+            assert stored < 0.1 * n * n
 
 
 class TestApplyT:
@@ -485,7 +542,8 @@ class TestSweep:
     def test_matches_the_searchsorted_sweep(self, block_rows, name, kappa):
         curve = sweep_curve(name, kappa)
         x, g = curve.x, curve.g
-        M = _unit_t_matrix(self.N, kappa)
+        op = _unit_t_matrix(self.N, kappa)
+        M = dense_operator(op)
         grid = np.linspace(0.0, curve.alpha_max, self.N)
         h = h_of_alpha(*curve_readoff(curve), kappa, curve.alpha_max, grid)
         v = solve_fixed_point(curve, RecoveryConfig(n_grid=self.N)).v
@@ -497,7 +555,7 @@ class TestSweep:
         ramp = np.linspace(0.0, 1.0, self.N)
         h = (2.0 * ramp - 0.5 + 0.3 * np.sin(40.0 * ramp)) * curve.v_max
         oracle = searchsorted_sweep(M, h, x, g)
-        v = inverse._back_substitute(M, h, x, g)
+        v = op.sweep(h, x, g)
         assert np.max(np.abs(v - oracle)) <= 1e-14 * curve.v_max
         d = np.diagonal(M)
         b = h + M @ oracle - d * oracle
@@ -717,6 +775,7 @@ class TestRecoveryConfig:
             {"alpha_min": None},
             {"alpha_min": "1"},
             {"n_grid": 101.0},
+            {"n_grid": 2**26 + 1},    # node indices past exact squares
         ],
     )
     def test_validation(self, kwargs):

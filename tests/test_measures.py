@@ -248,8 +248,12 @@ class TestMeasureType:
             (((1.0, 1e308), (2.0, 1e308)), ()),   # the sum of S overflows
             (((1e-320, 1e-320),), ()),        # a subnormal length
             ((), ((1e-320, 1.0, 1.0),)),      # a subnormal piece start
+            ((), ((1e-300, 1e10, 1.0),)),     # the piece's b / a overflows
+            ((), ((1.0, 1e200, 1.0),)),       # the piece's b^2 overflows
+            ((), ((1.0, 2.0, 1e308), (3.0, 4.0, 1e308))),   # the pieces' mass
         ],
-        ids=["inverse", "first", "mass", "subnormal-atom", "subnormal-piece"],
+        ids=["inverse", "first", "mass", "subnormal-atom", "subnormal-piece",
+             "piece-inverse", "piece-first", "piece-mass"],
     )
     def test_rejected_where_built(self, atoms, pieces):
         with warnings.catch_warnings():

@@ -121,6 +121,22 @@ class TestPumpHistory:
             with pytest.raises(ArgumentError, match="overflows a double"):
                 PumpHistory((0.0, 1e300), (1e10, 1.0))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pump: pump.F_at(10.0),                # c t overflows
+            lambda pump: reparam_xi(pump, 0.5, 10.0),
+            lambda pump: reparam_xi(pump, 0.5, 1.5),     # only 2 F overflows
+        ],
+        ids=["F", "xi", "xi-2F"],
+    )
+    def test_volume_past_the_doubles_raises(self, call):
+        pump = PumpHistory((0.0,), (1e308,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="overflows a double"):
+                call(pump)
+
     def test_state_built_at_construction(self):
         pump = PumpHistory((0.0, 1.0, 2.0), (1.0, 0.0, 2.0))
         sys = TubeSystem(((1.0, 1.0), (2.0, 0.5)))
