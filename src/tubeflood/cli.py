@@ -58,9 +58,17 @@ def _load_json(path):
         raise ArgumentError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _number(value):
+    """value as a float; ValueError for a JSON true or false, which Python
+    reads as the number 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"need a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _atoms(items):
     """(L, S) pairs from a JSON list of {"L", "S"} objects."""
-    return tuple((float(d["L"]), float(d["S"])) for d in items)
+    return tuple((_number(d["L"]), _number(d["S"])) for d in items)
 
 
 def _measure_from_config(config):
@@ -75,7 +83,7 @@ def _measure_from_config(config):
     try:
         atoms = _atoms(block.get("atoms", []))
         pieces = tuple(
-            (float(d["a"]), float(d["b"]), float(d["rho"]))
+            (_number(d["a"]), _number(d["b"]), _number(d["rho"]))
             for d in block.get("pieces", [])
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -93,13 +101,13 @@ def _cast(key, value, cast):
 def _integer(value):
     """value as an int if it is an integral number up to 2**53, the largest
     integer a JSON number holds exactly; ValueError otherwise."""
-    number = float(value)
+    number = _number(value)
     if not (abs(number) <= 2**53 and number == math.floor(number)):
         raise ValueError(f"need an integer of at most 2**53, got {value!r}")
     return int(number)
 
 
-def _required(config, key, flag_value, cast=float):
+def _required(config, key, flag_value, cast=_number):
     """Numeric option: command-line flag wins over the config file."""
     if flag_value is not None:
         return _cast(key, flag_value, cast)
@@ -217,10 +225,11 @@ def _cmd_tubes(args):
     try:
         system = tubes.TubeSystem(_atoms(config["tubes"]))
         pump = tubes.PumpHistory(
-            tuple(config["pump"]["breakpoints"]), tuple(config["pump"]["c"])
+            tuple(map(_number, config["pump"]["breakpoints"])),
+            tuple(map(_number, config["pump"]["c"])),
         )
-        kappa = float(config["kappa"])
-        t_max = float(config["t_max"])
+        kappa = _number(config["kappa"])
+        t_max = _number(config["t_max"])
         n_steps = _integer(config["n_steps"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"malformed tubes config: {exc}") from exc

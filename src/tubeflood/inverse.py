@@ -30,14 +30,19 @@ evaluated in place in per-thread buffers kept from one call to the next
 (measures._block_buffers, shared with the tail integrals).  Its one
 transcendental term, t - arctan t, is a 5-term series wherever t < 0.025,
 where the remainder is below 2^-53 relative, and arctan on the few other
-cells.  The sweep recurses over the tree (Hairer, Lubich and Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985): solve the bottom half, add its
-block's U.T (V v) into the top half's right-hand side, solve the top half.
-The residual and apply_T multiply by the same operator, so residual and
-error_bound measure the discrete system with the stored factors; the
-factors' own distance from the exact M, up to about 1e-11 of a row's
-largest entry at n = 2001, is not in them.  One operator is cached; a
-new (n, kappa) frees it before the build, so two are never held at once.
+cells.  A leaf evaluates only its cells on and above the diagonal.  ACA
+advances all the blocks of a batch together, their rows and columns cut
+into chunks of one width, so that a step is a few array operations over
+all of them and its terms are subtracted by one batched matrix product
+per page of 16 terms.  The sweep recurses over the tree (Hairer, Lubich
+and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): solve the bottom
+half, add its block's U.T (V v) into the top half's right-hand side,
+solve the top half.  The residual and apply_T multiply by the same
+operator, so residual and error_bound measure the discrete system with
+the stored factors; the factors' own distance from the exact M, up to
+about 1e-11 of a row's largest entry at n = 2001, is not in them.  One
+operator is cached; a new (n, kappa) frees it before the build, so two
+are never held at once.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
 dmu(y)/y follows from V'(alpha) = (1+kappa)/kappa * alpha * Phi(alpha),
@@ -77,8 +82,14 @@ _LEAF = 64
 _ACA_TOL = 1e-12
 _ACA_RANK = 64
 
-# Terms that _subtract_terms takes at a time.
-_TERM_STEP = 16
+# ACA terms per page of stored terms.
+_PAGE = 16
+
+# _cells makes some 15 temporaries per call, so its calls take row blocks
+# of a third of the cells: a temporary then stays under 128 KiB, glibc's
+# default threshold for fresh pages per allocation (with 16384-cell calls
+# the leaves alone faulted in 620 pages per build).
+_CELL_WORK = 3
 
 # The closed forms square node indices, exactly in doubles only below 2^26.
 _MAX_GRID = 1 << 26
@@ -108,7 +119,9 @@ class RecoveryConfig:
                 f"n_grid must be at most 2**26, got {self.n_grid}: the operator "
                 "squares node indices, exact in doubles only up to there"
             )
-        if not isinstance(self.alpha_min, (int, float, np.integer, np.floating)):
+        if isinstance(self.alpha_min, bool) or not isinstance(
+            self.alpha_min, (int, float, np.integer, np.floating)
+        ):
             raise ArgumentError("alpha_min must be a number >= 0")
         if not self.alpha_min >= 0:
             raise ArgumentError("alpha_min must be >= 0")
@@ -175,34 +188,33 @@ def _t_minus_arctan(t, out, t2):
 
 
 def _cells(i, m, kappa):
-    """Contributions of the cells [m, m+1] of rows i to their two nodes.
+    """The cells [m, m+1] of rows i: their contributions to their two
+    nodes, over kappa c i^4.
 
     i and m are float node indices that broadcast to the cells' shape, with
-    i >= 1 and m >= 1 (row 0 is 0).  Returns (left, right) = kappa c i^4
-    (a - r, r), the parts of M[i, m] and M[i, m+1] that the cell adds (see
-    _unit_t_matrix), as views on this thread's measures._block_buffers that
-    the next call overwrites.  Below the diagonal (m < i) w is held at its
-    value at m = i, kappa i, so the root stays real; those cells mean
-    nothing, and callers zero or skip them.  Each cell takes one fixed
-    sequence of operations, so its value does not depend on the shape or
-    grouping of a call.  The factors of i and of m alone are taken at their
-    own shapes: per row and per column for a leaf, per cell for the ACA's
-    scattered rows and columns.
+    1 <= i <= m: the upper triangle, row 0 being 0.  Returns (left, right)
+    = (a - r, r), whose multiples by kappa c i^4 are the parts of M[i, m]
+    and M[i, m+1] that the cell adds (see _unit_t_matrix), as views on this
+    thread's measures._block_buffers that the next call overwrites.  Each
+    cell takes one fixed sequence of operations, so its value does not
+    depend on the shape or grouping of a call.  The factors of i alone and
+    of m alone are taken at their own shapes: a leaf passes one i per cell,
+    an ACA row one per chunk of cells, and an ACA column one per row and
+    its two cells j and j - 1 once per chunk of rows.
     """
     c = 1.0 - kappa * kappa
     sc = math.sqrt(c)
-    shape = np.broadcast_shapes(np.shape(i), np.shape(m))
-    w1, w2, P, Q, t, X, r = (
-        b.reshape(shape) for b in _block_buffers(1, math.prod(shape), count=7)
+    shape = np.broadcast(i, m).shape
+    w1, w2, P, Q, t, X, r = _block_buffers(1, math.prod(shape), count=7).reshape(
+        (7,) + shape
     )
     i2 = i * i
     ci2 = c * i2
     ki2 = (kappa * i) ** 2
     m2 = m + 1.0
-    for w, node in ((w1, m), (w2, m2)):    # w = i u at the cell's two ends
-        np.multiply(node, node, out=w)
-        np.subtract(w, i2, out=w)
-        np.maximum(w, 0.0, out=w)
+    sq1, sq2 = m * m, m2 * m2
+    for w, sq in ((w1, sq1), (w2, sq2)):   # w = i u at the cell's two ends
+        np.subtract(sq, i2, out=w)
         np.add(w, ki2, out=w)
         np.sqrt(w, out=w)
     D = m + m2
@@ -227,68 +239,19 @@ def _cells(i, m, kappa):
     np.multiply(X, Q, out=X)
     np.multiply(X, P, out=X)
     np.multiply(X, mm, out=X)
-    np.subtract(m * m + m2 * m2, ci2, out=t)
+    np.add(sq1, sq2, out=t)
+    np.subtract(t, ci2, out=t)
     np.multiply(t, D, out=t)
     np.divide(t, X, out=t)
     np.multiply(m, t, out=X)
     np.subtract(r, X, out=r)
-    scale = kappa * c * (i2 * i2)
     np.subtract(t, r, out=t)
-    np.multiply(t, scale, out=t)
-    np.multiply(r, scale, out=r)
     return t, r
-
-
-def _cell_values(i, m, kappa):
-    """_cells on arrays whose first axis is their length, in row_blocks
-    of that axis, into new arrays."""
-    shape = np.broadcast_shapes(i.shape, m.shape)
-    left, right = np.empty(shape), np.empty(shape)
-    for s in row_blocks(shape[0], math.prod(shape[1:])):
-        left[s], right[s] = _cells(i[s], m[s], kappa)
-    return left, right
 
 
 def _offsets(lengths):
     """Start of each segment of the given lengths, and the total at the end."""
     return np.concatenate(([0], np.cumsum(lengths)))
-
-
-def _ranges(lo, hi):
-    """lo[s], ..., hi[s] - 1 for each s, concatenated, as floats."""
-    lengths = hi - lo
-    starts = _offsets(lengths)
-    return np.arange(starts[-1], dtype=float) - np.repeat(starts[:-1] - lo, lengths)
-
-
-def _segment_argmax(a, starts):
-    """Index of the first largest entry of each segment a[starts[s]:starts[s+1]],
-    and that entry."""
-    top = np.maximum.reduceat(a, starts[:-1])
-    hit = np.flatnonzero(a == np.repeat(top, np.diff(starts)))
-    return hit[np.searchsorted(hit, starts[:-1])], top
-
-
-def _subtract_terms(out, F, coef, lengths):
-    """out -= sum over l of F[l] times coef[l, s] on segment s (of lengths).
-
-    Taken _TERM_STEP terms at a time, so the temporaries hold at most
-    _TERM_STEP rows of out however many terms there are.
-    """
-    for l in range(0, coef.shape[0], _TERM_STEP):
-        out -= np.einsum(
-            "ln,ln->n",
-            F[l:l + _TERM_STEP],
-            np.repeat(coef[l:l + _TERM_STEP], lengths, axis=1),
-        )
-
-
-def _keep_columns(F, k, keep):
-    """F's columns where keep is set, in an array of F's row count; only
-    the first k rows, the ones written so far, are copied."""
-    out = np.empty((F.shape[0], np.count_nonzero(keep)))
-    np.compress(keep, F[:k], axis=1, out=out[:k])
-    return out
 
 
 def _split(n):
@@ -320,32 +283,38 @@ def _split(n):
 
 
 def _leaves(n, kappa, spans):
-    """The dense diagonal leaves M[lo:hi, lo:hi], exact, padded to the largest.
+    """The dense diagonal leaves M[lo:hi, lo:hi], exact, as views on one array.
 
-    Leaves are evaluated a group at a time, over row_blocks of the leaf
-    list: rows i by cells m, each broadcast from its own axis.  Cell m adds
-    its left part to column m and its right part to column m + 1, so
-    M[i, j] is left(j) + right(j - 1), summed in that order.  Row 0, the
-    cells below the diagonal and the left part of cell n - 1 (past
-    alpha_max) are 0.
+    Only the cells on and above the diagonal are evaluated: row i of a
+    leaf takes the cells i, ..., hi - 1, listed flat over row_blocks of the
+    leaves.  Cell m adds its left part to column m and its right part to
+    column m + 1, so M[i, j] is left(j) + right(j - 1), the sum of two
+    neighbours in the list; the right part of a row's last cell falls in
+    the block above the leaf.  Row 0, the cells below the diagonal and the
+    left part of cell n - 1 (past alpha_max) are 0.
     """
-    lo = spans[:, 0]
-    size = int(np.max(spans[:, 1] - lo))
+    lo, hi = spans[:, 0], spans[:, 1]
+    size = int(np.max(hi - lo))
     out = np.zeros((lo.size, size, size))
-    k = np.arange(size, dtype=float)
-    below = np.tri(size, size, -1, dtype=bool)
-    for group in row_blocks(lo.size, size * size):
-        base = lo[group, None, None].astype(float)
-        m = base + k
-        i = np.maximum(base + k[:, None], 1.0)
-        left, right = _cells(i, np.maximum(m, 1.0), kappa)
-        np.copyto(left, 0.0, where=below | (m >= n - 1))
-        np.copyto(right, 0.0, where=below)
-        leaf = out[group]
-        leaf[...] = left
-        leaf[:, :, 1:] += right[:, :, :-1]
-    out[lo == 0, 0] = 0.0
-    return out
+    flat = out.reshape(-1)
+    kc = kappa * (1.0 - kappa * kappa)
+    # the cells (i, m) = (lo + r, lo + c) of each leaf, r <= c < its size
+    r, c = np.triu_indices(size)
+    for g in row_blocks(lo.size, r.size * _CELL_WORK):
+        i, m = lo[g, None] + r, lo[g, None] + c
+        pos = (np.arange(g.start, g.stop)[:, None] * size + r) * size + c
+        live = (c < (hi - lo)[g, None]) & (i >= 1)
+        i, m, pos = i[live].astype(float), m[live].astype(float), pos[live]
+        diagonal = np.broadcast_to(r == c, live.shape)[live]
+        left, right = _cells(i, m, kappa)
+        scale = kc * ((i * i) * (i * i))
+        np.multiply(left, scale, out=left)
+        left[m == n - 1] = 0.0
+        np.multiply(right, scale, out=right)
+        # M[i, j] = left(j) + right(j - 1), the cells of a row being listed in turn
+        np.add(left[1:], right[:-1], out=left[1:], where=~diagonal[1:])
+        flat[pos] = left
+    return [L[:b - a, :b - a] for L, a, b in zip(out, lo.tolist(), hi.tolist())]
 
 
 def _aca_batches(blocks):
@@ -358,6 +327,69 @@ def _aca_batches(blocks):
             start, slots = b, 0
         slots += hi - rlo + 1
     yield slice(start, len(blocks))
+
+
+def _chunks(lo, length, width):
+    """Chunks of width nodes lo[s], lo[s] + 1, ... holding at least length[s]
+    of them for each s: the nodes (chunks, width), as floats, the s of each
+    chunk and the first chunk of each s (and the total)."""
+    count = -(-length // width)
+    first = _offsets(count)
+    owner = np.repeat(np.arange(lo.size), count)
+    offset = (np.arange(first[-1]) - first[owner])[:, None] * width + np.arange(width)
+    return (offset + lo[owner, None]).astype(float), owner, first
+
+
+def _block_argmax(a, first, owner):
+    """Flat index into a (chunks, width) of the first largest entry of each
+    block (chunks first[b]:first[b+1], owner[c] the block of chunk c), and
+    that entry."""
+    at = a.argmax(axis=1)
+    top = a[np.arange(at.size), at]
+    best = np.maximum.reduceat(top, first[:-1])
+    hit = np.flatnonzero(top == best[owner])
+    chunk = hit[np.searchsorted(hit, first[:-1])]
+    return chunk * a.shape[1] + at[chunk], best
+
+
+def _take_terms(pages, k, chunks, scale):
+    """The first k terms over the first scale.size slots of the given
+    chunks, times scale, as a new (k, scale.size) array."""
+    out = np.empty((k, scale.size))
+    for l, F in zip(range(0, k, _PAGE), pages):
+        F = F[:k - l, chunks]
+        np.multiply(F.reshape(F.shape[0], -1)[:, :scale.size], scale, out=out[l:l + _PAGE])
+    return out
+
+
+def _subtract_terms(out, pages, coef_pages, k, index):
+    """out -= the first k terms of pages, (terms, chunks, width), each chunk
+    c of term l times coef_pages' term l at the flat slot index[c]: one
+    batched product per page."""
+    for l, F, G in zip(range(0, k, _PAGE), pages, coef_pages):
+        t = min(k - l, _PAGE)
+        coef = G[:t].reshape(t, -1)[:, index]
+        out -= np.matmul(coef.T[:, None, :], F[:t].transpose(1, 0, 2))[:, 0]
+
+
+def _runs(keep, first):
+    """The (start, stop) chunks of each run of kept blocks, of chunks
+    first[b]:first[b+1] for block b."""
+    edge = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    return list(zip(first[edge[::2]].tolist(), first[edge[1::2]].tolist()))
+
+
+def _compact(F, k, runs):
+    """The runs of chunks of the page F (terms, chunks, width), its first k
+    terms written: a view if they are one run, else moved to the front of F
+    run by run."""
+    if len(runs) == 1:
+        return F[:, runs[0][0]:runs[0][1]]
+    at = 0
+    for a, b in runs:
+        F[:k, at:at + b - a] = F[:k, a:b]
+        at += b - a
+    return F[:, :at]
 
 
 def _aca(n, kappa, blocks):
@@ -379,89 +411,120 @@ def _aca(n, kappa, blocks):
     decay, alpha^4 / y^5 away from the diagonal: pivots and the stop test
     then weigh an entry against its own size, not the block's largest, so
     small entries far from the diagonal are kept to their own size too.
-    The factors are scaled back when a block stops.
+    Those are _cells' parts, which leave out kappa c i^4, times j^5; a
+    block's rows take kappa c i^4 and its columns 1 / j^5 when it stops.
 
-    The blocks of one batch (_aca_batches) advance together: each step
-    evaluates every running block's pivot row, then its pivot column, in
-    one _cell_values call each.  A row of c entries takes the c + 1 cells
-    [mid - 1, hi), shared between neighbours; a column takes the two cells
-    j and j - 1 of each row, and the factors of i once per row.  The
-    running blocks' terms sit in two stacked arrays, U over their rows and
-    V over their columns (plus one spare slot per block, 0, where the last
-    cell's right part falls); a block that stops takes its terms out, and
-    the arrays shrink to the blocks still running.
+    The blocks of one batch (_aca_batches) advance together, each step
+    evaluating every running block's pivot row, then its pivot column.
+    Each block's rows and its cells [mid - 1, hi) are cut into chunks of
+    width w, the cell count of the batch's smallest blocks, and a step's
+    rows and columns are (chunks, w) arrays; past the block, the last
+    chunk's rows repeat its last row and are masked out, and its cells run
+    on with weight 0.  A pivot row's cells take its row index once per
+    chunk, and a column the cells j and j - 1 of each row, with j once per
+    chunk.  Cell x adds its right part to the row's slot x and its left
+    part to slot x - 1 (column mid + x - 1).  The terms sit in pages of
+    _PAGE, U over the rows' chunks and V over the cells', so subtracting
+    them is one batched product per page.  A block that stops takes its
+    terms out, and the chunks of the blocks still running move to the front
+    of the pages; the largest blocks, which stop last, come first, so
+    little moves.
     """
+    if not blocks.size:
+        return []
     eps = np.finfo(float).eps
-    rlo, mid, hi = blocks.T
-    run = np.arange(rlo.size)
+    kc = kappa * (1.0 - kappa * kappa)
+    run = np.argsort(blocks[:, 1] - blocks[:, 2], kind="stable")
+    rlo, mid, hi = blocks[run].T
+    p, q = mid - rlo, hi - mid
+    w = int(np.max(q[q <= q.min() + 1])) + 1
+    rows, owner, rfirst = _chunks(rlo, p, w)
+    rmask = rows < mid[owner, None]
+    rows = np.minimum(rows, mid[owner, None] - 1.0)       # pad with the last row
+    cells, owner, cfirst = _chunks(mid - 1, q + 1, w)
+    cmask = cells < hi[owner, None] - 1.0                 # a column j = cell + 1 < hi
+    weight = np.where(cmask, (cells + 1.0) ** 5, 0.0)
+    rmask, free_c = rmask.astype(float), cmask.astype(float)
+    free_r = rmask.copy()
     tol2 = np.maximum(_ACA_TOL, 2.0 * hi * eps) ** 2
     norm2 = np.zeros(run.size)
-    p, q = mid - rlo, hi - mid + 1
-    rows, cells = _ranges(rlo, mid), _ranges(mid - 1, hi)
-    rscale, cscale = rows ** -4.0, (cells + 1.0) ** 5.0   # of i, and of j = cell + 1
-    rstart, cstart = _offsets(p), _offsets(q)
-    used_r = np.zeros(rows.size, dtype=bool)
-    used_c = np.zeros(cells.size, dtype=bool)
-    used_c[cstart[1:] - 1] = True
-    piv = p - 1
-    U, V = np.empty((0, rows.size)), np.empty((0, cells.size))
-    factors = [None] * rlo.size
-    for k in range(_ACA_RANK):
-        if not run.size:
-            break
-        if k == U.shape[0]:
-            grow = min(max(k, 8), _ACA_RANK - k)
-            U = np.concatenate((U, np.empty((grow, rows.size))))
-            V = np.concatenate((V, np.empty((grow, cells.size))))
-        # the pivot rows
-        slot = rstart[:-1] + piv
-        left, right = _cell_values(np.repeat(rows[slot], q), cells, kappa)
-        left[cells == n - 1] = 0.0
-        row = V[k]
-        np.add(left[1:], right[:-1], out=row[:-1])
-        row[cstart[1:] - 1] = 0.0
-        row *= cscale * np.repeat(rscale[slot], q)
-        _subtract_terms(row, V[:k], U[:k, slot], q)
-        a = np.abs(row)
-        a[used_c] = -1.0
-        jpos, top = _segment_argmax(a, cstart)
-        stop = top <= 0.0           # a row already matched, or no column left
-        row /= np.repeat(np.where(stop, 1.0, row[jpos]), q)
-        # the pivot columns, node j = cell + 1, from the cells j and j - 1
-        j = np.repeat(cells[jpos] + 1.0, p)
-        left, right = _cell_values(rows[:, None], np.stack((j, j - 1.0), axis=1), kappa)
-        left[j == n - 1, 0] = 0.0
-        col = U[k]
-        np.add(left[:, 0], right[:, 1], out=col)
-        col *= rscale * np.repeat(cscale[jpos], p)
-        _subtract_terms(col, U[:k], V[:k, jpos], p)
-        col[np.repeat(stop, p)] = 0.0
-        row[np.repeat(stop, q)] = 0.0
-        used_r[slot] = used_c[jpos] = True
-        term2 = np.add.reduceat(col * col, rstart[:-1]) * np.add.reduceat(
-            row * row, cstart[:-1]
-        )
-        norm2 += term2
-        a = np.abs(col)
-        a[used_r] = -1.0
-        piv = _segment_argmax(a, rstart)[0] - rstart[:-1]
-        done = (term2 <= tol2 * norm2) | (k + 1 >= np.minimum(p, q - 1))
-        if k + 1 == _ACA_RANK:
-            done[:] = True
-        if not done.any():
-            continue
-        # the blocks that stop take their terms out
-        out_r, out_c = np.repeat(done, p), np.repeat(done, q)
-        Uo, Vo = U[:k + 1, out_r] / rscale[out_r], V[:k + 1, out_c] / cscale[out_c]
-        ro, co = _offsets(p[done]), _offsets(q[done])
-        for s, b in enumerate(run[done].tolist()):
-            factors[b] = (Uo[:, ro[s]:ro[s + 1]], Vo[:, co[s]:co[s + 1] - 1])
-        keep, keep_r, keep_c = ~done, ~out_r, ~out_c
+    piv = p - 1                                 # within the block's rows
+    Up, Vp = [], []
+    factors = [None] * len(blocks)
+    k = 0
+    while run.size:
+        rblock = np.repeat(np.arange(run.size), np.diff(rfirst))
+        cblock = np.repeat(np.arange(run.size), np.diff(cfirst))
+        while k < _ACA_RANK:
+            if k % _PAGE == 0:
+                Up.append(np.empty((_PAGE,) + rows.shape))
+                Vp.append(np.empty((_PAGE,) + cells.shape))
+            U, V = Up[-1][k % _PAGE], Vp[-1][k % _PAGE]
+            # the pivot rows: slot x is right(x) + left(x + 1)
+            slot = rfirst[:-1] * w + piv
+            i = rows.reshape(-1)[slot][cblock, None]
+            row = V.reshape(-1)
+            for s in row_blocks(len(cells), w * _CELL_WORK):
+                left, right = _cells(i[s], cells[s], kappa)
+                left[cells[s] == n - 1] = 0.0          # past alpha_max
+                x0, x1 = s.start * w, s.stop * w
+                np.add(right.reshape(-1)[:-1], left.reshape(-1)[1:], out=row[x0:x1 - 1])
+                row[x1 - 1] = right[-1, -1]
+                if x0:
+                    row[x0 - 1] += left[0, 0]
+            V *= weight
+            _subtract_terms(V, Vp, Up, k, slot[cblock])
+            a = np.abs(V)
+            a *= free_c
+            jpos, top = _block_argmax(a, cfirst, cblock)
+            stop = top <= 0.0       # a row already matched, or no column left
+            pivot = row[jpos]
+            if stop.any():
+                pivot[stop] = 1.0
+            V /= pivot[cblock, None]
+            # the pivot columns, node j = cell + 1, from the cells j and j - 1
+            j = cells.reshape(-1)[jpos] + 1.0
+            m = np.stack((j, j - 1.0))[:, rblock, None]
+            for s in row_blocks(len(rows), 2 * w * _CELL_WORK):
+                left, right = _cells(rows[s], m[:, s], kappa)
+                if n - 1 in j:
+                    left[0, m[0, s, 0] == n - 1] = 0.0
+                np.add(left[0], right[1], out=U[s])
+            U *= rmask
+            U *= weight.reshape(-1)[jpos][rblock, None]
+            _subtract_terms(U, Up, Vp, k, jpos[rblock])
+            if stop.any():
+                U[stop[rblock]] = 0.0
+                V[stop[cblock]] = 0.0
+            free_r.reshape(-1)[slot] = free_c.reshape(-1)[jpos] = 0.0
+            term2 = (np.add.reduceat(np.einsum("cw,cw->c", U, U), rfirst[:-1])
+                     * np.add.reduceat(np.einsum("cw,cw->c", V, V), cfirst[:-1]))
+            norm2 += term2
+            a = np.abs(U)
+            a *= free_r
+            piv = _block_argmax(a, rfirst, rblock)[0] - rfirst[:-1] * w
+            k += 1
+            done = (term2 <= tol2 * norm2) | (k >= np.minimum(p, q)) | (k == _ACA_RANK)
+            if done.any():
+                break
+        # the blocks that stop take their terms out, scaled back
+        for s in np.flatnonzero(done).tolist():
+            rs, cs = slice(rfirst[s], rfirst[s + 1]), slice(cfirst[s], cfirst[s + 1])
+            i = rows[rs].reshape(-1)[:p[s]]
+            j5 = weight[cs].reshape(-1)[:q[s]]
+            factors[run[s]] = (_take_terms(Up, k, rs, kc * i ** 4),
+                               _take_terms(Vp, k, cs, 1.0 / j5))
+        keep = ~done
+        keep_r, keep_c = keep[rblock], keep[cblock]
         run, tol2, norm2, piv, p, q = (x[keep] for x in (run, tol2, norm2, piv, p, q))
-        rows, used_r, rscale = rows[keep_r], used_r[keep_r], rscale[keep_r]
-        cells, used_c, cscale = cells[keep_c], used_c[keep_c], cscale[keep_c]
-        U, V = _keep_columns(U, k + 1, keep_r), _keep_columns(V, k + 1, keep_c)
-        rstart, cstart = _offsets(p), _offsets(q)
+        rows, rmask, free_r = rows[keep_r], rmask[keep_r], free_r[keep_r]
+        cells, weight, free_c = cells[keep_c], weight[keep_c], free_c[keep_c]
+        if run.size:
+            runs_r, runs_c = _runs(keep, rfirst), _runs(keep, cfirst)
+            Up = [_compact(F, k - l, runs_r) for l, F in zip(range(0, k, _PAGE), Up)]
+            Vp = [_compact(F, k - l, runs_c) for l, F in zip(range(0, k, _PAGE), Vp)]
+        rfirst = _offsets(np.diff(rfirst)[keep])
+        cfirst = _offsets(np.diff(cfirst)[keep])
     return factors
 
 
@@ -478,8 +541,7 @@ class _Operator:
         spans, blocks, self.schedule = _split(n)
         self.n = n
         self.leaves = [
-            (lo, hi, L[:hi - lo, :hi - lo])
-            for (lo, hi), L in zip(spans.tolist(), _leaves(n, kappa, spans))
+            (lo, hi, L) for (lo, hi), L in zip(spans.tolist(), _leaves(n, kappa, spans))
         ]
         factors = []
         for batch in _aca_batches(blocks):
@@ -581,7 +643,7 @@ def _unit_t_matrix(n, kappa):
                    t = sqrt(c) i D / Q ,
 
     and with r = dB / i^3 - m1 a the cell adds kappa c i^4 (a - r) to node
-    m and kappa c i^4 r to node m+1 (_cells).  Cells below the diagonal
+    m and kappa c i^4 r to node m+1 (_cells gives a - r and r).  Cells below the diagonal
     (m < i) add nothing, so the matrix is upper triangular; row 0
     (alpha = 0) is 0.  t - arctan t is a 5-term series on every cell,
     replaced by arctan on the few with t >= _SERIES_T (_t_minus_arctan).

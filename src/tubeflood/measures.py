@@ -80,8 +80,9 @@ def check_kappa(kappa):
 
 def check_count(name, value, minimum):
     """Validate an integer argument >= minimum: a count (samples, grid nodes,
-    trials) or a seed."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    trials) or a seed.  A bool is not one, though Python's bool is an int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
         raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 

@@ -209,6 +209,12 @@ class TestRunMc:
         with pytest.raises(ArgumentError, match="seed"):
             run_mc(3, 0.5, n_grid=401)
 
+    @pytest.mark.parametrize("n_trials, seed, name", [(True, 0, "n_trials"), (1, True, "seed")])
+    def test_bool_counts_rejected(self, n_trials, seed, name):
+        # bool is an int to Python, but True is no count of trials or seed
+        with pytest.raises(ArgumentError, match=name):
+            run_mc(n_trials, seed, n_grid=401)
+
     @pytest.mark.parametrize("n_grid", [1, 100.5])
     def test_bad_n_grid_rejected(self, n_grid):
         with pytest.raises(ArgumentError):

@@ -89,8 +89,19 @@ class TestForward:
             {"n_samples": "many"},
             {"measure": {"pieces": [{"a": "x", "b": 2.0, "rho": 1.0}]}},
             {"measure": {"atoms": [{"L": 1.0, "S": None}]}},
+            # JSON true and false, which Python reads as the numbers 1 and 0
+            {"kappa": False},
+            {"alpha_max": True},
+            {"n_samples": True},
+            {"measure": {"pieces": [{"a": 0.5, "b": True, "rho": 1.0}]}},
+            {"measure": {"atoms": [{"L": True, "S": 1.0}]}},
+            {"measure": {"atoms": [{"L": True, "S": 1.0}],
+                         "pieces": [{"a": 0.5, "b": 0.9, "rho": 1.0}]},
+             "alpha_max": True},
         ],
-        ids=["kappa", "alpha_max", "n_samples", "piece", "atom"],
+        ids=["kappa", "alpha_max", "n_samples", "piece", "atom", "kappa-false",
+             "alpha_max-true", "n_samples-true", "piece-true", "atom-true",
+             "atom-and-alpha_max-true"],
     )
     def test_non_numeric_value(self, tmp_path, capsys, change):
         config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, **change})
@@ -405,6 +416,24 @@ class TestTubes:
         assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
 
     @pytest.mark.parametrize(
+        "change",
+        [
+            {"kappa": True},
+            {"t_max": True},
+            {"tubes": [{"L": True, "S": 1.0}]},
+            {"pump": {"breakpoints": [0.0], "c": [True]}},
+        ],
+        ids=["kappa", "t_max", "tube", "pump"],
+    )
+    def test_boolean_value(self, tmp_path, capsys, change):
+        # JSON true, which Python reads as the number 1
+        config = write_json(tmp_path / "t.json", {**TUBES_CONFIG, **change})
+        out = tmp_path / "tubes.csv"
+        assert cli.main(["tubes", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize(
         "change, message",
         [
             ({"n_steps": math.inf}, "malformed tubes config"),
@@ -702,7 +731,7 @@ class TestOutOfRange:
         assert json.loads(err[0])["error"]["type"] == "invalid-config"
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [21.7, 1e160])
+    @pytest.mark.parametrize("value", [21.7, 1e160, True])
     @pytest.mark.parametrize(
         "sub, config, key",
         [

@@ -27,7 +27,7 @@ from tubeflood.inverse import (
     recover_density,
     solve_fixed_point,
 )
-from tubeflood.measures import Measure
+from tubeflood.measures import KAPPA_MIN, Measure
 
 from helpers import (
     closed_tail_integral, dense_operator, reference_t_matrix, searchsorted_sweep
@@ -108,6 +108,17 @@ def decimal_t_minus_arctan(t):
         return x - 4 * total
 
 
+def assert_matches_the_reference(n, kappa):
+    """The operator's entries against the dense oracle, to 1e-11 of each
+    row's largest, with the oracle's zeros where it has them."""
+    M = dense_operator(_unit_t_matrix(n, kappa))
+    ref = reference_t_matrix(n, kappa)
+    assert np.array_equal(M == 0.0, ref == 0.0)
+    assert np.all(np.tril(M, -1) == 0.0) and np.all(M[[0, -1]] == 0.0)
+    row_max = ref.max(axis=1, keepdims=True)
+    assert np.all(np.abs(M - ref) <= 1e-11 * row_max)
+
+
 class TestClosedForm:
     @pytest.fixture(scope="class", params=[0.999, 0.5, 0.1, 0.02, 0.005])
     def kappa(self, request):
@@ -128,12 +139,12 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", [2001, 501, 51, 3])
     def test_matches_the_reference_assembly(self, n, kappa):
-        M = dense_operator(_unit_t_matrix(n, kappa))
-        ref = reference_t_matrix(n, kappa)
-        assert np.array_equal(M == 0.0, ref == 0.0)
-        assert np.all(np.tril(M, -1) == 0.0) and np.all(M[[0, -1]] == 0.0)
-        row_max = ref.max(axis=1, keepdims=True)
-        assert np.all(np.abs(M - ref) <= 1e-11 * row_max)
+        assert_matches_the_reference(n, kappa)
+
+    @pytest.mark.parametrize("n", [2001, 501])
+    def test_matches_the_reference_assembly_at_the_smallest_kappa(self, n):
+        # measured 3.8e-13 (n = 501) and 1.8e-12 (n = 2001) of the row maximum
+        assert_matches_the_reference(n, KAPPA_MIN)
 
     def test_v_matches_the_reference_assembly(self, kappa):
         # V = G(h + MV) is a contraction with factor q, so entries apart by
@@ -314,6 +325,31 @@ class TestHierarchicalOperator:
             oracle = searchsorted_sweep(ref, h, curve.x, curve.g)
             v = solve_fixed_point(curve, RecoveryConfig(n_grid=n)).v
             assert np.max(np.abs(v - oracle)) <= 2e-12 * curve.v_max / (1.0 - q)
+
+    def test_leaves_evaluate_only_the_upper_triangle(self, monkeypatch):
+        # a leaf of s nodes has s (s + 1) / 2 cells on or above its diagonal
+        inside, cells = [], []
+        real_cells, real_leaves = inverse._cells, inverse._leaves
+
+        def spy_cells(i, m, kappa):
+            if inside:
+                cells.append(np.broadcast(i, m).size)
+            return real_cells(i, m, kappa)
+
+        def spy_leaves(*args):
+            inside.append(True)
+            try:
+                return real_leaves(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(inverse, "_cells", spy_cells)
+        monkeypatch.setattr(inverse, "_leaves", spy_leaves)
+        inverse._OPERATOR.clear()
+        op = _unit_t_matrix(2001, 0.1)
+        inverse._OPERATOR.clear()
+        s = np.array([hi - lo for lo, hi, _ in op.leaves])
+        assert 0 < sum(cells) <= np.sum(s * (s + 1) // 2)
 
     @pytest.mark.parametrize("n", [3, 64, 65, 2001])
     def test_tree(self, n):
@@ -776,6 +812,9 @@ class TestRecoveryConfig:
             {"alpha_min": "1"},
             {"n_grid": 101.0},
             {"n_grid": 2**26 + 1},    # node indices past exact squares
+            {"alpha_min": True},      # bool is an int to Python, not a number here
+            {"alpha_min": np.True_},
+            {"n_grid": True},
         ],
     )
     def test_validation(self, kwargs):

@@ -204,6 +204,8 @@ class TestRandomAtoms:
         with pytest.raises(ArgumentError):
             random_atoms(0, 2.5)
         with pytest.raises(ArgumentError):
+            random_atoms(0, True)
+        with pytest.raises(ArgumentError):
             random_atoms(0, 3, L_range=(5.0, 5.0))
 
 
