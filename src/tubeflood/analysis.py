@@ -7,6 +7,9 @@ Three experiment families built on the forward/inverse machinery:
   (1+kappa)/(2 kappa) (alpha_max + (3+kappa)/(1+kappa)) * sup|G1 - G2|.
 * sensitivity: for random atomic measure pairs, the ratio of L1 norms
   c = ||(G1'-G2')/(G1'+G2')|| : ||(F1-F2)/(F1+F2)||, F_j(alpha) = mu_j[0, alpha).
+  Only pairs whose endpoint volumes agree to a tenth are compared.  The
+  Monte Carlo driver applies that filter to each trial's raw draws, so a
+  rejected trial (about nine in ten) builds no Measure.
 * ambiguity: the explicit measure pairs that agree below a cutoff alpha_0,
   and the measured sup gap between their curves over the total-volume axis.
 """
@@ -21,7 +24,9 @@ import numpy as np
 from .errors import ArgumentError, InternalConsistencyError
 from .forward import (
     build_curve,
+    check_alpha_max,
     endpoint_data,
+    endpoint_volumes,
     v_o_samples,
     v_w_samples,
     water_cut_samples,
@@ -29,11 +34,15 @@ from .forward import (
 from .inverse import solve_fixed_point
 from .measures import (
     Measure,
+    atom_prefix_sums,
+    atoms_measure,
     check_count,
     check_kappa,
+    check_range,
+    draw_atoms,
     moment,
     prefix_integral,
-    random_atoms,
+    random_atoms,  # noqa: F401  (perfbench's traced mc wraps analysis.random_atoms)
 )
 
 
@@ -155,6 +164,11 @@ def stability_experiment(curve1, curve2, config=None):
 # sensitivity constant
 # ---------------------------------------------------------------------------
 
+def _similar_volumes(v1_max, v2_max):
+    """The endpoint filter: |V1_max - V2_max| < V1_max/10."""
+    return abs(v1_max - v2_max) < v1_max / 10.0
+
+
 def _jump_aware_alphas(mu, alpha_max, n_grid):
     """Uniform alpha grid refined by atom locations +- one ulp."""
     L = mu._atoms_by_length[0]
@@ -169,12 +183,13 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     Both measures must pass endpoint_data's checks at alpha_max.  The pair
     is then filtered on the endpoint volumes: unless
     |V1_max - V2_max| < V1_max/10, the record comes back with accepted
-    False and c_value NaN, at the cost of the two endpoint moments only.
-    For an accepted pair the numerator samples the water cut of both
-    measures against the shared total-volume axis; the denominator compares
-    the counting functions F_j(alpha) = mu_j([0, alpha)).  Points where
-    numerator and denominator of the pointwise ratios both vanish
-    contribute 0.
+    False and c_value NaN, at the cost of two endpoint_data calls.  run_mc
+    applies the same filter to its raw draws first and calls this only for
+    the pairs that pass it.  For an accepted pair the numerator samples the
+    water cut of both measures against the shared total-volume axis; the
+    denominator compares the counting functions F_j(alpha) = mu_j([0, alpha)).
+    Points where numerator and denominator of the pointwise ratios both
+    vanish contribute 0.
 
     The numerator is a midpoint rule on the union of both curves' x samples
     (made monotone by a running maximum).  The water cut jumps at an atom,
@@ -191,7 +206,7 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     record = dict(
         seed=seed, n1=len(mu1.atoms), n2=len(mu2.atoms), v1_max=v1_max, v2_max=v2_max
     )
-    if not abs(v1_max - v2_max) < v1_max / 10.0:
+    if not _similar_volumes(v1_max, v2_max):
         return SensitivityRecord(**record, accepted=False, c_value=math.nan)
     if mu1 == mu2:
         raise ArgumentError("identical measures give a 0/0 sensitivity ratio")
@@ -238,25 +253,64 @@ def run_mc(
 ):
     """Seeded batch of sensitivity trials, run serially in seed order.
 
-    Trial i draws its pair from a generator seeded with seed + i, so reruns
-    (and any subset) are reproducible.  jobs is kept for callers that pass
-    it and must be 1.
+    Trial i draws from a generator seeded with seed + i, in this order: the
+    atom counts n1 and n2 uniform in n_atoms_range, then the lengths and
+    sections of the first measure and of the second (random_atoms' draws),
+    so reruns (and any subset) are reproducible.  The endpoint filter runs
+    on the raw draws: each measure's endpoint volume comes from its atoms'
+    moment sums (atom_prefix_sums, the bits a Measure would hold, raising
+    as it would on a sum past the doubles) through endpoint_volumes.  So a
+    rejected trial, about nine in ten, costs its draws and those sums and
+    builds no Measure.  An accepted pair becomes two Measures and goes
+    through sensitivity_constant, so every record equals a direct call's.
+
+    Every argument is checked before the first trial: counts are integers
+    with 1 <= lo <= hi, l_range and s_range pass check_range, and
+    l_range[1] <= alpha_max, so every draw is a valid atom.  jobs is kept
+    for callers that pass it and must be 1.
     """
     check_count("n_trials", n_trials, 1)
     if jobs != 1:
         raise ArgumentError(f"trials run serially: jobs must be 1, got {jobs!r}")
     check_count("seed", seed, 0)
+    kappa = check_kappa(kappa)
+    check_count("n_grid", n_grid, 2)
+    alpha_max = check_alpha_max(alpha_max)
     lo, hi = n_atoms_range
+    check_count("n_atoms_range[0]", lo, 1)
+    check_count("n_atoms_range[1]", hi, lo)
+    l_range = check_range("l_range", l_range)
+    s_range = check_range("s_range", s_range)
+    if not l_range[1] <= alpha_max:
+        raise ArgumentError(
+            f"l_range must end at or below alpha_max={alpha_max}, got {l_range}"
+        )
+
+    def endpoint_volume(L, S):
+        L, _, sums = atom_prefix_sums(L, S)
+        vw, vo, _ = endpoint_volumes(
+            kappa, alpha_max, float(L[-1]), float(sums[0, -1]), float(sums[2, -1])
+        )
+        return vw + vo
+
     records = []
     for trial_seed in range(seed, seed + n_trials):
         rng = np.random.default_rng(trial_seed)
         n1 = int(rng.integers(lo, hi + 1))
         n2 = int(rng.integers(lo, hi + 1))
-        mu1 = random_atoms(rng, n1, l_range, s_range)
-        mu2 = random_atoms(rng, n2, l_range, s_range)
-        records.append(
-            sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid, seed=trial_seed)
-        )
+        L1, S1 = draw_atoms(rng, n1, l_range, s_range)
+        L2, S2 = draw_atoms(rng, n2, l_range, s_range)
+        v1_max, v2_max = endpoint_volume(L1, S1), endpoint_volume(L2, S2)
+        if _similar_volumes(v1_max, v2_max):
+            mu1, mu2 = atoms_measure(L1, S1), atoms_measure(L2, S2)
+            record = sensitivity_constant(
+                mu1, mu2, kappa, alpha_max, n_grid, seed=trial_seed
+            )
+        else:
+            record = SensitivityRecord(
+                trial_seed, n1, n2, v1_max, v2_max, accepted=False, c_value=math.nan
+            )
+        records.append(record)
     return records
 
 

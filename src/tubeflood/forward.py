@@ -14,7 +14,7 @@ of the two integrals of the measures layer: V_w and V_w' are prefix
 integrals, V_o adds the OIL_VOLUME tail and V_o' is the OIL_RATE tail.
 Memory therefore stays bounded by that layer's row blocks however many
 atoms the measure has, and every alpha must be finite and >= 0.
-endpoint_data holds the one check on a measure at alpha_max.
+endpoint_volumes holds the one check on a measure at alpha_max.
 """
 
 from __future__ import annotations
@@ -164,34 +164,40 @@ def build_curve(mu, kappa, alpha_max, n_samples):
     return DisplacementCurve(x=vw + vo, g=vw, alpha_max=alpha_max, kappa=kappa)
 
 
-def endpoint_data(mu, kappa, alpha_max):
-    """(V_w, V_o, V_w') at alpha_max from the two global moments.
+def check_alpha_max(alpha_max):
+    """Validate alpha_max, whose square must be a finite normal double.
 
-    V_w  = (1+kappa) alpha_max^2 / (2 kappa) I_{-1} - (1+kappa)/(2 kappa) I_1
-    V_o  = I_1
-    V_w' = (1+kappa) alpha_max / kappa * I_{-1}
-
-    The package's one check on a measure at alpha_max: alpha_max^2 must be
-    a finite normal double, the support must lie in [0, alpha_max] and
-    v_max = V_w + V_o must be a finite normal double, else ArgumentError.  These
-    sums are Python floats, which overflow to inf without a warning; the
-    moments square support points in NumPy, which warns, so alpha_max^2 is
-    tested before they are taken.  Below the normal doubles (alpha_max
-    under about 1.5e-154, or a v_max below 2.2e-308) the samples of
-    build_curve lose the digits that keep the total volume increasing.
+    Returns it as float.  Below the normal doubles (alpha_max under about
+    1.5e-154) the samples of build_curve lose the digits that keep the
+    total volume increasing.
     """
-    kappa = check_kappa(kappa)
     alpha_max = float(alpha_max)
     if not sys.float_info.min <= alpha_max * alpha_max < math.inf:
         raise ArgumentError(
             f"alpha_max^2 must be a finite normal double, got alpha_max={alpha_max}"
         )
-    if mu.support_sup > alpha_max:
+    return alpha_max
+
+
+def endpoint_volumes(kappa, alpha_max, support_sup, i_inv, i_one):
+    """(V_w, V_o, V_w') at alpha_max from the two global moments I_{-1}, I_1.
+
+    V_w  = (1+kappa) alpha_max^2 / (2 kappa) I_{-1} - (1+kappa)/(2 kappa) I_1
+    V_o  = I_1
+    V_w' = (1+kappa) alpha_max / kappa * I_{-1}
+
+    The package's one check on a measure at alpha_max, given its support's
+    supremum and moments and a kappa that passed check_kappa: alpha_max
+    must pass check_alpha_max, the support must lie in [0, alpha_max] and
+    v_max = V_w + V_o must be a finite normal double, else ArgumentError.
+    These sums are Python floats, which overflow to inf without a warning.
+    A v_max below 2.2e-308 loses the digits of build_curve's samples.
+    """
+    alpha_max = check_alpha_max(alpha_max)
+    if support_sup > alpha_max:
         raise ArgumentError(
-            f"measure support (sup {mu.support_sup}) exceeds alpha_max={alpha_max}"
+            f"measure support (sup {support_sup}) exceeds alpha_max={alpha_max}"
         )
-    i_inv = moment(mu, -1)
-    i_one = moment(mu, 1)
     vw = (1.0 + kappa) / (2.0 * kappa) * (alpha_max * alpha_max * i_inv - i_one)
     vwp = (1.0 + kappa) * alpha_max / kappa * i_inv
     if not sys.float_info.min <= vw + i_one < math.inf:
@@ -199,6 +205,13 @@ def endpoint_data(mu, kappa, alpha_max):
             f"volume at alpha_max must be a finite normal double, got {vw + i_one}"
         )
     return vw, i_one, vwp
+
+
+def endpoint_data(mu, kappa, alpha_max):
+    """(V_w, V_o, V_w') of mu at alpha_max, with endpoint_volumes' checks."""
+    return endpoint_volumes(
+        check_kappa(kappa), alpha_max, mu.support_sup, moment(mu, -1), moment(mu, 1)
+    )
 
 
 def curve_readoff(curve):

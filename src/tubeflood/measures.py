@@ -117,17 +117,14 @@ class Measure:
                 )
             if not (r >= 0 and math.isfinite(r)):
                 raise ArgumentError(f"piece density must be finite and >= 0, got {r}")
-        L = np.array([a[0] for a in atoms], dtype=float)
-        S = np.array([a[1] for a in atoms], dtype=float)
-        order = np.argsort(L, kind="stable")
-        L, S = L[order], S[order]
-        sums = np.zeros((3, L.size + 1))
-        with overflow_guard("a moment of the measure"):
-            for row, terms in zip(sums, (S / L, S, S * L)):
-                np.cumsum(terms, out=row[1:])
-            if pieces:
-                # each piece's moments, and the whole measure's, raise here
-                # if past the doubles; every prefix integral stays below them
+        L, S, sums = atom_prefix_sums(
+            np.array([a[0] for a in atoms], dtype=float),
+            np.array([a[1] for a in atoms], dtype=float),
+        )
+        if pieces:
+            # each piece's moments, and the whole measure's, raise here if
+            # past the doubles; every prefix integral stays below them
+            with overflow_guard("a moment of the measure"):
                 a, b, rho = np.array(pieces).T
                 for p, row in zip((-1, 0, 1), sums):
                     row[-1] + np.sum(rho * _PIECE_PREFIX[p](b, a))
@@ -138,6 +135,26 @@ class Measure:
         object.__setattr__(self, "_atoms_by_length", (L, S))
         object.__setattr__(self, "_prefix", dict(zip((-1, 0, 1), sums)))
         object.__setattr__(self, "support_sup", max(tops, default=0.0))
+
+
+def atom_prefix_sums(L, S):
+    """Atoms (L[i], S[i]) sorted by length, and their prefix sums of S L^p.
+
+    Returns (L, S, sums): sums[k] holds 0 and then the running sums of
+    S L^(k-1), k = 0, 1, 2, so sums[:, -1] are the atoms' three moments.
+    The sort is stable and each sum one sequential np.add.accumulate (the
+    loop of np.cumsum, without its Python-level dispatch, which costs more
+    than the sum at tens of atoms), so a Measure and a caller that only
+    wants the moments of raw draws get the same bits.  A sum past the
+    doubles raises ArgumentError.
+    """
+    order = L.argsort(kind="stable")
+    L, S = L[order], S[order]
+    sums = np.zeros((3, L.size + 1))
+    with overflow_guard("a moment of the measure"):
+        for row, terms in zip(sums, (S / L, S, S * L)):
+            np.add.accumulate(terms, out=row[1:])
+    return L, S, sums
 
 
 def _alpha_array(alphas):
@@ -331,20 +348,43 @@ def scale(mu, k):
     )
 
 
+def check_range(name, bounds):
+    """Validate a sampling range (lo, hi): normal doubles with 0 < lo < hi < inf.
+
+    Every uniform draw from it then lies in [lo, hi], a valid atom length
+    or section.  Returns the bounds as floats.
+    """
+    lo, hi = (float(b) for b in bounds)
+    if not sys.float_info.min <= lo < hi < math.inf:
+        raise ArgumentError(
+            f"{name} must be normal doubles 0 < lo < hi < inf, got {tuple(bounds)}"
+        )
+    return lo, hi
+
+
+def draw_atoms(rng, n, L_range, S_range):
+    """n lengths uniform in L_range, then n sections uniform in S_range.
+
+    The one draw order of random atoms, from the Generator rng; the ranges
+    must have passed check_range.  Returns the arrays (L, S).
+    """
+    return rng.uniform(*L_range, n), rng.uniform(*S_range, n)
+
+
+def atoms_measure(L, S):
+    """The Measure of the atoms (L[i], S[i]) of two float arrays."""
+    return Measure(atoms=tuple(zip(L.tolist(), S.tolist())))
+
+
 def random_atoms(seed, n, L_range=(2.5, 10.0), S_range=(0.5, 2.0)):
     """n random atoms with L uniform in L_range and S uniform in S_range.
 
     Deterministic given the seed; ``seed`` may also be a Generator, in which
-    case its stream is consumed in place (used by the Monte Carlo driver).
+    case its stream is consumed in place.  Both ranges must pass
+    check_range.
     """
     check_count("n", n, 1)
-    lo, hi = L_range
-    slo, shi = S_range
-    if not (0 < lo < hi) or not (0 < slo < shi):
-        raise ArgumentError(
-            f"empty or invalid ranges: L_range={L_range}, S_range={S_range}"
-        )
+    L_range = check_range("L_range", L_range)
+    S_range = check_range("S_range", S_range)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    L = rng.uniform(lo, hi, n)
-    S = rng.uniform(slo, shi, n)
-    return Measure(atoms=tuple(zip(L.tolist(), S.tolist())))
+    return atoms_measure(*draw_atoms(rng, n, L_range, S_range))

@@ -1,5 +1,6 @@
 """Stability bound, sensitivity statistics and ambiguity pairs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -119,17 +120,24 @@ class TestSensitivity:
         assert rec.v2_max > 1.1 * rec.v1_max
 
     def test_direct_call_matches_run_mc(self):
-        # run_mc's records are sensitivity_constant's, rejected pairs included
-        records = run_mc(20, seed=11, n_grid=401)
-        assert {rec.accepted for rec in records} == {True, False}
-        for rec in records:
-            # run_mc's draws: two atom counts in [5, 50], then the two measures
-            rng = np.random.default_rng(rec.seed)
-            rng.integers(5, 51)
-            rng.integers(5, 51)
-            mu1 = random_atoms(rng, rec.n1)
-            mu2 = random_atoms(rng, rec.n2)
-            assert sensitivity_constant(mu1, mu2, 0.5, 10.0, 401, seed=rec.seed) == rec
+        # run_mc's records are sensitivity_constant's, rejected pairs included,
+        # though run_mc filters on the raw draws and builds no Measure for them
+        for kappa, alpha_max in itertools.product((0.05, 0.5, 0.95), (10.0, 12.0)):
+            records = run_mc(200, seed=11, kappa=kappa, alpha_max=alpha_max, n_grid=401)
+            assert {rec.accepted for rec in records} == {True, False}
+            for rec in records:
+                # run_mc's draws: two atom counts in [5, 50], then the measures
+                rng = np.random.default_rng(rec.seed)
+                rng.integers(5, 51)
+                rng.integers(5, 51)
+                mu1 = random_atoms(rng, rec.n1)
+                mu2 = random_atoms(rng, rec.n2)
+                direct = sensitivity_constant(
+                    mu1, mu2, kappa, alpha_max, 401, seed=rec.seed
+                )
+                # == matches NaNs by identity only: a rejected record holds math.nan
+                assert direct == rec
+                assert rec.accepted or rec.c_value is math.nan
 
     # accepted trials of run_mc(1000, 0) on which a trapezoid over the x knots
     # moved c by about 1e-3 or more under ulp noise and missed its n_grid
@@ -223,6 +231,86 @@ class TestRunMc:
     def test_non_finite_alpha_max_rejected(self):
         with pytest.raises(ArgumentError):
             run_mc(3, seed=0, alpha_max=math.inf)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(n_atoms_range=(0, 50)), "n_atoms_range"),
+            (dict(n_atoms_range=(10, 5)), "n_atoms_range"),
+            (dict(n_atoms_range=(5.5, 10)), "n_atoms_range"),
+            (dict(n_atoms_range=(5, 10.0)), "n_atoms_range"),
+            (dict(n_atoms_range=(True, 5)), "n_atoms_range"),
+            (dict(l_range=(2.5, math.inf)), "l_range"),
+            (dict(l_range=(math.nan, 5.0)), "l_range"),
+            (dict(l_range=(0.0, 5.0)), "l_range"),
+            (dict(l_range=(1e-310, 5.0)), "l_range"),
+            (dict(l_range=(5.0, 5.0)), "l_range"),
+            (dict(l_range=(6.0, 5.0)), "l_range"),
+            (dict(l_range=(2.5, 12.0)), "l_range"),
+            (dict(l_range=(2.5, 12.0), alpha_max=12.0 - 1e-12), "l_range"),
+            (dict(s_range=(0.5, math.inf)), "s_range"),
+            (dict(s_range=(0.0, 2.0)), "s_range"),
+            (dict(s_range=(-1.0, 2.0)), "s_range"),
+            (dict(s_range=(2.0, 1.0)), "s_range"),
+            (dict(kappa=0.0), "viscosity ratio"),
+            (dict(kappa=1.5), "viscosity ratio"),
+            (dict(n_grid=1), "n_grid"),
+            (dict(alpha_max=math.nan), "alpha_max"),
+            (dict(alpha_max=1e-160), "alpha_max"),
+            (dict(alpha_max=1e160), "alpha_max"),
+        ],
+    )
+    def test_arguments_checked_before_the_first_trial(self, monkeypatch, kwargs, match):
+        # each raises whatever the seed draws, and before anything is drawn
+        def no_draws(*args):
+            raise AssertionError("run_mc drew atoms before checking its arguments")
+
+        monkeypatch.setattr(analysis, "draw_atoms", no_draws)
+        for seed in (0, 1, 2):
+            with pytest.raises(ArgumentError, match=match):
+                run_mc(3, seed, **kwargs)
+
+    def test_valid_ranges_give_valid_atoms(self):
+        # the widest admissible ranges: every draw is an atom, every sum a double
+        records = run_mc(20, 0, n_grid=11, n_atoms_range=(1, 1),
+                         l_range=(1e-300, 10.0), s_range=(1e-300, 1.0))
+        assert all(math.isfinite(r.v1_max) and math.isfinite(r.v2_max) for r in records)
+
+    def test_overflowing_moment_rejected(self):
+        # S / L past the doubles: the raw sums raise as a Measure's would
+        with pytest.raises(ArgumentError, match="overflows a double"):
+            run_mc(1, 0, l_range=(1e-300, 1e-299), s_range=(1e300, 1e301))
+
+    def test_measures_built_only_for_accepted_pairs(self, monkeypatch):
+        built = []
+        post_init = Measure.__post_init__
+
+        def counting_post_init(mu):
+            built.append(mu)
+            post_init(mu)
+
+        monkeypatch.setattr(Measure, "__post_init__", counting_post_init)
+        endpoint_calls, compared = [], []
+        endpoint_data = analysis.endpoint_data
+        constant = analysis.sensitivity_constant
+
+        def counting_endpoint_data(mu, *args):
+            endpoint_calls.append(mu)
+            return endpoint_data(mu, *args)
+
+        def counting_constant(*args, seed=None):
+            compared.append(seed)
+            return constant(*args, seed=seed)
+
+        monkeypatch.setattr(analysis, "endpoint_data", counting_endpoint_data)
+        monkeypatch.setattr(analysis, "sensitivity_constant", counting_constant)
+        records = run_mc(200, 0)
+        accepted = [r.seed for r in records if r.accepted]
+        assert accepted and len(accepted) < len(records)
+        assert len(built) == 2 * len(accepted)
+        assert compared == accepted
+        assert len(endpoint_calls) == 2 * len(accepted)
+        assert {id(mu) for mu in endpoint_calls} == {id(mu) for mu in built}
 
     def test_summary(self):
         records = run_mc(40, seed=1, n_grid=401)

@@ -541,8 +541,9 @@ class TestMc:
     @pytest.mark.parametrize(
         "flags",
         [["--alpha-max", "inf"], ["--alpha-max", "nan"], ["--n-grid", "1"],
-         ["--seed=-1"], ["--trials", "0"]],
-        ids=["alpha-max-inf", "alpha-max-nan", "n-grid-1", "seed-negative", "trials-0"],
+         ["--seed=-1"], ["--trials", "0"], ["--alpha-max", "5"], ["--kappa", "0"]],
+        ids=["alpha-max-inf", "alpha-max-nan", "n-grid-1", "seed-negative", "trials-0",
+             "alpha-max-below-lengths", "kappa-0"],
     )
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         out = tmp_path / "mc.csv"

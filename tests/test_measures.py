@@ -207,6 +207,12 @@ class TestRandomAtoms:
             random_atoms(0, True)
         with pytest.raises(ArgumentError):
             random_atoms(0, 3, L_range=(5.0, 5.0))
+        for bounds in [(2.5, math.inf), (math.nan, 5.0), (1e-310, 5.0), (0.0, 5.0)]:
+            with pytest.raises(ArgumentError, match="L_range"):
+                random_atoms(0, 3, L_range=bounds)
+        for bounds in [(0.5, math.inf), (-math.inf, 2.0), (2.0, 0.5)]:
+            with pytest.raises(ArgumentError, match="S_range"):
+                random_atoms(0, 3, S_range=bounds)
 
 
 class TestMeasureType:
