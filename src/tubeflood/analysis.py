@@ -96,8 +96,8 @@ class AmbiguityPair:
 def stability_bound(kappa, alpha_max):
     """Explicit stability constant (1+kappa)/(2 kappa) (alpha_max + (3+kappa)/(1+kappa))."""
     kappa = check_kappa(kappa)
-    if alpha_max < 0:
-        raise ArgumentError("alpha_max must be >= 0")
+    if not 0.0 <= alpha_max < math.inf:
+        raise ArgumentError(f"alpha_max must be finite and >= 0, got {alpha_max}")
     return (1.0 + kappa) / (2.0 * kappa) * (alpha_max + (3.0 + kappa) / (1.0 + kappa))
 
 
@@ -240,6 +240,12 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
     return SensitivityRecord(**record, accepted=True, c_value=numerator / denominator)
 
 
+# Atoms a Monte Carlo measure may have, at most: an accepted trial samples
+# each curve at about three alphas per atom and each sample sums over every
+# atom, so its time grows as the count squared, about 5 s at 10**4 atoms.
+MC_MAX_ATOMS = 10**4
+
+
 def run_mc(
     n_trials,
     seed,
@@ -265,7 +271,7 @@ def run_mc(
     through sensitivity_constant, so every record equals a direct call's.
 
     Every argument is checked before the first trial: counts are integers
-    with 1 <= lo <= hi, l_range and s_range pass check_range, and
+    with 1 <= lo <= hi <= MC_MAX_ATOMS, l_range and s_range pass check_range, and
     l_range[1] <= alpha_max, so every draw is a valid atom.  jobs is kept
     for callers that pass it and must be 1.
     """
@@ -279,6 +285,11 @@ def run_mc(
     lo, hi = n_atoms_range
     check_count("n_atoms_range[0]", lo, 1)
     check_count("n_atoms_range[1]", hi, lo)
+    if hi > MC_MAX_ATOMS:
+        raise ArgumentError(
+            f"n_atoms_range[1] must be at most MC_MAX_ATOMS={MC_MAX_ATOMS}, got {hi}: "
+            "an accepted trial's time grows as the atom count squared"
+        )
     l_range = check_range("l_range", l_range)
     s_range = check_range("s_range", s_range)
     if not l_range[1] <= alpha_max:

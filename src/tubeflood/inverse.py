@@ -34,15 +34,19 @@ cells.  A leaf evaluates only its cells on and above the diagonal.  ACA
 advances all the blocks of a batch together, their rows and columns cut
 into chunks of one width, so that a step is a few array operations over
 all of them and its terms are subtracted by one batched matrix product
-per page of 16 terms.  The sweep recurses over the tree (Hairer, Lubich
-and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): solve the bottom
-half, add its block's U.T (V v) into the top half's right-hand side,
-solve the top half.  The residual and apply_T multiply by the same
-operator, so residual and error_bound measure the discrete system with
-the stored factors; the factors' own distance from the exact M, up to
-about 1e-11 of a row's largest entry at n = 2001, is not in them.  One
-operator is cached; a new (n, kappa) frees it before the build, so two
-are never held at once.
+per page of 16 terms.  The blocks sit largest first: a block that stops
+takes its factors out and steps on with a zero term, and the stopped
+blocks after the last running one are cut off the end of the batch by
+slicing.  The sweep solves the leaves from alpha_max down (Hairer,
+Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985); before the
+leaf that ends at a block's first column, the block's columns are all
+solved, and its U.T (V v) goes into its rows' right-hand side.  The
+residual and apply_T multiply by the same operator, so residual and
+error_bound measure the discrete system with the stored factors; the
+factors' own distance from the exact M, up to about 1e-11 of a row's
+largest entry at n = 2001, is not in them.  One operator is cached; a
+new (n, kappa) frees it before the build, so two are never held at
+once.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
 dmu(y)/y follows from V'(alpha) = (1+kappa)/kappa * alpha * Phi(alpha),
@@ -260,26 +264,20 @@ def _split(n):
     A span of more than _LEAF nodes splits at mid = (lo + hi) // 2 into two
     halves and the block M[lo:mid, mid:hi] (its rows from 1 on, row 0
     being 0); the block below the diagonal is 0.  Returns the leaves'
-    (lo, hi), the blocks' (rlo, mid, hi), and the sweep's schedule: leaf k
-    as k and block b as ~b, in the order bottom half, block, top half.
+    (lo, hi) from the top of the grid down, the order the sweep solves
+    them in, and the blocks' (rlo, mid, hi).
     """
-    leaves, blocks, schedule = [], [], []
+    leaves, blocks = [], []
     pending = [(0, n)]
-    while pending:             # depth first, the bottom half first
-        item = pending.pop()
-        if isinstance(item, int):
-            schedule.append(item)
-            continue
-        lo, hi = item
+    while pending:             # depth first, the top half first
+        lo, hi = pending.pop()
         if hi - lo <= _LEAF:
-            schedule.append(len(leaves))
-            leaves.append(item)
+            leaves.append((lo, hi))
             continue
         mid = (lo + hi) // 2
-        pending += [(lo, mid), ~len(blocks), (mid, hi)]
+        pending += [(lo, mid), (mid, hi)]
         blocks.append((max(lo, 1), mid, hi))
-    return (np.array(leaves, dtype=int), np.array(blocks, dtype=int).reshape(-1, 3),
-            schedule)
+    return np.array(leaves, dtype=int), np.array(blocks, dtype=int).reshape(-1, 3)
 
 
 def _leaves(n, kappa, spans):
@@ -372,26 +370,6 @@ def _subtract_terms(out, pages, coef_pages, k, index):
         out -= np.matmul(coef.T[:, None, :], F[:t].transpose(1, 0, 2))[:, 0]
 
 
-def _runs(keep, first):
-    """The (start, stop) chunks of each run of kept blocks, of chunks
-    first[b]:first[b+1] for block b."""
-    edge = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-    return list(zip(first[edge[::2]].tolist(), first[edge[1::2]].tolist()))
-
-
-def _compact(F, k, runs):
-    """The runs of chunks of the page F (terms, chunks, width), its first k
-    terms written: a view if they are one run, else moved to the front of F
-    run by run."""
-    if len(runs) == 1:
-        return F[:, runs[0][0]:runs[0][1]]
-    at = 0
-    for a, b in runs:
-        F[:k, at:at + b - a] = F[:k, a:b]
-        at += b - a
-    return F[:, :at]
-
-
 def _aca(n, kappa, blocks):
     """Factors (U, V), M[rlo:mid, mid:hi] ~ U.T @ V, of every block, by ACA.
 
@@ -425,10 +403,17 @@ def _aca(n, kappa, blocks):
     chunk.  Cell x adds its right part to the row's slot x and its left
     part to slot x - 1 (column mid + x - 1).  The terms sit in pages of
     _PAGE, U over the rows' chunks and V over the cells', so subtracting
-    them is one batched product per page.  A block that stops takes its
-    terms out, and the chunks of the blocks still running move to the front
-    of the pages; the largest blocks, which stop last, come first, so
-    little moves.
+    them is one batched product per page.
+
+    The blocks sit largest first, and the largest stop last.  A block that
+    stops takes its terms out and from then on steps with the batch on a
+    zero term, which nothing reads: its rows and columns are still
+    evaluated, but no array moves.  Once every block after a running one
+    has stopped, those blocks are cut off the end of the batch, each
+    per-block and per-chunk array by a slice and each page as the view
+    F[:, :chunks].  A block's steps read only its own chunks, so the blocks
+    that share its batch change its terms only through the chunk width w,
+    by rounding.
     """
     if not blocks.size:
         return []
@@ -438,75 +423,74 @@ def _aca(n, kappa, blocks):
     rlo, mid, hi = blocks[run].T
     p, q = mid - rlo, hi - mid
     w = int(np.max(q[q <= q.min() + 1])) + 1
-    rows, owner, rfirst = _chunks(rlo, p, w)
-    rmask = rows < mid[owner, None]
-    rows = np.minimum(rows, mid[owner, None] - 1.0)       # pad with the last row
-    cells, owner, cfirst = _chunks(mid - 1, q + 1, w)
-    cmask = cells < hi[owner, None] - 1.0                 # a column j = cell + 1 < hi
+    rows, rblock, rfirst = _chunks(rlo, p, w)
+    rmask = rows < mid[rblock, None]
+    rows = np.minimum(rows, mid[rblock, None] - 1.0)      # pad with the last row
+    cells, cblock, cfirst = _chunks(mid - 1, q + 1, w)
+    cmask = cells < hi[cblock, None] - 1.0                # a column j = cell + 1 < hi
     weight = np.where(cmask, (cells + 1.0) ** 5, 0.0)
     rmask, free_c = rmask.astype(float), cmask.astype(float)
     free_r = rmask.copy()
     tol2 = np.maximum(_ACA_TOL, 2.0 * hi * eps) ** 2
     norm2 = np.zeros(run.size)
+    stopped = np.zeros(run.size, dtype=bool)
     piv = p - 1                                 # within the block's rows
     Up, Vp = [], []
     factors = [None] * len(blocks)
     k = 0
     while run.size:
-        rblock = np.repeat(np.arange(run.size), np.diff(rfirst))
-        cblock = np.repeat(np.arange(run.size), np.diff(cfirst))
-        while k < _ACA_RANK:
-            if k % _PAGE == 0:
-                Up.append(np.empty((_PAGE,) + rows.shape))
-                Vp.append(np.empty((_PAGE,) + cells.shape))
-            U, V = Up[-1][k % _PAGE], Vp[-1][k % _PAGE]
-            # the pivot rows: slot x is right(x) + left(x + 1)
-            slot = rfirst[:-1] * w + piv
-            i = rows.reshape(-1)[slot][cblock, None]
-            row = V.reshape(-1)
-            for s in row_blocks(len(cells), w * _CELL_WORK):
-                left, right = _cells(i[s], cells[s], kappa)
-                left[cells[s] == n - 1] = 0.0          # past alpha_max
-                x0, x1 = s.start * w, s.stop * w
-                np.add(right.reshape(-1)[:-1], left.reshape(-1)[1:], out=row[x0:x1 - 1])
-                row[x1 - 1] = right[-1, -1]
-                if x0:
-                    row[x0 - 1] += left[0, 0]
-            V *= weight
-            _subtract_terms(V, Vp, Up, k, slot[cblock])
-            a = np.abs(V)
-            a *= free_c
-            jpos, top = _block_argmax(a, cfirst, cblock)
-            stop = top <= 0.0       # a row already matched, or no column left
-            pivot = row[jpos]
-            if stop.any():
-                pivot[stop] = 1.0
-            V /= pivot[cblock, None]
-            # the pivot columns, node j = cell + 1, from the cells j and j - 1
-            j = cells.reshape(-1)[jpos] + 1.0
-            m = np.stack((j, j - 1.0))[:, rblock, None]
-            for s in row_blocks(len(rows), 2 * w * _CELL_WORK):
-                left, right = _cells(rows[s], m[:, s], kappa)
-                if n - 1 in j:
-                    left[0, m[0, s, 0] == n - 1] = 0.0
-                np.add(left[0], right[1], out=U[s])
-            U *= rmask
-            U *= weight.reshape(-1)[jpos][rblock, None]
-            _subtract_terms(U, Up, Vp, k, jpos[rblock])
-            if stop.any():
-                U[stop[rblock]] = 0.0
-                V[stop[cblock]] = 0.0
-            free_r.reshape(-1)[slot] = free_c.reshape(-1)[jpos] = 0.0
-            term2 = (np.add.reduceat(np.einsum("cw,cw->c", U, U), rfirst[:-1])
-                     * np.add.reduceat(np.einsum("cw,cw->c", V, V), cfirst[:-1]))
-            norm2 += term2
-            a = np.abs(U)
-            a *= free_r
-            piv = _block_argmax(a, rfirst, rblock)[0] - rfirst[:-1] * w
-            k += 1
-            done = (term2 <= tol2 * norm2) | (k >= np.minimum(p, q)) | (k == _ACA_RANK)
-            if done.any():
-                break
+        if k % _PAGE == 0:
+            Up.append(np.empty((_PAGE,) + rows.shape))
+            Vp.append(np.empty((_PAGE,) + cells.shape))
+        U, V = Up[-1][k % _PAGE], Vp[-1][k % _PAGE]
+        # the pivot rows: slot x is right(x) + left(x + 1)
+        slot = rfirst[:-1] * w + piv
+        i = rows.reshape(-1)[slot][cblock, None]
+        row = V.reshape(-1)
+        for s in row_blocks(len(cells), w * _CELL_WORK):
+            left, right = _cells(i[s], cells[s], kappa)
+            left[cells[s] == n - 1] = 0.0          # past alpha_max
+            x0, x1 = s.start * w, s.stop * w
+            np.add(right.reshape(-1)[:-1], left.reshape(-1)[1:], out=row[x0:x1 - 1])
+            row[x1 - 1] = right[-1, -1]
+            if x0:
+                row[x0 - 1] += left[0, 0]
+        V *= weight
+        _subtract_terms(V, Vp, Up, k, slot[cblock])
+        a = np.abs(V)
+        a *= free_c
+        jpos, top = _block_argmax(a, cfirst, cblock)
+        # a row already matched, no column left, or a stopped block: a zero
+        # term, so a stopped block never divides by a pivot at rounding level
+        stop = (top <= 0.0) | stopped
+        pivot = row[jpos]
+        if stop.any():
+            pivot[stop] = 1.0
+        V /= pivot[cblock, None]
+        # the pivot columns, node j = cell + 1, from the cells j and j - 1
+        j = cells.reshape(-1)[jpos] + 1.0
+        m = np.stack((j, j - 1.0))[:, rblock, None]
+        for s in row_blocks(len(rows), 2 * w * _CELL_WORK):
+            left, right = _cells(rows[s], m[:, s], kappa)
+            if n - 1 in j:
+                left[0, m[0, s, 0] == n - 1] = 0.0
+            np.add(left[0], right[1], out=U[s])
+        U *= rmask
+        U *= weight.reshape(-1)[jpos][rblock, None]
+        _subtract_terms(U, Up, Vp, k, jpos[rblock])
+        if stop.any():
+            U[stop[rblock]] = 0.0
+            V[stop[cblock]] = 0.0
+        free_r.reshape(-1)[slot] = free_c.reshape(-1)[jpos] = 0.0
+        term2 = (np.add.reduceat(np.einsum("cw,cw->c", U, U), rfirst[:-1])
+                 * np.add.reduceat(np.einsum("cw,cw->c", V, V), cfirst[:-1]))
+        norm2 += term2
+        a = np.abs(U)
+        a *= free_r
+        piv = _block_argmax(a, rfirst, rblock)[0] - rfirst[:-1] * w
+        k += 1
+        done = (term2 <= tol2 * norm2) | (k >= np.minimum(p, q)) | (k == _ACA_RANK)
+        done &= ~stopped
         # the blocks that stop take their terms out, scaled back
         for s in np.flatnonzero(done).tolist():
             rs, cs = slice(rfirst[s], rfirst[s + 1]), slice(cfirst[s], cfirst[s + 1])
@@ -514,17 +498,17 @@ def _aca(n, kappa, blocks):
             j5 = weight[cs].reshape(-1)[:q[s]]
             factors[run[s]] = (_take_terms(Up, k, rs, kc * i ** 4),
                                _take_terms(Vp, k, cs, 1.0 / j5))
-        keep = ~done
-        keep_r, keep_c = keep[rblock], keep[cblock]
-        run, tol2, norm2, piv, p, q = (x[keep] for x in (run, tol2, norm2, piv, p, q))
-        rows, rmask, free_r = rows[keep_r], rmask[keep_r], free_r[keep_r]
-        cells, weight, free_c = cells[keep_c], weight[keep_c], free_c[keep_c]
-        if run.size:
-            runs_r, runs_c = _runs(keep, rfirst), _runs(keep, cfirst)
-            Up = [_compact(F, k - l, runs_r) for l, F in zip(range(0, k, _PAGE), Up)]
-            Vp = [_compact(F, k - l, runs_c) for l, F in zip(range(0, k, _PAGE), Vp)]
-        rfirst = _offsets(np.diff(rfirst)[keep])
-        cfirst = _offsets(np.diff(cfirst)[keep])
+        stopped |= done
+        # cut the stopped blocks after the last running one off the batch
+        b = np.max(np.flatnonzero(~stopped), initial=-1) + 1
+        if b < run.size:
+            r1, c1 = rfirst[b], cfirst[b]
+            run, tol2, norm2, piv, p, q, stopped = (
+                x[:b] for x in (run, tol2, norm2, piv, p, q, stopped))
+            rows, rmask, free_r, rblock = (x[:r1] for x in (rows, rmask, free_r, rblock))
+            cells, weight, free_c, cblock = (x[:c1] for x in (cells, weight, free_c, cblock))
+            rfirst, cfirst = rfirst[:b + 1], cfirst[:b + 1]
+            Up, Vp = [F[:, :r1] for F in Up], [F[:, :c1] for F in Vp]
     return factors
 
 
@@ -533,12 +517,12 @@ class _Operator:
 
     leaves holds (lo, hi, L) with L = M[lo:hi, lo:hi] dense and exact;
     blocks holds (rlo, mid, hi, U, V) with M[rlo:mid, mid:hi] ~ U.T @ V;
-    every other entry of M is 0.  schedule orders them for the sweep (leaf
-    k as k, block b as ~b).
+    every other entry of M is 0.  The leaves run from the top of the grid
+    down, the order in which sweep solves them.
     """
 
     def __init__(self, n, kappa):
-        spans, blocks, self.schedule = _split(n)
+        spans, blocks = _split(n)
         self.n = n
         self.leaves = [
             (lo, hi, L) for (lo, hi), L in zip(spans.tolist(), _leaves(n, kappa, spans))
@@ -561,15 +545,17 @@ class _Operator:
         return y
 
     def sweep(self, h, x, g):
-        """V with V_i = G(h_i + (M V)_i), by the recursive Volterra sweep.
+        """V with V_i = G(h_i + (M V)_i), by one Volterra sweep down the leaves.
 
         G interpolates (x, g) piecewise-linearly and is constant outside
-        [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  Over the
-        schedule, the bottom half of a span is solved first, its block
-        then adds U.T (V v) into the top half's right-hand sides, and the
-        top half is solved last.  A leaf solves its rows from the last up,
-        in sub-blocks of _SWEEP_ROWS: the part of b from rows of earlier
-        sub-blocks is one matrix-vector product, the rest a scalar sum.
+        [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  The
+        leaves are solved in turn, from the top of the grid down.  When the
+        sweep reaches the leaf ending at a block's mid, the block's columns
+        [mid, hi) are all solved and none of its rows [rlo, mid) is yet, so
+        the block's U.T (V v) goes into those rows' right-hand sides first.
+        A leaf solves its rows from the last up, in sub-blocks of
+        _SWEEP_ROWS: the part of b from rows of earlier sub-blocks is one
+        matrix-vector product, the rest a scalar sum.
         Row i then reads V_i = G(b + d V_i) with d = M[i, i]: s - d G(s)
         increases with s, so the segment of G holding s = b + d V_i is the
         k with knot(k) <= b < knot(k+1), knot(k) = x_k - d g_k, and one
@@ -584,12 +570,11 @@ class _Operator:
         rhs = np.array(h, dtype=float)
         v = np.zeros(self.n)
         k = last
-        for step in self.schedule:
-            if step < 0:
-                rlo, mid, hi, U, V = self.blocks[~step]
-                rhs[rlo:mid] += (V @ v[mid:hi]) @ U
-                continue
-            lo, hi, L = self.leaves[step]
+        by_mid = {mid: (rlo, hi, U, V) for rlo, mid, hi, U, V in self.blocks}
+        for lo, hi, L in self.leaves:
+            if hi in by_mid:
+                rlo, top, U, V = by_mid[hi]
+                rhs[rlo:hi] += (V @ v[hi:top]) @ U
             diag = L.diagonal().tolist()
             for i1 in range(hi - lo, 0, -_SWEEP_ROWS):
                 i0 = max(i1 - _SWEEP_ROWS, 0)
@@ -718,9 +703,9 @@ def solve_fixed_point(curve, config=None):
     M is upper triangular, so once the nodes above i are known, row i is a
     scalar equation V_i = G(b + d V_i) on the piecewise-linear G.  Since G
     is 1-Lipschitz and d = M[i, i] < 1, it has one solution, on the segment
-    of G found by walking from the previous row's segment; the recursive
-    sweep over the operator's tree (``_Operator.sweep``) solves every row
-    from alpha_max down.  The residual applies the same operator.
+    of G found by walking from the previous row's segment; the sweep over
+    the operator's leaves (``_Operator.sweep``) solves every row from
+    alpha_max down.  The residual applies the same operator.
 
     Returns a RecoveryResult holding V, with timings of the assembly (or
     the cache lookup; operator_cached tells which) and of the solve, in

@@ -42,6 +42,11 @@ class TestStabilityBound:
             vals = [stability_bound(k, alpha_max) for k in kappas]
             assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha_max", [-1.0, math.nan, math.inf])
+    def test_bad_alpha_max_rejected(self, alpha_max):
+        with pytest.raises(ArgumentError, match="alpha_max"):
+            stability_bound(0.5, alpha_max)
+
 
 class TestPerturbation:
     def test_bounded_and_valid(self):
@@ -258,6 +263,10 @@ class TestRunMc:
             (dict(alpha_max=math.nan), "alpha_max"),
             (dict(alpha_max=1e-160), "alpha_max"),
             (dict(alpha_max=1e160), "alpha_max"),
+            # past int64, past what a draw could allocate, and just past the cap
+            (dict(n_atoms_range=(1, 2**63)), "n_atoms_range"),
+            (dict(n_atoms_range=(1, 2**63 - 1)), "n_atoms_range"),
+            (dict(n_atoms_range=(1, analysis.MC_MAX_ATOMS + 1)), "n_atoms_range"),
         ],
     )
     def test_arguments_checked_before_the_first_trial(self, monkeypatch, kwargs, match):
@@ -266,6 +275,7 @@ class TestRunMc:
             raise AssertionError("run_mc drew atoms before checking its arguments")
 
         monkeypatch.setattr(analysis, "draw_atoms", no_draws)
+        monkeypatch.setattr(analysis.np.random, "default_rng", no_draws)
         for seed in (0, 1, 2):
             with pytest.raises(ArgumentError, match=match):
                 run_mc(3, seed, **kwargs)

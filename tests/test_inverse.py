@@ -176,7 +176,7 @@ class TestClosedForm:
 
     def test_warm_assembly_allocates_no_block_temporaries(self):
         # what a build holds beyond the operator it keeps: the running
-        # blocks' ACA terms and one step's rows and columns, no cell block
+        # batch's ACA terms and one step's rows and columns, no cell block
         n = 2001
         inverse._OPERATOR.clear()
         _unit_t_matrix(n, 0.3)              # grows this thread's buffers
@@ -350,6 +350,22 @@ class TestHierarchicalOperator:
         inverse._OPERATOR.clear()
         s = np.array([hi - lo for lo, hi, _ in op.leaves])
         assert 0 < sum(cells) <= np.sum(s * (s + 1) // 2)
+
+    @pytest.mark.parametrize("kappa", [0.005, 0.5, 0.999])
+    def test_block_factors_do_not_depend_on_the_batch(self, monkeypatch, kappa):
+        # in one batch, blocks stop out of order and step on until the
+        # blocks after them stop; alone, each stops and ends its batch
+        n = 2001
+        blocks = inverse._split(n)[1]
+        assert len(list(inverse._aca_batches(blocks))) == 1
+        together = inverse._Operator(n, kappa).blocks
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", 1)
+        assert len(list(inverse._aca_batches(blocks))) == len(blocks)
+        alone = inverse._Operator(n, kappa).blocks
+        for (*span, U1, V1), (*span2, U2, V2) in zip(together, alone):
+            assert span == span2 and U1.shape == U2.shape and V1.shape == V2.shape
+            block = U1.T @ V1
+            assert np.max(np.abs(U2.T @ V2 - block)) <= 1e-13 * np.max(np.abs(block))
 
     @pytest.mark.parametrize("n", [3, 64, 65, 2001])
     def test_tree(self, n):
