@@ -12,6 +12,8 @@ against total produced volume, {(V_w + V_o, V_w)}; its slope never exceeds 1.
 The sampling routines are vectorized over alpha and each is a combination
 of the two integrals of the measures layer: V_w and V_w' are prefix
 integrals, V_o adds the OIL_VOLUME tail and V_o' is the OIL_RATE tail.
+volumes_and_water_cut gives V_w, V_o and the water cut together, with
+both tails from one pass.
 Memory therefore stays bounded by that layer's row blocks however many
 atoms the measure has, and every alpha must be finite and >= 0.
 endpoint_volumes holds the one check on a measure at alpha_max.
@@ -56,7 +58,8 @@ def v_o_samples(mu, kappa, alphas):
     alphas = np.asarray(alphas, dtype=float)
     c0 = (1.0 - kappa * kappa) * alphas * alphas
     total = prefix_integral(mu, 1, alphas)
-    return total + tail_integral(mu, OIL_VOLUME, c0, alphas) / (1.0 - kappa)
+    (tail,) = tail_integral(mu, (OIL_VOLUME,), c0, alphas)
+    return total + tail / (1.0 - kappa)
 
 
 def v_w_prime_samples(mu, kappa, alphas):
@@ -78,7 +81,8 @@ def v_o_prime_samples(mu, kappa, alphas):
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
     c0 = (1.0 - kappa * kappa) * alphas * alphas
-    return (1.0 + kappa) * alphas * tail_integral(mu, OIL_RATE, c0, alphas)
+    (tail,) = tail_integral(mu, (OIL_RATE,), c0, alphas)
+    return (1.0 + kappa) * alphas * tail
 
 
 def water_cut_samples(mu, kappa, alphas):
@@ -87,6 +91,29 @@ def water_cut_samples(mu, kappa, alphas):
     op = v_o_prime_samples(mu, kappa, alphas)
     den = wp + op
     return np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
+
+
+def volumes_and_water_cut(mu, kappa, alphas):
+    """(V_w, V_o, water cut) on one alpha array, from one pass over the tails.
+
+    The two oil tails come from a single tail_integral call, which takes
+    the root sqrt(y^2 - c0) once per cell; every other expression is the
+    one of v_w_samples, v_o_samples and water_cut_samples, so the three
+    arrays equal theirs bit for bit.
+    """
+    kappa = check_kappa(kappa)
+    alphas = np.asarray(alphas, dtype=float)
+    c0 = (1.0 - kappa * kappa) * alphas * alphas
+    m_inv = prefix_integral(mu, -1, alphas)
+    m_one = prefix_integral(mu, 1, alphas)
+    oil, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), c0, alphas)
+    vw = (1.0 + kappa) / (2.0 * kappa) * (alphas * alphas * m_inv - m_one)
+    vo = m_one + oil / (1.0 - kappa)
+    m_right = prefix_integral(mu, -1, alphas, inclusive=True)
+    wp = (1.0 + kappa) * alphas / kappa * m_right
+    op = (1.0 + kappa) * alphas * rate
+    den = wp + op
+    return vw, vo, np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,24 @@ is one of two integrals, vectorized over an array of alpha >= 0:
 
     prefix_integral: integral of y^p dmu over [0, alpha), p in {-1, 0, 1},
                      or over [0, alpha] with inclusive=True
-    tail_integral:   integral of a kernel k(y; c0) dmu over the tail above
+    tail_integral:   integrals of kernels k(y; c0) dmu over the tail above
                      alpha, with c0 = (1-kappa^2) alpha^2; the two kernels are
                      OIL_VOLUME  y - sqrt(y^2 - c0)  over [alpha, inf)  (V_o)
                      OIL_RATE    1 / sqrt(y^2 - c0)  over (alpha, inf)  (V_o')
+                     and one call takes a tuple of them, sharing the root
 
 Atoms enter a prefix integral through prefix sums, which the Measure
 builds in its constructor (and so rejects moments past the doubles
-there), and a binary search.  A
-tail integral runs over row blocks of alpha holding at most _BLOCK_CELLS
-cells (or one row), in place in per-thread buffers kept from one call to
-the next: memory stays near 0.5 MB below 2^15 atoms, and no block-sized
+there), and a binary search.  A tail integral runs over row blocks of
+alpha holding at most _BLOCK_CELLS cells (or one row), in place in
+per-thread buffers kept from one call to the next: memory stays near
+0.5 MB below 2^15 atoms (0.75 MB with both kernels), and no block-sized
 array is allocated per call.  Only the live (alpha, atom) cells of a
 block are evaluated: the atoms are sorted by length, so those below the
 block's smallest alpha, a column prefix, are skipped, and only the
-columns up to its largest alpha need the tail mask.  That row-block rule,
+columns up to its largest alpha need the tail mask.  A call with both
+kernels takes sqrt(y^2 - c0) once per live cell and gives each kernel
+the bits of a call with that kernel alone.  That row-block rule,
 row_blocks, is the package's only one: the operator's cells are
 evaluated over it too, in the same per-thread buffers (_block_buffers),
 and the tube simulation writes its blocks straight into its result.
@@ -260,65 +263,107 @@ def _block_buffers(rows, cols, count=1):
     return work[:count, :cells].reshape(count, rows, cols)
 
 
-def tail_integral(mu, kernel, c0, lower):
-    """Integral of kernel(y; c0) dmu(y) over the tail above lower, per element.
+def _leading(buf, rows, cols):
+    """A contiguous (rows, cols) array on the first cells of buf."""
+    return buf.ravel()[: rows * cols].reshape(rows, cols)
 
-    c0 and lower are arrays of one shape with c0 <= lower^2, so the root
-    stays real on the tail; the tail is [lower, inf) for a closed kernel
-    and (lower, inf) otherwise.  The result has that shape.  Atom cells are
+
+def tail_integral(mu, kernels, c0, lower):
+    """Integrals of each kernel(y; c0) dmu(y) over the tail above lower.
+
+    kernels is a tuple of TailKernels, and the result a list of one array
+    per kernel, all from one pass over the atoms.  c0 and lower are arrays
+    of one shape (else ArgumentError) with c0 <= lower^2, so the root stays
+    real on the tail; the tail is [lower, inf) for a closed kernel and
+    (lower, inf) otherwise.  Each result has that shape.  Atom cells are
     summed over row_blocks, each row over all atoms in length order (the
     ones outside the tail add 0), so the value does not depend on the block
     size.  Only the live cells are evaluated: the atoms are sorted, so the
     atoms below a block's smallest lower limit, a column prefix, lie
-    outside the tail on every row of it and are left at 0, and only the
-    columns between its smallest and largest limit need the tail mask.
+    outside every tail on every row of it and are left at 0, and only the
+    columns between its smallest and largest limit need the tail masks.
     Ascending limits therefore cost about the cells in the tail; unsorted
     ones give the same values and save less.  The live columns are
     evaluated in one contiguous buffer (on a strided view of the row, each
     ufunc ran one inner loop per row, 20% slower at 30-50 atoms) and then
     copied behind the zeroed prefix, so every row is still summed whole,
-    in the order of the dense sum.  Each block is computed in place in
+    in the order of the dense sum.
+
+    The kernels share one searchsorted and one root sqrt(y^2 - c0) per
+    block.  Each kernel but the last works on a copy of the root, the last
+    on the root itself, and each masks and zeroes its own outside cells,
+    so every cell and every row sum goes through the operations of a call
+    with that kernel alone and gets its bits.  An open kernel beside a
+    closed one sets its cells at the limit, whose root may be 0, to 1
+    before its atom step.  Each block is computed in place in
     _block_buffers: with fresh 256 KB temporaries per step, glibc trimmed
     the heap top after a block and faulted it back in for the next, so the
     time of a sensitivity trial followed the host's page-fault cost.
     """
     lower = _alpha_array(lower)
     shape = lower.shape
-    lower = lower.ravel()
-    c0 = np.asarray(c0, dtype=float).ravel()
-    out = np.zeros_like(lower)
-    if mu.atoms:
+    c0 = np.asarray(c0, dtype=float)
+    if c0.shape != shape:
+        raise ArgumentError(
+            f"c0 must have the shape of lower, {shape}, got {c0.shape}"
+        )
+    lower, c0 = lower.ravel(), c0.ravel()
+    outs = [np.zeros_like(lower) for _ in kernels]
+    if mu.atoms and lower.size:
         L, S = mu._atoms_by_length
         L2 = L * L
         n = L.size
-        side = "left" if kernel.closed else "right"
-        for rows in row_blocks(lower.size, n):
+        # the root is taken on the union of the tails: closed if any is
+        closed = any(k.closed for k in kernels)
+        mixed = closed and not all(k.closed for k in kernels)
+        side = "left" if closed else "right"
+        blocks = list(row_blocks(lower.size, n))
+        # buffers for the first block, the largest: one of full rows, one
+        # for a copy of the root for each kernel but the last, and the root's
+        full, *copies, spare = _block_buffers(blocks[0].stop, n, len(kernels) + 1)
+        copies.append(None)   # the last kernel works on the root itself
+        for rows in blocks:
             lo = lower[rows, None]
             c = c0[rows, None]
-            # columns below j0 are outside the tail on every row, columns
-            # from j1 on inside it on every row
+            # columns below j0 are outside every tail on every row, columns
+            # from j1 on inside every tail on every row
             j0, j1 = np.searchsorted(L, (lo.min(), lo.max()), side).tolist()
             if j0 == n:
                 continue
-            full, spare = _block_buffers(lo.size, n, 2)
-            # the live columns, contiguous at the start of the spare buffer
-            s = spare.ravel()[: lo.size * (n - j0)].reshape(lo.size, -1) if j0 else full
+            if mixed:   # past the atoms at the largest limit, outside the open tail
+                j1 = int(np.searchsorted(L, lo.max(), "right"))
+            m, width = lo.size, n - j0
+            block = full[:m]
+            # the live columns, contiguous at the start of a buffer
+            s = _leading(spare, m, width) if j0 else block
             np.subtract(L2[j0:], c, out=s)
-            edge = s[:, : j1 - j0]
-            outside = L[j0:j1] < lo if kernel.closed else L[j0:j1] <= lo
-            np.copyto(edge, 1.0, where=outside)
+            outside = L[j0:j1] < lo if closed else L[j0:j1] <= lo
+            np.copyto(s[:, : j1 - j0], 1.0, where=outside)
             np.sqrt(s, out=s)
-            kernel.atom(S[j0:], L[j0:], s, c)
-            np.copyto(edge, 0.0, where=outside)
             if j0:
-                full[:, :j0] = 0.0
-                full[:, j0:] = s
-            np.sum(full, axis=1, out=out[rows])
+                block[:, :j0] = 0.0
+            for kernel, copy, out in zip(kernels, copies, outs):
+                t = s
+                if copy is not None:
+                    t = _leading(copy, m, width)
+                    np.copyto(t, s)
+                edge = t[:, : j1 - j0]
+                mask = outside
+                if kernel.closed != closed:   # an open kernel beside a closed one
+                    mask = L[j0:j1] <= lo
+                    np.copyto(edge, 1.0, where=mask)
+                kernel.atom(S[j0:], L[j0:], t, c)
+                np.copyto(edge, 0.0, where=mask)
+                if j0:
+                    block[:, j0:] = t
+                np.sum(block if j0 else t, axis=1, out=out[rows])
     for pa, pb, rho in mu.pieces:
         lo = np.maximum(lower, pa)
         live = lo < pb
-        out += np.where(live, rho * kernel.cell(np.where(live, lo, pb), pb, c0), 0.0)
-    return out.reshape(shape)
+        top = np.where(live, lo, pb)
+        for kernel, out in zip(kernels, outs):
+            out += np.where(live, rho * kernel.cell(top, pb, c0), 0.0)
+    return [out.reshape(shape) for out in outs]
 
 
 def moment(mu, p, a=0.0, b=math.inf):

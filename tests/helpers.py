@@ -104,6 +104,47 @@ def searchsorted_sweep(M, h, x, g):
     return v
 
 
+def sensitivity_from_samplers(mu1, mu2, kappa, alpha_max, n_grid):
+    """Test oracle: the c of an accepted pair, in the steps of
+    analysis.sensitivity_constant, from the four public samplers
+    v_w_samples, v_o_samples, water_cut_samples and prefix_integral, each
+    oil tail in its own call.
+
+    Each curve is sampled on the uniform grid refined by its atoms'
+    lengths +- one ulp; the numerator is a midpoint rule over the union of
+    both curves' x samples, the denominator a trapezoid over the union of
+    both alpha grids.
+    """
+    def alphas(mu):
+        L = np.array([length for length, _ in mu.atoms])
+        jumps = (np.nextafter(L, -np.inf), L, np.nextafter(L, np.inf))
+        grid = np.linspace(0.0, alpha_max, n_grid)[1:]
+        out = np.unique(np.concatenate([grid, *jumps]))
+        return out[(out > 0) & (out <= alpha_max)]
+
+    def samples(mu, a):
+        x = forward.v_w_samples(mu, kappa, a) + forward.v_o_samples(mu, kappa, a)
+        return np.maximum.accumulate(x), forward.water_cut_samples(mu, kappa, a)
+
+    a1, a2 = alphas(mu1), alphas(mu2)
+    (x1, w1), (x2, w2) = samples(mu1, a1), samples(mu2, a2)
+    x_top = min(
+        sum(forward.endpoint_data(mu, kappa, alpha_max)[:2]) for mu in (mu1, mu2)
+    )
+    xs = np.unique(np.concatenate([x1[x1 <= x_top], x2[x2 <= x_top], [0.0, x_top]]))
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    g1, g2 = np.interp(mid, x1, w1), np.interp(mid, x2, w2)
+    den = g1 + g2
+    ratio = np.divide(np.abs(g1 - g2), den, out=np.zeros_like(den), where=den > 0)
+    numerator = float(np.dot(ratio, np.diff(xs)))
+
+    aus = np.unique(np.concatenate([a1, a2, [0.0]]))
+    f1, f2 = prefix_integral(mu1, 0, aus), prefix_integral(mu2, 0, aus)
+    fden = f1 + f2
+    ratio = np.divide(np.abs(f1 - f2), fden, out=np.zeros_like(fden), where=fden > 0)
+    return numerator / float(np.trapezoid(ratio, aus))
+
+
 def closed_tail_integral(alpha, alpha_max, kappa):
     """Antiderivative oracle for T applied to the constant function 1.
 

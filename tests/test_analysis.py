@@ -23,6 +23,8 @@ from tubeflood.forward import build_curve
 from tubeflood.inverse import RecoveryConfig
 from tubeflood.measures import Measure, random_atoms, scale
 
+from helpers import sensitivity_from_samplers
+
 
 class TestStabilityBound:
     def test_reference_values(self):
@@ -160,15 +162,30 @@ class TestSensitivity:
         mu1, mu2 = self.mc_pair(seed)
         c = sensitivity_constant(mu1, mu2, 0.5, 10.0).c_value
         noise = np.random.default_rng(seed)
-        exact = analysis.v_o_samples
+        exact = analysis.volumes_and_water_cut
 
         def noisy(mu, kappa, alphas):
-            v = exact(mu, kappa, alphas)
-            return v + noise.integers(-2, 3, v.shape) * np.spacing(v)
+            # +-2 ulp on V_o, and so on the x = V_w + V_o samples
+            vw, vo, wc = exact(mu, kappa, alphas)
+            return vw, vo + noise.integers(-2, 3, vo.shape) * np.spacing(vo), wc
 
-        monkeypatch.setattr(analysis, "v_o_samples", noisy)
+        monkeypatch.setattr(analysis, "volumes_and_water_cut", noisy)
         jittered = sensitivity_constant(mu1, mu2, 0.5, 10.0).c_value
+        assert jittered != c   # the noise reached c
         assert abs(jittered / c - 1) <= 1e-12
+
+    def test_one_tail_pass_matches_the_separate_samplers(self):
+        # sensitivity_constant takes both oil tails of a measure in one pass;
+        # c built from the four public samplers has the same bits
+        for kappa, alpha_max in itertools.product((0.05, 0.5, 0.95), (10.0, 12.0)):
+            records = run_mc(200, seed=11, kappa=kappa, alpha_max=alpha_max, n_grid=401)
+            accepted = [rec for rec in records if rec.accepted]
+            assert accepted
+            for rec in accepted:
+                mu1, mu2 = self.mc_pair(rec.seed)
+                assert (rec.n1, rec.n2) == (len(mu1.atoms), len(mu2.atoms))
+                want = sensitivity_from_samplers(mu1, mu2, kappa, alpha_max, 401)
+                assert rec.c_value == want
 
     @pytest.mark.parametrize("seed", ROUGH_SEEDS)
     def test_c_against_a_fine_grid(self, seed):

@@ -17,6 +17,7 @@ from tubeflood.forward import (
     v_o_samples,
     v_w_prime_samples,
     v_w_samples,
+    volumes_and_water_cut,
     water_cut_samples,
 )
 from tubeflood.measures import Measure, moment, prefix_integral, scale
@@ -123,6 +124,27 @@ class TestWaterCut:
     def test_undefined_when_no_flow(self):
         # the water cut is 0/0 without any flow; the samples report 0 there
         assert at(water_cut_samples, Measure(), 0.5, 1.0) == 0.0
+
+
+class TestVolumesAndWaterCut:
+    def test_bits_of_the_separate_samplers(self):
+        # both oil tails from one pass, with alphas on the atoms and on the
+        # ends of the pieces, where the closed and the open tail differ
+        rng = np.random.default_rng(21)
+        for kind in ("atoms", "pieces", "mixed") * 4:
+            mu = random_measure(rng, kind=kind)
+            ends = [L for L, _ in mu.atoms] + [e for a, b, _ in mu.pieces for e in (a, b)]
+            alphas = np.sort(np.concatenate([np.linspace(0.0, 10.0, 201), ends]))
+            for kappa in (0.05, 0.5, 0.95):
+                vw, vo, wc = volumes_and_water_cut(mu, kappa, alphas)
+                assert np.array_equal(vw, v_w_samples(mu, kappa, alphas))
+                assert np.array_equal(vo, v_o_samples(mu, kappa, alphas))
+                assert np.array_equal(wc, water_cut_samples(mu, kappa, alphas))
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite(self, alpha):
+        with pytest.raises(ArgumentError):
+            volumes_and_water_cut(ATOM_11, 0.5, np.array([0.5, alpha]))
 
 
 SAMPLES = [v_w_samples, v_o_samples, v_w_prime_samples, v_o_prime_samples,

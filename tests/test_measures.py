@@ -31,7 +31,8 @@ ATOM_11 = Measure(atoms=((1.0, 1.0),))
 def oil_tail(mu, alpha, kappa, a):
     """Integral of (y - sqrt(y^2 - (1-kappa^2) alpha^2)) dmu(y) over [a, inf)."""
     c0 = (1.0 - kappa * kappa) * alpha * alpha
-    return tail_integral(mu, OIL_VOLUME, np.array([c0]), np.array([a]))[0]
+    (tail,) = tail_integral(mu, (OIL_VOLUME,), np.array([c0]), np.array([a]))
+    return tail[0]
 
 
 class TestMoment:
@@ -285,6 +286,11 @@ class TestCheckKappa:
                 check_kappa(bad)
 
 
+# the kernel tuples a tail pass takes: each kernel alone, and both at once
+KERNELS = [(OIL_VOLUME,), (OIL_RATE,), (OIL_VOLUME, OIL_RATE)]
+KERNEL_IDS = ["volume", "rate", "both"]
+
+
 def random_atom_measure(rng, n):
     # lengths on a coarse lattice so that ties and exact node hits occur
     L = rng.integers(1, 40, n) / 4.0
@@ -329,11 +335,16 @@ class TestTailIntegral:
             pytest.param(None, 1000, 100, "on_atoms", id="None-1000-100-on-atoms"),
             pytest.param(64, 20, 10, "on_atoms", id="64-20-10-on-atoms"),
             pytest.param(16, 40, 5, "on_atoms", id="16-40-5-on-atoms"),
+            # and c0 = lower^2 (kappa 0): the root of an atom at its limit
+            # is 0, in the closed tail and outside the open one
+            pytest.param(None, 1000, 100, "zero_root", id="None-1000-100-zero-root"),
+            pytest.param(64, 20, 10, "zero_root", id="64-20-10-zero-root"),
+            pytest.param(16, 40, 5, "zero_root", id="16-40-5-zero-root"),
         ],
     )
-    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
+    @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
     def test_blocks_match_dense_bit_for_bit(
-        self, monkeypatch, kernel, block_cells, n_atoms, n_alphas, lower
+        self, monkeypatch, kernels, block_cells, n_atoms, n_alphas, lower
     ):
         if block_cells is not None:
             monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
@@ -342,11 +353,12 @@ class TestTailIntegral:
         alphas = np.linspace(0.0, 10.0, n_alphas)
         if lower == "unsorted":
             alphas = rng.permutation(alphas)
-        elif lower == "on_atoms":      # every limit exactly on an atom length
+        elif lower in ("on_atoms", "zero_root"):   # every limit on an atom length
             alphas = np.sort(rng.choice([L for L, _ in mu.atoms], n_alphas))
-        c0 = 0.75 * alphas * alphas
-        got = tail_integral(mu, kernel, c0, alphas)
-        assert np.array_equal(got, dense_tail(mu, kernel, c0, alphas))
+        c0 = (1.0 if lower == "zero_root" else 0.75) * alphas * alphas
+        got = tail_integral(mu, kernels, c0, alphas)
+        for tail, kernel in zip(got, kernels, strict=True):
+            assert np.array_equal(tail, dense_tail(mu, kernel, c0, alphas))
 
     @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
     def test_evaluates_only_the_live_cells(self, kernel):
@@ -364,22 +376,22 @@ class TestTailIntegral:
             cells.append(s.size)
             return kernel.atom(w, y, s, c)
 
-        got = tail_integral(mu, kernel._replace(atom=atom), c0, alphas)
-        assert np.array_equal(got, tail_integral(mu, kernel, c0, alphas))
+        (got,) = tail_integral(mu, (kernel._replace(atom=atom),), c0, alphas)
+        assert np.array_equal(got, tail_integral(mu, (kernel,), c0, alphas)[0])
         assert sum(cells) <= 0.6 * n_atoms * n_alphas
 
-    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
-    def test_blocks_reuse_the_thread_buffers(self, kernel):
+    @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
+    def test_blocks_reuse_the_thread_buffers(self, kernels):
         # 50 atoms x 2001 alphas is four blocks of 256 KB per float array; a
-        # warm call fills them in place, so only the result, the masks and
+        # warm call fills them in place, so only the results, the masks and
         # numpy's iterator buffers are new (fresh temporaries peak >1 MB)
         mu = random_atom_measure(np.random.default_rng(5), 50)
         alphas = np.linspace(0.0, 10.0, 2001)
         c0 = 0.75 * alphas * alphas
-        tail_integral(mu, kernel, c0, alphas)
+        tail_integral(mu, kernels, c0, alphas)
         tracemalloc.start()
         try:
-            tail_integral(mu, kernel, c0, alphas)
+            tail_integral(mu, kernels, c0, alphas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -392,13 +404,13 @@ class TestTailIntegral:
         mus = [random_atom_measure(rng, 40 + k) for k in range(8)]
         alphas = np.linspace(0.0, 10.0, 3001)
         c0 = 0.75 * alphas * alphas
-        serial = [tail_integral(mu, OIL_VOLUME, c0, alphas) for mu in mus]
+        serial = [tail_integral(mu, (OIL_VOLUME,), c0, alphas)[0] for mu in mus]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 threaded = list(pool.map(
-                    lambda mu: tail_integral(mu, OIL_VOLUME, c0, alphas),
+                    lambda mu: tail_integral(mu, (OIL_VOLUME,), c0, alphas)[0],
                     mus * 5, timeout=120,
                 ))
         finally:
@@ -406,32 +418,46 @@ class TestTailIntegral:
         for got, want in zip(threaded, serial * 5):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
-    def test_keeps_the_input_shape(self, kernel):
+    @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
+    def test_keeps_the_input_shape(self, kernels):
         mu = random_atom_measure(np.random.default_rng(3), 30)
         alphas = np.linspace(0.0, 10.0, 12)
         c0 = 0.75 * alphas * alphas
-        flat = tail_integral(mu, kernel, c0, alphas)
-        grid = tail_integral(mu, kernel, c0.reshape(3, 4), alphas.reshape(3, 4))
-        assert np.array_equal(grid, flat.reshape(3, 4))
-        point = tail_integral(mu, kernel, c0[5], alphas[5])
-        assert point.shape == () and point == flat[5]
+        flats = tail_integral(mu, kernels, c0, alphas)
+        grids = tail_integral(mu, kernels, c0.reshape(3, 4), alphas.reshape(3, 4))
+        points = tail_integral(mu, kernels, c0[5], alphas[5])
+        for flat, grid, point in zip(flats, grids, points, strict=True):
+            assert np.array_equal(grid, flat.reshape(3, 4))
+            assert point.shape == () and point == flat[5]
 
     def test_lower_limit_conventions(self):
         # an atom at the lower limit is in the closed tail, not the open one
         mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0)))
         lower = np.array([1.0, 2.0])
         c0 = 0.75 * lower * lower
-        vol = tail_integral(mu, OIL_VOLUME, c0, lower)
-        rate = tail_integral(mu, OIL_RATE, c0, lower)
         far = 2.0 - math.sqrt(4.0 - 0.75)
-        assert vol == pytest.approx([0.5 + far, 1.0], rel=1e-14)
-        assert rate == pytest.approx([1.0 / math.sqrt(4.0 - 0.75), 0.0], rel=1e-14)
+        both = tail_integral(mu, (OIL_VOLUME, OIL_RATE), c0, lower)
+        alone = [tail_integral(mu, (k,), c0, lower)[0] for k in (OIL_VOLUME, OIL_RATE)]
+        for vol, rate in (both, alone):
+            assert vol == pytest.approx([0.5 + far, 1.0], rel=1e-14)
+            assert rate == pytest.approx([1.0 / math.sqrt(4.0 - 0.75), 0.0], rel=1e-14)
 
     def test_rejects_bad_lower_limit(self):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ArgumentError):
-                tail_integral(ATOM_11, OIL_RATE, np.array([0.0]), np.array([bad]))
+                tail_integral(ATOM_11, (OIL_RATE,), np.array([0.0]), np.array([bad]))
+
+    @pytest.mark.parametrize("block_cells", [None, 6])
+    def test_rejects_c0_of_another_shape(self, monkeypatch, block_cells):
+        # a scalar c0 once broadcast in one block of 5 limits and failed
+        # in NumPy once the limits took two
+        if block_cells is not None:
+            monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+        mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)))
+        lower = np.linspace(0.0, 3.0, 5)
+        for c0 in (0.5, np.full(3, 0.5), np.full((5, 1), 0.5)):
+            with pytest.raises(ArgumentError, match="shape of lower"):
+                tail_integral(mu, (OIL_VOLUME,), c0, lower)
 
 
 class TestPrefixIntegral:
