@@ -49,13 +49,17 @@ def _write_csv(dest, header, columns):
 
 
 def _load_json(path):
+    """The JSON object of a UTF-8 config file; ArgumentError otherwise."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ArgumentError(f"{path}: config must be a JSON object")
+    return config
 
 
 def _number(value):
@@ -119,16 +123,16 @@ def _required(config, key, flag_value, cast=_number):
 def read_curve_csv(path, kappa, alpha_max):
     """Load a displacement curve from CSV columns (total, water | Vw).
 
-    Blank lines are dropped and the columns found by name in the header;
+    The file must be UTF-8 text.  Blank lines are dropped and the columns found by name in the header;
     np.loadtxt parses the rows, so a '#' in a row or a literal only Python
     reads (1_000) is a malformed row.  Re-validates every curve invariant on
     ingestion; a curve that breaks one is bad input (ArgumentError), not a
     broken internal invariant.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
     if len(lines) < 3:
         raise ArgumentError(f"{path}: curve CSV needs a header and >= 2 rows")

@@ -56,9 +56,8 @@ def v_o_samples(mu, kappa, alphas):
     """V_o on an array of alpha values (closed form)."""
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    c0 = (1.0 - kappa * kappa) * alphas * alphas
     total = prefix_integral(mu, 1, alphas)
-    (tail,) = tail_integral(mu, (OIL_VOLUME,), c0, alphas)
+    (tail,) = tail_integral(mu, (OIL_VOLUME,), kappa, alphas)
     return total + tail / (1.0 - kappa)
 
 
@@ -80,8 +79,7 @@ def v_o_prime_samples(mu, kappa, alphas):
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    c0 = (1.0 - kappa * kappa) * alphas * alphas
-    (tail,) = tail_integral(mu, (OIL_RATE,), c0, alphas)
+    (tail,) = tail_integral(mu, (OIL_RATE,), kappa, alphas)
     return (1.0 + kappa) * alphas * tail
 
 
@@ -97,16 +95,15 @@ def volumes_and_water_cut(mu, kappa, alphas):
     """(V_w, V_o, water cut) on one alpha array, from one pass over the tails.
 
     The two oil tails come from a single tail_integral call, which takes
-    the root sqrt(y^2 - c0) once per cell; every other expression is the
-    one of v_w_samples, v_o_samples and water_cut_samples, so the three
-    arrays equal theirs bit for bit.
+    the root sqrt(y^2 - (1-kappa^2) alpha^2) once per cell; every other
+    expression is the one of v_w_samples, v_o_samples and
+    water_cut_samples, so the three arrays equal theirs bit for bit.
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    c0 = (1.0 - kappa * kappa) * alphas * alphas
     m_inv = prefix_integral(mu, -1, alphas)
     m_one = prefix_integral(mu, 1, alphas)
-    oil, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), c0, alphas)
+    oil, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
     vw = (1.0 + kappa) / (2.0 * kappa) * (alphas * alphas * m_inv - m_one)
     vo = m_one + oil / (1.0 - kappa)
     m_right = prefix_integral(mu, -1, alphas, inclusive=True)

@@ -9,7 +9,8 @@ is one of two integrals, vectorized over an array of alpha >= 0:
     prefix_integral: integral of y^p dmu over [0, alpha), p in {-1, 0, 1},
                      or over [0, alpha] with inclusive=True
     tail_integral:   integrals of kernels k(y; c0) dmu over the tail above
-                     alpha, with c0 = (1-kappa^2) alpha^2; the two kernels are
+                     alpha, given kappa, which sets c0 = (1-kappa^2) alpha^2;
+                     the two kernels are
                      OIL_VOLUME  y - sqrt(y^2 - c0)  over [alpha, inf)  (V_o)
                      OIL_RATE    1 / sqrt(y^2 - c0)  over (alpha, inf)  (V_o')
                      and one call takes a tuple of them, sharing the root
@@ -24,8 +25,9 @@ array is allocated per call.  Only the live (alpha, atom) cells of a
 block are evaluated: the atoms are sorted by length, so those below the
 block's smallest alpha, a column prefix, are skipped, and only the
 columns up to its largest alpha need the tail mask.  A call with both
-kernels takes sqrt(y^2 - c0) once per live cell and gives each kernel
-the bits of a call with that kernel alone.  That row-block rule,
+kernels takes sqrt(y^2 - c0) once per live cell; each kernel writes
+into its own buffer (the last over the root) and gets the bits of a
+call with that kernel alone.  That row-block rule,
 row_blocks, is the package's only one: the operator's cells are
 evaluated over it too, in the same per-thread buffers (_block_buffers),
 and the tube simulation writes its blocks straight into its result.
@@ -204,7 +206,8 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
 class TailKernel(NamedTuple):
     """Integrand k(y; c0) of a tail integral, defined for y^2 >= c0 >= 0.
 
-    atom(w, y, s, c0) overwrites s = sqrt(y^2 - c0) with w k(y; c0);
+    atom(w, y, s, c0, out) writes w k(y; c0) into out, given the root
+    s = sqrt(y^2 - c0), and leaves s alone unless out is s;
     cell(lo, hi, c0) integrates k over [lo, hi]; closed says whether an
     atom exactly at the lower limit lies in the tail.
     """
@@ -232,8 +235,8 @@ def _oil_volume_antiderivative(y, c0):
 OIL_VOLUME = TailKernel(
     # w (c0 / (y + s)), the stable form of w (y - s); c0 / (y + s) <= y,
     # so no product exceeds w y even where w c0 would overflow
-    atom=lambda w, y, s, c0: np.multiply(
-        w, np.divide(c0, np.add(y, s, out=s), out=s), out=s
+    atom=lambda w, y, s, c0, out: np.multiply(
+        w, np.divide(c0, np.add(y, s, out=out), out=out), out=out
     ),
     cell=lambda lo, hi, c0: (
         _oil_volume_antiderivative(hi, c0) - _oil_volume_antiderivative(lo, c0)
@@ -242,7 +245,7 @@ OIL_VOLUME = TailKernel(
 )
 
 OIL_RATE = TailKernel(
-    atom=lambda w, y, s, c0: np.divide(w, s, out=s),
+    atom=lambda w, y, s, c0, out: np.divide(w, s, out=out),
     cell=lambda lo, hi, c0: np.log(_log_root(hi, c0) / _log_root(lo, c0)),
     closed=False,
 )
@@ -268,92 +271,80 @@ def _leading(buf, rows, cols):
     return buf.ravel()[: rows * cols].reshape(rows, cols)
 
 
-def tail_integral(mu, kernels, c0, lower):
+def tail_integral(mu, kernels, kappa, lower):
     """Integrals of each kernel(y; c0) dmu(y) over the tail above lower.
 
     kernels is a tuple of TailKernels, and the result a list of one array
-    per kernel, all from one pass over the atoms.  c0 and lower are arrays
-    of one shape (else ArgumentError) with c0 <= lower^2, so the root stays
-    real on the tail; the tail is [lower, inf) for a closed kernel and
-    (lower, inf) otherwise.  Each result has that shape.  Atom cells are
-    summed over row_blocks, each row over all atoms in length order (the
-    ones outside the tail add 0), so the value does not depend on the block
-    size.  Only the live cells are evaluated: the atoms are sorted, so the
-    atoms below a block's smallest lower limit, a column prefix, lie
-    outside every tail on every row of it and are left at 0, and only the
-    columns between its smallest and largest limit need the tail masks.
-    Ascending limits therefore cost about the cells in the tail; unsorted
-    ones give the same values and save less.  The live columns are
-    evaluated in one contiguous buffer (on a strided view of the row, each
-    ufunc ran one inner loop per row, 20% slower at 30-50 atoms) and then
-    copied behind the zeroed prefix, so every row is still summed whole,
-    in the order of the dense sum.
+    per kernel, all from one pass over the atoms.  kappa must pass
+    check_kappa and sets c0 = (1-kappa^2) lower^2, so the root
+    sqrt(y^2 - c0) of an atom in the tail is at least about kappa lower
+    (while lower^2 is a normal double); the tail is [lower, inf) for a
+    closed kernel and (lower, inf) otherwise.  Each result has the shape
+    of lower.  Atom cells are summed over row_blocks, each row over all
+    atoms in length order (the ones outside the tail add 0), so the value
+    does not depend on the block size.  Only the live cells are
+    evaluated: the atoms are sorted, so the atoms below a block's smallest
+    lower limit, a column prefix, lie outside every tail on every row of
+    it and are left at 0, and only the columns up to the last atom at its
+    largest limit need the tail masks.  Both column bounds of every block
+    come from one searchsorted over all limits before the loop.  Ascending
+    limits therefore cost about the cells in the tail; unsorted ones give
+    the same values and save less.  The live columns are evaluated in one
+    contiguous buffer (on a strided view of the row, each ufunc ran one
+    inner loop per row, 20% slower at 30-50 atoms) and then copied behind
+    the zeroed prefix, so every row is still summed whole, in the order of
+    the dense sum.
 
-    The kernels share one searchsorted and one root sqrt(y^2 - c0) per
-    block.  Each kernel but the last works on a copy of the root, the last
-    on the root itself, and each masks and zeroes its own outside cells,
-    so every cell and every row sum goes through the operations of a call
-    with that kernel alone and gets its bits.  An open kernel beside a
-    closed one sets its cells at the limit, whose root may be 0, to 1
-    before its atom step.  Each block is computed in place in
-    _block_buffers: with fresh 256 KB temporaries per step, glibc trimmed
-    the heap top after a block and faulted it back in for the next, so the
-    time of a sensitivity trial followed the host's page-fault cost.
+    The kernels share the root of each block, masked to 1 below the
+    limits.  Each kernel but the last writes into its own buffer and the
+    last over the root, and each zeroes its own outside cells, so every
+    cell and every row sum goes through the operations of a call with
+    that kernel alone and gets its bits.  Each block is computed in place
+    in _block_buffers: with fresh 256 KB temporaries per step, glibc
+    trimmed the heap top after a block and faulted it back in for the
+    next, so the time of a sensitivity trial followed the host's
+    page-fault cost.
     """
+    kappa = check_kappa(kappa)
     lower = _alpha_array(lower)
     shape = lower.shape
-    c0 = np.asarray(c0, dtype=float)
-    if c0.shape != shape:
-        raise ArgumentError(
-            f"c0 must have the shape of lower, {shape}, got {c0.shape}"
-        )
-    lower, c0 = lower.ravel(), c0.ravel()
+    lower = lower.ravel()
+    c0 = (1.0 - kappa * kappa) * lower * lower
     outs = [np.zeros_like(lower) for _ in kernels]
     if mu.atoms and lower.size:
         L, S = mu._atoms_by_length
         L2 = L * L
         n = L.size
-        # the root is taken on the union of the tails: closed if any is
-        closed = any(k.closed for k in kernels)
-        mixed = closed and not all(k.closed for k in kernels)
-        side = "left" if closed else "right"
         blocks = list(row_blocks(lower.size, n))
+        # per block, the first atom at or above its smallest limit (j0) and
+        # the first above its largest (j1): columns below j0 are outside
+        # every tail on every row, columns from j1 on inside every tail
+        starts = [rows.start for rows in blocks]
+        j0s = np.minimum.reduceat(np.searchsorted(L, lower, "left"), starts)
+        j1s = np.maximum.reduceat(np.searchsorted(L, lower, "right"), starts)
         # buffers for the first block, the largest: one of full rows, one
-        # for a copy of the root for each kernel but the last, and the root's
-        full, *copies, spare = _block_buffers(blocks[0].stop, n, len(kernels) + 1)
-        copies.append(None)   # the last kernel works on the root itself
-        for rows in blocks:
-            lo = lower[rows, None]
-            c = c0[rows, None]
-            # columns below j0 are outside every tail on every row, columns
-            # from j1 on inside every tail on every row
-            j0, j1 = np.searchsorted(L, (lo.min(), lo.max()), side).tolist()
+        # for each kernel but the last, and the root's
+        full, *own, spare = _block_buffers(blocks[0].stop, n, len(kernels) + 1)
+        for rows, j0, j1 in zip(blocks, j0s.tolist(), j1s.tolist()):
             if j0 == n:
                 continue
-            if mixed:   # past the atoms at the largest limit, outside the open tail
-                j1 = int(np.searchsorted(L, lo.max(), "right"))
+            lo = lower[rows, None]
+            c = c0[rows, None]
             m, width = lo.size, n - j0
             block = full[:m]
             # the live columns, contiguous at the start of a buffer
             s = _leading(spare, m, width) if j0 else block
             np.subtract(L2[j0:], c, out=s)
-            outside = L[j0:j1] < lo if closed else L[j0:j1] <= lo
-            np.copyto(s[:, : j1 - j0], 1.0, where=outside)
+            below = L[j0:j1] < lo
+            np.copyto(s[:, : j1 - j0], 1.0, where=below)
             np.sqrt(s, out=s)
             if j0:
                 block[:, :j0] = 0.0
-            for kernel, copy, out in zip(kernels, copies, outs):
-                t = s
-                if copy is not None:
-                    t = _leading(copy, m, width)
-                    np.copyto(t, s)
-                edge = t[:, : j1 - j0]
-                mask = outside
-                if kernel.closed != closed:   # an open kernel beside a closed one
-                    mask = L[j0:j1] <= lo
-                    np.copyto(edge, 1.0, where=mask)
-                kernel.atom(S[j0:], L[j0:], t, c)
-                np.copyto(edge, 0.0, where=mask)
+            targets = [_leading(buf, m, width) for buf in own] + [s]
+            for kernel, t, out in zip(kernels, targets, outs):
+                kernel.atom(S[j0:], L[j0:], s, c, t)
+                outside = below if kernel.closed else L[j0:j1] <= lo
+                np.copyto(t[:, : j1 - j0], 0.0, where=outside)
                 if j0:
                     block[:, j0:] = t
                 np.sum(block if j0 else t, axis=1, out=out[rows])

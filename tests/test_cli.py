@@ -811,6 +811,46 @@ class TestOutOfRange:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "out-of-memory"
 
 
+class TestInputFiles:
+    """Every reader of a user file through main: a file that is not UTF-8
+    and a config that is not a JSON object exit 2 with one JSON error line.
+    """
+
+    CONFIGS = {"forward": ATOM_CONFIG, "tubes": TUBES_CONFIG, "stability": ATOM_CONFIG}
+
+    @pytest.mark.parametrize("sub", ["invert", "stability"])
+    def test_curve_not_utf8(self, tmp_path, capsys, sub):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(b"total,water\n0.0,0.0\n\xff\xfe,1\n2.0,1.0\n")
+        argv = {
+            "invert": ["invert", str(curve)],
+            "stability": ["stability", "--curve1", str(curve), "--curve2", str(curve)],
+        }[sub]
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--kappa", "0.5", "--alpha-max", "2", "--out", str(out)])
+        assert_invalid_config(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["forward", "tubes", "stability"])
+    def test_config_not_utf8(self, tmp_path, capsys, sub):
+        # a valid config but for one byte in a string no option reads
+        text = json.dumps({**self.CONFIGS[sub], "note": "@"}).encode()
+        path = tmp_path / "c.json"
+        path.write_bytes(text.replace(b"@", b"\xff"))
+        out = tmp_path / "out"
+        assert_invalid_config(capsys, cli.main([sub, str(path), "--out", str(out)]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["5", "true", "null", "[]", '"config"'])
+    @pytest.mark.parametrize("sub", ["forward", "tubes", "stability"])
+    def test_config_not_an_object(self, tmp_path, capsys, sub, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert_invalid_config(capsys, cli.main([sub, str(path), "--out", str(out)]))
+        assert not out.exists()
+
+
 class TestReadme:
     def test_documented_commands_parse(self):
         # every `tubeflood ...` line of README's shell blocks is a valid

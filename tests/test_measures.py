@@ -12,6 +12,8 @@ import pytest
 from tubeflood.errors import ArgumentError
 from tubeflood import measures
 from tubeflood.measures import (
+    KAPPA_MAX,
+    KAPPA_MIN,
     OIL_RATE,
     OIL_VOLUME,
     Measure,
@@ -28,10 +30,9 @@ from helpers import random_measure
 ATOM_11 = Measure(atoms=((1.0, 1.0),))
 
 
-def oil_tail(mu, alpha, kappa, a):
-    """Integral of (y - sqrt(y^2 - (1-kappa^2) alpha^2)) dmu(y) over [a, inf)."""
-    c0 = (1.0 - kappa * kappa) * alpha * alpha
-    (tail,) = tail_integral(mu, (OIL_VOLUME,), np.array([c0]), np.array([a]))
+def oil_tail(mu, alpha, kappa):
+    """Integral of (y - sqrt(y^2 - (1-kappa^2) alpha^2)) dmu(y) over [alpha, inf)."""
+    (tail,) = tail_integral(mu, (OIL_VOLUME,), kappa, np.array([alpha]))
     return tail[0]
 
 
@@ -84,26 +85,39 @@ class TestMoment:
 class TestTailKernel:
     def test_single_atom_value(self):
         expected = 1.0 - math.sqrt(1.0 - 0.75 * 0.25)  # kernel at y=1, alpha=0.5
-        got = oil_tail(ATOM_11, 0.5, 0.5, 0.5)
+        got = oil_tail(ATOM_11, 0.5, 0.5)
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_vanishes_at_alpha_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert oil_tail(random_measure(rng), 0.0, 0.5, 0.0) == 0.0
+            assert oil_tail(random_measure(rng), 0.0, 0.5) == 0.0
 
     def test_atom_at_boundary(self):
         # sqrt(1 - (1 - kappa^2)) = kappa
-        assert oil_tail(ATOM_11, 1.0, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert oil_tail(ATOM_11, 1.0, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_nondecreasing_in_alpha(self):
         # kernel grows pointwise in alpha on any fixed integration range
+        # [a, inf); tail_integral ties alpha to its lower limit, so the
+        # integral is summed from the OIL_VOLUME atom and cell steps
+        def tail_above(mu, alpha, a):
+            c0 = 0.75 * alpha * alpha
+            L, S = mu._atoms_by_length
+            y, w = L[L >= a], S[L >= a]
+            s = np.sqrt(y * y - c0)
+            total = float(np.sum(OIL_VOLUME.atom(w, y, s, c0, np.empty_like(s))))
+            for pa, pb, rho in mu.pieces:
+                if pb > a:
+                    total += rho * float(OIL_VOLUME.cell(max(pa, a), pb, c0))
+            return total
+
         rng = np.random.default_rng(3)
         for _ in range(10):
             mu = random_measure(rng)
             a = float(rng.uniform(4.0, 9.0))
             alphas = np.linspace(0.0, a, 8)
-            vals = [oil_tail(mu, al, 0.5, a) for al in alphas]
+            vals = [tail_above(mu, al, a) for al in alphas]
             assert vals[0] == 0.0
             assert all(v2 >= v1 - 1e-14 for v1, v2 in zip(vals, vals[1:]))
 
@@ -123,7 +137,7 @@ class TestTailKernel:
             mu = Measure(pieces=((a, b, rho),))
             c0 = (1 - kappa**2) * alpha**2
             quad = rho * fixed_quad(lambda y: y - np.sqrt(y * y - c0), a, b, n=16)[0]
-            closed = oil_tail(mu, alpha, kappa, alpha)
+            closed = oil_tail(mu, alpha, kappa)
             assert closed == pytest.approx(quad, abs=1e-10)
 
     def test_piece_matches_adaptive_quadrature_at_boundary(self):
@@ -142,7 +156,7 @@ class TestTailKernel:
                 lambda y: rho * (y - math.sqrt(y * y - c0)), a, b,
                 epsabs=1e-13, epsrel=1e-13,
             )
-            closed = oil_tail(mu, a, kappa, a)
+            closed = oil_tail(mu, a, kappa)
             assert closed == pytest.approx(ref, abs=max(1e-10, 10 * err))
 
 
@@ -245,7 +259,7 @@ class TestMeasureType:
         for p in (-1, 0, 1):
             moment(mu, p, 1.5, 4.0)
         prefix_integral(mu, 1, np.linspace(0.0, 8.0, 9))
-        oil_tail(mu, 4.0, 0.5, 4.0)
+        oil_tail(mu, 4.0, 0.5)
         assert vars(mu).keys() == state.keys()
         assert all(vars(mu)[key] is value for key, value in state.items())
 
@@ -315,36 +329,41 @@ def dense_tail(mu, kernel, c0, lower):
 
 class TestTailIntegral:
     @pytest.mark.parametrize(
-        "block_cells, n_atoms, n_alphas, lower",
+        "block_cells, n_atoms, n_alphas, lower, kappa",
         [
             # one block
-            pytest.param(None, 50, 20, "ascending", id="None-50-20"),
+            pytest.param(None, 50, 20, "ascending", 0.5, id="None-50-20"),
             # blocks of 32 rows, a last block of 4
-            pytest.param(None, 1000, 100, "ascending", id="None-1000-100"),
+            pytest.param(None, 1000, 100, "ascending", 0.5, id="None-1000-100"),
             # more atoms than cells: one row per block
-            pytest.param(None, 40000, 3, "ascending", id="None-40000-3"),
+            pytest.param(None, 40000, 3, "ascending", 0.5, id="None-40000-3"),
             # rows of 3, a last block of 1
-            pytest.param(64, 20, 10, "ascending", id="64-20-10"),
+            pytest.param(64, 20, 10, "ascending", 0.5, id="64-20-10"),
             # one row per block
-            pytest.param(16, 40, 5, "ascending", id="16-40-5"),
+            pytest.param(16, 40, 5, "ascending", 0.5, id="16-40-5"),
             # limits in random order: a block's range spans most atoms
-            pytest.param(None, 1000, 100, "unsorted", id="None-1000-100-unsorted"),
-            pytest.param(64, 20, 10, "unsorted", id="64-20-10-unsorted"),
-            pytest.param(16, 40, 5, "unsorted", id="16-40-5-unsorted"),
+            pytest.param(None, 1000, 100, "unsorted", 0.5, id="None-1000-100-unsorted"),
+            pytest.param(64, 20, 10, "unsorted", 0.5, id="64-20-10-unsorted"),
+            pytest.param(16, 40, 5, "unsorted", 0.5, id="16-40-5-unsorted"),
             # every limit exactly on an atom length, where the kernels differ
-            pytest.param(None, 1000, 100, "on_atoms", id="None-1000-100-on-atoms"),
-            pytest.param(64, 20, 10, "on_atoms", id="64-20-10-on-atoms"),
-            pytest.param(16, 40, 5, "on_atoms", id="16-40-5-on-atoms"),
-            # and c0 = lower^2 (kappa 0): the root of an atom at its limit
-            # is 0, in the closed tail and outside the open one
-            pytest.param(None, 1000, 100, "zero_root", id="None-1000-100-zero-root"),
-            pytest.param(64, 20, 10, "zero_root", id="64-20-10-zero-root"),
-            pytest.param(16, 40, 5, "zero_root", id="16-40-5-zero-root"),
+            pytest.param(None, 1000, 100, "on_atoms", 0.5, id="None-1000-100-on-atoms"),
+            pytest.param(64, 20, 10, "on_atoms", 0.5, id="64-20-10-on-atoms"),
+            pytest.param(16, 40, 5, "on_atoms", 0.5, id="16-40-5-on-atoms"),
+            # and at the smallest kappa, where the root of an atom at its
+            # limit is smallest, and at the largest
+            *(
+                pytest.param(
+                    cells, n, m, "on_atoms", kappa,
+                    id=f"{cells}-{n}-{m}-{bound}-kappa-on-atoms",
+                )
+                for kappa, bound in ((KAPPA_MIN, "min"), (KAPPA_MAX, "max"))
+                for cells, n, m in ((None, 1000, 100), (64, 20, 10), (16, 40, 5))
+            ),
         ],
     )
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
     def test_blocks_match_dense_bit_for_bit(
-        self, monkeypatch, kernels, block_cells, n_atoms, n_alphas, lower
+        self, monkeypatch, kernels, block_cells, n_atoms, n_alphas, lower, kappa
     ):
         if block_cells is not None:
             monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
@@ -353,10 +372,10 @@ class TestTailIntegral:
         alphas = np.linspace(0.0, 10.0, n_alphas)
         if lower == "unsorted":
             alphas = rng.permutation(alphas)
-        elif lower in ("on_atoms", "zero_root"):   # every limit on an atom length
+        elif lower == "on_atoms":   # every limit on an atom length
             alphas = np.sort(rng.choice([L for L, _ in mu.atoms], n_alphas))
-        c0 = (1.0 if lower == "zero_root" else 0.75) * alphas * alphas
-        got = tail_integral(mu, kernels, c0, alphas)
+        c0 = (1.0 - kappa * kappa) * alphas * alphas
+        got = tail_integral(mu, kernels, kappa, alphas)
         for tail, kernel in zip(got, kernels, strict=True):
             assert np.array_equal(tail, dense_tail(mu, kernel, c0, alphas))
 
@@ -369,15 +388,14 @@ class TestTailIntegral:
         L, S = rng.uniform(0.5, 10.0, n_atoms), rng.uniform(0.5, 2.0, n_atoms)
         mu = Measure(atoms=tuple(zip(L.tolist(), S.tolist())))
         alphas = np.linspace(0.0, 10.0, n_alphas)
-        c0 = 0.75 * alphas * alphas
         cells = []
 
-        def atom(w, y, s, c):
-            cells.append(s.size)
-            return kernel.atom(w, y, s, c)
+        def atom(w, y, s, c, out):
+            cells.append(out.size)
+            return kernel.atom(w, y, s, c, out)
 
-        (got,) = tail_integral(mu, (kernel._replace(atom=atom),), c0, alphas)
-        assert np.array_equal(got, tail_integral(mu, (kernel,), c0, alphas)[0])
+        (got,) = tail_integral(mu, (kernel._replace(atom=atom),), 0.5, alphas)
+        assert np.array_equal(got, tail_integral(mu, (kernel,), 0.5, alphas)[0])
         assert sum(cells) <= 0.6 * n_atoms * n_alphas
 
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
@@ -387,11 +405,10 @@ class TestTailIntegral:
         # numpy's iterator buffers are new (fresh temporaries peak >1 MB)
         mu = random_atom_measure(np.random.default_rng(5), 50)
         alphas = np.linspace(0.0, 10.0, 2001)
-        c0 = 0.75 * alphas * alphas
-        tail_integral(mu, kernels, c0, alphas)
+        tail_integral(mu, kernels, 0.5, alphas)
         tracemalloc.start()
         try:
-            tail_integral(mu, kernels, c0, alphas)
+            tail_integral(mu, kernels, 0.5, alphas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,14 +420,13 @@ class TestTailIntegral:
         rng = np.random.default_rng(9)
         mus = [random_atom_measure(rng, 40 + k) for k in range(8)]
         alphas = np.linspace(0.0, 10.0, 3001)
-        c0 = 0.75 * alphas * alphas
-        serial = [tail_integral(mu, (OIL_VOLUME,), c0, alphas)[0] for mu in mus]
+        serial = [tail_integral(mu, (OIL_VOLUME,), 0.5, alphas)[0] for mu in mus]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 threaded = list(pool.map(
-                    lambda mu: tail_integral(mu, (OIL_VOLUME,), c0, alphas)[0],
+                    lambda mu: tail_integral(mu, (OIL_VOLUME,), 0.5, alphas)[0],
                     mus * 5, timeout=120,
                 ))
         finally:
@@ -422,10 +438,9 @@ class TestTailIntegral:
     def test_keeps_the_input_shape(self, kernels):
         mu = random_atom_measure(np.random.default_rng(3), 30)
         alphas = np.linspace(0.0, 10.0, 12)
-        c0 = 0.75 * alphas * alphas
-        flats = tail_integral(mu, kernels, c0, alphas)
-        grids = tail_integral(mu, kernels, c0.reshape(3, 4), alphas.reshape(3, 4))
-        points = tail_integral(mu, kernels, c0[5], alphas[5])
+        flats = tail_integral(mu, kernels, 0.5, alphas)
+        grids = tail_integral(mu, kernels, 0.5, alphas.reshape(3, 4))
+        points = tail_integral(mu, kernels, 0.5, alphas[5])
         for flat, grid, point in zip(flats, grids, points, strict=True):
             assert np.array_equal(grid, flat.reshape(3, 4))
             assert point.shape == () and point == flat[5]
@@ -434,10 +449,9 @@ class TestTailIntegral:
         # an atom at the lower limit is in the closed tail, not the open one
         mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0)))
         lower = np.array([1.0, 2.0])
-        c0 = 0.75 * lower * lower
         far = 2.0 - math.sqrt(4.0 - 0.75)
-        both = tail_integral(mu, (OIL_VOLUME, OIL_RATE), c0, lower)
-        alone = [tail_integral(mu, (k,), c0, lower)[0] for k in (OIL_VOLUME, OIL_RATE)]
+        both = tail_integral(mu, (OIL_VOLUME, OIL_RATE), 0.5, lower)
+        alone = [tail_integral(mu, (k,), 0.5, lower)[0] for k in (OIL_VOLUME, OIL_RATE)]
         for vol, rate in (both, alone):
             assert vol == pytest.approx([0.5 + far, 1.0], rel=1e-14)
             assert rate == pytest.approx([1.0 / math.sqrt(4.0 - 0.75), 0.0], rel=1e-14)
@@ -445,19 +459,15 @@ class TestTailIntegral:
     def test_rejects_bad_lower_limit(self):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ArgumentError):
-                tail_integral(ATOM_11, (OIL_RATE,), np.array([0.0]), np.array([bad]))
+                tail_integral(ATOM_11, (OIL_RATE,), 0.5, np.array([bad]))
 
-    @pytest.mark.parametrize("block_cells", [None, 6])
-    def test_rejects_c0_of_another_shape(self, monkeypatch, block_cells):
-        # a scalar c0 once broadcast in one block of 5 limits and failed
-        # in NumPy once the limits took two
-        if block_cells is not None:
-            monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
-        mu = Measure(atoms=((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)))
+    @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
+    def test_rejects_bad_kappa(self, kernels):
+        # kappa 0 would give an atom at its limit a zero root
         lower = np.linspace(0.0, 3.0, 5)
-        for c0 in (0.5, np.full(3, 0.5), np.full((5, 1), 0.5)):
-            with pytest.raises(ArgumentError, match="shape of lower"):
-                tail_integral(mu, (OIL_VOLUME,), c0, lower)
+        for bad in (0.0, 1.0, math.nan, KAPPA_MIN / 2):
+            with pytest.raises(ArgumentError, match="viscosity ratio"):
+                tail_integral(ATOM_11, kernels, bad, lower)
 
 
 class TestPrefixIntegral:
