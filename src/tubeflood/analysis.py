@@ -38,6 +38,7 @@ from .measures import (
     atoms_measure,
     check_count,
     check_kappa,
+    check_length_range,
     check_range,
     draw_atoms,
     moment,
@@ -273,9 +274,9 @@ def run_mc(
     through sensitivity_constant, so every record equals a direct call's.
 
     Every argument is checked before the first trial: counts are integers
-    with 1 <= lo <= hi <= MC_MAX_ATOMS, l_range and s_range pass check_range, and
-    l_range[1] <= alpha_max, so every draw is a valid atom.  jobs is kept
-    for callers that pass it and must be 1.
+    with 1 <= lo <= hi <= MC_MAX_ATOMS, l_range passes check_length_range
+    and s_range check_range, and l_range[1] <= alpha_max, so every draw is
+    a valid atom.  jobs is kept for callers that pass it and must be 1.
     """
     check_count("n_trials", n_trials, 1)
     if jobs != 1:
@@ -292,7 +293,7 @@ def run_mc(
             f"n_atoms_range[1] must be at most MC_MAX_ATOMS={MC_MAX_ATOMS}, got {hi}: "
             "an accepted trial's time grows as the atom count squared"
         )
-    l_range = check_range("l_range", l_range)
+    l_range = check_length_range("l_range", l_range)
     s_range = check_range("s_range", s_range)
     if not l_range[1] <= alpha_max:
         raise ArgumentError(
@@ -374,9 +375,11 @@ def curve_gap(pair, kappa, alpha_probe, n_grid=2001):
 
     Both curves are built with a shared alpha_max covering both supports;
     the comparison is between graphs over the common total-volume axis, the
-    only parameterization-free comparison.
+    only parameterization-free comparison.  n_grid, the samples of each
+    curve, must be an integer >= 2.
     """
     kappa = check_kappa(kappa)
+    check_count("n_grid", n_grid, 2)
     if not 0 <= alpha_probe <= pair.alpha0:
         raise ArgumentError("probe must lie in [0, alpha0]")
     alpha_max = max(pair.mu1.support_sup, pair.mu2.support_sup)

@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import ArgumentError, InternalConsistencyError
 from .measures import (
+    LENGTH_MAX,
+    LENGTH_MIN,
     OIL_RATE,
     OIL_VOLUME,
     check_count,
@@ -189,14 +191,15 @@ def build_curve(mu, kappa, alpha_max, n_samples):
 
 
 def check_alpha_max(alpha_max):
-    """Validate alpha_max, whose square must be a finite normal double.
+    """Validate alpha_max, whose square must be a finite normal double:
+    measures.LENGTH_MIN <= alpha_max < LENGTH_MAX, the rule of atom lengths.
 
     Returns it as float.  Below the normal doubles (alpha_max under about
     1.5e-154) the samples of build_curve lose the digits that keep the
     total volume increasing.
     """
     alpha_max = float(alpha_max)
-    if not sys.float_info.min <= alpha_max * alpha_max < math.inf:
+    if not LENGTH_MIN <= alpha_max < LENGTH_MAX:
         raise ArgumentError(
             f"alpha_max^2 must be a finite normal double, got alpha_max={alpha_max}"
         )

@@ -25,16 +25,19 @@ on exact entries, to 1e-12 of the block (Hackbusch, Hierarchical Matrices,
 2015; Bebendorf, Numer. Math. 86, 2000).  The ranks stay below about 35,
 so memory and build time grow as n log n: 5-8.5% of n^2 doubles at
 n = 2001, and 60-110 MB at n = 50001 where M would take 20 GB.
-Leaves, ACA rows and ACA columns all come from one cell function, each
-evaluated in place in per-thread buffers kept from one call to the next
-(measures._block_buffers, shared with the tail integrals).  Its one
-transcendental term, t - arctan t, is a 5-term series wherever t < 0.025,
-where the remainder is below 2^-53 relative, and arctan on the few other
-cells.  A leaf evaluates only its cells on and above the diagonal.  ACA
-advances all the blocks of a batch together, their rows and columns cut
-into chunks of one width, so that a step is a few array operations over
-all of them and its terms are subtracted by one batched matrix product
-per page of 16 terms.  The blocks sit largest first: a block that stops
+Leaves, ACA rows and ACA columns all come from one cell function, _cells,
+each evaluated in place in per-thread buffers kept from one call to the
+next (measures._block_buffers, shared with the tail integrals).  _cells
+is also the one place that gives the cell past alpha_max no left part,
+and an ACA row chunk evaluates the cell after its last, so no caller
+fixes up a cell or a slot.  The cells' one transcendental term,
+t - arctan t, is a 5-term series wherever t < 0.025, where the remainder
+is below 2^-53 relative, and arctan on the few other cells.  A leaf
+evaluates only its cells on and above the diagonal.  ACA advances all
+the blocks of a batch together, their rows and columns cut into chunks
+of one width, so that a step is a few array operations over all of them
+and its terms are subtracted by one batched matrix product per page of
+16 terms.  The blocks sit largest first: a block that stops
 takes its factors out and steps on with a zero term, and the stopped
 blocks after the last running one are cut off the end of the batch by
 slicing.  The sweep solves the leaves from alpha_max down (Hairer,
@@ -191,7 +194,7 @@ def _t_minus_arctan(t, out, t2):
     return out
 
 
-def _cells(i, m, kappa):
+def _cells(i, m, kappa, n):
     """The cells [m, m+1] of rows i: their contributions to their two
     nodes, over kappa c i^4.
 
@@ -199,12 +202,14 @@ def _cells(i, m, kappa):
     1 <= i <= m: the upper triangle, row 0 being 0.  Returns (left, right)
     = (a - r, r), whose multiples by kappa c i^4 are the parts of M[i, m]
     and M[i, m+1] that the cell adds (see _unit_t_matrix), as views on this
-    thread's measures._block_buffers that the next call overwrites.  Each
-    cell takes one fixed sequence of operations, so its value does not
-    depend on the shape or grouping of a call.  The factors of i alone and
-    of m alone are taken at their own shapes: a leaf passes one i per cell,
-    an ACA row one per chunk of cells, and an ACA column one per row and
-    its two cells j and j - 1 once per chunk of rows.
+    thread's measures._block_buffers that the next call overwrites.  On an
+    n-node grid the cell n - 1 lies past alpha_max, and its left part is 0:
+    this is the one place that rule is applied.  Each cell takes one fixed
+    sequence of operations, so its value does not depend on the shape or
+    grouping of a call.  The factors of i alone and of m alone are taken at
+    their own shapes: a leaf passes one i per cell, an ACA row one per
+    chunk of cells, and an ACA column one per row and its two cells j and
+    j - 1 once per chunk of rows.
     """
     c = 1.0 - kappa * kappa
     sc = math.sqrt(c)
@@ -250,12 +255,8 @@ def _cells(i, m, kappa):
     np.multiply(m, t, out=X)
     np.subtract(r, X, out=r)
     np.subtract(t, r, out=t)
+    np.copyto(t, 0.0, where=m == n - 1)      # past alpha_max
     return t, r
-
-
-def _offsets(lengths):
-    """Start of each segment of the given lengths, and the total at the end."""
-    return np.concatenate(([0], np.cumsum(lengths)))
 
 
 def _split(n):
@@ -288,8 +289,8 @@ def _leaves(n, kappa, spans):
     leaves.  Cell m adds its left part to column m and its right part to
     column m + 1, so M[i, j] is left(j) + right(j - 1), the sum of two
     neighbours in the list; the right part of a row's last cell falls in
-    the block above the leaf.  Row 0, the cells below the diagonal and the
-    left part of cell n - 1 (past alpha_max) are 0.
+    the block above the leaf.  Row 0 and the cells below the diagonal are
+    0, and _cells gives the cell n - 1 past alpha_max no left part.
     """
     lo, hi = spans[:, 0], spans[:, 1]
     size = int(np.max(hi - lo))
@@ -304,10 +305,9 @@ def _leaves(n, kappa, spans):
         live = (c < (hi - lo)[g, None]) & (i >= 1)
         i, m, pos = i[live].astype(float), m[live].astype(float), pos[live]
         diagonal = np.broadcast_to(r == c, live.shape)[live]
-        left, right = _cells(i, m, kappa)
+        left, right = _cells(i, m, kappa, n)
         scale = kc * ((i * i) * (i * i))
         np.multiply(left, scale, out=left)
-        left[m == n - 1] = 0.0
         np.multiply(right, scale, out=right)
         # M[i, j] = left(j) + right(j - 1), the cells of a row being listed in turn
         np.add(left[1:], right[:-1], out=left[1:], where=~diagonal[1:])
@@ -332,7 +332,7 @@ def _chunks(lo, length, width):
     of them for each s: the nodes (chunks, width), as floats, the s of each
     chunk and the first chunk of each s (and the total)."""
     count = -(-length // width)
-    first = _offsets(count)
+    first = np.concatenate(([0], np.cumsum(count)))
     owner = np.repeat(np.arange(lo.size), count)
     offset = (np.arange(first[-1]) - first[owner])[:, None] * width + np.arange(width)
     return (offset + lo[owner, None]).astype(float), owner, first
@@ -400,8 +400,10 @@ def _aca(n, kappa, blocks):
     chunk's rows repeat its last row and are masked out, and its cells run
     on with weight 0.  A pivot row's cells take its row index once per
     chunk, and a column the cells j and j - 1 of each row, with j once per
-    chunk.  Cell x adds its right part to the row's slot x and its left
-    part to slot x - 1 (column mid + x - 1).  The terms sit in pages of
+    chunk.  Slot x of a row is column mid + x: the right part of cell
+    mid - 1 + x plus the left part of the cell after it.  Each chunk of a
+    row evaluates its w cells and the one after its last (ends), so it
+    forms all its slots itself.  The terms sit in pages of
     _PAGE, U over the rows' chunks and V over the cells', so subtracting
     them is one batched product per page.
 
@@ -427,6 +429,7 @@ def _aca(n, kappa, blocks):
     rmask = rows < mid[rblock, None]
     rows = np.minimum(rows, mid[rblock, None] - 1.0)      # pad with the last row
     cells, cblock, cfirst = _chunks(mid - 1, q + 1, w)
+    ends = np.concatenate((cells, cells[:, -1:] + 1.0), axis=1)
     cmask = cells < hi[cblock, None] - 1.0                # a column j = cell + 1 < hi
     weight = np.where(cmask, (cells + 1.0) ** 5, 0.0)
     rmask, free_c = rmask.astype(float), cmask.astype(float)
@@ -446,15 +449,9 @@ def _aca(n, kappa, blocks):
         # the pivot rows: slot x is right(x) + left(x + 1)
         slot = rfirst[:-1] * w + piv
         i = rows.reshape(-1)[slot][cblock, None]
-        row = V.reshape(-1)
-        for s in row_blocks(len(cells), w * _CELL_WORK):
-            left, right = _cells(i[s], cells[s], kappa)
-            left[cells[s] == n - 1] = 0.0          # past alpha_max
-            x0, x1 = s.start * w, s.stop * w
-            np.add(right.reshape(-1)[:-1], left.reshape(-1)[1:], out=row[x0:x1 - 1])
-            row[x1 - 1] = right[-1, -1]
-            if x0:
-                row[x0 - 1] += left[0, 0]
+        for s in row_blocks(len(cells), (w + 1) * _CELL_WORK):
+            left, right = _cells(i[s], ends[s], kappa, n)
+            np.add(right[:, :-1], left[:, 1:], out=V[s])
         V *= weight
         _subtract_terms(V, Vp, Up, k, slot[cblock])
         a = np.abs(V)
@@ -463,7 +460,7 @@ def _aca(n, kappa, blocks):
         # a row already matched, no column left, or a stopped block: a zero
         # term, so a stopped block never divides by a pivot at rounding level
         stop = (top <= 0.0) | stopped
-        pivot = row[jpos]
+        pivot = V.reshape(-1)[jpos]
         if stop.any():
             pivot[stop] = 1.0
         V /= pivot[cblock, None]
@@ -471,9 +468,7 @@ def _aca(n, kappa, blocks):
         j = cells.reshape(-1)[jpos] + 1.0
         m = np.stack((j, j - 1.0))[:, rblock, None]
         for s in row_blocks(len(rows), 2 * w * _CELL_WORK):
-            left, right = _cells(rows[s], m[:, s], kappa)
-            if n - 1 in j:
-                left[0, m[0, s, 0] == n - 1] = 0.0
+            left, right = _cells(rows[s], m[:, s], kappa, n)
             np.add(left[0], right[1], out=U[s])
         U *= rmask
         U *= weight.reshape(-1)[jpos][rblock, None]
@@ -506,7 +501,8 @@ def _aca(n, kappa, blocks):
             run, tol2, norm2, piv, p, q, stopped = (
                 x[:b] for x in (run, tol2, norm2, piv, p, q, stopped))
             rows, rmask, free_r, rblock = (x[:r1] for x in (rows, rmask, free_r, rblock))
-            cells, weight, free_c, cblock = (x[:c1] for x in (cells, weight, free_c, cblock))
+            cells, ends, weight, free_c, cblock = (
+                x[:c1] for x in (cells, ends, weight, free_c, cblock))
             rfirst, cfirst = rfirst[:b + 1], cfirst[:b + 1]
             Up, Vp = [F[:, :r1] for F in Up], [F[:, :c1] for F in Vp]
     return factors

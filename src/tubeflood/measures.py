@@ -60,6 +60,15 @@ KAPPA_MAX = 0.999
 # and the closed forms divide by zero.
 KAPPA_MIN = 1e-6
 
+# The lengths whose square is a finite normal double: LENGTH_MIN <= L <
+# LENGTH_MAX, about 1.5e-154 to 1.3e154.  Atom lengths and alpha_max lie
+# there, and every alpha below LENGTH_MAX, so no L^2 or alpha^2 of the
+# model overflows and no atom's L^2 underflows.
+LENGTH_MIN, LENGTH_MAX = 2.0 ** -511, 2.0 ** 512
+_LENGTH_RULE = (
+    "must lie in [2**-511, 2**512), where a length's square is a finite normal double"
+)
+
 # Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
 
@@ -95,13 +104,14 @@ def check_count(name, value, minimum):
 class Measure:
     """Finite measure on (0, inf): point atoms plus constant-density pieces.
 
-    atoms:  tuple of (L, S), L > 0 a normal double, S > 0
+    atoms:  tuple of (L, S), LENGTH_MIN <= L < LENGTH_MAX, S > 0
     pieces: tuple of (a, b, rho), 0 < a < b normal doubles, rho >= 0
 
     The constructor builds all of its state (atoms sorted by length, prefix
     sums of S L^p, support_sup) and raises ArgumentError there on a moment
-    past the doubles, of an atom, a piece or the whole measure, or on a
-    subnormal L or a.  Immutable; all operations on it are pure.
+    past the doubles, of an atom, a piece or the whole measure, on an L
+    whose square is not a finite normal double or on a subnormal a.
+    Immutable; all operations on it are pure.
     """
 
     atoms: tuple = ()
@@ -111,8 +121,8 @@ class Measure:
         atoms = tuple((float(L), float(S)) for L, S in self.atoms)
         pieces = tuple((float(a), float(b), float(r)) for a, b, r in self.pieces)
         for L, S in atoms:
-            if not sys.float_info.min <= L < math.inf:
-                raise ArgumentError(f"atom length must be a normal double > 0, got {L}")
+            if not LENGTH_MIN <= L < LENGTH_MAX:
+                raise ArgumentError(f"atom length {_LENGTH_RULE}, got {L}")
             if not (S > 0 and math.isfinite(S)):
                 raise ArgumentError(f"atom section must be finite and > 0, got {S}")
         for a, b, r in pieces:
@@ -163,9 +173,11 @@ def atom_prefix_sums(L, S):
 
 
 def _alpha_array(alphas):
+    """alphas as a float array, each in [0, LENGTH_MAX): the one check on
+    alpha arrays, so that alpha^2 stays a finite double."""
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.size and not (alphas.min() >= 0.0 and alphas.max() < math.inf):
-        raise ArgumentError("alpha must be finite and >= 0")
+    if alphas.size and not (alphas.min() >= 0.0 and alphas.max() < LENGTH_MAX):
+        raise ArgumentError("alpha must lie in [0, 2**512)")
     return alphas
 
 
@@ -398,11 +410,22 @@ def check_range(name, bounds):
     return lo, hi
 
 
+def check_length_range(name, bounds):
+    """check_range for atom lengths, whose lower end must also be at least
+    LENGTH_MIN and upper end below LENGTH_MAX: every draw is then a valid
+    atom length."""
+    lo, hi = check_range(name, bounds)
+    if not (LENGTH_MIN <= lo and hi < LENGTH_MAX):
+        raise ArgumentError(f"{name} {_LENGTH_RULE}, got {tuple(bounds)}")
+    return lo, hi
+
+
 def draw_atoms(rng, n, L_range, S_range):
     """n lengths uniform in L_range, then n sections uniform in S_range.
 
     The one draw order of random atoms, from the Generator rng; the ranges
-    must have passed check_range.  Returns the arrays (L, S).
+    must have passed check_length_range and check_range.  Returns the
+    arrays (L, S).
     """
     return rng.uniform(*L_range, n), rng.uniform(*S_range, n)
 
@@ -416,11 +439,11 @@ def random_atoms(seed, n, L_range=(2.5, 10.0), S_range=(0.5, 2.0)):
     """n random atoms with L uniform in L_range and S uniform in S_range.
 
     Deterministic given the seed; ``seed`` may also be a Generator, in which
-    case its stream is consumed in place.  Both ranges must pass
-    check_range.
+    case its stream is consumed in place.  L_range must pass
+    check_length_range and S_range check_range.
     """
     check_count("n", n, 1)
-    L_range = check_range("L_range", L_range)
+    L_range = check_length_range("L_range", L_range)
     S_range = check_range("S_range", S_range)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return atoms_measure(*draw_atoms(rng, n, L_range, S_range))

@@ -284,6 +284,8 @@ class TestRunMc:
             (dict(n_atoms_range=(1, 2**63)), "n_atoms_range"),
             (dict(n_atoms_range=(1, 2**63 - 1)), "n_atoms_range"),
             (dict(n_atoms_range=(1, analysis.MC_MAX_ATOMS + 1)), "n_atoms_range"),
+            # draws whose square would be below the normal doubles
+            (dict(l_range=(1e-160, 5.0)), "l_range"),
         ],
     )
     def test_arguments_checked_before_the_first_trial(self, monkeypatch, kwargs, match):
@@ -300,13 +302,13 @@ class TestRunMc:
     def test_valid_ranges_give_valid_atoms(self):
         # the widest admissible ranges: every draw is an atom, every sum a double
         records = run_mc(20, 0, n_grid=11, n_atoms_range=(1, 1),
-                         l_range=(1e-300, 10.0), s_range=(1e-300, 1.0))
+                         l_range=(2.0**-511, 10.0), s_range=(1e-300, 1.0))
         assert all(math.isfinite(r.v1_max) and math.isfinite(r.v2_max) for r in records)
 
     def test_overflowing_moment_rejected(self):
         # S / L past the doubles: the raw sums raise as a Measure's would
         with pytest.raises(ArgumentError, match="overflows a double"):
-            run_mc(1, 0, l_range=(1e-300, 1e-299), s_range=(1e300, 1e301))
+            run_mc(1, 0, l_range=(1e-150, 2e-150), s_range=(1e300, 1e301))
 
     def test_measures_built_only_for_accepted_pairs(self, monkeypatch):
         built = []

@@ -13,7 +13,7 @@ import pytest
 
 import tubeflood
 from tubeflood import cli, forward
-from tubeflood.errors import ArgumentError
+from tubeflood.errors import ArgumentError, InternalConsistencyError
 from tubeflood.inverse import RecoveryConfig
 from tubeflood.measures import Measure
 
@@ -563,6 +563,10 @@ class TestAmbiguity:
     def test_invalid_factor(self):
         assert cli.main(["ambiguity", "--alpha0", "2", "--k", "1.6"]) == 2
 
+    def test_grid_of_one_names_its_option(self, capsys):
+        code = cli.main(["ambiguity", "--alpha0", "2", "--k", "1.2", "--n-grid", "1"])
+        assert one_error_line(capsys, code) == "n_grid must be an integer >= 2, got 1"
+
 
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -592,6 +596,16 @@ class TestStrictJson:
         assert cli.main([files.get(a, a) for a in argv]) == 0
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert all(report[k] is None for k in keys)
+
+
+def one_error_line(capsys, code, kind="invalid-config", exit_code=2):
+    """The message of the one JSON error line main wrote for its exit code."""
+    assert code == exit_code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == kind and error["exit_code"] == exit_code
+    return error["message"]
 
 
 def assert_invalid_config(capsys, code):
@@ -849,6 +863,76 @@ class TestInputFiles:
         out = tmp_path / "out"
         assert_invalid_config(capsys, cli.main([sub, str(path), "--out", str(out)]))
         assert not out.exists()
+
+
+class TestErrorBranches:
+    """The reader, config and option errors of each subcommand, and the
+    exit codes of an I/O error and a broken invariant."""
+
+    def test_curve_without_a_water_column(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("total,oil\n0.0,0.0\n1.0,0.5\n")
+        code = cli.main(["invert", str(curve), "--kappa", "0.5", "--alpha-max", "2"])
+        assert "no 'water' (or 'Vw') column" in one_error_line(capsys, code)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kappa": 0.5, "alpha_max": 2.0, "n_samples": 11},
+             "config carries no measure block"),
+            ({**ATOM_CONFIG, "measure": [{"L": 1.0, "S": 1.0}]},
+             "measure block must be a JSON object"),
+        ],
+        ids=["no-block", "not-an-object"],
+    )
+    def test_measure_block(self, tmp_path, capsys, config, message):
+        path = write_json(tmp_path / "m.json", config)
+        out = tmp_path / "curve.csv"
+        assert one_error_line(capsys, cli.main(["forward", path, "--out", str(out)])) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--curve1", "{curve}", "--kappa", "0.5", "--alpha-max", "2"],
+             "curve mode needs both --curve1 and --curve2"),
+            (["--curve1", "{curve}", "--curve2", "{curve}", "--alpha-max", "2"],
+             "curve mode needs --kappa and --alpha-max"),
+            (["--curve1", "{curve}", "--curve2", "{curve}", "--kappa", "0.5"],
+             "curve mode needs --kappa and --alpha-max"),
+        ],
+        ids=["one-curve", "no-kappa", "no-alpha-max"],
+    )
+    def test_stability_curve_mode(self, tmp_path, capsys, flags, message):
+        curve = tmp_path / "c.csv"
+        assert cli.main(["forward", write_json(tmp_path / "m.json", ATOM_CONFIG),
+                         "--out", str(curve)]) == 0
+        capsys.readouterr()
+        argv = ["stability"] + [str(curve) if f == "{curve}" else f for f in flags]
+        assert one_error_line(capsys, cli.main(argv)) == message
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        out = tmp_path / "missing" / "curve.csv"
+        one_error_line(capsys, cli.main(["forward", config, "--out", str(out)]), "io-error")
+
+    def test_forward_without_out_writes_stdout(self, tmp_path, capsys):
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "n_samples": 3})
+        assert cli.main(["forward", config]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "alpha,Vw,Vo,total,water_cut" and len(lines) == 4
+        assert "wrote stdout" in captured.err
+
+    def test_broken_invariant_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise InternalConsistencyError("a broken invariant")
+
+        monkeypatch.setattr(forward, "build_curve", broken)
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        code = cli.main(["forward", config])
+        message = one_error_line(capsys, code, "internal-consistency", exit_code=4)
+        assert message == "a broken invariant"
 
 
 class TestReadme:

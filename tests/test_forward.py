@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -153,8 +154,9 @@ SAMPLES = [v_w_samples, v_o_samples, v_w_prime_samples, v_o_prime_samples,
 
 class TestAlphaDomain:
     @pytest.mark.parametrize("samples", SAMPLES, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf, 2.0**512, 1e160])
     def test_rejects_negative_or_non_finite(self, samples, alpha):
+        # alpha^2 overflows from 2^512 on
         with pytest.raises(ArgumentError):
             samples(ATOM_11, 0.5, np.array([0.5, alpha]))
 
@@ -166,6 +168,23 @@ class TestAlphaDomain:
             got = samples(mu, 0.5, alpha)
             assert np.shape(got) == ()
             assert got == samples(mu, 0.5, np.array([alpha]))[0]
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.999])
+    @pytest.mark.parametrize("edge", ["least", "largest"])
+    def test_atoms_at_the_length_edges(self, kappa, edge):
+        # the least and the largest atom length whose square is a finite
+        # normal double, sampled just below, at and (for the least) above
+        # the atom: no sampler overflows, divides by zero or warns
+        L = 2.0**-511 if edge == "least" else math.nextafter(2.0**512, 0.0)
+        mu = Measure(atoms=((L, 1.0),))
+        alphas = np.array([0.0, L / 2, math.nextafter(L, 0.0), L])
+        if edge == "least":
+            alphas = np.append(alphas, [2.0 * L, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [samples(mu, kappa, alphas) for samples in SAMPLES]
+            values += volumes_and_water_cut(mu, kappa, alphas)
+        assert all(np.all(np.isfinite(v)) for v in values)
 
     def test_atoms_on_nodes_and_at_alpha_max(self):
         # V_o integrates its tail over [alpha, inf) and V_o' over

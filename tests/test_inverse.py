@@ -326,15 +326,40 @@ class TestHierarchicalOperator:
             v = solve_fixed_point(curve, RecoveryConfig(n_grid=n)).v
             assert np.max(np.abs(v - oracle)) <= 2e-12 * curve.v_max / (1.0 - q)
 
+    @pytest.mark.parametrize("shape", ["leaf", "row", "column"])
+    def test_cells_drop_the_left_part_past_alpha_max(self, shape):
+        # the shapes the callers pass: flat cells, (chunks, w + 1) row
+        # chunks with one i per chunk, and (2, chunks, 1) column cells
+        n, w = 40, 5
+        if shape == "leaf":
+            i, m = np.triu_indices(n)
+            i, m = i[i >= 1].astype(float), m[i >= 1].astype(float)
+        elif shape == "row":
+            i = np.array([[3.0], [20.0], [36.0]])
+            m = np.minimum(i + np.arange(w + 1), n + 2.0)
+            m[-1] = np.arange(n - 3, n + 3)          # across the edge
+        else:
+            i = np.arange(1.0, 3 * w + 1).reshape(3, w)
+            j = np.array([n - 1.0, 30.0, n - 1.0])
+            m = np.stack((j, j - 1.0))[:, :, None]
+        left, right = (x.copy() for x in inverse._cells(i, m, 0.3, n))
+        past = np.broadcast_to(m == n - 1, left.shape)
+        assert past.any() and not past.all()
+        assert np.all(left[past] == 0.0) and np.all(left[~past] != 0.0)
+        # away from the edge, the cells are those of a larger grid
+        far_left, far_right = inverse._cells(i, m, 0.3, 2 * n)
+        assert np.array_equal(left[~past], far_left[~past])
+        assert np.array_equal(right, far_right)
+
     def test_leaves_evaluate_only_the_upper_triangle(self, monkeypatch):
         # a leaf of s nodes has s (s + 1) / 2 cells on or above its diagonal
         inside, cells = [], []
         real_cells, real_leaves = inverse._cells, inverse._leaves
 
-        def spy_cells(i, m, kappa):
+        def spy_cells(i, m, kappa, n):
             if inside:
                 cells.append(np.broadcast(i, m).size)
-            return real_cells(i, m, kappa)
+            return real_cells(i, m, kappa, n)
 
         def spy_leaves(*args):
             inside.append(True)

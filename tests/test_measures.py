@@ -222,7 +222,9 @@ class TestRandomAtoms:
             random_atoms(0, True)
         with pytest.raises(ArgumentError):
             random_atoms(0, 3, L_range=(5.0, 5.0))
-        for bounds in [(2.5, math.inf), (math.nan, 5.0), (1e-310, 5.0), (0.0, 5.0)]:
+        bad_lengths = [(2.5, math.inf), (math.nan, 5.0), (1e-310, 5.0), (0.0, 5.0),
+                       (1e-160, 5.0), (2.5, 2.0**512)]
+        for bounds in bad_lengths:
             with pytest.raises(ArgumentError, match="L_range"):
                 random_atoms(0, 3, L_range=bounds)
         for bounds in [(0.5, math.inf), (-math.inf, 2.0), (2.0, 0.5)]:
@@ -248,6 +250,16 @@ class TestMeasureType:
         with pytest.raises(ArgumentError):
             Measure(pieces=((1.0, 2.0, -0.5),))
 
+    def test_atom_length_edges(self):
+        # an atom length's square must be a finite normal double
+        least, top = 2.0**-511, 2.0**512
+        for L in (math.nextafter(least, 0.0), top, 1e-160, 1e160):
+            with pytest.raises(ArgumentError, match="normal double"):
+                Measure(atoms=((1.0, 1.0), (L, 1.0)))
+        for L in (least, math.nextafter(top, 0.0)):
+            mu = Measure(atoms=((L, 1.0),))
+            assert mu.support_sup == L and moment(mu, 1) == L
+
     def test_support_sup(self):
         mu = Measure(atoms=((3.0, 1.0),), pieces=((1.0, 7.5, 0.2),))
         assert mu.support_sup == 7.5
@@ -267,7 +279,7 @@ class TestMeasureType:
         "atoms, pieces",
         [
             (((1e-10, 1e300),), ()),          # S / L overflows
-            (((1e200, 1e200),), ()),          # S * L overflows
+            (((1e150, 1e200),), ()),          # S * L overflows
             (((1.0, 1e308), (2.0, 1e308)), ()),   # the sum of S overflows
             (((1e-320, 1e-320),), ()),        # a subnormal length
             ((), ((1e-320, 1.0, 1.0),)),      # a subnormal piece start
@@ -457,7 +469,8 @@ class TestTailIntegral:
             assert rate == pytest.approx([1.0 / math.sqrt(4.0 - 0.75), 0.0], rel=1e-14)
 
     def test_rejects_bad_lower_limit(self):
-        for bad in (-1.0, math.nan, math.inf):
+        # alpha^2 overflows from 2^512 on
+        for bad in (-1.0, math.nan, math.inf, 2.0**512):
             with pytest.raises(ArgumentError):
                 tail_integral(ATOM_11, (OIL_RATE,), 0.5, np.array([bad]))
 
