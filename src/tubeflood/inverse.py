@@ -64,6 +64,7 @@ is required.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -790,10 +791,16 @@ def recover(curve, config=None):
     ran: assembly and solve (from solve_fixed_point), cdf and, with
     alpha_min > 0, density.  Phi and f scale as v_max / alpha_max^2; both
     stages run under errors.overflow_guard, so a value of either that
-    overflows a double (a tiny alpha_max) raises ArgumentError.
+    overflows a double (a tiny alpha_max) raises ArgumentError, and so
+    does a scale below the normal doubles (a huge alpha_max), where both
+    would underflow to 0.
     """
     cfg = config or RecoveryConfig()
     result = solve_fixed_point(curve, cfg)
+    if curve.v_max / curve.alpha_max / curve.alpha_max < sys.float_info.min:
+        raise ArgumentError(
+            f"Phi and f at alpha_max={curve.alpha_max} underflow a double"
+        )
     grid, v, kappa = result.grid, result.v, result.kappa
     with overflow_guard(f"Phi or f at alpha_max={curve.alpha_max}"):
         start = time.perf_counter()

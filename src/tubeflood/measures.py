@@ -31,7 +31,7 @@ call with that kernel alone.  That row-block rule,
 row_blocks, is the package's only one: the operator's cells are
 evaluated over it too, in the same per-thread buffers (_block_buffers),
 and the tube simulation writes its blocks straight into its result.
-Pieces enter both integrals through closed-form antiderivatives.
+Pieces enter both integrals by their clipped limits, one bracket per cell.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -75,10 +75,10 @@ _BLOCK_CELLS = 1 << 15
 _BLOCK_WORK = threading.local()   # this thread's row-block buffers
 
 
-def row_blocks(n_rows, n_cols, start=0):
-    """Row slices over start..n_rows-1 of at most _BLOCK_CELLS cells (>= 1 row)."""
+def row_blocks(n_rows, n_cols):
+    """Row slices over 0..n_rows-1 of at most _BLOCK_CELLS cells (>= 1 row)."""
     step = max(1, _BLOCK_CELLS // n_cols)
-    for r in range(start, n_rows, step):
+    for r in range(0, n_rows, step):
         yield slice(r, min(r + step, n_rows))
 
 
@@ -208,8 +208,7 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
         raise ArgumentError(f"moment exponent must be -1, 0 or 1, got {p}")
     out = np.zeros_like(alphas)
     for pa, pb, rho in mu.pieces:
-        hi = np.clip(alphas, pa, pb)
-        out += np.where(alphas > pa, rho * _PIECE_PREFIX[p](hi, pa), 0.0)
+        out += rho * _PIECE_PREFIX[p](np.clip(alphas, pa, pb), pa)
     side = "right" if inclusive else "left"
     L = mu._atoms_by_length[0]
     return out + mu._prefix[p][np.searchsorted(L, alphas, side=side)]
@@ -220,8 +219,10 @@ class TailKernel(NamedTuple):
 
     atom(w, y, s, c0, out) writes w k(y; c0) into out, given the root
     s = sqrt(y^2 - c0), and leaves s alone unless out is s;
-    cell(lo, hi, c0) integrates k over [lo, hi]; closed says whether an
-    atom exactly at the lower limit lies in the tail.
+    cell(lo, hi, c0) integrates k over [lo, hi], and is exactly 0 on an
+    empty cell lo == hi for any finite c0 >= 0, which is how a piece
+    outside the tail adds nothing; closed says whether an atom exactly at
+    the lower limit lies in the tail.
     """
 
     atom: Callable
@@ -234,14 +235,16 @@ def _log_root(y, c0):
     return y + np.sqrt(np.maximum(y * y - c0, 0.0))
 
 
-def _oil_volume_antiderivative(y, c0):
-    """Antiderivative of y - sqrt(y^2 - c0), valid for y^2 >= c0 >= 0.
+def _oil_volume_cell(lo, hi, c0):
+    """Integral of y - sqrt(y^2 - c0) over [lo, hi], for lo^2 >= c0 >= 0.
 
-    Algebraically equal to y^2/2 - [y sqrt(y^2-c0) - c0 ln(y + sqrt(y^2-c0))]/2,
-    rearranged so the large-y cancellation is computed stably.
+    The bracket of the antiderivative c0/2 (y / r + ln r), r = _log_root,
+    the stable form of y^2/2 - [y sqrt(y^2 - c0) - c0 ln r]/2.  Its y / r
+    terms lie in (1/2, 1] and its logs are taken as one, ln(r_hi / r_lo),
+    so nothing in the bracket overflows, and lo == hi gives exactly 0.
     """
-    r = _log_root(y, c0)
-    return 0.5 * c0 * (y / r + np.log(r))
+    r_lo, r_hi = _log_root(lo, c0), _log_root(hi, c0)
+    return 0.5 * c0 * (hi / r_hi - lo / r_lo + np.log(r_hi / r_lo))
 
 
 OIL_VOLUME = TailKernel(
@@ -250,9 +253,7 @@ OIL_VOLUME = TailKernel(
     atom=lambda w, y, s, c0, out: np.multiply(
         w, np.divide(c0, np.add(y, s, out=out), out=out), out=out
     ),
-    cell=lambda lo, hi, c0: (
-        _oil_volume_antiderivative(hi, c0) - _oil_volume_antiderivative(lo, c0)
-    ),
+    cell=_oil_volume_cell,
     closed=True,
 )
 
@@ -361,11 +362,9 @@ def tail_integral(mu, kernels, kappa, lower):
                     block[:, j0:] = t
                 np.sum(block if j0 else t, axis=1, out=out[rows])
     for pa, pb, rho in mu.pieces:
-        lo = np.maximum(lower, pa)
-        live = lo < pb
-        top = np.where(live, lo, pb)
+        top = np.clip(lower, pa, pb)
         for kernel, out in zip(kernels, outs):
-            out += np.where(live, rho * kernel.cell(top, pb, c0), 0.0)
+            out += rho * kernel.cell(top, pb, c0)
     return [out.reshape(shape) for out in outs]
 
 

@@ -213,7 +213,8 @@ def simulate(sys, kappa, pump, t_grid):
         W = np.concatenate(([0.0], np.cumsum(S[:m] / L[:m], dtype=np.longdouble)))
         D = np.concatenate(([0.0], np.cumsum(np.diff(top) * W[:-1])))
         v_w = (((F - top[k]) * W[k] + D[k]) / kappa).astype(float)
-        # the cast makes a long double past the doubles inf, raising nothing
+        # a long double past the doubles: NumPy 2.4 raises at the cast, under
+        # the guard; a NumPy whose cast makes it inf quietly gets here
         if not np.all(np.isfinite(v_w)):
             raise ArgumentError("the tube simulation overflows a double: V_w")
         return TubeSimResult(

@@ -187,7 +187,9 @@ def reference_t_matrix(n, kappa):
     c = 1.0 - kappa * kappa
     sc = math.sqrt(c)
     out = np.zeros((n, n))
-    for rows in row_blocks(n, n, start=1):
+    for rows in row_blocks(n, n):
+        # row 0, at alpha = 0, stays 0
+        rows = slice(max(rows.start, 1), rows.stop)
         i0 = rows.start
         i = np.arange(i0, rows.stop, dtype=float)[:, None]
         m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)

@@ -18,7 +18,7 @@ from tubeflood.analysis import (
     stability_experiment,
     summarize_mc,
 )
-from tubeflood.errors import ArgumentError
+from tubeflood.errors import ArgumentError, InternalConsistencyError
 from tubeflood.forward import build_curve
 from tubeflood.inverse import RecoveryConfig
 from tubeflood.measures import Measure, random_atoms, scale
@@ -96,6 +96,13 @@ class TestStabilityExperiment:
         assert report.delta <= 1e-11 * curve1.v_max
         assert report.v_diff <= 1e-8 * curve1.v_max
 
+    def test_violated_bound_raises(self, monkeypatch):
+        curve = build_curve(random_atoms(11, 12), 0.5, 10.0, 1001)
+        bumped = sinusoidal_perturbation(curve, 1e-3 * curve.v_max)
+        monkeypatch.setattr(analysis, "stability_bound", lambda kappa, alpha_max: 1e-300)
+        with pytest.raises(InternalConsistencyError, match="stability bound violated"):
+            stability_experiment(curve, bumped, RecoveryConfig(n_grid=501))
+
     def test_mismatched_parameters(self):
         curve1 = build_curve(random_atoms(1, 5), 0.5, 10.0, 201)
         curve2 = build_curve(random_atoms(1, 5), 0.4, 10.0, 201)
@@ -108,6 +115,15 @@ class TestSensitivity:
         mu = random_atoms(2, 6)
         with pytest.raises(ArgumentError):
             sensitivity_constant(mu, mu, 0.5, 10.0)
+
+    def test_indistinguishable_measures_rejected(self):
+        # the same atoms listed in two orders: the tuples differ, the
+        # measure and so both curves and counting functions do not
+        mu1 = Measure(atoms=((3.0, 1.0), (5.0, 1.0)))
+        mu2 = Measure(atoms=((5.0, 1.0), (3.0, 1.0)))
+        assert mu1 != mu2
+        with pytest.raises(ArgumentError, match="measures are indistinguishable"):
+            sensitivity_constant(mu1, mu2, 0.5, 10.0)
 
     def test_tiny_atom_shift_is_finite(self):
         mu1 = Measure(atoms=((3.0, 1.0), (5.0, 1.0)))

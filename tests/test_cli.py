@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tubeflood
-from tubeflood import cli, forward
+from tubeflood import analysis, cli, forward
 from tubeflood.errors import ArgumentError, InternalConsistencyError
 from tubeflood.inverse import RecoveryConfig
 from tubeflood.measures import Measure
@@ -232,9 +232,9 @@ class TestInvert:
         assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 2
 
     def test_v_at_any_magnitude_of_alpha_max(self, tmp_path, curve_csv):
-        # the same curve declared at alpha_max 2 and 1e160 gives the same V
+        # the same curve declared at alpha_max 2 and 1e150 gives the same V
         columns = []
-        for alpha_max in ("2", "1e160"):
+        for alpha_max in ("2", "1e150"):
             out = tmp_path / f"r{alpha_max}.csv"
             diag = tmp_path / f"d{alpha_max}.json"
             assert cli.main([
@@ -246,6 +246,19 @@ class TestInvert:
             columns.append(data[:, header.index("V")])
         assert np.all(np.isfinite(columns[1]))
         assert np.max(np.abs(columns[1] - columns[0])) <= 2e-15 * 5.5
+
+    @pytest.mark.parametrize("alpha_max", ["1e160", "1e200"])
+    def test_phi_below_the_normal_doubles(self, tmp_path, curve_csv, capsys, alpha_max):
+        # Phi and f scale as v_max / alpha_max^2: 5.5e-320 at 1e160, and 0
+        # at 1e200, where every Phi would be written as 0
+        capsys.readouterr()
+        out = tmp_path / "rec.csv"
+        code = cli.main([
+            "invert", str(curve_csv), "--kappa", "0.5", "--alpha-max", alpha_max,
+            "--n-grid", "101", "--alpha-min", "0.5", "--out", str(out),
+        ])
+        assert "underflow a double" in one_error_line(capsys, code)
+        assert not out.exists()
 
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -484,6 +497,13 @@ class TestStability:
 
     def test_requires_input(self):
         assert cli.main(["stability"]) == 2
+
+    def test_violated_bound_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "stability_bound", lambda kappa, alpha_max: 1e-300)
+        config = write_json(tmp_path / "m.json", {**ATOM_CONFIG, "n_samples": 801})
+        code = cli.main(["stability", config, "--n-grid", "301"])
+        message = one_error_line(capsys, code, "internal-consistency", exit_code=4)
+        assert message.startswith("stability bound violated")
 
     def test_no_alpha_min_flag(self, tmp_path, capsys):
         # stability only solves, so a density window has nothing to set

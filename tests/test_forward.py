@@ -186,6 +186,23 @@ class TestAlphaDomain:
             values += volumes_and_water_cut(mu, kappa, alphas)
         assert all(np.all(np.isfinite(v)) for v in values)
 
+    @pytest.mark.parametrize("kappa", [1e-6, 0.5, 0.999])
+    def test_piece_far_out(self, kappa):
+        # a piece up to 1e154, sampled inside it and past its end: each
+        # antiderivative of the oil-volume cell overflows there, its
+        # bracket over the cell does not
+        mu = Measure(pieces=((1.0, 1e154, 1e-10),))
+        alphas = np.array([1.5, 1.2e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                samples(mu, kappa, alphas)
+                for samples in (v_o_samples, v_o_prime_samples, water_cut_samples)
+            ]
+        assert all(np.all(np.isfinite(v)) for v in values)
+        # past the piece the oil tail is empty: V_o is the first moment
+        assert values[0][1] == moment(mu, 1) == pytest.approx(5e297, rel=1e-15)
+
     def test_atoms_on_nodes_and_at_alpha_max(self):
         # V_o integrates its tail over [alpha, inf) and V_o' over
         # (alpha, inf); V_w' includes the atom at L = alpha (right limit)
@@ -304,6 +321,22 @@ class TestCurveType:
             DisplacementCurve(
                 x=np.array([0.0, 1.0]), g=np.array([0.0, 0.5]),
                 alpha_max=alpha_max, kappa=0.5,
+            )
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ArgumentError, match="matching 1-d arrays"):
+            DisplacementCurve(
+                x=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.5]),
+                alpha_max=1.0, kappa=0.5,
+            )
+
+    def test_rejects_water_above_total(self):
+        # the step's slope 1 + 5e-10 is within the Lipschitz tolerance, but
+        # the water it reaches exceeds the total volume
+        with pytest.raises(InternalConsistencyError, match="exceeds total volume"):
+            DisplacementCurve(
+                x=np.array([0.0, 1.0]), g=np.array([0.0, 1.0 + 5e-10]),
+                alpha_max=1.0, kappa=0.5,
             )
 
     def test_rejects_nonzero_origin(self):

@@ -487,6 +487,9 @@ class TestH:
     def test_domain_check(self):
         with pytest.raises(ArgumentError):
             h_of_alpha(4.5, 6.0, 0.5, 2.0, 2.5)
+        for alpha_max in (0.0, -2.0):
+            with pytest.raises(ArgumentError, match="alpha_max must be > 0"):
+                h_of_alpha(4.5, 6.0, 0.5, alpha_max, 0.0)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.999])
     def test_against_a_decimal_reference(self, kappa):

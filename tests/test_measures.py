@@ -121,6 +121,17 @@ class TestTailKernel:
             assert vals[0] == 0.0
             assert all(v2 >= v1 - 1e-14 for v1, v2 in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
+    @pytest.mark.parametrize("x", [1e-300, 1.0, 1e154])
+    def test_empty_cell_is_exactly_zero(self, kernel, x):
+        # a piece outside the tail integrates over an empty cell [x, x],
+        # for any c0 from 0 up to x^2 and, past the piece's end, above it
+        c0 = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0, 1.5]) * (x * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = kernel.cell(np.full(c0.shape, x), np.full(c0.shape, x), c0)
+        assert cells.tolist() == [0.0] * c0.size
+
     def test_piece_matches_gauss_legendre(self):
         # closed antiderivative vs 16-point Gauss-Legendre per piece, 1e-10.
         # A single panel only resolves pieces of moderate width; wider pieces
