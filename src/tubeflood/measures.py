@@ -19,19 +19,28 @@ Atoms enter a prefix integral through prefix sums, which the Measure
 builds in its constructor (and so rejects moments past the doubles
 there), and a binary search.  A tail integral runs over row blocks of
 alpha holding at most _BLOCK_CELLS cells (or one row), in place in
-per-thread buffers kept from one call to the next: memory stays near
-0.5 MB below 2^15 atoms (0.75 MB with both kernels), and no block-sized
+per-thread buffers kept from one call to the next, and no block-sized
 array is allocated per call.  Only the live (alpha, atom) cells of a
 block are evaluated: the atoms are sorted by length, so those below the
 block's smallest alpha, a column prefix, are skipped, and only the
 columns up to its largest alpha need the tail mask.  A call with both
 kernels takes sqrt(y^2 - c0) once per live cell; each kernel writes
 into its own buffer (the last over the root) and gets the bits of a
-call with that kernel alone.  That row-block rule,
-row_blocks, is the package's only one: the operator's cells are
+call with that kernel alone.  Every row of atoms is summed in the order
+np.sum takes over it.  Up to _PAIRWISE_LEAF = 128 atoms, which NumPy
+sums as one leaf of its pairwise sum (8 lanes, then the rest in turn),
+a block is laid out atoms-major, so each ufunc runs long loops over the
+alphas, and the lanes are added across the atom rows; past 128 the
+pairwise order recurses, and a block holds full rows of atoms that
+np.sum adds itself.  The buffers take 256 KB per kernel in the first
+layout and one more in the second: a cold call at 2001 alphas peaked at
+0.42 MB (0.70 MB with both kernels) at 50 and at 128 atoms, and at
+0.67 MB (0.94 MB) from 129 to 1000 atoms (tracemalloc).  That row-block
+rule, row_blocks, is the package's only one: the operator's cells are
 evaluated over it too, in the same per-thread buffers (_block_buffers),
 and the tube simulation writes its blocks straight into its result.
-Pieces enter both integrals by their clipped limits, one bracket per cell.
+Pieces enter both integrals by their clipped limits, one bracket per
+cell, which stays accurate on a narrow cell (_root_step).
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -71,6 +80,10 @@ _LENGTH_RULE = (
 
 # Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
+
+# The most terms that np.sum adds as one leaf of its pairwise sum, in 8
+# lanes; tail_integral sums up to this many atoms atoms-major in that order.
+_PAIRWISE_LEAF = 128
 
 _BLOCK_WORK = threading.local()   # this thread's row-block buffers
 
@@ -183,7 +196,7 @@ def _alpha_array(alphas):
 
 # integral of y^p dy over [a, hi), per unit density
 _PIECE_PREFIX = {
-    -1: lambda hi, a: np.log(hi / a),
+    -1: lambda hi, a: np.log1p((hi - a) / a),
     0: lambda hi, a: hi - a,
     1: lambda hi, a: (hi * hi - a * a) / 2.0,
 }
@@ -230,21 +243,54 @@ class TailKernel(NamedTuple):
     closed: bool
 
 
-def _log_root(y, c0):
-    """y + sqrt(y^2 - c0), whose log is the antiderivative of 1/sqrt(y^2 - c0)."""
-    return y + np.sqrt(np.maximum(y * y - c0, 0.0))
+def _square_less(y, c0):
+    """y^2 - c0 to about an ulp of the result, for y >= 0.
+
+    y splits into high, its leading 26 bits, and low = y - high, so that
+    y * y = p plus the small correction (high^2 - p) + 2 high low + low^2,
+    whose first two products are exact (Dekker); p - c0 is exact where it
+    cancels.  high <= y, so no product overflows where y * y does not.
+    """
+    y = np.asarray(y, dtype=float)
+    p = y * y
+    high = (y.view(np.int64) & -(1 << 27)).view(float)
+    low = y - high
+    return (p - c0) + (((high * high - p) + 2.0 * high * low) + low * low)
+
+
+def _root_step(lo, hi, c0):
+    """r_lo, r_hi and u = r_hi / r_lo - 1, for r = y + sqrt(y^2 - c0).
+
+    ln r is the antiderivative of 1/sqrt(y^2 - c0), so ln(r_hi / r_lo) is
+    log1p(u).  The roots s = sqrt(y^2 - c0) are taken as 0 where y^2 <= c0.
+    r_hi - r_lo is (hi - lo)(1 + (hi + lo) / (s_hi + s_lo)), since s_hi -
+    s_lo = (hi^2 - lo^2) / (s_hi + s_lo): a sum of positive terms, with
+    no cancellation however narrow the cell.  Where both roots are 0, the
+    sum of roots is taken as 1: on an empty cell any finite step gives
+    u = 0, for any c0, and on a cell whose squares are below the doubles,
+    where r is y, the step is (hi - lo)(1 + hi + lo), which is hi - lo.
+    """
+    s_lo, s_hi = (np.sqrt(np.maximum(_square_less(y, c0), 0.0)) for y in (lo, hi))
+    roots = s_lo + s_hi
+    q = (hi + lo) / np.where(roots > 0.0, roots, 1.0)
+    r_lo = lo + s_lo
+    return r_lo, hi + s_hi, (hi - lo) * (1.0 + q) / r_lo
 
 
 def _oil_volume_cell(lo, hi, c0):
     """Integral of y - sqrt(y^2 - c0) over [lo, hi], for lo^2 >= c0 >= 0.
 
-    The bracket of the antiderivative c0/2 (y / r + ln r), r = _log_root,
-    the stable form of y^2/2 - [y sqrt(y^2 - c0) - c0 ln r]/2.  Its y / r
-    terms lie in (1/2, 1] and its logs are taken as one, ln(r_hi / r_lo),
-    so nothing in the bracket overflows, and lo == hi gives exactly 0.
+    The bracket of the antiderivative c0/2 (y / r + ln r), the stable form
+    of y^2/2 - [y sqrt(y^2 - c0) - c0 ln r]/2, with r and u of _root_step.
+    Since y / r = 1/2 + c0 / (2 r^2), hi / r_hi - lo / r_lo is
+    -c0 (r_hi - r_lo)(r_hi + r_lo) / (2 r_hi^2 r_lo^2), taken as the
+    product of c0 / (r_hi r_lo) <= 1, u and (r_hi + r_lo) / (2 r_hi) < 1:
+    no term cancels on a narrow cell or overflows, and an empty cell
+    gives exactly 0.
     """
-    r_lo, r_hi = _log_root(lo, c0), _log_root(hi, c0)
-    return 0.5 * c0 * (hi / r_hi - lo / r_lo + np.log(r_hi / r_lo))
+    r_lo, r_hi, u = _root_step(lo, hi, c0)
+    steps = c0 / r_hi / r_lo * u * ((r_hi + r_lo) / (2.0 * r_hi))
+    return 0.5 * c0 * (np.log1p(u) - steps)
 
 
 OIL_VOLUME = TailKernel(
@@ -259,7 +305,7 @@ OIL_VOLUME = TailKernel(
 
 OIL_RATE = TailKernel(
     atom=lambda w, y, s, c0, out: np.divide(w, s, out=out),
-    cell=lambda lo, hi, c0: np.log(_log_root(hi, c0) / _log_root(lo, c0)),
+    cell=lambda lo, hi, c0: np.log1p(_root_step(lo, hi, c0)[2]),
     closed=False,
 )
 
@@ -284,6 +330,47 @@ def _leading(buf, rows, cols):
     return buf.ravel()[: rows * cols].reshape(rows, cols)
 
 
+def _empty_mask(rows, cols, atom_rows):
+    """An empty (rows, cols) bool array of (limit, atom) cells, laid out
+    atoms-major if atom_rows, so that it iterates like the tiles."""
+    if atom_rows:
+        return np.empty((cols, rows), bool).T
+    return np.empty((rows, cols), bool)
+
+
+def _lane_sum(tiles, j0, out):
+    """out[k, r] = the sum of tiles[k, :, r], in np.sum's order over a row.
+
+    Each tile has at most _PAIRWISE_LEAF rows, and those below j0 count
+    as zeros whatever they hold.  NumPy sums a row of up to 128 terms as
+    one leaf of its pairwise sum: below 8 terms in turn; otherwise term q
+    into lane q % 8, the lanes as ((0+1)+(2+3))+((4+5)+(6+7)), and then
+    the terms past the last full 8 in turn.  Adding a zero changes no
+    sum, so the lanes start at the 8-aligned row at or below j0, and a
+    sum without lanes starts at row j0.  The lanes are summed in place,
+    in the tiles' rows.
+    """
+    n = tiles.shape[1]
+    head = n - n % 8   # the rows summed in lanes; none below 8 rows
+    if j0 < head:
+        first = j0 - j0 % 8
+        lanes = tiles[:, first : first + 8]
+        lanes[:, : j0 - first] = 0.0
+        for q in range(first + 8, head, 8):
+            np.add(lanes, tiles[:, q : q + 8], out=lanes)
+        lane = list(lanes.swapaxes(0, 1))
+        for step in (1, 2):
+            for k in range(0, 8, 2 * step):
+                np.add(lane[k], lane[k + step], out=lane[k])
+        np.add(lane[0], lane[4], out=out)
+        rest = range(head, n)
+    else:
+        np.copyto(out, tiles[:, j0])
+        rest = range(j0 + 1, n)
+    for q in rest:
+        np.add(out, tiles[:, q], out=out)
+
+
 def tail_integral(mu, kernels, kappa, lower):
     """Integrals of each kernel(y; c0) dmu(y) over the tail above lower.
 
@@ -294,19 +381,28 @@ def tail_integral(mu, kernels, kappa, lower):
     (while lower^2 is a normal double); the tail is [lower, inf) for a
     closed kernel and (lower, inf) otherwise.  Each result has the shape
     of lower.  Atom cells are summed over row_blocks, each row over all
-    atoms in length order (the ones outside the tail add 0), so the value
-    does not depend on the block size.  Only the live cells are
-    evaluated: the atoms are sorted, so the atoms below a block's smallest
-    lower limit, a column prefix, lie outside every tail on every row of
-    it and are left at 0, and only the columns up to the last atom at its
-    largest limit need the tail masks.  Both column bounds of every block
-    come from one searchsorted over all limits before the loop.  Ascending
-    limits therefore cost about the cells in the tail; unsorted ones give
-    the same values and save less.  The live columns are evaluated in one
-    contiguous buffer (on a strided view of the row, each ufunc ran one
-    inner loop per row, 20% slower at 30-50 atoms) and then copied behind
-    the zeroed prefix, so every row is still summed whole, in the order of
-    the dense sum.
+    atoms in length order (the ones outside the tail add 0) and in the
+    order np.sum takes over the whole row, so the value does not depend
+    on the block size.  Only the live cells are evaluated: the atoms are
+    sorted, so the atoms below a block's smallest lower limit (j0), a
+    column prefix, lie outside every tail on every row of it, and only
+    the columns up to the last atom at its largest limit (j1) need the
+    tail masks.  Ascending limits therefore cost about the cells in the
+    tail; unsorted ones give the same values and save less.
+
+    The layout follows the atom count.  Up to _PAIRWISE_LEAF atoms, each
+    kernel's block is an (atom, limit) tile: an atom's cells are
+    contiguous, so every ufunc runs inner loops over the block's limits
+    instead of one per limit over a few atoms, and _lane_sum adds the
+    atom rows in the order np.sum takes over a row of at most 128 terms,
+    which it sums as one leaf of its pairwise sum.  Past 128 that order
+    recurses, so the block is row-major: the live columns are evaluated
+    in one contiguous buffer and copied behind the dead prefix of a
+    block of full rows, which np.sum adds whole.  That prefix keeps its
+    zeros from block to block, so only the columns between the last
+    block's j0 and this one's are zeroed.  The evaluation writes into
+    (limit, atom) views of either layout, and the masks are laid out
+    like them, so the root, the masks and the kernels are one code path.
 
     The kernels share the root of each block, masked to 1 below the
     limits.  Each kernel but the last writes into its own buffer and the
@@ -323,44 +419,58 @@ def tail_integral(mu, kernels, kappa, lower):
     shape = lower.shape
     lower = lower.ravel()
     c0 = (1.0 - kappa * kappa) * lower * lower
-    outs = [np.zeros_like(lower) for _ in kernels]
+    outs = np.zeros((len(kernels), lower.size))
     if mu.atoms and lower.size:
         L, S = mu._atoms_by_length
         L2 = L * L
         n = L.size
         blocks = list(row_blocks(lower.size, n))
         # per block, the first atom at or above its smallest limit (j0) and
-        # the first above its largest (j1): columns below j0 are outside
-        # every tail on every row, columns from j1 on inside every tail
+        # the first above its largest (j1), one search per block: columns
+        # below j0 are outside every tail on every row, columns from j1 on
+        # inside every tail
         starts = [rows.start for rows in blocks]
-        j0s = np.minimum.reduceat(np.searchsorted(L, lower, "left"), starts)
-        j1s = np.maximum.reduceat(np.searchsorted(L, lower, "right"), starts)
-        # buffers for the first block, the largest: one of full rows, one
-        # for each kernel but the last, and the root's
-        full, *own, spare = _block_buffers(blocks[0].stop, n, len(kernels) + 1)
+        j0s = L.searchsorted(np.minimum.reduceat(lower, starts), "left")
+        j1s = L.searchsorted(np.maximum.reduceat(lower, starts), "right")
+        m0 = blocks[0].stop   # rows of the first block, the largest
+        atom_rows = n <= _PAIRWISE_LEAF
+        if atom_rows:   # an (atom, limit) tile per kernel, the last the root's
+            tiles = _block_buffers(n, m0, len(kernels))
+        else:   # full rows, one buffer per kernel but the last, the root's
+            full, *own, spare = _block_buffers(m0, n, len(kernels) + 1)
+            zeroed = 0   # full's columns below this are 0 on every row
         for rows, j0, j1 in zip(blocks, j0s.tolist(), j1s.tolist()):
             if j0 == n:
                 continue
             lo = lower[rows, None]
             c = c0[rows, None]
             m, width = lo.size, n - j0
-            block = full[:m]
-            # the live columns, contiguous at the start of a buffer
-            s = _leading(spare, m, width) if j0 else block
+            # the live cells of each kernel's buffer, as (limit, atom) views
+            if atom_rows:
+                targets = [tile[j0:, :m].T for tile in tiles]
+            else:
+                s = _leading(spare, m, width) if j0 else full[:m]
+                targets = [_leading(buf, m, width) for buf in own] + [s]
+                full[:, zeroed:j0] = 0.0
+                zeroed = j0
+            s = targets[-1]
             np.subtract(L2[j0:], c, out=s)
-            below = L[j0:j1] < lo
+            edge = L[j0:j1]
+            below = np.less(edge, lo, out=_empty_mask(m, j1 - j0, atom_rows))
             np.copyto(s[:, : j1 - j0], 1.0, where=below)
             np.sqrt(s, out=s)
-            if j0:
-                block[:, :j0] = 0.0
-            targets = [_leading(buf, m, width) for buf in own] + [s]
             for kernel, t, out in zip(kernels, targets, outs):
                 kernel.atom(S[j0:], L[j0:], s, c, t)
-                outside = below if kernel.closed else L[j0:j1] <= lo
+                outside = below if kernel.closed else np.less_equal(
+                    edge, lo, out=_empty_mask(m, j1 - j0, atom_rows)
+                )
                 np.copyto(t[:, : j1 - j0], 0.0, where=outside)
-                if j0:
-                    block[:, j0:] = t
-                np.sum(block if j0 else t, axis=1, out=out[rows])
+                if not atom_rows:
+                    if j0:
+                        full[:m, j0:] = t
+                    np.sum(full[:m] if j0 else t, axis=1, out=out[rows])
+            if atom_rows:
+                _lane_sum(tiles[:, :, :m], j0, outs[:, rows])
     for pa, pb, rho in mu.pieces:
         top = np.clip(lower, pa, pb)
         for kernel, out in zip(kernels, outs):

@@ -132,6 +132,18 @@ class TestTailKernel:
             cells = kernel.cell(np.full(c0.shape, x), np.full(c0.shape, x), c0)
         assert cells.tolist() == [0.0] * c0.size
 
+    def test_narrow_cells_keep_their_digits(self):
+        # each cell's integrals against 60-digit values (NARROW_CELLS, made
+        # by narrow_cell_table below): a bracket of O(1) terms would lose
+        # digits as lo / width, up to 3e-7 relative at widths of 1e-8 lo
+        lo, hi, c0, volume, rate, log = map(np.array, zip(*NARROW_CELLS))
+        for got, want, bound in (
+            (OIL_VOLUME.cell(lo, hi, c0), volume, 1e-11),
+            (OIL_RATE.cell(lo, hi, c0), rate, 2e-15),
+            (measures._PIECE_PREFIX[-1](hi, lo), log, 2e-15),
+        ):
+            assert np.all(np.abs(got / want - 1.0) <= bound)
+
     def test_piece_matches_gauss_legendre(self):
         # closed antiderivative vs 16-point Gauss-Legendre per piece, 1e-10.
         # A single panel only resolves pieces of moderate width; wider pieces
@@ -169,6 +181,139 @@ class TestTailKernel:
             )
             closed = oil_tail(mu, a, kappa)
             assert closed == pytest.approx(ref, abs=max(1e-10, 10 * err))
+
+
+def narrow_cell_table():
+    """Rows (lo, hi, c0, volume, rate, log) of NARROW_CELLS: the integrals
+    of y - sqrt(y^2 - c0) and of 1/sqrt(y^2 - c0) over [lo, hi], and
+    ln(hi / lo), to 60 digits with lo, hi and c0 taken as exact.  Widths
+    from 1e-8 to 10 of lo; the limit alpha at lo, where the root is
+    smallest, or at lo / 2.  Print them with
+    PYTHONPATH=src python tests/test_measures.py (needs mpmath)."""
+    import mpmath as mp
+
+    mp.mp.dps = 60
+    rows = []
+    for lo in (1e-3, 1.0, 7e2):
+        for width in (1e-8, 1e-6, 1e-3, 10.0):
+            for kappa, at in ((1e-6, 1.0), (0.005, 1.0), (0.5, 0.5), (0.999, 1.0)):
+                hi = lo * (1.0 + width)
+                c0 = (1.0 - kappa * kappa) * (at * lo) ** 2
+                x, y, c = mp.mpf(lo), mp.mpf(hi), mp.mpf(c0)
+
+                def root(v):
+                    return mp.sqrt(v * v - c)
+
+                def volume(v):
+                    return v * v / 2 - (v * root(v) - c * mp.log(v + root(v))) / 2
+
+                rows.append((
+                    lo, hi, c0, float(volume(y) - volume(x)),
+                    float(mp.log((y + root(y)) / (x + root(x)))), float(mp.log(y / x)),
+                ))
+    return rows
+
+
+NARROW_CELLS = [
+    # (lo, hi, c0,
+    #  volume, rate, log)
+    (0.001, 0.00100000001, 9.99999999999e-07,
+     9.999057130625746e-15, 0.0001404248867197338, 9.999999910041973e-09),
+    (0.001, 0.00100000001, 9.99975e-07,
+     9.949990011574601e-15, 1.999600151924637e-06, 9.999999910041973e-09),
+    (0.001, 0.00100000001, 1.875e-07,
+     9.861218019296589e-16, 1.1094003811904338e-08, 9.999999910041973e-09),
+    (0.001, 0.00100000001, 1.998999999999973e-09,
+     9.999999909991786e-18, 1.0010009919861683e-08, 9.999999910041973e-09),
+    (0.001, 0.001000001, 9.99999999999e-07,
+     9.990576900176725e-13, 0.0014132137933736205, 9.999994999076584e-07),
+    (0.001, 0.001000001, 9.99975e-07,
+     9.949017947377209e-13, 0.0001961524214660215, 9.999994999076584e-07),
+    (0.001, 0.001000001, 1.875e-07,
+     9.861212642471025e-14, 1.1093997096403235e-06, 9.999994999076584e-07),
+    (0.001, 0.001000001, 1.998999999999973e-09,
+     9.999994994071452e-16, 1.0010004994055637e-06, 9.999994999076584e-07),
+    (0.001, 0.001001, 9.99999999999e-07,
+     9.70681288540829e-10, 0.044716633614856525, 0.000999500333083449),
+    (0.001, 0.001001, 9.99975e-07,
+     9.701622403889214e-10, 0.03999644524134188, 0.000999500333083449),
+    (0.001, 0.001001, 1.875e-07,
+     9.855752356766858e-11, 0.0011087182965414484, 0.000999500333083449),
+    (0.001, 0.001001, 1.998999999999973e-09,
+     9.99499833416644e-13, 0.0010004998330834494, 0.000999500333083449),
+    (0.001, 0.011, 9.99999999999e-07,
+     1.2950036268524846e-06, 3.088968904840465, 2.3978952727983707),
+    (0.001, 0.011, 9.99975e-07,
+     1.2949650563186428e-06, 3.083982415308822, 2.3978952727983707),
+    (0.001, 0.011, 1.875e-07,
+     2.2709371843971748e-07, 2.448070780836189, 2.3978952727983707),
+    (0.001, 0.011, 1.998999999999973e-09,
+     2.3969441360824722e-09, 2.398391267649176, 2.3978952727983707),
+    (1.0, 1.00000001, 0.999999999999,
+     9.999057109814212e-09, 0.00014042490216217718, 9.999999889225291e-09),
+    (1.0, 1.00000001, 0.999975,
+     9.949989990862132e-09, 1.999600147766521e-06, 9.999999889225291e-09),
+    (1.0, 1.00000001, 0.1875,
+     9.861217998768806e-10, 1.1094003788810304e-08, 9.999999889225291e-09),
+    (1.0, 1.00000001, 0.001998999999999973,
+     9.999999889175107e-12, 1.0010009899024165e-08, 9.999999889225291e-09),
+    (1.0, 1.000001, 0.999999999999,
+     9.990576900280884e-07, 0.0014132138090705312, 9.999994999180668e-07),
+    (1.0, 1.000001, 0.999975,
+     9.949017947480838e-07, 0.00019615242146836038, 9.999994999180668e-07),
+    (1.0, 1.000001, 0.1875,
+     9.861212642573664e-08, 1.1093997096518707e-06, 9.999994999180668e-07),
+    (1.0, 1.000001, 0.001998999999999973,
+     9.999994994175537e-10, 1.0010004994159824e-06, 9.999994999180668e-07),
+    (1.0, 1.001, 0.999999999999,
+     0.0009706812885408047, 0.044716633630556245, 0.0009995003330834232),
+    (1.0, 1.001, 0.999975,
+     0.0009701622403888985, 0.03999644524134921, 0.0009995003330834232),
+    (1.0, 1.001, 0.1875,
+     9.855752356766601e-05, 0.0011087182965414195, 0.0009995003330834232),
+    (1.0, 1.001, 0.001998999999999973,
+     9.99499833416618e-07, 0.0010004998330834234, 0.0009995003330834232),
+    (1.0, 11.0, 0.999999999999,
+     1.2950036268524845, 3.088968904856166, 2.3978952727983707),
+    (1.0, 11.0, 0.999975,
+     1.294965056318643, 3.0839824153088307, 2.3978952727983707),
+    (1.0, 11.0, 0.1875,
+     0.22709371843971746, 2.448070780836189, 2.3978952727983707),
+    (1.0, 11.0, 0.001998999999999973,
+     0.0023969441360824724, 2.398391267649176, 2.3978952727983707),
+    (700.0, 700.000007, 489999.99999951,
+     0.004899538001214594, 0.00014042489944549966, 9.999999924752427e-09),
+    (700.0, 700.000007, 489987.75,
+     0.0048754951128436915, 1.999600154871217e-06, 9.999999924752427e-09),
+    (700.0, 700.000007, 91875.0,
+     0.00048319968365634163, 1.1094003828224123e-08, 9.999999924752427e-09),
+    (700.0, 700.000007, 979.5099999999868,
+     4.899999963104099e-06, 1.0010009934586865e-08, 9.999999924752427e-09),
+    (700.0, 700.0006999999999, 489999.99999951,
+     0.489538268110657, 0.001413213806079138, 9.999994999117227e-07),
+    (700.0, 700.0006999999999, 489987.75,
+     0.4875018794234711, 0.0001961524214673386, 9.999994999117227e-07),
+    (700.0, 700.0006999999999, 91875.0,
+     0.048319941948304405, 1.1093997096448324e-06, 9.999994999117227e-07),
+    (700.0, 700.0006999999999, 979.5099999999868,
+     0.0004899997547114927, 1.001000499409632e-06, 9.999994999117227e-07),
+    (700.0, 700.6999999999999, 489999.99999951,
+     475.6338313850002, 0.04471663362756757, 0.0009995003330834358),
+    (700.0, 700.6999999999999, 489987.75,
+     475.3794977905667, 0.039996445241354185, 0.0009995003330834358),
+    (700.0, 700.6999999999999, 91875.0,
+     48.29318654815696, 0.0011087182965414336, 0.0009995003330834358),
+    (700.0, 700.6999999999999, 979.5099999999868,
+     0.4897549183741491, 0.0010004998330834362, 0.0009995003330834358),
+    (700.0, 7700.0, 489999.99999951,
+     634551.7771577174, 3.088968904853177, 2.3978952727983707),
+    (700.0, 7700.0, 489987.75,
+     634532.877596135, 3.083982415308836, 2.3978952727983707),
+    (700.0, 7700.0, 91875.0,
+     111275.92203546155, 2.448070780836189, 2.3978952727983707),
+    (700.0, 7700.0, 979.5099999999868,
+     1174.5026266804114, 2.398391267649176, 2.3978952727983707),
+]
 
 
 class TestScale:
@@ -382,6 +527,16 @@ class TestTailIntegral:
                 for kappa, bound in ((KAPPA_MIN, "min"), (KAPPA_MAX, "max"))
                 for cells, n, m in ((None, 1000, 100), (64, 20, 10), (16, 40, 5))
             ),
+            # atom counts around the 8 lanes and the 128-term leaf of the
+            # atoms-major sums, and 129, the first past it; blocks of 256
+            # cells start their live atoms at many counts not a multiple
+            # of 8, and so do the on-atom limits
+            *(
+                pytest.param(cells, n, 60, lower, 0.5, id=f"{cells}-{n}-60-{lower}")
+                for n in (1, 7, 8, 9, 17, 127, 128, 129)
+                for cells in (None, 256)
+                for lower in ("ascending", "unsorted", "on_atoms")
+            ),
         ],
     )
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
@@ -421,21 +576,43 @@ class TestTailIntegral:
         assert np.array_equal(got, tail_integral(mu, (kernel,), 0.5, alphas)[0])
         assert sum(cells) <= 0.6 * n_atoms * n_alphas
 
+    def test_lane_sum_is_np_sum(self):
+        # the atoms-major sums add each column in the order np.sum adds a
+        # contiguous row of it, for every atom count they take; terms over
+        # 16 decades make any other order show in the bits, and the rows
+        # below the first live atom hold NaN, which must not be read
+        rng = np.random.default_rng(8)
+        for n in range(1, measures._PAIRWISE_LEAF + 1):
+            for m in (1, 5, 64):
+                for j0 in {0, 1, 7, n // 2, n - 9, n - 1} & set(range(n)):
+                    terms = rng.uniform(0.0, 1.0, (2, n, m))
+                    terms *= 10.0 ** rng.integers(-8, 8, (2, n, 1))
+                    terms[:, :j0] = 0.0
+                    tiles = terms.copy()
+                    tiles[:, :j0] = np.nan
+                    out = np.empty((2, m))
+                    measures._lane_sum(tiles, j0, out)
+                    for got, tile in zip(out, terms):
+                        want = np.sum(np.ascontiguousarray(tile.T), axis=1)
+                        assert np.array_equal(got, want), (n, m, j0)
+
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
     def test_blocks_reuse_the_thread_buffers(self, kernels):
-        # 50 atoms x 2001 alphas is four blocks of 256 KB per float array; a
+        # 2001 alphas make four blocks of 256 KB per float array at 50
+        # atoms and eight at 128, the most atoms laid out atoms-major; a
         # warm call fills them in place, so only the results, the masks and
         # numpy's iterator buffers are new (fresh temporaries peak >1 MB)
-        mu = random_atom_measure(np.random.default_rng(5), 50)
         alphas = np.linspace(0.0, 10.0, 2001)
-        tail_integral(mu, kernels, 0.5, alphas)
-        tracemalloc.start()
-        try:
+        for n_atoms in (50, 128):
+            mu = random_atom_measure(np.random.default_rng(5), n_atoms)
             tail_integral(mu, kernels, 0.5, alphas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**19
+            tracemalloc.start()
+            try:
+                tail_integral(mu, kernels, 0.5, alphas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**19, n_atoms
 
     def test_threads_keep_their_own_buffers(self):
         # more workers than cores and frequent switches: a buffer shared
@@ -537,3 +714,9 @@ class TestPrefixIntegral:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ArgumentError):
                 prefix_integral(ATOM_11, 0, np.array([1.0, bad]))
+
+
+if __name__ == "__main__":
+    for row in narrow_cell_table():
+        values = [repr(v) for v in row]
+        print(f"    ({', '.join(values[:3])},\n     {', '.join(values[3:])}),")
