@@ -32,15 +32,21 @@ sums as one leaf of its pairwise sum (8 lanes, then the rest in turn),
 a block is laid out atoms-major, so each ufunc runs long loops over the
 alphas, and the lanes are added across the atom rows; past 128 the
 pairwise order recurses, and a block holds full rows of atoms that
-np.sum adds itself.  The buffers take 256 KB per kernel in the first
-layout and one more in the second: a cold call at 2001 alphas peaked at
-0.42 MB (0.70 MB with both kernels) at 50 and at 128 atoms, and at
-0.67 MB (0.94 MB) from 129 to 1000 atoms (tracemalloc).  That row-block
-rule, row_blocks, is the package's only one: the operator's cells are
-evaluated over it too, in the same per-thread buffers (_block_buffers),
-and the tube simulation writes its blocks straight into its result.
+np.sum adds itself.  From about 1e3 atoms on, where perfbench's
+forward_bulk runs, that second layout is also the faster one:
+atoms-major tiles cut into np.sum's leaves ran 1.2-1.3x slower at 3000
+atoms and 1.4-1.6x at 8000-10000 (2001 alphas, NumPy 2.4.6).  The
+buffers take 256 KB per kernel in the first layout and one more in the
+second: a cold call at 2001 alphas peaked at 0.43 MB (0.71 MB with both
+kernels) at 50 atoms, 0.42 MB (0.69 MB) at 128, and 0.67 MB (0.93-0.94
+MB) from 129 to 1000 atoms (tracemalloc, MB of 2^20 bytes).  That
+row-block rule, row_blocks, is the package's only one: the operator's
+cells are evaluated over it too, in the same per-thread buffers
+(_block_buffers), and the tube simulation writes its blocks straight
+into its result.
 Pieces enter both integrals by their clipped limits, one bracket per
-cell, which stays accurate on a narrow cell (_root_step).
+cell, which stays accurate on a narrow cell; a tail call takes each
+piece's root step (_root_step) once, for all of its kernels.
 
 Interval conventions are half-open [a, b) throughout, so an atom sitting
 exactly on a boundary is bucketed unambiguously.
@@ -232,10 +238,11 @@ class TailKernel(NamedTuple):
 
     atom(w, y, s, c0, out) writes w k(y; c0) into out, given the root
     s = sqrt(y^2 - c0), and leaves s alone unless out is s;
-    cell(lo, hi, c0) integrates k over [lo, hi], and is exactly 0 on an
-    empty cell lo == hi for any finite c0 >= 0, which is how a piece
-    outside the tail adds nothing; closed says whether an atom exactly at
-    the lower limit lies in the tail.
+    cell(step, c0) integrates k over [lo, hi], given the root step
+    (r_lo, r_hi, u) = _root_step(lo, hi, c0), which the kernels of a
+    call share; it is exactly 0 on an empty cell lo == hi for any finite
+    c0 >= 0, which is how a piece outside the tail adds nothing; closed
+    says whether an atom exactly at the lower limit lies in the tail.
     """
 
     atom: Callable
@@ -277,18 +284,19 @@ def _root_step(lo, hi, c0):
     return r_lo, hi + s_hi, (hi - lo) * (1.0 + q) / r_lo
 
 
-def _oil_volume_cell(lo, hi, c0):
-    """Integral of y - sqrt(y^2 - c0) over [lo, hi], for lo^2 >= c0 >= 0.
+def _oil_volume_cell(step, c0):
+    """Integral of y - sqrt(y^2 - c0) over [lo, hi], for lo^2 >= c0 >= 0,
+    given step = (r_lo, r_hi, u) = _root_step(lo, hi, c0).
 
     The bracket of the antiderivative c0/2 (y / r + ln r), the stable form
-    of y^2/2 - [y sqrt(y^2 - c0) - c0 ln r]/2, with r and u of _root_step.
+    of y^2/2 - [y sqrt(y^2 - c0) - c0 ln r]/2.
     Since y / r = 1/2 + c0 / (2 r^2), hi / r_hi - lo / r_lo is
     -c0 (r_hi - r_lo)(r_hi + r_lo) / (2 r_hi^2 r_lo^2), taken as the
     product of c0 / (r_hi r_lo) <= 1, u and (r_hi + r_lo) / (2 r_hi) < 1:
     no term cancels on a narrow cell or overflows, and an empty cell
     gives exactly 0.
     """
-    r_lo, r_hi, u = _root_step(lo, hi, c0)
+    r_lo, r_hi, u = step
     steps = c0 / r_hi / r_lo * u * ((r_hi + r_lo) / (2.0 * r_hi))
     return 0.5 * c0 * (np.log1p(u) - steps)
 
@@ -305,7 +313,7 @@ OIL_VOLUME = TailKernel(
 
 OIL_RATE = TailKernel(
     atom=lambda w, y, s, c0, out: np.divide(w, s, out=out),
-    cell=lambda lo, hi, c0: np.log1p(_root_step(lo, hi, c0)[2]),
+    cell=lambda step, c0: np.log1p(step[2]),
     closed=False,
 )
 
@@ -328,14 +336,6 @@ def _block_buffers(rows, cols, count=1):
 def _leading(buf, rows, cols):
     """A contiguous (rows, cols) array on the first cells of buf."""
     return buf.ravel()[: rows * cols].reshape(rows, cols)
-
-
-def _empty_mask(rows, cols, atom_rows):
-    """An empty (rows, cols) bool array of (limit, atom) cells, laid out
-    atoms-major if atom_rows, so that it iterates like the tiles."""
-    if atom_rows:
-        return np.empty((cols, rows), bool).T
-    return np.empty((rows, cols), bool)
 
 
 def _lane_sum(tiles, j0, out):
@@ -396,19 +396,23 @@ def tail_integral(mu, kernels, kappa, lower):
     instead of one per limit over a few atoms, and _lane_sum adds the
     atom rows in the order np.sum takes over a row of at most 128 terms,
     which it sums as one leaf of its pairwise sum.  Past 128 that order
-    recurses, so the block is row-major: the live columns are evaluated
-    in one contiguous buffer and copied behind the dead prefix of a
-    block of full rows, which np.sum adds whole.  That prefix keeps its
-    zeros from block to block, so only the columns between the last
-    block's j0 and this one's are zeroed.  The evaluation writes into
-    (limit, atom) views of either layout, and the masks are laid out
-    like them, so the root, the masks and the kernels are one code path.
+    recurses, and from about 1e3 atoms full rows are also the faster
+    layout (see the module docstring), so the block is row-major: the
+    live columns are evaluated in one contiguous buffer and copied
+    behind the dead prefix of a block of full rows, which np.sum adds
+    whole.  That prefix keeps its zeros from block to block, so only the
+    columns between the last block's j0 and this one's are zeroed.  The
+    evaluation writes into (limit, atom) views of either layout, and
+    each mask is made empty_like its view, so it iterates like the view
+    and the root, the masks and the kernels are one code path.
 
     The kernels share the root of each block, masked to 1 below the
     limits.  Each kernel but the last writes into its own buffer and the
     last over the root, and each zeroes its own outside cells, so every
     cell and every row sum goes through the operations of a call with
-    that kernel alone and gets its bits.  Each block is computed in place
+    that kernel alone and gets its bits.  A density piece adds, per
+    limit, each kernel's cell over the limit clipped to the piece, all
+    from one _root_step per piece.  Each block is computed in place
     in _block_buffers: with fresh 256 KB temporaries per step, glibc
     trimmed the heap top after a block and faulted it back in for the
     next, so the time of a sensitivity trial followed the host's
@@ -456,13 +460,13 @@ def tail_integral(mu, kernels, kappa, lower):
             s = targets[-1]
             np.subtract(L2[j0:], c, out=s)
             edge = L[j0:j1]
-            below = np.less(edge, lo, out=_empty_mask(m, j1 - j0, atom_rows))
+            below = np.less(edge, lo, out=np.empty_like(s[:, : j1 - j0], bool))
             np.copyto(s[:, : j1 - j0], 1.0, where=below)
             np.sqrt(s, out=s)
             for kernel, t, out in zip(kernels, targets, outs):
                 kernel.atom(S[j0:], L[j0:], s, c, t)
                 outside = below if kernel.closed else np.less_equal(
-                    edge, lo, out=_empty_mask(m, j1 - j0, atom_rows)
+                    edge, lo, out=np.empty_like(below)
                 )
                 np.copyto(t[:, : j1 - j0], 0.0, where=outside)
                 if not atom_rows:
@@ -472,9 +476,9 @@ def tail_integral(mu, kernels, kappa, lower):
             if atom_rows:
                 _lane_sum(tiles[:, :, :m], j0, outs[:, rows])
     for pa, pb, rho in mu.pieces:
-        top = np.clip(lower, pa, pb)
+        step = _root_step(np.clip(lower, pa, pb), pb, c0)
         for kernel, out in zip(kernels, outs):
-            out += rho * kernel.cell(top, pb, c0)
+            out += rho * kernel.cell(step, c0)
     return [out.reshape(shape) for out in outs]
 
 

@@ -109,7 +109,8 @@ class TestTailKernel:
             total = float(np.sum(OIL_VOLUME.atom(w, y, s, c0, np.empty_like(s))))
             for pa, pb, rho in mu.pieces:
                 if pb > a:
-                    total += rho * float(OIL_VOLUME.cell(max(pa, a), pb, c0))
+                    step = measures._root_step(max(pa, a), pb, c0)
+                    total += rho * float(OIL_VOLUME.cell(step, c0))
             return total
 
         rng = np.random.default_rng(3)
@@ -129,7 +130,8 @@ class TestTailKernel:
         c0 = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0, 1.5]) * (x * x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = kernel.cell(np.full(c0.shape, x), np.full(c0.shape, x), c0)
+            lo = hi = np.full(c0.shape, x)
+            cells = kernel.cell(measures._root_step(lo, hi, c0), c0)
         assert cells.tolist() == [0.0] * c0.size
 
     def test_narrow_cells_keep_their_digits(self):
@@ -137,9 +139,10 @@ class TestTailKernel:
         # by narrow_cell_table below): a bracket of O(1) terms would lose
         # digits as lo / width, up to 3e-7 relative at widths of 1e-8 lo
         lo, hi, c0, volume, rate, log = map(np.array, zip(*NARROW_CELLS))
+        step = measures._root_step(lo, hi, c0)
         for got, want, bound in (
-            (OIL_VOLUME.cell(lo, hi, c0), volume, 1e-11),
-            (OIL_RATE.cell(lo, hi, c0), rate, 2e-15),
+            (OIL_VOLUME.cell(step, c0), volume, 3e-12),
+            (OIL_RATE.cell(step, c0), rate, 2e-15),
             (measures._PIECE_PREFIX[-1](hi, lo), log, 2e-15),
         ):
             assert np.all(np.abs(got / want - 1.0) <= bound)
@@ -578,23 +581,53 @@ class TestTailIntegral:
 
     def test_lane_sum_is_np_sum(self):
         # the atoms-major sums add each column in the order np.sum adds a
-        # contiguous row of it, for every atom count they take; terms over
-        # 16 decades make any other order show in the bits, and the rows
-        # below the first live atom hold NaN, which must not be read
+        # contiguous row of it, for every atom count they take and for the
+        # tiles of one kernel and of two, the shapes tail_integral passes;
+        # terms over 16 decades make any other order show in the bits, and
+        # the rows below the first live atom hold NaN, which must not be read
         rng = np.random.default_rng(8)
         for n in range(1, measures._PAIRWISE_LEAF + 1):
-            for m in (1, 5, 64):
-                for j0 in {0, 1, 7, n // 2, n - 9, n - 1} & set(range(n)):
-                    terms = rng.uniform(0.0, 1.0, (2, n, m))
-                    terms *= 10.0 ** rng.integers(-8, 8, (2, n, 1))
-                    terms[:, :j0] = 0.0
-                    tiles = terms.copy()
-                    tiles[:, :j0] = np.nan
-                    out = np.empty((2, m))
-                    measures._lane_sum(tiles, j0, out)
-                    for got, tile in zip(out, terms):
-                        want = np.sum(np.ascontiguousarray(tile.T), axis=1)
-                        assert np.array_equal(got, want), (n, m, j0)
+            for k in (1, 2):
+                for m in (1, 5, 64):
+                    for j0 in {0, 1, 7, n // 2, n - 9, n - 1} & set(range(n)):
+                        terms = rng.uniform(0.0, 1.0, (k, n, m))
+                        terms *= 10.0 ** rng.integers(-8, 8, (k, n, 1))
+                        terms[:, :j0] = 0.0
+                        tiles = terms.copy()
+                        tiles[:, :j0] = np.nan
+                        out = np.empty((k, m))
+                        measures._lane_sum(tiles, j0, out)
+                        for got, tile in zip(out, terms):
+                            want = np.sum(np.ascontiguousarray(tile.T), axis=1)
+                            assert np.array_equal(got, want), (n, k, m, j0)
+
+    @pytest.mark.parametrize("n_pieces", [1, 3])
+    @pytest.mark.parametrize("n_atoms", [0, 20], ids=["pieces", "pieces-atoms"])
+    def test_pieces_share_one_root_step(self, monkeypatch, n_pieces, n_atoms):
+        # both kernels of a call integrate a piece from one root step, and
+        # each gets the bits of a call with that kernel alone
+        rng = np.random.default_rng(n_pieces + n_atoms)
+        ends = np.sort(rng.uniform(1.0, 9.0, 2 * n_pieces)).tolist()
+        pieces = tuple(
+            (a, b, float(rho))
+            for a, b, rho in zip(ends[::2], ends[1::2], rng.uniform(0.5, 2.0, n_pieces))
+        )
+        mu = Measure(atoms=random_atom_measure(rng, n_atoms).atoms, pieces=pieces)
+        alphas = rng.permutation(np.linspace(0.0, 10.0, 101))
+        alone = [tail_integral(mu, (kernel,), 0.5, alphas)[0]
+                 for kernel in (OIL_VOLUME, OIL_RATE)]
+        calls = []
+        root_step = measures._root_step
+
+        def counted(*args):
+            calls.append(args)
+            return root_step(*args)
+
+        monkeypatch.setattr(measures, "_root_step", counted)
+        both = tail_integral(mu, (OIL_VOLUME, OIL_RATE), 0.5, alphas)
+        assert len(calls) == n_pieces
+        for got, want in zip(both, alone, strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
     def test_blocks_reuse_the_thread_buffers(self, kernels):
