@@ -676,8 +676,10 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     v_w_max and v_w_prime_max are V_w(alpha_max) and V_w'(alpha_max), as
     curve_readoff returns them.  h is evaluated in units of alpha_max, so
     no square of alpha_max can overflow, and alpha_max - R without
-    cancellation: with r2 = (1-kappa^2) (alpha/alpha_max)^2 and
-    rho = sqrt(1 - r2), gap = r2/(1+rho) = (alpha_max - R)/alpha_max and
+    cancellation: with u = alpha/alpha_max, r2 = (1-kappa^2) u^2 and
+    rho = R/alpha_max = sqrt((1 - u)(1 + u) + (kappa u)^2), formed from
+    its nonnegative parts so that no rounded 1 - kappa^2 is subtracted,
+    gap = r2/(1+rho) = (alpha_max - R)/alpha_max and
     h = kappa/(1-kappa^2) gap (alpha_max V_w' + gap/rho V_w).
     """
     kappa = check_kappa(kappa)
@@ -689,7 +691,7 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     c = 1.0 - kappa * kappa
     u = a / alpha_max
     r2 = c * u * u
-    rho = np.sqrt(1.0 - r2)
+    rho = np.sqrt((1.0 - u) * (1.0 + u) + (kappa * u) ** 2)
     gap = r2 / (1.0 + rho)
     return kappa / c * gap * (alpha_max * v_w_prime_max + gap / rho * v_w_max)
 

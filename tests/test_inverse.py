@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import fractions
 import math
 import sys
 import threading
@@ -508,6 +509,18 @@ class TestH:
         h = h_of_alpha(vw, vwp, kappa, alpha_max, grid)
         assert np.max(np.abs(h / np.array(ref) - 1.0)) <= 1e-14
 
+    @pytest.mark.parametrize("kappa", [1e-6, 1.1e-6, 1.2e-6, 0.005, 0.5, 0.999])
+    def test_closed_form_at_alpha_max(self, kappa):
+        # R(alpha_max) = kappa alpha_max, so h(alpha_max) is
+        # kappa/(1+kappa) alpha_max V_w' + (1-kappa)/(1+kappa) V_w, here
+        # taken exactly; a rho of sqrt(1 - fl(1-kappa^2)) would keep only
+        # the last bits of kappa
+        vw, vwp, alpha_max = 30.0, 9.0, 10.0
+        k = fractions.Fraction(kappa)
+        want = float((k * alpha_max * vwp + (1 - k) * vw) / (1 + k))
+        got = h_of_alpha(vw, vwp, kappa, alpha_max, alpha_max)
+        assert abs(got / want - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("mu", [UNIFORM_PIECE, Measure(atoms=((4.0, 1.0), (7.0, 0.5)))],
                              ids=["piece", "atoms"])
     def test_v_does_not_depend_on_the_magnitude_of_alpha_max(self, mu):
@@ -561,12 +574,14 @@ class TestSolve:
 
     def test_small_kappa_recovery(self):
         # the regime where plain iteration needs thousands of sweeps, down
-        # to the smallest kappa check_kappa admits
-        for kappa in (1e-6, 0.005, 0.02):
+        # to the smallest kappa check_kappa admits; h is formed without a
+        # rounded 1 - kappa^2, which at kappa 1.1e-6 took the error to
+        # 1.3e-5 v_max
+        for kappa in (1e-6, 1.1e-6, 0.005, 0.02):
             curve = build_curve(UNIFORM_PIECE, kappa, 10.0, 4001)
             result = recover(curve, RecoveryConfig(n_grid=2001))
             truth = v_w_samples(UNIFORM_PIECE, kappa, result.grid)
-            assert np.max(np.abs(result.v - truth)) <= 1e-5 * curve.v_max
+            assert np.max(np.abs(result.v - truth)) <= 6e-6 * curve.v_max
 
     def test_deterministic(self):
         curve = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)

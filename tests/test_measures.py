@@ -109,7 +109,7 @@ class TestTailKernel:
             total = float(np.sum(OIL_VOLUME.atom(w, y, s, c0, np.empty_like(s))))
             for pa, pb, rho in mu.pieces:
                 if pb > a:
-                    step = measures._root_step(max(pa, a), pb, c0)
+                    step = measures._root_step(max(pa, a), pb, alpha, 0.5)
                     total += rho * float(OIL_VOLUME.cell(step, c0))
             return total
 
@@ -126,26 +126,39 @@ class TestTailKernel:
     @pytest.mark.parametrize("x", [1e-300, 1.0, 1e154])
     def test_empty_cell_is_exactly_zero(self, kernel, x):
         # a piece outside the tail integrates over an empty cell [x, x],
-        # for any c0 from 0 up to x^2 and, past the piece's end, above it
-        c0 = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0, 1.5]) * (x * x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lo = hi = np.full(c0.shape, x)
-            cells = kernel.cell(measures._root_step(lo, hi, c0), c0)
-        assert cells.tolist() == [0.0] * c0.size
+        # for any lower limit from 0 up to x and, past the piece's end,
+        # above it
+        lower = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0, 1.2]) * x
+        lo = hi = np.full(lower.shape, x)
+        for kappa in (KAPPA_MIN, 0.5, KAPPA_MAX):
+            c0 = (1.0 - kappa * kappa) * lower * lower
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cells = kernel.cell(measures._root_step(lo, hi, lower, kappa), c0)
+            assert cells.tolist() == [0.0] * lower.size
 
     def test_narrow_cells_keep_their_digits(self):
-        # each cell's integrals against 60-digit values (NARROW_CELLS, made
-        # by narrow_cell_table below): a bracket of O(1) terms would lose
-        # digits as lo / width, up to 3e-7 relative at widths of 1e-8 lo
-        lo, hi, c0, volume, rate, log = map(np.array, zip(*NARROW_CELLS))
-        step = measures._root_step(lo, hi, c0)
+        # each cell's integrals against 60-digit values of the model
+        # (NARROW_CELLS, made by narrow_cell_table below): a bracket of
+        # O(1) terms would lose digits as lo / width, up to 3e-7 relative
+        # at widths of 1e-8 lo
+        lo, hi, alpha, kappa, volume, rate, log = map(np.array, zip(*NARROW_CELLS))
+        c0 = (1.0 - kappa * kappa) * alpha * alpha
+        step = measures._root_step(lo, hi, alpha, kappa)
         for got, want, bound in (
             (OIL_VOLUME.cell(step, c0), volume, 3e-12),
             (OIL_RATE.cell(step, c0), rate, 2e-15),
             (measures._PIECE_PREFIX[-1](hi, lo), log, 2e-15),
         ):
             assert np.all(np.abs(got / want - 1.0) <= bound)
+        # and as the tail of the piece [lo, hi] above alpha <= lo: the root
+        # at lo is about kappa alpha, so one formed as lo^2 - fl(c0) would
+        # be off by up to eps / kappa^2 relative
+        for lo, hi, alpha, kappa, volume, rate, _ in NARROW_CELLS:
+            mu = Measure(pieces=((lo, hi, 1.0),))
+            got = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, np.array([alpha]))
+            for (value,), want, bound in zip(got, (volume, rate), (3e-12, 2e-15)):
+                assert abs(value / want - 1.0) <= bound, (lo, hi, alpha, kappa)
 
     def test_piece_matches_gauss_legendre(self):
         # closed antiderivative vs 16-point Gauss-Legendre per piece, 1e-10.
@@ -187,11 +200,12 @@ class TestTailKernel:
 
 
 def narrow_cell_table():
-    """Rows (lo, hi, c0, volume, rate, log) of NARROW_CELLS: the integrals
-    of y - sqrt(y^2 - c0) and of 1/sqrt(y^2 - c0) over [lo, hi], and
-    ln(hi / lo), to 60 digits with lo, hi and c0 taken as exact.  Widths
-    from 1e-8 to 10 of lo; the limit alpha at lo, where the root is
-    smallest, or at lo / 2.  Print them with
+    """Rows (lo, hi, alpha, kappa, volume, rate, log) of NARROW_CELLS: the
+    integrals of y - sqrt(y^2 - c0) and of 1/sqrt(y^2 - c0) over
+    [lo, hi], with c0 = (1-kappa^2) alpha^2, and ln(hi / lo), to 60
+    digits with lo, hi, alpha and kappa taken as exact.  Widths from 1e-8
+    to 10 of lo; the limit alpha at lo, where the root is smallest, or at
+    lo / 2.  Print them with
     PYTHONPATH=src python tests/test_measures.py (needs mpmath)."""
     import mpmath as mp
 
@@ -199,10 +213,13 @@ def narrow_cell_table():
     rows = []
     for lo in (1e-3, 1.0, 7e2):
         for width in (1e-8, 1e-6, 1e-3, 10.0):
-            for kappa, at in ((1e-6, 1.0), (0.005, 1.0), (0.5, 0.5), (0.999, 1.0)):
+            for kappa, at in (
+                (1e-6, 1.0), (1e-5, 1.0), (0.005, 1.0), (0.5, 0.5), (0.999, 1.0)
+            ):
                 hi = lo * (1.0 + width)
-                c0 = (1.0 - kappa * kappa) * (at * lo) ** 2
-                x, y, c = mp.mpf(lo), mp.mpf(hi), mp.mpf(c0)
+                alpha = at * lo
+                x, y = mp.mpf(lo), mp.mpf(hi)
+                c = (1 - mp.mpf(kappa) ** 2) * mp.mpf(alpha) ** 2
 
                 def root(v):
                     return mp.sqrt(v * v - c)
@@ -211,111 +228,135 @@ def narrow_cell_table():
                     return v * v / 2 - (v * root(v) - c * mp.log(v + root(v))) / 2
 
                 rows.append((
-                    lo, hi, c0, float(volume(y) - volume(x)),
+                    lo, hi, alpha, kappa, float(volume(y) - volume(x)),
                     float(mp.log((y + root(y)) / (x + root(x)))), float(mp.log(y / x)),
                 ))
     return rows
 
 
 NARROW_CELLS = [
-    # (lo, hi, c0,
+    # (lo, hi, alpha, kappa,
     #  volume, rate, log)
-    (0.001, 0.00100000001, 9.99999999999e-07,
-     9.999057130625746e-15, 0.0001404248867197338, 9.999999910041973e-09),
-    (0.001, 0.00100000001, 9.99975e-07,
-     9.949990011574601e-15, 1.999600151924637e-06, 9.999999910041973e-09),
-    (0.001, 0.00100000001, 1.875e-07,
+    (0.001, 0.00100000001, 0.001, 1e-06,
+     9.999057130626398e-15, 0.00014042489132665855, 9.999999910041973e-09),
+    (0.001, 0.00100000001, 0.001, 1e-05,
+     9.999050454438686e-15, 0.0001317744683902198, 9.999999910041973e-09),
+    (0.001, 0.00100000001, 0.001, 0.005,
+     9.949990011574741e-15, 1.9996001519303015e-06, 9.999999910041973e-09),
+    (0.001, 0.00100000001, 0.0005, 0.5,
      9.861218019296589e-16, 1.1094003811904338e-08, 9.999999910041973e-09),
-    (0.001, 0.00100000001, 1.998999999999973e-09,
-     9.999999909991786e-18, 1.0010009919861683e-08, 9.999999910041973e-09),
-    (0.001, 0.001000001, 9.99999999999e-07,
-     9.990576900176725e-13, 0.0014132137933736205, 9.999994999076584e-07),
-    (0.001, 0.001000001, 9.99975e-07,
-     9.949017947377209e-13, 0.0001961524214660215, 9.999994999076584e-07),
-    (0.001, 0.001000001, 1.875e-07,
+    (0.001, 0.00100000001, 0.001, 0.999,
+     9.999999909991931e-18, 1.0010009919861683e-08, 9.999999910041973e-09),
+    (0.001, 0.001000001, 0.001, 1e-06,
+     9.990576900176792e-13, 0.0014132137980100714, 9.999994999076584e-07),
+    (0.001, 0.001000001, 0.001, 1e-05,
+     9.990576203462298e-13, 0.0014042487993797753, 9.999994999076584e-07),
+    (0.001, 0.001000001, 0.001, 0.005,
+     9.949017947377346e-13, 0.00019615242146655643, 9.999994999076584e-07),
+    (0.001, 0.001000001, 0.0005, 0.5,
      9.861212642471025e-14, 1.1093997096403235e-06, 9.999994999076584e-07),
-    (0.001, 0.001000001, 1.998999999999973e-09,
-     9.999994994071452e-16, 1.0010004994055637e-06, 9.999994999076584e-07),
-    (0.001, 0.001001, 9.99999999999e-07,
-     9.70681288540829e-10, 0.044716633614856525, 0.000999500333083449),
-    (0.001, 0.001001, 9.99975e-07,
-     9.701622403889214e-10, 0.03999644524134188, 0.000999500333083449),
-    (0.001, 0.001001, 1.875e-07,
+    (0.001, 0.001000001, 0.001, 0.999,
+     9.999994994071598e-16, 1.0010004994055637e-06, 9.999994999076584e-07),
+    (0.001, 0.001001, 0.001, 1e-06,
+     9.706812885408292e-10, 0.044716633619496154, 0.000999500333083449),
+    (0.001, 0.001001, 0.001, 1e-05,
+     9.706812863276392e-10, 0.044707634727179424, 0.000999500333083449),
+    (0.001, 0.001001, 0.001, 0.005,
+     9.701622403889243e-10, 0.03999644524135448, 0.000999500333083449),
+    (0.001, 0.001001, 0.0005, 0.5,
      9.855752356766858e-11, 0.0011087182965414484, 0.000999500333083449),
-    (0.001, 0.001001, 1.998999999999973e-09,
-     9.99499833416644e-13, 0.0010004998330834494, 0.000999500333083449),
-    (0.001, 0.011, 9.99999999999e-07,
-     1.2950036268524846e-06, 3.088968904840465, 2.3978952727983707),
-    (0.001, 0.011, 9.99975e-07,
-     1.2949650563186428e-06, 3.083982415308822, 2.3978952727983707),
-    (0.001, 0.011, 1.875e-07,
+    (0.001, 0.001001, 0.001, 0.999,
+     9.994998334166585e-13, 0.0010004998330834494, 0.000999500333083449),
+    (0.001, 0.011, 0.001, 1e-06,
+     1.2950036268524846e-06, 3.088968904845105, 2.3978952727983707),
+    (0.001, 0.011, 0.001, 1e-05,
+     1.295003626699581e-06, 3.0889599048948106, 2.3978952727983707),
+    (0.001, 0.011, 0.001, 0.005,
+     1.294965056318643e-06, 3.083982415308836, 2.3978952727983707),
+    (0.001, 0.011, 0.0005, 0.5,
      2.2709371843971748e-07, 2.448070780836189, 2.3978952727983707),
-    (0.001, 0.011, 1.998999999999973e-09,
-     2.3969441360824722e-09, 2.398391267649176, 2.3978952727983707),
-    (1.0, 1.00000001, 0.999999999999,
-     9.999057109814212e-09, 0.00014042490216217718, 9.999999889225291e-09),
-    (1.0, 1.00000001, 0.999975,
-     9.949989990862132e-09, 1.999600147766521e-06, 9.999999889225291e-09),
-    (1.0, 1.00000001, 0.1875,
+    (0.001, 0.011, 0.001, 0.999,
+     2.3969441360825066e-09, 2.398391267649176, 2.3978952727983707),
+    (1.0, 1.00000001, 1.0, 1e-06,
+     9.999057109812659e-09, 0.00014042489117946607, 9.999999889225291e-09),
+    (1.0, 1.00000001, 1.0, 1e-05,
+     9.999050433624953e-09, 0.00013177446824339022, 9.999999889225291e-09),
+    (1.0, 1.00000001, 1.0, 0.005,
+     9.949989990862185e-09, 1.9996001477686296e-06, 9.999999889225291e-09),
+    (1.0, 1.00000001, 0.5, 0.5,
      9.861217998768806e-10, 1.1094003788810304e-08, 9.999999889225291e-09),
-    (1.0, 1.00000001, 0.001998999999999973,
-     9.999999889175107e-12, 1.0010009899024165e-08, 9.999999889225291e-09),
-    (1.0, 1.000001, 0.999999999999,
-     9.990576900280884e-07, 0.0014132138090705312, 9.999994999180668e-07),
-    (1.0, 1.000001, 0.999975,
-     9.949017947480838e-07, 0.00019615242146836038, 9.999994999180668e-07),
-    (1.0, 1.000001, 0.1875,
+    (1.0, 1.00000001, 1.0, 0.999,
+     9.99999988917525e-12, 1.0010009899024165e-08, 9.999999889225291e-09),
+    (1.0, 1.000001, 1.0, 1e-06,
+     9.990576900280727e-07, 0.0014132137980174314, 9.999994999180668e-07),
+    (1.0, 1.000001, 1.0, 1e-05,
+     9.990576203566234e-07, 0.001404248799387135, 9.999994999180668e-07),
+    (1.0, 1.000001, 1.0, 0.005,
+     9.949017947480888e-07, 0.00019615242146855952, 9.999994999180668e-07),
+    (1.0, 1.000001, 0.5, 0.5,
      9.861212642573664e-08, 1.1093997096518707e-06, 9.999994999180668e-07),
-    (1.0, 1.000001, 0.001998999999999973,
-     9.999994994175537e-10, 1.0010004994159824e-06, 9.999994999180668e-07),
-    (1.0, 1.001, 0.999999999999,
-     0.0009706812885408047, 0.044716633630556245, 0.0009995003330834232),
-    (1.0, 1.001, 0.999975,
-     0.0009701622403888985, 0.03999644524134921, 0.0009995003330834232),
-    (1.0, 1.001, 0.1875,
+    (1.0, 1.000001, 1.0, 0.999,
+     9.99999499417568e-10, 1.0010004994159824e-06, 9.999994999180668e-07),
+    (1.0, 1.001, 1.0, 1e-06,
+     0.0009706812885408042, 0.04471663361949557, 0.0009995003330834232),
+    (1.0, 1.001, 1.0, 1e-05,
+     0.0009706812863276143, 0.04470763472717884, 0.0009995003330834232),
+    (1.0, 1.001, 1.0, 0.005,
+     0.0009701622403888994, 0.0399964452413539, 0.0009995003330834232),
+    (1.0, 1.001, 0.5, 0.5,
      9.855752356766601e-05, 0.0011087182965414195, 0.0009995003330834232),
-    (1.0, 1.001, 0.001998999999999973,
-     9.99499833416618e-07, 0.0010004998330834234, 0.0009995003330834232),
-    (1.0, 11.0, 0.999999999999,
-     1.2950036268524845, 3.088968904856166, 2.3978952727983707),
-    (1.0, 11.0, 0.999975,
-     1.294965056318643, 3.0839824153088307, 2.3978952727983707),
-    (1.0, 11.0, 0.1875,
+    (1.0, 1.001, 1.0, 0.999,
+     9.994998334166325e-07, 0.0010004998330834234, 0.0009995003330834232),
+    (1.0, 11.0, 1.0, 1e-06,
+     1.2950036268524845, 3.088968904845105, 2.3978952727983707),
+    (1.0, 11.0, 1.0, 1e-05,
+     1.2950036266995808, 3.0889599048948106, 2.3978952727983707),
+    (1.0, 11.0, 1.0, 0.005,
+     1.294965056318643, 3.083982415308836, 2.3978952727983707),
+    (1.0, 11.0, 0.5, 0.5,
      0.22709371843971746, 2.448070780836189, 2.3978952727983707),
-    (1.0, 11.0, 0.001998999999999973,
-     0.0023969441360824724, 2.398391267649176, 2.3978952727983707),
-    (700.0, 700.000007, 489999.99999951,
-     0.004899538001214594, 0.00014042489944549966, 9.999999924752427e-09),
-    (700.0, 700.000007, 489987.75,
+    (1.0, 11.0, 1.0, 0.999,
+     0.0023969441360825066, 2.398391267649176, 2.3978952727983707),
+    (700.0, 700.000007, 700.0, 1e-06,
+     0.004899538001214039, 0.00014042489143067458, 9.999999924752427e-09),
+    (700.0, 700.000007, 700.0, 1e-05,
+     0.004899534729882056, 0.00013177446849397932, 9.999999924752427e-09),
+    (700.0, 700.000007, 700.0, 0.005,
      0.0048754951128436915, 1.999600154871217e-06, 9.999999924752427e-09),
-    (700.0, 700.000007, 91875.0,
+    (700.0, 700.000007, 350.0, 0.5,
      0.00048319968365634163, 1.1094003828224123e-08, 9.999999924752427e-09),
-    (700.0, 700.000007, 979.5099999999868,
-     4.899999963104099e-06, 1.0010009934586865e-08, 9.999999924752427e-09),
-    (700.0, 700.0006999999999, 489999.99999951,
-     0.489538268110657, 0.001413213806079138, 9.999994999117227e-07),
-    (700.0, 700.0006999999999, 489987.75,
+    (700.0, 700.000007, 700.0, 0.999,
+     4.8999999631041694e-06, 1.0010009934586865e-08, 9.999999924752427e-09),
+    (700.0, 700.0006999999999, 700.0, 1e-06,
+     0.48953826811065143, 0.0014132137980129454, 9.999994999117227e-07),
+    (700.0, 700.0006999999999, 700.0, 1e-05,
+     0.48953823397164126, 0.0014042487993826491, 9.999994999117227e-07),
+    (700.0, 700.0006999999999, 700.0, 0.005,
      0.4875018794234711, 0.0001961524214673386, 9.999994999117227e-07),
-    (700.0, 700.0006999999999, 91875.0,
+    (700.0, 700.0006999999999, 350.0, 0.5,
      0.048319941948304405, 1.1093997096448324e-06, 9.999994999117227e-07),
-    (700.0, 700.0006999999999, 979.5099999999868,
-     0.0004899997547114927, 1.001000499409632e-06, 9.999994999117227e-07),
-    (700.0, 700.6999999999999, 489999.99999951,
-     475.6338313850002, 0.04471663362756757, 0.0009995003330834358),
-    (700.0, 700.6999999999999, 489987.75,
+    (700.0, 700.0006999999999, 700.0, 0.999,
+     0.0004899997547114998, 1.001000499409632e-06, 9.999994999117227e-07),
+    (700.0, 700.6999999999999, 700.0, 1e-06,
+     475.633831385, 0.044716633619495856, 0.0009995003330834358),
+    (700.0, 700.6999999999999, 700.0, 1e-05,
+     475.633830300537, 0.044707634727179126, 0.0009995003330834358),
+    (700.0, 700.6999999999999, 700.0, 0.005,
      475.3794977905667, 0.039996445241354185, 0.0009995003330834358),
-    (700.0, 700.6999999999999, 91875.0,
+    (700.0, 700.6999999999999, 350.0, 0.5,
      48.29318654815696, 0.0011087182965414336, 0.0009995003330834358),
-    (700.0, 700.6999999999999, 979.5099999999868,
-     0.4897549183741491, 0.0010004998330834362, 0.0009995003330834358),
-    (700.0, 7700.0, 489999.99999951,
-     634551.7771577174, 3.088968904853177, 2.3978952727983707),
-    (700.0, 7700.0, 489987.75,
+    (700.0, 700.6999999999999, 700.0, 0.999,
+     0.48975491837415613, 0.0010004998330834362, 0.0009995003330834358),
+    (700.0, 7700.0, 700.0, 1e-06,
+     634551.7771577174, 3.088968904845105, 2.3978952727983707),
+    (700.0, 7700.0, 700.0, 1e-05,
+     634551.7770827946, 3.0889599048948106, 2.3978952727983707),
+    (700.0, 7700.0, 700.0, 0.005,
      634532.877596135, 3.083982415308836, 2.3978952727983707),
-    (700.0, 7700.0, 91875.0,
+    (700.0, 7700.0, 350.0, 0.5,
      111275.92203546155, 2.448070780836189, 2.3978952727983707),
-    (700.0, 7700.0, 979.5099999999868,
-     1174.5026266804114, 2.398391267649176, 2.3978952727983707),
+    (700.0, 7700.0, 700.0, 0.999,
+     1174.5026266804282, 2.398391267649176, 2.3978952727983707),
 ]
 
 
@@ -752,4 +793,4 @@ class TestPrefixIntegral:
 if __name__ == "__main__":
     for row in narrow_cell_table():
         values = [repr(v) for v in row]
-        print(f"    ({', '.join(values[:3])},\n     {', '.join(values[3:])}),")
+        print(f"    ({', '.join(values[:4])},\n     {', '.join(values[4:])}),")
