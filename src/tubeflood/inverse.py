@@ -553,13 +553,13 @@ class _Operator:
         A leaf solves its rows from the last up, in sub-blocks of
         _SWEEP_ROWS: the part of b from rows of earlier sub-blocks is one
         matrix-vector product, the rest a scalar sum.
-        Row i then reads V_i = G(b + d V_i) with d = M[i, i]: s - d G(s)
-        increases with s, so the segment of G holding s = b + d V_i is the
-        k with knot(k) <= b < knot(k+1), knot(k) = x_k - d g_k, and one
-        linear solve on it gives V_i.  k starts from the previous row's
-        segment, across leaves too, and walks to this row's; s moves
-        little from one row to the next, so the whole walk costs about one
-        pass over the curve.
+        Row i then reads V_i = G(b + d V_i) with d = M[i, i], read from
+        the sub-block's row that gives b.  s - d G(s) increases with s, so
+        the segment of G holding s = b + d V_i is the k with knot(k) <= b
+        < knot(k+1), knot(k) = x_k - d g_k, and one linear solve on it
+        gives V_i.  k starts from the previous row's segment, across
+        leaves too, and walks to this row's; s moves little from one row
+        to the next, so the whole walk costs about one pass over the curve.
         """
         xs, gs = x.tolist(), g.tolist()
         slope = (np.diff(g) / np.diff(x)).tolist()
@@ -572,7 +572,6 @@ class _Operator:
             if hi in by_mid:
                 rlo, top, U, V = by_mid[hi]
                 rhs[rlo:hi] += (V @ v[hi:top]) @ U
-            diag = L.diagonal().tolist()
             for i1 in range(hi - lo, 0, -_SWEEP_ROWS):
                 i0 = max(i1 - _SWEEP_ROWS, 0)
                 m = i1 - i0
@@ -584,7 +583,7 @@ class _Operator:
                     b = solved[r]
                     for j in range(r + 1, m):
                         b += row[j] * vb[j]
-                    d = diag[i0 + r]
+                    d = row[r]
                     while k >= 0 and b < xs[k] - d * gs[k]:
                         k -= 1
                     while k < last and xs[k + 1] - d * gs[k + 1] <= b:
@@ -795,14 +794,15 @@ def recover(curve, config=None):
     stages run under errors.overflow_guard, so a value of either that
     overflows a double (a tiny alpha_max) raises ArgumentError, and so
     does a scale below the normal doubles (a huge alpha_max), where both
-    would underflow to 0.
+    would underflow to 0; that one is checked first, before the operator
+    is built.
     """
     cfg = config or RecoveryConfig()
-    result = solve_fixed_point(curve, cfg)
     if curve.v_max / curve.alpha_max / curve.alpha_max < sys.float_info.min:
         raise ArgumentError(
             f"Phi and f at alpha_max={curve.alpha_max} underflow a double"
         )
+    result = solve_fixed_point(curve, cfg)
     grid, v, kappa = result.grid, result.v, result.kappa
     with overflow_guard(f"Phi or f at alpha_max={curve.alpha_max}"):
         start = time.perf_counter()

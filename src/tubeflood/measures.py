@@ -30,20 +30,21 @@ call with that kernel alone.  Every row of atoms is summed in the order
 np.sum takes over it.  Up to _PAIRWISE_LEAF = 128 atoms, which NumPy
 sums as one leaf of its pairwise sum (8 lanes, then the rest in turn),
 a block is laid out atoms-major, so each ufunc runs long loops over the
-alphas, and the lanes are added across the atom rows; past 128 the
-pairwise order recurses, and a block holds full rows of atoms that
-np.sum adds itself.  From about 1e3 atoms on, where perfbench's
-forward_bulk runs, that second layout is also the faster one:
-atoms-major tiles cut into np.sum's leaves ran 1.2-1.3x slower at 3000
-atoms and 1.4-1.6x at 8000-10000 (2001 alphas, NumPy 2.4.6).  The
-buffers take 256 KB per kernel in the first layout and one more in the
-second: a cold call at 2001 alphas peaked at 0.43 MB (0.71 MB with both
-kernels) at 50 atoms, 0.42 MB (0.69 MB) at 128, and 0.67 MB (0.93-0.94
-MB) from 129 to 1000 atoms (tracemalloc, MB of 2^20 bytes).  That
-row-block rule, row_blocks, is the package's only one: the operator's
-cells are evaluated over it too, in the same per-thread buffers
-(_block_buffers), and the tube simulation writes its blocks straight
-into its result.
+alphas, the atom rows are added into 8 lanes, and three strided in-place
+adds fold the lanes; past 128 the pairwise order recurses, and every
+block takes one path: each kernel's live cells are copied behind the
+zero prefix of a block of full rows of atoms, which np.sum adds whole.
+From about 1e3 atoms on, where perfbench's forward_bulk runs, that
+second layout is also the faster one: atoms-major tiles cut into
+np.sum's leaves ran 1.2-1.3x slower at 3000 atoms and 1.4-1.6x at
+8000-10000 (2001 alphas, NumPy 2.4.6).  The buffers take 256 KB per
+kernel in the first layout and one more in the second: a cold call at
+2001 alphas peaked at 0.43 MB (0.71 MB with both kernels) at 50 atoms,
+0.42 MB (0.69 MB) at 128, and 0.67 MB (0.93-0.94 MB) from 129 to 1000
+atoms (tracemalloc, MB of 2^20 bytes).  That row-block rule,
+row_blocks, is the package's only one: the operator's cells are
+evaluated over it too, in the same per-thread buffers (_block_buffers),
+and the tube simulation writes its blocks straight into its result.
 Pieces enter both integrals by their clipped limits, one bracket per
 cell; a tail call takes each piece's root step (_root_step) once, for
 all of its kernels.  Its roots are formed from nonnegative parts, with
@@ -345,7 +346,10 @@ def _lane_sum(tiles, j0, out):
     the terms past the last full 8 in turn.  Adding a zero changes no
     sum, so the lanes start at the 8-aligned row at or below j0, and a
     sum without lanes starts at row j0.  The lanes are summed in place,
-    in the tiles' rows.
+    in the tiles' rows, and folded by three strided adds: each even lane
+    takes the odd one after it, lanes 0 and 4 take lanes 2 and 6, and out
+    gets lane 0 plus lane 4.  Each add is elementwise, so the order is the
+    one above whatever the shape, where a reduce would leave it to NumPy.
     """
     n = tiles.shape[1]
     head = n - n % 8   # the rows summed in lanes; none below 8 rows
@@ -355,11 +359,9 @@ def _lane_sum(tiles, j0, out):
         lanes[:, : j0 - first] = 0.0
         for q in range(first + 8, head, 8):
             np.add(lanes, tiles[:, q : q + 8], out=lanes)
-        lane = list(lanes.swapaxes(0, 1))
-        for step in (1, 2):
-            for k in range(0, 8, 2 * step):
-                np.add(lane[k], lane[k + step], out=lane[k])
-        np.add(lane[0], lane[4], out=out)
+        np.add(lanes[:, 0::2], lanes[:, 1::2], out=lanes[:, 0::2])
+        np.add(lanes[:, 0::4], lanes[:, 2::4], out=lanes[:, 0::4])
+        np.add(lanes[:, 0], lanes[:, 4], out=out)
         rest = range(head, n)
     else:
         np.copyto(out, tiles[:, j0])
@@ -394,14 +396,15 @@ def tail_integral(mu, kernels, kappa, lower):
     atom rows in the order np.sum takes over a row of at most 128 terms,
     which it sums as one leaf of its pairwise sum.  Past 128 that order
     recurses, and from about 1e3 atoms full rows are also the faster
-    layout (see the module docstring), so the block is row-major: the
-    live columns are evaluated in one contiguous buffer and copied
-    behind the dead prefix of a block of full rows, which np.sum adds
-    whole.  That prefix keeps its zeros from block to block, so only the
-    columns between the last block's j0 and this one's are zeroed.  The
-    evaluation writes into (limit, atom) views of either layout, and
-    each mask is made empty_like its view, so it iterates like the view
-    and the root, the masks and the kernels are one code path.
+    layout (see the module docstring), so the block is row-major: each
+    kernel's live columns are evaluated in a contiguous buffer of its own
+    and copied behind the dead prefix of one block of full rows, which
+    np.sum adds whole, on every block alike.  That prefix keeps its zeros
+    from block to block, so only the columns between the last block's j0
+    and this one's are zeroed.  The evaluation writes into (limit, atom)
+    views of either layout, and each mask is made empty_like its view, so
+    it iterates like the view and the root, the masks and the kernels are
+    one code path.
 
     The kernels share the root of each block, masked to 1 below the
     limits.  Each kernel but the last writes into its own buffer and the
@@ -437,8 +440,8 @@ def tail_integral(mu, kernels, kappa, lower):
         atom_rows = n <= _PAIRWISE_LEAF
         if atom_rows:   # an (atom, limit) tile per kernel, the last the root's
             tiles = _block_buffers(n, m0, len(kernels))
-        else:   # full rows, one buffer per kernel but the last, the root's
-            full, *own, spare = _block_buffers(m0, n, len(kernels) + 1)
+        else:   # full rows, and one buffer per kernel, the last the root's
+            full, *bufs = _block_buffers(m0, n, len(kernels) + 1)
             zeroed = 0   # full's columns below this are 0 on every row
         for rows, j0, j1 in zip(blocks, j0s.tolist(), j1s.tolist()):
             if j0 == n:
@@ -450,8 +453,7 @@ def tail_integral(mu, kernels, kappa, lower):
             if atom_rows:
                 targets = [tile[j0:, :m].T for tile in tiles]
             else:
-                s = _leading(spare, m, width) if j0 else full[:m]
-                targets = [_leading(buf, m, width) for buf in own] + [s]
+                targets = [_leading(buf, m, width) for buf in bufs]
                 full[:, zeroed:j0] = 0.0
                 zeroed = j0
             s = targets[-1]
@@ -467,9 +469,8 @@ def tail_integral(mu, kernels, kappa, lower):
                 )
                 np.copyto(t[:, : j1 - j0], 0.0, where=outside)
                 if not atom_rows:
-                    if j0:
-                        full[:m, j0:] = t
-                    np.sum(full[:m] if j0 else t, axis=1, out=out[rows])
+                    full[:m, j0:] = t
+                    np.sum(full[:m], axis=1, out=out[rows])
             if atom_rows:
                 _lane_sum(tiles[:, :, :m], j0, outs[:, rows])
     for pa, pb, rho in mu.pieces:

@@ -828,6 +828,17 @@ class TestRecoverPipeline:
         with pytest.raises(ArgumentError, match="overflows a double"):
             recover(curve, RecoveryConfig(n_grid=301, alpha_min=alpha_min))
 
+    def test_underflow_is_rejected_before_the_operator(self, monkeypatch):
+        # v_max / alpha_max^2 below the normal doubles at alpha_max 1e200:
+        # recover refuses before it builds or sweeps the operator
+        def build(n, kappa):
+            raise AssertionError("the operator was built")
+
+        monkeypatch.setattr(inverse, "_unit_t_matrix", build)
+        built = build_curve(UNIFORM_PIECE, 0.5, 10.0, 801)
+        curve = DisplacementCurve(x=built.x, g=built.g, alpha_max=1e200, kappa=0.5)
+        with pytest.raises(ArgumentError, match="underflow a double"):
+            recover(curve, RecoveryConfig(n_grid=301))
 
     def test_density_scales_as_one_over_alpha_max_squared(self):
         # scaling the alpha axis by s scales f by 1 / s^2; in units of alpha
