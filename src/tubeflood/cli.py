@@ -49,9 +49,10 @@ def _write_csv(dest, header, columns):
 
 
 def _load_json(path):
-    """The JSON object of a UTF-8 config file; ArgumentError otherwise."""
+    """The JSON object of a UTF-8 config file, with or without a byte-order
+    mark; ArgumentError otherwise."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             config = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
@@ -123,14 +124,15 @@ def _required(config, key, flag_value, cast=_number):
 def read_curve_csv(path, kappa, alpha_max):
     """Load a displacement curve from CSV columns (total, water | Vw).
 
-    The file must be UTF-8 text.  Blank lines are dropped and the columns found by name in the header;
+    The file must be UTF-8 text; a leading byte-order mark is dropped.
+    Blank lines are dropped and the columns found by name in the header;
     np.loadtxt parses the rows, so a '#' in a row or a literal only Python
     reads (1_000) is a malformed row.  Re-validates every curve invariant on
     ingestion; a curve that breaks one is bad input (ArgumentError), not a
     broken internal invariant.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc

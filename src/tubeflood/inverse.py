@@ -95,8 +95,9 @@ _PAGE = 16
 
 # _cells makes some 15 temporaries per call, so its calls take row blocks
 # of a third of the cells: a temporary then stays under 128 KiB, glibc's
-# default threshold for fresh pages per allocation (with 16384-cell calls
-# the leaves alone faulted in 620 pages per build).
+# default threshold for fresh pages per allocation.  With whole-block calls
+# (_CELL_WORK = 1) a build at n_grid 2001 took 1877 minor faults against
+# 711, and a fresh process ran a median 15% slower.
 _CELL_WORK = 3
 
 # The closed forms square node indices, exactly in doubles only below 2^26.
@@ -554,15 +555,19 @@ class _Operator:
         _SWEEP_ROWS: the part of b from rows of earlier sub-blocks is one
         matrix-vector product, the rest a scalar sum.
         Row i then reads V_i = G(b + d V_i) with d = M[i, i], read from
-        the sub-block's row that gives b.  s - d G(s) increases with s, so
-        the segment of G holding s = b + d V_i is the k with knot(k) <= b
-        < knot(k+1), knot(k) = x_k - d g_k, and one linear solve on it
-        gives V_i.  k starts from the previous row's segment, across
-        leaves too, and walks to this row's; s moves little from one row
-        to the next, so the whole walk costs about one pass over the curve.
+        the sub-block's row that gives b.  The knot lists start with
+        (x_0, g_0) twice and the slopes s_k have a 0 at each end, so
+        segment 0 is the flat ray below x_0 and segment last the flat ray
+        past x_last.  s - d G(s) increases with s, so the segment of G
+        holding s = b + d V_i is the k with knot(k) <= b < knot(k+1),
+        knot(k) = x_k - d g_k, and every row takes the one linear solve
+        V_i = g_k + s_k (b - knot(k)) / (1 - d s_k).  k starts from the
+        previous row's segment, across leaves too, and walks to this row's;
+        s moves little from one row to the next, so the whole walk costs
+        about one pass over the curve.
         """
-        xs, gs = x.tolist(), g.tolist()
-        slope = (np.diff(g) / np.diff(x)).tolist()
+        xs, gs = x[:1].tolist() + x.tolist(), g[:1].tolist() + g.tolist()
+        slope = [0.0] + (np.diff(g) / np.diff(x)).tolist() + [0.0]
         last = len(xs) - 1
         rhs = np.array(h, dtype=float)
         v = np.zeros(self.n)
@@ -584,17 +589,12 @@ class _Operator:
                     for j in range(r + 1, m):
                         b += row[j] * vb[j]
                     d = row[r]
-                    while k >= 0 and b < xs[k] - d * gs[k]:
+                    while k > 0 and b < xs[k] - d * gs[k]:
                         k -= 1
                     while k < last and xs[k + 1] - d * gs[k + 1] <= b:
                         k += 1
-                    if k < 0:            # G is constant outside [0, v_max]
-                        vb[r] = gs[0]
-                    elif k == last:
-                        vb[r] = gs[last]
-                    else:
-                        knot = xs[k] - d * gs[k]
-                        vb[r] = gs[k] + slope[k] * (b - knot) / (1.0 - d * slope[k])
+                    knot = xs[k] - d * gs[k]
+                    vb[r] = gs[k] + slope[k] * (b - knot) / (1.0 - d * slope[k])
                 v[lo + i0:lo + i1] = vb
         return v
 
@@ -682,10 +682,10 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     h = kappa/(1-kappa^2) gap (alpha_max V_w' + gap/rho V_w).
     """
     kappa = check_kappa(kappa)
-    if not 0 < alpha_max:
-        raise ArgumentError("alpha_max must be > 0")
+    if not 0 < alpha_max < math.inf:
+        raise ArgumentError("alpha_max must be > 0 and finite")
     a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0) or np.any(a > alpha_max * (1 + 1e-12)):
+    if not np.all((0 <= a) & (a <= alpha_max * (1 + 1e-12))):
         raise ArgumentError("alpha must lie in [0, alpha_max]")
     c = 1.0 - kappa * kappa
     u = a / alpha_max

@@ -88,8 +88,8 @@ class PumpHistory:
         """Cumulative pumped volume per unit area at time(s) t >= 0; a
         volume past the doubles raises ArgumentError."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise ArgumentError("pump history is defined for t >= 0 only")
+        if not np.all((0 <= t_arr) & (t_arr < math.inf)):
+            raise ArgumentError("pump history is defined for finite t >= 0 only")
         idx = np.clip(np.searchsorted(self._bp, t_arr, side="right") - 1, 0, None)
         with overflow_guard("the pumped volume"):
             return self._cum[idx] + self._c[idx] * (t_arr - self._bp[idx])
@@ -125,8 +125,9 @@ class TubeSimResult:
 
 def breakthrough_threshold(L, kappa):
     """Pumped volume per unit area at which a tube of length L breaks through."""
-    if np.any(np.asarray(L) <= 0):
-        raise ArgumentError("tube length must be > 0")
+    lengths = np.asarray(L, dtype=float)
+    if not np.all((0 < lengths) & (lengths < math.inf)):
+        raise ArgumentError("tube length must be > 0 and finite")
     kappa = check_kappa(kappa)
     return (1.0 + kappa) / 2.0 * L * L
 

@@ -847,7 +847,8 @@ class TestOutOfRange:
 
 class TestInputFiles:
     """Every reader of a user file through main: a file that is not UTF-8
-    and a config that is not a JSON object exit 2 with one JSON error line.
+    and a config that is not a JSON object exit 2 with one JSON error line,
+    and a UTF-8 byte-order mark reads as no mark.
     """
 
     CONFIGS = {"forward": ATOM_CONFIG, "tubes": TUBES_CONFIG, "stability": ATOM_CONFIG}
@@ -874,6 +875,43 @@ class TestInputFiles:
         out = tmp_path / "out"
         assert_invalid_config(capsys, cli.main([sub, str(path), "--out", str(out)]))
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["invert", "stability"])
+    def test_curve_with_a_byte_order_mark(self, tmp_path, sub):
+        # a spreadsheet's "CSV UTF-8" starts with a UTF-8 byte-order mark,
+        # here in front of the first column a reader looks for; the curve
+        # reads as the same file without it
+        config = write_json(tmp_path / "m.json", ATOM_CONFIG)
+        full = tmp_path / "full.csv"
+        assert cli.main(["forward", config, "--out", str(full)]) == 0
+        header, data = read_csv(full)
+        rows = data[:, [header.index("total"), header.index("Vw")]]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("total,water\n" + "".join(f"{t!r},{w!r}\n" for t, w in rows.tolist()))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for curve in (plain, marked):
+            argv = {
+                "invert": ["invert", str(curve)],
+                "stability": ["stability", "--curve1", str(curve), "--curve2", str(curve)],
+            }[sub]
+            out = tmp_path / f"{curve.stem}.out"
+            assert cli.main(argv + ["--kappa", "0.5", "--alpha-max", "2", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("sub", ["forward", "tubes", "stability"])
+    def test_config_with_a_byte_order_mark(self, tmp_path, sub):
+        text = json.dumps(self.CONFIGS[sub]).encode()
+        outputs = []
+        for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data)
+            out = tmp_path / f"{name}.out"
+            assert cli.main([sub, str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("text", ["5", "true", "null", "[]", '"config"'])
     @pytest.mark.parametrize("sub", ["forward", "tubes", "stability"])

@@ -491,6 +491,12 @@ class TestH:
         for alpha_max in (0.0, -2.0):
             with pytest.raises(ArgumentError, match="alpha_max must be > 0"):
                 h_of_alpha(4.5, 6.0, 0.5, alpha_max, 0.0)
+        # NaN fails every comparison, so the check must ask for valid alphas
+        for alpha in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ArgumentError, match="alpha must lie"):
+                h_of_alpha(1.0, 1.0, 0.5, 10.0, alpha)
+        with pytest.raises(ArgumentError, match="alpha_max must be > 0 and finite"):
+            h_of_alpha(4.5, 6.0, 0.5, math.inf, 0.0)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.999])
     def test_against_a_decimal_reference(self, kappa):

@@ -72,6 +72,10 @@ class TestBreakthroughThreshold:
     def test_positive_length_required(self):
         with pytest.raises(ArgumentError):
             breakthrough_threshold(0.0, 0.5)
+        # NaN fails every comparison, so the check must ask for valid lengths
+        for L in (math.nan, math.inf, [1.0, math.nan]):
+            with pytest.raises(ArgumentError, match="tube length"):
+                breakthrough_threshold(L, 0.5)
 
 
 class TestPumpHistory:
@@ -109,8 +113,14 @@ class TestPumpHistory:
         assert np.array_equal(pump.F_inverse(values.reshape(7, 1)), got[:, None])
 
     def test_negative_time_rejected(self):
+        pump = PumpHistory((0.0,), (1.0,))
         with pytest.raises(ArgumentError, match="t >= 0"):
-            PumpHistory((0.0,), (1.0,)).F_at(-1.0)
+            pump.F_at(-1.0)
+        for t in (math.nan, math.inf, [1.0, math.nan]):
+            with pytest.raises(ArgumentError, match="t >= 0"):
+                pump.F_at(t)
+            with pytest.raises(ArgumentError, match="t >= 0"):
+                reparam_xi(pump, 0.5, t)
 
     def test_subnormal_drive_is_never_reached_quietly(self):
         pump = PumpHistory((0.0, 1.0), (1.0, 5e-324))
