@@ -53,12 +53,17 @@ once.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
 dmu(y)/y follows from V'(alpha) = (1+kappa)/kappa * alpha * Phi(alpha),
-and for measures with a continuous density f,
 
-    f(alpha) = kappa/(1+kappa) * alpha * (V'(alpha)/alpha)' .
+    Phi(alpha) = kappa/(1+kappa) * V'(alpha) / alpha ,
 
-Note the prefactor: substituting the V' relation shows the inverted form
-is required.
+and a measure with a continuous density f has dPhi = f(alpha) dalpha / alpha,
+so that
+
+    f(alpha) = alpha * Phi'(alpha) .
+
+The prefactor kappa/(1+kappa) appears once, in Phi.  The paper prints the
+density formula as (1+kappa)/kappa * alpha * (V'/alpha)', with the prefactor
+inverted, which scales f by ((1+kappa)/kappa)^2 and fails the round trip.
 """
 
 from __future__ import annotations
@@ -730,21 +735,44 @@ def solve_fixed_point(curve, config=None):
     )
 
 
+def _phi(grid, v, kappa):
+    """Phi = kappa V' / ((1+kappa) alpha) on the grid, before any clip.
+
+    V' is taken by second-order differences (one-sided at the ends) on the
+    unit grid u = alpha / alpha_max, Phi(0) = 0, and the result is scaled
+    once by 1 / alpha_max^2, so that Phi and the density read off it stay
+    finite wherever they are doubles: in units of alpha, the density's
+    (V'/alpha)' alone scales as 1 / alpha_max^3 and overflowed from
+    alpha_max near 1e-103.  The stencils take one spacing, so grid and v
+    must be finite 1-d arrays of one length >= 3, and the grid must run
+    from 0 to grid[-1] > 0 in steps that spread by at most 1e-6 of the
+    first (rounding moves a linspace step by about n_grid * 3e-16 of it).
+    """
+    grid = np.asarray(grid, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not (grid.ndim == v.ndim == 1 and grid.size == v.size >= 3):
+        raise ArgumentError("grid and v must be 1-d arrays of one length >= 3")
+    if not (np.isfinite(grid).all() and np.isfinite(v).all()):
+        raise ArgumentError("grid and v must be finite")
+    step = np.diff(grid)
+    if not (grid[0] == 0.0 < step[0] and np.ptp(step) <= 1e-6 * step[0]):
+        raise ArgumentError("grid must run evenly from 0 to grid[-1] > 0")
+    alpha_max = grid[-1]
+    unit = grid / alpha_max
+    vp = np.gradient(v, unit[1], edge_order=2)
+    phi = np.zeros_like(v)
+    phi[1:] = kappa / (1.0 + kappa) * vp[1:] / unit[1:] / alpha_max / alpha_max
+    return phi
+
+
 def recover_cdf(grid, v, kappa):
     """Harmonic cumulative Phi from recovered V samples.
 
-    Phi(alpha) = kappa V'(alpha) / ((1+kappa) alpha), with V' by
-    second-order differences (one-sided at the ends) and Phi(0) = 0.
+    Phi(alpha) = kappa V'(alpha) / ((1+kappa) alpha), as _phi forms it.
     Noise-induced decreases are clipped to the running maximum; the clip
     count is returned alongside.
     """
-    kappa = check_kappa(kappa)
-    grid = np.asarray(grid, dtype=float)
-    v = np.asarray(v, dtype=float)
-    spacing = grid[1] - grid[0]
-    vp = np.gradient(v, spacing, edge_order=2)
-    raw = np.zeros_like(v)
-    raw[1:] = kappa * vp[1:] / ((1.0 + kappa) * grid[1:])
+    raw = _phi(grid, v, check_kappa(kappa))
     phi = np.maximum.accumulate(raw)
     return phi, int(np.sum(phi > raw))
 
@@ -752,33 +780,27 @@ def recover_cdf(grid, v, kappa):
 def recover_density(grid, v, kappa, alpha_min):
     """Density samples f on the window [alpha_min, alpha_max - 2h].
 
-    f(alpha) = kappa/(1+kappa) alpha (V'(alpha)/alpha)' via second-order
-    stencils; NaN outside the window, negatives clipped to 0 inside (count
+    f(alpha) = alpha Phi'(alpha), Phi the unclipped _phi: at node i, where
+    alpha = i h, f_i = i dPhi/di, by second-order stencils in the node
+    index.  Phi is already scaled to the doubles, and the stencils multiply
+    a Phi value by at most 2 before the factor i, so f overflows only where
+    f itself, or Phi within a factor 2, is past the doubles.  f is NaN
+    outside the window, and negatives are clipped to 0 inside (count
     returned).  Only meaningful when the measure has a continuous density.
-    The stencils are taken on the unit grid u = alpha / alpha_max and the
-    result scaled once by 1 / alpha_max^2, so f stays finite wherever it
-    is a double: in units of alpha, (V'/alpha)' alone scales as
-    1 / alpha_max^3 and overflowed from alpha_max near 1e-103.
     """
-    kappa = check_kappa(kappa)
     grid = np.asarray(grid, dtype=float)
-    v = np.asarray(v, dtype=float)
     if not alpha_min > 0:
         raise ArgumentError("alpha_min must be > 0 (density formula divides by alpha)")
-    if not alpha_min < grid[-1]:
-        raise ArgumentError("alpha_min must be below alpha_max")
+    phi = _phi(grid, v, check_kappa(kappa))
     alpha_max = grid[-1]
+    if not alpha_min < alpha_max:
+        raise ArgumentError("alpha_min must be below alpha_max")
     spacing = grid[1] - grid[0]
     window = (grid >= alpha_min) & (grid <= alpha_max - 2.0 * spacing * (1 - 1e-12))
-    f = np.full_like(v, np.nan)
+    f = np.full_like(phi, np.nan)
     if not window.any():   # at n_grid 3 the stencils have too few nodes
         return f, 0
-    unit = grid / alpha_max
-    du = unit[1] - unit[0]
-    vp = np.gradient(v, du, edge_order=2)
-    w = vp[1:] / unit[1:]
-    wp = np.gradient(w, du, edge_order=2)
-    f[1:] = kappa / (1.0 + kappa) * unit[1:] * wp / alpha_max / alpha_max
+    f[1:] = np.arange(1, f.size) * np.gradient(phi[1:], edge_order=2)
     f[~window] = np.nan
     negative = window & (f < 0.0)
     f[negative] = 0.0

@@ -95,8 +95,13 @@ class PumpHistory:
             return self._cum[idx] + self._c[idx] * (t_arr - self._bp[idx])
 
     def F_inverse(self, value):
-        """Earliest time(s) with F(t) = value; inf where it is never reached."""
+        """Earliest time(s) with F(t) = value; inf where it is never reached.
+
+        A value <= 0 (-inf too) gives 0, +inf gives inf, and a NaN value
+        raises ArgumentError."""
         v = np.asarray(value, dtype=float)
+        if np.isnan(v).any():
+            raise ArgumentError("a pumped volume to invert must not be NaN")
         cum = self._cum
         k = np.clip(np.searchsorted(cum, v, side="left") - 1, 0, None)
         # cum[k] < v <= cum[k+1] gives segment k a positive drive; above the

@@ -664,6 +664,24 @@ class TestSweep:
         assert np.any(b >= x[-1] - d * g[-1])
 
 
+# (grid, v) pairs that the readoff stages refuse: the stencils take one
+# spacing from a uniform grid that starts at 0, and divide by alpha.
+_GRID = np.linspace(0.0, 1.0, 11)
+_CUBIC = _GRID**3
+BAD_READOFF = {
+    "nan-v": (_GRID, np.where(_GRID == _GRID[4], math.nan, _CUBIC)),
+    "inf-v": (_GRID, np.where(_GRID == _GRID[4], math.inf, _CUBIC)),
+    "nan-grid": (np.where(_GRID == _GRID[4], math.nan, _GRID), _CUBIC),
+    "grid-to-inf": (np.append(_GRID[:-1], math.inf), _CUBIC),
+    "2-d-v": (_GRID, np.stack([_CUBIC, _CUBIC])),
+    "lengths": (_GRID, _CUBIC[:-1]),
+    "two-nodes": (_GRID[[0, -1]], _CUBIC[[0, -1]]),
+    "uneven": (_GRID**2, _CUBIC**2),
+    "not-from-0": (_GRID + 0.1, _CUBIC),
+    "grid-ends-at-0": (np.zeros(11), _CUBIC),
+}
+
+
 class TestRecoverCdf:
     def test_symbolic_cubic(self):
         # V = (1+kappa)/kappa * alpha^3/3 comes from density f(y) = y: Phi = alpha
@@ -703,6 +721,21 @@ class TestRecoverCdf:
         phi, clips = recover_cdf(grid, noisy, 0.5)
         assert np.all(np.diff(phi) >= 0)
         assert clips >= 0
+
+    def test_grid_rounded_otherwise_is_accepted(self):
+        # a running sum of the step differs from linspace in the last bits
+        grid = np.cumsum(np.full(501, 0.002)) - 0.002
+        even = np.linspace(0.0, grid[-1], 501)
+        assert not np.array_equal(grid, even)
+        phi, _ = recover_cdf(grid, grid**3, 0.5)
+        want, _ = recover_cdf(even, even**3, 0.5)
+        np.testing.assert_allclose(phi, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", list(BAD_READOFF))
+    def test_bad_samples_rejected(self, name):
+        grid, v = BAD_READOFF[name]
+        with pytest.raises(ArgumentError):
+            recover_cdf(grid, v, 0.5)
 
 
 class TestRecoverDensity:
@@ -748,6 +781,13 @@ class TestRecoverDensity:
         spacing = grid[1] - grid[0]
         assert np.all(np.isnan(f[grid < 0.3]))
         assert np.all(np.isnan(f[grid > 1.0 - 2 * spacing + 1e-12]))
+
+    # a grid ending at 0 puts alpha_max below alpha_min, rejected before
+    @pytest.mark.parametrize("name", [n for n in BAD_READOFF if n != "grid-ends-at-0"])
+    def test_bad_samples_rejected(self, name):
+        grid, v = BAD_READOFF[name]
+        with pytest.raises(ArgumentError):
+            recover_density(grid, v, 0.5, alpha_min=0.3)
 
 
 def test_paper_literal_slope_fails_the_round_trip():
@@ -833,6 +873,18 @@ class TestRecoverPipeline:
             assert np.all(np.isfinite(phi))
         with pytest.raises(ArgumentError, match="overflows a double"):
             recover(curve, RecoveryConfig(n_grid=301, alpha_min=alpha_min))
+
+    def test_density_just_inside_the_doubles(self):
+        # at alpha_max 1e-152, f peaks near 1e306 and Phi near 6e305:
+        # np.gradient's one-sided ends in units of u = alpha / alpha_max
+        # would multiply Phi by 2 / du = 600 before differencing, and
+        # overflow where f does not
+        built = build_curve(Measure(pieces=((5.0, 9.0, 1.0),)), 0.5, 10.0, 801)
+        curve = DisplacementCurve(x=built.x, g=built.g, alpha_max=1e-152, kappa=0.5)
+        f = recover(curve, RecoveryConfig(n_grid=301, alpha_min=0.35e-152)).f
+        window = ~np.isnan(f)
+        assert window.sum() > 100 and np.all(np.isfinite(f[window]))
+        assert 1e305 < np.max(f[window]) < 1e307
 
     def test_underflow_is_rejected_before_the_operator(self, monkeypatch):
         # v_max / alpha_max^2 below the normal doubles at alpha_max 1e200:

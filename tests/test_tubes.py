@@ -101,6 +101,12 @@ class TestPumpHistory:
         pump = PumpHistory((0.0, 1.0), (1.0, 0.0))
         assert pump.F_inverse(2.0) == math.inf
 
+    @pytest.mark.parametrize("value", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+    def test_inverse_of_nan_rejected(self, value):
+        pump = PumpHistory((0.0, 1.0), (1.0, 0.5))
+        with pytest.raises(ArgumentError, match="NaN"):
+            pump.F_inverse(value)
+
     def test_inverse_of_an_array(self):
         # F: 0 -> 1 on [0, 1], plateau on [1, 2], 1 -> 3 on [2, 3], then flat
         pump = PumpHistory((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0, 0.0))
