@@ -17,8 +17,8 @@ is one of two integrals, vectorized over an array of alpha >= 0:
 
 Atoms enter a prefix integral through prefix sums, which the Measure
 builds in its constructor (and so rejects moments past the doubles
-there), and a binary search.  A tail integral runs over row blocks of
-alpha holding at most _BLOCK_CELLS cells (or one row), in place in
+there), and a binary search.  A tail integral evaluates its atom cells
+in blocks of at most _BLOCK_CELLS cells (or one row), in place in
 per-thread buffers kept from one call to the next, and no block-sized
 array is allocated per call.  Only the live (alpha, atom) cells of a
 block are evaluated: the atoms are sorted by length, so those below the
@@ -26,25 +26,39 @@ block's smallest alpha, a column prefix, are skipped, and only the
 columns up to its largest alpha need the tail mask.  A call with both
 kernels takes sqrt(y^2 - c0) once per live cell; each kernel writes
 into its own buffer (the last over the root) and gets the bits of a
-call with that kernel alone.  Every row of atoms is summed in the order
-np.sum takes over it.  Up to _PAIRWISE_LEAF = 128 atoms, which NumPy
-sums as one leaf of its pairwise sum (8 lanes, then the rest in turn),
-a block is laid out atoms-major, so each ufunc runs long loops over the
-alphas, the atom rows are added into 8 lanes, and three strided in-place
-adds fold the lanes; past 128 the pairwise order recurses, and every
-block takes one path: each kernel's live cells are copied behind the
-zero prefix of a block of full rows of atoms, which np.sum adds whole.
-From about 1e3 atoms on, where perfbench's forward_bulk runs, that
-second layout is also the faster one: atoms-major tiles cut into
-np.sum's leaves ran 1.2-1.3x slower at 3000 atoms and 1.4-1.6x at
-8000-10000 (2001 alphas, NumPy 2.4.6).  The buffers take 256 KB per
-kernel in the first layout and one more in the second: a cold call at
-2001 alphas peaked at 0.43 MB (0.71 MB with both kernels) at 50 atoms,
-0.42 MB (0.69 MB) at 128, and 0.67 MB (0.93-0.94 MB) from 129 to 1000
-atoms (tracemalloc, MB of 2^20 bytes).  That row-block rule,
-row_blocks, is the package's only one: the operator's cells are
-evaluated over it too, in the same per-thread buffers (_block_buffers),
-and the tube simulation writes its blocks straight into its result.
+call with that kernel alone.  Up to _PAIRWISE_LEAF = 128 atoms, which
+NumPy sums as one leaf of its pairwise sum (8 lanes, then the rest in
+turn), every row of atoms is summed in the order np.sum takes over it:
+the blocks are row blocks of alpha laid out atoms-major, so each ufunc
+runs long loops over the alphas, the atom rows are added into 8 lanes,
+and adds of whole lane rows fold them.
+
+Past 128 atoms the tail runs over a binary tree of the sorted alphas,
+with p = 20 Chebyshev points per node (_FAR_POINTS).  A node whose
+alphas lie in [a, b], of width w, takes the atoms past b + w that its
+ancestors did not take, one slice of the sorted atoms, as a far field:
+each kernel's only singularity in alpha lies at L / sqrt(1 - kappa^2)
+>= L, at least 3 half-widths past the node's middle, so the far sum is
+analytic inside the Bernstein ellipse of rho = 3 + sqrt(8), and p
+points interpolate it to rounding (the bound is worked out at
+_FAR_POINTS).  The node evaluates each kernel on the slice at its p
+points, sums over the atoms and adds the interpolant at its alphas; the
+oil volume is interpolated without its factor c0, which it takes at the
+alpha, so V_o(0) is exactly 0.  A node is a leaf once its direct cells
+fit _TREE_CELLS = 2^15 or it holds at most 2p alphas, and a leaf adds
+its remaining atoms directly.  Each value is within about 1e-15
+relative of the direct sum, and no value depends on the block size or
+on the order of the alphas.  At 4000 atoms and 2001 ascending alphas
+the tree evaluates 0.13 N M kernel cells, where a direct sum over the
+live cells takes about half of them.  A warm one-kernel call at 2001
+alphas peaked at 0.16-0.17 MB up to 128 atoms and at 0.25, 0.27 and
+0.33 MB at 129, 1e3 and 1e4 atoms (0.18-0.20 and 0.32-0.39 MB with both
+kernels); a cold one, whose buffers are new, at 0.41-0.42 MB (0.68-0.69
+MB) up to 128 atoms and 0.76-0.83 MB (0.82-0.89 MB) past that
+(tracemalloc, MB of 2^20 bytes).  The row-block rule, row_blocks, is
+the package's only one: the operator's cells are evaluated over it too,
+in the same per-thread buffers (_block_buffers), and the tube
+simulation writes its blocks straight into its result.
 Pieces enter both integrals by their clipped limits, one bracket per
 cell; a tail call takes each piece's root step (_root_step) once, for
 all of its kernels.  Its roots are formed from nonnegative parts, with
@@ -96,6 +110,39 @@ _BLOCK_CELLS = 1 << 15
 # The most terms that np.sum adds as one leaf of its pairwise sum, in 8
 # lanes; tail_integral sums up to this many atoms atoms-major in that order.
 _PAIRWISE_LEAF = 128
+
+# Past _PAIRWISE_LEAF atoms, tail_integral sums over a tree of the limits.
+# A node whose limits lie in [a, b], of width w, takes the atoms past
+# b + _FAR_GAP w as a far field.  A kernel's only singularities in the
+# limit, at +-L / sqrt(1 - kappa^2), then lie at t >= 1 + 2 _FAR_GAP = 3 of
+# the node's coordinate t in [-1, 1], so their sum is analytic inside the
+# Bernstein ellipse through t = 3, rho = 3 + sqrt(8) = 5.83, and its
+# interpolant in p Chebyshev points converges as rho^-p (Trefethen,
+# Approximation Theory and Approximation Practice, Thm 8.2).  For one atom
+# at the separation, and kappa -> 0, the worst case, the interpolant of its
+# rate kernel is within 8.9e-15 of the kernel's value at 18 points and
+# 2.5e-16 at 20, that of its volume kernel without c0 within 5.4e-16 and
+# 1.4e-17 (40-digit arithmetic).  The terms are positive, so a sum of
+# atoms is within the worst atom's relative error: 20 points interpolate
+# every far field to rounding.
+_FAR_GAP = 1.0
+_FAR_POINTS = 20
+# the Chebyshev points of the second kind in [0, 1], ends included, and
+# their barycentric weights
+_FAR_NODES = np.sin(np.pi / (2 * (_FAR_POINTS - 1)) * np.arange(_FAR_POINTS)) ** 2
+_FAR_WEIGHTS = (-1.0) ** np.arange(_FAR_POINTS) * np.r_[0.5, np.ones(_FAR_POINTS - 2), 0.5]
+
+# A node of the tree is a leaf once its direct cells, its limits times
+# the atoms from the first at or above its smallest limit up to those its
+# ancestors took, fit in _TREE_CELLS, or once it holds at most
+# _LEAF_LIMITS limits: a far field at _FAR_POINTS points would then save
+# at most half of the cells it replaces.  A far field is summed over the
+# atoms and interpolated to the limits in chunks of _FAR_COLUMNS.  Both
+# sizes are fixed apart from _BLOCK_CELLS, so no value follows the block
+# size.
+_TREE_CELLS = 1 << 15
+_LEAF_LIMITS = 2 * _FAR_POINTS
+_FAR_COLUMNS = _TREE_CELLS // _FAR_POINTS
 
 _BLOCK_WORK = threading.local()   # this thread's row-block buffers
 
@@ -248,12 +295,16 @@ class TailKernel(NamedTuple):
     (r_lo, r_hi, u) = _root_step(lo, hi, lower, kappa), which the kernels
     of a call share; it is exactly 0 on an empty cell lo == hi for any
     lower, which is how a piece outside the tail adds nothing; closed
-    says whether an atom exactly at the lower limit lies in the tail.
+    says whether an atom exactly at the lower limit lies in the tail;
+    scaled says that atom(w, y, s, c0, out) is c0 times atom(w, y, s, 1.0,
+    out), so the far field of tail_integral's tree interpolates the second,
+    which stays away from 0, and a tail at lower = 0 is exactly 0.
     """
 
     atom: Callable
     cell: Callable
     closed: bool
+    scaled: bool
 
 
 def _root_step(lo, hi, lower, kappa):
@@ -307,12 +358,14 @@ OIL_VOLUME = TailKernel(
     ),
     cell=_oil_volume_cell,
     closed=True,
+    scaled=True,
 )
 
 OIL_RATE = TailKernel(
     atom=lambda w, y, s, c0, out: np.divide(w, s, out=out),
     cell=lambda step, c0: np.log1p(step[2]),
     closed=False,
+    scaled=False,
 )
 
 
@@ -331,11 +384,6 @@ def _block_buffers(rows, cols, count=1):
     return work[:count, :cells].reshape(count, rows, cols)
 
 
-def _leading(buf, rows, cols):
-    """A contiguous (rows, cols) array on the first cells of buf."""
-    return buf.ravel()[: rows * cols].reshape(rows, cols)
-
-
 def _lane_sum(tiles, j0, out):
     """out[k, r] = the sum of tiles[k, :, r], in np.sum's order over a row.
 
@@ -346,10 +394,11 @@ def _lane_sum(tiles, j0, out):
     the terms past the last full 8 in turn.  Adding a zero changes no
     sum, so the lanes start at the 8-aligned row at or below j0, and a
     sum without lanes starts at row j0.  The lanes are summed in place,
-    in the tiles' rows, and folded by three strided adds: each even lane
-    takes the odd one after it, lanes 0 and 4 take lanes 2 and 6, and out
-    gets lane 0 plus lane 4.  Each add is elementwise, so the order is the
-    one above whatever the shape, where a reduce would leave it to NumPy.
+    in the tiles' rows, and folded by adds of whole lane rows at strides
+    1, 2 and 4, the last into out.  No add's operands overlap, so NumPy
+    adds in place without copying an input first, and each add is
+    elementwise, so the order is the one above whatever the shape, where
+    a reduce would leave it to NumPy.
     """
     n = tiles.shape[1]
     head = n - n % 8   # the rows summed in lanes; none below 8 rows
@@ -359,8 +408,9 @@ def _lane_sum(tiles, j0, out):
         lanes[:, : j0 - first] = 0.0
         for q in range(first + 8, head, 8):
             np.add(lanes, tiles[:, q : q + 8], out=lanes)
-        np.add(lanes[:, 0::2], lanes[:, 1::2], out=lanes[:, 0::2])
-        np.add(lanes[:, 0::4], lanes[:, 2::4], out=lanes[:, 0::4])
+        for stride in (1, 2):
+            for q in range(0, 8, 2 * stride):
+                np.add(lanes[:, q], lanes[:, q + stride], out=lanes[:, q])
         np.add(lanes[:, 0], lanes[:, 4], out=out)
         rest = range(head, n)
     else:
@@ -368,6 +418,183 @@ def _lane_sum(tiles, j0, out):
         rest = range(j0 + 1, n)
     for q in rest:
         np.add(out, tiles[:, q], out=out)
+
+
+def _atom_cells(kernels, targets, L, S, L2, lo, c, j1):
+    """Write each kernel's cells of the atoms (L, S) at the limits lo.
+
+    targets holds one (limit, atom) view per kernel; the last takes the
+    root sqrt(L2 - c) first, L2 = L^2 and c = c0 at lo, both columns.
+    Only the first j1 atoms may lie outside a limit's tail: their roots
+    are masked to 1 there, and each kernel zeroes its own outside cells.
+    Each mask is made empty_like its view, so it iterates like the view.
+    """
+    s = targets[-1]
+    np.subtract(L2, c, out=s)
+    edge = L[:j1]
+    below = np.less(edge, lo, out=np.empty_like(s[:, :j1], bool))
+    np.copyto(s[:, :j1], 1.0, where=below)
+    np.sqrt(s, out=s)
+    for kernel, t in zip(kernels, targets):
+        kernel.atom(S, L, s, c, t)
+        outside = below if kernel.closed else np.less_equal(
+            edge, lo, out=np.empty_like(below)
+        )
+        np.copyto(t[:, :j1], 0.0, where=outside)
+
+
+def _tile_tails(kernels, L, S, lower, c0, outs):
+    """Add the atom tails of at most _PAIRWISE_LEAF atoms to outs, each row
+    in the order np.sum takes over it, over row_blocks of the limits.
+
+    A block's cells are an (atom, limit) tile per kernel, the last the
+    root's, so each ufunc runs inner loops over the block's limits, and
+    _lane_sum adds the atom rows.  The atoms below the block's smallest
+    limit (j0) lie outside every tail on every row of it and are never
+    evaluated; only those up to the last atom at its largest limit (j1)
+    need the tail masks.
+    """
+    n = L.size
+    blocks = list(row_blocks(lower.size, n))
+    starts = [rows.start for rows in blocks]
+    j0s = L.searchsorted(np.minimum.reduceat(lower, starts), "left")
+    j1s = L.searchsorted(np.maximum.reduceat(lower, starts), "right")
+    tiles = _block_buffers(n, blocks[0].stop, len(kernels))
+    L2 = L * L
+    for rows, j0, j1 in zip(blocks, j0s.tolist(), j1s.tolist()):
+        if j0 == n:
+            continue
+        m = rows.stop - rows.start
+        _atom_cells(
+            kernels, [tile[j0:, :m].T for tile in tiles], L[j0:], S[j0:], L2[j0:],
+            lower[rows, None], c0[rows, None], j1 - j0,
+        )
+        _lane_sum(tiles[:, :, :m], j0, outs[:, rows])
+
+
+def _leaf_tails(kernels, L, S, L2, lo, c, j1, out):
+    """Add the cells of the atoms (L, S) at the limits lo to out, a row of
+    each over all of the atoms; the atoms from j1 on lie in every tail.
+
+    The longer axis of the leaf runs inner.  With no more atoms than
+    limits, the cells are an (atom, limit) tile per kernel, a single one
+    (the tree's leaf rule keeps it within _TREE_CELLS cells), whose atom
+    rows np.add.reduce adds in turn; otherwise they are (limit, atom)
+    rows, taken over row_blocks, each summed by np.add.reduce in its
+    pairwise order.  Either way a row's sum does not depend on how many
+    rows share a block.
+    """
+    width = L.size
+    if width <= lo.size:
+        tiles = _block_buffers(width, lo.size, len(kernels))
+        _atom_cells(kernels, [t.T for t in tiles], L, S, L2, lo[:, None], c[:, None], j1)
+        for tile, o in zip(tiles, out):
+            o += np.add.reduce(tile, axis=0)
+        return
+    bufs = _block_buffers(min(lo.size, max(1, _BLOCK_CELLS // width)), width, len(kernels))
+    for rows in row_blocks(lo.size, width):
+        targets = [buf[: rows.stop - rows.start] for buf in bufs]
+        _atom_cells(kernels, targets, L, S, L2, lo[rows, None], c[rows, None], j1)
+        for t, o in zip(targets, out):
+            o[rows] += np.add.reduce(t, axis=1)
+
+
+def _far_sums(kernels, L, S, L2, kappa, x):
+    """Each kernel's sums over the atoms (L, S) at the limits x, all below
+    the atoms, through its atom, in chunks of _FAR_COLUMNS atoms; a scaled
+    kernel takes c0 = 1."""
+    cx = (1.0 - kappa * kappa) * x * x
+    sums = np.zeros((len(kernels), x.size))
+    for j in range(0, L.size, _FAR_COLUMNS):
+        cols = slice(j, j + _FAR_COLUMNS)
+        tiles = _block_buffers(x.size, L[cols].size, len(kernels))
+        s = tiles[-1]
+        np.subtract(L2[cols], cx[:, None], out=s)
+        np.sqrt(s, out=s)
+        for kernel, t, o in zip(kernels, tiles, sums):
+            kernel.atom(S[cols], L[cols], s, 1.0 if kernel.scaled else cx[:, None], t)
+            o += np.add.reduce(t, axis=1)
+    return sums
+
+
+def _far_values(lo, values, out):
+    """Add a far field at the limits lo to out.
+
+    The limits lie in [a, b] = [lo[0], lo[-1]], of width w, and values
+    holds each kernel's sums at the _FAR_POINTS Chebyshev points
+    a + w _FAR_NODES.  Each is interpolated to the limits in barycentric
+    form, at t = (lo - a) / w in [0, 1] (0 where w = 0, where every limit
+    is a), over chunks of _FAR_COLUMNS limits.  Each difference t - t_k
+    gains 2^-1000, which changes none but those within about 1e-284 of 0:
+    there, at t = 0 or on a node, node k's weight outweighs every other
+    one past rounding, and none overflows; the weights are scaled to sum
+    to 1 before they meet the sums.
+    """
+    a, w = lo[0], lo[-1] - lo[0]
+    t = (lo - a) / w if w > 0.0 else np.zeros(lo.size)
+    for r in range(0, lo.size, _FAR_COLUMNS):
+        rows = slice(r, r + _FAR_COLUMNS)
+        basis, term = _block_buffers(_FAR_POINTS, t[rows].size, 2)
+        np.subtract(t[rows], _FAR_NODES[:, None], out=basis)
+        basis += 2.0 ** -1000
+        np.divide(_FAR_WEIGHTS[:, None], basis, out=basis)
+        basis /= np.add.reduce(basis, axis=0)
+        for v, o in zip(values, out):
+            np.multiply(basis, v[:, None], out=term)
+            o[rows] += np.add.reduce(term, axis=0)
+
+
+def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
+    """Add the atom tails of more than _PAIRWISE_LEAF atoms to outs.
+
+    The limits are sorted once and cut in halves, by index, down to the
+    leaves of the rule at _TREE_CELLS.  A node that is cut, whose limits
+    lie in [a, b], of width w, takes the atoms past b + _FAR_GAP w that
+    its ancestors did not take, a slice of the sorted atoms: it sums each
+    kernel over them at its Chebyshev points (_far_sums) and adds their
+    interpolant at its limits (_far_values).  A leaf adds its remaining
+    atoms directly (_leaf_tails), from the first at or above a.  A row's
+    value is its leaf's sum plus its far fields, root first, times c0 for
+    a scaled kernel, all fixed by the sorted limits and the atoms.
+    """
+    # every block of the tree fits two buffers of _TREE_CELLS cells: take
+    # them at once, so that a thread's buffers are allocated at their full
+    # size and not grown block by block (a growth frees the old buffer,
+    # which moves glibc's thresholds and with them where later large arrays
+    # land, and so the process's peak RSS)
+    _block_buffers(1, _TREE_CELLS, 2)
+    order = lower.argsort(kind="stable")
+    lo, c = lower[order], c0[order]
+    near, far = np.zeros_like(outs), np.zeros_like(outs)
+    L2 = L * L
+    nodes = [(0, lo.size, L.size)]   # rows r0:r1, whose ancestors took the atoms from top on
+    while nodes:
+        r0, r1, top = nodes.pop()
+        rows = slice(r0, r1)
+        a, b = lo[r0], lo[r1 - 1]
+        j0 = int(L.searchsorted(a, "left"))
+        if r1 - r0 <= _LEAF_LIMITS or (r1 - r0) * (top - j0) <= _TREE_CELLS:
+            if j0 < top:
+                atoms = slice(j0, top)
+                _leaf_tails(
+                    kernels, L[atoms], S[atoms], L2[atoms], lo[rows], c[rows],
+                    int(L.searchsorted(b, "right")) - j0, near[:, rows],
+                )
+            continue
+        w = b - a
+        j = min(int(L.searchsorted(b + _FAR_GAP * w, "right")), top)
+        if j < top:
+            atoms = slice(j, top)
+            x = a + w * _FAR_NODES
+            _far_values(
+                lo[rows], _far_sums(kernels, L[atoms], S[atoms], L2[atoms], kappa, x),
+                far[:, rows],
+            )
+        mid = (r0 + r1) // 2
+        nodes += [(mid, r1, j), (r0, mid, j)]
+    for kernel, o, f in zip(kernels, near, far):
+        o += f * c if kernel.scaled else f
+    outs[:, order] = near
 
 
 def tail_integral(mu, kernels, kappa, lower):
@@ -379,32 +606,22 @@ def tail_integral(mu, kernels, kappa, lower):
     sqrt(y^2 - c0) of an atom in the tail is at least about kappa lower
     (while lower^2 is a normal double); the tail is [lower, inf) for a
     closed kernel and (lower, inf) otherwise.  Each result has the shape
-    of lower.  Atom cells are summed over row_blocks, each row over all
-    atoms in length order (the ones outside the tail add 0) and in the
-    order np.sum takes over the whole row, so the value does not depend
-    on the block size.  Only the live cells are evaluated: the atoms are
-    sorted, so the atoms below a block's smallest lower limit (j0), a
-    column prefix, lie outside every tail on every row of it, and only
-    the columns up to the last atom at its largest limit (j1) need the
-    tail masks.  Ascending limits therefore cost about the cells in the
-    tail; unsorted ones give the same values and save less.
+    of lower.
 
-    The layout follows the atom count.  Up to _PAIRWISE_LEAF atoms, each
-    kernel's block is an (atom, limit) tile: an atom's cells are
-    contiguous, so every ufunc runs inner loops over the block's limits
-    instead of one per limit over a few atoms, and _lane_sum adds the
-    atom rows in the order np.sum takes over a row of at most 128 terms,
-    which it sums as one leaf of its pairwise sum.  Past 128 that order
-    recurses, and from about 1e3 atoms full rows are also the faster
-    layout (see the module docstring), so the block is row-major: each
-    kernel's live columns are evaluated in a contiguous buffer of its own
-    and copied behind the dead prefix of one block of full rows, which
-    np.sum adds whole, on every block alike.  That prefix keeps its zeros
-    from block to block, so only the columns between the last block's j0
-    and this one's are zeroed.  The evaluation writes into (limit, atom)
-    views of either layout, and each mask is made empty_like its view, so
-    it iterates like the view and the root, the masks and the kernels are
-    one code path.
+    Up to _PAIRWISE_LEAF atoms, atom cells are summed over row_blocks,
+    each row over all atoms in length order (the ones outside the tail
+    add 0) and in the order np.sum takes over the whole row, which sums
+    at most 128 terms as one leaf of its pairwise sum (_tile_tails).
+    Past 128 atoms, a tree over the sorted limits (_tree_tails) takes the
+    atoms well above a node's limits as a far field: their sum is
+    analytic in the limit there, and a fixed number of Chebyshev points
+    interpolates it to rounding (see _FAR_POINTS), so each row is within
+    about 1e-15 relative of the direct sum, whose order it gives up.
+    Either way a value depends neither on the block size nor on the order
+    of lower, and only the live cells are evaluated: the atoms are sorted,
+    so those below a block's or a leaf's smallest limit, a column prefix,
+    lie outside every tail on every row of it, and only those up to the
+    last atom at its largest limit need the tail masks.
 
     The kernels share the root of each block, masked to 1 below the
     limits.  Each kernel but the last writes into its own buffer and the
@@ -426,53 +643,10 @@ def tail_integral(mu, kernels, kappa, lower):
     outs = np.zeros((len(kernels), lower.size))
     if mu.atoms and lower.size:
         L, S = mu._atoms_by_length
-        L2 = L * L
-        n = L.size
-        blocks = list(row_blocks(lower.size, n))
-        # per block, the first atom at or above its smallest limit (j0) and
-        # the first above its largest (j1), one search per block: columns
-        # below j0 are outside every tail on every row, columns from j1 on
-        # inside every tail
-        starts = [rows.start for rows in blocks]
-        j0s = L.searchsorted(np.minimum.reduceat(lower, starts), "left")
-        j1s = L.searchsorted(np.maximum.reduceat(lower, starts), "right")
-        m0 = blocks[0].stop   # rows of the first block, the largest
-        atom_rows = n <= _PAIRWISE_LEAF
-        if atom_rows:   # an (atom, limit) tile per kernel, the last the root's
-            tiles = _block_buffers(n, m0, len(kernels))
-        else:   # full rows, and one buffer per kernel, the last the root's
-            full, *bufs = _block_buffers(m0, n, len(kernels) + 1)
-            zeroed = 0   # full's columns below this are 0 on every row
-        for rows, j0, j1 in zip(blocks, j0s.tolist(), j1s.tolist()):
-            if j0 == n:
-                continue
-            lo = lower[rows, None]
-            c = c0[rows, None]
-            m, width = lo.size, n - j0
-            # the live cells of each kernel's buffer, as (limit, atom) views
-            if atom_rows:
-                targets = [tile[j0:, :m].T for tile in tiles]
-            else:
-                targets = [_leading(buf, m, width) for buf in bufs]
-                full[:, zeroed:j0] = 0.0
-                zeroed = j0
-            s = targets[-1]
-            np.subtract(L2[j0:], c, out=s)
-            edge = L[j0:j1]
-            below = np.less(edge, lo, out=np.empty_like(s[:, : j1 - j0], bool))
-            np.copyto(s[:, : j1 - j0], 1.0, where=below)
-            np.sqrt(s, out=s)
-            for kernel, t, out in zip(kernels, targets, outs):
-                kernel.atom(S[j0:], L[j0:], s, c, t)
-                outside = below if kernel.closed else np.less_equal(
-                    edge, lo, out=np.empty_like(below)
-                )
-                np.copyto(t[:, : j1 - j0], 0.0, where=outside)
-                if not atom_rows:
-                    full[:m, j0:] = t
-                    np.sum(full[:m], axis=1, out=out[rows])
-            if atom_rows:
-                _lane_sum(tiles[:, :, :m], j0, outs[:, rows])
+        if L.size <= _PAIRWISE_LEAF:
+            _tile_tails(kernels, L, S, lower, c0, outs)
+        else:
+            _tree_tails(kernels, L, S, kappa, lower, c0, outs)
     for pa, pb, rho in mu.pieces:
         step = _root_step(np.clip(lower, pa, pb), pb, lower, kappa)
         for kernel, out in zip(kernels, outs):

@@ -8,7 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubeflood.analysis import _jump_aware_alphas
 from tubeflood.errors import ArgumentError
 from tubeflood import measures
 from tubeflood.measures import (
@@ -539,15 +542,29 @@ def dense_tail(mu, kernel, c0, lower):
     return np.sum(np.where(in_tail, terms, 0.0), axis=1)
 
 
+def assert_rows_close(got, want, rtol=1e-14):
+    """Each row within rtol of the dense sum, relative, and exactly 0 where
+    the dense sum is."""
+    assert np.all(np.abs(got - want) <= rtol * want), np.max(np.abs(got - want) / want)
+
+
+def atom_tree_case(rng, n_atoms, n_alphas, scale=1.0):
+    """n_atoms atoms with lengths uniform in [0.5, 10] scale, and ascending
+    limits over [0, 11] scale."""
+    L = rng.uniform(0.5, 10.0, n_atoms) * scale
+    mu = Measure(atoms=tuple(zip(L.tolist(), rng.uniform(0.5, 2.0, n_atoms).tolist())))
+    return mu, np.linspace(0.0, 11.0 * scale, n_alphas)
+
+
 class TestTailIntegral:
     @pytest.mark.parametrize(
         "block_cells, n_atoms, n_alphas, lower, kappa",
         [
             # one block
             pytest.param(None, 50, 20, "ascending", 0.5, id="None-50-20"),
-            # blocks of 32 rows, a last block of 4
+            # past 128 atoms: a tree of the limits, cut into leaves
             pytest.param(None, 1000, 100, "ascending", 0.5, id="None-1000-100"),
-            # more atoms than cells: one row per block
+            # more atoms than cells: one leaf, one row per block
             pytest.param(None, 40000, 3, "ascending", 0.5, id="None-40000-3"),
             # rows of 3, a last block of 1
             pytest.param(64, 20, 10, "ascending", 0.5, id="64-20-10"),
@@ -599,7 +616,13 @@ class TestTailIntegral:
         c0 = (1.0 - kappa * kappa) * alphas * alphas
         got = tail_integral(mu, kernels, kappa, alphas)
         for tail, kernel in zip(got, kernels, strict=True):
-            assert np.array_equal(tail, dense_tail(mu, kernel, c0, alphas))
+            want = dense_tail(mu, kernel, c0, alphas)
+            # up to 128 atoms in np.sum's order, bit for bit; past that the
+            # tree gives up that order, and its far fields interpolate
+            if n_atoms <= measures._PAIRWISE_LEAF:
+                assert np.array_equal(tail, want)
+            else:
+                assert_rows_close(tail, want)
 
     @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
     def test_evaluates_only_the_live_cells(self, kernel):
@@ -618,7 +641,99 @@ class TestTailIntegral:
 
         (got,) = tail_integral(mu, (kernel._replace(atom=atom),), 0.5, alphas)
         assert np.array_equal(got, tail_integral(mu, (kernel,), 0.5, alphas)[0])
-        assert sum(cells) <= 0.6 * n_atoms * n_alphas
+        assert sum(cells) <= 0.2 * n_atoms * n_alphas
+
+    @pytest.mark.parametrize("n_atoms", [129, 1000, 5000])
+    @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
+    def test_tree_ignores_the_block_size(self, monkeypatch, kernels, n_atoms):
+        # the tree's leaves and chunks are fixed apart from _BLOCK_CELLS,
+        # so its values do not follow the block size
+        rng = np.random.default_rng(n_atoms)
+        mu, alphas = atom_tree_case(rng, n_atoms, 2001)
+        alphas = np.concatenate([alphas, [L for L, _ in mu.atoms[::7]]])
+        runs = []
+        for block_cells in (None, 256, 4096):
+            if block_cells is not None:
+                monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+            runs.append(tail_integral(mu, kernels, 0.5, alphas))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0], strict=True):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
+    def test_tree_permutes_with_the_limits(self, kernels):
+        # the limits are sorted once, so a permutation of them permutes
+        # the values, bit for bit
+        rng = np.random.default_rng(17)
+        mu, alphas = atom_tree_case(rng, 2000, 3001)
+        perm = rng.permutation(alphas.size)
+        got = tail_integral(mu, kernels, 0.5, alphas[perm])
+        for tail, want in zip(got, tail_integral(mu, kernels, 0.5, alphas), strict=True):
+            assert np.array_equal(tail, want[perm])
+
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, 0.5, KAPPA_MAX])
+    def test_tree_duplicate_and_zero_limits(self, kappa):
+        # runs of equal limits make nodes of zero width, whose limits all
+        # sit on a Chebyshev point; a limit of 0 has c0 = 0 and so an
+        # oil-volume tail of exactly 0 (a curve starts at x = 0)
+        rng = np.random.default_rng(18)
+        mu, grid = atom_tree_case(rng, 1500, 60)
+        alphas = np.concatenate([np.zeros(300), np.repeat(grid, 40), np.full(500, 4.0)])
+        c0 = (1.0 - kappa * kappa) * alphas * alphas
+        vol, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
+        assert np.all(vol[alphas == 0.0] == 0.0)
+        assert_rows_close(vol, dense_tail(mu, OIL_VOLUME, c0, alphas))
+        assert_rows_close(rate, dense_tail(mu, OIL_RATE, c0, alphas))
+
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, 0.005, 0.5, KAPPA_MAX])
+    def test_tree_on_jump_aware_limits(self, kappa):
+        # sensitivity_constant's grid at 3e4 atoms: 2000 uniform limits and
+        # each atom's L - ulp, L and L + ulp, some 9e4 limits in all
+        rng = np.random.default_rng(19)
+        mu, _ = atom_tree_case(rng, 30000, 0)
+        alphas = _jump_aware_alphas(mu, 10.0, 2001)
+        got = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
+        rows = np.sort(rng.choice(alphas.size, 240, replace=False))
+        c0 = (1.0 - kappa * kappa) * alphas[rows] * alphas[rows]
+        for tail, kernel in zip(got, (OIL_VOLUME, OIL_RATE)):
+            assert_rows_close(tail[rows], dense_tail(mu, kernel, c0, alphas[rows]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_atoms=st.integers(129, 600),
+        decade=st.integers(-150, 150),
+        kappa=st.sampled_from([KAPPA_MIN, 0.005, 0.5, KAPPA_MAX]),
+    )
+    def test_tree_at_any_scale(self, seed, n_atoms, decade, kappa):
+        # lengths from 1e-150 to 1e150, and limits at 0, subnormal, on
+        # atoms and an ulp either side, besides a grid: every value is
+        # finite, >= 0 and within the dense sum's bound
+        rng = np.random.default_rng(seed)
+        mu, grid = atom_tree_case(rng, n_atoms, 700, scale=10.0 ** decade)
+        on = rng.choice(mu._atoms_by_length[0], 40)
+        tiny = 5e-324 * rng.integers(1, 2**52, 5)
+        alphas = rng.permutation(np.concatenate([
+            grid, [0.0, 5e-324, 2.2250738585072014e-308], tiny,
+            on, np.nextafter(on, 0.0), np.nextafter(on, np.inf),
+        ]))
+        c0 = (1.0 - kappa * kappa) * alphas * alphas
+        got = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
+        for tail, kernel in zip(got, (OIL_VOLUME, OIL_RATE)):
+            assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
+            assert_rows_close(tail, dense_tail(mu, kernel, c0, alphas))
+
+    def test_far_field_on_its_nodes(self):
+        # a limit on a Chebyshev point, or a subnormal away from the first,
+        # takes that point's sums: no weight overflows and none is 0/0
+        values = np.array([np.arange(1.0, 21.0), np.full(20, 3.0)])
+        lo = np.concatenate([measures._FAR_NODES[:1], [5e-324, 1e-300], measures._FAR_NODES[1:]])
+        out = np.zeros((2, lo.size))
+        measures._far_values(lo, values, out)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[:, 3:], values[:, 1:])
+        for k in range(3):
+            assert np.array_equal(out[:, k], values[:, 0])
 
     def test_lane_sum_is_np_sum(self):
         # the atoms-major sums add each column in the order np.sum adds a
