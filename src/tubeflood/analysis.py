@@ -243,9 +243,9 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
 
 
 # Atoms a Monte Carlo measure may have, at most: an accepted trial samples
-# each curve at about three alphas per atom, and its tails past 128 atoms
-# run over a tree of those alphas, so its time grows a little faster than
-# the atom count.  sensitivity_constant on an accepted pair took 0.035 s
+# each curve at about three alphas per atom, and its tails run over a
+# tree of those alphas, so its time grows a little faster than the atom
+# count.  sensitivity_constant on an accepted pair took 0.035 s
 # of CPU at 10**3 atoms and 0.26 s at 10**4 on a 2-vCPU host (0.065 s and
 # 3.0 s when every sample summed over every atom).
 MC_MAX_ATOMS = 10**4

@@ -13,7 +13,8 @@ The sampling routines are vectorized over alpha and each is a combination
 of the two integrals of the measures layer: V_w and V_w' are prefix
 integrals, V_o adds the OIL_VOLUME tail and V_o' is the OIL_RATE tail.
 volumes_and_water_cut gives V_w, V_o and the water cut together, with
-both tails from one pass.
+both tails from one pass.  Each formula is written once (_v_w, _v_o,
+_v_w_prime, _v_o_prime, _water_cut), and every path applies it.
 Memory therefore stays bounded by that layer's row blocks however many
 atoms the measure has, and every alpha must be finite and >= 0.
 endpoint_volumes holds the one check on a measure at alpha_max.
@@ -45,22 +46,46 @@ from .measures import (
 LIPSCHITZ_RTOL = 1e-9
 
 
+# The model's formulas, from the prefix and tail integrals the caller
+# already has: m_inv and m_one integrate y^-1 and y over [0, alpha),
+# m_right y^-1 over [0, alpha], and oil and rate are the OIL_VOLUME and
+# OIL_RATE tails.
+
+def _v_w(kappa, alphas, m_inv, m_one):
+    return (1.0 + kappa) / (2.0 * kappa) * (alphas * alphas * m_inv - m_one)
+
+
+def _v_o(kappa, m_one, oil):
+    return m_one + oil / (1.0 - kappa)
+
+
+def _v_w_prime(kappa, alphas, m_right):
+    return (1.0 + kappa) * alphas / kappa * m_right
+
+
+def _v_o_prime(kappa, alphas, rate):
+    return (1.0 + kappa) * alphas * rate
+
+
+def _water_cut(wp, op):
+    """wp / (wp + op), with the 0/0 points (no flow at all) mapped to 0."""
+    den = wp + op
+    return np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
+
+
 def v_w_samples(mu, kappa, alphas):
     """V_w on an array of alpha values (closed form)."""
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    m_inv = prefix_integral(mu, -1, alphas)
-    m_one = prefix_integral(mu, 1, alphas)
-    return (1.0 + kappa) / (2.0 * kappa) * (alphas * alphas * m_inv - m_one)
+    return _v_w(kappa, alphas, prefix_integral(mu, -1, alphas), prefix_integral(mu, 1, alphas))
 
 
 def v_o_samples(mu, kappa, alphas):
     """V_o on an array of alpha values (closed form)."""
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    total = prefix_integral(mu, 1, alphas)
-    (tail,) = tail_integral(mu, (OIL_VOLUME,), kappa, alphas)
-    return total + tail / (1.0 - kappa)
+    (oil,) = tail_integral(mu, (OIL_VOLUME,), kappa, alphas)
+    return _v_o(kappa, prefix_integral(mu, 1, alphas), oil)
 
 
 def v_w_prime_samples(mu, kappa, alphas):
@@ -70,8 +95,7 @@ def v_w_prime_samples(mu, kappa, alphas):
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    m_inv = prefix_integral(mu, -1, alphas, inclusive=True)
-    return (1.0 + kappa) * alphas / kappa * m_inv
+    return _v_w_prime(kappa, alphas, prefix_integral(mu, -1, alphas, inclusive=True))
 
 
 def v_o_prime_samples(mu, kappa, alphas):
@@ -81,38 +105,31 @@ def v_o_prime_samples(mu, kappa, alphas):
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    (tail,) = tail_integral(mu, (OIL_RATE,), kappa, alphas)
-    return (1.0 + kappa) * alphas * tail
+    (rate,) = tail_integral(mu, (OIL_RATE,), kappa, alphas)
+    return _v_o_prime(kappa, alphas, rate)
 
 
 def water_cut_samples(mu, kappa, alphas):
     """V_w'/(V_w'+V_o') with the 0/0 points (no flow at all) mapped to 0."""
     wp = v_w_prime_samples(mu, kappa, alphas)
-    op = v_o_prime_samples(mu, kappa, alphas)
-    den = wp + op
-    return np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
+    return _water_cut(wp, v_o_prime_samples(mu, kappa, alphas))
 
 
 def volumes_and_water_cut(mu, kappa, alphas):
     """(V_w, V_o, water cut) on one alpha array, from one pass over the tails.
 
     The two oil tails come from a single tail_integral call, which takes
-    the root sqrt(y^2 - (1-kappa^2) alpha^2) once per cell; every other
-    expression is the one of v_w_samples, v_o_samples and
-    water_cut_samples, so the three arrays equal theirs bit for bit.
+    the root sqrt(y^2 - (1-kappa^2) alpha^2) once per cell; the formulas
+    are the ones v_w_samples, v_o_samples and water_cut_samples apply, so
+    the three arrays equal theirs bit for bit.
     """
     kappa = check_kappa(kappa)
     alphas = np.asarray(alphas, dtype=float)
-    m_inv = prefix_integral(mu, -1, alphas)
     m_one = prefix_integral(mu, 1, alphas)
     oil, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
-    vw = (1.0 + kappa) / (2.0 * kappa) * (alphas * alphas * m_inv - m_one)
-    vo = m_one + oil / (1.0 - kappa)
-    m_right = prefix_integral(mu, -1, alphas, inclusive=True)
-    wp = (1.0 + kappa) * alphas / kappa * m_right
-    op = (1.0 + kappa) * alphas * rate
-    den = wp + op
-    return vw, vo, np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
+    vw = _v_w(kappa, alphas, prefix_integral(mu, -1, alphas), m_one)
+    wp = _v_w_prime(kappa, alphas, prefix_integral(mu, -1, alphas, inclusive=True))
+    return vw, _v_o(kappa, m_one, oil), _water_cut(wp, _v_o_prime(kappa, alphas, rate))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +242,12 @@ def endpoint_volumes(kappa, alpha_max, support_sup, i_inv, i_one):
         raise ArgumentError(
             f"measure support (sup {support_sup}) exceeds alpha_max={alpha_max}"
         )
-    vw = (1.0 + kappa) / (2.0 * kappa) * (alpha_max * alpha_max * i_inv - i_one)
-    vwp = (1.0 + kappa) * alpha_max / kappa * i_inv
+    vw = _v_w(kappa, alpha_max, i_inv, i_one)
     if not sys.float_info.min <= vw + i_one < math.inf:
         raise ArgumentError(
             f"volume at alpha_max must be a finite normal double, got {vw + i_one}"
         )
-    return vw, i_one, vwp
+    return vw, i_one, _v_w_prime(kappa, alpha_max, i_inv)
 
 
 def endpoint_data(mu, kappa, alpha_max):

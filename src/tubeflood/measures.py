@@ -17,47 +17,39 @@ is one of two integrals, vectorized over an array of alpha >= 0:
 
 Atoms enter a prefix integral through prefix sums, which the Measure
 builds in its constructor (and so rejects moments past the doubles
-there), and a binary search.  A tail integral evaluates its atom cells
-in blocks of at most _BLOCK_CELLS cells (or one row), in place in
-per-thread buffers kept from one call to the next, and no block-sized
-array is allocated per call.  Only the live (alpha, atom) cells of a
-block are evaluated: the atoms are sorted by length, so those below the
-block's smallest alpha, a column prefix, are skipped, and only the
-columns up to its largest alpha need the tail mask.  A call with both
-kernels takes sqrt(y^2 - c0) once per live cell; each kernel writes
-into its own buffer (the last over the root) and gets the bits of a
-call with that kernel alone.  Up to _PAIRWISE_LEAF = 128 atoms, which
-NumPy sums as one leaf of its pairwise sum (8 lanes, then the rest in
-turn), every row of atoms is summed in the order np.sum takes over it:
-the blocks are row blocks of alpha laid out atoms-major, so each ufunc
-runs long loops over the alphas, the atom rows are added into 8 lanes,
-and adds of whole lane rows fold them.
-
-Past 128 atoms the tail runs over a binary tree of the sorted alphas,
-with p = 20 Chebyshev points per node (_FAR_POINTS).  A node whose
-alphas lie in [a, b], of width w, takes the atoms past b + w that its
-ancestors did not take, one slice of the sorted atoms, as a far field:
-each kernel's only singularity in alpha lies at L / sqrt(1 - kappa^2)
->= L, at least 3 half-widths past the node's middle, so the far sum is
-analytic inside the Bernstein ellipse of rho = 3 + sqrt(8), and p
-points interpolate it to rounding (the bound is worked out at
-_FAR_POINTS).  The node evaluates each kernel on the slice at its p
-points, sums over the atoms and adds the interpolant at its alphas; the
-oil volume is interpolated without its factor c0, which it takes at the
-alpha, so V_o(0) is exactly 0.  A node is a leaf once its direct cells
-fit _TREE_CELLS = 2^15 or it holds at most 2p alphas, and a leaf adds
-its remaining atoms directly.  Each value is within about 1e-15
-relative of the direct sum, and no value depends on the block size or
-on the order of the alphas.  At 4000 atoms and 2001 ascending alphas
-the tree evaluates 0.13 N M kernel cells, where a direct sum over the
-live cells takes about half of them.  A warm one-kernel call at 2001
-alphas peaked at 0.16-0.17 MB up to 128 atoms and at 0.25, 0.27 and
-0.33 MB at 129, 1e3 and 1e4 atoms (0.18-0.20 and 0.32-0.39 MB with both
-kernels); a cold one, whose buffers are new, at 0.41-0.42 MB (0.68-0.69
-MB) up to 128 atoms and 0.76-0.83 MB (0.82-0.89 MB) past that
-(tracemalloc, MB of 2^20 bytes).  The row-block rule, row_blocks, is
-the package's only one: the operator's cells are evaluated over it too,
-in the same per-thread buffers (_block_buffers), and the tube
+there), and a binary search.  A tail integral sums its atoms, whatever
+their count, over a binary tree of the sorted alphas, with p = 20
+Chebyshev points per node (_FAR_POINTS).  A node whose alphas lie in
+[a, b], of width w, takes the atoms past b + w that its ancestors did
+not take, one slice of the sorted atoms, as a far field: each kernel's
+only singularity in alpha lies at L / sqrt(1 - kappa^2) >= L, at least
+3 half-widths past the node's middle, so the far sum is analytic inside
+the Bernstein ellipse of rho = 3 + sqrt(8), and p points interpolate it
+to rounding (the bound is worked out at _FAR_POINTS).  The node
+evaluates each kernel on the slice at its p points, sums over the atoms
+and adds the interpolant at its alphas; the oil volume is interpolated
+without its factor c0, which it takes at the alpha, so V_o(0) is
+exactly 0.  A node is a leaf once its direct cells fit _TREE_CELLS =
+2^15 or it holds at most 2p alphas, and a leaf adds its remaining atoms
+directly.  Only the live (alpha, atom) cells of a leaf are evaluated:
+the atoms are sorted by length, so those below its smallest alpha, a
+column prefix, are skipped, and only the columns up to its largest
+alpha need the tail mask.  A call with both kernels takes sqrt(y^2 -
+c0) once per live cell; each kernel writes into its own buffer (the
+last over the root) and gets the bits of a call with that kernel alone.
+Each value is within about 1e-15 relative of the direct sum, and no
+value depends on the block size or on the order of the alphas.  At 4000
+atoms and 2001 ascending alphas the tree evaluates 0.13 N M kernel
+cells, where a direct sum over the live cells takes about half of them.
+The cells are evaluated in place in per-thread buffers kept from one
+call to the next, and no block-sized array is allocated per call.  A
+warm one-kernel call at 2001 alphas peaked at 0.24-0.26 MB at 5-129
+atoms and at 0.27 and 0.33 MB at 1e3 and 1e4 atoms (0.30-0.33 and
+0.35-0.40 MB with both kernels); a cold one, whose buffers are new, at
+0.74-0.83 MB (0.80-0.90 MB) (tracemalloc, MB of 2^20 bytes).  The
+row-block rule, row_blocks, is the package's only one: the tree's leaves
+with more atoms than alphas take it, the operator's cells are evaluated
+over it in the same per-thread buffers (_block_buffers), and the tube
 simulation writes its blocks straight into its result.
 Pieces enter both integrals by their clipped limits, one bracket per
 cell; a tail call takes each piece's root step (_root_step) once, for
@@ -107,11 +99,7 @@ _LENGTH_RULE = (
 # Cells per row block of row_blocks: temporaries stay near 256 KB.
 _BLOCK_CELLS = 1 << 15
 
-# The most terms that np.sum adds as one leaf of its pairwise sum, in 8
-# lanes; tail_integral sums up to this many atoms atoms-major in that order.
-_PAIRWISE_LEAF = 128
-
-# Past _PAIRWISE_LEAF atoms, tail_integral sums over a tree of the limits.
+# tail_integral sums the atoms over a tree of the limits.
 # A node whose limits lie in [a, b], of width w, takes the atoms past
 # b + _FAR_GAP w as a far field.  A kernel's only singularities in the
 # limit, at +-L / sqrt(1 - kappa^2), then lie at t >= 1 + 2 _FAR_GAP = 3 of
@@ -384,42 +372,6 @@ def _block_buffers(rows, cols, count=1):
     return work[:count, :cells].reshape(count, rows, cols)
 
 
-def _lane_sum(tiles, j0, out):
-    """out[k, r] = the sum of tiles[k, :, r], in np.sum's order over a row.
-
-    Each tile has at most _PAIRWISE_LEAF rows, and those below j0 count
-    as zeros whatever they hold.  NumPy sums a row of up to 128 terms as
-    one leaf of its pairwise sum: below 8 terms in turn; otherwise term q
-    into lane q % 8, the lanes as ((0+1)+(2+3))+((4+5)+(6+7)), and then
-    the terms past the last full 8 in turn.  Adding a zero changes no
-    sum, so the lanes start at the 8-aligned row at or below j0, and a
-    sum without lanes starts at row j0.  The lanes are summed in place,
-    in the tiles' rows, and folded by adds of whole lane rows at strides
-    1, 2 and 4, the last into out.  No add's operands overlap, so NumPy
-    adds in place without copying an input first, and each add is
-    elementwise, so the order is the one above whatever the shape, where
-    a reduce would leave it to NumPy.
-    """
-    n = tiles.shape[1]
-    head = n - n % 8   # the rows summed in lanes; none below 8 rows
-    if j0 < head:
-        first = j0 - j0 % 8
-        lanes = tiles[:, first : first + 8]
-        lanes[:, : j0 - first] = 0.0
-        for q in range(first + 8, head, 8):
-            np.add(lanes, tiles[:, q : q + 8], out=lanes)
-        for stride in (1, 2):
-            for q in range(0, 8, 2 * stride):
-                np.add(lanes[:, q], lanes[:, q + stride], out=lanes[:, q])
-        np.add(lanes[:, 0], lanes[:, 4], out=out)
-        rest = range(head, n)
-    else:
-        np.copyto(out, tiles[:, j0])
-        rest = range(j0 + 1, n)
-    for q in rest:
-        np.add(out, tiles[:, q], out=out)
-
-
 def _atom_cells(kernels, targets, L, S, L2, lo, c, j1):
     """Write each kernel's cells of the atoms (L, S) at the limits lo.
 
@@ -441,35 +393,6 @@ def _atom_cells(kernels, targets, L, S, L2, lo, c, j1):
             edge, lo, out=np.empty_like(below)
         )
         np.copyto(t[:, :j1], 0.0, where=outside)
-
-
-def _tile_tails(kernels, L, S, lower, c0, outs):
-    """Add the atom tails of at most _PAIRWISE_LEAF atoms to outs, each row
-    in the order np.sum takes over it, over row_blocks of the limits.
-
-    A block's cells are an (atom, limit) tile per kernel, the last the
-    root's, so each ufunc runs inner loops over the block's limits, and
-    _lane_sum adds the atom rows.  The atoms below the block's smallest
-    limit (j0) lie outside every tail on every row of it and are never
-    evaluated; only those up to the last atom at its largest limit (j1)
-    need the tail masks.
-    """
-    n = L.size
-    blocks = list(row_blocks(lower.size, n))
-    starts = [rows.start for rows in blocks]
-    j0s = L.searchsorted(np.minimum.reduceat(lower, starts), "left")
-    j1s = L.searchsorted(np.maximum.reduceat(lower, starts), "right")
-    tiles = _block_buffers(n, blocks[0].stop, len(kernels))
-    L2 = L * L
-    for rows, j0, j1 in zip(blocks, j0s.tolist(), j1s.tolist()):
-        if j0 == n:
-            continue
-        m = rows.stop - rows.start
-        _atom_cells(
-            kernels, [tile[j0:, :m].T for tile in tiles], L[j0:], S[j0:], L2[j0:],
-            lower[rows, None], c0[rows, None], j1 - j0,
-        )
-        _lane_sum(tiles[:, :, :m], j0, outs[:, rows])
 
 
 def _leaf_tails(kernels, L, S, L2, lo, c, j1, out):
@@ -545,7 +468,7 @@ def _far_values(lo, values, out):
 
 
 def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
-    """Add the atom tails of more than _PAIRWISE_LEAF atoms to outs.
+    """Add the atom tails of the atoms (L, S), sorted by length, to outs.
 
     The limits are sorted once and cut in halves, by index, down to the
     leaves of the rule at _TREE_CELLS.  A node that is cut, whose limits
@@ -608,18 +531,14 @@ def tail_integral(mu, kernels, kappa, lower):
     closed kernel and (lower, inf) otherwise.  Each result has the shape
     of lower.
 
-    Up to _PAIRWISE_LEAF atoms, atom cells are summed over row_blocks,
-    each row over all atoms in length order (the ones outside the tail
-    add 0) and in the order np.sum takes over the whole row, which sums
-    at most 128 terms as one leaf of its pairwise sum (_tile_tails).
-    Past 128 atoms, a tree over the sorted limits (_tree_tails) takes the
-    atoms well above a node's limits as a far field: their sum is
-    analytic in the limit there, and a fixed number of Chebyshev points
-    interpolates it to rounding (see _FAR_POINTS), so each row is within
-    about 1e-15 relative of the direct sum, whose order it gives up.
-    Either way a value depends neither on the block size nor on the order
-    of lower, and only the live cells are evaluated: the atoms are sorted,
-    so those below a block's or a leaf's smallest limit, a column prefix,
+    The atoms are summed over a tree of the sorted limits (_tree_tails),
+    which takes the atoms well above a node's limits as a far field:
+    their sum is analytic in the limit there, and a fixed number of
+    Chebyshev points interpolates it to rounding (see _FAR_POINTS), so
+    each row is within about 1e-15 relative of the direct sum, whose
+    order it gives up.  A value depends neither on the block size nor on
+    the order of lower, and only the live cells are evaluated: the atoms
+    are sorted, so those below a leaf's smallest limit, a column prefix,
     lie outside every tail on every row of it, and only those up to the
     last atom at its largest limit need the tail masks.
 
@@ -642,11 +561,7 @@ def tail_integral(mu, kernels, kappa, lower):
     c0 = (1.0 - kappa * kappa) * lower * lower
     outs = np.zeros((len(kernels), lower.size))
     if mu.atoms and lower.size:
-        L, S = mu._atoms_by_length
-        if L.size <= _PAIRWISE_LEAF:
-            _tile_tails(kernels, L, S, lower, c0, outs)
-        else:
-            _tree_tails(kernels, L, S, kappa, lower, c0, outs)
+        _tree_tails(kernels, *mu._atoms_by_length, kappa, lower, c0, outs)
     for pa, pb, rho in mu.pieces:
         step = _root_step(np.clip(lower, pa, pb), pb, lower, kappa)
         for kernel, out in zip(kernels, outs):

@@ -179,15 +179,18 @@ class TestSensitivity:
         c = sensitivity_constant(mu1, mu2, 0.5, 10.0).c_value
         noise = np.random.default_rng(seed)
         exact = analysis.volumes_and_water_cut
+        moved = []
 
         def noisy(mu, kappa, alphas):
             # +-2 ulp on V_o, and so on the x = V_w + V_o samples
             vw, vo, wc = exact(mu, kappa, alphas)
-            return vw, vo + noise.integers(-2, 3, vo.shape) * np.spacing(vo), wc
+            shaken = vo + noise.integers(-2, 3, vo.shape) * np.spacing(vo)
+            moved.append(np.count_nonzero(vw + shaken != vw + vo))
+            return vw, shaken, wc
 
         monkeypatch.setattr(analysis, "volumes_and_water_cut", noisy)
         jittered = sensitivity_constant(mu1, mu2, 0.5, 10.0).c_value
-        assert jittered != c   # the noise reached c
+        assert len(moved) == 2 and min(moved) > 0   # the noise reached both curves' x
         assert abs(jittered / c - 1) <= 1e-12
 
     def test_one_tail_pass_matches_the_separate_samplers(self):

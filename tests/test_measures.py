@@ -560,9 +560,9 @@ class TestTailIntegral:
     @pytest.mark.parametrize(
         "block_cells, n_atoms, n_alphas, lower, kappa",
         [
-            # one block
+            # one leaf
             pytest.param(None, 50, 20, "ascending", 0.5, id="None-50-20"),
-            # past 128 atoms: a tree of the limits, cut into leaves
+            # 1000 atoms: a tree of the limits, cut into leaves
             pytest.param(None, 1000, 100, "ascending", 0.5, id="None-1000-100"),
             # more atoms than cells: one leaf, one row per block
             pytest.param(None, 40000, 3, "ascending", 0.5, id="None-40000-3"),
@@ -588,10 +588,8 @@ class TestTailIntegral:
                 for kappa, bound in ((KAPPA_MIN, "min"), (KAPPA_MAX, "max"))
                 for cells, n, m in ((None, 1000, 100), (64, 20, 10), (16, 40, 5))
             ),
-            # atom counts around the 8 lanes and the 128-term leaf of the
-            # atoms-major sums, and 129, the first past it; blocks of 256
-            # cells start their live atoms at many counts not a multiple
-            # of 8, and so do the on-atom limits
+            # atom counts from one to past a hundred, with blocks of 256
+            # cells and limits in every order
             *(
                 pytest.param(cells, n, 60, lower, 0.5, id=f"{cells}-{n}-60-{lower}")
                 for n in (1, 7, 8, 9, 17, 127, 128, 129)
@@ -617,9 +615,9 @@ class TestTailIntegral:
         got = tail_integral(mu, kernels, kappa, alphas)
         for tail, kernel in zip(got, kernels, strict=True):
             want = dense_tail(mu, kernel, c0, alphas)
-            # up to 128 atoms in np.sum's order, bit for bit; past that the
-            # tree gives up that order, and its far fields interpolate
-            if n_atoms <= measures._PAIRWISE_LEAF:
+            # below 8 atoms np.sum adds in turn, as a leaf does; from 8 on
+            # it adds in lanes, and the tree's far fields interpolate
+            if n_atoms < 8:
                 assert np.array_equal(tail, want)
             else:
                 assert_rows_close(tail, want)
@@ -643,7 +641,7 @@ class TestTailIntegral:
         assert np.array_equal(got, tail_integral(mu, (kernel,), 0.5, alphas)[0])
         assert sum(cells) <= 0.2 * n_atoms * n_alphas
 
-    @pytest.mark.parametrize("n_atoms", [129, 1000, 5000])
+    @pytest.mark.parametrize("n_atoms", [1, 8, 50, 128, 129, 1000, 5000])
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
     def test_tree_ignores_the_block_size(self, monkeypatch, kernels, n_atoms):
         # the tree's leaves and chunks are fixed apart from _BLOCK_CELLS,
@@ -665,11 +663,12 @@ class TestTailIntegral:
         # the limits are sorted once, so a permutation of them permutes
         # the values, bit for bit
         rng = np.random.default_rng(17)
-        mu, alphas = atom_tree_case(rng, 2000, 3001)
-        perm = rng.permutation(alphas.size)
-        got = tail_integral(mu, kernels, 0.5, alphas[perm])
-        for tail, want in zip(got, tail_integral(mu, kernels, 0.5, alphas), strict=True):
-            assert np.array_equal(tail, want[perm])
+        for n_atoms in (2000, 50):
+            mu, alphas = atom_tree_case(rng, n_atoms, 3001)
+            perm = rng.permutation(alphas.size)
+            got = tail_integral(mu, kernels, 0.5, alphas[perm])
+            for tail, want in zip(got, tail_integral(mu, kernels, 0.5, alphas), strict=True):
+                assert np.array_equal(tail, want[perm])
 
     @pytest.mark.parametrize("kappa", [KAPPA_MIN, 0.5, KAPPA_MAX])
     def test_tree_duplicate_and_zero_limits(self, kappa):
@@ -701,7 +700,7 @@ class TestTailIntegral:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_atoms=st.integers(129, 600),
+        n_atoms=st.integers(1, 600),
         decade=st.integers(-150, 150),
         kappa=st.sampled_from([KAPPA_MIN, 0.005, 0.5, KAPPA_MAX]),
     )
@@ -735,28 +734,6 @@ class TestTailIntegral:
         for k in range(3):
             assert np.array_equal(out[:, k], values[:, 0])
 
-    def test_lane_sum_is_np_sum(self):
-        # the atoms-major sums add each column in the order np.sum adds a
-        # contiguous row of it, for every atom count they take and for the
-        # tiles of one kernel and of two, the shapes tail_integral passes;
-        # terms over 16 decades make any other order show in the bits, and
-        # the rows below the first live atom hold NaN, which must not be read
-        rng = np.random.default_rng(8)
-        for n in range(1, measures._PAIRWISE_LEAF + 1):
-            for k in (1, 2):
-                for m in (1, 5, 64):
-                    for j0 in {0, 1, 7, n // 2, n - 9, n - 1} & set(range(n)):
-                        terms = rng.uniform(0.0, 1.0, (k, n, m))
-                        terms *= 10.0 ** rng.integers(-8, 8, (k, n, 1))
-                        terms[:, :j0] = 0.0
-                        tiles = terms.copy()
-                        tiles[:, :j0] = np.nan
-                        out = np.empty((k, m))
-                        measures._lane_sum(tiles, j0, out)
-                        for got, tile in zip(out, terms):
-                            want = np.sum(np.ascontiguousarray(tile.T), axis=1)
-                            assert np.array_equal(got, want), (n, k, m, j0)
-
     @pytest.mark.parametrize("n_pieces", [1, 3])
     @pytest.mark.parametrize("n_atoms", [0, 20], ids=["pieces", "pieces-atoms"])
     def test_pieces_share_one_root_step(self, monkeypatch, n_pieces, n_atoms):
@@ -787,9 +764,9 @@ class TestTailIntegral:
 
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
     def test_blocks_reuse_the_thread_buffers(self, kernels):
-        # 2001 alphas make four blocks of 256 KB per float array at 50
-        # atoms and eight at 128, the most atoms laid out atoms-major; a
-        # warm call fills them in place, so only the results, the masks and
+        # 2001 alphas make a tree of leaves and far fields of up to 256 KB
+        # per float array at 50 and 128 atoms; a warm call fills them in
+        # place, so only the results, the sorted limits, the masks and
         # numpy's iterator buffers are new (fresh temporaries peak >1 MB)
         alphas = np.linspace(0.0, 10.0, 2001)
         for n_atoms in (50, 128):
