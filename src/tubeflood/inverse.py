@@ -17,39 +17,39 @@ operator), so M is upper triangular and the discrete fixed point is
 solved exactly by one sweep down from alpha_max, one scalar equation per
 grid node.
 
-M is never formed as an n x n array.  It is held in hierarchical (HODLR)
-form: [0, n) is halved down to leaves of at most 64 nodes, each leaf a
-dense, exact diagonal block, and each split's off-diagonal block
-M[lo:mid, mid:hi] rank-k factors U.T V from adaptive cross approximation
-on exact entries, to 1e-12 of the block (Hackbusch, Hierarchical Matrices,
-2015; Bebendorf, Numer. Math. 86, 2000).  The ranks stay below about 35,
-so memory and build time grow as n log n: 5-8.5% of n^2 doubles at
-n = 2001, and 60-110 MB at n = 50001 where M would take 20 GB.
-Leaves, ACA rows and ACA columns all come from one cell function, _cells,
-each evaluated in place in per-thread buffers kept from one call to the
-next (measures._block_buffers, shared with the tail integrals).  _cells
-is also the one place that gives the cell past alpha_max no left part,
-and an ACA row chunk evaluates the cell after its last, so no caller
-fixes up a cell or a slot.  The cells' one transcendental term,
-t - arctan t, is a 5-term series wherever t < 0.025, where the remainder
-is below 2^-53 relative, and arctan on the few other cells.  A leaf
-evaluates only its cells on and above the diagonal.  ACA advances all
-the blocks of a batch together, their rows and columns cut into chunks
-of one width, so that a step is a few array operations over all of them
-and its terms are subtracted by one batched matrix product per page of
-16 terms.  The blocks sit largest first: a block that stops
-takes its factors out and steps on with a zero term, and the stopped
-blocks after the last running one are cut off the end of the batch by
-slicing.  The sweep solves the leaves from alpha_max down (Hairer,
-Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985); before the
-leaf that ends at a block's first column, the block's columns are all
-solved, and its U.T (V v) goes into its rows' right-hand side.  The
-residual and apply_T multiply by the same operator, so residual and
-error_bound measure the discrete system with the stored factors; the
-factors' own distance from the exact M, up to about 1e-11 of a row's
-largest entry at n = 2001, is not in them.  One operator is cached; a
-new (n, kappa) frees it before the build, so two are never held at
-once.
+M is never formed as an n x n array.  It is held on a tree of its rows,
+the one the atom tails of measures sum over: [0, n) is halved down to
+leaves of at most 40 rows.  A span whose rows lie in [a, b], of width w,
+takes as its far field the columns from the first whose hat lies at or
+above both b and sqrt(c) (b + w), c = 1 - kappa^2, up to the column its
+ancestors took.  Over those columns each entry over kappa c alpha^4 is
+analytic in alpha, with its one singularity, at y / sqrt(c), 3
+half-widths past the span's middle, so the span stores these quotients
+at 20 Chebyshev rows and interpolates them to its rows to rounding
+(Trefethen, Approximation Theory and Approximation Practice, Thm 8.2;
+the bound is worked out at _tree).  The quotient stays finite as
+alpha -> 0, so each entry keeps its relative digits, and row 0 is
+exactly 0.  A leaf holds its rows exactly and densely, from its diagonal
+block up to the column its ancestors took.  Memory and build time grow
+as n log n: 5-10% of n^2 doubles at n = 2001, less for larger kappa, and
+108-182 MB of peak RSS at n = 50001, where M would take 20 GB.  Leaves
+and the far fields' rows all come from one cell function, _cells, each
+evaluated in place in per-thread buffers kept from one call to the next
+(measures._block_buffers, shared with the tail integrals).  _cells is
+also the one place that gives the cell past alpha_max no left part, so
+no caller fixes up a cell or a slot.  The cells' one transcendental
+term, t - arctan t, is a 5-term series wherever t < 0.025, where the
+remainder is below 2^-53 relative, and arctan on the few other cells.
+A leaf evaluates only its cells on and above the diagonal.  The sweep
+solves the leaves from alpha_max down (Hairer, Lubich and Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985); before the leaf that ends where a
+span ends, the span's far columns are all solved, and its interpolated
+far field goes into its rows' right-hand side.  The residual and apply_T
+multiply by the same operator, so residual and error_bound measure the
+discrete system with the stored far fields; their own distance from the
+exact M, up to about 3e-12 of a row's largest entry at n = 2001 with
+the cells' rounding, is not in them.  One operator is cached; a new
+(n, kappa) frees it before the build, so two are never held at once.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
 dmu(y)/y follows from V'(alpha) = (1+kappa)/kappa * alpha * Phi(alpha),
@@ -86,23 +86,16 @@ _OPERATOR = {}
 # Rows per sub-block of a leaf's back-substitution sweep.
 _SWEEP_ROWS = 8
 
-# Nodes of a diagonal leaf of the operator, at most.
-_LEAF = 64
-
-# ACA stops a block at the first term below _ACA_TOL of the block's
-# Frobenius norm (or a rounding floor above it, see _aca), and at
-# _ACA_RANK terms at the latest.
-_ACA_TOL = 1e-12
-_ACA_RANK = 64
-
-# ACA terms per page of stored terms.
-_PAGE = 16
+# Rows of a leaf of the operator's tree, at most: the atom tails' leaf
+# size, below which a far field at measures._FAR_POINTS rows would save
+# at most half of the cells it replaces.
+_LEAF = measures._LEAF_LIMITS
 
 # _cells makes some 15 temporaries per call, so its calls take row blocks
 # of a third of the cells: a temporary then stays under 128 KiB, glibc's
 # default threshold for fresh pages per allocation.  With whole-block calls
-# (_CELL_WORK = 1) a build at n_grid 2001 took 1877 minor faults against
-# 711, and a fresh process ran a median 15% slower.
+# (_CELL_WORK = 1) a build at n_grid 2001 and kappa 0.1 took 1965 minor
+# faults against 1214, and a fresh process ran a median 6% slower.
 _CELL_WORK = 3
 
 # The closed forms square node indices, exactly in doubles only below 2^26.
@@ -145,7 +138,8 @@ class RecoveryConfig:
 class RecoveryResult:
     """Recovered profile plus solver diagnostics.
 
-    residual is sup |V - G(h + TV)| on the grid, T the stored operator;
+    residual is sup |V - G(h + TV)| on the grid, T the stored operator
+    (whose far fields' own distance from the exact one it leaves out);
     contraction_q = (1-kappa)/(1+kappa) and error_bound = residual /
     (1 - q), which bounds the distance to that operator's discrete fixed
     point, derive from kappa and residual.  phi and f are filled by the
@@ -206,7 +200,9 @@ def _cells(i, m, kappa, n):
     nodes, over kappa c i^4.
 
     i and m are float node indices that broadcast to the cells' shape, with
-    1 <= i <= m: the upper triangle, row 0 being 0.  Returns (left, right)
+    0 < i <= m: the upper triangle.  The rows need not be integers: a far
+    field takes its Chebyshev rows, and at alpha = 0, where this divides
+    by i, the quotient's limit, at i = 2^-100.  Returns (left, right)
     = (a - r, r), whose multiples by kappa c i^4 are the parts of M[i, m]
     and M[i, m+1] that the cell adds (see _unit_t_matrix), as views on this
     thread's measures._block_buffers that the next call overwrites.  On an
@@ -214,9 +210,8 @@ def _cells(i, m, kappa, n):
     this is the one place that rule is applied.  Each cell takes one fixed
     sequence of operations, so its value does not depend on the shape or
     grouping of a call.  The factors of i alone and of m alone are taken at
-    their own shapes: a leaf passes one i per cell, an ACA row one per
-    chunk of cells, and an ACA column one per row and its two cells j and
-    j - 1 once per chunk of rows.
+    their own shapes: a leaf passes one i per cell, and a rectangle of
+    _columns one i per row and one m per cell.
     """
     c = 1.0 - kappa * kappa
     sc = math.sqrt(c)
@@ -266,49 +261,72 @@ def _cells(i, m, kappa, n):
     return t, r
 
 
-def _split(n):
-    """The tree over the nodes [0, n): diagonal leaves and off-diagonal blocks.
+def _tree(n, kappa):
+    """The tree over the rows [0, n): its leaves and its far parts.
 
-    A span of more than _LEAF nodes splits at mid = (lo + hi) // 2 into two
-    halves and the block M[lo:mid, mid:hi] (its rows from 1 on, row 0
-    being 0); the block below the diagonal is 0.  Returns the leaves'
-    (lo, hi) from the top of the grid down, the order the sweep solves
-    them in, and the blocks' (rlo, mid, hi).
+    A span of more than _LEAF rows splits at mid = (lo + hi) // 2.  A span
+    whose rows lie in [a, b] = [lo, hi - 1], of width w, takes as its far
+    field the columns from j up to top, the column its ancestors took
+    (n at the root): j is the first column whose hat [j - 1, j + 1] lies
+    at or above both b and sqrt(c) (b + w).  Returns the leaves' (lo, hi,
+    top) from the top of the grid down, the order the sweep solves them
+    in, and the far parts' (lo, hi, j, top), those with j < top.
+
+    The separation: over a column's hat, which lies above every row of
+    the span, M[alpha, j] / (kappa c alpha^4) is an integral of the hat
+    against 1 / (y^2 (y^2 - c alpha^2)^{3/2}), analytic in alpha but at
+    alpha = +-y / sqrt(c), y in the hat.  The nearest lies at alpha >=
+    b + w, t >= 3 in the span's coordinate t in [-1, 1], so the column
+    is analytic inside the Bernstein ellipse of rho = 3 + sqrt(8) = 5.83,
+    and its interpolant in measures._FAR_POINTS = 20 Chebyshev rows
+    converges as rho^-20, 5e-16 (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2), as for the atom tails.  For a hat
+    exactly at the separation, on a span 40 hats wide, the interpolant is
+    within 5.3e-15 relative of 40-digit values at kappa 1e-6 and 0.5, and
+    18 points would give 1.7e-13 (the FAR_HAT table of the tests pins
+    it).  sqrt(c) is formed as sqrt((1 - kappa)(1 + kappa)), without a
+    rounded 1 - kappa^2.
     """
-    leaves, blocks = [], []
-    pending = [(0, n)]
+    sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
+    leaves, far = [], []
+    pending = [(0, n, n)]
     while pending:             # depth first, the top half first
-        lo, hi = pending.pop()
+        lo, hi, top = pending.pop()
         if hi - lo <= _LEAF:
-            leaves.append((lo, hi))
+            leaves.append((lo, hi, top))
             continue
+        b, w = hi - 1, hi - 1 - lo
+        j = min(max(b, math.ceil(sc * (b + w))) + 1, top)
+        if j < top:
+            far.append((lo, hi, j, top))
         mid = (lo + hi) // 2
-        pending += [(lo, mid), (mid, hi)]
-        blocks.append((max(lo, 1), mid, hi))
-    return np.array(leaves, dtype=int), np.array(blocks, dtype=int).reshape(-1, 3)
+        pending += [(lo, mid, j), (mid, hi, j)]
+    return leaves, far
 
 
 def _leaves(n, kappa, spans):
-    """The dense diagonal leaves M[lo:hi, lo:hi], exact, as views on one array.
+    """The leaves' rows M[lo:hi, lo:top], holding their exact diagonal
+    blocks M[lo:hi, lo:hi] and 0 past them, as views on one array.
 
     Only the cells on and above the diagonal are evaluated: row i of a
     leaf takes the cells i, ..., hi - 1, listed flat over row_blocks of the
     leaves.  Cell m adds its left part to column m and its right part to
     column m + 1, so M[i, j] is left(j) + right(j - 1), the sum of two
     neighbours in the list; the right part of a row's last cell falls in
-    the block above the leaf.  Row 0 and the cells below the diagonal are
-    0, and _cells gives the cell n - 1 past alpha_max no left part.
+    the near columns past the block, which _columns fills.  Row 0 and the
+    cells below the diagonal are 0, and _cells gives the cell n - 1 past
+    alpha_max no left part.
     """
-    lo, hi = spans[:, 0], spans[:, 1]
-    size = int(np.max(hi - lo))
-    out = np.zeros((lo.size, size, size))
-    flat = out.reshape(-1)
+    lo, hi, top = np.array(spans).T
+    size, width = int(np.max(hi - lo)), top - lo
+    start = np.concatenate(([0], np.cumsum((hi - lo) * width)))
+    flat = np.zeros(start[-1])
     kc = kappa * (1.0 - kappa * kappa)
     # the cells (i, m) = (lo + r, lo + c) of each leaf, r <= c < its size
     r, c = np.triu_indices(size)
     for g in row_blocks(lo.size, r.size * _CELL_WORK):
         i, m = lo[g, None] + r, lo[g, None] + c
-        pos = (np.arange(g.start, g.stop)[:, None] * size + r) * size + c
+        pos = start[g, None] + r * width[g, None] + c
         live = (c < (hi - lo)[g, None]) & (i >= 1)
         i, m, pos = i[live].astype(float), m[live].astype(float), pos[live]
         diagonal = np.broadcast_to(r == c, live.shape)[live]
@@ -319,232 +337,87 @@ def _leaves(n, kappa, spans):
         # M[i, j] = left(j) + right(j - 1), the cells of a row being listed in turn
         np.add(left[1:], right[:-1], out=left[1:], where=~diagonal[1:])
         flat[pos] = left
-    return [L[:b - a, :b - a] for L, a, b in zip(out, lo.tolist(), hi.tolist())]
+    return [flat[s:e].reshape(b - a, w)
+            for s, e, a, b, w in zip(start[:-1], start[1:], lo, hi, width)]
 
 
-def _aca_batches(blocks):
-    """Slices of the block list that ACA runs together: each holds at most
-    measures._BLOCK_CELLS row and column slots, or a single block."""
-    start, slots = 0, 0
-    for b, (rlo, mid, hi) in enumerate(blocks.tolist()):
-        if slots + hi - rlo + 1 > measures._BLOCK_CELLS and b > start:
-            yield slice(start, b)
-            start, slots = b, 0
-        slots += hi - rlo + 1
-    yield slice(start, len(blocks))
+def _columns(i, j, top, kappa, n):
+    """M[i, j:top] / (kappa c i^4) for the rows i, a 1-d float array with
+    0 < i <= j - 1, as a new (rows, top - j) array.
 
-
-def _chunks(lo, length, width):
-    """Chunks of width nodes lo[s], lo[s] + 1, ... holding at least length[s]
-    of them for each s: the nodes (chunks, width), as floats, the s of each
-    chunk and the first chunk of each s (and the total)."""
-    count = -(-length // width)
-    first = np.concatenate(([0], np.cumsum(count)))
-    owner = np.repeat(np.arange(lo.size), count)
-    offset = (np.arange(first[-1]) - first[owner])[:, None] * width + np.arange(width)
-    return (offset + lo[owner, None]).astype(float), owner, first
-
-
-def _block_argmax(a, first, owner):
-    """Flat index into a (chunks, width) of the first largest entry of each
-    block (chunks first[b]:first[b+1], owner[c] the block of chunk c), and
-    that entry."""
-    at = a.argmax(axis=1)
-    top = a[np.arange(at.size), at]
-    best = np.maximum.reduceat(top, first[:-1])
-    hit = np.flatnonzero(top == best[owner])
-    chunk = hit[np.searchsorted(hit, first[:-1])]
-    return chunk * a.shape[1] + at[chunk], best
-
-
-def _take_terms(pages, k, chunks, scale):
-    """The first k terms over the first scale.size slots of the given
-    chunks, times scale, as a new (k, scale.size) array."""
-    out = np.empty((k, scale.size))
-    for l, F in zip(range(0, k, _PAGE), pages):
-        F = F[:k - l, chunks]
-        np.multiply(F.reshape(F.shape[0], -1)[:, :scale.size], scale, out=out[l:l + _PAGE])
+    Column m is left(m) + right(m - 1) of the cells [j - 1, top), taken as
+    (rows, 1) x (cells,) rectangles of _cells over slices of the columns
+    (each with the cell before its first), so that a call holds at most a
+    _CELL_WORK-th of measures._BLOCK_CELLS cells.  The rows need not be
+    integers: the far parts take theirs at Chebyshev points.
+    """
+    out = np.empty((i.size, top - j))
+    m = np.arange(j - 1.0, top)
+    for s in row_blocks(top - j, i.size * _CELL_WORK):
+        left, right = _cells(i[:, None], m[s.start:s.stop + 1], kappa, n)
+        np.add(left[:, 1:], right[:, :-1], out=out[:, s])
     return out
 
 
-def _subtract_terms(out, pages, coef_pages, k, index):
-    """out -= the first k terms of pages, (terms, chunks, width), each chunk
-    c of term l times coef_pages' term l at the flat slot index[c]: one
-    batched product per page."""
-    for l, F, G in zip(range(0, k, _PAGE), pages, coef_pages):
-        t = min(k - l, _PAGE)
-        coef = G[:t].reshape(t, -1)[:, index]
-        out -= np.matmul(coef.T[:, None, :], F[:t].transpose(1, 0, 2))[:, 0]
-
-
-def _aca(n, kappa, blocks):
-    """Factors (U, V), M[rlo:mid, mid:hi] ~ U.T @ V, of every block, by ACA.
-
-    Adaptive cross approximation with partial pivoting (Bebendorf 2000) on
-    exact entries: each term is the residual's column at the pivot row's
-    largest entry, times that row over the entry.  A block starts at its
-    last row, next to the diagonal (row 0 of M is 0), and each next pivot
-    row is the largest entry of the last column among the rows not yet
-    used.  It stops once a term's Frobenius norm is below tol times that of
-    the sum so far, the sum of the terms' squared norms standing for the
-    latter; tol is _ACA_TOL, or 2 hi eps where that is larger: r = dB/i^3 -
-    m1 a cancels by a factor near the column index, so an entry is known
-    only to about m eps of itself, and past that floor ACA would run on
-    rounding to _ACA_RANK terms (at n = 8001 and kappa 0.5 it did).
-
-    ACA runs on the entries times j^5 / i^4, which evens out the kernel's
-    decay, alpha^4 / y^5 away from the diagonal: pivots and the stop test
-    then weigh an entry against its own size, not the block's largest, so
-    small entries far from the diagonal are kept to their own size too.
-    Those are _cells' parts, which leave out kappa c i^4, times j^5; a
-    block's rows take kappa c i^4 and its columns 1 / j^5 when it stops.
-
-    The blocks of one batch (_aca_batches) advance together, each step
-    evaluating every running block's pivot row, then its pivot column.
-    Each block's rows and its cells [mid - 1, hi) are cut into chunks of
-    width w, the cell count of the batch's smallest blocks, and a step's
-    rows and columns are (chunks, w) arrays; past the block, the last
-    chunk's rows repeat its last row and are masked out, and its cells run
-    on with weight 0.  A pivot row's cells take its row index once per
-    chunk, and a column the cells j and j - 1 of each row, with j once per
-    chunk.  Slot x of a row is column mid + x: the right part of cell
-    mid - 1 + x plus the left part of the cell after it.  Each chunk of a
-    row evaluates its w cells and the one after its last (ends), so it
-    forms all its slots itself.  The terms sit in pages of
-    _PAGE, U over the rows' chunks and V over the cells', so subtracting
-    them is one batched product per page.
-
-    The blocks sit largest first, and the largest stop last.  A block that
-    stops takes its terms out and from then on steps with the batch on a
-    zero term, which nothing reads: its rows and columns are still
-    evaluated, but no array moves.  Once every block after a running one
-    has stopped, those blocks are cut off the end of the batch, each
-    per-block and per-chunk array by a slice and each page as the view
-    F[:, :chunks].  A block's steps read only its own chunks, so the blocks
-    that share its batch change its terms only through the chunk width w,
-    by rounding.
-    """
-    if not blocks.size:
-        return []
-    eps = np.finfo(float).eps
-    kc = kappa * (1.0 - kappa * kappa)
-    run = np.argsort(blocks[:, 1] - blocks[:, 2], kind="stable")
-    rlo, mid, hi = blocks[run].T
-    p, q = mid - rlo, hi - mid
-    w = int(np.max(q[q <= q.min() + 1])) + 1
-    rows, rblock, rfirst = _chunks(rlo, p, w)
-    rmask = rows < mid[rblock, None]
-    rows = np.minimum(rows, mid[rblock, None] - 1.0)      # pad with the last row
-    cells, cblock, cfirst = _chunks(mid - 1, q + 1, w)
-    ends = np.concatenate((cells, cells[:, -1:] + 1.0), axis=1)
-    cmask = cells < hi[cblock, None] - 1.0                # a column j = cell + 1 < hi
-    weight = np.where(cmask, (cells + 1.0) ** 5, 0.0)
-    rmask, free_c = rmask.astype(float), cmask.astype(float)
-    free_r = rmask.copy()
-    tol2 = np.maximum(_ACA_TOL, 2.0 * hi * eps) ** 2
-    norm2 = np.zeros(run.size)
-    stopped = np.zeros(run.size, dtype=bool)
-    piv = p - 1                                 # within the block's rows
-    Up, Vp = [], []
-    factors = [None] * len(blocks)
-    k = 0
-    while run.size:
-        if k % _PAGE == 0:
-            Up.append(np.empty((_PAGE,) + rows.shape))
-            Vp.append(np.empty((_PAGE,) + cells.shape))
-        U, V = Up[-1][k % _PAGE], Vp[-1][k % _PAGE]
-        # the pivot rows: slot x is right(x) + left(x + 1)
-        slot = rfirst[:-1] * w + piv
-        i = rows.reshape(-1)[slot][cblock, None]
-        for s in row_blocks(len(cells), (w + 1) * _CELL_WORK):
-            left, right = _cells(i[s], ends[s], kappa, n)
-            np.add(right[:, :-1], left[:, 1:], out=V[s])
-        V *= weight
-        _subtract_terms(V, Vp, Up, k, slot[cblock])
-        a = np.abs(V)
-        a *= free_c
-        jpos, top = _block_argmax(a, cfirst, cblock)
-        # a row already matched, no column left, or a stopped block: a zero
-        # term, so a stopped block never divides by a pivot at rounding level
-        stop = (top <= 0.0) | stopped
-        pivot = V.reshape(-1)[jpos]
-        if stop.any():
-            pivot[stop] = 1.0
-        V /= pivot[cblock, None]
-        # the pivot columns, node j = cell + 1, from the cells j and j - 1
-        j = cells.reshape(-1)[jpos] + 1.0
-        m = np.stack((j, j - 1.0))[:, rblock, None]
-        for s in row_blocks(len(rows), 2 * w * _CELL_WORK):
-            left, right = _cells(rows[s], m[:, s], kappa, n)
-            np.add(left[0], right[1], out=U[s])
-        U *= rmask
-        U *= weight.reshape(-1)[jpos][rblock, None]
-        _subtract_terms(U, Up, Vp, k, jpos[rblock])
-        if stop.any():
-            U[stop[rblock]] = 0.0
-            V[stop[cblock]] = 0.0
-        free_r.reshape(-1)[slot] = free_c.reshape(-1)[jpos] = 0.0
-        term2 = (np.add.reduceat(np.einsum("cw,cw->c", U, U), rfirst[:-1])
-                 * np.add.reduceat(np.einsum("cw,cw->c", V, V), cfirst[:-1]))
-        norm2 += term2
-        a = np.abs(U)
-        a *= free_r
-        piv = _block_argmax(a, rfirst, rblock)[0] - rfirst[:-1] * w
-        k += 1
-        done = (term2 <= tol2 * norm2) | (k >= np.minimum(p, q)) | (k == _ACA_RANK)
-        done &= ~stopped
-        # the blocks that stop take their terms out, scaled back
-        for s in np.flatnonzero(done).tolist():
-            rs, cs = slice(rfirst[s], rfirst[s + 1]), slice(cfirst[s], cfirst[s + 1])
-            i = rows[rs].reshape(-1)[:p[s]]
-            j5 = weight[cs].reshape(-1)[:q[s]]
-            factors[run[s]] = (_take_terms(Up, k, rs, kc * i ** 4),
-                               _take_terms(Vp, k, cs, 1.0 / j5))
-        stopped |= done
-        # cut the stopped blocks after the last running one off the batch
-        b = np.max(np.flatnonzero(~stopped), initial=-1) + 1
-        if b < run.size:
-            r1, c1 = rfirst[b], cfirst[b]
-            run, tol2, norm2, piv, p, q, stopped = (
-                x[:b] for x in (run, tol2, norm2, piv, p, q, stopped))
-            rows, rmask, free_r, rblock = (x[:r1] for x in (rows, rmask, free_r, rblock))
-            cells, ends, weight, free_c, cblock = (
-                x[:c1] for x in (cells, ends, weight, free_c, cblock))
-            rfirst, cfirst = rfirst[:b + 1], cfirst[:b + 1]
-            Up, Vp = [F[:, :r1] for F in Up], [F[:, :c1] for F in Vp]
-    return factors
-
-
 class _Operator:
-    """The operator matrix M of _unit_t_matrix, in hierarchical form.
+    """The operator matrix M of _unit_t_matrix, on the tree of its rows.
 
-    leaves holds (lo, hi, L) with L = M[lo:hi, lo:hi] dense and exact;
-    blocks holds (rlo, mid, hi, U, V) with M[rlo:mid, mid:hi] ~ U.T @ V;
-    every other entry of M is 0.  The leaves run from the top of the grid
-    down, the order in which sweep solves them.
+    leaves holds (lo, hi, L), L = M[lo:hi, lo:top] dense and exact: the
+    leaf's diagonal block and its near columns [hi, top), up to the
+    column its ancestors took.  far holds (lo, hi, j, top, F, B, scale)
+    with M[lo:hi, j:top] = (B @ F) * scale[:, None]: F holds M / (kappa c
+    alpha^4) at the span's _FAR_POINTS Chebyshev rows, B (rows, points)
+    is the barycentric basis at its rows (one per row count) and scale is
+    kappa c i^4.  Every other entry of M is 0.  The leaves run from the
+    top of the grid down, the order in which sweep solves them.
     """
 
     def __init__(self, n, kappa):
-        spans, blocks = _split(n)
+        leaves, far = _tree(n, kappa)
         self.n = n
-        self.leaves = [
-            (lo, hi, L) for (lo, hi), L in zip(spans.tolist(), _leaves(n, kappa, spans))
-        ]
-        factors = []
-        for batch in _aca_batches(blocks):
-            factors += _aca(n, kappa, blocks[batch])
-        self.blocks = [
-            (rlo, mid, hi, U, V)
-            for (rlo, mid, hi), (U, V) in zip(blocks.tolist(), factors)
-        ]
+        kc = kappa * (1.0 - kappa * kappa)
+        i = np.arange(float(n))
+        row_scale = kc * ((i * i) * (i * i))
+        self.leaves = []
+        for (lo, hi, top), L in zip(leaves, _leaves(n, kappa, leaves)):
+            rows = slice(max(lo, 1), hi)       # row 0 stays 0
+            if hi < top:
+                L[rows.start - lo:, hi - lo:] = (
+                    _columns(i[rows], hi, top, kappa, n) * row_scale[rows, None])
+            self.leaves.append((lo, hi, L))
+        basis = {}
+        self.far = []
+        for lo, hi, j, top in far:
+            s = hi - lo
+            if s not in basis:
+                B = np.empty((measures._FAR_POINTS, s))
+                basis[s] = measures._far_basis(np.arange(s) / (s - 1.0), B).T.copy()
+            # the Chebyshev rows; at alpha = 0 the quotient's limit, taken at 2^-100
+            x = np.maximum(lo + (s - 1.0) * measures._FAR_NODES, 2.0 ** -100)
+            F = _columns(x, j, top, kappa, n)
+            self.far.append((lo, hi, j, top, F, basis[s], row_scale[lo:hi]))
+        # the far parts by row count, (B, rows, scale, parts): the spans of one
+        # level of the tree hold n / 2^k rows, rounded either way, so those of
+        # one count past _LEAF lie on one level and their rows are disjoint
+        self._groups = []
+        for s, B in basis.items():
+            parts = [p for p in self.far if p[1] - p[0] == s]
+            rows = np.array([p[0] for p in parts])[:, None] + np.arange(s)
+            self._groups.append((B, rows, row_scale[rows], [p[2:5] for p in parts]))
+        self._far_by_hi = {}
+        for part in self.far:
+            self._far_by_hi.setdefault(part[1], []).append(part)
 
     def matvec(self, v):
         """M v."""
         y = np.empty(self.n)
         for lo, hi, L in self.leaves:
-            np.dot(L, v[lo:hi], out=y[lo:hi])
-        for rlo, mid, hi, U, V in self.blocks:
-            y[rlo:mid] += (V @ v[mid:hi]) @ U
+            np.dot(L, v[lo:lo + L.shape[1]], out=y[lo:hi])
+        for B, rows, scale, parts in self._groups:
+            coef = np.empty((len(parts), B.shape[1]))
+            for c, (j, top, F) in zip(coef, parts):
+                np.dot(F, v[j:top], out=c)
+            y[rows] += (coef @ B.T) * scale
         return y
 
     def sweep(self, h, x, g):
@@ -553,12 +426,14 @@ class _Operator:
         G interpolates (x, g) piecewise-linearly and is constant outside
         [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  The
         leaves are solved in turn, from the top of the grid down.  When the
-        sweep reaches the leaf ending at a block's mid, the block's columns
-        [mid, hi) are all solved and none of its rows [rlo, mid) is yet, so
-        the block's U.T (V v) goes into those rows' right-hand sides first.
+        sweep reaches the leaf ending at hi, the far columns [j, top) of
+        every span that ends at hi are all solved and none of its rows is
+        yet, so each such span's (B (F v[j:top])) kappa c i^4 goes into its
+        rows' right-hand sides first.
         A leaf solves its rows from the last up, in sub-blocks of
-        _SWEEP_ROWS: the part of b from rows of earlier sub-blocks is one
-        matrix-vector product, the rest a scalar sum.
+        _SWEEP_ROWS: the part of b from the leaf's near columns and the
+        rows of earlier sub-blocks is one matrix-vector product, the rest
+        a scalar sum.
         Row i then reads V_i = G(b + d V_i) with d = M[i, i], read from
         the sub-block's row that gives b.  The knot lists start with
         (x_0, g_0) twice and the slopes s_k have a 0 at each end, so
@@ -577,15 +452,15 @@ class _Operator:
         rhs = np.array(h, dtype=float)
         v = np.zeros(self.n)
         k = last
-        by_mid = {mid: (rlo, hi, U, V) for rlo, mid, hi, U, V in self.blocks}
         for lo, hi, L in self.leaves:
-            if hi in by_mid:
-                rlo, top, U, V = by_mid[hi]
-                rhs[rlo:hi] += (V @ v[hi:top]) @ U
+            for plo, _, j, top, F, B, scale in self._far_by_hi.get(hi, ()):
+                part = rhs[plo:hi]
+                part += np.dot(B, np.dot(F, v[j:top])) * scale
+            top = lo + L.shape[1]
             for i1 in range(hi - lo, 0, -_SWEEP_ROWS):
                 i0 = max(i1 - _SWEEP_ROWS, 0)
                 m = i1 - i0
-                solved = (rhs[lo + i0:lo + i1] + L[i0:i1, i1:] @ v[lo + i1:hi]).tolist()
+                solved = (rhs[lo + i0:lo + i1] + L[i0:i1, i1:] @ v[lo + i1:top]).tolist()
                 block = L[i0:i1, i0:i1].tolist()
                 vb = [0.0] * m
                 for r in range(m - 1, -1, -1):
@@ -634,10 +509,11 @@ def _unit_t_matrix(n, kappa):
     (alpha = 0) is 0.  t - arctan t is a 5-term series on every cell,
     replaced by arctan on the few with t >= _SERIES_T (_t_minus_arctan).
 
-    No n x n array is formed: _split halves [0, n) down to leaves of at
-    most _LEAF nodes, each a dense, exact diagonal block (_leaves), and
-    each split keeps its off-diagonal block M[lo:mid, mid:hi] as rank-k
-    factors from ACA on exact entries (_aca), all from _cells.
+    No n x n array is formed: _tree halves the rows [0, n) down to leaves
+    of at most _LEAF rows, each held exactly from its diagonal up to the
+    column its ancestors took (_leaves, _columns), and each span keeps its
+    far columns as their quotients by kappa c alpha^4 at its Chebyshev
+    rows (_columns), all from _cells.
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
     1/alpha_max, cell widths gain alpha_max), so one operator per (n, kappa)

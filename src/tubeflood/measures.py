@@ -48,9 +48,12 @@ atoms and at 0.27 and 0.33 MB at 1e3 and 1e4 atoms (0.30-0.33 and
 0.35-0.40 MB with both kernels); a cold one, whose buffers are new, at
 0.74-0.83 MB (0.80-0.90 MB) (tracemalloc, MB of 2^20 bytes).  The
 row-block rule, row_blocks, is the package's only one: the tree's leaves
-with more atoms than alphas take it, the operator's cells are evaluated
-over it in the same per-thread buffers (_block_buffers), and the tube
-simulation writes its blocks straight into its result.
+with more atoms than alphas take it, the inverse operator's cells are
+evaluated over it in the same per-thread buffers (_block_buffers), and
+the tube simulation writes its blocks straight into its result.  The
+inverse operator holds its off-diagonal part on the same kind of tree,
+over its rows, with the same points and leaf size and the same
+barycentric basis (_far_basis).
 Pieces enter both integrals by their clipped limits, one bracket per
 cell; a tail call takes each piece's root step (_root_step) once, for
 all of its kernels.  Its roots are formed from nonnegative parts, with
@@ -440,28 +443,40 @@ def _far_sums(kernels, L, S, L2, kappa, x):
     return sums
 
 
+def _far_basis(t, out):
+    """The barycentric basis of the _FAR_POINTS Chebyshev points
+    _FAR_NODES at each t in [0, 1], written into out, (_FAR_POINTS,
+    t.size): out.T @ values interpolates values at the points to t.
+
+    Each difference t - t_k gains 2^-1000, which changes none but those
+    within about 1e-284 of 0: there, at t = 0 or on a node, node k's
+    weight outweighs every other one past rounding, and none overflows;
+    the weights are scaled to sum to 1 before they meet the values.  The
+    far fields of the atom tails and of the inverse operator both
+    interpolate with it.
+    """
+    np.subtract(t, _FAR_NODES[:, None], out=out)
+    out += 2.0 ** -1000
+    np.divide(_FAR_WEIGHTS[:, None], out, out=out)
+    out /= np.add.reduce(out, axis=0)
+    return out
+
+
 def _far_values(lo, values, out):
     """Add a far field at the limits lo to out.
 
     The limits lie in [a, b] = [lo[0], lo[-1]], of width w, and values
     holds each kernel's sums at the _FAR_POINTS Chebyshev points
-    a + w _FAR_NODES.  Each is interpolated to the limits in barycentric
-    form, at t = (lo - a) / w in [0, 1] (0 where w = 0, where every limit
-    is a), over chunks of _FAR_COLUMNS limits.  Each difference t - t_k
-    gains 2^-1000, which changes none but those within about 1e-284 of 0:
-    there, at t = 0 or on a node, node k's weight outweighs every other
-    one past rounding, and none overflows; the weights are scaled to sum
-    to 1 before they meet the sums.
+    a + w _FAR_NODES.  Each is interpolated to the limits by _far_basis,
+    at t = (lo - a) / w in [0, 1] (0 where w = 0, where every limit is
+    a), over chunks of _FAR_COLUMNS limits.
     """
     a, w = lo[0], lo[-1] - lo[0]
     t = (lo - a) / w if w > 0.0 else np.zeros(lo.size)
     for r in range(0, lo.size, _FAR_COLUMNS):
         rows = slice(r, r + _FAR_COLUMNS)
         basis, term = _block_buffers(_FAR_POINTS, t[rows].size, 2)
-        np.subtract(t[rows], _FAR_NODES[:, None], out=basis)
-        basis += 2.0 ** -1000
-        np.divide(_FAR_WEIGHTS[:, None], basis, out=basis)
-        basis /= np.add.reduce(basis, axis=0)
+        _far_basis(t[rows], basis)
         for v, o in zip(values, out):
             np.multiply(basis, v[:, None], out=term)
             o[rows] += np.add.reduce(term, axis=0)

@@ -160,13 +160,26 @@ def closed_tail_integral(alpha, alpha_max, kappa):
 
 
 def dense_operator(op):
-    """The n x n matrix an inverse._Operator stands for: its dense leaves,
-    its off-diagonal blocks multiplied out, 0 elsewhere."""
+    """The n x n matrix an inverse._Operator stands for: its leaves' rows,
+    its far parts interpolated and scaled, 0 elsewhere."""
     out = np.zeros((op.n, op.n))
     for lo, hi, leaf in op.leaves:
-        out[lo:hi, lo:hi] = leaf
-    for rlo, mid, hi, U, V in op.blocks:
-        out[rlo:mid, mid:hi] = U.T @ V
+        out[lo:hi, lo:lo + leaf.shape[1]] = leaf
+    for lo, hi, j, top, F, B, scale in op.far:
+        out[lo:hi, j:top] = (B @ F) * scale[:, None]
+    return out
+
+
+def operator_row(op, i):
+    """Row i of the matrix an inverse._Operator stands for, without forming
+    the others: its leaf's row and the row of each far part that holds it."""
+    out = np.zeros(op.n)
+    for lo, hi, leaf in op.leaves:
+        if lo <= i < hi:
+            out[lo:lo + leaf.shape[1]] = leaf[i - lo]
+    for lo, hi, j, top, F, B, scale in op.far:
+        if lo <= i < hi:
+            out[j:top] = (B[i - lo] @ F) * scale[i - lo]
     return out
 
 
@@ -184,37 +197,53 @@ def reference_t_matrix(n, kappa):
 
     t - arctan t by a 9-term series below t = 0.1.  Not cached.
     """
-    c = 1.0 - kappa * kappa
-    sc = math.sqrt(c)
     out = np.zeros((n, n))
     for rows in row_blocks(n, n):
         # row 0, at alpha = 0, stays 0
         rows = slice(max(rows.start, 1), rows.stop)
-        i0 = rows.start
-        i = np.arange(i0, rows.stop, dtype=float)[:, None]
-        m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
-        x = m / i
-        u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
-        x1, x2, u1, u2 = x[:, :-1], x[:, 1:], u[:, :-1], u[:, 1:]
-        D = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i)
-        P = u1 * u2
-        S = u1 + u2
-        X = x1 * x2
-        dA = D * (x1 * x1 + x2 * x2 - c) / (P * X * (x1 * u2 + x2 * u1) * (X + P))
-        t = D * sc / (S * (c + P))
-        tma = np.empty_like(t)
-        small = t < 0.1
-        tma[~small] = t[~small] - np.arctan(t[~small])
-        ts = t[small]
-        t2 = ts * ts
-        acc = np.zeros_like(ts)
-        for k in range(9, 0, -1):   # t^3 (1/3 - t^2/5 + t^4/7 - ...)
-            acc = 1.0 / (2 * k + 1) - t2 * acc
-        tma[small] = ts * t2 * acc
-        dB = D / (S * P * (c + P)) + tma / (c * sc)
-        right = i * (dB - x1 * dA)
-        out[rows, i0:-1] += kappa * c * (dA - right)
-        out[rows, i0 + 1:] += kappa * c * right
+        out[rows, rows.start:] = _reference_rows(n, kappa, rows.start, rows.stop)
+    return out
+
+
+def reference_t_row(n, kappa, i):
+    """Test oracle: row i of reference_t_matrix, with the same bits,
+    without forming the others."""
+    out = np.zeros(n)
+    if i >= 1:
+        out[i:] = _reference_rows(n, kappa, i, i + 1)[0]
+    return out
+
+
+def _reference_rows(n, kappa, i0, i1):
+    """The rows i0 <= i < i1 (i0 >= 1) of reference_t_matrix over the
+    columns from i0 on."""
+    c = 1.0 - kappa * kappa
+    sc = math.sqrt(c)
+    out = np.zeros((i1 - i0, n - i0))
+    i = np.arange(i0, i1, dtype=float)[:, None]
+    m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
+    x = m / i
+    u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
+    x1, x2, u1, u2 = x[:, :-1], x[:, 1:], u[:, :-1], u[:, 1:]
+    D = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i)
+    P = u1 * u2
+    S = u1 + u2
+    X = x1 * x2
+    dA = D * (x1 * x1 + x2 * x2 - c) / (P * X * (x1 * u2 + x2 * u1) * (X + P))
+    t = D * sc / (S * (c + P))
+    tma = np.empty_like(t)
+    small = t < 0.1
+    tma[~small] = t[~small] - np.arctan(t[~small])
+    ts = t[small]
+    t2 = ts * ts
+    acc = np.zeros_like(ts)
+    for k in range(9, 0, -1):   # t^3 (1/3 - t^2/5 + t^4/7 - ...)
+        acc = 1.0 / (2 * k + 1) - t2 * acc
+    tma[small] = ts * t2 * acc
+    dB = D / (S * P * (c + P)) + tma / (c * sc)
+    right = i * (dB - x1 * dA)
+    out[:, :-1] += kappa * c * (dA - right)
+    out[:, 1:] += kappa * c * right
     return out
 
 

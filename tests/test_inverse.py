@@ -31,7 +31,8 @@ from tubeflood.inverse import (
 from tubeflood.measures import KAPPA_MIN, Measure
 
 from helpers import (
-    closed_tail_integral, dense_operator, reference_t_matrix, searchsorted_sweep
+    closed_tail_integral, dense_operator, operator_row, reference_t_matrix,
+    reference_t_row, searchsorted_sweep
 )
 
 
@@ -149,8 +150,9 @@ class TestClosedForm:
 
     def test_v_matches_the_reference_assembly(self, kappa):
         # V = G(h + MV) is a contraction with factor q, so entries apart by
-        # the ACA's 1e-12 of their block move V by up to about that much of
-        # v_max / (1 - q); the two exact assemblies agreed to 2 eps there
+        # up to 3.3e-12 of their row's largest (the far fields and the
+        # cells' rounding) move V by up to about that much of v_max / (1 - q);
+        # measured up to 5.0e-16 of it
         n = 501
         mu = Measure(atoms=((4.0, 1.0), (7.5, 0.5)), pieces=((3.0, 9.0, 1.0),))
         curve = build_curve(mu, kappa, 10.0, 2001)
@@ -176,8 +178,8 @@ class TestClosedForm:
         assert np.all(err <= 2 * np.finfo(float).eps * t)
 
     def test_warm_assembly_allocates_no_block_temporaries(self):
-        # what a build holds beyond the operator it keeps: the running
-        # batch's ACA terms and one step's rows and columns, no cell block
+        # what a build holds beyond the operator it keeps: the tree's
+        # lists and one far part's rows, no cell block
         n = 2001
         inverse._OPERATOR.clear()
         _unit_t_matrix(n, 0.3)              # grows this thread's buffers
@@ -310,13 +312,14 @@ OPERATOR_MEASURES = (
 
 
 class TestHierarchicalOperator:
-    """The tree of dense leaves and ACA blocks against the dense oracle."""
+    """The tree of dense leaves and Chebyshev far parts against the dense oracle."""
 
     @pytest.mark.parametrize("kappa", [1e-6, 0.005, 0.02, 0.1, 0.5, 0.999])
     @pytest.mark.parametrize("n", [3, 64, 65, 501, 2001])
     def test_v_matches_the_dense_sweep(self, n, kappa):
-        # blocks kept to 1e-12 of themselves move V by about that much of
-        # v_max / (1 - q); measured up to 1.3e-13 of it
+        # entries within 3.3e-12 of their row's largest (the far fields
+        # and the cells' rounding) move V by up to about that much of
+        # v_max / (1 - q); measured up to 1.2e-15 of it
         ref = reference_t_matrix(n, kappa)
         q = (1.0 - kappa) / (1.0 + kappa)
         for mu in OPERATOR_MEASURES:
@@ -327,22 +330,18 @@ class TestHierarchicalOperator:
             v = solve_fixed_point(curve, RecoveryConfig(n_grid=n)).v
             assert np.max(np.abs(v - oracle)) <= 2e-12 * curve.v_max / (1.0 - q)
 
-    @pytest.mark.parametrize("shape", ["leaf", "row", "column"])
+    @pytest.mark.parametrize("shape", ["leaf", "near", "far"])
     def test_cells_drop_the_left_part_past_alpha_max(self, shape):
-        # the shapes the callers pass: flat cells, (chunks, w + 1) row
-        # chunks with one i per chunk, and (2, chunks, 1) column cells
-        n, w = 40, 5
+        # the shapes the callers pass: flat leaf cells, and (rows, 1) x
+        # (cells,) rectangles, with a leaf's rows for its near columns and
+        # a span's Chebyshev rows, not integers, for a far part
+        n = 40
         if shape == "leaf":
             i, m = np.triu_indices(n)
             i, m = i[i >= 1].astype(float), m[i >= 1].astype(float)
-        elif shape == "row":
-            i = np.array([[3.0], [20.0], [36.0]])
-            m = np.minimum(i + np.arange(w + 1), n + 2.0)
-            m[-1] = np.arange(n - 3, n + 3)          # across the edge
         else:
-            i = np.arange(1.0, 3 * w + 1).reshape(3, w)
-            j = np.array([n - 1.0, 30.0, n - 1.0])
-            m = np.stack((j, j - 1.0))[:, :, None]
+            i = np.arange(3.0, 9.0) if shape == "near" else 2.0 + 6.0 * measures._FAR_NODES
+            i, m = i[:, None], np.arange(20.0, n + 3.0)     # across the edge
         left, right = (x.copy() for x in inverse._cells(i, m, 0.3, n))
         past = np.broadcast_to(m == n - 1, left.shape)
         assert past.any() and not past.all()
@@ -353,13 +352,16 @@ class TestHierarchicalOperator:
         assert np.array_equal(right, far_right)
 
     def test_leaves_evaluate_only_the_upper_triangle(self, monkeypatch):
-        # a leaf of s nodes has s (s + 1) / 2 cells on or above its diagonal
+        # a leaf of s nodes has s (s + 1) / 2 cells on or above its
+        # diagonal, and the near and far rectangles evaluate no cell [m,
+        # m + 1] below the diagonal, m < i, either
         inside, cells = [], []
         real_cells, real_leaves = inverse._cells, inverse._leaves
 
         def spy_cells(i, m, kappa, n):
             if inside:
                 cells.append(np.broadcast(i, m).size)
+            assert np.all(m >= i)
             return real_cells(i, m, kappa, n)
 
         def spy_leaves(*args):
@@ -374,37 +376,201 @@ class TestHierarchicalOperator:
         inverse._OPERATOR.clear()
         op = _unit_t_matrix(2001, 0.1)
         inverse._OPERATOR.clear()
+        assert op.far
         s = np.array([hi - lo for lo, hi, _ in op.leaves])
         assert 0 < sum(cells) <= np.sum(s * (s + 1) // 2)
 
-    @pytest.mark.parametrize("kappa", [0.005, 0.5, 0.999])
-    def test_block_factors_do_not_depend_on_the_batch(self, monkeypatch, kappa):
-        # in one batch, blocks stop out of order and step on until the
-        # blocks after them stop; alone, each stops and ends its batch
-        n = 2001
-        blocks = inverse._split(n)[1]
-        assert len(list(inverse._aca_batches(blocks))) == 1
-        together = inverse._Operator(n, kappa).blocks
-        monkeypatch.setattr(measures, "_BLOCK_CELLS", 1)
-        assert len(list(inverse._aca_batches(blocks))) == len(blocks)
-        alone = inverse._Operator(n, kappa).blocks
-        for (*span, U1, V1), (*span2, U2, V2) in zip(together, alone):
-            assert span == span2 and U1.shape == U2.shape and V1.shape == V2.shape
-            block = U1.T @ V1
-            assert np.max(np.abs(U2.T @ V2 - block)) <= 1e-13 * np.max(np.abs(block))
-
     @pytest.mark.parametrize("n", [3, 64, 65, 2001])
     def test_tree(self, n):
-        op = _unit_t_matrix(n, 0.1)
-        spans = sorted((lo, hi) for lo, hi, _ in op.leaves)
-        assert spans[0][0] == 0 and spans[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(hi - lo <= inverse._LEAF for lo, hi in spans)
-        assert len(op.blocks) == len(spans) - 1        # one block per split
-        stored = sum(L.size for *_, L in op.leaves)
-        stored += sum(U.size + V.size for *_, U, V in op.blocks)
-        if n == 2001:
-            assert stored < 0.1 * n * n
+        for kappa in (1e-6, 0.5, 0.999):
+            inverse._OPERATOR.clear()
+            op = _unit_t_matrix(n, kappa)
+            # the leaves tile [0, n) from the top down
+            spans = [(lo, hi) for lo, hi, _ in op.leaves]
+            assert spans[0][1] == n and spans[-1][0] == 0
+            assert all(a[0] == b[1] for a, b in zip(spans, spans[1:]))
+            assert all(hi - lo <= inverse._LEAF for lo, hi in spans)
+            # each far part's first hat [j - 1, j + 1] lies past the
+            # singularity of every row of its span, by the span's width
+            sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
+            for lo, hi, j, top, F, B, scale in op.far:
+                b, w = hi - 1, hi - 1 - lo
+                assert hi - lo > inverse._LEAF and j < top
+                assert j - 1 >= max(b, sc * (b + w))
+                assert F.shape == (measures._FAR_POINTS, top - j)
+                assert B.shape == (hi - lo, measures._FAR_POINTS)
+            # and with the leaves' rows they hold each entry on and above
+            # the diagonal once
+            held = np.zeros((n, n), dtype=np.uint8)
+            for lo, hi, L in op.leaves:
+                held[lo:hi, lo:lo + L.shape[1]] += 1
+            for lo, hi, j, top, *_ in op.far:
+                held[lo:hi, j:top] += 1
+            assert np.array_equal(np.triu(held), np.triu(np.ones_like(held)))
+            stored = sum(L.size for *_, L in op.leaves)
+            stored += sum(F.size for *_, F, B, scale in op.far)
+            if n == 2001:
+                assert stored < 0.1 * n * n
+        inverse._OPERATOR.clear()
+
+    @pytest.mark.parametrize("n", [8001, 20001])
+    def test_rows_match_the_reference_on_large_grids(self, n):
+        # 60 sampled rows, each within 1e-10 of its largest entry of the
+        # dense closed form; measured up to 1.1e-11 at n = 8001 and
+        # 3.0e-11 at 20001
+        rows = sorted({1, 2, 3, 10, *np.linspace(1, n - 2, 56).astype(int).tolist()})
+        for kappa in (1e-6, 0.005, 0.5, 0.999):
+            inverse._OPERATOR.clear()
+            op = _unit_t_matrix(n, kappa)
+            for i in rows:
+                ref = reference_t_row(n, kappa, i)
+                got = operator_row(op, i)
+                assert np.array_equal(got == 0.0, ref == 0.0), (kappa, i)
+                assert np.max(np.abs(got - ref)) <= 1e-10 * ref.max(), (kappa, i)
+        inverse._OPERATOR.clear()
+
+    @pytest.mark.parametrize("kappa", [1e-6, 0.5, 0.999])
+    def test_far_field_points_interpolate_a_hat_to_rounding(self, kappa):
+        # the _FAR_POINTS Chebyshev rows of a span interpolate a hat column
+        # placed exactly at the separation to 1e-14 relative between them
+        # (FAR_HAT, made by far_hat_table below); 18 points gave 1.7e-13
+        table = [(t, value) for k, t, value in FAR_HAT if k == kappa]
+        nodes = {t: value for t, value in table if t in measures._FAR_NODES}
+        assert list(nodes) == measures._FAR_NODES.tolist()
+        between = np.array([(t, value) for t, value in table if t not in nodes])
+        assert len(between) >= 10
+        basis = measures._far_basis(
+            between[:, 0], np.empty((measures._FAR_POINTS, len(between)))
+        )
+        got = basis.T @ np.array(list(nodes.values()))
+        assert np.all(np.abs(got / between[:, 1] - 1.0) <= 1e-14)
+
+
+def far_hat_table():
+    """Rows (kappa, t, value) of FAR_HAT: the quotient M / (kappa c alpha^4)
+    of one hat column at the rows alpha = 40 + 80 t of a span [40, 120],
+    40 hats wide, to 40 digits with alpha and kappa taken as exact.  The
+    hat [y0, y0 + 2] sits exactly at the separation of inverse._tree,
+    y0 = max(b, sqrt(c) (b + w)), and the value is its integral against
+    1 / (y^2 (y^2 - c alpha^2)^{3/2}), c = 1 - kappa^2.  t runs over the
+    20 Chebyshev points measures._FAR_NODES and the midpoints of 10
+    pairs of them.  Print them with
+    PYTHONPATH=src:tests python tests/test_inverse.py (needs mpmath)."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    a, b = 40.0, 120.0
+    nodes = measures._FAR_NODES.tolist()
+    ts = nodes + [(nodes[k] + nodes[k + 1]) / 2 for k in range(0, len(nodes) - 1, 2)]
+    rows = []
+    for kappa in (1e-6, 0.5, 0.999):
+        c = (1 - mp.mpf(kappa)) * (1 + mp.mpf(kappa))
+        y0 = max(mp.mpf(b), mp.sqrt(c) * (2 * b - a))
+        for t in ts:
+            alpha = mp.mpf(a + (b - a) * t)
+
+            def kernel(y):
+                return 1 / (y * y * (y * y - c * alpha * alpha) ** mp.mpf(1.5))
+
+            value = (mp.quad(lambda y: (y - y0) * kernel(y), [y0, y0 + 1])
+                     + mp.quad(lambda y: (y0 + 2 - y) * kernel(y), [y0 + 1, y0 + 2]))
+            rows.append((kappa, t, float(value)))
+    return rows
+
+
+FAR_HAT = [
+    # (kappa, t, value)
+    (1e-06, 0.0, 3.2387083815226203e-12),
+    (1e-06, 0.006819348298638814, 3.244218168632398e-12),
+    (1e-06, 0.02709137914968266, 3.2611349766908055e-12),
+    (1e-06, 0.06026312439675545, 3.29059377892502e-12),
+    (1e-06, 0.10542974530180318, 3.334398308842675e-12),
+    (1e-06, 0.16135921418712942, 3.394898637582013e-12),
+    (1e-06, 0.22652592093878654, 3.474831389078217e-12),
+    (1e-06, 0.2991522876735152, 3.5771202611784252e-12),
+    (1e-06, 0.37725725642960045, 3.704619971851195e-12),
+    (1e-06, 0.4587103272638339, 3.859769793771159e-12),
+    (1e-06, 0.5412896727361661, 4.0441093817092566e-12),
+    (1e-06, 0.6227427435703995, 4.257609270398027e-12),
+    (1e-06, 0.7008477123264847, 4.497796605653818e-12),
+    (1e-06, 0.7734740790612132, 4.7587341262704826e-12),
+    (1e-06, 0.8386407858128705, 5.030053987776283e-12),
+    (1e-06, 0.8945702546981967, 5.2964444443495815e-12),
+    (1e-06, 0.9397368756032445, 5.538152221749693e-12),
+    (1e-06, 0.9729086208503173, 5.7330204354917654e-12),
+    (1e-06, 0.9931806517013612, 5.860140093320751e-12),
+    (1e-06, 1.0, 5.9043644216726105e-12),
+    (1e-06, 0.003409674149319407, 3.2414519942671626e-12),
+    (1e-06, 0.04367725177321906, 3.2755845284118287e-12),
+    (1e-06, 0.1333944797444663, 3.363754192043494e-12),
+    (1e-06, 0.2628391043061509, 3.5241407969091763e-12),
+    (1e-06, 0.4179837918467172, 3.779149174324453e-12),
+    (1e-06, 0.5820162081532828, 4.14656396210312e-12),
+    (1e-06, 0.7371608956938489, 4.623286988578439e-12),
+    (1e-06, 0.8666055202555336, 5.159023656958378e-12),
+    (1e-06, 0.9563227482267809, 5.633627757878145e-12),
+    (1e-06, 0.9965903258506805, 5.882157797146302e-12),
+    (0.5, 0.0, 6.622410991378243e-12),
+    (0.5, 0.006819348298638814, 6.6336593881831e-12),
+    (0.5, 0.02709137914968266, 6.668195249048072e-12),
+    (0.5, 0.06026312439675545, 6.728334609494513e-12),
+    (0.5, 0.10542974530180318, 6.817757750264314e-12),
+    (0.5, 0.16135921418712942, 6.9412587446664205e-12),
+    (0.5, 0.22652592093878654, 7.1044185447717885e-12),
+    (0.5, 0.2991522876735152, 7.313196908972009e-12),
+    (0.5, 0.37725725642960045, 7.57340884971701e-12),
+    (0.5, 0.4587103272638339, 7.890016797831383e-12),
+    (0.5, 0.5412896727361661, 8.266142405396567e-12),
+    (0.5, 0.6227427435703995, 8.701701494831925e-12),
+    (0.5, 0.7008477123264847, 9.191623398894878e-12),
+    (0.5, 0.7734740790612132, 9.723773931057842e-12),
+    (0.5, 0.8386407858128705, 1.0276993418590574e-11),
+    (0.5, 0.8945702546981967, 1.0820060109169789e-11),
+    (0.5, 0.9397368756032445, 1.1312722673123318e-11),
+    (0.5, 0.9729086208503173, 1.1709855680298858e-11),
+    (0.5, 0.9931806517013612, 1.1968892244388302e-11),
+    (0.5, 1.0, 1.2059004730760886e-11),
+    (0.5, 0.003409674149319407, 6.628012165946306e-12),
+    (0.5, 0.04367725177321906, 6.697693803008766e-12),
+    (0.5, 0.1333944797444663, 6.8776834735334575e-12),
+    (0.5, 0.2628391043061509, 7.205064412756073e-12),
+    (0.5, 0.4179837918467172, 7.725502284335124e-12),
+    (0.5, 0.5820162081532828, 8.475167661938638e-12),
+    (0.5, 0.7371608956938489, 9.447558298059741e-12),
+    (0.5, 0.8666055202555336, 1.0539924966001547e-11),
+    (0.5, 0.9563227482267809, 1.1507304171921062e-11),
+    (0.5, 0.9965903258506805, 1.2013756341799912e-11),
+    (0.999, 0.0, 3.85735541241325e-11),
+    (0.999, 0.006819348298638814, 3.857390138816839e-11),
+    (0.999, 0.02709137914968266, 3.857496151759035e-11),
+    (0.999, 0.06026312439675545, 3.857678602289994e-11),
+    (0.999, 0.10542974530180318, 3.857944950326189e-11),
+    (0.999, 0.16135921418712942, 3.858303419107421e-11),
+    (0.999, 0.22652592093878654, 3.858761099419455e-11),
+    (0.999, 0.2991522876735152, 3.859321935213161e-11),
+    (0.999, 0.37725725642960045, 3.859984841306593e-11),
+    (0.999, 0.4587103272638339, 3.860742195200231e-11),
+    (0.999, 0.5412896727361661, 3.8615789096309495e-11),
+    (0.999, 0.6227427435703995, 3.8624722340367926e-11),
+    (0.999, 0.7008477123264847, 3.863392357591347e-11),
+    (0.999, 0.7734740790612132, 3.864303801578344e-11),
+    (0.999, 0.8386407858128705, 3.865167503310882e-11),
+    (0.999, 0.8945702546981967, 3.865943416511012e-11),
+    (0.999, 0.9397368756032445, 3.866593392452843e-11),
+    (0.999, 0.9729086208503173, 3.867084069219017e-11),
+    (0.999, 0.9931806517013612, 3.8673894878530686e-11),
+    (0.999, 1.0, 3.867493175768352e-11),
+    (0.999, 0.003409674149319407, 3.857372716748042e-11),
+    (0.999, 0.04367725177321906, 3.85758598372999e-11),
+    (0.999, 0.1333944797444663, 3.858120221129799e-11),
+    (0.999, 0.2628391043061509, 3.8590348260234026e-11),
+    (0.999, 0.4179837918467172, 3.86035508727304e-11),
+    (0.999, 0.5820162081532828, 3.8620171227301555e-11),
+    (0.999, 0.7371608956938489, 3.863841346617944e-11),
+    (0.999, 0.8666055202555336, 3.8655514581042656e-11),
+    (0.999, 0.9563227482267809, 3.8668373208004994e-11),
+    (0.999, 0.9965903258506805, 3.867441272173621e-11),
+]
 
 
 class TestApplyT:
@@ -948,3 +1114,8 @@ class TestRecoveryConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ArgumentError):
             RecoveryConfig(**kwargs)
+
+
+if __name__ == "__main__":
+    for row in far_hat_table():
+        print(f"    {row!r},")
