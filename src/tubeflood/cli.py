@@ -216,6 +216,7 @@ def _cmd_invert(args):
         "contraction_q": result.contraction_q,
         "timings_s": result.timings,
         "operator_cached": result.operator_cached,
+        "operator_doubles": result.operator_doubles,
     }
     if args.diagnostics:
         _emit_json(diagnostics, args.diagnostics)

@@ -29,18 +29,26 @@ at 20 Chebyshev rows and interpolates them to its rows to rounding
 (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2;
 the bound is worked out at _tree).  The quotient stays finite as
 alpha -> 0, so each entry keeps its relative digits, and row 0 is
-exactly 0.  A leaf holds its rows exactly and densely, from its diagonal
-block up to the column its ancestors took.  Memory and build time grow
-as n log n: 5-10% of n^2 doubles at n = 2001, less for larger kappa, and
-108-182 MB of peak RSS at n = 50001, where M would take 20 GB.  Leaves
-and the far fields' rows all come from one cell function, _cells, each
-evaluated in place in per-thread buffers kept from one call to the next
-(measures._block_buffers, shared with the tail integrals).  _cells is
-also the one place that gives the cell past alpha_max no left part, so
-no caller fixes up a cell or a slot.  The cells' one transcendental
-term, t - arctan t, is a 5-term series wherever t < 0.025, where the
-remainder is below 2^-53 relative, and arctan on the few other cells.
-A leaf evaluates only its cells on and above the diagonal.  The sweep
+exactly 0.  The same rule, turned over, cuts the far columns into
+clusters whose cells lie 3 half-widths from sqrt(c) b, each filled
+from two 20 x 20 cores, the parts of its cells at 20 Chebyshev cells
+times y^5, which flattens their y^-5 fall-off, interpolated to its
+columns and divided by m^5; the alpha_max column, half a hat, and a
+last cluster of at most 20 columns are evaluated exactly.  A leaf holds
+its rows exactly and densely, from its diagonal block up to the column
+its ancestors took.  Memory grows as n log n: 5-10% of n^2 doubles at
+n = 2001, less for larger kappa, and 109-185 MB of peak RSS at
+n = 50001, where M would take 20 GB.  Leaves, cores and exact far
+columns all come from one cell function, _cells, each call evaluated in
+place in per-thread buffers kept from one call to the next
+(measures._block_buffers, shared with the tail integrals); a call takes
+the cells of several leaves' near columns or several clusters' cores at
+once.  _cells is also the one place that gives the cell past alpha_max
+no left part, so no caller fixes up a cell or a slot.  The cells' one
+transcendental term, t - arctan t, is a 5-term series wherever
+t < 0.025, where the remainder is below 2^-53 relative, and arctan on
+the few other cells.  A leaf evaluates only its cells on and above the
+diagonal.  The sweep
 solves the leaves from alpha_max down (Hairer, Lubich and Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985); before the leaf that ends where a
 span ends, the span's far columns are all solved, and its interpolated
@@ -94,8 +102,10 @@ _LEAF = measures._LEAF_LIMITS
 # _cells makes some 15 temporaries per call, so its calls take row blocks
 # of a third of the cells: a temporary then stays under 128 KiB, glibc's
 # default threshold for fresh pages per allocation.  With whole-block calls
-# (_CELL_WORK = 1) a build at n_grid 2001 and kappa 0.1 took 1965 minor
-# faults against 1214, and a fresh process ran a median 6% slower.
+# (_CELL_WORK = 1) the first build in a fresh process, at n_grid 2001 and
+# kappa 0.1, took 2585 minor faults against 1197 and a median 1.16x the
+# CPU time over 9 processes; later builds in a process ran 0.94x, within
+# this host's spread.
 _CELL_WORK = 3
 
 # The closed forms square node indices, exactly in doubles only below 2^26.
@@ -144,8 +154,9 @@ class RecoveryResult:
     (1 - q), which bounds the distance to that operator's discrete fixed
     point, derive from kappa and residual.  phi and f are filled by the
     cdf/density stages (f is NaN outside the density reporting window).
-    timings holds seconds per stage, and operator_cached whether the
-    operator came from the cache.
+    timings holds seconds per stage, operator_cached whether the
+    operator came from the cache, and operator_doubles the doubles it
+    stores, {"leaves": ..., "far": ...}.
     iterations is always 1 (the solve is one sweep); it stays only because
     perfbench/ reads it, and invert --diagnostics does not report it.
     """
@@ -162,6 +173,7 @@ class RecoveryResult:
     f_clip_count: int | None = None
     timings: dict | None = None
     operator_cached: bool | None = None
+    operator_doubles: dict | None = None
 
     @property
     def contraction_q(self):
@@ -268,14 +280,19 @@ def _tree(n, kappa):
     whose rows lie in [a, b] = [lo, hi - 1], of width w, takes as its far
     field the columns from j up to top, the column its ancestors took
     (n at the root): j is the first column whose hat [j - 1, j + 1] lies
-    at or above both b and sqrt(c) (b + w).  Returns the leaves' (lo, hi,
-    top) from the top of the grid down, the order the sweep solves them
-    in, and the far parts' (lo, hi, j, top), those with j < top.
+    at or above both b and sqrt(c) (b + w).  From j on, its far columns
+    but the alpha_max column n - 1 split into clusters [p, e) of at most
+    hi - lo columns and at most floor(p - 1 - sqrt(c) b), each stored
+    from a core, up to the first that would hold at most _FAR_POINTS
+    columns; the columns from there on are evaluated exactly.  Returns
+    the leaves' (lo, hi, top) from the top of the grid down, the order
+    the sweep solves them in, and the far parts' (lo, hi, j, top, cores),
+    those with j < top, cores the clusters' (p, e).
 
-    The separation: over a column's hat, which lies above every row of
-    the span, M[alpha, j] / (kappa c alpha^4) is an integral of the hat
-    against 1 / (y^2 (y^2 - c alpha^2)^{3/2}), analytic in alpha but at
-    alpha = +-y / sqrt(c), y in the hat.  The nearest lies at alpha >=
+    The row separation: over a column's hat, which lies above every row
+    of the span, M[alpha, j] / (kappa c alpha^4) is an integral of the
+    hat against 1 / (y^2 (y^2 - c alpha^2)^{3/2}), analytic in alpha but
+    at alpha = +-y / sqrt(c), y in the hat.  The nearest lies at alpha >=
     b + w, t >= 3 in the span's coordinate t in [-1, 1], so the column
     is analytic inside the Bernstein ellipse of rho = 3 + sqrt(8) = 5.83,
     and its interpolant in measures._FAR_POINTS = 20 Chebyshev rows
@@ -286,6 +303,28 @@ def _tree(n, kappa):
     18 points would give 1.7e-13 (the FAR_HAT table of the tests pins
     it).  sqrt(c) is formed as sqrt((1 - kappa)(1 + kappa)), without a
     rounded 1 - kappa^2.
+
+    The column separation is the same rule turned over.  Column m is
+    left(m) + right(m - 1), the parts the cells [m, m + 1] and [m - 1, m]
+    add to it (see _cells), and at a row alpha <= b each part over kappa
+    c alpha^4 is analytic in the cell's start y but where the cell [y, y
+    + 1] reaches sqrt(c) alpha, the nearest at y = sqrt(c) b, and at y =
+    0 or -1.  A cluster [p, e) takes the cells y in [p - 1, e - 1], and
+    with e - p <= p - 1 - sqrt(c) b the nearest lies at t >= 3 of that
+    interval, so 20 Chebyshev cells interpolate both parts as 20 rows
+    interpolate a column (Fong and Darve, J. Comput. Phys. 228, 2009, on
+    interpolation in both variables).  Far from alpha the parts fall off
+    as y^-5, the tail of a pole of order 5 at y = 0 or -1, and grow as
+    such toward it on the ellipse; y^5 left and (y + 1)^5 right stay near
+    flat there, so the cores interpolate those and the columns divide by
+    m^5.  For a cluster one span wide exactly at the separation, on the
+    row b of a span [0, 80], 20 points interpolate them within 1.6e-15
+    relative of 40-digit values, 18 points within 5.2e-14, and the parts
+    without their y^5 within 1.3e-13 to 1.9e-11 (the FAR_COLUMN table of
+    the tests pins it); at n = 2001 and kappa 0.999, cores without the
+    y^5 left far entries 2.4e-11 from the dense closed form, against
+    4.4e-12 with it.  The alpha_max column is half a hat, whose kink
+    would lie inside a cluster, so it stays exact.
     """
     sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
     leaves, far = [], []
@@ -298,7 +337,14 @@ def _tree(n, kappa):
         b, w = hi - 1, hi - 1 - lo
         j = min(max(b, math.ceil(sc * (b + w))) + 1, top)
         if j < top:
-            far.append((lo, hi, j, top))
+            cores, p, end = [], j, min(top, n - 1)
+            while p < end:
+                e = min(end, p + min(hi - lo, math.floor(p - 1 - sc * b)))
+                if e - p <= measures._FAR_POINTS:
+                    break
+                cores.append((p, e))
+                p = e
+            far.append((lo, hi, j, top, cores))
         mid = (lo + hi) // 2
         pending += [(lo, mid, j), (mid, hi, j)]
     return leaves, far
@@ -318,45 +364,122 @@ def _leaves(n, kappa, spans):
     alpha_max no left part.
     """
     lo, hi, top = np.array(spans).T
-    size, width = int(np.max(hi - lo)), top - lo
+    width = top - lo
     start = np.concatenate(([0], np.cumsum((hi - lo) * width)))
     flat = np.zeros(start[-1])
     kc = kappa * (1.0 - kappa * kappa)
-    # the cells (i, m) = (lo + r, lo + c) of each leaf, r <= c < its size
-    r, c = np.triu_indices(size)
-    for g in row_blocks(lo.size, r.size * _CELL_WORK):
-        i, m = lo[g, None] + r, lo[g, None] + c
-        pos = start[g, None] + r * width[g, None] + c
-        live = (c < (hi - lo)[g, None]) & (i >= 1)
-        i, m, pos = i[live].astype(float), m[live].astype(float), pos[live]
-        diagonal = np.broadcast_to(r == c, live.shape)[live]
-        left, right = _cells(i, m, kappa, n)
-        scale = kc * ((i * i) * (i * i))
-        np.multiply(left, scale, out=left)
-        np.multiply(right, scale, out=right)
-        # M[i, j] = left(j) + right(j - 1), the cells of a row being listed in turn
-        np.add(left[1:], right[:-1], out=left[1:], where=~diagonal[1:])
-        flat[pos] = left
+    for size in sorted(set((hi - lo).tolist())):   # two sizes, halves of the tree
+        # the cells (i, m) = (lo + r, lo + c) of each leaf of this size, r <= c
+        r, c = np.triu_indices(size)
+        leaves = np.flatnonzero(hi - lo == size)
+        for g in row_blocks(leaves.size, r.size * _CELL_WORK):
+            k = leaves[g, None]
+            i, m = np.add(lo[k], r, dtype=float).ravel(), np.add(lo[k], c, dtype=float).ravel()
+            pos = (start[k] + r * width[k] + c).ravel()
+            diagonal = np.tile(r == c, k.size)
+            if i.min() < 1.0:                 # row 0 stays 0
+                live = i >= 1.0
+                i, m, pos, diagonal = i[live], m[live], pos[live], diagonal[live]
+            left, right = _cells(i, m, kappa, n)
+            scale = kc * ((i * i) * (i * i))
+            np.multiply(left, scale, out=left)
+            np.multiply(right, scale, out=right)
+            # M[i, j] = left(j) + right(j - 1), the cells of a row being listed in turn
+            np.add(left[1:], right[:-1], out=left[1:], where=~diagonal[1:])
+            flat[pos] = left
     return [flat[s:e].reshape(b - a, w)
             for s, e, a, b, w in zip(start[:-1], start[1:], lo, hi, width)]
 
 
-def _columns(i, j, top, kappa, n):
-    """M[i, j:top] / (kappa c i^4) for the rows i, a 1-d float array with
-    0 < i <= j - 1, as a new (rows, top - j) array.
+def _columns(parts, kappa, n, scaled):
+    """Write M[i, j:top] into out for each part (i, j, top, out), or
+    without scaled its quotient by kappa c i^4.
 
-    Column m is left(m) + right(m - 1) of the cells [j - 1, top), taken as
-    (rows, 1) x (cells,) rectangles of _cells over slices of the columns
-    (each with the cell before its first), so that a call holds at most a
-    _CELL_WORK-th of measures._BLOCK_CELLS cells.  The rows need not be
-    integers: the far parts take theirs at Chebyshev points.
+    i is a 1-d float array of rows with 0 < i <= j - 1, and out a view
+    of shape (i.size, top - j).  Column m is left(m) + right(m - 1) of
+    the cells [j - 1, top).  The parts, cut into column slices of at most
+    a _CELL_WORK-th of measures._BLOCK_CELLS cells, are taken widest
+    first, as many at once as fit in that many cells: one _cells call
+    over (parts, rows, 1) x (parts, 1, cells), each part padded to the
+    rows and cells of the widest by repeating its last row and its last
+    cell.  A cell's value does not depend on the call, so the entries
+    are those of one call per row.  The rows need not be integers: the
+    far parts take theirs at Chebyshev points.
     """
-    out = np.empty((i.size, top - j))
-    m = np.arange(j - 1.0, top)
-    for s in row_blocks(top - j, i.size * _CELL_WORK):
-        left, right = _cells(i[:, None], m[s.start:s.stop + 1], kappa, n)
-        np.add(left[:, 1:], right[:, :-1], out=out[:, s])
-    return out
+    if not parts:
+        return
+    rows = max(i.size for i, *_ in parts)
+    step = max(1, measures._BLOCK_CELLS // (_CELL_WORK * rows))
+    pieces = sorted(((i, a, min(a + step, top), out[:, a - j:a - j + step])
+                     for i, j, top, out in parts for a in range(j, top, step)),
+                    key=lambda piece: piece[1] - piece[2])      # widest first
+    # each piece's rows, its last repeated up to rows
+    size = np.array([piece[0].size for piece in pieces])
+    end = np.cumsum(size)
+    at = np.minimum(end[:, None] - size[:, None] + np.arange(rows), end[:, None] - 1)
+    i_all = np.concatenate([piece[0] for piece in pieces])[at][:, :, None]
+    j_all, top_all = (np.array([piece[k] for piece in pieces], dtype=float) for k in (1, 2))
+    kc = kappa * (1.0 - kappa * kappa)
+    k = 0
+    while k < len(pieces):
+        width = pieces[k][2] - pieces[k][1]
+        g = slice(k, k + max(1, measures._BLOCK_CELLS // (_CELL_WORK * rows * (width + 1))))
+        k = min(g.stop, len(pieces))
+        i = i_all[g]
+        m = np.minimum(j_all[g, None] - 1.0 + np.arange(width + 1), top_all[g, None] - 1.0)
+        left, right = _cells(i, m[:, None, :], kappa, n)
+        values = left[:, :, 1:]
+        np.add(values, right[:, :, :-1], out=values)
+        if scaled:
+            np.multiply(values, kc * ((i * i) * (i * i)), out=values)
+        for v, (ig, j, top, out) in zip(values, pieces[g]):
+            out[...] = v[:ig.size, :top - j]
+
+
+def _cores(clusters, kappa, n):
+    """Write M[x, p:e] / (kappa c x^4) into out for each far cluster (x,
+    p, e, out), x a span's _FAR_POINTS Chebyshev rows, from its cores.
+
+    Column m is left(m) + right(m - 1), so the cluster takes the cells
+    [y, y + 1] at the Chebyshev points y = p - 1 + (e - p) _FAR_NODES,
+    not integers, and keeps two cores, y^5 left and (y + 1)^5 right at
+    the rows x: both are near flat (see _tree).  The clusters are taken
+    narrowest first in blocks of a _CELL_WORK-th of measures._BLOCK_CELLS
+    cells, one _cells call over (clusters, rows, 1) x (clusters, 1,
+    cells) per block.  Column m is then (y^5 left) C(m) + ((y + 1)^5
+    right) C(m - 1) over m^5, C measures._far_basis at the cells m and
+    m - 1, built once per cluster width and slice of measures._FAR_COLUMNS
+    columns; the clusters of one width in a block take one product per
+    slice.  The slices are fixed, so no value follows the block size.
+    """
+    points = measures._FAR_POINTS
+    clusters = sorted(clusters, key=lambda cluster: cluster[2] - cluster[1])
+    width = np.array([e - p for _, p, e, _ in clusters])
+    key = None                 # the width and first column of the basis C
+    for g in row_blocks(len(clusters), points * points * _CELL_WORK):
+        x, p, _, _ = zip(*clusters[g])
+        y = np.array(p, dtype=float)[:, None] - 1.0 + width[g, None] * measures._FAR_NODES
+        left, right = _cells(np.array(x)[:, :, None], y[:, None, :], kappa, n)
+        cores = np.empty((g.stop - g.start, points, 2 * points))
+        np.multiply(left, ((y * y) * (y * y) * y)[:, None, :], out=cores[:, :, :points])
+        y += 1.0
+        np.multiply(right, ((y * y) * (y * y) * y)[:, None, :], out=cores[:, :, points:])
+        cuts = np.flatnonzero(np.diff(width[g], prepend=0, append=0))
+        for a, b in zip(cuts[:-1], cuts[1:]):          # the clusters of one width
+            w = width[g.start + a]
+            for start in range(0, w, measures._FAR_COLUMNS):
+                cols = slice(start, min(start + measures._FAR_COLUMNS, w))
+                if key != (w, cols.start):
+                    key = w, cols.start
+                    C = measures._far_basis(np.arange(cols.start, cols.stop + 1.0) / w,
+                                            np.empty((points, cols.stop - cols.start + 1)))
+                    C = np.concatenate((C[:, 1:], C[:, :-1]))
+                for r in row_blocks(b - a, points * (cols.stop - cols.start)):
+                    s = slice(a + r.start, a + r.stop)
+                    m = np.array(p[s], dtype=float)[:, None] + np.arange(cols.start, cols.stop)
+                    m5 = (m * m) * (m * m) * m
+                    for v, d, (*_, out) in zip(cores[s] @ C, m5, clusters[g][s]):
+                        np.divide(v, d, out=out[:, cols])
 
 
 class _Operator:
@@ -366,10 +489,12 @@ class _Operator:
     leaf's diagonal block and its near columns [hi, top), up to the
     column its ancestors took.  far holds (lo, hi, j, top, F, B, scale)
     with M[lo:hi, j:top] = (B @ F) * scale[:, None]: F holds M / (kappa c
-    alpha^4) at the span's _FAR_POINTS Chebyshev rows, B (rows, points)
-    is the barycentric basis at its rows (one per row count) and scale is
-    kappa c i^4.  Every other entry of M is 0.  The leaves run from the
-    top of the grid down, the order in which sweep solves them.
+    alpha^4) at the span's _FAR_POINTS Chebyshev rows, from the cores of
+    its clusters and exact past them, B (rows, points) is the
+    barycentric basis at its rows (one per row count) and scale is kappa
+    c i^4.  Every other entry of M is 0.  The leaves run from the top of
+    the grid down, the order in which sweep solves them.  doubles counts
+    the doubles that leaves and far parts store.
     """
 
     def __init__(self, n, kappa):
@@ -378,24 +503,32 @@ class _Operator:
         kc = kappa * (1.0 - kappa * kappa)
         i = np.arange(float(n))
         row_scale = kc * ((i * i) * (i * i))
-        self.leaves = []
+        self.leaves, near = [], []
         for (lo, hi, top), L in zip(leaves, _leaves(n, kappa, leaves)):
-            rows = slice(max(lo, 1), hi)       # row 0 stays 0
-            if hi < top:
-                L[rows.start - lo:, hi - lo:] = (
-                    _columns(i[rows], hi, top, kappa, n) * row_scale[rows, None])
             self.leaves.append((lo, hi, L))
-        basis = {}
+            if hi < top:                       # row 0 stays 0
+                near.append((i[max(lo, 1):hi], hi, top, L[max(lo, 1) - lo:, hi - lo:]))
+        _columns(near, kappa, n, scaled=True)
+        basis, clusters, exact = {}, [], []
         self.far = []
-        for lo, hi, j, top in far:
+        # the Chebyshev rows; at alpha = 0 the quotient's limit, taken at 2^-100
+        first, count = np.array([(lo, hi - lo - 1.0) for lo, hi, *_ in far]).reshape(-1, 2).T
+        rows = np.maximum(first[:, None] + count[:, None] * measures._FAR_NODES, 2.0 ** -100)
+        for x, (lo, hi, j, top, cores) in zip(rows, far):
             s = hi - lo
             if s not in basis:
                 B = np.empty((measures._FAR_POINTS, s))
                 basis[s] = measures._far_basis(np.arange(s) / (s - 1.0), B).T.copy()
-            # the Chebyshev rows; at alpha = 0 the quotient's limit, taken at 2^-100
-            x = np.maximum(lo + (s - 1.0) * measures._FAR_NODES, 2.0 ** -100)
-            F = _columns(x, j, top, kappa, n)
+            F = np.empty((measures._FAR_POINTS, top - j))
+            clusters += [(x, p, e, F[:, p - j:e - j]) for p, e in cores]
+            q = cores[-1][1] if cores else j
+            if q < top:
+                exact.append((x, q, top, F[:, q - j:]))
             self.far.append((lo, hi, j, top, F, basis[s], row_scale[lo:hi]))
+        _columns(exact, kappa, n, scaled=False)
+        _cores(clusters, kappa, n)
+        self.doubles = {"leaves": sum(L.size for *_, L in self.leaves),
+                        "far": sum(part[4].size for part in self.far)}
         # the far parts by row count, (B, rows, scale, parts): the spans of one
         # level of the tree hold n / 2^k rows, rounded either way, so those of
         # one count past _LEAF lie on one level and their rows are disjoint
@@ -513,7 +646,8 @@ def _unit_t_matrix(n, kappa):
     of at most _LEAF rows, each held exactly from its diagonal up to the
     column its ancestors took (_leaves, _columns), and each span keeps its
     far columns as their quotients by kappa c alpha^4 at its Chebyshev
-    rows (_columns), all from _cells.
+    rows, from the cores of their clusters (_cores) and exactly past them
+    (_columns), all from _cells.
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
     1/alpha_max, cell widths gain alpha_max), so one operator per (n, kappa)
@@ -608,6 +742,7 @@ def solve_fixed_point(curve, config=None):
             "assembly": assembled - start, "solve": time.perf_counter() - assembled
         },
         operator_cached=cached,
+        operator_doubles=dict(M.doubles),
     )
 
 

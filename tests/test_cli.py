@@ -149,7 +149,7 @@ class TestInvert:
         diagnostics = json.loads(diag.read_text())
         assert set(diagnostics) == {
             "residual", "error_bound", "contraction_q", "clip_count",
-            "f_clip_count", "timings_s", "operator_cached",
+            "f_clip_count", "timings_s", "operator_cached", "operator_doubles",
         }
         # no --alpha-min, so no density stage
         assert set(diagnostics["timings_s"]) == {"assembly", "solve", "cdf"}
@@ -164,6 +164,21 @@ class TestInvert:
         phi = data[:, 2]
         assert np.max(np.abs(phi[grid <= 0.9])) <= 0.05
         assert np.max(np.abs(phi[grid >= 1.1] - 1.0)) <= 0.05
+
+    def test_diagnostics_report_the_operator_storage(self, tmp_path, curve_csv):
+        # the doubles the operator stores, leaves and far parts apart, stay
+        # below 0.1 n^2 at n_grid 2001
+        diag = tmp_path / "diag.json"
+        code = cli.main([
+            "invert", str(curve_csv), "--kappa", "0.5", "--alpha-max", "2",
+            "--n-grid", "2001", "--out", str(tmp_path / "rec.csv"),
+            "--diagnostics", str(diag),
+        ])
+        assert code == 0
+        stored = json.loads(diag.read_text())["operator_doubles"]
+        assert set(stored) == {"leaves", "far"}
+        assert all(isinstance(v, int) and v > 0 for v in stored.values())
+        assert sum(stored.values()) < 0.1 * 2001 ** 2
 
     def test_empty_density_window_at_the_smallest_grid(self, tmp_path, curve_csv):
         out = tmp_path / "rec.csv"

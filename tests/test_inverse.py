@@ -36,6 +36,12 @@ from helpers import (
 )
 
 
+SQRT3_2 = math.sqrt(3.0) / 2.0
+
+# _cells calls per build at n = 2001, as measured, by kappa
+CELL_CALLS = {0.999: 11, SQRT3_2: 11, 0.5: 13, 0.1: 24, 0.02: 25, 0.005: 25}
+
+
 def closed_linear_integral(alpha, alpha_max, kappa):
     """Antiderivative oracle for T applied to V(y) = y.
 
@@ -122,10 +128,12 @@ def assert_matches_the_reference(n, kappa):
 
 
 class TestClosedForm:
-    @pytest.fixture(scope="class", params=[0.999, 0.5, 0.1, 0.02, 0.005])
+    @pytest.fixture(scope="class", params=[0.999, SQRT3_2, 0.5, 0.1, 0.02, 0.005])
     def kappa(self, request):
         """The kappas of the n = 2001 tests.  pytest runs those tests kappa
-        by kappa, so they share one cached assembly per kappa."""
+        by kappa, so they share one cached assembly per kappa.  At
+        sqrt(3)/2, sqrt(1 - kappa^2) = 1/2, where a far cluster one span
+        wide would see its column singularity nearest, at t = 2."""
         return request.param
 
     def test_entries_match_quadrature(self, kappa):
@@ -142,6 +150,17 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [2001, 501, 51, 3])
     def test_matches_the_reference_assembly(self, n, kappa):
         assert_matches_the_reference(n, kappa)
+
+    def test_far_entries_keep_their_digits(self, kappa):
+        # each entry the far parts hold, to 1e-11 of itself from the dense
+        # closed form: measured up to 4.7e-12 at n = 2001, as without the
+        # cores; cores without their y^5 gave 2.4e-11 at kappa 0.999
+        n = 2001
+        op = _unit_t_matrix(n, kappa)
+        ref = reference_t_matrix(n, kappa)
+        for lo, hi, j, top, F, B, scale in op.far:
+            want = ref[lo:hi, j:top]
+            assert np.all(np.abs((B @ F) * scale[:, None] - want) <= 1e-11 * want)
 
     @pytest.mark.parametrize("n", [2001, 501])
     def test_matches_the_reference_assembly_at_the_smallest_kappa(self, n):
@@ -274,14 +293,31 @@ class TestClosedForm:
         assert np.max(np.abs(tv[1:] - oracle)) <= 1e-11
 
     def test_row_blocks_do_not_change_the_matrix(self, monkeypatch):
-        def assemble(block_cells):
+        # at n = 301 three far clusters take cores
+        def assemble(n, block_cells):
             monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
             inverse._OPERATOR.clear()
-            return dense_operator(_unit_t_matrix(101, 0.3))
+            return dense_operator(_unit_t_matrix(n, 0.3))
 
-        one_block = assemble(101 * 101)
-        for block_cells in (1, 3 * 101, 16 * 101):   # 1, 3 and 16 rows
-            assert np.array_equal(assemble(block_cells), one_block)
+        for n in (101, 301):
+            one_block = assemble(n, n * n)
+            for block_cells in (1, 3 * n, 16 * n):   # 1, 3 and 16 rows
+                assert np.array_equal(assemble(n, block_cells), one_block)
+
+    def test_cells_are_taken_in_few_calls(self, monkeypatch, kappa):
+        # near columns of several leaves, and the cores of several far
+        # clusters, share a call: at most 25% over the measured count,
+        # against 68-125 calls with one per leaf and one per far part
+        calls = []
+        real = inverse._cells
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(inverse, "_cells", spy)
+        inverse._Operator(2001, kappa)
+        assert len(calls) <= math.ceil(1.25 * CELL_CALLS[kappa])
 
     def test_cache_frees_the_old_matrix_before_assembly(self, monkeypatch):
         old = weakref.ref(_unit_t_matrix(151, 0.5))
@@ -330,18 +366,28 @@ class TestHierarchicalOperator:
             v = solve_fixed_point(curve, RecoveryConfig(n_grid=n)).v
             assert np.max(np.abs(v - oracle)) <= 2e-12 * curve.v_max / (1.0 - q)
 
-    @pytest.mark.parametrize("shape", ["leaf", "near", "far"])
+    @pytest.mark.parametrize("shape", ["leaf", "near", "far", "core"])
     def test_cells_drop_the_left_part_past_alpha_max(self, shape):
-        # the shapes the callers pass: flat leaf cells, and (rows, 1) x
-        # (cells,) rectangles, with a leaf's rows for its near columns and
-        # a span's Chebyshev rows, not integers, for a far part
+        # the shapes the callers pass: flat leaf cells, and (parts, rows, 1)
+        # x (parts, 1, cells) blocks, two parts each, with leaves' rows for
+        # their near columns, spans' Chebyshev rows, not integers, for the
+        # exact far columns, and those rows and Chebyshev cells, not
+        # integers either, for the cores; every block reaches the cell
+        # n - 1 past alpha_max
         n = 40
         if shape == "leaf":
             i, m = np.triu_indices(n)
             i, m = i[i >= 1].astype(float), m[i >= 1].astype(float)
         else:
-            i = np.arange(3.0, 9.0) if shape == "near" else 2.0 + 6.0 * measures._FAR_NODES
-            i, m = i[:, None], np.arange(20.0, n + 3.0)     # across the edge
+            if shape == "near":
+                i = np.arange(3.0, 9.0) + np.array([[0.0], [8.0]])
+            else:
+                i = np.array([[2.0], [9.0]]) + 6.0 * measures._FAR_NODES
+            if shape == "core":
+                m = np.array([[20.0], [27.0]]) + (n - 28.0) * measures._FAR_NODES
+            else:
+                m = np.arange(20.0, n + 3.0) - np.array([[0.0], [4.0]])   # across the edge
+            i, m = i[:, :, None], m[:, None, :]
         left, right = (x.copy() for x in inverse._cells(i, m, 0.3, n))
         past = np.broadcast_to(m == n - 1, left.shape)
         assert past.any() and not past.all()
@@ -350,6 +396,30 @@ class TestHierarchicalOperator:
         far_left, far_right = inverse._cells(i, m, 0.3, 2 * n)
         assert np.array_equal(left[~past], far_left[~past])
         assert np.array_equal(right, far_right)
+
+    @pytest.mark.parametrize("kappa", [0.005, 0.1, 0.999])
+    def test_leaf_rows_are_those_of_one_call_per_row(self, kappa):
+        # the leaves' cells come in blocks of many leaves, and their near
+        # columns in blocks of several; a row of a leaf has the bits of one
+        # _cells call over its cells i, ..., top - 1: its diagonal block
+        # adds the scaled parts, its near columns scale the added parts
+        n = 2001
+        inverse._OPERATOR.clear()
+        op = _unit_t_matrix(n, kappa)
+        inverse._OPERATOR.clear()
+        kc = kappa * (1.0 - kappa * kappa)
+        for lo, hi, L in op.leaves:
+            top = lo + L.shape[1]
+            for i in sorted({max(lo, 1), (lo + hi) // 2, hi - 1}):
+                left, right = inverse._cells(
+                    np.array([float(i)]), np.arange(float(i), top), kappa, n)
+                scale = kc * ((i * i) * (i * i))
+                d = hi - i                     # the cells i, ..., hi - 1
+                row = np.zeros(top - lo)
+                row[i - lo:hi - lo] = left[:d] * scale
+                row[i - lo + 1:hi - lo] += right[:d - 1] * scale
+                row[hi - lo:] = (left[d:] + right[d - 1:-1]) * scale
+                assert np.array_equal(L[i - lo], row), (lo, i)
 
     def test_leaves_evaluate_only_the_upper_triangle(self, monkeypatch):
         # a leaf of s nodes has s (s + 1) / 2 cells on or above its
@@ -399,6 +469,20 @@ class TestHierarchicalOperator:
                 assert j - 1 >= max(b, sc * (b + w))
                 assert F.shape == (measures._FAR_POINTS, top - j)
                 assert B.shape == (hi - lo, measures._FAR_POINTS)
+            # a far part's columns split from j on into clusters of more
+            # than _FAR_POINTS columns, each at most a span wide and past
+            # the column separation, then the exact columns, which would
+            # not make such a cluster, and the alpha_max column
+            for lo, hi, j, top, cores in inverse._tree(n, kappa)[1]:
+                b, end = hi - 1, min(top, n - 1)
+                starts = [j] + [e for _, e in cores]
+                assert [p for p, _ in cores] == starts[:-1]
+                for p, e in cores:
+                    assert measures._FAR_POINTS < e - p <= min(hi - lo, p - 1 - sc * b)
+                q = starts[-1]
+                assert q <= end
+                assert min(end, q + min(hi - lo, math.floor(q - 1 - sc * b))) - q <= (
+                    measures._FAR_POINTS)
             # and with the leaves' rows they hold each entry on and above
             # the diagonal once
             held = np.zeros((n, n), dtype=np.uint8)
@@ -444,6 +528,25 @@ class TestHierarchicalOperator:
         )
         got = basis.T @ np.array(list(nodes.values()))
         assert np.all(np.abs(got / between[:, 1] - 1.0) <= 1e-14)
+
+
+    @pytest.mark.parametrize("kappa", [1e-6, 0.5, SQRT3_2, 0.999])
+    def test_far_field_points_interpolate_a_cluster_to_rounding(self, kappa):
+        # the _FAR_POINTS Chebyshev cells of a far cluster interpolate the
+        # flattened parts of a row's cells, the cluster exactly at the
+        # column separation, to 1e-14 relative between them (FAR_COLUMN,
+        # made by far_column_table below); 18 points gave 5.2e-14, and
+        # the parts without their y^5 1.3e-13 to 1.9e-11
+        table = np.array([row[1:] for row in FAR_COLUMN if row[0] == kappa])
+        at_node = np.isin(table[:, 0], measures._FAR_NODES)
+        assert table[at_node, 0].tolist() == measures._FAR_NODES.tolist()
+        between = table[~at_node]
+        assert len(between) >= 10
+        basis = measures._far_basis(
+            between[:, 0], np.empty((measures._FAR_POINTS, len(between)))
+        )
+        got = basis.T @ table[at_node, 1:]
+        assert np.all(np.abs(got / between[:, 1:] - 1.0) <= 1e-14)
 
 
 def far_hat_table():
@@ -570,6 +673,167 @@ FAR_HAT = [
     (0.999, 0.8666055202555336, 3.8655514581042656e-11),
     (0.999, 0.9563227482267809, 3.8668373208004994e-11),
     (0.999, 0.9965903258506805, 3.867441272173621e-11),
+]
+
+
+def far_column_table():
+    """Rows (kappa, t, y^5 left, (y + 1)^5 right) of FAR_COLUMN: the parts
+    that the cell [y, y + 1] of a far cluster adds to its two nodes, over
+    kappa c alpha^4 (see inverse._cells), flattened as inverse._cores
+    flattens them, at the row alpha = b = 80 of a span [0, 80], to 40
+    digits with alpha and kappa taken as exact.  The cluster's cells run
+    from y0 = sqrt(c) b + w over w = 80, one span width, so the
+    singularity, at the cell that reaches sqrt(c) alpha, lies exactly at
+    the column separation of inverse._tree.  left and right integrate
+    (y + 1 - s) and (s - y) over the cell against 1 / (s^2 (s^2 - c
+    alpha^2)^{3/2}), c = 1 - kappa^2, at y = y0 + w t, t over the 20
+    Chebyshev points measures._FAR_NODES and the midpoints of 10 pairs of
+    them.  Print both tables with
+    PYTHONPATH=src:tests python tests/test_inverse.py (needs mpmath)."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    b = w = 80.0
+    nodes = measures._FAR_NODES.tolist()
+    ts = nodes + [(nodes[k] + nodes[k + 1]) / 2 for k in range(0, len(nodes) - 1, 2)]
+    rows = []
+    for kappa in (1e-6, 0.5, SQRT3_2, 0.999):
+        c = (1 - mp.mpf(kappa)) * (1 + mp.mpf(kappa))
+        y0 = mp.sqrt(c) * b + w
+
+        def kernel(s):
+            return 1 / (s * s * (s * s - c * b * b) ** mp.mpf(1.5))
+
+        for t in ts:
+            y = y0 + w * mp.mpf(t)
+            left = mp.quad(lambda s: (y + 1 - s) * kernel(s), [y, y + 1])
+            right = mp.quad(lambda s: (s - y) * kernel(s), [y, y + 1])
+            rows.append((kappa, t, float(y ** 5 * left), float((y + 1) ** 5 * right)))
+    return rows
+
+
+FAR_COLUMN = [
+    # (kappa, t, y^5 left, (y + 1)^5 right)
+    (1e-06, 0.0, 0.7602885408546691, 0.7746465277633114),
+    (1e-06, 0.006819348298638814, 0.7577625365344861, 0.7720381203954048),
+    (1e-06, 0.02709137914968266, 0.75048343442324, 0.764519916543276),
+    (1e-06, 0.06026312439675545, 0.7392686779624242, 0.7529318510038039),
+    (1e-06, 0.10542974530180318, 0.7252527774998409, 0.738440544505489),
+    (1e-06, 0.16135921418712942, 0.7096480849448474, 0.7222941333379004),
+    (1e-06, 0.22652592093878654, 0.6935486175604647, 0.7056208001290712),
+    (1e-06, 0.2991522876735152, 0.6778175958626079, 0.6893127954071473),
+    (1e-06, 0.37725725642960045, 0.6630565174142834, 0.6739939808030734),
+    (1e-06, 0.4587103272638339, 0.6496298162628817, 0.6600445158852617),
+    (1e-06, 0.5412896727361661, 0.6377157735642708, 0.647652709622706),
+    (1e-06, 0.6227427435703995, 0.6273620787986376, 0.6368718737616867),
+    (1e-06, 0.7008477123264847, 0.6185343438710916, 0.6276701154002612),
+    (1e-06, 0.7734740790612132, 0.6111534286581031, 0.6199687482311642),
+    (1e-06, 0.8386407858128705, 0.605121757632811, 0.6136694496284554),
+    (1e-06, 0.8945702546981967, 0.6003406431400534, 0.6086721944778305),
+    (1e-06, 0.9397368756032445, 0.5967210175222116, 0.6048864101324479),
+    (1e-06, 0.9729086208503173, 0.5941896965584795, 0.6022375211296711),
+    (1e-06, 0.9931806517013612, 0.5926928058656227, 0.6006705551593405),
+    (1e-06, 1.0, 0.5921975141171867, 0.6001519843517003),
+    (1e-06, 0.003409674149319407, 0.7590205433434988, 0.7733372020503362),
+    (1e-06, 0.04367725177321906, 0.7447722051709752, 0.758619338030745),
+    (1e-06, 0.1333944797444663, 0.7172253872095313, 0.7301361837872131),
+    (1e-06, 0.2628391043061509, 0.6854174180666784, 0.6971934824864238),
+    (1e-06, 0.4179837918467172, 0.6561152355984631, 0.6667843967757552),
+    (1e-06, 0.5820162081532828, 0.6323802938387694, 0.6420985891209731),
+    (1e-06, 0.7371608956938489, 0.6147514507940307, 0.6237239100761404),
+    (1e-06, 0.8666055202555336, 0.6026880504236851, 0.6111261818007041),
+    (1e-06, 0.9563227482267809, 0.5954423799302013, 0.6035485301773241),
+    (1e-06, 0.9965903258506805, 0.5924446476632844, 0.6004107391539395),
+    (0.5, 0.0, 0.710187741762933, 0.7248514433434372),
+    (0.5, 0.006819348298638814, 0.7081122587005766, 0.7226915415999446),
+    (0.5, 0.02709137914968266, 0.7021323818597787, 0.7164667786353639),
+    (0.5, 0.06026312439675545, 0.6929223532551744, 0.7068745867488833),
+    (0.5, 0.10542974530180318, 0.6814176997498934, 0.6948835254488428),
+    (0.5, 0.16135921418712942, 0.6686176289109804, 0.6815295079773236),
+    (0.5, 0.22652592093878654, 0.6554229718634085, 0.6677483038418488),
+    (0.5, 0.2991522876735152, 0.6425433303878241, 0.6542791193269851),
+    (0.5, 0.37725725642960045, 0.630471680330129, 0.6416376871772986),
+    (0.5, 0.4587103272638339, 0.6195049853679433, 0.6301369512253217),
+    (0.5, 0.5412896727361661, 0.6097865295037334, 0.6199303827846006),
+    (0.5, 0.6227427435703995, 0.6013520565949956, 0.6110594446841378),
+    (0.5, 0.7008477123264847, 0.5941700096281481, 0.6034951304413426),
+    (0.5, 0.7734740790612132, 0.5881724373036239, 0.5971699703017888),
+    (0.5, 0.8386407858128705, 0.5832767296678671, 0.5920006165721133),
+    (0.5, 0.8945702546981967, 0.5793998725530131, 0.5879027153461603),
+    (0.5, 0.9397368756032445, 0.5764672308340181, 0.5848001178198431),
+    (0.5, 0.9729086208503173, 0.5744176346859766, 0.5826302519576143),
+    (0.5, 0.9931806517013612, 0.5732061312600637, 0.5813470569056803),
+    (0.5, 1.0, 0.5728053556367043, 0.5809224642608952),
+    (0.5, 0.003409674149319407, 0.7091458746937404, 0.7237672356971141),
+    (0.5, 0.04367725177321906, 0.6974415995587104, 0.7115821304089621),
+    (0.5, 0.1333944797444663, 0.674831832967802, 0.6880143999414489),
+    (0.5, 0.2628391043061509, 0.6487638689821454, 0.6607866188098159),
+    (0.5, 0.4179837918467172, 0.6248003975187997, 0.6356923168059746),
+    (0.5, 0.5820162081532828, 0.6054386746307326, 0.6153591248868306),
+    (0.5, 0.7371608956938489, 0.5910952267206393, 0.60025340773589),
+    (0.5, 0.8666055202555336, 0.581302873836331, 0.5899147195370265),
+    (0.5, 0.9563227482267809, 0.5754317888824559, 0.5837040737109374),
+    (0.5, 0.9965903258506805, 0.573005323428018, 0.5811343219304017),
+    (0.8660254037844386, 0.0, 0.587833139456843, 0.6037004497943662),
+    (0.8660254037844386, 0.006819348298638814, 0.5868844353998077, 0.6026600129038757),
+    (0.8660254037844386, 0.02709137914968266, 0.5841543896772475, 0.5996638701319718),
+    (0.8660254037844386, 0.06026312439675545, 0.5799598961791431, 0.5950541042592858),
+    (0.8660254037844386, 0.10542974530180318, 0.5747392064015712, 0.5893047810251696),
+    (0.8660254037844386, 0.16135921418712942, 0.5689578026648784, 0.5829211073065104),
+    (0.8660254037844386, 0.22652592093878654, 0.5630316773358919, 0.5763568498184423),
+    (0.8660254037844386, 0.2991522876735152, 0.5572840775701722, 0.5699672815425347),
+    (0.8660254037844386, 0.37725725642960045, 0.551934667243038, 0.5639967530272165),
+    (0.8660254037844386, 0.4587103272638339, 0.5471105699618005, 0.5585898213698023),
+    (0.8660254037844386, 0.5412896727361661, 0.5428674598493908, 0.5538133825625474),
+    (0.8660254037844386, 0.6227427435703995, 0.5392120502577299, 0.5496805571980637),
+    (0.8660254037844386, 0.7008477123264847, 0.536121376505783, 0.5461713472678322),
+    (0.8660254037844386, 0.7734740790612132, 0.5335573389493968, 0.5432483482464734),
+    (0.8660254037844386, 0.8386407858128705, 0.5314767064790514, 0.5408676638924335),
+    (0.8660254037844386, 0.8945702546981967, 0.529837491748782, 0.5389859506599356),
+    (0.8660254037844386, 0.9397368756032445, 0.5286027303306492, 0.5375646665845246),
+    (0.8660254037844386, 0.9729086208503173, 0.5277425526664482, 0.53657246051376),
+    (0.8660254037844386, 0.9931806517013612, 0.5272352182865918, 0.5359864121124631),
+    (0.8660254037844386, 1.0, 0.5270675728789124, 0.5357926146390419),
+    (0.8660254037844386, 0.003409674149319407, 0.5873568280334222, 0.6031781291254562),
+    (0.8660254037844386, 0.04367725177321906, 0.5820164826306291, 0.5973153050658151),
+    (0.8660254037844386, 0.1333944797444663, 0.5717608060498124, 0.5860184513535386),
+    (0.8660254037844386, 0.2628391043061509, 0.5600551571617532, 0.573050920906431),
+    (0.8660254037844386, 0.4179837918467172, 0.5494354401880325, 0.5611984819146668),
+    (0.8660254037844386, 0.5820162081532828, 0.5409798259123629, 0.5516814468135763),
+    (0.8660254037844386, 0.7371608956938489, 0.5348048593549725, 0.544671935288596),
+    (0.8660254037844386, 0.8666055202555336, 0.5306411604126214, 0.5399092154249835),
+    (0.8660254037844386, 0.9563227482267809, 0.5281678823758189, 0.5370632949630594),
+    (0.8660254037844386, 0.9965903258506805, 0.5271512083009613, 0.5358893057637957),
+    (0.999, 0.0, 0.4915443942175556, 0.5114130551884654),
+    (0.999, 0.006819348298638814, 0.49158968178073303, 0.5113296701461039),
+    (0.999, 0.02709137914968266, 0.4917215963267934, 0.5110887528344601),
+    (0.999, 0.06026312439675545, 0.4919290568660433, 0.5107156636998826),
+    (0.999, 0.10542974530180318, 0.4921958853140146, 0.5102458814457703),
+    (0.999, 0.16135921418712942, 0.4925034731790469, 0.5097178049293148),
+    (0.999, 0.22652592093878654, 0.49283334316482524, 0.5091667429033133),
+    (0.999, 0.2991522876735152, 0.493169063964302, 0.50862133205792),
+    (0.999, 0.37725725642960045, 0.4934973082416569, 0.5081023779508147),
+    (0.999, 0.4587103272638339, 0.4938081348597785, 0.5076233979869602),
+    (0.999, 0.5412896727361661, 0.4940947304460471, 0.5071920174026314),
+    (0.999, 0.6227427435703995, 0.49435286635942843, 0.5068115735580099),
+    (0.999, 0.7008477123264847, 0.49458027107575964, 0.5064825641512286),
+    (0.999, 0.7734740790612132, 0.49477604096560984, 0.5062037962237856),
+    (0.999, 0.8386407858128705, 0.49494014710084505, 0.5059732240589341),
+    (0.999, 0.8945702546981967, 0.4950730525503419, 0.5057885235187065),
+    (0.999, 0.9397368756032445, 0.4951754315580698, 0.5056474664951572),
+    (0.999, 0.9729086208503173, 0.49524797285191074, 0.5055481543524772),
+    (0.999, 0.9931806517013612, 0.4952912482289574, 0.5054891569472012),
+    (0.999, 1.0, 0.49530563037710357, 0.5054695906211627),
+    (0.999, 0.003409674149319407, 0.49156709639244134, 0.5113712115863704),
+    (0.999, 0.04367725177321906, 0.49182659590449146, 0.5108990514893523),
+    (0.999, 0.1333944797444663, 0.4923526820951309, 0.5099749268662919),
+    (0.999, 0.2628391043061509, 0.49300514172490706, 0.5088857448984068),
+    (0.999, 0.4179837918467172, 0.49365646455977963, 0.5078556437269183),
+    (0.999, 0.5820162081532828, 0.49422664616970646, 0.5069966574556113),
+    (0.999, 0.7371608956938489, 0.49467993830707585, 0.5063401325687776),
+    (0.999, 0.8666055202555336, 0.4950074766631567, 0.5058794299470221),
+    (0.999, 0.9563227482267809, 0.4952119748533781, 0.5055973717347579),
+    (0.999, 0.9965903258506805, 0.49529845022175767, 0.5054793563854433),
 ]
 
 
@@ -730,7 +994,7 @@ class TestSolve:
         names = [f.name for f in dataclasses.fields(RecoveryResult)]
         assert names == [
             "grid", "v", "kappa", "residual", "phi", "phi_clip_count", "f",
-            "f_clip_count", "timings", "operator_cached",
+            "f_clip_count", "timings", "operator_cached", "operator_doubles",
         ]
 
     def test_start_point_free_fixed_point(self):
@@ -1117,5 +1381,8 @@ class TestRecoveryConfig:
 
 
 if __name__ == "__main__":
-    for row in far_hat_table():
-        print(f"    {row!r},")
+    for name, table in (("FAR_HAT", far_hat_table()), ("FAR_COLUMN", far_column_table())):
+        print(f"{name} = [")
+        for row in table:
+            print(f"    {row!r},")
+        print("]")
