@@ -9,10 +9,16 @@ where h collects the curve-endpoint data and T is the integral operator
 with kernel K below.  G is 1-Lipschitz and the sup-norm of T is at most
 q = (1-kappa)/(1+kappa) < 1, so the solution is unique.
 
-V is represented by its samples on a uniform grid and their
-piecewise-linear interpolant.  The kernel integrates against the hat
-functions in closed form, so every entry of the operator matrix M is exact
-up to rounding.  T integrates from alpha up to alpha_max (a Volterra
+V is represented by its samples on a uniform grid and, between them, by
+hats linear in alpha^2 on each cell.  Between atoms Phi is constant, so
+the relation V' = (1+kappa)/kappa alpha Phi below makes V exactly
+a + b alpha^2 there: with every atom on a grid node V lies in this
+space, and the sweep recovers it to rounding (Brunner, Collocation
+Methods for Volterra Integral and Related Functional Equations, 2004,
+ch. 2, on fitting the space to the solution).  The hats are >= 0 and
+sum to 1, and the kernel integrates against them in closed form, so
+every entry of the operator matrix M is exact up to rounding and each
+row sums to at most q.  T integrates from alpha up to alpha_max (a Volterra
 operator), so M is upper triangular and the discrete fixed point is
 solved exactly by one sweep down from alpha_max, one scalar equation per
 grid node.
@@ -44,19 +50,19 @@ place in per-thread buffers kept from one call to the next
 (measures._block_buffers, shared with the tail integrals); a call takes
 the cells of several leaves' near columns or several clusters' cores at
 once.  _cells is also the one place that gives the cell past alpha_max
-no left part, so no caller fixes up a cell or a slot.  The cells' one
-transcendental term, t - arctan t, is a 5-term series wherever
-t < 0.025, where the remainder is below 2^-53 relative, and arctan on
-the few other cells.  A leaf evaluates only its cells on and above the
-diagonal.  The sweep
+no left part, so no caller fixes up a cell or a slot.  Each part of a
+cell is one quotient of products and sums of positive terms, with no
+transcendental term and nothing that cancels, within 1.6e-15 relative
+of 40-digit values up to m = 2^26 - 1 (the CELLS table of the tests).
+A leaf evaluates only its cells on and above the diagonal.  The sweep
 solves the leaves from alpha_max down (Hairer, Lubich and Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985); before the leaf that ends where a
 span ends, the span's far columns are all solved, and its interpolated
 far field goes into its rows' right-hand side.  The residual and apply_T
 multiply by the same operator, so residual and error_bound measure the
 discrete system with the stored far fields; their own distance from the
-exact M, up to about 3e-12 of a row's largest entry at n = 2001 with
-the cells' rounding, is not in them.  One operator is cached; a new
+exact M, up to about 4e-15 of a row's largest entry at n = 2001 to
+20001, is not in them.  One operator is cached; a new
 (n, kappa) frees it before the build, so two are never held at once.
 
 From the recovered V, the harmonic cumulative Phi(alpha) = int_0^alpha
@@ -69,7 +75,8 @@ so that
 
     f(alpha) = alpha * Phi'(alpha) .
 
-The prefactor kappa/(1+kappa) appears once, in Phi.  The paper prints the
+Phi and f are read off V's node values by difference stencils.  The
+prefactor kappa/(1+kappa) appears once, in Phi.  The paper prints the
 density formula as (1+kappa)/kappa * alpha * (V'/alpha)', with the prefactor
 inverted, which scales f by ((1+kappa)/kappa)^2 and fails the round trip.
 """
@@ -99,23 +106,16 @@ _SWEEP_ROWS = 8
 # at most half of the cells it replaces.
 _LEAF = measures._LEAF_LIMITS
 
-# _cells makes some 15 temporaries per call, so its calls take row blocks
+# _cells makes some 9 temporaries per call, so its calls take row blocks
 # of a third of the cells: a temporary then stays under 128 KiB, glibc's
 # default threshold for fresh pages per allocation.  With whole-block calls
 # (_CELL_WORK = 1) the first build in a fresh process, at n_grid 2001 and
-# kappa 0.1, took 2585 minor faults against 1197 and a median 1.16x the
-# CPU time over 9 processes; later builds in a process ran 0.94x, within
-# this host's spread.
+# kappa 0.1, took 2024 minor faults against 914 and a median 1.08x the
+# CPU time over 9 processes; later builds in a process ran 1.04x.
 _CELL_WORK = 3
 
 # The closed forms square node indices, exactly in doubles only below 2^26.
 _MAX_GRID = 1 << 26
-
-# t - arctan(t) = t^3 (1/3 - t^2/5 + t^4/7 - t^6/9 + t^8/11 - ...): below
-# _SERIES_T the next term, t^13/13, is under 2^-53 of the sum.
-_SERIES_T = 0.025
-_SERIES = tuple((-1) ** k / (2 * k + 3) for k in range(5))
-
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -184,29 +184,6 @@ class RecoveryResult:
         return self.residual / (1.0 - self.contraction_q)
 
 
-def _t_minus_arctan(t, out, t2):
-    """Write t - arctan(t) for t >= 0 into out, using t2 (t's shape) as scratch.
-
-    The series t^3 (1/3 - t^2/5 + t^4/7 - ...) runs over every cell: below
-    _SERIES_T its first len(_SERIES) terms leave a remainder under 2^-53 of
-    the sum, where the direct difference would cancel.  The few cells at or
-    above _SERIES_T are gathered and take t - arctan(t) instead.
-    """
-    np.multiply(t, t, out=t2)
-    np.multiply(t2, _SERIES[-1], out=out)
-    for coeff in _SERIES[-2:0:-1]:
-        np.add(out, coeff, out=out)
-        np.multiply(out, t2, out=out)
-    np.add(out, _SERIES[0], out=out)
-    np.multiply(out, t2, out=out)
-    np.multiply(out, t, out=out)
-    big = np.flatnonzero(t >= _SERIES_T)
-    if big.size:
-        tb = t.flat[big]
-        out.flat[big] = tb - np.arctan(tb)
-    return out
-
-
 def _cells(i, m, kappa, n):
     """The cells [m, m+1] of rows i: their contributions to their two
     nodes, over kappa c i^4.
@@ -214,63 +191,50 @@ def _cells(i, m, kappa, n):
     i and m are float node indices that broadcast to the cells' shape, with
     0 < i <= m: the upper triangle.  The rows need not be integers: a far
     field takes its Chebyshev rows, and at alpha = 0, where this divides
-    by i, the quotient's limit, at i = 2^-100.  Returns (left, right)
-    = (a - r, r), whose multiples by kappa c i^4 are the parts of M[i, m]
-    and M[i, m+1] that the cell adds (see _unit_t_matrix), as views on this
-    thread's measures._block_buffers that the next call overwrites.  On an
-    n-node grid the cell n - 1 lies past alpha_max, and its left part is 0:
-    this is the one place that rule is applied.  Each cell takes one fixed
-    sequence of operations, so its value does not depend on the shape or
-    grouping of a call.  The factors of i alone and of m alone are taken at
-    their own shapes: a leaf passes one i per cell, and a rectangle of
-    _columns one i per row and one m per cell.
+    by i, the quotient's limit, at i = 2^-100.  Returns (left, right),
+    whose multiples by kappa c i^4 are the parts of M[i, m] and M[i, m+1]
+    that the cell adds (see _unit_t_matrix), as views on this thread's
+    measures._block_buffers that the next call overwrites.  Both are
+    quotients of products and sums of positive terms, so neither cancels.
+    On an n-node grid the cell n - 1 lies past alpha_max, and its left
+    part is 0: this is the one place that rule is applied.  Each cell
+    takes one fixed sequence of operations, so its value does not depend
+    on the shape or grouping of a call.  The factors of i alone and of m
+    alone are taken at their own shapes: a leaf passes one i per cell, and
+    a rectangle of _columns one i per row and one m per cell.
     """
-    c = 1.0 - kappa * kappa
-    sc = math.sqrt(c)
     shape = np.broadcast(i, m).shape
-    w1, w2, P, Q, t, X, r = _block_buffers(1, math.prod(shape), count=7).reshape(
-        (7,) + shape
+    w1, w2, E, K, left, right = _block_buffers(1, math.prod(shape), count=6).reshape(
+        (6,) + shape
     )
     i2 = i * i
-    ci2 = c * i2
     ki2 = (kappa * i) ** 2
     m2 = m + 1.0
-    sq1, sq2 = m * m, m2 * m2
-    for w, sq in ((w1, sq1), (w2, sq2)):   # w = i u at the cell's two ends
-        np.subtract(sq, i2, out=w)
+    for w, mk in ((w1, m), (w2, m2)):      # w = i u at the cell's two ends
+        np.subtract(mk * mk, i2, out=w)
         np.add(w, ki2, out=w)
         np.sqrt(w, out=w)
-    D = m + m2
-    mm = m * m2
-    np.multiply(w1, w2, out=P)
-    np.add(P, ci2, out=X)
-    np.add(w1, w2, out=Q)
-    np.multiply(Q, X, out=Q)
-    np.multiply(D, sc * i, out=t)
-    np.divide(t, Q, out=t)
-    # r = dB / i^3, less m1 a below
-    _t_minus_arctan(t, r, X)
-    np.multiply(r, 1.0 / (c * sc * i * i2), out=r)
-    np.multiply(P, Q, out=X)
-    np.divide(D, X, out=X)
-    np.add(r, X, out=r)
-    # a = dA / i^4, into t
-    np.multiply(m, w2, out=X)
-    np.multiply(m2, w1, out=Q)
-    np.add(X, Q, out=X)
-    np.add(P, mm, out=Q)
-    np.multiply(X, Q, out=X)
-    np.multiply(X, P, out=X)
-    np.multiply(X, mm, out=X)
-    np.add(sq1, sq2, out=t)
-    np.subtract(t, ci2, out=t)
-    np.multiply(t, D, out=t)
-    np.divide(t, X, out=t)
-    np.multiply(m, t, out=X)
-    np.subtract(r, X, out=r)
-    np.subtract(t, r, out=t)
-    np.copyto(t, 0.0, where=m == n - 1)      # past alpha_max
-    return t, r
+    # D N, D = m1 + m2 and N = w1^2 + m2^2
+    np.multiply(w1, w1, out=left)
+    np.add(left, m2 * m2, out=left)
+    np.multiply(left, m + m2, out=left)
+    # E = m1 w2 + m2 w1, K = m1 m2 + w1 w2
+    np.multiply(w2, m, out=E)
+    np.multiply(w1, m2, out=K)
+    np.add(E, K, out=E)
+    np.multiply(w1, w2, out=K)
+    np.add(K, m * m2, out=K)
+    np.multiply(E, K, out=E)
+    # F = m1 w1 + m2 w2, from the two ends' products
+    np.multiply(w1, m, out=w1)
+    np.multiply(w2, m2, out=w2)
+    np.add(w1, w2, out=K)
+    np.multiply(E, K, out=E)
+    np.divide(left, E, out=left)
+    np.divide(left, w2, out=right)
+    np.divide(left, w1, out=left)
+    np.copyto(left, 0.0, where=m == n - 1)      # past alpha_max
+    return left, right
 
 
 def _tree(n, kappa):
@@ -318,12 +282,12 @@ def _tree(n, kappa):
     such toward it on the ellipse; y^5 left and (y + 1)^5 right stay near
     flat there, so the cores interpolate those and the columns divide by
     m^5.  For a cluster one span wide exactly at the separation, on the
-    row b of a span [0, 80], 20 points interpolate them within 1.6e-15
-    relative of 40-digit values, 18 points within 5.2e-14, and the parts
-    without their y^5 within 1.3e-13 to 1.9e-11 (the FAR_COLUMN table of
+    row b of a span [0, 80], 20 points interpolate them within 1.7e-15
+    relative of 40-digit values, 18 points within 5.3e-14, and the parts
+    without their y^5 within 1.6e-13 to 2.2e-11 (the FAR_COLUMN table of
     the tests pins it); at n = 2001 and kappa 0.999, cores without the
-    y^5 left far entries 2.4e-11 from the dense closed form, against
-    4.4e-12 with it.  The alpha_max column is half a hat, whose kink
+    y^5 left far entries 2.3e-11 from the dense closed form, against
+    2.6e-15 with it.  The alpha_max column is half a hat, whose kink
     would lie inside a cluster, so it stays exact.
     """
     sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
@@ -617,30 +581,31 @@ def _unit_t_matrix(n, kappa):
 
     Row i, column j is kappa c alpha_i^4 times the integral of
     phi_j(y) / (y^2 (y^2 - c alpha_i^2)^{3/2}) over [alpha_i, 1], with
-    c = 1 - kappa^2 and phi_j the hat function of node j.  In x = y/alpha_i
-    the nodes sit at x_m = m/i and the integrand is phi_j / (x^2 u^3),
-    u = sqrt(x^2 - c), whose antiderivatives are
+    c = 1 - kappa^2 and phi_j the hat of node j, linear in y^2 on each of
+    its two cells.  In x = y/alpha_i the nodes sit at x_m = m/i and the
+    integrand is phi_j / (x^2 u^3), u = sqrt(x^2 - c), whose
+    antiderivatives are
 
         A(x) = int dx / (x^2 u^3) = -(2x^2 - c) / (c^2 x u)
-        B(x) = int dx / (x u^3)   = -(1/u + arctan(u/sqrt(c))/sqrt(c)) / c .
+        C(x) = int dx / u^3       = -x / (c u) .
 
-    Over the cell [x_m, x_{m+1}] the hat of node m+1 is i (x - x_m), so
-    that node gets i (dB - x_m dA) and node m gets the rest of dA.  The
-    differences over the cell are taken in forms free of cancellation
-    between its ends, in node units: m1 = m, m2 = m + 1 and
-    w = i u = sqrt((m - i)(m + i) + (kappa i)^2), so that the powers of i
-    collect into per-row factors.  With D = m1 + m2 (= m2^2 - m1^2),
-    P = w1 w2, Q = (w1 + w2)(c i^2 + P) and E = m1 w2 + m2 w1,
+    Over the cell [x_m, x_{m+1}] the hat of node m+1 is (x^2 - x_m^2) /
+    (x_{m+1}^2 - x_m^2), so that node gets (dC - x_m^2 dA) / (x_{m+1}^2 -
+    x_m^2) and node m gets the rest of dA.  In node units, m1 = m,
+    m2 = m + 1 and w = i u = sqrt((m - i)(m + i) + (kappa i)^2), the
+    powers of i collect into per-row factors, and the differences between
+    the cell's ends reduce to sums of positive terms: m2 w2 - m1 w1 =
+    D N / F and m1 w2 - m2 w1 = c i^2 D / E.  With D = m1 + m2
+    (= m2^2 - m1^2), N = w1^2 + m2^2, E = m1 w2 + m2 w1,
+    F = m1 w1 + m2 w2 and K = m1 m2 + w1 w2, the cell adds kappa c i^4
+    times
 
-        a = dA / i^4 = D (m1^2 + m2^2 - c i^2) / (P m1 m2 E (m1 m2 + P))
-            dB / i^3 = D / (P Q) + (t - arctan t) / (c^{3/2} i^3),
-                   t = sqrt(c) i D / Q ,
+        left  = D N / (m1 w1 E F K)   to node m,
+        right = D N / (m2 w2 E F K)   to node m+1,
 
-    and with r = dB / i^3 - m1 a the cell adds kappa c i^4 (a - r) to node
-    m and kappa c i^4 r to node m+1 (_cells gives a - r and r).  Cells below the diagonal
-    (m < i) add nothing, so the matrix is upper triangular; row 0
-    (alpha = 0) is 0.  t - arctan t is a 5-term series on every cell,
-    replaced by arctan on the few with t >= _SERIES_T (_t_minus_arctan).
+    whose sum is dA / i^4 (_cells gives left and right).  Cells below the
+    diagonal (m < i) add nothing, so the matrix is upper triangular; row
+    0 (alpha = 0) is 0.
 
     No n x n array is formed: _tree halves the rows [0, n) down to leaves
     of at most _LEAF rows, each held exactly from its diagonal up to the

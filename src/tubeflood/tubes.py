@@ -35,13 +35,15 @@ class TubeSystem:
     tubes: tuple
 
     def __post_init__(self):
-        # Measure checks each (L, S) and sorts them stably by length;
-        # bincount adds each length's sections in that order
+        # Measure checks each (L, S) and sorts them stably by length, so
+        # equal lengths are neighbours; bincount adds each length's
+        # sections in that order
         L, S = Measure(atoms=self.tubes)._atoms_by_length
         if not L.size:
             raise ArgumentError("tube system must contain at least one tube")
-        lengths, group = np.unique(L, return_inverse=True)
-        sections = np.bincount(group, weights=S)
+        first = np.concatenate(([True], L[1:] != L[:-1]))
+        lengths = L[first]
+        sections = np.bincount(np.cumsum(first) - 1, weights=S)
         merged = tuple(zip(lengths.tolist(), sections.tolist()))
         object.__setattr__(self, "tubes", merged)
         object.__setattr__(self, "lengths", lengths)

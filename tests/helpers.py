@@ -189,13 +189,10 @@ def reference_t_matrix(n, kappa):
     clamped to the diagonal.
 
     Same closed form in x = y/alpha_i (see _unit_t_matrix): over the cell
-    [x1, x2], with D = x2^2 - x1^2, P = u1 u2, S = u1 + u2, X = x1 x2,
-
-        dA = D (x1^2 + x2^2 - c) / (P X (x1 u2 + x2 u1) (X + P))
-        dB = D / (S P (c + P)) + (t - arctan t) / c^{3/2},
-             t = D sqrt(c) / (S (c + P)) ,
-
-    t - arctan t by a 9-term series below t = 0.1.  Not cached.
+    [x1, x2], with u = sqrt(x^2 - c), D = x2^2 - x1^2, N = u1^2 + x2^2,
+    E = x1 u2 + x2 u1, F = x1 u1 + x2 u2 and K = x1 x2 + u1 u2, the hat
+    of node m + 1 takes D N / (x2 u2 E F K) and that of node m takes
+    D N / (x1 u1 E F K), times kappa c.  Not cached.
     """
     out = np.zeros((n, n))
     for rows in row_blocks(n, n):
@@ -218,32 +215,16 @@ def _reference_rows(n, kappa, i0, i1):
     """The rows i0 <= i < i1 (i0 >= 1) of reference_t_matrix over the
     columns from i0 on."""
     c = 1.0 - kappa * kappa
-    sc = math.sqrt(c)
     out = np.zeros((i1 - i0, n - i0))
     i = np.arange(i0, i1, dtype=float)[:, None]
     m = np.maximum(np.arange(i0, n, dtype=float)[None, :], i)
     x = m / i
     u = np.sqrt((m - i) * (m + i) / (i * i) + kappa * kappa)
     x1, x2, u1, u2 = x[:, :-1], x[:, 1:], u[:, :-1], u[:, 1:]
-    D = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i)
-    P = u1 * u2
-    S = u1 + u2
-    X = x1 * x2
-    dA = D * (x1 * x1 + x2 * x2 - c) / (P * X * (x1 * u2 + x2 * u1) * (X + P))
-    t = D * sc / (S * (c + P))
-    tma = np.empty_like(t)
-    small = t < 0.1
-    tma[~small] = t[~small] - np.arctan(t[~small])
-    ts = t[small]
-    t2 = ts * ts
-    acc = np.zeros_like(ts)
-    for k in range(9, 0, -1):   # t^3 (1/3 - t^2/5 + t^4/7 - ...)
-        acc = 1.0 / (2 * k + 1) - t2 * acc
-    tma[small] = ts * t2 * acc
-    dB = D / (S * P * (c + P)) + tma / (c * sc)
-    right = i * (dB - x1 * dA)
-    out[:, :-1] += kappa * c * (dA - right)
-    out[:, 1:] += kappa * c * right
+    DN = (m[:, 1:] - m[:, :-1]) * (m[:, 1:] + m[:, :-1]) / (i * i) * (u1 * u1 + x2 * x2)
+    EFK = (x1 * u2 + x2 * u1) * (x1 * u1 + x2 * u2) * (x1 * x2 + u1 * u2)
+    out[:, :-1] += kappa * c * DN / (x1 * u1 * EFK)
+    out[:, 1:] += kappa * c * DN / (x2 * u2 * EFK)
     return out
 
 

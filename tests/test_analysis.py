@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import tubeflood
 from tubeflood import analysis
 from tubeflood.analysis import (
     ambiguity_pair,
@@ -420,3 +425,27 @@ class TestAmbiguity:
         pair = ambiguity_pair(2.0, 1.2)
         with pytest.raises(ArgumentError):
             curve_gap(pair, 0.5, 2.5)
+
+
+def test_runs_leave_numpy_ma_unimported():
+    # numpy's unique imports numpy.ma, some 15 ms, on its first call in a
+    # process; the package sorts and masks in its place, so a fresh
+    # process that runs accepted mc trials, merges tubes and compares two
+    # recoveries never loads it
+    code = textwrap.dedent("""\
+    import sys
+    from tubeflood.analysis import run_mc, sinusoidal_perturbation, stability_experiment
+    from tubeflood.forward import build_curve
+    from tubeflood.inverse import RecoveryConfig
+    from tubeflood.measures import random_atoms
+    from tubeflood.tubes import TubeSystem
+    assert any(rec.accepted for rec in run_mc(40, seed=0, n_grid=401))
+    assert TubeSystem(((2.0, 1.0), (1.0, 0.5), (2.0, 0.5))).lengths.size == 2
+    curve = build_curve(random_atoms(11, 12), 0.5, 10.0, 1001)
+    bumped = sinusoidal_perturbation(curve, 1e-3 * curve.v_max)
+    stability_experiment(curve, bumped, RecoveryConfig(n_grid=501))
+    sys.exit("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(tubeflood.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=300).returncode == 0
