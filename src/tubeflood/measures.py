@@ -19,41 +19,51 @@ Atoms enter a prefix integral through prefix sums, which the Measure
 builds in its constructor (and so rejects moments past the doubles
 there), and a binary search.  A tail integral sums its atoms, whatever
 their count, over a binary tree of the sorted alphas, with p = 20
-Chebyshev points per node (_FAR_POINTS).  A node whose alphas lie in
-[a, b], of width w, takes the atoms past b + w that its ancestors did
-not take, one slice of the sorted atoms, as a far field: each kernel's
-only singularity in alpha lies at L / sqrt(1 - kappa^2) >= L, at least
-3 half-widths past the node's middle, so the far sum is analytic inside
-the Bernstein ellipse of rho = 3 + sqrt(8), and p points interpolate it
-to rounding (the bound is worked out at _FAR_POINTS).  The node
-evaluates each kernel on the slice at its p points, sums over the atoms
-and adds the interpolant at its alphas; the oil volume is interpolated
-without its factor c0, which it takes at the alpha, so V_o(0) is
-exactly 0.  A node is a leaf once its direct cells fit _TREE_CELLS =
-2^15 or it holds at most 2p alphas, and a leaf adds its remaining atoms
+Chebyshev points per node (_FAR_POINTS).  Each kernel's only singularity
+in alpha lies at L / sqrt(1 - kappa^2), so a node whose alphas lie in
+[a, b], of width w, separates at sqrt(1 - kappa^2) (b + w): an atom past
+it is analytic over [a, b], with its singularity at least 3 half-widths
+past the node's middle, inside the Bernstein ellipse of rho = 3 +
+sqrt(8), where p points interpolate it to rounding (the bound is worked
+out at _FAR_POINTS).  A node takes the atoms past both b and the
+separation that its ancestors did not take, one slice of the sorted
+atoms, as a far field, if there are at least p of them: it evaluates
+each kernel on the slice at its p points, sums over the atoms and adds
+the interpolant at its alphas; the oil volume is interpolated without
+its factor c0, which it takes at the alpha, so V_o(0) is exactly 0.  A
+node whose smallest alpha lies at or past the separation is cut, once
+it holds more than p alphas and p to 1637 remaining atoms: it evaluates
+them all at its p points and sums them from the last atom down, and
+each alpha interpolates the running sum of the atoms in its tail, so
+the tail's indicator is exact and the node evaluates no direct cell.
+Otherwise a node is a leaf once its direct cells fit _TREE_CELLS = 2^15
+or it holds at most 2p alphas, and a leaf adds its remaining atoms
 directly.  Only the live (alpha, atom) cells of a leaf are evaluated:
 the atoms are sorted by length, so those below its smallest alpha, a
 column prefix, are skipped, and only the columns up to its largest
-alpha need the tail mask.  A call with both kernels takes sqrt(y^2 -
-c0) once per live cell; each kernel writes into its own buffer (the
-last over the root) and gets the bits of a call with that kernel alone.
-Each value is within about 1e-15 relative of the direct sum, and no
-value depends on the block size or on the order of the alphas.  At 4000
-atoms and 2001 ascending alphas the tree evaluates 0.13 N M kernel
-cells, where a direct sum over the live cells takes about half of them.
-The cells are evaluated in place in per-thread buffers kept from one
-call to the next, and no block-sized array is allocated per call.  A
-warm one-kernel call at 2001 alphas peaked at 0.24-0.26 MB at 5-129
-atoms and at 0.27 and 0.33 MB at 1e3 and 1e4 atoms (0.30-0.33 and
-0.35-0.40 MB with both kernels); a cold one, whose buffers are new, at
-0.74-0.83 MB (0.80-0.90 MB) (tracemalloc, MB of 2^20 bytes).  The
-row-block rule, row_blocks, is the package's only one: the tree's leaves
-with more atoms than alphas take it, the inverse operator's cells are
-evaluated over it in the same per-thread buffers (_block_buffers), and
-the tube simulation writes its blocks straight into its result.  The
-inverse operator holds its off-diagonal part on the same kind of tree,
-over its rows, with the same points and leaf size and the same
-barycentric basis (_far_basis).
+alpha need the tail mask; where an atom lies within about 1e-4 relative
+of its alpha and kappa^2 is below about 2e-4, its root is formed from
+nonnegative parts (_NEAR_ROOT).  A call with both kernels takes sqrt(y^2
+- c0) once per live cell or point; each kernel writes into its own
+buffer (the last over the root) and gets the bits of a call with that
+kernel alone.  Each value is within about 1e-15 relative of the direct
+sum, and no value depends on the block size or on the order of the
+alphas.  At 4000 atoms and 2001 ascending alphas, kappa 0.5, the tree
+evaluates 0.07 N M kernel cells, where a direct sum over the live cells
+takes about half of them.  The cells are evaluated in place in
+per-thread buffers kept from one call to the next, and no block-sized
+array is allocated per call (a cut's interpolation chunk stays below
+128 KiB).  A warm one-kernel call at 2001 alphas peaked at 0.24-0.26 MB
+at 5-129 atoms and at 0.27 and 0.37 MB at 1e3 and 1e4 atoms (0.30-0.34
+and 0.42 MB with both kernels); a cold one, whose buffers are new, at
+0.74-0.88 MB (0.80-0.92 MB) (tracemalloc, MB of 2^20 bytes).  The
+row-block rule, row_blocks, is the package's only one: the tree's
+leaves with more atoms than alphas take it, the inverse
+operator's cells are evaluated over it in the same per-thread buffers
+(_block_buffers), and the tube simulation writes its blocks straight
+into its result.  The inverse operator holds its off-diagonal part on
+the same kind of tree, over its rows, with the same points and leaf size
+and the same barycentric basis (_far_basis).
 Pieces enter both integrals by their clipped limits, one bracket per
 cell; a tail call takes each piece's root step (_root_step) once, for
 all of its kernels.  Its roots are formed from nonnegative parts, with
@@ -69,6 +79,7 @@ exactly on a boundary is bucketed unambiguously.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -103,19 +114,23 @@ _LENGTH_RULE = (
 _BLOCK_CELLS = 1 << 15
 
 # tail_integral sums the atoms over a tree of the limits.
-# A node whose limits lie in [a, b], of width w, takes the atoms past
-# b + _FAR_GAP w as a far field.  A kernel's only singularities in the
-# limit, at +-L / sqrt(1 - kappa^2), then lie at t >= 1 + 2 _FAR_GAP = 3 of
-# the node's coordinate t in [-1, 1], so their sum is analytic inside the
-# Bernstein ellipse through t = 3, rho = 3 + sqrt(8) = 5.83, and its
-# interpolant in p Chebyshev points converges as rho^-p (Trefethen,
-# Approximation Theory and Approximation Practice, Thm 8.2).  For one atom
-# at the separation, and kappa -> 0, the worst case, the interpolant of its
-# rate kernel is within 8.9e-15 of the kernel's value at 18 points and
-# 2.5e-16 at 20, that of its volume kernel without c0 within 5.4e-16 and
-# 1.4e-17 (40-digit arithmetic).  The terms are positive, so a sum of
-# atoms is within the worst atom's relative error: 20 points interpolate
-# every far field to rounding.
+# A kernel's only singularities in the limit x lie at x = +-L / sqrt(c),
+# c = 1 - kappa^2, where the root sqrt(L^2 - c x^2) vanishes.  A node whose
+# limits lie in [a, b], of width w, takes the atoms past max(b, sqrt(c)
+# (b + _FAR_GAP w)) as a far field: each lies in every limit's tail, and
+# its singularities lie at t >= 1 + 2 _FAR_GAP = 3 of the node's
+# coordinate t in [-1, 1], so their sum is analytic inside the Bernstein
+# ellipse through t = 3, rho = 3 + sqrt(8) = 5.83, and its interpolant in
+# p Chebyshev points converges as rho^-p (Trefethen, Approximation Theory
+# and Approximation Practice, Thm 8.2).  For one atom at the separation,
+# whatever kappa, the interpolant of its rate kernel is within 8.9e-15 of
+# the kernel's value at 18 points and 2.5e-16 at 20, that of its volume
+# kernel without c0 within 5.4e-16 and 1.4e-17 (40-digit arithmetic, the
+# worst over nodes [a, a + w]; past b the atom's singularity lies beyond
+# t = 3).  The terms are positive, so a sum of atoms is within the worst
+# atom's relative error: 20 points interpolate every far field to
+# rounding.  sqrt(c) is formed as sqrt((1 - kappa)(1 + kappa)), as
+# inverse._tree forms it.
 _FAR_GAP = 1.0
 _FAR_POINTS = 20
 # the Chebyshev points of the second kind in [0, 1], ends included, and
@@ -123,17 +138,43 @@ _FAR_POINTS = 20
 _FAR_NODES = np.sin(np.pi / (2 * (_FAR_POINTS - 1)) * np.arange(_FAR_POINTS)) ** 2
 _FAR_WEIGHTS = (-1.0) ** np.arange(_FAR_POINTS) * np.r_[0.5, np.ones(_FAR_POINTS - 2), 0.5]
 
-# A node of the tree is a leaf once its direct cells, its limits times
-# the atoms from the first at or above its smallest limit up to those its
-# ancestors took, fit in _TREE_CELLS, or once it holds at most
+# The leaf rules of the tree, for a node whose remaining atoms, those its
+# ancestors did not take, run from the first at or above its smallest
+# limit.  A node is cut when its smallest limit lies at or past the
+# separation, so that every remaining atom is analytic over its limits,
+# it holds more than _FAR_POINTS limits and from _FAR_POINTS to
+# _FAR_COLUMNS - 1 remaining atoms: it takes them all at its Chebyshev
+# points and each limit reads its tail off their running sums
+# (_cut_tails), _FAR_POINTS cells per atom where a direct sum takes one
+# per limit; the cap keeps the sequential sums short (cut at the highest
+# node that qualifies, with no cap, rows read 4.7e-15 from the dense sum)
+# and each kernel's sums, behind a column of zeros, within one buffer.
+# Otherwise a node is a leaf once its direct cells, its limits times its
+# remaining atoms, fit in _TREE_CELLS, or once it holds at most
 # _LEAF_LIMITS limits: a far field at _FAR_POINTS points would then save
-# at most half of the cells it replaces.  A far field is summed over the
-# atoms and interpolated to the limits in chunks of _FAR_COLUMNS.  Both
-# sizes are fixed apart from _BLOCK_CELLS, so no value follows the block
-# size.
+# at most half of the cells it replaces.  And a node takes a far field
+# only of at least _FAR_POINTS atoms, since its interpolant costs
+# _FAR_POINTS terms per limit: fewer pass to its children.  A far field
+# is summed over the atoms and interpolated to the limits in chunks of
+# _FAR_COLUMNS.  All sizes are fixed apart from _BLOCK_CELLS, so no value
+# follows the block size.
 _TREE_CELLS = 1 << 15
 _LEAF_LIMITS = 2 * _FAR_POINTS
 _FAR_COLUMNS = _TREE_CELLS // _FAR_POINTS
+# A cut interpolates its running sums to its limits in chunks of
+# _CUT_LIMITS, whose basis and product, 2 _FAR_POINTS _CUT_LIMITS doubles,
+# are allocated below 128 KiB, glibc's least mmap threshold: the sums fill
+# the tree's buffers, and no cut grows them.
+_CUT_LIMITS = _FAR_COLUMNS // 4
+
+# A leaf's cell forms an atom's root sqrt(L^2 - c0) as L^2 - c0 unless the
+# atom lies within L = lo (1 + theta) of its limit lo with 2 theta + kappa^2
+# below _NEAR_ROOT.  The cancellation in L^2 - c0 costs about eps / (2 theta
+# + kappa^2) of the root's relative digits (1.5e-4 for an atom an ulp above
+# its limit at kappa 1e-6), so past _NEAR_ROOT = eps / 1e-12 it costs at
+# most 1e-12; below it the root is formed from its nonnegative parts, as
+# _root_step forms a piece's.
+_NEAR_ROOT = np.finfo(float).eps / 1e-12
 
 _BLOCK_WORK = threading.local()   # this thread's row-block buffers
 
@@ -183,11 +224,15 @@ class Measure:
     def __post_init__(self):
         atoms = tuple((float(L), float(S)) for L, S in self.atoms)
         pieces = tuple((float(a), float(b), float(r)) for a, b, r in self.pieces)
-        for L, S in atoms:
-            if not LENGTH_MIN <= L < LENGTH_MAX:
-                raise ArgumentError(f"atom length {_LENGTH_RULE}, got {L}")
-            if not (S > 0 and math.isfinite(S)):
-                raise ArgumentError(f"atom section must be finite and > 0, got {S}")
+        flat = np.fromiter(itertools.chain.from_iterable(atoms), float, 2 * len(atoms))
+        L, S = flat.reshape(-1, 2).T
+        ok = (LENGTH_MIN <= L) & (L < LENGTH_MAX) & (S > 0.0) & (S < math.inf)
+        if not ok.all():
+            # the first bad atom raises, on its length before its section
+            L0, S0 = atoms[int(ok.argmin())]
+            if not LENGTH_MIN <= L0 < LENGTH_MAX:
+                raise ArgumentError(f"atom length {_LENGTH_RULE}, got {L0}")
+            raise ArgumentError(f"atom section must be finite and > 0, got {S0}")
         for a, b, r in pieces:
             if not sys.float_info.min <= a < b < math.inf:
                 raise ArgumentError(
@@ -195,10 +240,7 @@ class Measure:
                 )
             if not (r >= 0 and math.isfinite(r)):
                 raise ArgumentError(f"piece density must be finite and >= 0, got {r}")
-        L, S, sums = atom_prefix_sums(
-            np.array([a[0] for a in atoms], dtype=float),
-            np.array([a[1] for a in atoms], dtype=float),
-        )
+        L, S, sums = atom_prefix_sums(L, S)
         if pieces:
             # each piece's moments, and the whole measure's, raise here if
             # past the doubles; every prefix integral stays below them
@@ -375,17 +417,32 @@ def _block_buffers(rows, cols, count=1):
     return work[:count, :cells].reshape(count, rows, cols)
 
 
-def _atom_cells(kernels, targets, L, S, L2, lo, c, j1):
+def _atom_cells(kernels, targets, L, S, L2, lo, c, j1, kappa):
     """Write each kernel's cells of the atoms (L, S) at the limits lo.
 
     targets holds one (limit, atom) view per kernel; the last takes the
-    root sqrt(L2 - c) first, L2 = L^2 and c = c0 at lo, both columns.
-    Only the first j1 atoms may lie outside a limit's tail: their roots
-    are masked to 1 there, and each kernel zeroes its own outside cells.
-    Each mask is made empty_like its view, so it iterates like the view.
+    root sqrt(L2 - c) first, L2 = L^2 a row and c = c0 at lo a column.
+    Where an atom lies within L = lo (1 + theta) of its limit, with
+    2 theta + kappa^2 < _NEAR_ROOT, the root is formed instead from its
+    parts, (L - lo)(L + lo) + (kappa lo)^2: with no kappa that small, no
+    cell is.  Only the first j1 atoms may lie outside a limit's tail:
+    their roots are masked to 1 there, and each kernel zeroes its own
+    outside cells.  Each mask is made empty_like its view, so it iterates
+    like the view.
     """
     s = targets[-1]
     np.subtract(L2, c, out=s)
+    if kappa * kappa < _NEAR_ROOT:
+        # atom j is near the limits lo[first[j]:last[j]], L[j] / reach <
+        # lo <= L[j]; the cells below it are masked below
+        reach = 1.0 + (_NEAR_ROOT - kappa * kappa) / 2.0
+        col = lo.ravel()
+        first, last = col.searchsorted(L / reach, "right"), col.searchsorted(L, "right")
+        count = last - first
+        atoms = np.repeat(np.arange(L.size), count)
+        rows = np.arange(atoms.size) + np.repeat(first - count.cumsum() + count, count)
+        y, x = L[atoms], col[rows]
+        s[rows, atoms] = (y - x) * (y + x) + (kappa * x) ** 2
     edge = L[:j1]
     below = np.less(edge, lo, out=np.empty_like(s[:, :j1], bool))
     np.copyto(s[:, :j1], 1.0, where=below)
@@ -398,7 +455,7 @@ def _atom_cells(kernels, targets, L, S, L2, lo, c, j1):
         np.copyto(t[:, :j1], 0.0, where=outside)
 
 
-def _leaf_tails(kernels, L, S, L2, lo, c, j1, out):
+def _leaf_tails(kernels, L, S, L2, lo, c, j1, kappa, out):
     """Add the cells of the atoms (L, S) at the limits lo to out, a row of
     each over all of the atoms; the atoms from j1 on lie in every tail.
 
@@ -413,34 +470,77 @@ def _leaf_tails(kernels, L, S, L2, lo, c, j1, out):
     width = L.size
     if width <= lo.size:
         tiles = _block_buffers(width, lo.size, len(kernels))
-        _atom_cells(kernels, [t.T for t in tiles], L, S, L2, lo[:, None], c[:, None], j1)
+        _atom_cells(kernels, [t.T for t in tiles], L, S, L2, lo[:, None], c[:, None], j1, kappa)
         for tile, o in zip(tiles, out):
             o += np.add.reduce(tile, axis=0)
         return
     bufs = _block_buffers(min(lo.size, max(1, _BLOCK_CELLS // width)), width, len(kernels))
     for rows in row_blocks(lo.size, width):
         targets = [buf[: rows.stop - rows.start] for buf in bufs]
-        _atom_cells(kernels, targets, L, S, L2, lo[rows, None], c[rows, None], j1)
+        _atom_cells(kernels, targets, L, S, L2, lo[rows, None], c[rows, None], j1, kappa)
         for t, o in zip(targets, out):
             o[rows] += np.add.reduce(t, axis=1)
 
 
-def _far_sums(kernels, L, S, L2, kappa, x):
-    """Each kernel's sums over the atoms (L, S) at the limits x, all below
-    the atoms, through its atom, in chunks of _FAR_COLUMNS atoms; a scaled
+def _far_cells(kernels, L, S, L2, cx, tiles):
+    """Write each kernel's cells of the atoms (L, S) at the points whose
+    c0 is cx, all below the atoms, into tiles, one (point, atom) view per
+    kernel: the last takes the root sqrt(L2 - cx) first, and a scaled
     kernel takes c0 = 1."""
-    cx = (1.0 - kappa * kappa) * x * x
-    sums = np.zeros((len(kernels), x.size))
+    s = tiles[-1]
+    np.subtract(L2, cx[:, None], out=s)
+    np.sqrt(s, out=s)
+    for kernel, t in zip(kernels, tiles):
+        kernel.atom(S, L, s, 1.0 if kernel.scaled else cx[:, None], t)
+
+
+def _far_sums(kernels, L, S, L2, cx):
+    """Each kernel's sums over the atoms (L, S) at the points whose c0 is
+    cx, all below the atoms, from _far_cells in chunks of _FAR_COLUMNS
+    atoms."""
+    sums = np.zeros((len(kernels), cx.size))
     for j in range(0, L.size, _FAR_COLUMNS):
         cols = slice(j, j + _FAR_COLUMNS)
-        tiles = _block_buffers(x.size, L[cols].size, len(kernels))
-        s = tiles[-1]
-        np.subtract(L2[cols], cx[:, None], out=s)
-        np.sqrt(s, out=s)
-        for kernel, t, o in zip(kernels, tiles, sums):
-            kernel.atom(S[cols], L[cols], s, 1.0 if kernel.scaled else cx[:, None], t)
+        tiles = _block_buffers(cx.size, L[cols].size, len(kernels))
+        _far_cells(kernels, L[cols], S[cols], L2[cols], cx, tiles)
+        for t, o in zip(tiles, sums):
             o += np.add.reduce(t, axis=1)
     return sums
+
+
+def _cut_tails(kernels, L, S, L2, cx, lo, out):
+    """Add the tails of the atoms (L, S), sorted by length and each
+    analytic over the limits lo, to out, from running sums.
+
+    cx is c0 at the _FAR_POINTS Chebyshev points of the limits.  Each
+    kernel's cells of every atom there (_far_cells, on the atoms in
+    reverse) are summed from the last atom down by one np.add.accumulate,
+    behind a column of zeros, so column k holds the sum of the last k
+    atoms.  A limit takes the column of the atoms in its tail, those from
+    L.searchsorted(limit, "left") on for a closed kernel and "right" for
+    an open one, and interpolates it to itself by _far_basis, over chunks
+    of _CUT_LIMITS limits: the tail's indicator is applied to the sums and
+    never interpolated.  Each kernel's sums fill at most one of
+    _block_buffers' rows (the tree cuts at most _FAR_COLUMNS - 1 atoms),
+    so a cut with one or both kernels fits the tree's two buffers.
+    """
+    n = L.size
+    t = _far_coordinate(lo)
+    sums = _block_buffers(_FAR_POINTS, n + 1, len(kernels))
+    _far_cells(kernels, L[::-1], S[::-1], L2[::-1], cx, sums[:, :, 1:])
+    for s in sums:
+        s[:, 0] = 0.0
+        np.add.accumulate(s, axis=1, out=s)
+    chunks = np.empty((2, _FAR_POINTS, min(lo.size, _CUT_LIMITS)))
+    for r in range(0, lo.size, _CUT_LIMITS):
+        rows = slice(r, r + _CUT_LIMITS)
+        basis, term = chunks[:, :, : t[rows].size]
+        _far_basis(t[rows], basis)
+        for kernel, s, o in zip(kernels, sums, out):
+            side = "left" if kernel.closed else "right"
+            np.take(s, n - L.searchsorted(lo[rows], side), axis=1, out=term, mode="clip")
+            term *= basis
+            o[rows] += np.add.reduce(term, axis=0)
 
 
 def _far_basis(t, out):
@@ -462,17 +562,29 @@ def _far_basis(t, out):
     return out
 
 
+def _far_c0(kappa, a, w):
+    """c0 = (1-kappa^2) x^2 at the Chebyshev points x = a + w _FAR_NODES
+    of the limits [a, a + w]."""
+    x = a + w * _FAR_NODES
+    return (1.0 - kappa * kappa) * x * x
+
+
+def _far_coordinate(lo):
+    """t = (lo - a) / w in [0, 1] of the sorted limits lo in [a, b] =
+    [lo[0], lo[-1]], of width w; 0 where w = 0, where every limit is a."""
+    a, w = lo[0], lo[-1] - lo[0]
+    return (lo - a) / w if w > 0.0 else np.zeros(lo.size)
+
+
 def _far_values(lo, values, out):
     """Add a far field at the limits lo to out.
 
     The limits lie in [a, b] = [lo[0], lo[-1]], of width w, and values
     holds each kernel's sums at the _FAR_POINTS Chebyshev points
     a + w _FAR_NODES.  Each is interpolated to the limits by _far_basis,
-    at t = (lo - a) / w in [0, 1] (0 where w = 0, where every limit is
-    a), over chunks of _FAR_COLUMNS limits.
+    at their _far_coordinate, over chunks of _FAR_COLUMNS limits.
     """
-    a, w = lo[0], lo[-1] - lo[0]
-    t = (lo - a) / w if w > 0.0 else np.zeros(lo.size)
+    t = _far_coordinate(lo)
     for r in range(0, lo.size, _FAR_COLUMNS):
         rows = slice(r, r + _FAR_COLUMNS)
         basis, term = _block_buffers(_FAR_POINTS, t[rows].size, 2)
@@ -485,15 +597,20 @@ def _far_values(lo, values, out):
 def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
     """Add the atom tails of the atoms (L, S), sorted by length, to outs.
 
-    The limits are sorted once and cut in halves, by index, down to the
-    leaves of the rule at _TREE_CELLS.  A node that is cut, whose limits
-    lie in [a, b], of width w, takes the atoms past b + _FAR_GAP w that
-    its ancestors did not take, a slice of the sorted atoms: it sums each
-    kernel over them at its Chebyshev points (_far_sums) and adds their
-    interpolant at its limits (_far_values).  A leaf adds its remaining
-    atoms directly (_leaf_tails), from the first at or above a.  A row's
-    value is its leaf's sum plus its far fields, root first, times c0 for
-    a scaled kernel, all fixed by the sorted limits and the atoms.
+    The limits are sorted once and split in halves, by index, down to the
+    leaves of the rules at _TREE_CELLS.  A node whose limits lie in [a,
+    b], of width w, and whose ancestors took the atoms from top on,
+    separates at e = sqrt(c) (b + _FAR_GAP w), c = 1 - kappa^2: past e an
+    atom is analytic over [a, b] (see _FAR_GAP).  With a >= e it is cut
+    (_cut_tails): every limit reads its remaining atoms, from the first at
+    or above a, off running sums at the node's Chebyshev points.  A leaf
+    adds its remaining atoms directly (_leaf_tails).  A node that is split
+    takes the atoms past max(b, e) up to top as a far field, if there are
+    at least _FAR_POINTS of them: it sums each kernel over them at its
+    Chebyshev points (_far_sums) and adds their interpolant at its limits
+    (_far_values).  A row's value is its leaf's sum plus its far fields,
+    root first, or its cut plus its far fields, times c0 for a scaled
+    kernel, all fixed by the sorted limits and the atoms.
     """
     # every block of the tree fits two buffers of _TREE_CELLS cells: take
     # them at once, so that a thread's buffers are allocated at their full
@@ -505,31 +622,36 @@ def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
     lo, c = lower[order], c0[order]
     near, far = np.zeros_like(outs), np.zeros_like(outs)
     L2 = L * L
+    sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
     nodes = [(0, lo.size, L.size)]   # rows r0:r1, whose ancestors took the atoms from top on
     while nodes:
         r0, r1, top = nodes.pop()
         rows = slice(r0, r1)
         a, b = lo[r0], lo[r1 - 1]
+        w = b - a
+        e = sc * (b + _FAR_GAP * w)
         j0 = int(L.searchsorted(a, "left"))
+        if r1 - r0 > _FAR_POINTS and a >= e and _FAR_POINTS <= top - j0 < _FAR_COLUMNS:
+            atoms = slice(j0, top)
+            _cut_tails(kernels, L[atoms], S[atoms], L2[atoms], _far_c0(kappa, a, w),
+                       lo[rows], far[:, rows])
+            continue
         if r1 - r0 <= _LEAF_LIMITS or (r1 - r0) * (top - j0) <= _TREE_CELLS:
             if j0 < top:
                 atoms = slice(j0, top)
                 _leaf_tails(
                     kernels, L[atoms], S[atoms], L2[atoms], lo[rows], c[rows],
-                    int(L.searchsorted(b, "right")) - j0, near[:, rows],
+                    int(L.searchsorted(b, "right")) - j0, kappa, near[:, rows],
                 )
             continue
-        w = b - a
-        j = min(int(L.searchsorted(b + _FAR_GAP * w, "right")), top)
-        if j < top:
+        j = min(int(L.searchsorted(max(b, e), "right")), top)
+        if top - j >= _FAR_POINTS:
             atoms = slice(j, top)
-            x = a + w * _FAR_NODES
-            _far_values(
-                lo[rows], _far_sums(kernels, L[atoms], S[atoms], L2[atoms], kappa, x),
-                far[:, rows],
-            )
+            sums = _far_sums(kernels, L[atoms], S[atoms], L2[atoms], _far_c0(kappa, a, w))
+            _far_values(lo[rows], sums, far[:, rows])
+            top = j
         mid = (r0 + r1) // 2
-        nodes += [(mid, r1, j), (r0, mid, j)]
+        nodes += [(mid, r1, top), (r0, mid, top)]
     for kernel, o, f in zip(kernels, near, far):
         o += f * c if kernel.scaled else f
     outs[:, order] = near
@@ -546,16 +668,22 @@ def tail_integral(mu, kernels, kappa, lower):
     closed kernel and (lower, inf) otherwise.  Each result has the shape
     of lower.
 
-    The atoms are summed over a tree of the sorted limits (_tree_tails),
-    which takes the atoms well above a node's limits as a far field:
-    their sum is analytic in the limit there, and a fixed number of
-    Chebyshev points interpolates it to rounding (see _FAR_POINTS), so
-    each row is within about 1e-15 relative of the direct sum, whose
-    order it gives up.  A value depends neither on the block size nor on
-    the order of lower, and only the live cells are evaluated: the atoms
-    are sorted, so those below a leaf's smallest limit, a column prefix,
-    lie outside every tail on every row of it, and only those up to the
-    last atom at its largest limit need the tail masks.
+    The atoms are summed over a tree of the sorted limits (_tree_tails).
+    A node separates at sqrt(1 - kappa^2) times its largest limit plus
+    its width, past which an atom's kernels are analytic over its limits
+    (their branch point lies at L / sqrt(1 - kappa^2)), and a fixed
+    number of Chebyshev points interpolates a sum of such atoms to
+    rounding (see _FAR_POINTS).  A node takes the atoms past the
+    separation and its limits as a far field, if there are at least
+    _FAR_POINTS of them; a node whose limits all lie past the separation
+    is cut: each limit interpolates the running sum of the atoms in its
+    tail at the node's points (_cut_tails).  So each row is within about
+    1e-15 relative of the direct sum, whose order it gives up.  A value
+    depends neither on the block size nor on the order of lower, and
+    only the live cells of a leaf are evaluated: the atoms are sorted, so
+    those below a leaf's smallest limit, a column prefix, lie outside
+    every tail on every row of it, and only those up to the last atom at
+    its largest limit need the tail masks.
 
     The kernels share the root of each block, masked to 1 below the
     limits.  Each kernel but the last writes into its own buffer and the

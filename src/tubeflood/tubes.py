@@ -144,10 +144,10 @@ def _interface_law(L, L2, kappa, F2, out):
 
     (L - sqrt(L^2 - 2 (1-kappa) F)) / (1-kappa) as 2F / (L + sqrt(...)),
     which keeps its digits while F << L^2; F2 is 2F.  Cells at or beyond
-    breakthrough are the caller's to replace by L.
+    breakthrough are the caller's to replace by L.  (1-kappa) 2F is taken
+    once per value of F2, a column in simulate, before it meets the cells.
     """
-    np.multiply(1.0 - kappa, F2, out=out)
-    np.subtract(L2, out, out=out)
+    np.subtract(L2, (1.0 - kappa) * F2, out=out)
     np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)
     np.add(L, out, out=out)

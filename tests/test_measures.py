@@ -163,6 +163,23 @@ class TestTailKernel:
             for (value,), want, bound in zip(got, (volume, rate), (3e-12, 2e-15)):
                 assert abs(value / want - 1.0) <= bound, (lo, hi, alpha, kappa)
 
+    def test_atom_roots_keep_their_digits(self):
+        # an atom at its limit or just above it, against 50-digit values
+        # of the model (ATOM_ROOTS, made by atom_root_table below), in a
+        # leaf's atom-major tile (one atom) and in its limit rows (the atom
+        # as two halves): with the root formed as L^2 - c0, the rate tail
+        # an ulp above the limit is off by 4.4e-5 relative at kappa 1e-6
+        for L, lower, kappa, volume, rate in ATOM_ROOTS:
+            for atoms in (((L, 1.0),), ((L, 0.5),) * 2):
+                got = tail_integral(
+                    Measure(atoms=atoms), (OIL_VOLUME, OIL_RATE), kappa, np.array([lower])
+                )
+                assert abs(got[0][0] / volume - 1.0) <= 1e-12, (L, lower, kappa)
+                if rate:
+                    assert abs(got[1][0] / rate - 1.0) <= 1e-12, (L, lower, kappa)
+                else:
+                    assert got[1][0] == 0.0
+
     def test_piece_matches_gauss_legendre(self):
         # closed antiderivative vs 16-point Gauss-Legendre per piece, 1e-10.
         # A single panel only resolves pieces of moderate width; wider pieces
@@ -363,6 +380,233 @@ NARROW_CELLS = [
 ]
 
 
+def atom_root_table():
+    """Rows (L, lower, kappa, volume, rate) of ATOM_ROOTS: the tails of one
+    atom (L, 1) above lower, its volume kernel c0 / (L + sqrt(L^2 - c0))
+    and its rate kernel 1 / sqrt(L^2 - c0) (0 at lower = L, outside the
+    open tail), with c0 = (1-kappa^2) lower^2, to 50 digits with L, lower
+    and kappa taken as exact.  The limit an ulp below the atom, 1e-12 to
+    1e-3 of L below it, on either side of measures._NEAR_ROOT's reach, or
+    on it; kappa from 1e-6, where the root is smallest, to 0.1, past the
+    reach.  Print them with PYTHONPATH=src python tests/test_measures.py
+    (needs mpmath)."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    rows = []
+    for L in (1e-3, 1.0, 7e2):
+        for kappa in (1e-6, 1e-5, 0.005, 0.1):
+            for lower in (
+                math.nextafter(L, 0.0), L * (1.0 - 1e-12), L * (1.0 - 1e-8),
+                L * (1.0 - 1e-5), L * (1.0 - 1e-4), L * (1.0 - 1.2e-4),
+                L * (1.0 - 1e-3), L,
+            ):
+                y, k = mp.mpf(L), mp.mpf(kappa)
+                c = (1 - k * k) * mp.mpf(lower) ** 2
+                root = mp.sqrt(y * y - c)
+                rows.append((
+                    L, lower, kappa, float(c / (y + root)),
+                    float(1 / root) if L > lower else 0.0,
+                ))
+    return rows
+
+
+ATOM_ROOTS = [
+    (0.001, 0.0009999999999999998, 1e-06,
+     0.000999998999783183, 999783230.0696844),
+    (0.001, 0.000999999999999, 1e-06,
+     0.0009999982679098846, 577337166.8831556),
+    (0.001, 0.00099999999, 1e-06,
+     0.0009998585751089092, 7070891.073605144),
+    (0.001, 0.00099999, 1e-06,
+     0.0009955278751135662, 223607.35117963378),
+    (0.001, 0.0009999, 1e-06,
+     0.000985858217898726, 70712.44577512713),
+    (0.001, 0.00099988, 1e-06,
+     0.0009845085313478794, 64551.658881168165),
+    (0.001, 0.000999, 1e-06,
+     0.0009552898221766249, 22366.27203654698),
+    (0.001, 0.001, 1e-06,
+     0.0009999990000000001, 0.0),
+    (0.001, 0.0009999999999999998, 1e-05,
+     0.000999989999978316, 99999783.16027081),
+    (0.001, 0.000999999999999, 1e-05,
+     0.0009999899004883204, 99014688.20654985),
+    (0.001, 0.00099999999, 1e-05,
+     0.000999858225531854, 7053456.190504812),
+    (0.001, 0.00099999, 1e-05,
+     0.0009955278640452372, 223606.79776182323),
+    (0.001, 0.0009999, 1e-05,
+     0.0009858582143991604, 70712.42827642853),
+    (0.001, 0.00099988, 1e-05,
+     0.0009845085281533395, 64551.64556978912),
+    (0.001, 0.000999, 1e-05,
+     0.0009552898210717075, 22366.271483811975),
+    (0.001, 0.001, 1e-05,
+     0.00099999, 0.0),
+    (0.001, 0.0009999999999999998, 0.005,
+     0.0009949999999999566, 199999.99999826532),
+    (0.001, 0.000999999999999, 0.005,
+     0.0009949999997999914, 199999.99199965582),
+    (0.001, 0.00099999999, 0.005,
+     0.000994998000449838, 199920.0499663436),
+    (0.001, 0.00099999, 0.005,
+     0.0009932918407888319, 149072.19231396995),
+    (0.001, 0.0009999, 0.005,
+     0.0009850004999999962, 66668.88896294865),
+    (0.001, 0.00099988, 0.005,
+     0.0009837218059859248, 61431.87623487778),
+    (0.001, 0.000999, 0.005,
+     0.0009550116679015566, 22227.98564329528),
+    (0.001, 0.001, 0.005,
+     0.000995, 0.0),
+    (0.001, 0.0009999999999999998, 0.1,
+     0.0008999999999999979, 9999.999999999785),
+    (0.001, 0.000999999999999, 0.1,
+     0.0008999999999900994, 9999.999999009931),
+    (0.001, 0.00099999999, 0.1,
+     0.0008999999010000499, 9999.99010001479),
+    (0.001, 0.00099999, 0.1,
+     0.0008999010494510562, 9990.114726637883),
+    (0.001, 0.0009999, 0.1,
+     0.0008990149015943436, 9902.451111975026),
+    (0.001, 0.00099988, 0.1,
+     0.0008988190445587714, 9883.282833604539),
+    (0.001, 0.000999, 0.1,
+     0.0008905513362347451, 9136.70359781455),
+    (0.001, 0.001, 0.1,
+     0.0009, 0.0),
+    (1.0, 0.9999999999999999, 1e-06,
+     0.9999989998889839, 999888.9961830446),
+    (1.0, 0.999999999999, 1e-06,
+     0.9999982679619644, 577354.5265640271),
+    (1.0, 0.99999999, 1e-06,
+     0.9998585751082713, 7070.891041715034),
+    (1.0, 0.99999, 1e-06,
+     0.995527875113563, 223.60735117947863),
+    (1.0, 0.9999, 1e-06,
+     0.9858582178987308, 70.71244577515104),
+    (1.0, 0.99988, 1e-06,
+     0.9845085313478747, 64.55165888114904),
+    (1.0, 0.999, 1e-06,
+     0.9552898221766228, 22.36627203654603),
+    (1.0, 1.0, 1e-06,
+     0.999999, 0.0),
+    (1.0, 0.9999999999999999, 1e-05,
+     0.9999899999888978, 99999.88897788242),
+    (1.0, 0.999999999999, 1e-05,
+     0.999989900497252, 99014.77577205317),
+    (1.0, 0.99999999, 1e-05,
+     0.9998582255312177, 7053.456158850016),
+    (1.0, 0.99999, 1e-05,
+     0.9955278640452342, 223.60679776166808),
+    (1.0, 0.9999, 1e-05,
+     0.9858582143991652, 70.71242827645244),
+    (1.0, 0.99988, 1e-05,
+     0.9845085281533348, 64.55164556976999),
+    (1.0, 0.999, 1e-05,
+     0.9552898210717056, 22.366271483811026),
+    (1.0, 1.0, 1e-05,
+     0.99999, 0.0),
+    (1.0, 0.9999999999999999, 0.005,
+     0.9949999999999778, 199.99999999911185),
+    (1.0, 0.999999999999, 0.005,
+     0.9949999998000094, 199.99999200037743),
+    (1.0, 0.99999999, 0.005,
+     0.99499800044982, 199.92004996562284),
+    (1.0, 0.99999, 0.005,
+     0.9932918407888297, 149.07219231392398),
+    (1.0, 0.9999, 0.005,
+     0.9850005000000007, 66.6688889629687),
+    (1.0, 0.99988, 0.005,
+     0.9837218059859204, 61.4318762348613),
+    (1.0, 0.999, 0.005,
+     0.9550116679015547, 22.22798564329435),
+    (1.0, 1.0, 0.005,
+     0.995, 0.0),
+    (1.0, 0.9999999999999999, 0.1,
+     0.8999999999999989, 9.99999999999989),
+    (1.0, 0.999999999999, 0.1,
+     0.8999999999901002, 9.999999999010022),
+    (1.0, 0.99999999, 0.1,
+     0.899999901000049, 9.999990100014701),
+    (1.0, 0.99999, 0.1,
+     0.8999010494510561, 9.990114726637868),
+    (1.0, 0.9999, 0.1,
+     0.8990149015943443, 9.902451111975092),
+    (1.0, 0.99988, 0.1,
+     0.8988190445587707, 9.883282833604472),
+    (1.0, 0.999, 0.1,
+     0.8905513362347443, 9.136703597814487),
+    (1.0, 1.0, 0.1,
+     0.9, 0.0),
+    (700.0, 699.9999999999999, 1e-06,
+     699.9992998863224, 1428.3394711235985),
+    (700.0, 699.9999999993, 1e-06,
+     699.9987875818363, 824.7979368000176),
+    (700.0, 699.999993, 1e-06,
+     699.9010025761636, 10.101272954863719),
+    (700.0, 699.993, 1e-06,
+     696.8695125794986, 0.3194390731139969),
+    (700.0, 699.9300000000001, 1e-06,
+     690.1007525291155, 0.10101777967882757),
+    (700.0, 699.9159999999999, 1e-06,
+     689.1559719435089, 0.09221665554446913),
+    (700.0, 699.3, 1e-06,
+     668.702875523635, 0.031951817195064736),
+    (700.0, 700.0, 1e-06,
+     699.9993, 0.0),
+    (700.0, 699.9999999999999, 1e-05,
+     699.9929999886314, 142.85691084375355),
+    (700.0, 699.9999999993, 1e-05,
+     699.9929303495275, 141.44970870711603),
+    (700.0, 699.999993, 1e-05,
+     699.9007578722252, 10.076365979060922),
+    (700.0, 699.993, 1e-05,
+     696.8695048316685, 0.31943828251712464),
+    (700.0, 699.9300000000001, 1e-05,
+     690.1007500794196, 0.10101775468068673),
+    (700.0, 699.9159999999999, 1e-05,
+     689.1559697073309, 0.09221663652821335),
+    (700.0, 699.3, 1e-05,
+     668.7028747501929, 0.0319518164054433),
+    (700.0, 700.0, 1e-05,
+     699.993, 0.0),
+    (700.0, 699.9999999999999, 0.005,
+     696.4999999999773, 0.2857142857124296),
+    (700.0, 699.9999999993, 0.005,
+     696.4999998600096, 0.28571427428649276),
+    (700.0, 699.999993, 0.005,
+     696.4986003148846, 0.28560007138032295),
+    (700.0, 699.993, 0.005,
+     695.3042885521837, 0.21296027473431223),
+    (700.0, 699.9300000000001, 0.005,
+     689.5003500000042, 0.09524126994713197),
+    (700.0, 699.9159999999999, 0.005,
+     688.6052641901409, 0.08775982319263358),
+    (700.0, 699.3, 0.005,
+     668.5081675310873, 0.03175426520470521),
+    (700.0, 700.0, 0.005,
+     696.5, 0.0),
+    (700.0, 699.9999999999999, 0.1,
+     629.9999999999989, 0.014285714285714055),
+    (700.0, 699.9999999993, 0.1,
+     629.9999999930703, 0.01428571428430006),
+    (700.0, 699.999993, 0.1,
+     629.9999307000348, 0.014285700142878251),
+    (700.0, 699.993, 0.1,
+     629.9307346157395, 0.014271592466625568),
+    (700.0, 699.9300000000001, 0.1,
+     629.3104311160415, 0.014146358731393098),
+    (700.0, 699.9159999999999, 0.1,
+     629.173331191139, 0.014118975476577712),
+    (700.0, 699.3, 0.1,
+     623.3859353643206, 0.013052433711163483),
+    (700.0, 700.0, 0.1,
+     630.0, 0.0),
+]
+
+
 class TestScale:
     def test_atom_example(self):
         assert scale(Measure(atoms=((2.0, 3.0),)), 2.0) == Measure(atoms=((1.0, 6.0),))
@@ -453,6 +697,20 @@ class TestMeasureType:
         with pytest.raises(ArgumentError):
             Measure(pieces=((1.0, 2.0, -0.5),))
 
+    def test_first_bad_atom_raises(self):
+        # the atoms are checked as arrays, and the first bad one in input
+        # order raises, its length before its section; NaN is bad in both
+        good = (1.0, 1.0)
+        for atoms, got in (
+            ((good, (0.0, -1.0)), "length .* got 0.0"),
+            ((good, (2.0, math.nan), (math.nan, 1.0)), "section .* got nan"),
+            ((good, (math.nan, 1.0), (2.0, -1.0)), "length .* got nan"),
+            ((good, (2.0, math.inf), (1e160, 1.0)), "section .* got inf"),
+            ((good, (1e-160, math.inf)), "length .* got 1e-160"),
+        ):
+            with pytest.raises(ArgumentError, match=got):
+                Measure(atoms=atoms)
+
     def test_atom_length_edges(self):
         # an atom length's square must be a finite normal double
         least, top = 2.0**-511, 2.0**512
@@ -526,15 +784,24 @@ def random_atom_measure(rng, n):
     return Measure(atoms=tuple(zip(L.tolist(), rng.uniform(0.5, 2.0, n).tolist())))
 
 
-def dense_tail(mu, kernel, c0, lower):
-    """Unblocked reference: one (alpha, atom) array holding every cell."""
+def dense_tail(mu, kernel, kappa, lower):
+    """Unblocked reference: one (alpha, atom) array holding every cell, in
+    the leaves' cell formula: the root from L^2 - c0, or from its parts
+    (L - lo)(L + lo) + (kappa lo)^2 where the atom lies near its limit
+    (measures._NEAR_ROOT); ATOM_ROOTS checks that formula against the
+    model."""
     L = np.array([a[0] for a in mu.atoms])
     S = np.array([a[1] for a in mu.atoms])
     order = np.argsort(L, kind="stable")
     L, S = L[order][None, :], S[order][None, :]
+    c0 = (1.0 - kappa * kappa) * lower * lower
     lo, c = lower[:, None], c0[:, None]
     in_tail = L >= lo if kernel is OIL_VOLUME else L > lo
-    disc = np.where(in_tail, L**2 - c, 1.0)
+    disc = L**2 - c
+    if kappa * kappa < measures._NEAR_ROOT:
+        reach = 1.0 + (measures._NEAR_ROOT - kappa * kappa) / 2.0
+        disc = np.where(L < lo * reach, (L - lo) * (L + lo) + (kappa * lo) ** 2, disc)
+    disc = np.where(in_tail, disc, 1.0)
     if kernel is OIL_VOLUME:
         terms = S * (c / (L + np.sqrt(disc)))
     else:
@@ -611,10 +878,9 @@ class TestTailIntegral:
             alphas = rng.permutation(alphas)
         elif lower == "on_atoms":   # every limit on an atom length
             alphas = np.sort(rng.choice([L for L, _ in mu.atoms], n_alphas))
-        c0 = (1.0 - kappa * kappa) * alphas * alphas
         got = tail_integral(mu, kernels, kappa, alphas)
         for tail, kernel in zip(got, kernels, strict=True):
-            want = dense_tail(mu, kernel, c0, alphas)
+            want = dense_tail(mu, kernel, kappa, alphas)
             # below 8 atoms np.sum adds in turn, as a leaf does; from 8 on
             # it adds in lanes, and the tree's far fields interpolate
             if n_atoms < 8:
@@ -625,7 +891,9 @@ class TestTailIntegral:
     @pytest.mark.parametrize("kernel", [OIL_VOLUME, OIL_RATE], ids=["volume", "rate"])
     def test_evaluates_only_the_live_cells(self, kernel):
         # ascending limits over the atoms' range: the cells below a block's
-        # smallest limit never reach the kernel, about half of them here
+        # smallest limit never reach the kernel, about half of them here,
+        # and the far fields and the cuts take 20 per atom of a node, so
+        # the tree evaluates 0.07 N M
         rng = np.random.default_rng(10)
         n_atoms, n_alphas = 4000, 2001
         L, S = rng.uniform(0.5, 10.0, n_atoms), rng.uniform(0.5, 2.0, n_atoms)
@@ -639,7 +907,7 @@ class TestTailIntegral:
 
         (got,) = tail_integral(mu, (kernel._replace(atom=atom),), 0.5, alphas)
         assert np.array_equal(got, tail_integral(mu, (kernel,), 0.5, alphas)[0])
-        assert sum(cells) <= 0.2 * n_atoms * n_alphas
+        assert sum(cells) <= 0.1 * n_atoms * n_alphas
 
     @pytest.mark.parametrize("n_atoms", [1, 8, 50, 128, 129, 1000, 5000])
     @pytest.mark.parametrize("kernels", KERNELS, ids=KERNEL_IDS)
@@ -678,11 +946,10 @@ class TestTailIntegral:
         rng = np.random.default_rng(18)
         mu, grid = atom_tree_case(rng, 1500, 60)
         alphas = np.concatenate([np.zeros(300), np.repeat(grid, 40), np.full(500, 4.0)])
-        c0 = (1.0 - kappa * kappa) * alphas * alphas
         vol, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
         assert np.all(vol[alphas == 0.0] == 0.0)
-        assert_rows_close(vol, dense_tail(mu, OIL_VOLUME, c0, alphas))
-        assert_rows_close(rate, dense_tail(mu, OIL_RATE, c0, alphas))
+        assert_rows_close(vol, dense_tail(mu, OIL_VOLUME, kappa, alphas))
+        assert_rows_close(rate, dense_tail(mu, OIL_RATE, kappa, alphas))
 
     @pytest.mark.parametrize("kappa", [KAPPA_MIN, 0.005, 0.5, KAPPA_MAX])
     def test_tree_on_jump_aware_limits(self, kappa):
@@ -693,9 +960,8 @@ class TestTailIntegral:
         alphas = _jump_aware_alphas(mu, 10.0, 2001)
         got = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
         rows = np.sort(rng.choice(alphas.size, 240, replace=False))
-        c0 = (1.0 - kappa * kappa) * alphas[rows] * alphas[rows]
         for tail, kernel in zip(got, (OIL_VOLUME, OIL_RATE)):
-            assert_rows_close(tail[rows], dense_tail(mu, kernel, c0, alphas[rows]))
+            assert_rows_close(tail[rows], dense_tail(mu, kernel, kappa, alphas[rows]))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -716,11 +982,76 @@ class TestTailIntegral:
             grid, [0.0, 5e-324, 2.2250738585072014e-308], tiny,
             on, np.nextafter(on, 0.0), np.nextafter(on, np.inf),
         ]))
-        c0 = (1.0 - kappa * kappa) * alphas * alphas
         got = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
         for tail, kernel in zip(got, (OIL_VOLUME, OIL_RATE)):
             assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
-            assert_rows_close(tail, dense_tail(mu, kernel, c0, alphas))
+            assert_rows_close(tail, dense_tail(mu, kernel, kappa, alphas))
+
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, 0.005, 0.5, 0.9, KAPPA_MAX])
+    def test_tree_at_bulk_sizes(self, kappa):
+        # 1e3 and 1e4 atoms, as forward_bulk runs them, on 2001 uniform
+        # limits and on the jump-aware grid: far fields past each kernel's
+        # branch point and cut nodes, each row within 1e-14 of the dense
+        # sum (every row at 1e3 atoms, 500 random ones per grid at 1e4)
+        rng = np.random.default_rng(21)
+        for n_atoms, n_rows in ((1000, None), (10000, 500)):
+            mu, _ = atom_tree_case(rng, n_atoms, 0)
+            for alphas in (np.linspace(0.0, 10.0, 2001), _jump_aware_alphas(mu, 10.0, 2001)):
+                rows = np.arange(alphas.size) if n_rows is None else np.sort(
+                    rng.choice(alphas.size, n_rows, replace=False))
+                got = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
+                for tail, kernel in zip(got, (OIL_VOLUME, OIL_RATE)):
+                    for part in np.array_split(rows, -(-rows.size * n_atoms // 10**6)):
+                        assert_rows_close(tail[part], dense_tail(mu, kernel, kappa, alphas[part]))
+
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, 0.5, KAPPA_MAX])
+    def test_cut_nodes_on_atoms(self, monkeypatch, kappa):
+        # limits on atoms, an ulp either side of them and each twice, in
+        # nodes cut at their Chebyshev points: the running sums apply each
+        # kernel's indicator exactly, and with both kernels each keeps the
+        # bits of a call with that kernel alone
+        rng = np.random.default_rng(20)
+        mu, grid = atom_tree_case(rng, 3000, 2001)
+        L = mu._atoms_by_length[0]
+        on = L[(L > 6.0) & (L < 6.05)]
+        below, above = np.nextafter(on, 0.0), np.nextafter(on, np.inf)
+        alphas = np.concatenate([grid, np.repeat(np.concatenate([on, below, above]), 2)])
+        cut = []
+        cut_tails = measures._cut_tails
+
+        def counted(kernels, L, S, L2, cx, lo, out):
+            cut.append(lo.copy())
+            return cut_tails(kernels, L, S, L2, cx, lo, out)
+
+        monkeypatch.setattr(measures, "_cut_tails", counted)
+        both = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
+        if kappa == 0.5:
+            limits = np.concatenate(cut)
+            for kind in (on, below, above):
+                assert np.isin(kind, limits).sum() >= kind.size // 2
+        for tail, kernel in zip(both, (OIL_VOLUME, OIL_RATE)):
+            assert_rows_close(tail, dense_tail(mu, kernel, kappa, alphas))
+            assert np.array_equal(tail, tail_integral(mu, (kernel,), kappa, alphas)[0])
+
+    def test_far_fields_hold_enough_atoms(self, monkeypatch):
+        # a far field's interpolant costs _FAR_POINTS terms per limit, so
+        # no node takes fewer atoms than that as one: at mc's sizes on its
+        # jump-aware grid, and at bulk sizes, at any kappa
+        sizes = []
+        far_sums = measures._far_sums
+
+        def counted(kernels, L, S, L2, cx):
+            sizes.append(L.size)
+            return far_sums(kernels, L, S, L2, cx)
+
+        monkeypatch.setattr(measures, "_far_sums", counted)
+        rng = np.random.default_rng(22)
+        for n_atoms in (27, 48, 1000, 10000):
+            mu, grid = atom_tree_case(rng, n_atoms, 2001)
+            for alphas in (grid, _jump_aware_alphas(mu, 10.0, 2001)):
+                for kappa in (KAPPA_MIN, 0.5, KAPPA_MAX):
+                    tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
+        assert sizes and min(sizes) >= measures._FAR_POINTS
 
     def test_far_field_on_its_nodes(self):
         # a limit on a Chebyshev point, or a subnormal away from the first,
@@ -779,6 +1110,32 @@ class TestTailIntegral:
             finally:
                 tracemalloc.stop()
             assert peak < 2**19, n_atoms
+
+    def test_cuts_fit_the_tree_buffers(self, monkeypatch):
+        # a cut's running sums fill at most one of the tree's two buffers
+        # per kernel, and its interpolation chunk is a small array: calls
+        # with both kernels and cuts of over 1000 atoms, in a thread of
+        # their own, leave its buffers at the size the tree first takes
+        cuts = []
+        cut_tails = measures._cut_tails
+
+        def counted(kernels, L, S, L2, cx, lo, out):
+            cuts.append((len(kernels), L.size))
+            return cut_tails(kernels, L, S, L2, cx, lo, out)
+
+        def run():
+            rng = np.random.default_rng(23)
+            for n_atoms in (1000, 10000):
+                mu, grid = atom_tree_case(rng, n_atoms, 2001)
+                for kappa in (KAPPA_MIN, 0.5, KAPPA_MAX):
+                    tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, grid)
+            return measures._BLOCK_WORK.buffers.shape
+
+        monkeypatch.setattr(measures, "_cut_tails", counted)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            shape = pool.submit(run).result(timeout=120)
+        assert shape == (2, measures._TREE_CELLS)
+        assert max(n for k, n in cuts if k == 2) > 1000
 
     def test_threads_keep_their_own_buffers(self):
         # more workers than cores and frequent switches: a buffer shared
@@ -883,6 +1240,11 @@ class TestPrefixIntegral:
 
 
 if __name__ == "__main__":
-    for row in narrow_cell_table():
-        values = [repr(v) for v in row]
-        print(f"    ({', '.join(values[:4])},\n     {', '.join(values[4:])}),")
+    for name, table, split in (
+        ("NARROW_CELLS", narrow_cell_table, 4), ("ATOM_ROOTS", atom_root_table, 3)
+    ):
+        print(f"{name} = [")
+        for row in table():
+            values = [repr(v) for v in row]
+            print(f"    ({', '.join(values[:split])},\n     {', '.join(values[split:])}),")
+        print("]")
