@@ -254,10 +254,9 @@ def sensitivity_constant(mu1, mu2, kappa, alpha_max, n_grid=2001, seed=None):
 # Atoms a Monte Carlo measure may have, at most: an accepted trial samples
 # each curve at about three alphas per atom, and its tails run over a
 # tree of those alphas, so its time grows a little faster than the atom
-# count.  sensitivity_constant on an accepted pair took 0.014-0.019 s
-# of CPU at 10**3 atoms and 0.17 s at 10**4 on a 2-vCPU host (0.020-0.025
-# s and 0.33 s in the same process with a far field past b + w and no cut
-# nodes; 0.065 s and 3.0 s when every sample summed over every atom).
+# count.  sensitivity_constant on an accepted pair took 0.013-0.019 s
+# of CPU at 10**3 atoms and 0.14-0.17 s at 10**4 on a 2-vCPU host (0.065
+# s and 3.0 s when every sample summed over every atom).
 MC_MAX_ATOMS = 10**4
 
 
@@ -304,7 +303,7 @@ def run_mc(
         raise ArgumentError(
             f"n_atoms_range[1] must be at most MC_MAX_ATOMS={MC_MAX_ATOMS}, got {hi}: "
             "an accepted trial samples each curve at about three alphas per atom, "
-            "about 0.17 s of CPU at 10**4 atoms"
+            "about 0.16 s of CPU at 10**4 atoms"
         )
     l_range = check_length_range("l_range", l_range)
     s_range = check_range("s_range", s_range)

@@ -117,6 +117,14 @@ _CELL_WORK = 3
 # The closed forms square node indices, exactly in doubles only below 2^26.
 _MAX_GRID = 1 << 26
 
+
+def _check_number(name, value):
+    """Refuse a bool or a non-number as name: Python's bool is an int, and
+    None or a string would raise TypeError when compared."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ArgumentError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Numerical parameters of the inversion.
@@ -136,10 +144,7 @@ class RecoveryConfig:
                 f"n_grid must be at most 2**26, got {self.n_grid}: the operator "
                 "squares node indices, exact in doubles only up to there"
             )
-        if isinstance(self.alpha_min, bool) or not isinstance(
-            self.alpha_min, (int, float, np.integer, np.floating)
-        ):
-            raise ArgumentError("alpha_min must be a number >= 0")
+        _check_number("alpha_min", self.alpha_min)
         if not self.alpha_min >= 0:
             raise ArgumentError("alpha_min must be >= 0")
 
@@ -765,6 +770,7 @@ def recover_density(grid, v, kappa, alpha_min):
     returned).  Only meaningful when the measure has a continuous density.
     """
     grid = np.asarray(grid, dtype=float)
+    _check_number("alpha_min", alpha_min)
     if not alpha_min > 0:
         raise ArgumentError("alpha_min must be > 0 (density formula divides by alpha)")
     phi = _phi(grid, v, check_kappa(kappa))

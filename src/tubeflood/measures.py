@@ -29,34 +29,36 @@ out at _FAR_POINTS).  A node takes the atoms past both b and the
 separation that its ancestors did not take, one slice of the sorted
 atoms, as a far field, if there are at least p of them: it evaluates
 each kernel on the slice at its p points, sums over the atoms and adds
-the interpolant at its alphas; the oil volume is interpolated without
-its factor c0, which it takes at the alpha, so V_o(0) is exactly 0.  A
-node whose smallest alpha lies at or past the separation is cut, once
-it holds more than p alphas and p to 1637 remaining atoms: it evaluates
-them all at its p points and sums them from the last atom down, and
-each alpha interpolates the running sum of the atoms in its tail, so
-the tail's indicator is exact and the node evaluates no direct cell.
-Otherwise a node is a leaf once its direct cells fit _TREE_CELLS = 2^15
-or it holds at most 2p alphas, and a leaf adds its remaining atoms
-directly.  Only the live (alpha, atom) cells of a leaf are evaluated:
-the atoms are sorted by length, so those below its smallest alpha, a
-column prefix, are skipped, and only the columns up to its largest
-alpha need the tail mask; where an atom lies within about 1e-4 relative
-of its alpha and kappa^2 is below about 2e-4, its root is formed from
-nonnegative parts (_NEAR_ROOT).  A call with both kernels takes sqrt(y^2
-- c0) once per live cell or point; each kernel writes into its own
-buffer (the last over the root) and gets the bits of a call with that
-kernel alone.  Each value is within about 1e-15 relative of the direct
-sum, and no value depends on the block size or on the order of the
-alphas.  At 4000 atoms and 2001 ascending alphas, kappa 0.5, the tree
+the interpolant at its alphas.  A node whose smallest alpha lies at or
+past the separation is cut, once it holds more than p alphas and p to
+1637 remaining atoms: it evaluates them all at its p points and sums
+them from the last atom down, and each alpha interpolates the running
+sum of the atoms in its tail, so the tail's indicator is exact and the
+node evaluates no direct cell.  Otherwise a node is a leaf once its
+direct cells fit _TREE_CELLS = 2^15 or it holds at most 2p alphas, and
+a leaf adds its remaining atoms directly.  Only the live (alpha, atom)
+cells of a leaf are evaluated: the atoms are sorted by length, so those
+below its smallest alpha, a column prefix, are skipped, and only the
+columns up to its largest alpha need the tail mask.  Leaves, far fields
+and cuts form their cells in one routine (_atom_cells) and add them
+into one array: an atom cell leaves out the oil volume's factor c0,
+which each row takes once after the tree, so V_o(0) is exactly 0; and
+wherever an atom lies within about 1e-4 relative of an alpha or a
+Chebyshev point and kappa^2 is below about 2e-4, its root is formed
+from nonnegative parts (_NEAR_ROOT).  A call with both kernels takes
+sqrt(y^2 - c0) once per live cell or point; each kernel writes into its
+own buffer (the last over the root) and gets the bits of a call with
+that kernel alone.  Each value is within about 1e-15 relative of the
+direct sum, and no value depends on the block size or on the order of
+the alphas.  At 4000 atoms and 2001 ascending alphas, kappa 0.5, the tree
 evaluates 0.07 N M kernel cells, where a direct sum over the live cells
 takes about half of them.  The cells are evaluated in place in
 per-thread buffers kept from one call to the next, and no block-sized
 array is allocated per call (a cut's interpolation chunk stays below
-128 KiB).  A warm one-kernel call at 2001 alphas peaked at 0.24-0.26 MB
-at 5-129 atoms and at 0.27 and 0.37 MB at 1e3 and 1e4 atoms (0.30-0.34
-and 0.42 MB with both kernels); a cold one, whose buffers are new, at
-0.74-0.88 MB (0.80-0.92 MB) (tracemalloc, MB of 2^20 bytes).  The
+128 KiB).  A warm one-kernel call at 2001 alphas peaked at 0.23-0.24 MB
+at 5-1e3 atoms and at 0.36 MB at 1e4 atoms (0.27-0.29 and 0.39 MB with
+both kernels); a cold one, whose buffers are new, at 0.73-0.86 MB
+(0.77-0.89 MB) (tracemalloc, MB of 2^20 bytes).  The
 row-block rule, row_blocks, is the package's only one: the tree's
 leaves with more atoms than alphas take it, the inverse
 operator's cells are evaluated over it in the same per-thread buffers
@@ -117,9 +119,9 @@ _BLOCK_CELLS = 1 << 15
 # A kernel's only singularities in the limit x lie at x = +-L / sqrt(c),
 # c = 1 - kappa^2, where the root sqrt(L^2 - c x^2) vanishes.  A node whose
 # limits lie in [a, b], of width w, takes the atoms past max(b, sqrt(c)
-# (b + _FAR_GAP w)) as a far field: each lies in every limit's tail, and
-# its singularities lie at t >= 1 + 2 _FAR_GAP = 3 of the node's
-# coordinate t in [-1, 1], so their sum is analytic inside the Bernstein
+# (b + w)) as a far field: each lies in every limit's tail, and its
+# singularities lie at t >= 3 of the node's coordinate t in [-1, 1]
+# (b + w is t = 3), so their sum is analytic inside the Bernstein
 # ellipse through t = 3, rho = 3 + sqrt(8) = 5.83, and its interpolant in
 # p Chebyshev points converges as rho^-p (Trefethen, Approximation Theory
 # and Approximation Practice, Thm 8.2).  For one atom at the separation,
@@ -131,7 +133,6 @@ _BLOCK_CELLS = 1 << 15
 # atom's relative error: 20 points interpolate every far field to
 # rounding.  sqrt(c) is formed as sqrt((1 - kappa)(1 + kappa)), as
 # inverse._tree forms it.
-_FAR_GAP = 1.0
 _FAR_POINTS = 20
 # the Chebyshev points of the second kind in [0, 1], ends included, and
 # their barycentric weights
@@ -167,13 +168,13 @@ _FAR_COLUMNS = _TREE_CELLS // _FAR_POINTS
 # the tree's buffers, and no cut grows them.
 _CUT_LIMITS = _FAR_COLUMNS // 4
 
-# A leaf's cell forms an atom's root sqrt(L^2 - c0) as L^2 - c0 unless the
-# atom lies within L = lo (1 + theta) of its limit lo with 2 theta + kappa^2
-# below _NEAR_ROOT.  The cancellation in L^2 - c0 costs about eps / (2 theta
-# + kappa^2) of the root's relative digits (1.5e-4 for an atom an ulp above
-# its limit at kappa 1e-6), so past _NEAR_ROOT = eps / 1e-12 it costs at
-# most 1e-12; below it the root is formed from its nonnegative parts, as
-# _root_step forms a piece's.
+# An atom cell of the tree forms the atom's root sqrt(L^2 - c0) as L^2 - c0
+# unless the atom lies within L = lo (1 + theta) of its limit or Chebyshev
+# point lo with 2 theta + kappa^2 below _NEAR_ROOT.  The cancellation in
+# L^2 - c0 costs about eps / (2 theta + kappa^2) of the root's relative
+# digits (1.5e-4 for an atom an ulp above its limit at kappa 1e-6), so past
+# _NEAR_ROOT = eps / 1e-12 it costs at most 1e-12; below it the root is
+# formed from its nonnegative parts, as _root_step forms a piece's.
 _NEAR_ROOT = np.finfo(float).eps / 1e-12
 
 _BLOCK_WORK = threading.local()   # this thread's row-block buffers
@@ -322,16 +323,22 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
 class TailKernel(NamedTuple):
     """Integrand k(y; c0) of a tail integral, defined for y^2 >= c0 >= 0.
 
-    atom(w, y, s, c0, out) writes w k(y; c0) into out, given the root
-    s = sqrt(y^2 - c0), and leaves s alone unless out is s;
+    atom(w, y, s, out) writes an atom's cell into out, given its weight w
+    and root s = sqrt(y^2 - c0), and leaves s alone unless out is s: w
+    k(y; c0) for an unscaled kernel, and w k(y; c0) / c0 for a scaled one;
+    scaled says that a kernel's atom tail is c0 times the sum of its atom
+    cells, which every cell of tail_integral's tree leaves out, leaf, far
+    field or cut alike, so each row takes c0 once, after the tree, and a
+    tail at lower = 0 is exactly 0.  For the oil volume that cell is w /
+    (y + s), which stays away from 0 as c0 goes to 0.  An atom whose w /
+    (y + s) falls below the normal doubles (w / y under about 2.2e-308)
+    loses its digits there and adds 0 below the subnormals, however large
+    c0 is, as its term w / y of the measure's moment of order -1 does.
     cell(step, c0) integrates k over [lo, hi], given the root step
     (r_lo, r_hi, u) = _root_step(lo, hi, lower, kappa), which the kernels
     of a call share; it is exactly 0 on an empty cell lo == hi for any
     lower, which is how a piece outside the tail adds nothing; closed
-    says whether an atom exactly at the lower limit lies in the tail;
-    scaled says that atom(w, y, s, c0, out) is c0 times atom(w, y, s, 1.0,
-    out), so the far field of tail_integral's tree interpolates the second,
-    which stays away from 0, and a tail at lower = 0 is exactly 0.
+    says whether an atom exactly at the lower limit lies in the tail.
     """
 
     atom: Callable
@@ -384,18 +391,15 @@ def _oil_volume_cell(step, c0):
 
 
 OIL_VOLUME = TailKernel(
-    # w (c0 / (y + s)), the stable form of w (y - s); c0 / (y + s) <= y,
-    # so no product exceeds w y even where w c0 would overflow
-    atom=lambda w, y, s, c0, out: np.multiply(
-        w, np.divide(c0, np.add(y, s, out=out), out=out), out=out
-    ),
+    # w / (y + s): w (y - s) / c0 in its stable form, at most w / y
+    atom=lambda w, y, s, out: np.divide(w, np.add(y, s, out=out), out=out),
     cell=_oil_volume_cell,
     closed=True,
     scaled=True,
 )
 
 OIL_RATE = TailKernel(
-    atom=lambda w, y, s, c0, out: np.divide(w, s, out=out),
+    atom=lambda w, y, s, out: np.divide(w, s, out=out),
     cell=lambda step, c0: np.log1p(step[2]),
     closed=False,
     scaled=False,
@@ -420,15 +424,20 @@ def _block_buffers(rows, cols, count=1):
 def _atom_cells(kernels, targets, L, S, L2, lo, c, j1, kappa):
     """Write each kernel's cells of the atoms (L, S) at the limits lo.
 
-    targets holds one (limit, atom) view per kernel; the last takes the
-    root sqrt(L2 - c) first, L2 = L^2 a row and c = c0 at lo a column.
-    Where an atom lies within L = lo (1 + theta) of its limit, with
-    2 theta + kappa^2 < _NEAR_ROOT, the root is formed instead from its
-    parts, (L - lo)(L + lo) + (kappa lo)^2: with no kappa that small, no
-    cell is.  Only the first j1 atoms may lie outside a limit's tail:
-    their roots are masked to 1 there, and each kernel zeroes its own
-    outside cells.  Each mask is made empty_like its view, so it iterates
-    like the view.
+    Leaves, far fields and cuts form every atom cell of the tree here;
+    a far field's or a cut's limits are its Chebyshev points.  targets
+    holds one (limit, atom) view per kernel; the last takes the root
+    sqrt(L2 - c) first, L2 = L^2 a row and c = c0 at lo a column, lo
+    sorted ascending.  Where an atom lies within L = lo (1 + theta) of a
+    limit, with 2 theta + kappa^2 < _NEAR_ROOT, the root is formed
+    instead from its parts, (L - lo)(L + lo) + (kappa lo)^2: with no
+    kappa that small, no cell is.  Each cell is TailKernel.atom's,
+    without c0, which a scaled kernel's row takes once.  Only the first j1
+    atoms may lie outside a limit's tail: their roots are masked to 1
+    there, and each kernel zeroes its own outside cells.  Each mask is
+    made empty_like its view, so it iterates like the view.  A far field
+    or a cut passes j1 = 0, since it applies no tail there (its atoms are
+    analytic over its points), and then no mask is made.
     """
     s = targets[-1]
     np.subtract(L2, c, out=s)
@@ -443,16 +452,18 @@ def _atom_cells(kernels, targets, L, S, L2, lo, c, j1, kappa):
         rows = np.arange(atoms.size) + np.repeat(first - count.cumsum() + count, count)
         y, x = L[atoms], col[rows]
         s[rows, atoms] = (y - x) * (y + x) + (kappa * x) ** 2
-    edge = L[:j1]
-    below = np.less(edge, lo, out=np.empty_like(s[:, :j1], bool))
-    np.copyto(s[:, :j1], 1.0, where=below)
+    outside = []
+    if j1:
+        edge = L[:j1]
+        below = np.less(edge, lo, out=np.empty_like(s[:, :j1], bool))
+        np.copyto(s[:, :j1], 1.0, where=below)
+        outside = [below if kernel.closed else np.less_equal(
+            edge, lo, out=np.empty_like(below)) for kernel in kernels]
     np.sqrt(s, out=s)
     for kernel, t in zip(kernels, targets):
-        kernel.atom(S, L, s, c, t)
-        outside = below if kernel.closed else np.less_equal(
-            edge, lo, out=np.empty_like(below)
-        )
-        np.copyto(t[:, :j1], 0.0, where=outside)
+        kernel.atom(S, L, s, t)
+    for mask, t in zip(outside, targets):
+        np.copyto(t[:, :j1], 0.0, where=mask)
 
 
 def _leaf_tails(kernels, L, S, L2, lo, c, j1, kappa, out):
@@ -482,52 +493,41 @@ def _leaf_tails(kernels, L, S, L2, lo, c, j1, kappa, out):
             o[rows] += np.add.reduce(t, axis=1)
 
 
-def _far_cells(kernels, L, S, L2, cx, tiles):
-    """Write each kernel's cells of the atoms (L, S) at the points whose
-    c0 is cx, all below the atoms, into tiles, one (point, atom) view per
-    kernel: the last takes the root sqrt(L2 - cx) first, and a scaled
-    kernel takes c0 = 1."""
-    s = tiles[-1]
-    np.subtract(L2, cx[:, None], out=s)
-    np.sqrt(s, out=s)
-    for kernel, t in zip(kernels, tiles):
-        kernel.atom(S, L, s, 1.0 if kernel.scaled else cx[:, None], t)
-
-
-def _far_sums(kernels, L, S, L2, cx):
-    """Each kernel's sums over the atoms (L, S) at the points whose c0 is
-    cx, all below the atoms, from _far_cells in chunks of _FAR_COLUMNS
-    atoms."""
-    sums = np.zeros((len(kernels), cx.size))
+def _far_sums(kernels, L, S, L2, x, c, kappa):
+    """Each kernel's sums over the atoms (L, S) at the points x, all below
+    the atoms, whose c0 is c (columns, from _far_c0): _atom_cells' cells
+    in chunks of _FAR_COLUMNS atoms."""
+    sums = np.zeros((len(kernels), x.size))
     for j in range(0, L.size, _FAR_COLUMNS):
         cols = slice(j, j + _FAR_COLUMNS)
-        tiles = _block_buffers(cx.size, L[cols].size, len(kernels))
-        _far_cells(kernels, L[cols], S[cols], L2[cols], cx, tiles)
+        tiles = _block_buffers(x.size, L[cols].size, len(kernels))
+        _atom_cells(kernels, tiles, L[cols], S[cols], L2[cols], x, c, 0, kappa)
         for t, o in zip(tiles, sums):
             o += np.add.reduce(t, axis=1)
     return sums
 
 
-def _cut_tails(kernels, L, S, L2, cx, lo, out):
+def _cut_tails(kernels, L, S, L2, x, c, kappa, lo, out):
     """Add the tails of the atoms (L, S), sorted by length and each
     analytic over the limits lo, to out, from running sums.
 
-    cx is c0 at the _FAR_POINTS Chebyshev points of the limits.  Each
-    kernel's cells of every atom there (_far_cells, on the atoms in
-    reverse) are summed from the last atom down by one np.add.accumulate,
-    behind a column of zeros, so column k holds the sum of the last k
-    atoms.  A limit takes the column of the atoms in its tail, those from
-    L.searchsorted(limit, "left") on for a closed kernel and "right" for
-    an open one, and interpolates it to itself by _far_basis, over chunks
-    of _CUT_LIMITS limits: the tail's indicator is applied to the sums and
-    never interpolated.  Each kernel's sums fill at most one of
-    _block_buffers' rows (the tree cuts at most _FAR_COLUMNS - 1 atoms),
-    so a cut with one or both kernels fits the tree's two buffers.
+    x are the _FAR_POINTS Chebyshev points of the limits and c their c0
+    (columns, from _far_c0).  Each kernel's cells of every atom there
+    (_atom_cells, on the atoms in reverse) are summed from the last atom
+    down by one np.add.accumulate, behind a column of zeros, so column k
+    holds the sum of the last k atoms.  A limit takes the column of the
+    atoms in its tail, those from L.searchsorted(limit, "left") on for a
+    closed kernel and "right" for an open one, and interpolates it to
+    itself by _far_basis, over chunks of _CUT_LIMITS limits: the tail's
+    indicator is applied to the sums and never interpolated.  Each
+    kernel's sums fill at most one of _block_buffers' rows (the tree cuts
+    at most _FAR_COLUMNS - 1 atoms), so a cut with one or both kernels
+    fits the tree's two buffers.
     """
     n = L.size
     t = _far_coordinate(lo)
     sums = _block_buffers(_FAR_POINTS, n + 1, len(kernels))
-    _far_cells(kernels, L[::-1], S[::-1], L2[::-1], cx, sums[:, :, 1:])
+    _atom_cells(kernels, sums[:, :, 1:], L[::-1], S[::-1], L2[::-1], x, c, 0, kappa)
     for s in sums:
         s[:, 0] = 0.0
         np.add.accumulate(s, axis=1, out=s)
@@ -563,10 +563,10 @@ def _far_basis(t, out):
 
 
 def _far_c0(kappa, a, w):
-    """c0 = (1-kappa^2) x^2 at the Chebyshev points x = a + w _FAR_NODES
-    of the limits [a, a + w]."""
-    x = a + w * _FAR_NODES
-    return (1.0 - kappa * kappa) * x * x
+    """The Chebyshev points x = a + w _FAR_NODES of the limits [a, a + w]
+    and their c0 = (1-kappa^2) x^2, as columns: (x, c0)."""
+    x = (a + w * _FAR_NODES)[:, None]
+    return x, (1.0 - kappa * kappa) * x * x
 
 
 def _far_coordinate(lo):
@@ -600,17 +600,18 @@ def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
     The limits are sorted once and split in halves, by index, down to the
     leaves of the rules at _TREE_CELLS.  A node whose limits lie in [a,
     b], of width w, and whose ancestors took the atoms from top on,
-    separates at e = sqrt(c) (b + _FAR_GAP w), c = 1 - kappa^2: past e an
-    atom is analytic over [a, b] (see _FAR_GAP).  With a >= e it is cut
+    separates at e = sqrt(c) (b + w), c = 1 - kappa^2: past e an atom is
+    analytic over [a, b] (see _FAR_POINTS).  With a >= e it is cut
     (_cut_tails): every limit reads its remaining atoms, from the first at
     or above a, off running sums at the node's Chebyshev points.  A leaf
     adds its remaining atoms directly (_leaf_tails).  A node that is split
     takes the atoms past max(b, e) up to top as a far field, if there are
     at least _FAR_POINTS of them: it sums each kernel over them at its
     Chebyshev points (_far_sums) and adds their interpolant at its limits
-    (_far_values).  A row's value is its leaf's sum plus its far fields,
-    root first, or its cut plus its far fields, times c0 for a scaled
-    kernel, all fixed by the sorted limits and the atoms.
+    (_far_values).  All of them add into one array of the sorted rows, so
+    a row's value is its far fields, root first, plus its leaf's sum or
+    its cut, times c0 for a scaled kernel, all fixed by the sorted limits
+    and the atoms.
     """
     # every block of the tree fits two buffers of _TREE_CELLS cells: take
     # them at once, so that a thread's buffers are allocated at their full
@@ -620,7 +621,7 @@ def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
     _block_buffers(1, _TREE_CELLS, 2)
     order = lower.argsort(kind="stable")
     lo, c = lower[order], c0[order]
-    near, far = np.zeros_like(outs), np.zeros_like(outs)
+    sums = np.zeros_like(outs)
     L2 = L * L
     sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
     nodes = [(0, lo.size, L.size)]   # rows r0:r1, whose ancestors took the atoms from top on
@@ -629,32 +630,33 @@ def _tree_tails(kernels, L, S, kappa, lower, c0, outs):
         rows = slice(r0, r1)
         a, b = lo[r0], lo[r1 - 1]
         w = b - a
-        e = sc * (b + _FAR_GAP * w)
+        e = sc * (b + w)
         j0 = int(L.searchsorted(a, "left"))
         if r1 - r0 > _FAR_POINTS and a >= e and _FAR_POINTS <= top - j0 < _FAR_COLUMNS:
             atoms = slice(j0, top)
-            _cut_tails(kernels, L[atoms], S[atoms], L2[atoms], _far_c0(kappa, a, w),
-                       lo[rows], far[:, rows])
+            _cut_tails(kernels, L[atoms], S[atoms], L2[atoms], *_far_c0(kappa, a, w), kappa,
+                       lo[rows], sums[:, rows])
             continue
         if r1 - r0 <= _LEAF_LIMITS or (r1 - r0) * (top - j0) <= _TREE_CELLS:
             if j0 < top:
                 atoms = slice(j0, top)
                 _leaf_tails(
                     kernels, L[atoms], S[atoms], L2[atoms], lo[rows], c[rows],
-                    int(L.searchsorted(b, "right")) - j0, kappa, near[:, rows],
+                    int(L.searchsorted(b, "right")) - j0, kappa, sums[:, rows],
                 )
             continue
         j = min(int(L.searchsorted(max(b, e), "right")), top)
         if top - j >= _FAR_POINTS:
             atoms = slice(j, top)
-            sums = _far_sums(kernels, L[atoms], S[atoms], L2[atoms], _far_c0(kappa, a, w))
-            _far_values(lo[rows], sums, far[:, rows])
+            far = _far_sums(kernels, L[atoms], S[atoms], L2[atoms], *_far_c0(kappa, a, w), kappa)
+            _far_values(lo[rows], far, sums[:, rows])
             top = j
         mid = (r0 + r1) // 2
         nodes += [(mid, r1, top), (r0, mid, top)]
-    for kernel, o, f in zip(kernels, near, far):
-        o += f * c if kernel.scaled else f
-    outs[:, order] = near
+    for kernel, o in zip(kernels, sums):
+        if kernel.scaled:
+            o *= c
+    outs[:, order] = sums
 
 
 def tail_integral(mu, kernels, kappa, lower):
@@ -685,16 +687,19 @@ def tail_integral(mu, kernels, kappa, lower):
     every tail on every row of it, and only those up to the last atom at
     its largest limit need the tail masks.
 
-    The kernels share the root of each block, masked to 1 below the
-    limits.  Each kernel but the last writes into its own buffer and the
-    last over the root, and each zeroes its own outside cells, so every
-    cell and every row sum goes through the operations of a call with
-    that kernel alone and gets its bits.  A density piece adds, per
-    limit, each kernel's cell over the limit clipped to the piece, all
-    from one _root_step per piece.  Each block is computed in place
-    in _block_buffers: with fresh 256 KB temporaries per step, glibc
-    trimmed the heap top after a block and faulted it back in for the
-    next, so the time of a sensitivity trial followed the host's
+    Leaves, far fields and cuts form their atom cells in one routine
+    (_atom_cells), with the near-atom root of _NEAR_ROOT, and without a
+    scaled kernel's c0, which each row takes once, after the tree and
+    before the pieces.  The kernels share the root of each block, masked
+    to 1 below the limits.  Each kernel but the last writes into its own
+    buffer and the last over the root, and each zeroes its own outside
+    cells, so every cell and every row sum goes through the operations
+    of a call with that kernel alone and gets its bits.  A density piece
+    adds, per limit, each kernel's cell over the limit clipped to the
+    piece, all from one _root_step per piece.  Each block is computed in
+    place in _block_buffers: with fresh 256 KB temporaries per step,
+    glibc trimmed the heap top after a block and faulted it back in for
+    the next, so the time of a sensitivity trial followed the host's
     page-fault cost.
     """
     kappa = check_kappa(kappa)

@@ -136,7 +136,7 @@ def breakthrough_threshold(L, kappa):
     if not np.all((0 < lengths) & (lengths < math.inf)):
         raise ArgumentError("tube length must be > 0 and finite")
     kappa = check_kappa(kappa)
-    return (1.0 + kappa) / 2.0 * L * L
+    return (1.0 + kappa) / 2.0 * lengths * lengths
 
 
 def _interface_law(L, L2, kappa, F2, out):

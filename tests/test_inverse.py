@@ -1477,6 +1477,14 @@ class TestRecoverDensity:
         with pytest.raises(ArgumentError):
             recover_density(grid, grid**2, 0.5, alpha_min=0.0)
 
+    @pytest.mark.parametrize("bad", [None, "0.1", True, np.True_])
+    def test_alpha_min_must_be_a_number(self, bad):
+        # RecoveryConfig's check: no TypeError from the comparison, and a
+        # bool is not a number here
+        grid = np.linspace(0, 1, 101)
+        with pytest.raises(ArgumentError, match="alpha_min must be a number"):
+            recover_density(grid, grid**2, 0.5, bad)
+
     def test_paper_literal_prefactor_ratio(self):
         # As printed, the density formula carries the prefactor (1+kappa)/kappa
         # instead of kappa/(1+kappa).  Evaluated here, it scales the recovered

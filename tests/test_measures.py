@@ -109,7 +109,7 @@ class TestTailKernel:
             L, S = mu._atoms_by_length
             y, w = L[L >= a], S[L >= a]
             s = np.sqrt(y * y - c0)
-            total = float(np.sum(OIL_VOLUME.atom(w, y, s, c0, np.empty_like(s))))
+            total = c0 * float(np.sum(OIL_VOLUME.atom(w, y, s, np.empty_like(s))))
             for pa, pb, rho in mu.pieces:
                 if pb > a:
                     step = measures._root_step(max(pa, a), pb, alpha, 0.5)
@@ -607,6 +607,44 @@ ATOM_ROOTS = [
 ]
 
 
+# 30 equal limits an ulp below the shortest of 40 atoms (L, 1), L = 1.00,
+# 1.01, ..., 1.39: a node of zero width, which the tree cuts
+CUT_ATOMS = tuple((1.0 + k / 100, 1.0) for k in range(40))
+CUT_LOWER = math.nextafter(1.0, 0.0)
+
+
+def cut_root_table():
+    """Rows (kappa, volume, rate) of CUT_ROOTS: both tails of the atoms
+    CUT_ATOMS above CUT_LOWER, the sums of c0 / (L + sqrt(L^2 - c0)) and
+    1 / sqrt(L^2 - c0) with c0 = (1-kappa^2) CUT_LOWER^2, to 50 digits
+    with L, CUT_LOWER and kappa taken as exact; kappa 1e-6, 1e-5 and
+    1e-3, within measures._NEAR_ROOT's reach.  Print them with
+    PYTHONPATH=src python tests/test_measures.py (needs mpmath)."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    rows = []
+    for kappa in (1e-6, 1e-5, 1e-3):
+        k = mp.mpf(kappa)
+        c = (1 - k * k) * mp.mpf(CUT_LOWER) ** 2
+        roots = [(mp.mpf(L), mp.sqrt(mp.mpf(L) ** 2 - c)) for L, _ in CUT_ATOMS]
+        rows.append((
+            kappa, float(sum(c / (y + root) for y, root in roots)),
+            float(sum(1 / root for _, root in roots)),
+        ))
+    return rows
+
+
+CUT_ROOTS = [
+    (1e-06,
+     23.083138323303572, 999964.8635125301),
+    (1e-05,
+     23.08312931964805, 100075.75630732911),
+    (0.001,
+     23.082101389885676, 1075.8669373531905),
+]
+
+
 class TestScale:
     def test_atom_example(self):
         assert scale(Measure(atoms=((2.0, 3.0),)), 2.0) == Measure(atoms=((1.0, 6.0),))
@@ -786,10 +824,11 @@ def random_atom_measure(rng, n):
 
 def dense_tail(mu, kernel, kappa, lower):
     """Unblocked reference: one (alpha, atom) array holding every cell, in
-    the leaves' cell formula: the root from L^2 - c0, or from its parts
+    the tree's cell formula: the root from L^2 - c0, or from its parts
     (L - lo)(L + lo) + (kappa lo)^2 where the atom lies near its limit
-    (measures._NEAR_ROOT); ATOM_ROOTS checks that formula against the
-    model."""
+    (measures._NEAR_ROOT), and the volume kernel summed as c0 times the
+    sum of S / (L + root); ATOM_ROOTS and CUT_ROOTS check that formula
+    against the model."""
     L = np.array([a[0] for a in mu.atoms])
     S = np.array([a[1] for a in mu.atoms])
     order = np.argsort(L, kind="stable")
@@ -803,10 +842,8 @@ def dense_tail(mu, kernel, kappa, lower):
         disc = np.where(L < lo * reach, (L - lo) * (L + lo) + (kappa * lo) ** 2, disc)
     disc = np.where(in_tail, disc, 1.0)
     if kernel is OIL_VOLUME:
-        terms = S * (c / (L + np.sqrt(disc)))
-    else:
-        terms = S / np.sqrt(disc)
-    return np.sum(np.where(in_tail, terms, 0.0), axis=1)
+        return c0 * np.sum(np.where(in_tail, S / (L + np.sqrt(disc)), 0.0), axis=1)
+    return np.sum(np.where(in_tail, S / np.sqrt(disc), 0.0), axis=1)
 
 
 def assert_rows_close(got, want, rtol=1e-14):
@@ -901,9 +938,9 @@ class TestTailIntegral:
         alphas = np.linspace(0.0, 10.0, n_alphas)
         cells = []
 
-        def atom(w, y, s, c, out):
+        def atom(w, y, s, out):
             cells.append(out.size)
-            return kernel.atom(w, y, s, c, out)
+            return kernel.atom(w, y, s, out)
 
         (got,) = tail_integral(mu, (kernel._replace(atom=atom),), 0.5, alphas)
         assert np.array_equal(got, tail_integral(mu, (kernel,), 0.5, alphas)[0])
@@ -1019,9 +1056,9 @@ class TestTailIntegral:
         cut = []
         cut_tails = measures._cut_tails
 
-        def counted(kernels, L, S, L2, cx, lo, out):
+        def counted(kernels, L, S, L2, x, c, kappa, lo, out):
             cut.append(lo.copy())
-            return cut_tails(kernels, L, S, L2, cx, lo, out)
+            return cut_tails(kernels, L, S, L2, x, c, kappa, lo, out)
 
         monkeypatch.setattr(measures, "_cut_tails", counted)
         both = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
@@ -1033,6 +1070,28 @@ class TestTailIntegral:
             assert_rows_close(tail, dense_tail(mu, kernel, kappa, alphas))
             assert np.array_equal(tail, tail_integral(mu, (kernel,), kappa, alphas)[0])
 
+    def test_cut_roots_keep_their_digits(self, monkeypatch):
+        # CUT_ATOMS' node of zero width is cut, and its Chebyshev points all
+        # sit an ulp below an atom: the near-atom root rule reaches them as
+        # it reaches a leaf's cells, against 50-digit values (CUT_ROOTS,
+        # made by cut_root_table above); with the root at the points
+        # formed as L^2 - c0, the rate tail is off by 1.1e-5 relative at
+        # kappa 1e-6
+        cut = []
+        cut_tails = measures._cut_tails
+
+        def counted(kernels, L, S, L2, x, c, kappa, lo, out):
+            cut.append(lo.size)
+            return cut_tails(kernels, L, S, L2, x, c, kappa, lo, out)
+
+        monkeypatch.setattr(measures, "_cut_tails", counted)
+        lower = np.full(30, CUT_LOWER)
+        for kappa, volume, rate in CUT_ROOTS:
+            got = tail_integral(Measure(atoms=CUT_ATOMS), (OIL_VOLUME, OIL_RATE), kappa, lower)
+            for tail, want in zip(got, (volume, rate)):
+                assert np.all(np.abs(tail / want - 1.0) <= 1e-14), kappa
+        assert cut == [lower.size] * len(CUT_ROOTS)
+
     def test_far_fields_hold_enough_atoms(self, monkeypatch):
         # a far field's interpolant costs _FAR_POINTS terms per limit, so
         # no node takes fewer atoms than that as one: at mc's sizes on its
@@ -1040,9 +1099,9 @@ class TestTailIntegral:
         sizes = []
         far_sums = measures._far_sums
 
-        def counted(kernels, L, S, L2, cx):
+        def counted(kernels, L, S, L2, x, c, kappa):
             sizes.append(L.size)
-            return far_sums(kernels, L, S, L2, cx)
+            return far_sums(kernels, L, S, L2, x, c, kappa)
 
         monkeypatch.setattr(measures, "_far_sums", counted)
         rng = np.random.default_rng(22)
@@ -1119,9 +1178,9 @@ class TestTailIntegral:
         cuts = []
         cut_tails = measures._cut_tails
 
-        def counted(kernels, L, S, L2, cx, lo, out):
+        def counted(kernels, L, S, L2, x, c, kappa, lo, out):
             cuts.append((len(kernels), L.size))
-            return cut_tails(kernels, L, S, L2, cx, lo, out)
+            return cut_tails(kernels, L, S, L2, x, c, kappa, lo, out)
 
         def run():
             rng = np.random.default_rng(23)
@@ -1241,7 +1300,8 @@ class TestPrefixIntegral:
 
 if __name__ == "__main__":
     for name, table, split in (
-        ("NARROW_CELLS", narrow_cell_table, 4), ("ATOM_ROOTS", atom_root_table, 3)
+        ("NARROW_CELLS", narrow_cell_table, 4), ("ATOM_ROOTS", atom_root_table, 3),
+        ("CUT_ROOTS", cut_root_table, 1),
     ):
         print(f"{name} = [")
         for row in table():

@@ -69,6 +69,12 @@ class TestBreakthroughThreshold:
         assert breakthrough_threshold(2.0, 0.5) == 3.0
         assert breakthrough_threshold(1.0, 0.999) == pytest.approx(0.9995)
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_sequence_of_lengths(self, kind):
+        # a list or a tuple of lengths gives the array of their thresholds
+        got = breakthrough_threshold(kind([1.0, 2.0]), 0.5)
+        assert isinstance(got, np.ndarray) and got.tolist() == [0.75, 3.0]
+
     def test_positive_length_required(self):
         with pytest.raises(ArgumentError):
             breakthrough_threshold(0.0, 0.5)
