@@ -36,6 +36,7 @@ from .measures import (
     OIL_VOLUME,
     check_count,
     check_kappa,
+    check_number,
     moment,
     prefix_integral,
     tail_integral,
@@ -157,7 +158,7 @@ class DisplacementCurve:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "kappa", check_kappa(self.kappa))
-        object.__setattr__(self, "alpha_max", float(self.alpha_max))
+        object.__setattr__(self, "alpha_max", check_number("alpha_max", self.alpha_max))
         if not 0 < self.alpha_max < math.inf:
             raise ArgumentError("alpha_max must be finite and > 0")
         if x.ndim != 1 or x.shape != g.shape or x.size < 2:
@@ -215,7 +216,7 @@ def check_alpha_max(alpha_max):
     1.5e-154) the samples of build_curve lose the digits that keep the
     total volume increasing.
     """
-    alpha_max = float(alpha_max)
+    alpha_max = check_number("alpha_max", alpha_max)
     if not LENGTH_MIN <= alpha_max < LENGTH_MAX:
         raise ArgumentError(
             f"alpha_max^2 must be a finite normal double, got alpha_max={alpha_max}"

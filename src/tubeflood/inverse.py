@@ -34,19 +34,22 @@ half-widths past the span's middle, so the span stores these quotients
 at 20 Chebyshev rows and interpolates them to its rows to rounding
 (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2;
 the bound is worked out at _tree).  The quotient stays finite as
-alpha -> 0, so each entry keeps its relative digits, and row 0 is
-exactly 0.  The same rule, turned over, cuts the far columns into
-clusters whose cells lie 3 half-widths from sqrt(c) b, each filled
-from two 20 x 20 cores, the parts of its cells at 20 Chebyshev cells
-times y^5, which flattens their y^-5 fall-off, interpolated to its
-columns and divided by m^5; the alpha_max column, half a hat, and a
-last cluster of at most 20 columns are evaluated exactly.  A leaf holds
-its rows exactly and densely, from its diagonal block up to the column
-its ancestors took.  Memory grows as n log n: 5-10% of n^2 doubles at
-n = 2001, less for larger kappa, and 109-185 MB of peak RSS at
-n = 50001, where M would take 20 GB.  Leaves, cores and exact far
-columns all come from one cell function, _cells, each call evaluated in
-place in per-thread buffers kept from one call to the next
+alpha -> 0, so each entry keeps its relative digits, and row 0, whose
+factor is 0, is exactly 0.  Every entry, near or far, is built as such
+a quotient, and each row of a leaf takes its factor kappa c i^4 once.
+The same rule, turned over, cuts the far columns into clusters whose
+cells lie 3 half-widths from sqrt(c) b, each filled from two 20 x 20
+cores, the parts of its cells at 20 Chebyshev cells times y^5, which
+flattens their y^-5 fall-off, interpolated to its columns and divided
+by m^5; the alpha_max column, half a hat, and a last cluster of at most
+20 columns are evaluated exactly.  A leaf holds its rows exactly and
+densely, from its diagonal block up to the column its ancestors took,
+and carries the far parts of the spans that end where it ends.  Memory
+grows as n log n: 5-10% of n^2 doubles at n = 2001, less for larger
+kappa, and 109-185 MB of peak RSS at n = 50001, where M would take 20
+GB.  Leaves, cores and exact far columns all come from one cell
+function, _cells, each call evaluated in place in per-thread buffers
+kept from one call to the next
 (measures._block_buffers, shared with the tail integrals); a call takes
 the cells of several leaves' near columns or several clusters' cores at
 once.  _cells is also the one place that gives the cell past alpha_max
@@ -56,10 +59,11 @@ transcendental term and nothing that cancels, within 1.6e-15 relative
 of 40-digit values up to m = 2^26 - 1 (the CELLS table of the tests).
 A leaf evaluates only its cells on and above the diagonal.  The sweep
 solves the leaves from alpha_max down (Hairer, Lubich and Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985); before the leaf that ends where a
-span ends, the span's far columns are all solved, and its interpolated
-far field goes into its rows' right-hand side.  The residual and apply_T
-multiply by the same operator, so residual and error_bound measure the
+SIAM J. Sci. Stat. Comput. 6, 1985); before a leaf, the far columns of
+each span it carries are all solved, and the span's interpolated far
+field goes into its rows' right-hand side.  The residual and apply_T
+multiply by the same operator, walking the same leaves and adding each
+far part as the sweep does, so residual and error_bound measure the
 discrete system with the stored far fields; their own distance from the
 exact M, up to about 4e-15 of a row's largest entry at n = 2001 to
 20001, is not in them.  One operator is cached; a new
@@ -93,7 +97,7 @@ import numpy as np
 from .errors import ArgumentError, overflow_guard
 from .forward import curve_readoff
 from . import measures
-from .measures import _block_buffers, check_count, check_kappa, row_blocks
+from .measures import _block_buffers, check_count, check_kappa, check_number, row_blocks
 
 # The cached operator: at most one entry, keyed by (n, kappa).
 _OPERATOR = {}
@@ -118,13 +122,6 @@ _CELL_WORK = 3
 _MAX_GRID = 1 << 26
 
 
-def _check_number(name, value):
-    """Refuse a bool or a non-number as name: Python's bool is an int, and
-    None or a string would raise TypeError when compared."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ArgumentError(f"{name} must be a number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Numerical parameters of the inversion.
@@ -144,7 +141,7 @@ class RecoveryConfig:
                 f"n_grid must be at most 2**26, got {self.n_grid}: the operator "
                 "squares node indices, exact in doubles only up to there"
             )
-        _check_number("alpha_min", self.alpha_min)
+        check_number("alpha_min", self.alpha_min)
         if not self.alpha_min >= 0:
             raise ArgumentError("alpha_min must be >= 0")
 
@@ -194,9 +191,8 @@ def _cells(i, m, kappa, n):
     nodes, over kappa c i^4.
 
     i and m are float node indices that broadcast to the cells' shape, with
-    0 < i <= m: the upper triangle.  The rows need not be integers: a far
-    field takes its Chebyshev rows, and at alpha = 0, where this divides
-    by i, the quotient's limit, at i = 2^-100.  Returns (left, right),
+    0 <= i <= m and 0 < m: the upper triangle.  The rows need not be
+    integers: a far field takes its Chebyshev rows.  Returns (left, right),
     whose multiples by kappa c i^4 are the parts of M[i, m] and M[i, m+1]
     that the cell adds (see _unit_t_matrix), as views on this thread's
     measures._block_buffers that the next call overwrites.  Both are
@@ -254,9 +250,11 @@ def _tree(n, kappa):
     hi - lo columns and at most floor(p - 1 - sqrt(c) b), each stored
     from a core, up to the first that would hold at most _FAR_POINTS
     columns; the columns from there on are evaluated exactly.  Returns
-    the leaves' (lo, hi, top) from the top of the grid down, the order
-    the sweep solves them in, and the far parts' (lo, hi, j, top, cores),
-    those with j < top, cores the clusters' (p, e).
+    the leaves' (lo, hi, top, far) from the top of the grid down, the
+    order the sweep solves them in.  far holds (lo, j, top, cores) of
+    each span with j < top that ends at the leaf's hi, widest first, cores
+    its clusters' (p, e): depth first and top half first, the walk meets
+    such a span after the leaf above and before this one.
 
     The row separation: over a column's hat, which lies above every row
     of the span, M[alpha, j] / (kappa c alpha^4) is an integral of the
@@ -301,7 +299,8 @@ def _tree(n, kappa):
     while pending:             # depth first, the top half first
         lo, hi, top = pending.pop()
         if hi - lo <= _LEAF:
-            leaves.append((lo, hi, top))
+            leaves.append((lo, hi, top, far))
+            far = []
             continue
         b, w = hi - 1, hi - 1 - lo
         j = min(max(b, math.ceil(sc * (b + w))) + 1, top)
@@ -313,30 +312,30 @@ def _tree(n, kappa):
                     break
                 cores.append((p, e))
                 p = e
-            far.append((lo, hi, j, top, cores))
+            far.append((lo, j, top, cores))
         mid = (lo + hi) // 2
         pending += [(lo, mid, j), (mid, hi, j)]
-    return leaves, far
+    return leaves
 
 
-def _leaves(n, kappa, spans):
-    """The leaves' rows M[lo:hi, lo:top], holding their exact diagonal
-    blocks M[lo:hi, lo:hi] and 0 past them, as views on one array.
+def _leaves(n, kappa, leaves):
+    """The leaves' rows M[lo:hi, lo:top] / (kappa c i^4), holding the
+    quotients of their diagonal blocks M[lo:hi, lo:hi] and 0 past them, as
+    views on one array, for the leaves (lo, hi, top, ...) of _tree.
 
     Only the cells on and above the diagonal are evaluated: row i of a
     leaf takes the cells i, ..., hi - 1, listed flat over row_blocks of the
     leaves.  Cell m adds its left part to column m and its right part to
     column m + 1, so M[i, j] is left(j) + right(j - 1), the sum of two
     neighbours in the list; the right part of a row's last cell falls in
-    the near columns past the block, which _columns fills.  Row 0 and the
-    cells below the diagonal are 0, and _cells gives the cell n - 1 past
-    alpha_max no left part.
+    the near columns past the block, which _columns fills.  Row 0, whose
+    cell (0, 0) would divide by 0, and the cells below the diagonal are 0,
+    and _cells gives the cell n - 1 past alpha_max no left part.
     """
-    lo, hi, top = np.array(spans).T
+    lo, hi, top = np.array([leaf[:3] for leaf in leaves]).T
     width = top - lo
     start = np.concatenate(([0], np.cumsum((hi - lo) * width)))
     flat = np.zeros(start[-1])
-    kc = kappa * (1.0 - kappa * kappa)
     for size in sorted(set((hi - lo).tolist())):   # two sizes, halves of the tree
         # the cells (i, m) = (lo + r, lo + c) of each leaf of this size, r <= c
         r, c = np.triu_indices(size)
@@ -350,9 +349,6 @@ def _leaves(n, kappa, spans):
                 live = i >= 1.0
                 i, m, pos, diagonal = i[live], m[live], pos[live], diagonal[live]
             left, right = _cells(i, m, kappa, n)
-            scale = kc * ((i * i) * (i * i))
-            np.multiply(left, scale, out=left)
-            np.multiply(right, scale, out=right)
             # M[i, j] = left(j) + right(j - 1), the cells of a row being listed in turn
             np.add(left[1:], right[:-1], out=left[1:], where=~diagonal[1:])
             flat[pos] = left
@@ -360,11 +356,11 @@ def _leaves(n, kappa, spans):
             for s, e, a, b, w in zip(start[:-1], start[1:], lo, hi, width)]
 
 
-def _columns(parts, kappa, n, scaled):
-    """Write M[i, j:top] into out for each part (i, j, top, out), or
-    without scaled its quotient by kappa c i^4.
+def _columns(parts, kappa, n):
+    """Write M[i, j:top] / (kappa c i^4) into out for each part (i, j,
+    top, out).
 
-    i is a 1-d float array of rows with 0 < i <= j - 1, and out a view
+    i is a 1-d float array of rows with 0 <= i <= j - 1, and out a view
     of shape (i.size, top - j).  Column m is left(m) + right(m - 1) of
     the cells [j - 1, top).  The parts, cut into column slices of at most
     a _CELL_WORK-th of measures._BLOCK_CELLS cells, are taken widest
@@ -388,7 +384,6 @@ def _columns(parts, kappa, n, scaled):
     at = np.minimum(end[:, None] - size[:, None] + np.arange(rows), end[:, None] - 1)
     i_all = np.concatenate([piece[0] for piece in pieces])[at][:, :, None]
     j_all, top_all = (np.array([piece[k] for piece in pieces], dtype=float) for k in (1, 2))
-    kc = kappa * (1.0 - kappa * kappa)
     k = 0
     while k < len(pieces):
         width = pieces[k][2] - pieces[k][1]
@@ -399,8 +394,6 @@ def _columns(parts, kappa, n, scaled):
         left, right = _cells(i, m[:, None, :], kappa, n)
         values = left[:, :, 1:]
         np.add(values, right[:, :, :-1], out=values)
-        if scaled:
-            np.multiply(values, kc * ((i * i) * (i * i)), out=values)
         for v, (ig, j, top, out) in zip(values, pieces[g]):
             out[...] = v[:ig.size, :top - j]
 
@@ -454,72 +447,62 @@ def _cores(clusters, kappa, n):
 class _Operator:
     """The operator matrix M of _unit_t_matrix, on the tree of its rows.
 
-    leaves holds (lo, hi, L), L = M[lo:hi, lo:top] dense and exact: the
-    leaf's diagonal block and its near columns [hi, top), up to the
-    column its ancestors took.  far holds (lo, hi, j, top, F, B, scale)
-    with M[lo:hi, j:top] = (B @ F) * scale[:, None]: F holds M / (kappa c
-    alpha^4) at the span's _FAR_POINTS Chebyshev rows, from the cores of
-    its clusters and exact past them, B (rows, points) is the
-    barycentric basis at its rows (one per row count) and scale is kappa
-    c i^4.  Every other entry of M is 0.  The leaves run from the top of
-    the grid down, the order in which sweep solves them.  doubles counts
-    the doubles that leaves and far parts store.
+    Every entry is built as its quotient by kappa c i^4, row i's factor,
+    which each row of a leaf then takes once.  leaves holds (lo, hi, L,
+    far) from the top of the grid down, the order in which sweep solves
+    them.  L = M[lo:hi, lo:top] is dense and exact: the leaf's diagonal
+    block and its near columns [hi, top), up to the column its ancestors
+    took.  far holds (lo, j, top, F, B, scale) for each span [lo, hi) that
+    ends where the leaf ends, with M[lo:hi, j:top] = (B @ F) * scale[:, None]:
+    F holds the quotients at the span's _FAR_POINTS Chebyshev rows, from
+    the cores of its clusters and exact past them, B (rows, points) is
+    the barycentric basis at its rows (one per row count) and scale is
+    kappa c i^4.  Every other entry of M is 0.  doubles counts the doubles
+    that leaves and far parts store.
     """
 
     def __init__(self, n, kappa):
-        leaves, far = _tree(n, kappa)
+        tree = _tree(n, kappa)
         self.n = n
         kc = kappa * (1.0 - kappa * kappa)
         i = np.arange(float(n))
         row_scale = kc * ((i * i) * (i * i))
-        self.leaves, near = [], []
-        for (lo, hi, top), L in zip(leaves, _leaves(n, kappa, leaves)):
-            self.leaves.append((lo, hi, L))
-            if hi < top:                       # row 0 stays 0
-                near.append((i[max(lo, 1):hi], hi, top, L[max(lo, 1) - lo:, hi - lo:]))
-        _columns(near, kappa, n, scaled=True)
-        basis, clusters, exact = {}, [], []
-        self.far = []
-        # the Chebyshev rows; at alpha = 0 the quotient's limit, taken at 2^-100
-        first, count = np.array([(lo, hi - lo - 1.0) for lo, hi, *_ in far]).reshape(-1, 2).T
-        rows = np.maximum(first[:, None] + count[:, None] * measures._FAR_NODES, 2.0 ** -100)
-        for x, (lo, hi, j, top, cores) in zip(rows, far):
-            s = hi - lo
-            if s not in basis:
-                B = np.empty((measures._FAR_POINTS, s))
-                basis[s] = measures._far_basis(np.arange(s) / (s - 1.0), B).T.copy()
-            F = np.empty((measures._FAR_POINTS, top - j))
-            clusters += [(x, p, e, F[:, p - j:e - j]) for p, e in cores]
-            q = cores[-1][1] if cores else j
-            if q < top:
-                exact.append((x, q, top, F[:, q - j:]))
-            self.far.append((lo, hi, j, top, F, basis[s], row_scale[lo:hi]))
-        _columns(exact, kappa, n, scaled=False)
+        self.leaves, near, clusters, exact, basis = [], [], [], [], {}
+        for (lo, hi, top, spans), L in zip(tree, _leaves(n, kappa, tree)):
+            if hi < top:
+                near.append((i[lo:hi], hi, top, L[:, hi - lo:]))
+            far = []
+            for plo, j, ftop, cores in spans:
+                s = hi - plo
+                if s not in basis:
+                    B = np.empty((measures._FAR_POINTS, s))
+                    basis[s] = measures._far_basis(np.arange(s) / (s - 1.0), B).T.copy()
+                x = plo + (s - 1.0) * measures._FAR_NODES       # the Chebyshev rows
+                F = np.empty((measures._FAR_POINTS, ftop - j))
+                clusters += [(x, p, e, F[:, p - j:e - j]) for p, e in cores]
+                q = cores[-1][1] if cores else j
+                if q < ftop:
+                    exact.append((x, q, ftop, F[:, q - j:]))
+                far.append((plo, j, ftop, F, basis[s], row_scale[plo:hi]))
+            self.leaves.append((lo, hi, L, far))
+        # apart: a call pads each part to its most rows, up to 40 near and 20 far
+        _columns(near, kappa, n)
+        _columns(exact, kappa, n)
         _cores(clusters, kappa, n)
-        self.doubles = {"leaves": sum(L.size for *_, L in self.leaves),
-                        "far": sum(part[4].size for part in self.far)}
-        # the far parts by row count, (B, rows, scale, parts): the spans of one
-        # level of the tree hold n / 2^k rows, rounded either way, so those of
-        # one count past _LEAF lie on one level and their rows are disjoint
-        self._groups = []
-        for s, B in basis.items():
-            parts = [p for p in self.far if p[1] - p[0] == s]
-            rows = np.array([p[0] for p in parts])[:, None] + np.arange(s)
-            self._groups.append((B, rows, row_scale[rows], [p[2:5] for p in parts]))
-        self._far_by_hi = {}
-        for part in self.far:
-            self._far_by_hi.setdefault(part[1], []).append(part)
+        for lo, hi, L, _ in self.leaves:
+            L *= row_scale[lo:hi, None]
+        self.doubles = {"leaves": sum(L.size for _, _, L, _ in self.leaves),
+                        "far": sum(part[3].size for *_, far in self.leaves for part in far)}
 
     def matvec(self, v):
-        """M v."""
+        """M v: the leaves' rows, then each far part added as sweep adds it."""
         y = np.empty(self.n)
-        for lo, hi, L in self.leaves:
+        for lo, hi, L, _ in self.leaves:
             np.dot(L, v[lo:lo + L.shape[1]], out=y[lo:hi])
-        for B, rows, scale, parts in self._groups:
-            coef = np.empty((len(parts), B.shape[1]))
-            for c, (j, top, F) in zip(coef, parts):
-                np.dot(F, v[j:top], out=c)
-            y[rows] += (coef @ B.T) * scale
+        for _, hi, _, far in self.leaves:
+            for lo, j, top, F, B, scale in far:
+                part = y[lo:hi]
+                part += np.dot(B, np.dot(F, v[j:top])) * scale
         return y
 
     def sweep(self, h, x, g):
@@ -528,10 +511,10 @@ class _Operator:
         G interpolates (x, g) piecewise-linearly and is constant outside
         [x_0, x_last]; M[i, i] * slope < 1 on every segment of G.  The
         leaves are solved in turn, from the top of the grid down.  When the
-        sweep reaches the leaf ending at hi, the far columns [j, top) of
-        every span that ends at hi are all solved and none of its rows is
-        yet, so each such span's (B (F v[j:top])) kappa c i^4 goes into its
-        rows' right-hand sides first.
+        sweep reaches a leaf, the far columns [j, top) of each far part it
+        carries, a span that ends where the leaf ends, are all solved and
+        none of the span's rows is yet, so the span's (B (F v[j:top]))
+        kappa c i^4 goes into its rows' right-hand sides first.
         A leaf solves its rows from the last up, in sub-blocks of
         _SWEEP_ROWS: the part of b from the leaf's near columns and the
         rows of earlier sub-blocks is one matrix-vector product, the rest
@@ -554,8 +537,8 @@ class _Operator:
         rhs = np.array(h, dtype=float)
         v = np.zeros(self.n)
         k = last
-        for lo, hi, L in self.leaves:
-            for plo, _, j, top, F, B, scale in self._far_by_hi.get(hi, ()):
+        for lo, hi, L, far in self.leaves:
+            for plo, j, top, F, B, scale in far:
                 part = rhs[plo:hi]
                 part += np.dot(B, np.dot(F, v[j:top])) * scale
             top = lo + L.shape[1]
@@ -615,9 +598,11 @@ def _unit_t_matrix(n, kappa):
     No n x n array is formed: _tree halves the rows [0, n) down to leaves
     of at most _LEAF rows, each held exactly from its diagonal up to the
     column its ancestors took (_leaves, _columns), and each span keeps its
-    far columns as their quotients by kappa c alpha^4 at its Chebyshev
-    rows, from the cores of their clusters (_cores) and exactly past them
-    (_columns), all from _cells.
+    far columns at its Chebyshev rows, from the cores of their clusters
+    (_cores) and exactly past them (_columns), all from _cells.  Every
+    entry is built as its quotient by kappa c i^4, and each leaf's rows
+    then take that factor once; the leaf a span ends at carries its far
+    part.
 
     T is invariant under rescaling alpha -> alpha_max * alpha (kernel gains
     1/alpha_max, cell widths gain alpha_max), so one operator per (n, kappa)
@@ -770,7 +755,7 @@ def recover_density(grid, v, kappa, alpha_min):
     returned).  Only meaningful when the measure has a continuous density.
     """
     grid = np.asarray(grid, dtype=float)
-    _check_number("alpha_min", alpha_min)
+    check_number("alpha_min", alpha_min)
     if not alpha_min > 0:
         raise ArgumentError("alpha_min must be > 0 (density formula divides by alpha)")
     phi = _phi(grid, v, check_kappa(kappa))

@@ -187,9 +187,18 @@ def row_blocks(n_rows, n_cols):
         yield slice(r, min(r + step, n_rows))
 
 
+def check_number(name, value):
+    """Refuse a bool or a non-number as name, returning a number as float:
+    Python's bool is an int, and None or a string would raise TypeError
+    when compared, or be parsed by float()."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ArgumentError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_kappa(kappa):
     """Validate a water/oil viscosity ratio, returning it as float."""
-    kappa = float(kappa)
+    kappa = check_number("kappa", kappa)
     if not KAPPA_MIN <= kappa <= KAPPA_MAX:
         raise ArgumentError(
             f"viscosity ratio must lie in [{KAPPA_MIN}, {KAPPA_MAX}], got {kappa}"

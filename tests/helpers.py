@@ -161,25 +161,31 @@ def closed_tail_integral(alpha, alpha_max, kappa):
 
 def dense_operator(op):
     """The n x n matrix an inverse._Operator stands for: its leaves' rows,
-    its far parts interpolated and scaled, 0 elsewhere."""
+    the far parts they carry interpolated and scaled, 0 elsewhere."""
     out = np.zeros((op.n, op.n))
-    for lo, hi, leaf in op.leaves:
+    for lo, hi, leaf, far in op.leaves:
         out[lo:hi, lo:lo + leaf.shape[1]] = leaf
-    for lo, hi, j, top, F, B, scale in op.far:
-        out[lo:hi, j:top] = (B @ F) * scale[:, None]
+        for plo, j, top, F, B, scale in far:
+            out[plo:hi, j:top] = (B @ F) * scale[:, None]
     return out
+
+
+def far_parts(leaves):
+    """The far parts that the leaves of an inverse._Operator or of
+    inverse._tree carry, each with its leaf's hi, its span's end, appended."""
+    return [(*part, leaf[1]) for leaf in leaves for part in leaf[-1]]
 
 
 def operator_row(op, i):
     """Row i of the matrix an inverse._Operator stands for, without forming
     the others: its leaf's row and the row of each far part that holds it."""
     out = np.zeros(op.n)
-    for lo, hi, leaf in op.leaves:
+    for lo, hi, leaf, far in op.leaves:
         if lo <= i < hi:
             out[lo:lo + leaf.shape[1]] = leaf[i - lo]
-    for lo, hi, j, top, F, B, scale in op.far:
-        if lo <= i < hi:
-            out[j:top] = (B[i - lo] @ F) * scale[i - lo]
+        for plo, j, top, F, B, scale in far:
+            if plo <= i < hi:
+                out[j:top] = (B[i - plo] @ F) * scale[i - plo]
     return out
 
 

@@ -33,7 +33,7 @@ from tubeflood.inverse import (
 from tubeflood.measures import KAPPA_MIN, Measure
 
 from helpers import (
-    closed_tail_integral, dense_operator, operator_row, reference_t_matrix,
+    closed_tail_integral, dense_operator, far_parts, operator_row, reference_t_matrix,
     reference_t_row, searchsorted_sweep
 )
 
@@ -143,9 +143,19 @@ class TestClosedForm:
         n = 2001
         op = _unit_t_matrix(n, kappa)
         ref = reference_t_matrix(n, kappa)
-        for lo, hi, j, top, F, B, scale in op.far:
+        for lo, j, top, F, B, scale, hi in far_parts(op.leaves):
             want = ref[lo:hi, j:top]
             assert np.all(np.abs((B @ F) * scale[:, None] - want) <= 1e-13 * want)
+
+    def test_matvec_applies_the_stored_operator(self, kappa):
+        # each far part added once to the leaves' rows: every entry of M v
+        # within 2e-14 of its |M| |v|, rounding of the order of operations;
+        # measured up to 4.3e-15
+        op = _unit_t_matrix(2001, kappa)
+        M = dense_operator(op)
+        rng = np.random.default_rng(3)
+        for v in (rng.uniform(size=op.n), rng.normal(size=op.n), np.ones(op.n)):
+            assert np.all(np.abs(op.matvec(v) - M @ v) <= 2e-14 * (np.abs(M) @ np.abs(v)))
 
     @pytest.mark.parametrize("n", [2001, 501])
     def test_matches_the_reference_assembly_at_the_smallest_kappa(self, n):
@@ -387,24 +397,22 @@ class TestHierarchicalOperator:
     def test_leaf_rows_are_those_of_one_call_per_row(self, kappa):
         # the leaves' cells come in blocks of many leaves, and their near
         # columns in blocks of several; a row of a leaf has the bits of one
-        # _cells call over its cells i, ..., top - 1: its diagonal block
-        # adds the scaled parts, its near columns scale the added parts
+        # _cells call over its cells i, ..., top - 1, by one rule for every
+        # entry: M[i, m] = (left(m) + right(m - 1)) kappa c i^4
         n = 2001
         inverse._OPERATOR.clear()
         op = _unit_t_matrix(n, kappa)
         inverse._OPERATOR.clear()
         kc = kappa * (1.0 - kappa * kappa)
-        for lo, hi, L in op.leaves:
+        for lo, hi, L, _ in op.leaves:
             top = lo + L.shape[1]
             for i in sorted({max(lo, 1), (lo + hi) // 2, hi - 1}):
                 left, right = inverse._cells(
                     np.array([float(i)]), np.arange(float(i), top), kappa, n)
-                scale = kc * ((i * i) * (i * i))
-                d = hi - i                     # the cells i, ..., hi - 1
+                quotient = left.copy()           # no cell i - 1 on the diagonal
+                quotient[1:] += right[:-1]
                 row = np.zeros(top - lo)
-                row[i - lo:hi - lo] = left[:d] * scale
-                row[i - lo + 1:hi - lo] += right[:d - 1] * scale
-                row[hi - lo:] = (left[d:] + right[d - 1:-1]) * scale
+                row[i - lo:] = quotient * (kc * ((i * i) * (i * i)))
                 assert np.array_equal(L[i - lo], row), (lo, i)
 
     def test_leaves_evaluate_only_the_upper_triangle(self, monkeypatch):
@@ -432,8 +440,8 @@ class TestHierarchicalOperator:
         inverse._OPERATOR.clear()
         op = _unit_t_matrix(2001, 0.1)
         inverse._OPERATOR.clear()
-        assert op.far
-        s = np.array([hi - lo for lo, hi, _ in op.leaves])
+        assert far_parts(op.leaves)
+        s = np.array([hi - lo for lo, hi, *_ in op.leaves])
         assert 0 < sum(cells) <= np.sum(s * (s + 1) // 2)
 
     @pytest.mark.parametrize("n", [3, 64, 65, 2001])
@@ -442,14 +450,14 @@ class TestHierarchicalOperator:
             inverse._OPERATOR.clear()
             op = _unit_t_matrix(n, kappa)
             # the leaves tile [0, n) from the top down
-            spans = [(lo, hi) for lo, hi, _ in op.leaves]
+            spans = [(lo, hi) for lo, hi, *_ in op.leaves]
             assert spans[0][1] == n and spans[-1][0] == 0
             assert all(a[0] == b[1] for a, b in zip(spans, spans[1:]))
             assert all(hi - lo <= inverse._LEAF for lo, hi in spans)
             # each far part's first hat [j - 1, j + 1] lies past the
             # singularity of every row of its span, by the span's width
             sc = math.sqrt((1.0 - kappa) * (1.0 + kappa))
-            for lo, hi, j, top, F, B, scale in op.far:
+            for lo, j, top, F, B, scale, hi in far_parts(op.leaves):
                 b, w = hi - 1, hi - 1 - lo
                 assert hi - lo > inverse._LEAF and j < top
                 assert j - 1 >= max(b, sc * (b + w))
@@ -459,7 +467,7 @@ class TestHierarchicalOperator:
             # than _FAR_POINTS columns, each at most a span wide and past
             # the column separation, then the exact columns, which would
             # not make such a cluster, and the alpha_max column
-            for lo, hi, j, top, cores in inverse._tree(n, kappa)[1]:
+            for lo, j, top, cores, hi in far_parts(inverse._tree(n, kappa)):
                 b, end = hi - 1, min(top, n - 1)
                 starts = [j] + [e for _, e in cores]
                 assert [p for p, _ in cores] == starts[:-1]
@@ -472,13 +480,13 @@ class TestHierarchicalOperator:
             # and with the leaves' rows they hold each entry on and above
             # the diagonal once
             held = np.zeros((n, n), dtype=np.uint8)
-            for lo, hi, L in op.leaves:
+            for lo, hi, L, _ in op.leaves:
                 held[lo:hi, lo:lo + L.shape[1]] += 1
-            for lo, hi, j, top, *_ in op.far:
+            for lo, j, top, *_, hi in far_parts(op.leaves):
                 held[lo:hi, j:top] += 1
             assert np.array_equal(np.triu(held), np.triu(np.ones_like(held)))
-            stored = sum(L.size for *_, L in op.leaves)
-            stored += sum(F.size for *_, F, B, scale in op.far)
+            stored = sum(L.size for _, _, L, _ in op.leaves)
+            stored += sum(F.size for _, _, _, F, *_ in far_parts(op.leaves))
             if n == 2001:
                 assert stored < 0.1 * n * n
         inverse._OPERATOR.clear()
@@ -845,8 +853,8 @@ def cell_table():
     cells, far cells up to m = 2^26 - 1, and from the first far part of
     the tree at n = 2001 that has cores, its Chebyshev rows with the
     Chebyshev cells of its first core and with its last exact column,
-    and a row at alpha = 0 as the far parts take it, 2^-100.  Print it
-    with
+    and a row at 2^-100, whose cells are those of row 0, alpha = 0, to the
+    last bit.  Print it with
     PYTHONPATH=src:tests python tests/test_inverse.py (needs mpmath)."""
     import mpmath as mp
 
@@ -859,8 +867,8 @@ def cell_table():
     rows = []
     with mp.workdps(200):
         for kappa in (1e-6, 0.005, 0.5, 0.999):
-            lo, hi, j, top, cores = next(part for part in inverse._tree(2001, kappa)[1]
-                                         if part[4])
+            lo, j, top, cores, hi = next(part for part in far_parts(inverse._tree(2001, kappa))
+                                         if part[3])
             x = (lo + (hi - lo - 1.0) * nodes).tolist()
             p, e = cores[0]
             y = (p - 1.0 + (e - p) * nodes).tolist()

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubeflood.analysis import _jump_aware_alphas
+from tubeflood.analysis import _jump_aware_alphas, run_mc
 from tubeflood.errors import ArgumentError
 from tubeflood import measures
+from tubeflood.forward import DisplacementCurve, build_curve, check_alpha_max
+from tubeflood.inverse import RecoveryConfig, recover_density
 from tubeflood.measures import (
     KAPPA_MAX,
     KAPPA_MIN,
@@ -809,6 +811,31 @@ class TestCheckKappa:
         for bad in (0.9995, 0.0, -0.2, math.nan, 1e-9):
             with pytest.raises(ArgumentError):
                 check_kappa(bad)
+
+
+# every entry point that takes a float argument, through measures.check_number
+NUMBER_ARGUMENTS = {
+    "RecoveryConfig.alpha_min": lambda v: RecoveryConfig(alpha_min=v),
+    "recover_density.alpha_min": lambda v: recover_density(
+        np.linspace(0, 1, 101), np.linspace(0, 1, 101) ** 2, 0.5, v),
+    "check_kappa": check_kappa,
+    "check_alpha_max": check_alpha_max,
+    "DisplacementCurve.alpha_max": lambda v: DisplacementCurve([0.0, 1.0], [0.0, 0.5], v, 0.5),
+    "DisplacementCurve.kappa": lambda v: DisplacementCurve([0.0, 1.0], [0.0, 0.5], 1.0, v),
+    "build_curve.alpha_max": lambda v: build_curve(Measure(atoms=((4.0, 1.0),)), 0.5, v, 11),
+    "build_curve.kappa": lambda v: build_curve(Measure(atoms=((4.0, 1.0),)), v, 10.0, 11),
+    "run_mc.alpha_max": lambda v: run_mc(1, 0, 0.5, v),
+    "run_mc.kappa": lambda v: run_mc(1, 0, v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMBER_ARGUMENTS))
+@pytest.mark.parametrize("bad", [None, "0.5", True, np.True_], ids=repr)
+def test_every_number_argument_refuses_a_non_number(entry, bad):
+    # no TypeError or bare ValueError from float() or a comparison, and a
+    # bool, which Python counts as an int, is not a number here either
+    with pytest.raises(ArgumentError, match="must be a number"):
+        NUMBER_ARGUMENTS[entry](bad)
 
 
 # the kernel tuples a tail pass takes: each kernel alone, and both at once
