@@ -39,7 +39,9 @@ from .measures import (
     check_count,
     check_kappa,
     check_length_range,
+    check_number,
     check_range,
+    check_rows,
     draw_atoms,
     moment,
     prefix_integral,
@@ -97,6 +99,7 @@ class AmbiguityPair:
 def stability_bound(kappa, alpha_max):
     """Explicit stability constant (1+kappa)/(2 kappa) (alpha_max + (3+kappa)/(1+kappa))."""
     kappa = check_kappa(kappa)
+    alpha_max = check_number("alpha_max", alpha_max)
     if not 0.0 <= alpha_max < math.inf:
         raise ArgumentError(f"alpha_max must be finite and >= 0, got {alpha_max}")
     return (1.0 + kappa) / (2.0 * kappa) * (alpha_max + (3.0 + kappa) / (1.0 + kappa))
@@ -109,6 +112,7 @@ def sinusoidal_perturbation(curve, delta0):
     insufficient, so the result is again a valid displacement curve with
     sup-perturbation at most delta0.
     """
+    delta0 = check_number("delta0", delta0)
     if not 0 <= delta0 < math.inf:
         raise ArgumentError("delta0 must be finite and >= 0")
     x, g = curve.x, curve.g
@@ -290,21 +294,17 @@ def run_mc(
     a valid atom.  jobs is kept for callers that pass it and must be 1.
     """
     check_count("n_trials", n_trials, 1)
-    if jobs != 1:
-        raise ArgumentError(f"trials run serially: jobs must be 1, got {jobs!r}")
-    check_count("seed", seed, 0)
+    check_count("jobs", jobs, 1, 1)   # trials run serially
+    check_count("seed", seed, 0, maximum=None)
     kappa = check_kappa(kappa)
     check_count("n_grid", n_grid, 2)
     alpha_max = check_alpha_max(alpha_max)
+    check_rows("n_atoms_range", (n_atoms_range,), 2)   # a pair of numbers
     lo, hi = n_atoms_range
     check_count("n_atoms_range[0]", lo, 1)
-    check_count("n_atoms_range[1]", hi, lo)
-    if hi > MC_MAX_ATOMS:
-        raise ArgumentError(
-            f"n_atoms_range[1] must be at most MC_MAX_ATOMS={MC_MAX_ATOMS}, got {hi}: "
-            "an accepted trial samples each curve at about three alphas per atom, "
-            "about 0.16 s of CPU at 10**4 atoms"
-        )
+    # an accepted trial samples each curve at about three alphas per atom,
+    # about 0.16 s of CPU at 10**4 atoms
+    check_count("n_atoms_range[1]", hi, lo, MC_MAX_ATOMS)
     l_range = check_length_range("l_range", l_range)
     s_range = check_range("s_range", s_range)
     if not l_range[1] <= alpha_max:
@@ -365,13 +365,14 @@ def ambiguity_pair(alpha0, k_factor):
     density k^2 on [(alpha0+1)/k, (alpha0+2)/k].  Requires
     0 < k < 1 + 1/alpha0 so the rescaled tail stays above alpha0.
     """
+    alpha0, k_factor = check_number("alpha0", alpha0), check_number("k", k_factor)
     if not alpha0 > 1:
         raise ArgumentError("alpha0 must be > 1")
     if not 0 < k_factor < 1 + 1 / alpha0:
         raise ArgumentError(
             f"k must lie in (0, {1 + 1 / alpha0:g}) for alpha0={alpha0}, got {k_factor}"
         )
-    shared = (1.0, float(alpha0), 1.0)
+    shared = (1.0, alpha0, 1.0)
     mu1 = Measure(pieces=(shared, (alpha0 + 1.0, alpha0 + 2.0, 1.0)))
     mu2 = Measure(
         pieces=(
@@ -392,6 +393,7 @@ def curve_gap(pair, kappa, alpha_probe, n_grid=2001):
     """
     kappa = check_kappa(kappa)
     check_count("n_grid", n_grid, 2)
+    alpha_probe = check_number("alpha_probe", alpha_probe)
     if not 0 <= alpha_probe <= pair.alpha0:
         raise ArgumentError("probe must lie in [0, alpha0]")
     alpha_max = max(pair.mu1.support_sup, pair.mu2.support_sup)
@@ -412,6 +414,7 @@ def ambiguity_series_estimate(pair, kappa, alpha_probe):
     difference of the tails' harmonic moments.
     """
     kappa = check_kappa(kappa)
+    alpha_probe = check_number("alpha_probe", alpha_probe)
     d_inv = abs(
         moment(pair.mu1, -1, pair.alpha0) - moment(pair.mu2, -1, pair.alpha0)
     )

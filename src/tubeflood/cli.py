@@ -7,6 +7,11 @@ Data contracts:
     written as null); errors are emitted as a JSON object on stderr.
   * exit codes: 0 success, 2 invalid input (config, flags or curve CSV,
     or sizes too large to allocate), 4 internal-consistency failure.
+  * config values reach the API as the JSON holds them, and the API's
+    rules check them (measures.check_number and its kin): a number given
+    as a JSON string, or a count given as a float, exits 2 with the API's
+    message.  Only the structure of a config is checked here: a missing
+    key or an entry that is not an object is a malformed config.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import analysis, forward, inverse, tubes
 from .errors import ArgumentError, InternalConsistencyError
-from .measures import Measure
+from .measures import Measure, check_count, check_number
 
 # ---------------------------------------------------------------------------
 # IO helpers
@@ -56,24 +61,17 @@ def _load_json(path):
             config = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past Python's 4300 digits
         raise ArgumentError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ArgumentError(f"{path}: config must be a JSON object")
     return config
 
 
-def _number(value):
-    """value as a float; ValueError for a JSON true or false, which Python
-    reads as the number 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"need a number, got {json.dumps(value)}")
-    return float(value)
-
-
 def _atoms(items):
-    """(L, S) pairs from a JSON list of {"L", "S"} objects."""
-    return tuple((_number(d["L"]), _number(d["S"])) for d in items)
+    """(L, S) pairs from a JSON list of {"L", "S"} objects, as the JSON
+    holds them: Measure checks each value."""
+    return tuple((d["L"], d["S"]) for d in items)
 
 
 def _measure_from_config(config):
@@ -87,38 +85,18 @@ def _measure_from_config(config):
         raise ArgumentError("measure block must be a JSON object")
     try:
         atoms = _atoms(block.get("atoms", []))
-        pieces = tuple(
-            (_number(d["a"]), _number(d["b"]), _number(d["rho"]))
-            for d in block.get("pieces", [])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        pieces = tuple((d["a"], d["b"], d["rho"]) for d in block.get("pieces", []))
+    except (KeyError, TypeError) as exc:
         raise ArgumentError(f"malformed measure config: {exc}") from exc
     return Measure(atoms=atoms, pieces=pieces)
 
 
-def _cast(key, value, cast):
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ArgumentError(f"option {key!r}: {exc}") from exc
-
-
-def _integer(value):
-    """value as an int if it is an integral number up to 2**53, the largest
-    integer a JSON number holds exactly; ValueError otherwise."""
-    number = _number(value)
-    if not (abs(number) <= 2**53 and number == math.floor(number)):
-        raise ValueError(f"need an integer of at most 2**53, got {value!r}")
-    return int(number)
-
-
-def _required(config, key, flag_value, cast=_number):
-    """Numeric option: command-line flag wins over the config file."""
-    if flag_value is not None:
-        return _cast(key, flag_value, cast)
-    if key in config:
-        return _cast(key, config[key], cast)
-    raise ArgumentError(f"missing required option {key!r}")
+def _required(config, key, flag_value):
+    """Numeric option: command-line flag wins over the config file.  The
+    value goes to the API as it is, and the API checks it."""
+    if flag_value is None and key not in config:
+        raise ArgumentError(f"missing required option {key!r}")
+    return config[key] if flag_value is None else flag_value
 
 
 def read_curve_csv(path, kappa, alpha_max):
@@ -184,7 +162,7 @@ def _cmd_forward(args):
     mu = _measure_from_config(config)
     kappa = _required(config, "kappa", args.kappa)
     alpha_max = _required(config, "alpha_max", args.alpha_max)
-    n_samples = _required(config, "n_samples", args.n_samples, cast=_integer)
+    n_samples = _required(config, "n_samples", args.n_samples)
 
     curve = forward.build_curve(mu, kappa, alpha_max, n_samples)
     alphas = np.linspace(0.0, alpha_max, n_samples)
@@ -230,18 +208,16 @@ def _cmd_invert(args):
 def _cmd_tubes(args):
     config = _load_json(args.config)
     try:
-        system = tubes.TubeSystem(_atoms(config["tubes"]))
-        pump = tubes.PumpHistory(
-            tuple(map(_number, config["pump"]["breakpoints"])),
-            tuple(map(_number, config["pump"]["c"])),
-        )
-        kappa = _number(config["kappa"])
-        t_max = _number(config["t_max"])
-        n_steps = _integer(config["n_steps"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        tube_rows = _atoms(config["tubes"])
+        pump_rows = config["pump"]["breakpoints"], config["pump"]["c"]
+        kappa, t_max, n_steps = config["kappa"], config["t_max"], config["n_steps"]
+    except (KeyError, TypeError) as exc:
         raise ArgumentError(f"malformed tubes config: {exc}") from exc
-    if n_steps < 2 or not 0 < t_max < math.inf:
-        raise ArgumentError("need a finite t_max > 0 and n_steps >= 2")
+    system, pump = tubes.TubeSystem(tube_rows), tubes.PumpHistory(*pump_rows)
+    t_max = check_number("t_max", t_max)
+    check_count("n_steps", n_steps, 2)
+    if not 0 < t_max < math.inf:
+        raise ArgumentError("need a finite t_max > 0")
 
     t_grid = np.linspace(0.0, t_max, n_steps)
     result = tubes.simulate(system, kappa, pump, t_grid)
@@ -269,8 +245,7 @@ def _cmd_stability(args):
         mu = _measure_from_config(config)
         kappa = _required(config, "kappa", args.kappa)
         alpha_max = _required(config, "alpha_max", args.alpha_max)
-        n_samples = _cast("n_samples", config.get("n_samples", 2001), _integer)
-        curve1 = forward.build_curve(mu, kappa, alpha_max, n_samples)
+        curve1 = forward.build_curve(mu, kappa, alpha_max, config.get("n_samples", 2001))
         curve2 = analysis.sinusoidal_perturbation(
             curve1, args.delta0_rel * curve1.v_max
         )

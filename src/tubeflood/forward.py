@@ -34,6 +34,7 @@ from .measures import (
     LENGTH_MIN,
     OIL_RATE,
     OIL_VOLUME,
+    check_array,
     check_count,
     check_kappa,
     check_number,
@@ -74,17 +75,21 @@ def _water_cut(wp, op):
     return np.divide(wp, den, out=np.zeros_like(den), where=den > 0)
 
 
+def _sampler_args(kappa, alphas):
+    """kappa through check_kappa and alphas through check_array: the one
+    check of the arguments every sampler takes."""
+    return check_kappa(kappa), check_array("alpha", alphas)
+
+
 def v_w_samples(mu, kappa, alphas):
     """V_w on an array of alpha values (closed form)."""
-    kappa = check_kappa(kappa)
-    alphas = np.asarray(alphas, dtype=float)
+    kappa, alphas = _sampler_args(kappa, alphas)
     return _v_w(kappa, alphas, prefix_integral(mu, -1, alphas), prefix_integral(mu, 1, alphas))
 
 
 def v_o_samples(mu, kappa, alphas):
     """V_o on an array of alpha values (closed form)."""
-    kappa = check_kappa(kappa)
-    alphas = np.asarray(alphas, dtype=float)
+    kappa, alphas = _sampler_args(kappa, alphas)
     (oil,) = tail_integral(mu, (OIL_VOLUME,), kappa, alphas)
     return _v_o(kappa, prefix_integral(mu, 1, alphas), oil)
 
@@ -94,8 +99,7 @@ def v_w_prime_samples(mu, kappa, alphas):
 
     At an atom location the right limit is taken (the atom is included).
     """
-    kappa = check_kappa(kappa)
-    alphas = np.asarray(alphas, dtype=float)
+    kappa, alphas = _sampler_args(kappa, alphas)
     return _v_w_prime(kappa, alphas, prefix_integral(mu, -1, alphas, inclusive=True))
 
 
@@ -104,8 +108,7 @@ def v_o_prime_samples(mu, kappa, alphas):
 
     At an atom location the right limit is taken (the atom is excluded).
     """
-    kappa = check_kappa(kappa)
-    alphas = np.asarray(alphas, dtype=float)
+    kappa, alphas = _sampler_args(kappa, alphas)
     (rate,) = tail_integral(mu, (OIL_RATE,), kappa, alphas)
     return _v_o_prime(kappa, alphas, rate)
 
@@ -124,8 +127,7 @@ def volumes_and_water_cut(mu, kappa, alphas):
     are the ones v_w_samples, v_o_samples and water_cut_samples apply, so
     the three arrays equal theirs bit for bit.
     """
-    kappa = check_kappa(kappa)
-    alphas = np.asarray(alphas, dtype=float)
+    kappa, alphas = _sampler_args(kappa, alphas)
     m_one = prefix_integral(mu, 1, alphas)
     oil, rate = tail_integral(mu, (OIL_VOLUME, OIL_RATE), kappa, alphas)
     vw = _v_w(kappa, alphas, prefix_integral(mu, -1, alphas), m_one)
@@ -141,8 +143,10 @@ def volumes_and_water_cut(mu, kappa, alphas):
 class DisplacementCurve:
     """Sampled displacement characteristic: water produced vs total produced.
 
-    x must be strictly increasing with x[0] = 0, g nondecreasing with
-    g[0] = 0, g <= x, and unit Lipschitz bound between adjacent samples.
+    x and g are arrays of numbers (check_array: no strings, bools or
+    complex values); x is strictly increasing with x[0] = 0, g
+    nondecreasing with g[0] = 0, g <= x, and unit Lipschitz bound between
+    adjacent samples.
     Evaluation interpolates piecewise-linearly and clamps outside [0, v_max],
     which preserves monotonicity and the Lipschitz bound.
     """
@@ -153,8 +157,7 @@ class DisplacementCurve:
     kappa: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        g = np.asarray(self.g, dtype=float)
+        x, g = check_array("x", self.x), check_array("g", self.g)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "kappa", check_kappa(self.kappa))

@@ -97,7 +97,9 @@ import numpy as np
 from .errors import ArgumentError, overflow_guard
 from .forward import curve_readoff
 from . import measures
-from .measures import _block_buffers, check_count, check_kappa, check_number, row_blocks
+from .measures import (
+    _block_buffers, check_array, check_count, check_kappa, check_number, row_blocks
+)
 
 # The cached operator: at most one entry, keyed by (n, kappa).
 _OPERATOR = {}
@@ -135,12 +137,7 @@ class RecoveryConfig:
     alpha_min: float = 0.0
 
     def __post_init__(self):
-        check_count("n_grid", self.n_grid, 3)
-        if self.n_grid > _MAX_GRID:
-            raise ArgumentError(
-                f"n_grid must be at most 2**26, got {self.n_grid}: the operator "
-                "squares node indices, exact in doubles only up to there"
-            )
+        check_count("n_grid", self.n_grid, 3, _MAX_GRID)
         check_number("alpha_min", self.alpha_min)
         if not self.alpha_min >= 0:
             raise ArgumentError("alpha_min must be >= 0")
@@ -626,10 +623,10 @@ def apply_T(v, kappa, alpha_max):
     samples TV on the same grid, with (TV)(alpha_max) = 0 exactly.
     """
     kappa = check_kappa(kappa)
-    v = np.asarray(v, dtype=float)
+    v = check_array("v", v)
     if v.ndim != 1 or v.size < 2:
         raise ArgumentError("v must be a 1-d array of >= 2 grid samples")
-    if not alpha_max > 0:
+    if not check_number("alpha_max", alpha_max) > 0:
         raise ArgumentError("alpha_max must be > 0")
     return _unit_t_matrix(v.size, kappa).matvec(v)
 
@@ -652,9 +649,12 @@ def h_of_alpha(v_w_max, v_w_prime_max, kappa, alpha_max, alpha):
     h = kappa/(1-kappa^2) gap (alpha_max V_w' + gap/rho V_w).
     """
     kappa = check_kappa(kappa)
+    alpha_max = check_number("alpha_max", alpha_max)
     if not 0 < alpha_max < math.inf:
         raise ArgumentError("alpha_max must be > 0 and finite")
-    a = np.asarray(alpha, dtype=float)
+    v_w_max = check_number("v_w_max", v_w_max)
+    v_w_prime_max = check_number("v_w_prime_max", v_w_prime_max)
+    a = check_array("alpha", alpha)
     if not np.all((0 <= a) & (a <= alpha_max * (1 + 1e-12))):
         raise ArgumentError("alpha must lie in [0, alpha_max]")
     c = 1.0 - kappa * kappa
@@ -714,8 +714,7 @@ def _phi(grid, v, kappa):
     from 0 to grid[-1] > 0 in steps that spread by at most 1e-6 of the
     first (rounding moves a linspace step by about n_grid * 3e-16 of it).
     """
-    grid = np.asarray(grid, dtype=float)
-    v = np.asarray(v, dtype=float)
+    grid, v = check_array("grid", grid), check_array("v", v)
     if not (grid.ndim == v.ndim == 1 and grid.size == v.size >= 3):
         raise ArgumentError("grid and v must be 1-d arrays of one length >= 3")
     if not (np.isfinite(grid).all() and np.isfinite(v).all()):
@@ -754,7 +753,7 @@ def recover_density(grid, v, kappa, alpha_min):
     outside the window, and negatives are clipped to 0 inside (count
     returned).  Only meaningful when the measure has a continuous density.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = check_array("grid", grid)
     check_number("alpha_min", alpha_min)
     if not alpha_min > 0:
         raise ArgumentError("alpha_min must be > 0 (density formula divides by alpha)")

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 import sys
 import threading
 from dataclasses import dataclass
@@ -190,10 +191,50 @@ def row_blocks(n_rows, n_cols):
 def check_number(name, value):
     """Refuse a bool or a non-number as name, returning a number as float:
     Python's bool is an int, and None or a string would raise TypeError
-    when compared, or be parsed by float()."""
+    when compared, or be parsed by float().  An int past the doubles is
+    refused too, where float() would raise OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ArgumentError(f"{name} must be a number, got {value!r}")
-    return float(value)
+        raise ArgumentError(f"{name} must be a number, got {reprlib.repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ArgumentError(f"{name} must be a number within the doubles") from None
+
+
+def check_rows(name, rows, width=None):
+    """rows as a tuple of tuples of floats, each of width entries (of any
+    width if None); ArgumentError for a non-sequence, a row of another
+    width or an entry that check_number refuses.
+
+    The rule of the package's sequence arguments: a measure's atoms and
+    pieces, a pump's breakpoints and drives, a sampling range.  Rows of
+    Python floats, as tolist() gives them, pass one type test over all of
+    their entries and come back as they are; only other rows pay a
+    check_number call per entry.
+    """
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise ArgumentError(f"{name} must be a sequence of rows, got {reprlib.repr(rows)}")
+    if width is not None and not set(map(len, rows)) <= {width}:
+        raise ArgumentError(f"each row of {name} must hold {width} numbers")
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+        return rows
+    return tuple(tuple(check_number(f"an entry of {name}", v) for v in row) for row in rows)
+
+
+def check_array(name, values):
+    """values as a float array; ArgumentError unless NumPy reads them as an
+    array of integers or floats: a string, a bool, a complex number, None
+    or a ragged list is not a number, and np.asarray(..., dtype=float)
+    would parse the strings and take the bools as 0 and 1."""
+    try:
+        array = np.asarray(values)
+    except ValueError:   # a ragged list
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ArgumentError(f"{name} must be an array of numbers, got {reprlib.repr(values)}")
+    return array.astype(float, copy=False)
 
 
 def check_kappa(kappa):
@@ -206,12 +247,18 @@ def check_kappa(kappa):
     return kappa
 
 
-def check_count(name, value, minimum):
-    """Validate an integer argument >= minimum: a count (samples, grid nodes,
-    trials) or a seed.  A bool is not one, though Python's bool is an int."""
+def check_count(name, value, minimum, maximum=2**53):
+    """Validate an integer argument in [minimum, maximum]: a count (samples,
+    grid nodes, trials) or a seed, which has no maximum (None).  A bool is
+    not one, though Python's bool is an int.  A count's default maximum,
+    2**53, is the last integer that a double, and so any JSON reader, holds
+    exactly; an array of that many doubles is past any memory (MemoryError),
+    where NumPy raises a bare ValueError for sizes from about 2**60."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ArgumentError(f"{name} must be at most {maximum}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +271,9 @@ class Measure:
     The constructor builds all of its state (atoms sorted by length, prefix
     sums of S L^p, support_sup) and raises ArgumentError there on a moment
     past the doubles, of an atom, a piece or the whole measure, on an L
-    whose square is not a finite normal double or on a subnormal a.
+    whose square is not a finite normal double or on a subnormal a, and
+    on a row of the wrong length or an entry that is not a number
+    (check_rows).
     Immutable; all operations on it are pure.
     """
 
@@ -232,8 +281,8 @@ class Measure:
     pieces: tuple = ()
 
     def __post_init__(self):
-        atoms = tuple((float(L), float(S)) for L, S in self.atoms)
-        pieces = tuple((float(a), float(b), float(r)) for a, b, r in self.pieces)
+        atoms = check_rows("atoms", self.atoms, 2)
+        pieces = check_rows("pieces", self.pieces, 3)
         flat = np.fromiter(itertools.chain.from_iterable(atoms), float, 2 * len(atoms))
         L, S = flat.reshape(-1, 2).T
         ok = (LENGTH_MIN <= L) & (L < LENGTH_MAX) & (S > 0.0) & (S < math.inf)
@@ -290,7 +339,7 @@ def atom_prefix_sums(L, S):
 def _alpha_array(alphas):
     """alphas as a float array, each in [0, LENGTH_MAX): the one check on
     alpha arrays, so that alpha^2 stays a finite double."""
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = check_array("alpha", alphas)
     if alphas.size and not (alphas.min() >= 0.0 and alphas.max() < LENGTH_MAX):
         raise ArgumentError("alpha must lie in [0, 2**512)")
     return alphas
@@ -319,8 +368,7 @@ def _prefix_integral(mu, p, alphas, inclusive=False):
     moment checks its two scalar ends itself and calls this directly: the
     array check would otherwise be a large share of a scalar call.
     """
-    if p not in _PIECE_PREFIX:
-        raise ArgumentError(f"moment exponent must be -1, 0 or 1, got {p}")
+    check_count("moment exponent", p, -1, 1)
     out = np.zeros_like(alphas)
     for pa, pb, rho in mu.pieces:
         out += rho * _PIECE_PREFIX[p](np.clip(alphas, pa, pb), pa)
@@ -732,6 +780,7 @@ def moment(mu, p, a=0.0, b=math.inf):
     The difference of two prefix integrals: an atom at L counts iff
     a <= L < b; density pieces are integrated in closed form.
     """
+    a, b = check_number("a", a), check_number("b", b)
     if not 0 <= a <= b:
         raise ArgumentError(f"need 0 <= a <= b, got [{a}, {b})")
     lo, hi = _prefix_integral(mu, p, np.array([a, b], dtype=float))
@@ -744,9 +793,9 @@ def scale(mu, k):
     Atoms (L, S) -> (L/k, k S); pieces (a, b, rho) -> (a/k, b/k, k^2 rho).
     Pore volume (the first moment) is invariant; total mass gains a factor k.
     """
+    k = check_number("scale factor", k)
     if not k > 0:
         raise ArgumentError(f"scale factor must be > 0, got {k}")
-    k = float(k)
     return Measure(
         atoms=tuple((L / k, k * S) for L, S in mu.atoms),
         pieces=tuple((a / k, b / k, k * k * r) for a, b, r in mu.pieces),
@@ -759,7 +808,7 @@ def check_range(name, bounds):
     Every uniform draw from it then lies in [lo, hi], a valid atom length
     or section.  Returns the bounds as floats.
     """
-    lo, hi = (float(b) for b in bounds)
+    ((lo, hi),) = check_rows(name, (bounds,), 2)
     if not sys.float_info.min <= lo < hi < math.inf:
         raise ArgumentError(
             f"{name} must be normal doubles 0 < lo < hi < inf, got {tuple(bounds)}"
@@ -802,5 +851,7 @@ def random_atoms(seed, n, L_range=(2.5, 10.0), S_range=(0.5, 2.0)):
     check_count("n", n, 1)
     L_range = check_length_range("L_range", L_range)
     S_range = check_range("S_range", S_range)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return atoms_measure(*draw_atoms(rng, n, L_range, S_range))
+    if not isinstance(seed, np.random.Generator):
+        check_count("seed", seed, 0, maximum=None)
+        seed = np.random.default_rng(seed)
+    return atoms_measure(*draw_atoms(seed, n, L_range, S_range))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, overflow_guard
-from .measures import Measure, check_kappa, row_blocks
+from .measures import Measure, check_array, check_kappa, check_rows, row_blocks
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,15 @@ class PumpHistory:
     ``c_values[i]`` holds on [breakpoints[i], breakpoints[i+1]); the last
     value extends to infinity.  F is continuous, nondecreasing and
     piecewise-linear with F(0) = 0.  The constructor builds F at every
-    breakpoint; an F there that overflows a double raises ArgumentError.
+    breakpoint; an F there that overflows a double raises ArgumentError,
+    as does a breakpoint or a drive that is not a number (check_rows).
     """
 
     breakpoints: tuple
     c_values: tuple
 
     def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        cv = tuple(float(c) for c in self.c_values)
+        bp, cv = check_rows("pump history", (self.breakpoints, self.c_values))
         if len(bp) != len(cv) or not bp:
             raise ArgumentError("need one c value per breakpoint")
         if bp[0] != 0.0:
@@ -89,7 +89,7 @@ class PumpHistory:
     def F_at(self, t):
         """Cumulative pumped volume per unit area at time(s) t >= 0; a
         volume past the doubles raises ArgumentError."""
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = check_array("t", t)
         if not np.all((0 <= t_arr) & (t_arr < math.inf)):
             raise ArgumentError("pump history is defined for finite t >= 0 only")
         idx = np.clip(np.searchsorted(self._bp, t_arr, side="right") - 1, 0, None)
@@ -101,7 +101,7 @@ class PumpHistory:
 
         A value <= 0 (-inf too) gives 0, +inf gives inf, and a NaN value
         raises ArgumentError."""
-        v = np.asarray(value, dtype=float)
+        v = check_array("pumped volume", value)
         if np.isnan(v).any():
             raise ArgumentError("a pumped volume to invert must not be NaN")
         cum = self._cum
@@ -132,7 +132,7 @@ class TubeSimResult:
 
 def breakthrough_threshold(L, kappa):
     """Pumped volume per unit area at which a tube of length L breaks through."""
-    lengths = np.asarray(L, dtype=float)
+    lengths = check_array("tube length", L)
     if not np.all((0 < lengths) & (lengths < math.inf)):
         raise ArgumentError("tube length must be > 0 and finite")
     kappa = check_kappa(kappa)
@@ -191,7 +191,7 @@ def simulate(sys, kappa, pump, t_grid):
     double (a huge L, S or drive) raises ArgumentError.
     """
     kappa = check_kappa(kappa)
-    t = np.asarray(t_grid, dtype=float)
+    t = check_array("t_grid", t_grid)
     if t.ndim != 1 or t.size == 0:
         raise ArgumentError("t_grid must be a nonempty 1-d array")
     if t[0] != 0.0 or not np.all(np.diff(t) >= 0):   # a NaN is unsorted

@@ -2,10 +2,13 @@
 
 Each numeric flag and config field of every subcommand is drawn from
 {nan, inf, -inf, 0, -1, 1e160, 1e308, 1e-160, 1e-320, 21.7, a valid value},
-with small grids: every field alone takes each bad value, and random pairs
-of fields take bad values together.  Every run must exit 0 or 2, let no
-exception escape and fire no RuntimeWarning (pytest turns those into
-errors), and a successful run must write finite volumes.
+and each config field also from a value of another JSON type, {null, "0.5",
+true, [0.5], {}} (argparse types the flags), with small grids: every field
+alone takes each bad value, and random pairs of fields take bad values
+together.  Every run must exit 0 or 2, let no exception escape and fire no
+RuntimeWarning (pytest turns those into errors), and a successful run must
+write finite volumes.  A forward config runs if and only if the API takes
+its values: the CLI passes them on as the JSON holds them.
 """
 
 import json
@@ -17,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubeflood import cli, forward
+from tubeflood.errors import ArgumentError
 from tubeflood.measures import Measure
 
 BAD = (math.nan, math.inf, -math.inf, 0, -1, 1e160, 1e308, 1e-160, 1e-320, 21.7)
+# config values of another JSON type than a number
+WRONG_TYPE = (None, "0.5", True, [0.5], {})
 ABSENT = None
 
 CURVE = forward.build_curve(Measure(pieces=((0.5, 1.5, 1.0),)), 0.5, 2.0, 101)
@@ -107,9 +113,15 @@ def written_volumes(sub, work):
 
 
 def corruptions(sub, size):
-    """size distinct fields of sub, each with a value from BAD."""
-    pair = st.tuples(st.sampled_from(sorted(FIELDS[sub])), st.sampled_from(BAD))
-    return st.lists(pair, min_size=size, max_size=size, unique_by=lambda p: p[0])
+    """size distinct fields of sub, each with a value from BAD, or for a
+    config field from BAD or WRONG_TYPE."""
+    pairs = [
+        (field, bad) for field in sorted(FIELDS[sub])
+        for bad in BAD + (() if field.startswith("--") else WRONG_TYPE)
+    ]
+    return st.lists(
+        st.sampled_from(pairs), min_size=size, max_size=size, unique_by=lambda p: p[0]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +140,11 @@ def check_run(work, sub, changed):
         assert np.all(np.isfinite(written_volumes(sub, work))), values
 
 
-# one bad field: at most 9 fields x 10 values, a space hypothesis exhausts
-# (it draws each pair at most once, so 90 examples draw them all)
+# one bad field: at most 8 config fields x 15 values (or 9 flags x 10), a
+# space hypothesis exhausts (it draws each pair at most once, so 120
+# examples draw them all)
 @pytest.mark.parametrize("sub", sorted(FIELDS))
-@settings(max_examples=90, derandomize=True, deadline=None, database=None)
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_one_bad_field(work, sub, data):
     check_run(work, sub, data.draw(corruptions(sub, 1)))
@@ -142,3 +155,39 @@ def test_one_bad_field(work, sub, data):
 @given(data=st.data())
 def test_two_bad_fields(work, sub, data):
     check_run(work, sub, data.draw(corruptions(sub, 2)))
+
+
+# valid numbers of each forward config field, JSON integers among them
+FORWARD_VALUES = {
+    "kappa": (0.5, 0.25), "alpha_max": (10.0, 12), "n_samples": (21, 11),
+    "L": (4.0, 2), "S": (1.0, 0.5), "a": (3.0, 1), "b": (9.0, 10), "rho": (1.0, 0),
+}
+
+
+# no field, or one field, of another JSON type: each such value in each field
+@pytest.mark.parametrize(
+    "wrong", [{}] + [{k: w} for k in sorted(FORWARD_VALUES) for w in WRONG_TYPE], ids=repr
+)
+@settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_forward_runs_if_and_only_if_the_api_takes_the_config(work, wrong, data):
+    v = {k: data.draw(st.sampled_from(valid), label=k) for k, valid in FORWARD_VALUES.items()}
+    v.update(wrong)
+    config = {
+        "measure": {
+            "atoms": [{"L": v["L"], "S": v["S"]}],
+            "pieces": [{"a": v["a"], "b": v["b"], "rho": v["rho"]}],
+        },
+        **{k: v[k] for k in ("kappa", "alpha_max", "n_samples")},
+    }
+    (work / "config.json").write_text(json.dumps(config))
+    try:
+        mu = Measure(atoms=((v["L"], v["S"]),), pieces=((v["a"], v["b"], v["rho"]),))
+        forward.build_curve(mu, v["kappa"], v["alpha_max"], v["n_samples"])
+        want = 0
+    except ArgumentError:
+        want = 2
+    out = work / "out.csv"
+    out.unlink(missing_ok=True)
+    assert run(["forward", str(work / "config.json"), "--out", str(out)]) == want, v
+    assert out.exists() == (want == 0)

@@ -11,11 +11,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubeflood.analysis import _jump_aware_alphas, run_mc
+from tubeflood.analysis import (
+    _jump_aware_alphas,
+    ambiguity_pair,
+    ambiguity_series_estimate,
+    curve_gap,
+    run_mc,
+    sensitivity_constant,
+    sinusoidal_perturbation,
+    stability_bound,
+)
 from tubeflood.errors import ArgumentError
 from tubeflood import measures
-from tubeflood.forward import DisplacementCurve, build_curve, check_alpha_max
-from tubeflood.inverse import RecoveryConfig, recover_density
+from tubeflood.forward import (
+    DisplacementCurve,
+    build_curve,
+    check_alpha_max,
+    endpoint_data,
+    v_o_prime_samples,
+    v_o_samples,
+    v_w_prime_samples,
+    v_w_samples,
+    volumes_and_water_cut,
+    water_cut_samples,
+)
+from tubeflood.inverse import RecoveryConfig, apply_T, h_of_alpha, recover_cdf, recover_density
 from tubeflood.measures import (
     KAPPA_MAX,
     KAPPA_MIN,
@@ -28,6 +48,9 @@ from tubeflood.measures import (
     random_atoms,
     scale,
     tail_integral,
+)
+from tubeflood.tubes import (
+    PumpHistory, TubeSystem, breakthrough_threshold, reparam_xi, simulate
 )
 
 from helpers import random_measure
@@ -813,29 +836,178 @@ class TestCheckKappa:
                 check_kappa(bad)
 
 
-# every entry point that takes a float argument, through measures.check_number
+# The input boundary: every root export and every module function README
+# names refuses a non-number with ArgumentError, through the rules of
+# measures (check_number, check_count, check_rows and check_array), before
+# float() or NumPy sees it.  The valid values around each bad one are chosen
+# so that nothing but the bad one can be refused.
+MU = Measure(atoms=((4.0, 1.0),))
+GRID = np.linspace(0.0, 1.0, 101)
+CURVE = build_curve(MU, 0.5, 10.0, 11)
+PAIR = ambiguity_pair(2.0, 1.2)
+PUMP = PumpHistory((0.0, 1.0), (1.0, 0.5))
+SYSTEM = TubeSystem(((1.0, 1.0),))
+
+# scalar arguments and fields, each a call of the one value
 NUMBER_ARGUMENTS = {
     "RecoveryConfig.alpha_min": lambda v: RecoveryConfig(alpha_min=v),
-    "recover_density.alpha_min": lambda v: recover_density(
-        np.linspace(0, 1, 101), np.linspace(0, 1, 101) ** 2, 0.5, v),
+    "recover_density.alpha_min": lambda v: recover_density(GRID, GRID**2, 0.5, v),
+    "recover_density.kappa": lambda v: recover_density(GRID, GRID**2, v, 0.5),
+    "recover_cdf.kappa": lambda v: recover_cdf(GRID, GRID**2, v),
     "check_kappa": check_kappa,
     "check_alpha_max": check_alpha_max,
     "DisplacementCurve.alpha_max": lambda v: DisplacementCurve([0.0, 1.0], [0.0, 0.5], v, 0.5),
     "DisplacementCurve.kappa": lambda v: DisplacementCurve([0.0, 1.0], [0.0, 0.5], 1.0, v),
-    "build_curve.alpha_max": lambda v: build_curve(Measure(atoms=((4.0, 1.0),)), 0.5, v, 11),
-    "build_curve.kappa": lambda v: build_curve(Measure(atoms=((4.0, 1.0),)), v, 10.0, 11),
+    "build_curve.alpha_max": lambda v: build_curve(MU, 0.5, v, 11),
+    "build_curve.kappa": lambda v: build_curve(MU, v, 10.0, 11),
+    "endpoint_data.kappa": lambda v: endpoint_data(MU, v, 10.0),
+    "endpoint_data.alpha_max": lambda v: endpoint_data(MU, 0.5, v),
     "run_mc.alpha_max": lambda v: run_mc(1, 0, 0.5, v),
     "run_mc.kappa": lambda v: run_mc(1, 0, v),
+    "sensitivity_constant.kappa": lambda v: sensitivity_constant(MU, MU, v, 10.0),
+    "sensitivity_constant.alpha_max": lambda v: sensitivity_constant(MU, MU, 0.5, v),
+    "stability_bound.kappa": lambda v: stability_bound(v, 10.0),
+    "stability_bound.alpha_max": lambda v: stability_bound(0.5, v),
+    "sinusoidal_perturbation.delta0": lambda v: sinusoidal_perturbation(CURVE, v),
+    "ambiguity_pair.alpha0": lambda v: ambiguity_pair(v, 1.2),
+    "ambiguity_pair.k": lambda v: ambiguity_pair(2.0, v),
+    "curve_gap.kappa": lambda v: curve_gap(PAIR, v, 1.0, 11),
+    "curve_gap.alpha_probe": lambda v: curve_gap(PAIR, 0.5, v, 11),
+    "ambiguity_series_estimate.kappa": lambda v: ambiguity_series_estimate(PAIR, v, 1.0),
+    "ambiguity_series_estimate.alpha_probe": lambda v: ambiguity_series_estimate(PAIR, 0.5, v),
+    "apply_T.kappa": lambda v: apply_T(np.zeros(5), v, 1.0),
+    "apply_T.alpha_max": lambda v: apply_T(np.zeros(5), 0.5, v),
+    "h_of_alpha.v_w_max": lambda v: h_of_alpha(v, 1.0, 0.5, 1.0, GRID),
+    "h_of_alpha.v_w_prime_max": lambda v: h_of_alpha(1.0, v, 0.5, 1.0, GRID),
+    "h_of_alpha.kappa": lambda v: h_of_alpha(1.0, 1.0, v, 1.0, GRID),
+    "h_of_alpha.alpha_max": lambda v: h_of_alpha(1.0, 1.0, 0.5, v, GRID),
+    "moment.a": lambda v: moment(MU, 1, v),
+    "moment.b": lambda v: moment(MU, 1, 0.0, v),
+    "scale.k": lambda v: scale(MU, v),
+    "tail_integral.kappa": lambda v: tail_integral(MU, (OIL_RATE,), v, GRID),
+    "simulate.kappa": lambda v: simulate(SYSTEM, v, PUMP, GRID),
+    "breakthrough_threshold.kappa": lambda v: breakthrough_threshold(GRID + 1.0, v),
+    "reparam_xi.kappa": lambda v: reparam_xi(PUMP, v, GRID),
+    **{
+        f"{f.__name__}.kappa": (lambda f: lambda v: f(MU, v, GRID))(f)
+        for f in (v_w_samples, v_o_samples, v_w_prime_samples, v_o_prime_samples,
+                  water_cut_samples, volumes_and_water_cut)
+    },
 }
 
+# integer arguments: counts, seeds and the moment exponent
+COUNT_ARGUMENTS = {
+    "RecoveryConfig.n_grid": lambda v: RecoveryConfig(n_grid=v),
+    "build_curve.n_samples": lambda v: build_curve(MU, 0.5, 10.0, v),
+    "curve_gap.n_grid": lambda v: curve_gap(PAIR, 0.5, 1.0, v),
+    "sensitivity_constant.n_grid": lambda v: sensitivity_constant(MU, MU, 0.5, 10.0, v),
+    "run_mc.n_trials": lambda v: run_mc(v, 0),
+    "run_mc.seed": lambda v: run_mc(1, v),
+    "run_mc.n_grid": lambda v: run_mc(1, 0, n_grid=v),
+    "run_mc.jobs": lambda v: run_mc(1, 0, jobs=v),
+    "random_atoms.seed": lambda v: random_atoms(v, 5),
+    "random_atoms.n": lambda v: random_atoms(0, v),
+    "moment.p": lambda v: moment(MU, v),
+    "prefix_integral.p": lambda v: prefix_integral(MU, v, GRID),
+}
 
-@pytest.mark.parametrize("entry", sorted(NUMBER_ARGUMENTS))
-@pytest.mark.parametrize("bad", [None, "0.5", True, np.True_], ids=repr)
-def test_every_number_argument_refuses_a_non_number(entry, bad):
-    # no TypeError or bare ValueError from float() or a comparison, and a
-    # bool, which Python counts as an int, is not a number here either
-    with pytest.raises(ArgumentError, match="must be a number"):
-        NUMBER_ARGUMENTS[entry](bad)
+# array arguments
+ARRAY_ARGUMENTS = {
+    "DisplacementCurve.x": lambda v: DisplacementCurve(v, [0.0, 0.5], 1.0, 0.5),
+    "DisplacementCurve.g": lambda v: DisplacementCurve([0.0, 1.0], v, 1.0, 0.5),
+    "simulate.t_grid": lambda v: simulate(SYSTEM, 0.5, PUMP, v),
+    "PumpHistory.F_at": lambda v: PUMP.F_at(v),
+    "PumpHistory.F_inverse": lambda v: PUMP.F_inverse(v),
+    "breakthrough_threshold.L": lambda v: breakthrough_threshold(v, 0.5),
+    "reparam_xi.t": lambda v: reparam_xi(PUMP, 0.5, v),
+    "apply_T.v": lambda v: apply_T(v, 0.5, 1.0),
+    "h_of_alpha.alpha": lambda v: h_of_alpha(1.0, 1.0, 0.5, 1.0, v),
+    "recover_cdf.grid": lambda v: recover_cdf(v, GRID**2, 0.5),
+    "recover_cdf.v": lambda v: recover_cdf(GRID, v, 0.5),
+    "recover_density.grid": lambda v: recover_density(v, GRID**2, 0.5, 0.5),
+    "recover_density.v": lambda v: recover_density(GRID, v, 0.5, 0.5),
+    "prefix_integral.alphas": lambda v: prefix_integral(MU, 1, v),
+    "tail_integral.lower": lambda v: tail_integral(MU, (OIL_RATE,), 0.5, v),
+    **{
+        f"{f.__name__}.alphas": (lambda f: lambda v: f(MU, 0.5, v))(f)
+        for f in (v_w_samples, v_o_samples, v_w_prime_samples, v_o_prime_samples,
+                  water_cut_samples, volumes_and_water_cut)
+    },
+}
+
+# row arguments, each a call and a valid value: a sequence of rows, or one
+# row (a range) where the flag is False
+ROW_ARGUMENTS = {
+    "Measure.atoms": (lambda v: Measure(atoms=v), ((4.0, 1.0),), True),
+    "Measure.pieces": (lambda v: Measure(pieces=v), ((3.0, 9.0, 1.0),), True),
+    "TubeSystem.tubes": (lambda v: TubeSystem(v), ((1.0, 1.0),), True),
+    "PumpHistory.breakpoints": (lambda v: PumpHistory(v, (1.0, 0.5)), (0.0, 1.0), False),
+    "PumpHistory.c_values": (lambda v: PumpHistory((0.0, 1.0), v), (1.0, 0.5), False),
+    "random_atoms.L_range": (lambda v: random_atoms(0, 5, L_range=v), (2.5, 10.0), False),
+    "random_atoms.S_range": (lambda v: random_atoms(0, 5, S_range=v), (0.5, 2.0), False),
+    "run_mc.n_atoms_range": (lambda v: run_mc(1, 0, n_atoms_range=v), (5, 50), False),
+    "run_mc.l_range": (lambda v: run_mc(1, 0, l_range=v), (2.5, 10.0), False),
+    "run_mc.s_range": (lambda v: run_mc(1, 0, s_range=v), (0.5, 2.0), False),
+}
+
+# what got past the rules before every entry point took them, or raised a
+# TypeError or a bare ValueError
+PROBES = {
+    "Measure(atoms=(('4.0', True),))": lambda: Measure(atoms=(("4.0", True),)),
+    "PumpHistory(('0', 1.0), (1.0, 1.0))": lambda: PumpHistory(("0", 1.0), (1.0, 1.0)),
+    "DisplacementCurve(x=['0', '1'], g=['0', '0.5'])": lambda: DisplacementCurve(
+        x=["0", "1"], g=["0", "0.5"], alpha_max=1.0, kappa=0.5),
+    "random_atoms(L_range=('2.5', '10'))": lambda: random_atoms(0, 5, L_range=("2.5", "10")),
+    "v_w_samples(['1', '2'])": lambda: v_w_samples(MU, 0.5, ["1", "2"]),
+    "simulate(t_grid=['0', '1'])": lambda: simulate(SYSTEM, 0.5, PUMP, t_grid=["0", "1"]),
+    "Measure(atoms=None)": lambda: Measure(atoms=None),
+    "apply_T(v, 0.5, '1')": lambda: apply_T(np.zeros(5), 0.5, "1"),
+    "h_of_alpha(alpha_max=None)": lambda: h_of_alpha(1.0, 1.0, 0.5, None, GRID),
+    "ambiguity_pair('2.0', 1.2)": lambda: ambiguity_pair("2.0", 1.2),
+    "scale(mu, '2')": lambda: scale(MU, "2"),
+    "stability_bound(0.5, None)": lambda: stability_bound(0.5, None),
+    "moment(mu, 1, '0')": lambda: moment(MU, 1, "0"),
+    "Measure(atoms=((4.0,),))": lambda: Measure(atoms=((4.0,),)),
+    "run_mc(n_atoms_range=(5, 50, 7))": lambda: run_mc(1, 0, n_atoms_range=(5, 50, 7)),
+    "random_atoms(L_range=(1.0,))": lambda: random_atoms(0, 5, L_range=(1.0,)),
+}
+
+BAD = [None, "0.5", b"1", True, np.True_, [0.5], {}, 1 + 0j]
+
+
+def boundary_cases():
+    """(call, message) per case: each bad value in each argument or field."""
+    def case(call, bad, match, name):
+        return pytest.param(lambda: call(bad), match, id=f"{bad!r}-{name}")
+
+    cases = []
+    for bad in BAD:
+        cases += [case(f, bad, "must be a number", k) for k, f in NUMBER_ARGUMENTS.items()]
+        cases += [case(f, bad, "must be an integer", k)
+                  for k, f in COUNT_ARGUMENTS.items()]
+        if bad != [0.5]:
+            cases += [case(f, bad, "must be an array of numbers", k)
+                      for k, f in ARRAY_ARGUMENTS.items()]
+        for k, (f, valid, table) in ROW_ARGUMENTS.items():
+            row = valid[0] if table else valid
+            for i in range(len(row)):
+                bad_row = row[:i] + (bad,) + row[i + 1:]
+                cases.append(case(f, (bad_row,) if table else bad_row,
+                                  "must be a number", f"{k}[{i}]"))
+    for k, (f, valid, table) in ROW_ARGUMENTS.items():
+        short = (valid[0][:-1],) if table else valid[:-1]
+        cases.append(case(f, None, "must be a sequence of rows", k))
+        cases.append(case(f, short, "must hold|one c value per breakpoint", f"{k}-width"))
+    cases += [pytest.param(f, None, id=k) for k, f in PROBES.items()]
+    return cases
+
+
+@pytest.mark.parametrize("call, match", boundary_cases())
+def test_every_number_argument_refuses_a_non_number(call, match):
+    # only ArgumentError: no TypeError or bare ValueError from float(), a
+    # comparison or an unpacking, and no bool, str or complex gets through
+    with pytest.raises(ArgumentError, match=match):
+        call()
 
 
 # the kernel tuples a tail pass takes: each kernel alone, and both at once
