@@ -139,16 +139,28 @@ def breakthrough_threshold(L, kappa):
     return (1.0 + kappa) / 2.0 * lengths * lengths
 
 
-def _interface_law(L, L2, kappa, F2, out):
+def _interface_law(L, L2, F2, cF2, n_mixed, out):
     """Unsaturated interface position, written into out, for L2 = L * L.
 
     (L - sqrt(L^2 - 2 (1-kappa) F)) / (1-kappa) as 2F / (L + sqrt(...)),
-    which keeps its digits while F << L^2; F2 is 2F.  Cells at or beyond
-    breakthrough are the caller's to replace by L.  (1-kappa) 2F is taken
-    once per value of F2, a column in simulate, before it meets the cells.
+    which keeps its digits while F << L^2; F2 is 2F and cF2 (1-kappa) 2F,
+    columns over the rows of out, formed once by simulate.  Cells at or
+    beyond breakthrough are the caller's to replace by L, and only the
+    first n_mixed columns of out may hold one: there the root's argument
+    may round below 0 and is raised to 0.  In every other column F lies
+    below the threshold (1+kappa)/2 L^2 on every row, and the argument
+    needs no guard: with u = 2^-53 and each of L2, the threshold, 1-kappa,
+    cF2 and the difference rounded once or twice, it stays above
+    (kappa^2 - 6u) L^2 (1 - u), which is kappa^2 L^2 (1 - 7e-4) at
+    KAPPA_MIN (2.7e-4 was the worst seen at F up to 8 ulps below each
+    threshold, kappa from 1e-6 to 0.999, L from 1e-150 to 1e150).  A
+    difference of normal doubles that lands among the subnormals is exact.
+    A negative argument there would raise ArgumentError under simulate's
+    overflow_guard, not pass quietly.
     """
-    np.subtract(L2, (1.0 - kappa) * F2, out=out)
-    np.maximum(out, 0.0, out=out)
+    np.subtract(L2, cF2, out=out)
+    mixed = out[:, :n_mixed]
+    np.maximum(mixed, 0.0, out=mixed)
     np.sqrt(out, out=out)
     np.add(L, out, out=out)
     return np.divide(F2, out, out=out)
@@ -185,7 +197,12 @@ def simulate(sys, kappa, pump, t_grid):
     is within about an ulp where that type is wider (x86).  The interfaces are
     filled over measures.row_blocks: the prefix broken on every row of a
     block gets L by a copy, the interface law is written straight into
-    the rest, with the breakthrough mask only where the rows disagree.  No
+    the rest, with the breakthrough mask and the root's guard against a
+    negative argument only on the columns where the rows disagree (past
+    them F is below the threshold on every row, and the argument stays
+    above kappa^2 L^2 (1 - 7e-4), see _interface_law), and every live cell
+    is clamped to at most L: a law value is 2F / (L + root) >= 0, so a
+    lower bound never binds.  No
     output depends on the block size.  The body runs under
     errors.overflow_guard: a volume, drive or threshold that overflows a
     double (a huge L, S or drive) raises ArgumentError.
@@ -205,17 +222,23 @@ def simulate(sys, kappa, pump, t_grid):
         k = np.searchsorted(thr, F, "right")       # tubes broken at each time
         m = k.max()
         L2 = L * L
+        f = F[:, None]
+        F2 = 2.0 * f
+        cF2 = (1.0 - kappa) * F2
+        blocks = list(row_blocks(t.size, n))
+        # tubes below k0 have broken through on every row of a block, tubes
+        # from k1 on on no row of it: the least and greatest k of its rows,
+        # as F may step down by an ulp at a pump breakpoint
+        starts = [rows.start for rows in blocks]
+        k0s = np.minimum.reduceat(k, starts).tolist()
+        k1s = np.maximum.reduceat(k, starts).tolist()
         interfaces = np.empty((t.size, n))
-        for rows in row_blocks(t.size, n):
-            f = F[rows, None]
-            # tubes below k0 have broken through on every row of the block,
-            # tubes from k1 on on no row of it
-            k0, k1 = k[rows].min(), k[rows].max()
+        for rows, k0, k1 in zip(blocks, k0s, k1s):
             interfaces[rows, :k0] = L[:k0]
             live = interfaces[rows, k0:]
-            _interface_law(L[k0:], L2[k0:], kappa, 2.0 * f, live)
-            np.copyto(live[:, : k1 - k0], L[k0:k1], where=f >= thr[k0:k1])
-            np.clip(live, 0.0, L[k0:], out=live)
+            _interface_law(L[k0:], L2[k0:], F2[rows], cF2[rows], k1 - k0, live)
+            np.copyto(live[:, : k1 - k0], L[k0:k1], where=f[rows] >= thr[k0:k1])
+            np.minimum(live, L[k0:], out=live)
 
         top = np.concatenate(([0.0], thr[:m]))
         W = np.concatenate(([0.0], np.cumsum(S[:m] / L[:m], dtype=np.longdouble)))

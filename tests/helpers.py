@@ -79,6 +79,38 @@ def water_volume_fsum(L, S, kappa, F):
     ])
 
 
+def stable_prefix_sums(L, S):
+    """Test oracle: measures.atom_prefix_sums as a stable sort of the
+    lengths and one 1-D np.add.accumulate per row of S L^(k-1) after its
+    leading 0."""
+    order = np.argsort(L, kind="stable")
+    L, S = L[order], S[order]
+    sums = np.zeros((3, L.size + 1))
+    for row, terms in zip(sums, (S / L, S, S * L)):
+        np.add.accumulate(terms, out=row[1:])
+    return L, S, sums
+
+
+def simulate_reference(sys, kappa, pump, t):
+    """Test oracle: the interfaces, V_w and V_o of tubes.simulate from one
+    dense evaluation, each cell clipped to [0, L] and every root's argument
+    raised to at least 0 (interface_closed_form), and V_w by simulate's
+    anchored long-double prefix sums."""
+    from tubeflood.tubes import breakthrough_threshold
+
+    L, S = sys.lengths, sys.sections
+    F = pump.F_at(t)
+    interfaces = interface_closed_form(L, kappa, F[:, None])
+    thr = breakthrough_threshold(L, kappa)
+    k = np.searchsorted(thr, F, "right")
+    m = k.max()
+    top = np.concatenate(([0.0], thr[:m]))
+    W = np.concatenate(([0.0], np.cumsum(S[:m] / L[:m], dtype=np.longdouble)))
+    D = np.concatenate(([0.0], np.cumsum(np.diff(top) * W[:-1])))
+    v_w = (((F - top[k]) * W[k] + D[k]) / kappa).astype(float)
+    return interfaces, v_w, interfaces @ S
+
+
 def searchsorted_sweep(M, h, x, g):
     """Test oracle: the back-substitution V_i = G(h_i + sum_j M[i, j] V_j)
     with one dot product and one searchsorted over all knots per row.

@@ -42,6 +42,7 @@ from tubeflood.measures import (
     OIL_RATE,
     OIL_VOLUME,
     Measure,
+    atom_prefix_sums,
     check_kappa,
     moment,
     prefix_integral,
@@ -53,7 +54,7 @@ from tubeflood.tubes import (
     PumpHistory, TubeSystem, breakthrough_threshold, reparam_xi, simulate
 )
 
-from helpers import random_measure
+from helpers import random_measure, stable_prefix_sums
 
 ATOM_11 = Measure(atoms=((1.0, 1.0),))
 
@@ -819,6 +820,25 @@ class TestMeasureType:
             warnings.simplefilter("error")
             with pytest.raises(ArgumentError):
                 Measure(atoms=atoms, pieces=pieces)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_prefix_sums_match_a_stable_sort(self, n):
+        # lengths with no two equal take NumPy's default sort
+        rng = np.random.default_rng(n)
+        L, S = rng.uniform(0.5, 10.0, n), rng.uniform(0.5, 2.0, n)
+        assert np.unique(L).size == n
+        for got, want in zip(atom_prefix_sums(L, S), stable_prefix_sums(L, S)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_equal_lengths_keep_input_order(self):
+        # lengths on a lattice tie; sections numbered in input order
+        rng = np.random.default_rng(3)
+        n = 10_000
+        L, S = rng.integers(1, 400, n) / 8.0, np.arange(1.0, n + 1.0)
+        got = atom_prefix_sums(L, S)
+        assert np.all((np.diff(got[0]) > 0) | (np.diff(got[1]) > 0))
+        for got_part, want in zip(got, stable_prefix_sums(L, S)):
+            assert np.array_equal(got_part.view(np.uint64), want.view(np.uint64))
 
     def test_finite_moments(self):
         mu = random_measure(np.random.default_rng(8))

@@ -1,5 +1,6 @@
 """Discrete tube-system model: interface law, breakthroughs, debits."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from tubeflood import measures
 from tubeflood.errors import ArgumentError
 from tubeflood.forward import v_o_samples, v_w_samples
-from tubeflood.measures import Measure
+from tubeflood.measures import KAPPA_MAX, KAPPA_MIN, Measure
 from tubeflood.tubes import (
     PumpHistory,
     TubeSystem,
@@ -22,7 +23,12 @@ from tubeflood.tubes import (
     simulate,
 )
 
-from helpers import interface_closed_form, random_pump, water_volume_fsum
+from helpers import (
+    interface_closed_form,
+    random_pump,
+    simulate_reference,
+    water_volume_fsum,
+)
 
 
 def one_tube(L, kappa, F):
@@ -214,10 +220,12 @@ class TestTubeSystem:
 
     def test_merge_matches_a_sequential_merge(self):
         # sections of one length add in input order, as a running sum would
+        # the last case, 1e4 tubes on 625 lengths, where NumPy's default
+        # sort would reorder equal lengths
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 60))
-            L = rng.choice(rng.uniform(0.5, 5.0, 6), n).tolist()
+        sizes = itertools.chain((int(rng.integers(1, 60)) for _ in range(50)), [10_000])
+        for n in sizes:
+            L = rng.choice(rng.uniform(0.5, 5.0, max(6, n // 16)), n).tolist()
             S = rng.uniform(0.1, 2.0, n).tolist()
             merged = []
             for length, section in sorted(zip(L, S), key=lambda t: t[0]):
@@ -375,6 +383,56 @@ class TestSimulate:
             for rows in blocks
         }
         assert kinds == {"none", "all", "mixed"}
+
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, KAPPA_MAX])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e148])
+    def test_root_guard_only_where_rows_disagree(self, monkeypatch, kappa, scale):
+        # two clusters of lengths, the second 100 times the first; the drive
+        # jumps at t = 1, so the first block of 3 rows carries F from below
+        # every threshold to just below the second cluster's first one,
+        # past L^2 / (2 (1-kappa)) of the whole first cluster, where the
+        # root's argument is negative: there the guard runs, and the second
+        # cluster takes the law unguarded at an F just below its threshold
+        rng = np.random.default_rng(5)
+        n = 20
+        L = scale * np.concatenate([rng.uniform(1.0, 2.0, 10), rng.uniform(100.0, 200.0, 10)])
+        sys = TubeSystem(tuple(zip(L.tolist(), rng.uniform(0.5, 2.0, n).tolist())))
+        L = sys.lengths
+        thr = breakthrough_threshold(L, kappa)
+        f1, f2 = 0.25 * thr[0], math.nextafter(thr[10], 0.0)
+        pump = PumpHistory((0.0, 1.0), (f1, f2 - f1))
+        t = np.array([0.0, 1.0, 2.0, 3.0])
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", 3 * n)
+        res = simulate(sys, kappa, pump, t)
+
+        F = res.pumped
+        assert F[1] < thr[0] and thr[9] <= F[2] < thr[10]
+        assert thr[10] - F[2] <= 4 * np.spacing(thr[10])
+        assert np.all(L[:10] ** 2 - (1.0 - kappa) * 2.0 * F[2] < 0.0)
+        broken = F[:, None] >= thr
+        assert np.array_equal(res.interfaces[broken], np.broadcast_to(L, broken.shape)[broken])
+        want = simulate_reference(sys, kappa, pump, t)
+        for got, ref in zip((res.interfaces, res.v_w, res.v_o), want):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("kappa", [0.5, KAPPA_MAX])
+    def test_interfaces_clamped_to_their_tube(self, kappa):
+        # one ulp below a threshold the law can round past L, and the clamp
+        # holds it there; F = t steps just below each threshold in turn
+        rng = np.random.default_rng(6)
+        n = 400
+        sys = TubeSystem(tuple(zip(rng.uniform(0.5, 10.0, n), rng.uniform(0.5, 2.0, n))))
+        L = sys.lengths
+        F = np.nextafter(breakthrough_threshold(L, kappa), 0.0)
+        law = 2.0 * F / (L + np.sqrt(L * L - (1.0 - kappa) * 2.0 * F))
+        assert np.any(law > L)
+        t = np.concatenate(([0.0], F))
+        pump = PumpHistory((0.0,), (1.0,))
+        res = simulate(sys, kappa, pump, t)
+        assert np.all(res.interfaces <= L)
+        want = simulate_reference(sys, kappa, pump, t)
+        for got, ref in zip((res.interfaces, res.v_w, res.v_o), want):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("kappa", [0.005, 0.5, 0.999])
     def test_water_volume_just_after_each_breakthrough(self, kappa):
